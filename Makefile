@@ -6,20 +6,31 @@ REF ?= HEAD^
 BENCH ?= .
 COUNT ?= 3
 
-.PHONY: build test race vet lint apicheck bench benchpar benchdiff fuzz fault livebench livedurable livereplicas overload livemigrate ci
+.PHONY: build test testcpu race vet lint apicheck benchcheck bench benchpar benchdiff fuzz fault livebench livedurable livereplicas overload livemigrate ci
 
 build:
 	$(GO) build ./...
 
-# API-compatibility gate: the deprecated v1 shims and the v2 handle surface
-# are pinned at compile time (apicompat_test.go); building the examples and
-# CLIs exercises the public API the way downstream code does.
+# API-surface gate: the client surface is pinned at compile time
+# (apicompat_test.go); building the examples and CLIs exercises the public
+# API the way downstream code does.
 apicheck:
 	$(GO) build ./... ./examples/... ./cmd/...
 	$(GO) vet ./...
 
+# The benchmark is its own module (benchmark/go.mod, replace joinopt => ../),
+# so the root build, vet and tests do not cover it: vet and short-test it
+# here, so a live-plane API change that breaks it fails the root gate.
+benchcheck:
+	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
+
 test:
 	$(GO) test ./...
+
+# The live plane at several GOMAXPROCS values: its executor stripes state by
+# GOMAXPROCS, so host shape must never decide whether the suite passes.
+testcpu:
+	$(GO) test -cpu 1,2,4 ./internal/live
 
 race:
 	$(GO) test -race ./...
@@ -44,7 +55,8 @@ lint: vet
 	else echo "lint: staticcheck layer skipped (STATICCHECK=0)"; fi
 	$(GO) run ./cmd/joinoptlint ./...
 
-# Wire-protocol and end-to-end transport benchmarks (gob vs binary).
+# Wire-codec micro-benchmarks and the end-to-end executor throughput
+# benchmarks of the live plane.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/live/...
 
@@ -78,7 +90,7 @@ fuzz:
 fault:
 	$(GO) test -race -run 'TestFault|TestCrash' ./internal/live ./internal/storage
 
-# End-to-end live-plane throughput comparison via the CLI.
+# End-to-end live-plane throughput over real TCP via the CLI.
 livebench:
 	$(GO) run ./cmd/joinbench -live
 
@@ -107,4 +119,4 @@ overload:
 livemigrate:
 	$(GO) run ./cmd/joinbench -livemigrate -liveops 20000
 
-ci: lint race fault
+ci: lint race testcpu fault benchcheck

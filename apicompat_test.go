@@ -5,20 +5,11 @@ import (
 	"time"
 )
 
-// Compile-time API-compatibility pins. The deprecated v1 shims are frozen:
-// removing one, or changing its signature, breaks this file — and with it
-// the CI "API compatibility" step — before it breaks any downstream user.
-// The v2 surface is pinned alongside so an accidental signature drift in a
-// refactor is equally loud.
+// Compile-time API pins: an accidental signature drift of the client surface
+// in a refactor breaks this file — and with it the CI "API surface" step —
+// before it breaks any downstream user.
 var (
-	// v1 shims (deprecated but frozen).
-	_ func(string, string, []byte) *Future         = (*Client)(nil).Submit
-	_ func(string, string, []byte) []byte          = (*Client)(nil).Call
-	_ func(string, string, []byte) ([]byte, error) = (*Client)(nil).CallErr
-	_ func() []byte                                = (*Future)(nil).Wait
-	_ func() ([]byte, error)                       = (*Future)(nil).WaitErr
-
-	// v2 surface.
+	_ func() ([]byte, error)                                                       = (*Future)(nil).WaitErr
 	_ func(string) *Table                                                          = (*Client)(nil).Table
 	_ func(context.Context, string, []byte, ...CallOption) *Future                 = (*Table)(nil).Submit
 	_ func(context.Context, string, []byte, ...CallOption) ([]byte, error)         = (*Table)(nil).Call
@@ -33,6 +24,6 @@ var (
 	_ CallOption = WithRoute(ForceCompute)
 	_ CallOption = WithNoCache()
 
-	// Error codes, including the v2 addition.
+	// Error codes.
 	_ = [...]ErrCode{ErrServer, ErrTransport, ErrTimeout, ErrClosed, ErrCanceled}
 )

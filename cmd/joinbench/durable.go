@@ -23,15 +23,7 @@ import (
 // if any acked put is missing or stale after recovery — the same invariant
 // the fault suite pins in CI, here runnable against tunable op counts and
 // a real directory. dir == "" uses a throwaway temp directory.
-func runLiveDurable(out io.Writer, wireName string, ops int, dir string, fsync bool) {
-	wire, err := live.ParseWire(wireName)
-	if err != nil {
-		if wireName == "both" {
-			wire = live.WireBinary // -livedurable drills one transport; default to binary
-		} else {
-			log.Fatal(err)
-		}
-	}
+func runLiveDurable(out io.Writer, ops int, dir string, fsync bool) {
 	if dir == "" {
 		tmp, err := os.MkdirTemp("", "joinbench-durable-*")
 		if err != nil {
@@ -47,8 +39,8 @@ func runLiveDurable(out io.Writer, wireName string, ops int, dir string, fsync b
 	}
 	killAt := int64(writers*perWriter) / 3
 
-	fmt.Fprintf(out, "live durability drill: %d puts from %d writers, wire=%s, data dir %s (fsync=%v)\n",
-		writers*perWriter, writers, wire, dir, fsync)
+	fmt.Fprintf(out, "live durability drill: %d puts from %d writers, data dir %s (fsync=%v)\n",
+		writers*perWriter, writers, dir, fsync)
 
 	reg := live.NewRegistry()
 	boot := func(addr string) (*live.Server, *storage.Disk, string) {
@@ -56,7 +48,7 @@ func runLiveDurable(out io.Writer, wireName string, ops int, dir string, fsync b
 		if err != nil {
 			log.Fatalf("open disk engine: %v", err)
 		}
-		srv := live.NewServer(reg, false, wire)
+		srv := live.NewServer(reg, false)
 		srv.SetEngine(eng)
 		srv.AddTable(live.TableSpec{Name: "t", UDF: "none"})
 		bound, err := srv.Serve(addr)
@@ -82,7 +74,7 @@ func runLiveDurable(out io.Writer, wireName string, ops int, dir string, fsync b
 				if *conn != nil {
 					(*conn).Close()
 				}
-				c, err := live.DialNode(addr, nil, wire)
+				c, err := live.DialNode(addr, nil)
 				if err != nil {
 					if time.Now().After(deadline) {
 						log.Fatalf("redial never succeeded: %v", err)
@@ -148,7 +140,7 @@ func runLiveDurable(out io.Writer, wireName string, ops int, dir string, fsync b
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	conn, err := live.DialNode(addr, nil, wire)
+	conn, err := live.DialNode(addr, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

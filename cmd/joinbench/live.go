@@ -18,9 +18,8 @@ import (
 	"joinopt/internal/store"
 )
 
-// liveBenchResult is one transport's end-to-end measurement.
+// liveBenchResult is one end-to-end measurement.
 type liveBenchResult struct {
-	Wire       live.Wire
 	Ops        int
 	Elapsed    time.Duration
 	OpsPerSec  float64
@@ -32,9 +31,7 @@ type liveBenchResult struct {
 
 // runLiveBench measures the live plane end to end: it spins up real TCP
 // store servers and a real executor in-process and pushes ops batched
-// OpExec joins through the chosen wire protocol(s). wireName is "binary",
-// "gob", or "both" (both transports on the same workload, for an apples-
-// to-apples transport comparison). clients is the number of concurrent
+// OpExec joins through the wire. clients is the number of concurrent
 // submitter goroutines sharing the one executor (the parallel-Submit
 // scaling axis); shards stripes the executor's routing state (0 =
 // GOMAXPROCS, 1 = the old global-lock behaviour). cancelFrac (0..1)
@@ -42,18 +39,8 @@ type liveBenchResult struct {
 // submission — the -livecancel scenario — and the report then splits ops
 // into completed/canceled/failed and shows how many UDFs the servers
 // skipped.
-func runLiveBench(out io.Writer, wireName string, ops, nodes, clients, shards int,
+func runLiveBench(out io.Writer, ops, nodes, clients, shards int,
 	retries int, timeout time.Duration, cancelFrac float64) {
-	var wires []live.Wire
-	if wireName == "both" {
-		wires = []live.Wire{live.WireGob, live.WireBinary}
-	} else {
-		w, err := live.ParseWire(wireName)
-		if err != nil {
-			log.Fatal(err)
-		}
-		wires = []live.Wire{w}
-	}
 	if clients < 1 {
 		clients = 1
 	}
@@ -64,23 +51,15 @@ func runLiveBench(out io.Writer, wireName string, ops, nodes, clients, shards in
 		fmt.Fprintf(out, "canceling ~%.0f%% of in-flight ops via context\n", cancelFrac*100)
 	}
 	fmt.Fprintln(out)
-	fmt.Fprintf(out, "%-8s %12s %12s %10s %10s %10s %12s\n",
-		"wire", "elapsed", "ops/sec", "completed", "canceled", "failed", "udfs skipped")
-	var results []liveBenchResult
-	for _, w := range wires {
-		r := liveBenchOnce(w, ops, nodes, clients, shards, retries, timeout, cancelFrac)
-		results = append(results, r)
-		fmt.Fprintf(out, "%-8s %12s %12.0f %10d %10d %10d %12d\n",
-			r.Wire, r.Elapsed.Round(time.Millisecond), r.OpsPerSec,
-			r.Completed, r.Canceled, r.Failed, r.ServerSkip)
-	}
-	if len(results) == 2 {
-		fmt.Fprintf(out, "\nbinary/gob speedup: %.2fx\n",
-			results[1].OpsPerSec/results[0].OpsPerSec)
-	}
+	fmt.Fprintf(out, "%12s %12s %10s %10s %10s %12s\n",
+		"elapsed", "ops/sec", "completed", "canceled", "failed", "udfs skipped")
+	r := liveBenchOnce(ops, nodes, clients, shards, retries, timeout, cancelFrac)
+	fmt.Fprintf(out, "%12s %12.0f %10d %10d %10d %12d\n",
+		r.Elapsed.Round(time.Millisecond), r.OpsPerSec,
+		r.Completed, r.Canceled, r.Failed, r.ServerSkip)
 }
 
-func liveBenchOnce(wire live.Wire, ops, nodes, clients, shards int,
+func liveBenchOnce(ops, nodes, clients, shards int,
 	retries int, timeout time.Duration, cancelFrac float64) liveBenchResult {
 	reg := live.NewRegistry()
 	reg.Register("tag", func(key string, params, value []byte) []byte {
@@ -112,7 +91,7 @@ func liveBenchOnce(wire live.Wire, ops, nodes, clients, shards int,
 	addrs := make(map[cluster.NodeID]string)
 	var servers []*live.Server
 	for i := 0; i < nodes; i++ {
-		s := live.NewServer(reg, false, wire)
+		s := live.NewServer(reg, false)
 		s.AddTable(live.TableSpec{Name: "t", UDF: "tag", Rows: nodeRows[i]})
 		addr, err := s.Serve("127.0.0.1:0")
 		if err != nil {
@@ -134,7 +113,6 @@ func liveBenchOnce(wire live.Wire, ops, nodes, clients, shards int,
 		TableUDF:       map[string]string{"t": "tag"},
 		Optimizer:      core.Config{Policy: core.Policy{AlwaysCompute: true}},
 		BatchWait:      500 * time.Microsecond,
-		Wire:           wire,
 		Shards:         shards,
 		MaxRetries:     retries,
 		RequestTimeout: timeout,
@@ -144,12 +122,11 @@ func liveBenchOnce(wire live.Wire, ops, nodes, clients, shards int,
 	}
 	defer e.Close()
 
-	// The v2 handle API: resolve the table once, submit under contexts.
+	// Resolve the table handle once, submit under contexts.
 	ctx := context.Background()
 	tbl := e.Table("t")
 
-	// One warm-up round trip per node takes dialing and gob's type
-	// exchange off the clock.
+	// One warm-up round trip per node takes dialing off the clock.
 	for i := 0; i < keys; i += keys / 8 {
 		if _, err := tbl.Call(ctx, fmt.Sprintf("k%d", i), []byte("warm")); err != nil {
 			log.Fatalf("warm-up: %v", err)
@@ -215,14 +192,13 @@ func liveBenchOnce(wire live.Wire, ops, nodes, clients, shards int,
 	clientWg.Wait()
 	elapsed := time.Since(start)
 	if n := failed.Load(); n > 0 {
-		log.Printf("live bench (%s): %d/%d ops failed with typed errors", wire, n, ops)
+		log.Printf("live bench: %d/%d ops failed with typed errors", n, ops)
 	}
 	var serverSkips int64
 	for _, s := range servers {
 		serverSkips += s.ExecCanceled.Load()
 	}
 	return liveBenchResult{
-		Wire:       wire,
 		Ops:        ops,
 		Elapsed:    elapsed,
 		OpsPerSec:  float64(ops) / elapsed.Seconds(),

@@ -1,15 +1,15 @@
 // Command joinbench regenerates the paper's evaluation figures on the
 // simulated cluster and prints them as tables, and can also benchmark the
-// live plane's wire transports end to end.
+// live plane end to end.
 //
 // Usage:
 //
 //	joinbench -fig 8a              # one figure
 //	joinbench -fig all -tuples 30000
-//	joinbench -live                # live-plane throughput, gob vs binary
-//	joinbench -live -wire binary -liveops 200000 -livenodes 3
-//	joinbench -live -wire binary -liveclients 8 -liveshards 0
-//	joinbench -live -wire binary -livecancel 0.2   # cancel 20% mid-flight
+//	joinbench -live                # live-plane throughput over real TCP
+//	joinbench -live -liveops 200000 -livenodes 3
+//	joinbench -live -liveclients 8 -liveshards 0
+//	joinbench -live -livecancel 0.2   # cancel 20% mid-flight
 //	joinbench -live -cpuprofile cpu.out -memprofile mem.out
 //	joinbench -livedurable                 # disk-engine kill/restart drill
 //	joinbench -livedurable -liveops 20000 -livedir /tmp/dur -livefsync
@@ -80,15 +80,14 @@ func main() {
 	tuples := flag.Int("tuples", 0, "input size per run (0 = per-figure default)")
 	seed := flag.Int64("seed", 1, "workload RNG seed")
 	verbose := flag.Bool("v", false, "log every run as it completes")
-	liveBench := flag.Bool("live", false, "benchmark the live plane's wire transports instead of reproducing figures")
+	liveBench := flag.Bool("live", false, "benchmark the live plane end to end instead of reproducing figures")
 	liveDurable := flag.Bool("livedurable", false, "run the disk-engine kill/restart durability drill instead of reproducing figures")
 	liveDir := flag.String("livedir", "", "durability drill: data directory for the WAL and snapshots (empty = temp dir)")
 	liveFsync := flag.Bool("livefsync", false, "durability drill: fsync the WAL at every acknowledgment barrier")
 	liveReplicas := flag.Int("livereplicas", 0, "run the kill-one-replica drill with this replica factor (>= 3) instead of reproducing figures")
 	liveRate := flag.Int("liverate", 0, "run the open-loop overload drill at this arrival rate (ops/sec) instead of reproducing figures")
 	liveMigrate := flag.Bool("livemigrate", false, "run the elastic-membership live-migration drill instead of reproducing figures")
-	wireName := flag.String("wire", "both", "live bench transport: binary, gob, or both")
-	liveOps := flag.Int("liveops", 100000, "live bench: join invocations per transport")
+	liveOps := flag.Int("liveops", 100000, "live bench: join invocations")
 	liveNodes := flag.Int("livenodes", 1, "live bench: store nodes")
 	liveClients := flag.Int("liveclients", 1, "live bench: concurrent submitter goroutines on the one executor (parallel-Submit scaling)")
 	liveShards := flag.Int("liveshards", 0, "live bench: executor state shards (0 = GOMAXPROCS, 1 = single global lock)")
@@ -125,23 +124,23 @@ func main() {
 	}
 
 	if *liveDurable {
-		runLiveDurable(os.Stdout, *wireName, *liveOps, *liveDir, *liveFsync)
+		runLiveDurable(os.Stdout, *liveOps, *liveDir, *liveFsync)
 		return
 	}
 	if *liveReplicas > 0 {
-		runLiveReplicas(os.Stdout, *wireName, *liveOps, *liveReplicas)
+		runLiveReplicas(os.Stdout, *liveOps, *liveReplicas)
 		return
 	}
 	if *liveRate > 0 {
-		runLiveOverload(os.Stdout, *wireName, *liveRate, *liveOps)
+		runLiveOverload(os.Stdout, *liveRate, *liveOps)
 		return
 	}
 	if *liveMigrate {
-		runLiveMigrate(os.Stdout, *wireName, *liveOps)
+		runLiveMigrate(os.Stdout, *liveOps)
 		return
 	}
 	if *liveBench {
-		runLiveBench(os.Stdout, *wireName, *liveOps, *liveNodes, *liveClients, *liveShards,
+		runLiveBench(os.Stdout, *liveOps, *liveNodes, *liveClients, *liveShards,
 			*liveRetries, *liveTimeout, *liveCancel)
 		return
 	}

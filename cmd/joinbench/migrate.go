@@ -44,15 +44,7 @@ import (
 // returns anything but the last acknowledged value (a stale client cache
 // surviving the move is a wrong answer); or no redirect was ever exercised
 // (the drill would have proven nothing).
-func runLiveMigrate(out io.Writer, wireName string, ops int) {
-	wire, err := live.ParseWire(wireName)
-	if err != nil {
-		if wireName == "both" {
-			wire = live.WireBinary // the drill runs one transport; default binary
-		} else {
-			log.Fatal(err)
-		}
-	}
+func runLiveMigrate(out io.Writer, ops int) {
 
 	const (
 		regions = 4
@@ -79,7 +71,7 @@ func runLiveMigrate(out io.Writer, wireName string, ops int) {
 	m := membership.NewMap()
 	servers := map[cluster.NodeID]*live.Server{}
 	boot := func(id cluster.NodeID) string {
-		srv := live.NewServer(reg, false, wire)
+		srv := live.NewServer(reg, false)
 		srv.AddTable(spec)
 		bound, err := srv.Serve("127.0.0.1:0")
 		if err != nil {
@@ -115,7 +107,6 @@ func runLiveMigrate(out io.Writer, wireName string, ops int) {
 			MemCacheBytes: 32 << 20,
 		},
 		BatchWait:      500 * time.Microsecond,
-		Wire:           wire,
 		RequestTimeout: 2 * time.Second,
 	})
 	if err != nil {
@@ -131,8 +122,8 @@ func runLiveMigrate(out io.Writer, wireName string, ops int) {
 		perWriter = 1
 	}
 	joinAt := int64(writers*perWriter) / 3
-	fmt.Fprintf(out, "live migration drill: %d puts + concurrent mixed-route reads, %d regions, wire=%s\n",
-		writers*perWriter, regions, wire)
+	fmt.Fprintf(out, "live migration drill: %d puts + concurrent mixed-route reads, %d regions\n",
+		writers*perWriter, regions)
 
 	var (
 		mu    sync.Mutex
@@ -249,7 +240,7 @@ func runLiveMigrate(out io.Writer, wireName string, ops int) {
 		addr1, ackedN.Load(), regions)
 
 	// ...and every region migrates to it while the load keeps running.
-	mig := &live.Migrator{Map: m, Servers: servers, Wire: wire}
+	mig := &live.Migrator{Map: m, Servers: servers}
 	migStart := time.Now()
 	moved, err := mig.Drain(0, 1, []string{"t"})
 	if err != nil {
@@ -294,7 +285,7 @@ func runLiveMigrate(out io.Writer, wireName string, ops int) {
 
 	// Audit 1 — durability: every acknowledged put must be readable on the
 	// new owner at (at least) its acked version.
-	conn, err := live.DialNode(addr1, nil, wire)
+	conn, err := live.DialNode(addr1, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

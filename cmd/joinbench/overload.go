@@ -34,15 +34,7 @@ import (
 // priority and p50/p99 latency of the served ops, which stays bounded by
 // queue depth x service time no matter how far the arrival rate exceeds
 // capacity.
-func runLiveOverload(out io.Writer, wireName string, rate, ops int) {
-	wire, err := live.ParseWire(wireName)
-	if err != nil {
-		if wireName == "both" {
-			wire = live.WireBinary // the drill runs one transport; default binary
-		} else {
-			log.Fatal(err)
-		}
-	}
+func runLiveOverload(out io.Writer, rate, ops int) {
 	if rate < 1 {
 		log.Fatalf("-liverate needs a positive arrival rate, got %d", rate)
 	}
@@ -75,7 +67,7 @@ func runLiveOverload(out io.Writer, wireName string, rate, ops int) {
 		rows[fmt.Sprintf("k%d", i)] = val
 	}
 
-	srv := live.NewServer(reg, false, wire)
+	srv := live.NewServer(reg, false)
 	srv.AddTable(live.TableSpec{Name: "t", UDF: "slow", Rows: rows})
 	srv.SetAdmission(live.AdmissionConfig{
 		ExecQueue: execQueue, ExecWorkers: execWorkers,
@@ -96,7 +88,6 @@ func runLiveOverload(out io.Writer, wireName string, rate, ops int) {
 		Optimizer: core.Config{Policy: core.Policy{AlwaysCompute: true}},
 		BatchWait: 200 * time.Microsecond,
 		BatchSize: 1, // one op per frame: admission sees the true arrival rate
-		Wire:      wire,
 		// No client-side retries: each arrival resolves exactly once, so the
 		// report's served/shed split is the server's admission decision, not
 		// the retry loop's eventual outcome.

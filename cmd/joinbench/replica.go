@@ -28,15 +28,7 @@ import (
 // fails (exit 1) if any reader saw an error — failover must absorb the
 // outage — or if any acknowledged put is missing or stale on the rejoined
 // node after catch-up.
-func runLiveReplicas(out io.Writer, wireName string, ops, replicas int) {
-	wire, err := live.ParseWire(wireName)
-	if err != nil {
-		if wireName == "both" {
-			wire = live.WireBinary // the drill runs one transport; default binary
-		} else {
-			log.Fatal(err)
-		}
-	}
+func runLiveReplicas(out io.Writer, ops, replicas int) {
 	if replicas < 3 {
 		// Killing one of two replicas makes the majority quorum (2 of 2)
 		// unreachable; the kill drill needs a surviving majority.
@@ -78,7 +70,7 @@ func runLiveReplicas(out io.Writer, wireName string, ops, replicas int) {
 	servers := make([]*live.Server, replicas)
 	addrs := make(map[cluster.NodeID]string)
 	boot := func(i int, addr string, peers []string) *live.Server {
-		srv := live.NewServer(reg, false, wire)
+		srv := live.NewServer(reg, false)
 		srv.AddTable(live.TableSpec{Name: "t", UDF: "tag", Rows: nodeRows[i]})
 		if len(peers) > 0 {
 			// Rejoin: apply everything the survivors accepted while this
@@ -116,7 +108,6 @@ func runLiveReplicas(out io.Writer, wireName string, ops, replicas int) {
 			MemCacheBytes: 32 << 20,
 		},
 		BatchWait:      500 * time.Microsecond,
-		Wire:           wire,
 		Replicas:       replicas,
 		RequestTimeout: 2 * time.Second,
 	})
@@ -133,8 +124,8 @@ func runLiveReplicas(out io.Writer, wireName string, ops, replicas int) {
 		perWriter = 1
 	}
 	killAt := int64(writers*perWriter) / 3
-	fmt.Fprintf(out, "live replication drill: %d quorum puts + concurrent reads, %d nodes, R=%d, wire=%s\n",
-		writers*perWriter, replicas, replicas, wire)
+	fmt.Fprintf(out, "live replication drill: %d quorum puts + concurrent reads, %d nodes, R=%d\n",
+		writers*perWriter, replicas, replicas)
 
 	var (
 		mu    sync.Mutex
@@ -245,7 +236,7 @@ func runLiveReplicas(out io.Writer, wireName string, ops, replicas int) {
 
 	// Audit the rejoined node directly: every acknowledged put must be
 	// readable there at (at least) its acked version.
-	conn, err := live.DialNode(addrs[victim], nil, wire)
+	conn, err := live.DialNode(addrs[victim], nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -61,7 +61,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	table := fs.String("table", "demo", "table name to serve")
 	rows := fs.Int("rows", 10000, "synthetic rows to load")
 	balanced := fs.Bool("balanced", true, "enable compute/data load balancing")
-	wireName := fs.String("wire", "binary", "wire protocol: binary (framed) or gob (legacy)")
 	engineName := fs.String("engine", "mem", "storage engine: mem (volatile) or disk (WAL + snapshots)")
 	dataDir := fs.String("data-dir", "", "disk engine: data directory (required with -engine disk)")
 	fsync := fs.Bool("fsync", false, "disk engine: fsync the WAL at every acknowledgment barrier")
@@ -79,11 +78,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	}
 	logger := log.New(stderr, "", log.LstdFlags)
 
-	wire, err := live.ParseWire(*wireName)
-	if err != nil {
-		logger.Print(err)
-		return 2
-	}
 	engine, err := storage.ParseEngine(*engineName)
 	if err != nil {
 		logger.Print(err)
@@ -98,7 +92,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		return append(out, params...)
 	})
 
-	srv := live.NewServer(reg, *balanced, wire)
+	srv := live.NewServer(reg, *balanced)
 	srv.SetAdmission(live.AdmissionConfig{
 		ExecQueue: *execQueue, PutQueue: *putQueue, FetchQueue: *fetchQueue,
 		ExecWorkers: *execWorkers, PutWorkers: *putWorkers, FetchWorkers: *fetchWorkers,
@@ -155,8 +149,8 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		return 1
 	}
 	defer srv.Close()
-	logger.Printf("storeserver: serving table %q (%d rows, balanced=%v, wire=%s, engine=%s) on %s",
-		*table, *rows, *balanced, wire, engine, bound)
+	logger.Printf("storeserver: serving table %q (%d rows, balanced=%v, engine=%s) on %s",
+		*table, *rows, *balanced, engine, bound)
 	if disk != nil {
 		st := disk.Stats()
 		logger.Printf("storeserver: disk engine at %s (recovered %d snapshot rows, replayed %d WAL records, dropped %d torn bytes)",

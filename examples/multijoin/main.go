@@ -72,7 +72,7 @@ func main() {
 		MapWithPremap(
 			func(r joinopt.Row, a *joinopt.Async) { a.Submit("date_dim", r["d_fk"], nil) },
 			func(r joinopt.Row, a *joinopt.Async) joinopt.Row {
-				month := string(a.Get("date_dim", r["d_fk"], nil))
+				month := string(a.Fetch("date_dim", r["d_fk"], nil))
 				if month != "2002-11" {
 					return nil
 				}
@@ -83,14 +83,14 @@ func main() {
 		MapWithPremap(
 			func(r joinopt.Row, a *joinopt.Async) { a.Submit("item", r["i_fk"], nil) },
 			func(r joinopt.Row, a *joinopt.Async) joinopt.Row {
-				r["brand"] = string(a.Get("item", r["i_fk"], nil))
+				r["brand"] = string(a.Fetch("item", r["i_fk"], nil))
 				return r
 			}).
 		// Stage 3: join store for the state.
 		MapWithPremap(
 			func(r joinopt.Row, a *joinopt.Async) { a.Submit("store", r["s_fk"], nil) },
 			func(r joinopt.Row, a *joinopt.Async) joinopt.Row {
-				r["state"] = string(a.Get("store", r["s_fk"], nil))
+				r["state"] = string(a.Fetch("store", r["s_fk"], nil))
 				return r
 			}).
 		Collect()

@@ -100,12 +100,15 @@ func TestAddToDiskAndPromotion(t *testing.T) {
 	if _, tier, _ := c.Lookup("k"); tier != TierDisk {
 		t.Fatal("AddToDisk did not store on disk")
 	}
-	// Promote via CondCacheInMemory: item must move, not copy.
-	if !c.CondCacheInMemory("k", 80, "v", true) {
+	// Promote via CondCacheInMemory the way a disk hit does — with the
+	// looked-up item's own value: the item must move, not copy, and the
+	// memory entry is the only holder of the value afterwards.
+	it, _, _ := c.Get("k")
+	if !c.CondCacheInMemory("k", it.Size, it.Value, true) {
 		t.Fatal("promotion rejected")
 	}
-	if _, tier, _ := c.Lookup("k"); tier != TierMem {
-		t.Fatal("item not promoted to memory")
+	if got, tier, _ := c.Lookup("k"); tier != TierMem || got.Value != "v" {
+		t.Fatalf("promoted item = %+v in %v, want value \"v\" in memory", got, tier)
 	}
 	if c.DiskLen() != 0 {
 		t.Fatal("promoted item left a copy on disk")

@@ -263,7 +263,7 @@ func (o *Optimizer) Route(key string, netBw float64) Route {
 	count := o.counter.Observe(key)
 
 	// Lines 3-9: cache hits.
-	if _, tier, ok := o.Cache.Get(key); ok {
+	if item, tier, ok := o.Cache.Get(key); ok {
 		if o.shouldOffloadCached() {
 			o.stats.ComputeReqs++
 			o.stats.Offloaded++
@@ -273,9 +273,10 @@ func (o *Optimizer) Route(key string, netBw float64) Route {
 			o.stats.LocalMem++
 			return RouteLocalMem
 		}
-		// Disk hit: consider promotion (line 9).
+		// Disk hit: consider promotion (line 9). The promoted entry replaces
+		// the disk copy, so it must carry the value that copy held.
 		if !frozen && info != nil {
-			o.Cache.CondCacheInMemory(key, info.ValueSize, nil, true)
+			o.Cache.CondCacheInMemory(key, info.ValueSize, item.Value, true)
 		}
 		o.stats.LocalDisk++
 		return RouteLocalDisk

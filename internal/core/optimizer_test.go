@@ -377,3 +377,22 @@ func TestConfigShardBudgetSplit(t *testing.T) {
 		New(Config{MemCacheBytes: 2}.Shard(i, 4))
 	}
 }
+
+// TestDiskHitPromotionKeepsValue: a disk-tier hit that promotes the entry
+// to memory removes the disk copy, so the promoted entry must carry the
+// cached value — the live executor reads it right after Route.
+func TestDiskHitPromotionKeepsValue(t *testing.T) {
+	o := newFO(1000)
+	learn(o, "k", 100, 1e-4)
+	o.OnValueFetched("k", 100, 1, []byte("row"), false) // bought to disk
+	if got := o.Route("k", testBw); got != RouteLocalDisk {
+		t.Fatalf("route = %v, want local-disk", got)
+	}
+	it, tier, ok := o.Cache.Lookup("k")
+	if !ok || tier != cache.TierMem {
+		t.Fatalf("disk hit with free memory was not promoted (tier %v, ok %v)", tier, ok)
+	}
+	if v, _ := it.Value.([]byte); string(v) != "row" {
+		t.Fatalf("promoted entry holds %v, want the cached value", it.Value)
+	}
+}

@@ -31,35 +31,8 @@ type Emitter interface {
 	Emit(key string, value []byte)
 }
 
-// Prefetcher is the preMap-side handle: Submit issues an asynchronous
-// request for f(key, params) against a stored table (submitComp in
-// Figure 10); the map function later calls Fetch (fetchComp), which blocks
-// only if the result has not arrived yet.
-type Prefetcher struct {
-	ctx  context.Context // the job's request scope; Background if unset
-	exec *live.Executor
-	rm   *live.ResultMap
-}
-
-// Submit prefetches f(key, params) on table under the job's context (v2
-// handle API: canceling the job's context abandons its prefetches).
-func (p *Prefetcher) Submit(table, key string, params []byte) {
-	p.rm.Put(table, key, params, p.exec.Table(table).Submit(p.ctx, key, params))
-}
-
-// Fetch returns the prefetched result for (table, key, params); if preMap
-// never submitted it, Fetch issues the request synchronously (the code
-// still works without prefetching, just slower -- as in the paper's API).
-// A failed or canceled request yields nil, like a missing key; jobs that
-// need the distinction should check the client's Stats.
-func (p *Prefetcher) Fetch(table, key string, params []byte) []byte {
-	if f := p.rm.Take(table, key, params); f != nil {
-		v, _ := f.WaitCtx(p.ctx)
-		return v
-	}
-	v, _ := p.exec.Table(table).Call(p.ctx, key, params)
-	return v
-}
+// Prefetcher is the preMap-side handle: preMap calls Submit, map calls Fetch.
+type Prefetcher = live.Prefetcher
 
 // Job is a MapReduce job with the optional preMap extension.
 type Job struct {
@@ -111,13 +84,9 @@ func (j *Job) Run() []KV {
 	if depth == 0 {
 		depth = 128
 	}
-	ctx := j.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	var pf *Prefetcher
 	if j.Store != nil {
-		pf = &Prefetcher{ctx: ctx, exec: j.Store, rm: live.NewResultMap()}
+		pf = live.NewPrefetcher(j.Ctx, j.Store)
 	}
 
 	// The driver change of Section 7.1: preMap consumes the input in a

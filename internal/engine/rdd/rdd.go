@@ -17,29 +17,8 @@ import (
 type Row map[string]string
 
 // Async is the handle passed to premap/map functions (the paper's "async"
-// object): Submit issues prefetches, Get collects results.
-type Async struct {
-	ctx  context.Context // the pipeline's request scope; Background if unset
-	exec *live.Executor
-	rm   *live.ResultMap
-}
-
-// Submit prefetches f(key, params) on table under the context's scope (v2
-// handle API): canceling the pipeline abandons its in-flight prefetches.
-func (a *Async) Submit(table, key string, params []byte) {
-	a.rm.Put(table, key, params, a.exec.Table(table).Submit(a.ctx, key, params))
-}
-
-// Get collects a prefetched result, falling back to a synchronous request.
-// A failed or canceled request yields nil, like a missing key.
-func (a *Async) Get(table, key string, params []byte) []byte {
-	if f := a.rm.Take(table, key, params); f != nil {
-		v, _ := f.WaitCtx(a.ctx)
-		return v
-	}
-	v, _ := a.exec.Table(table).Call(a.ctx, key, params)
-	return v
-}
+// object): Submit issues prefetches, Fetch collects results.
+type Async = live.Prefetcher
 
 // RDD is an immutable dataset with lazily-applied transformations.
 type RDD struct {
@@ -108,11 +87,7 @@ func (r *RDD) FlatMapWithPremap(premap func(Row, *Async), mapf func(Row, *Async)
 	ctx := r.ctx
 	return &RDD{ctx: ctx, rows: func() []Row {
 		in := prev()
-		reqCtx := ctx.Ctx
-		if reqCtx == nil {
-			reqCtx = context.Background()
-		}
-		async := &Async{ctx: reqCtx, exec: ctx.Store, rm: live.NewResultMap()}
+		async := live.NewPrefetcher(ctx.Ctx, ctx.Store)
 		queue := make(chan int, ctx.queueDepth)
 		go func() {
 			defer close(queue)

@@ -113,7 +113,7 @@ func TestMultiJoinPipeline(t *testing.T) {
 		MapWithPremap(
 			func(r Row, a *Async) { a.Submit("date_dim", r["d_fk"], nil) },
 			func(r Row, a *Async) Row {
-				month := string(a.Get("date_dim", r["d_fk"], nil))
+				month := string(a.Fetch("date_dim", r["d_fk"], nil))
 				if month != "month-3" { // the query's date filter
 					return nil
 				}
@@ -123,7 +123,7 @@ func TestMultiJoinPipeline(t *testing.T) {
 		MapWithPremap(
 			func(r Row, a *Async) { a.Submit("item", r["i_fk"], nil) },
 			func(r Row, a *Async) Row {
-				r["item"] = string(a.Get("item", r["i_fk"], nil))
+				r["item"] = string(a.Fetch("item", r["i_fk"], nil))
 				return r
 			}).
 		Collect()

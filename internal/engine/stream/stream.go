@@ -20,31 +20,9 @@ type Event struct {
 	Value []byte
 }
 
-// Prefetcher mirrors mapreduce.Prefetcher for the streaming API.
-type Prefetcher struct {
-	ctx  context.Context // the pool's request scope; Background if unset
-	exec *live.Executor
-	rm   *live.ResultMap
-}
-
-// Submit prefetches f(key, params) on table under the pool's context (v2
-// handle API): canceling the context abandons in-flight prefetches, which
-// is how a streaming pipeline stops abandoned tuples from consuming
-// data-node CPU.
-func (p *Prefetcher) Submit(table, key string, params []byte) {
-	p.rm.Put(table, key, params, p.exec.Table(table).Submit(p.ctx, key, params))
-}
-
-// Fetch collects a prefetched result, falling back to a synchronous call.
-// A failed or canceled request yields nil, like a missing key.
-func (p *Prefetcher) Fetch(table, key string, params []byte) []byte {
-	if f := p.rm.Take(table, key, params); f != nil {
-		v, _ := f.WaitCtx(p.ctx)
-		return v
-	}
-	v, _ := p.exec.Table(table).Call(p.ctx, key, params)
-	return v
-}
+// Prefetcher is the prefetch-side handle: PreMap calls Submit, Update calls
+// Fetch.
+type Prefetcher = live.Prefetcher
 
 // Config configures a MapUpdatePool.
 type Config struct {
@@ -93,13 +71,9 @@ func NewPool(cfg Config) *Pool {
 		done:    make(chan struct{}),
 		started: time.Now(),
 	}
-	ctx := cfg.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	var pf *Prefetcher
 	if cfg.Store != nil {
-		pf = &Prefetcher{ctx: ctx, exec: cfg.Store, rm: live.NewResultMap()}
+		pf = live.NewPrefetcher(cfg.Ctx, cfg.Store)
 	}
 
 	// Prefetch thread: read input, prefetch, enqueue for update.

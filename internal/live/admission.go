@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// Admission control (wire v3): every request read off a connection passes
+// Admission control: every request read off a connection passes
 // through a bounded run queue for its op class before any work happens.
 // Overload is therefore a first-class, immediately-visible outcome — a full
 // queue sheds the request with a typed CodeOverloaded carrying a
@@ -147,7 +147,7 @@ func (s *Server) admit(wc *wireConn, req *Request) {
 
 // shed answers a request with CodeOverloaded without performing any of its
 // work. The response carries the retry-after hint (estimated queue drain
-// time) and the usual v3 backpressure header, so a paced client stops
+// time) and the usual backpressure header, so a paced client stops
 // sending before it sheds again.
 func (s *Server) shed(wc *wireConn, req *Request, cl opClass) {
 	s.Shed.Add(1)
@@ -189,10 +189,10 @@ func (s *Server) retryAfterHint(cl opClass) uint64 {
 	return ms
 }
 
-// stampCredit writes the v3 backpressure pair onto an outgoing response:
+// stampCredit writes the backpressure pair onto an outgoing response:
 // window is the per-conn outstanding-op budget for the class (queue
 // headroom capped at ~windowLatencyBudget seconds of EWMA service time, in
-// [1, 255] — a v3 server always budgets at least one op, so window 0
+// [1, 255] — a server always budgets at least one op, so window 0
 // uniquely means "no signal"), credit is the budget minus the connection's
 // in-flight count, floored at zero. Credit 0 with a nonzero window is the
 // explicit "stop sending" signal the client's pacing keys on.

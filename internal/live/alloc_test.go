@@ -151,7 +151,7 @@ func allocHarness(t *testing.T) (e *Executor, keyNames []string) {
 	// Warm every pool, the conns and the server-side interner.
 	for i := 0; i < 3; i++ {
 		for _, k := range keyNames {
-			if _, err := e.Submit("t", k, nil).WaitErr(); err != nil {
+			if _, err := e.Table("t").Submit(context.Background(), k, nil).WaitErr(); err != nil {
 				t.Fatalf("warm-up: %v", err)
 			}
 		}
@@ -161,29 +161,10 @@ func allocHarness(t *testing.T) (e *Executor, keyNames []string) {
 
 // TestRoundTripAllocBudget measures a full steady-state Submit→WaitErr
 // round trip — executor, wire, server, UDF, response, resolve — as an
-// unamortized batch of one, and asserts the documented budget (via the
-// deprecated v1 shim, which must stay as cheap as it ever was).
+// unamortized batch of one with a background context and no options, and
+// asserts the documented budget: handle resolution and the context plumbing
+// must not add per-op allocations.
 func TestRoundTripAllocBudget(t *testing.T) {
-	e, keyNames := allocHarness(t)
-	noGC(t)
-	i := 0
-	n := testing.AllocsPerRun(300, func() {
-		if _, err := e.Submit("t", keyNames[i%len(keyNames)], nil).WaitErr(); err != nil {
-			t.Fatal(err)
-		}
-		i++
-	})
-	t.Logf("steady-state round trip (v1 shim): %.2f allocs/op (budget %.1f)", n, roundTripAllocBudget)
-	if n > roundTripAllocBudget {
-		t.Errorf("round trip allocates %.2f/op, budget %.1f", n, roundTripAllocBudget)
-	}
-}
-
-// TestRoundTripAllocBudgetV2 is the same measurement through the v2 handle
-// API with a background context and no options: handle resolution and the
-// context plumbing must not reintroduce per-op allocations — same budget
-// as the v1 shim.
-func TestRoundTripAllocBudgetV2(t *testing.T) {
 	e, keyNames := allocHarness(t)
 	tbl := e.Table("t")
 	ctx := context.Background()
@@ -195,8 +176,8 @@ func TestRoundTripAllocBudgetV2(t *testing.T) {
 		}
 		i++
 	})
-	t.Logf("steady-state round trip (v2 handle): %.2f allocs/op (budget %.1f)", n, roundTripAllocBudget)
+	t.Logf("steady-state round trip: %.2f allocs/op (budget %.1f)", n, roundTripAllocBudget)
 	if n > roundTripAllocBudget {
-		t.Errorf("v2 round trip allocates %.2f/op, budget %.1f", n, roundTripAllocBudget)
+		t.Errorf("round trip allocates %.2f/op, budget %.1f", n, roundTripAllocBudget)
 	}
 }

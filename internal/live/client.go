@@ -34,15 +34,10 @@ type Conn struct {
 }
 
 // DialNode connects to a store node. onNotif (may be nil) receives
-// invalidation notifications pushed by the server. The optional wire
-// argument selects the transport (default WireBinary) and must match the
-// server's.
-func DialNode(addr string, onNotif func(Notification), wire ...Wire) (*Conn, error) {
-	w := WireBinary
-	if len(wire) > 0 {
-		w = wire[0]
-	}
-	c, err := dialDeferred(addr, onNotif, nil, w)
+// invalidation notifications pushed by the server. The trailing wire
+// argument is ignored (see Wire).
+func DialNode(addr string, onNotif func(Notification), _ ...Wire) (*Conn, error) {
+	c, err := dialDeferred(addr, onNotif, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -55,13 +50,13 @@ func DialNode(addr string, onNotif func(Notification), wire ...Wire) (*Conn, err
 // first, so the onDown hook — which runs after the read loop exits and
 // every pending call has been failed — can never observe a conn that is
 // not yet anywhere.
-func dialDeferred(addr string, onNotif func(Notification), onDown func(*Conn), w Wire) (*Conn, error) {
+func dialDeferred(addr string, onNotif func(Notification), onDown func(*Conn)) (*Conn, error) {
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	return &Conn{
-		wc:      newWireConn(c, w),
+		wc:      newWireConn(c),
 		pending: make(map[uint64]*call),
 		onNotif: onNotif,
 		onDown:  onDown,
@@ -177,7 +172,7 @@ func (s sentCall) cancel() {
 }
 
 // cancelRemote sends a cancel frame for slot index of the in-flight request
-// id (wire v2), telling the server to skip that op's UDF if it has not
+// id, telling the server to skip that op's UDF if it has not
 // started. Best-effort: a dead stream or a request that already answered
 // makes the frame a no-op, and the error (if any) is irrelevant — the op's
 // future was already rejected locally.

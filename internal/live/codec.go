@@ -2,69 +2,20 @@ package live
 
 import (
 	"bufio"
-	"encoding/gob"
-	"fmt"
 	"io"
 	"sync"
 )
 
-// Wire selects the on-the-wire encoding of a connection or server. Both ends
-// of a connection must agree.
+// Wire names the on-the-wire encoding. The binary framing layer of frame.go
+// is the only transport, so the type has one value and selects nothing: it,
+// WireBinary, ExecConfig.Wire and the trailing wire argument of NewServer,
+// DialNode and DialPool survive only because the benchmark module compiles
+// against them and is frozen for this change. A later benchmark change drops
+// the argument, and then the type goes.
 type Wire uint8
 
-const (
-	// WireBinary is the length-prefixed binary framing layer (default).
-	WireBinary Wire = iota
-	// WireGob is the legacy encoding/gob stream, kept for the old-vs-new
-	// transport benchmarks and as a migration escape hatch.
-	WireGob
-)
-
-// String returns the flag-style name of the wire format.
-func (w Wire) String() string {
-	switch w {
-	case WireBinary:
-		return "binary"
-	case WireGob:
-		return "gob"
-	}
-	return fmt.Sprintf("Wire(%d)", uint8(w))
-}
-
-// ParseWire parses a -wire flag value ("binary" or "gob").
-func ParseWire(s string) (Wire, error) {
-	switch s {
-	case "binary":
-		return WireBinary, nil
-	case "gob":
-		return WireGob, nil
-	}
-	return 0, fmt.Errorf("live: unknown wire format %q (want binary or gob)", s) //lint:allow errcode config parsing, not an op result; callers never unwrap a Code here
-}
-
-// codec is one end of a connection's encoder/decoder pair. Writes are safe
-// for concurrent use; reads are single-reader (each conn has one read loop).
-type codec interface {
-	writeRequest(req *Request) error
-	writeResponse(resp *Response) error
-	writeNotification(n *Notification) error
-	// writeCancel abandons one batched op of an in-flight request
-	// (wire v2); it rides the same ordered stream as the request.
-	writeCancel(c *Cancel) error
-	// readRequest is the server-side read (clients send requests and
-	// cancels). It decodes a request into req, reusing req's slice
-	// capacities — on the binary wire the decoded strings and params stay
-	// valid until putRequest — and returns (nil, nil). A cancel frame
-	// leaves req untouched and returns it as the first result instead.
-	readRequest(req *Request) (*Cancel, error)
-	// readMessage is the client-side read: exactly one of the results is
-	// non-nil on success. A returned Response is pool-sourced; the party
-	// that consumes it owns its recycling.
-	readMessage() (*Response, *Notification, error)
-	// close stops any writer goroutine; the underlying conn is closed
-	// separately by wireConn.Close.
-	close()
-}
+// WireBinary is the length-prefixed binary framing layer.
+const WireBinary Wire = 0
 
 // binCodec speaks the binary framing protocol of frame.go. Encoding happens
 // in the sender into an arena buffer; with a coalescing writer attached
@@ -72,7 +23,8 @@ type codec interface {
 // goroutine per connection gathers all frames queued since the last syscall
 // into one buffered write — concurrent senders share syscalls instead of
 // serializing on a mutex. Without a writer (in-memory buffers in tests),
-// writes fall back to a synchronous mutex-guarded path.
+// writes fall back to a synchronous mutex-guarded path. Writes are safe for
+// concurrent use; reads are single-reader (each conn has one read loop).
 type binCodec struct {
 	br *bufio.Reader
 	fw *frameWriter // coalescing path; nil for plain ReadWriters
@@ -96,6 +48,8 @@ func newBinCodecConn(c io.ReadWriteCloser) *binCodec {
 	return &binCodec{br: bufio.NewReaderSize(c, 64<<10), fw: newFrameWriter(c, c)}
 }
 
+// close stops the writer goroutine; the underlying conn is closed separately
+// by wireConn.Close.
 func (c *binCodec) close() {
 	if c.fw != nil {
 		c.fw.Close()
@@ -136,10 +90,17 @@ func (c *binCodec) writeNotification(n *Notification) error {
 	return c.send(func(b []byte) []byte { return appendNotification(b, n) })
 }
 
+// writeCancel abandons one batched op of an in-flight request; it rides the
+// same ordered stream as the request.
 func (c *binCodec) writeCancel(cn *Cancel) error {
 	return c.send(func(b []byte) []byte { return appendCancel(b, cn) })
 }
 
+// readRequest is the server-side read (clients send requests and cancels).
+// It decodes a request into req, reusing req's slice capacities — the decoded
+// strings and params stay valid until putRequest — and returns (nil, nil). A
+// cancel frame leaves req untouched and returns it as the first result
+// instead.
 func (c *binCodec) readRequest(req *Request) (*Cancel, error) {
 	bp, err := readFramePooled(c.br)
 	if err != nil {
@@ -163,6 +124,9 @@ func (c *binCodec) readRequest(req *Request) (*Cancel, error) {
 	return nil, nil
 }
 
+// readMessage is the client-side read: exactly one of the results is non-nil
+// on success. A returned Response is pool-sourced; the party that consumes it
+// owns its recycling.
 func (c *binCodec) readMessage() (*Response, *Notification, error) {
 	// Exact-size GC allocation, not the arena: a response's values alias
 	// the frame and escape into futures and the cache, so the buffer could
@@ -190,115 +154,4 @@ func (c *binCodec) readMessage() (*Response, *Notification, error) {
 		return nil, &n, nil
 	}
 	return nil, nil, errBadKind
-}
-
-// envelope is the legacy gob wire type, so one gob stream carries responses
-// and notifications.
-type envelope struct {
-	Resp  *Response
-	Notif *Notification
-}
-
-// Client-to-server gob messages are a one-byte kind followed by a bare gob
-// value — the pay-as-you-go replacement for the reqEnvelope wrapper that
-// wire v2 briefly introduced. Wrapping every request in an envelope struct
-// just so the rare cancel had somewhere to ride cost the gob transport
-// +10% ns/op on the end-to-end benchmark; with the kind byte, requests
-// cross exactly as they did pre-v2 (one bare Request per message) and only
-// an actual cancel pays for its own framing. The byte lives outside the
-// gob stream, which is safe because both gob ends run over a bufio
-// ByteReader/Writer this codec owns: gob consumes exactly its own
-// length-prefixed messages and never reads ahead into the next kind byte.
-// The kind values mirror the binary protocol's frame kinds.
-const (
-	gobKindRequest byte = 0x01
-	gobKindCancel  byte = 0x04
-)
-
-// gobCodec is the legacy encoding/gob transport: requests and cancels
-// cross as kind-prefixed bare values, server-to-client traffic as
-// envelopes. It keeps the synchronous mutex-guarded write path; the
-// coalescing writer is a binary-wire optimization.
-type gobCodec struct {
-	enc *gob.Encoder
-	dec *gob.Decoder
-	bw  *bufio.Writer // all writes (kind bytes + gob) funnel through here
-	br  *bufio.Reader // shared by the kind-byte reads and the gob decoder
-	mu  sync.Mutex
-}
-
-func newGobCodec(c io.ReadWriter) *gobCodec {
-	// The decoder must see the bufio.Reader itself (an io.ByteReader):
-	// handed a plain conn, gob would wrap it in its own buffered reader
-	// and read ahead past message boundaries, swallowing our kind bytes.
-	br := bufio.NewReaderSize(c, 64<<10)
-	bw := bufio.NewWriterSize(c, 64<<10)
-	return &gobCodec{enc: gob.NewEncoder(bw), dec: gob.NewDecoder(br), bw: bw, br: br}
-}
-
-func (g *gobCodec) close() {}
-
-func (g *gobCodec) writeKinded(kind byte, v any) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if err := g.bw.WriteByte(kind); err != nil {
-		return err
-	}
-	if err := g.enc.Encode(v); err != nil {
-		return err
-	}
-	return g.bw.Flush() //lint:allow lockcheck g.mu is the stream's write mutex; Flush is the guarded write itself
-}
-
-func (g *gobCodec) encode(v any) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if err := g.enc.Encode(v); err != nil {
-		return err
-	}
-	return g.bw.Flush() //lint:allow lockcheck g.mu is the stream's write mutex; Flush is the guarded write itself
-}
-
-func (g *gobCodec) writeRequest(req *Request) error {
-	return g.writeKinded(gobKindRequest, req)
-}
-
-func (g *gobCodec) writeResponse(resp *Response) error {
-	//joinopt:xfer gob encode borrows the response for the duration of the call
-	return g.encode(envelope{Resp: resp})
-}
-
-func (g *gobCodec) writeNotification(n *Notification) error {
-	return g.encode(envelope{Notif: n})
-}
-
-func (g *gobCodec) writeCancel(cn *Cancel) error {
-	return g.writeKinded(gobKindCancel, cn)
-}
-
-func (g *gobCodec) readRequest(req *Request) (*Cancel, error) {
-	kind, err := g.br.ReadByte()
-	if err != nil {
-		return nil, err
-	}
-	switch kind {
-	case gobKindRequest:
-		*req = Request{} // decode in place, reusing the pooled request
-		return nil, g.dec.Decode(req)
-	case gobKindCancel:
-		var cn Cancel
-		if err := g.dec.Decode(&cn); err != nil {
-			return nil, err
-		}
-		return &cn, nil
-	}
-	return nil, fmt.Errorf("live: gob stream: unknown message kind 0x%02x", kind)
-}
-
-func (g *gobCodec) readMessage() (*Response, *Notification, error) {
-	var env envelope
-	if err := g.dec.Decode(&env); err != nil {
-		return nil, nil, err
-	}
-	return env.Resp, env.Notif, nil
 }

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -52,7 +53,7 @@ func TestCrossPlaneRoutingEquivalence(t *testing.T) {
 	const ops = 600
 	for i := 0; i < ops; i++ {
 		k := fmt.Sprintf("k%d", (i*i)%23)
-		got := e.Submit("t", k, []byte("p")).Wait()
+		got := mustWait(t, e.Table("t").Submit(context.Background(), k, []byte("p")))
 		if got == nil {
 			t.Fatalf("op %d (%s): nil result", i, k)
 		}

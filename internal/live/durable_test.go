@@ -129,15 +129,8 @@ func TestConcurrentGetPutRace(t *testing.T) {
 // the clients saw acknowledged must be readable afterwards. The snapshot
 // threshold is tiny so the run crosses several snapshot+truncate cycles,
 // and the restart exercises snapshot load + WAL tail replay + re-seeding
-// underneath recovered rows. Runs (under -race, in CI) for both wire
-// formats.
+// underneath recovered rows. Runs under -race in CI.
 func TestFaultDurableKillRestartRecoversAckedPuts(t *testing.T) {
-	for _, wire := range []Wire{WireBinary, WireGob} {
-		t.Run(wire.String(), func(t *testing.T) { durableKillRestart(t, wire) })
-	}
-}
-
-func durableKillRestart(t *testing.T, wire Wire) {
 	const (
 		writers   = 4
 		perWriter = 250
@@ -153,7 +146,7 @@ func durableKillRestart(t *testing.T, wire Wire) {
 		if err != nil {
 			t.Fatalf("open engine: %v", err)
 		}
-		srv := NewServer(reg, false, wire)
+		srv := NewServer(reg, false)
 		srv.SetEngine(eng)
 		srv.AddTable(TableSpec{Name: "t", UDF: "none", Rows: seeds})
 		bound, err := srv.Serve(addr)
@@ -179,7 +172,7 @@ func durableKillRestart(t *testing.T, wire Wire) {
 				if *conn != nil {
 					(*conn).Close()
 				}
-				c, err := DialNode(addr, nil, wire)
+				c, err := DialNode(addr, nil)
 				if err != nil {
 					if time.Now().After(deadline) {
 						t.Errorf("redial never succeeded: %v", err)
@@ -254,7 +247,7 @@ func durableKillRestart(t *testing.T, wire Wire) {
 	// Every acknowledged put must be readable after recovery: same value
 	// at its acked version, or a newer version (the key's writer went on
 	// writing after the ack, or a failed-then-retried put landed twice).
-	conn, err := DialNode(addr, nil, wire)
+	conn, err := DialNode(addr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ const (
 	CodeOverloaded
 	// CodeMoved: the store node no longer owns (at least one of) the
 	// request's keys — the partition migrated to a new owner under a newer
-	// membership epoch (wire protocol v4). The server did zero work on the
+	// membership epoch. The server did zero work on the
 	// request; the response's redirect payload carries the new epoch and
 	// the moved regions' owners + addresses. The executor resolves the
 	// redirect transparently — it updates its partition map, dials the new

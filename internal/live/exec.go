@@ -103,16 +103,6 @@ func (f *Future) Err() error {
 	return err
 }
 
-// Wait blocks until the result is available and returns the value alone.
-//
-// Deprecated: Wait collapses "key absent" and "request failed" into one nil
-// return. Use WaitErr, which separates the two; Wait survives for the
-// engine examples that predate the failure model.
-func (f *Future) Wait() []byte {
-	v, _ := f.WaitErr()
-	return v
-}
-
 // WaitCtx is WaitErr bounded by a context: when ctx is done first, the wait
 // is abandoned with a CodeCanceled *Error. Abandoning a wait does not
 // resolve the future — the submission keeps running (cancel the submission
@@ -231,8 +221,7 @@ type ExecConfig struct {
 	Shards int
 
 	// ConnsPerNode sizes the pipelined connection pool per data node
-	// (default 4). Wire selects the transport (default WireBinary) and
-	// must match the servers'.
+	// (default 4). Wire is ignored (see the Wire type).
 	ConnsPerNode int
 	Wire         Wire
 
@@ -324,6 +313,16 @@ type Executor struct {
 	// table is replicated), pricing reads at the cheapest live replica.
 	tracker *loadbalance.ReplicaTracker
 
+	// dests counts, per batch key, the entries parked across all shards —
+	// what the size-triggered flush compares against the batch limit, so a
+	// full wire batch never waits out BatchWait because its keys hashed to
+	// different shards. A record lives while some shard accumulator holds
+	// it (refs, under destMu) and is then recycled through destFree. Unused
+	// with one shard, where the accumulator's own length is the count.
+	destMu   sync.Mutex
+	dests    map[liveBatchKey]*destPending
+	destFree []*destPending
+
 	pendingLocal atomic.Int64 // queued local UDFs (lcc_i)
 	inflightReqs atomic.Int64
 
@@ -364,7 +363,7 @@ type Executor struct {
 type nodeSet struct {
 	conns    map[cluster.NodeID]*Pool
 	dropping map[cluster.NodeID]*atomic.Int64 // pending cache-drop sweeps per node
-	// targets holds the adaptive per-node batch target (wire v3): shrunk
+	// targets holds the adaptive per-node batch target: shrunk
 	// when a node advertises zero credit, grown back toward cfg.BatchSize
 	// when credit is plentiful. 0 = unadapted (use the configured size).
 	targets map[cluster.NodeID]*atomic.Int64
@@ -393,7 +392,7 @@ func (e *Executor) ensureNode(node cluster.NodeID, addr string) *Pool {
 	}
 	n := node
 	pool, err := dialPool(addr, e.cfg.ConnsPerNode, e.onNotification,
-		func() { e.dropNodeCache(n) }, e.cfg.Wire)
+		func() { e.dropNodeCache(n) })
 	if err != nil {
 		return nil
 	}
@@ -489,18 +488,55 @@ type waiter struct {
 type liveBatch struct {
 	entries []liveEntry
 	//joinopt:owns
-	req     Request // the flushed wire request; its Keys/Params reuse caps
+	req     Request      // the flushed wire request; its Keys/Params reuse caps
+	dest    *destPending // cross-shard pending count; nil with one shard
 	flushed bool
 	armed   bool        // timer armed and not yet stopped
 	timer   *time.Timer // max-wait flush; armed lazily, stopped on flush
+}
+
+// destPending is the cross-shard pending-entry count of one batch key; see
+// Executor.dests.
+type destPending struct {
+	n    atomic.Int64
+	refs int // shard accumulators holding the record; guarded by destMu
 }
 
 var batchPool = sync.Pool{New: func() any { return new(liveBatch) }}
 
 func getBatch() *liveBatch {
 	b := batchPool.Get().(*liveBatch)
-	b.flushed, b.armed, b.timer = false, false, nil
+	b.flushed, b.armed, b.timer, b.dest = false, false, nil, nil
 	return b
+}
+
+// acquireDest returns bk's shared pending count for one more accumulator.
+func (e *Executor) acquireDest(bk liveBatchKey) *destPending {
+	e.destMu.Lock()
+	defer e.destMu.Unlock()
+	d := e.dests[bk]
+	if d == nil {
+		if n := len(e.destFree); n > 0 {
+			d, e.destFree = e.destFree[n-1], e.destFree[:n-1]
+		} else {
+			d = new(destPending)
+		}
+		e.dests[bk] = d
+	}
+	d.refs++
+	return d
+}
+
+// releaseDest drops refs accumulators' hold on bk's record and the taken
+// entries they shipped; the last holder retires the record.
+func (e *Executor) releaseDest(bk liveBatchKey, d *destPending, refs, taken int) {
+	d.n.Add(-int64(taken))
+	e.destMu.Lock()
+	if d.refs -= refs; d.refs == 0 {
+		delete(e.dests, bk)
+		e.destFree = append(e.destFree, d)
+	}
+	e.destMu.Unlock()
 }
 
 // putBatch recycles a batch whose wire phase is over, dropping every
@@ -568,6 +604,7 @@ func NewExecutor(cfg ExecConfig) (*Executor, error) {
 		cfg:     cfg,
 		member:  cfg.Membership,
 		shards:  make([]*execShard, cfg.Shards),
+		dests:   make(map[liveBatchKey]*destPending),
 		workers: make(chan struct{}, cfg.Workers),
 	}
 	// Publish an empty node table first: a pool's disconnect hook can fire
@@ -607,7 +644,7 @@ func NewExecutor(cfg ExecConfig) (*Executor, error) {
 		}
 	}
 	// Resolve every table handle once: partitioning, UDF and the per-shard
-	// optimizer pointers. The v2 hot path never touches a map again.
+	// optimizer pointers. The hot path never touches a map again.
 	e.tables = make(map[string]*Table, len(cfg.Tables))
 	for name, st := range cfg.Tables {
 		opts := make([]*core.Optimizer, len(e.shards))
@@ -635,7 +672,7 @@ func NewExecutor(cfg ExecConfig) (*Executor, error) {
 		ns.dropping[id] = &atomic.Int64{}
 		ns.targets[id] = &atomic.Int64{}
 		pool, err := dialPool(addr, cfg.ConnsPerNode, e.onNotification,
-			func() { e.dropNodeCache(node) }, cfg.Wire)
+			func() { e.dropNodeCache(node) })
 		if err != nil {
 			e.nodes.Store(ns) // the pools dialed so far; Close tears them down
 			e.Close()
@@ -675,70 +712,36 @@ func (e *Executor) dropNodeCache(node cluster.NodeID) {
 	}
 }
 
-// sweepNodeCache is one pass of dropNodeCache: snapshot the cached keys
-// under each shard lock, filter by home node outside it, then invalidate
-// the matches under the lock again — the Submit hot path is never blocked
-// behind a full Locate scan. A key cached between the snapshot and the
-// invalidate is either epoch-guarded out of the cache (sent before the
-// disconnect) or over-invalidated (sent after, freshly subscribed) — the
+// sweepNodeCache is one pass of dropNodeCache: snapshot a table's cached
+// keys under each shard lock, filter by placement outside it, then
+// invalidate the matches under the lock again — the Submit hot path is never
+// blocked behind a full placement scan. A key cached between the snapshot
+// and the invalidate is either epoch-guarded out of the cache (sent before
+// the disconnect) or over-invalidated (sent after, freshly subscribed) — the
 // latter merely costs one refetch.
 func (e *Executor) sweepNodeCache(node cluster.NodeID) {
-	type tableKeys struct {
-		table string
-		keys  []string
-	}
-	for _, sh := range e.shards {
-		var snap []tableKeys
-		sh.mu.Lock()
-		for table, opt := range sh.opts {
+	for i, sh := range e.shards {
+		for _, t := range e.tables {
+			opt := t.opts[i]
 			var ks []string
+			sh.mu.Lock()
 			opt.Cache.EachKey(func(k string) { ks = append(ks, k) })
-			if len(ks) > 0 {
-				snap = append(snap, tableKeys{table, ks})
-			}
-		}
-		sh.mu.Unlock()
-		var doomed []tableKeys
-		for _, s := range snap {
-			tbl := e.cfg.Tables[s.table]
-			var ks []string
-			for _, k := range s.keys {
-				// A replicated key may have been fetched from (and
-				// subscribed on) ANY of its replicas, so a death on any
-				// replica node dooms it — matching only Locate would leave
-				// entries fetched from a backup cached stale forever.
-				if tbl.Replicas() > 1 {
-					for _, n := range tbl.ReplicaNodes(k) {
-						if n == node {
-							ks = append(ks, k)
-							break
-						}
-					}
-				} else if tbl.Locate(k) == node {
-					ks = append(ks, k)
-				} else if e.member != nil {
-					// Membership routing: the entry was fetched from the
-					// map's owner, which may differ from the static home.
-					if n, ok := e.member.View().OwnerForKey(s.table, k); ok && n == node {
-						ks = append(ks, k)
-					}
+			sh.mu.Unlock()
+			doomed := ks[:0]
+			for _, k := range ks {
+				if t.placedOn(k, node) {
+					doomed = append(doomed, k)
 				}
 			}
-			if len(ks) > 0 {
-				doomed = append(doomed, tableKeys{s.table, ks})
+			if len(doomed) == 0 {
+				continue
 			}
-		}
-		if len(doomed) == 0 {
-			continue
-		}
-		sh.mu.Lock()
-		for _, d := range doomed {
-			opt := sh.opts[d.table]
-			for _, k := range d.keys {
+			sh.mu.Lock()
+			for _, k := range doomed {
 				opt.Cache.Invalidate(k)
 			}
+			sh.mu.Unlock()
 		}
-		sh.mu.Unlock()
 	}
 }
 
@@ -845,7 +848,7 @@ func (e *Executor) PoolHealth() map[cluster.NodeID]PoolHealth {
 func (e *Executor) onNotification(n Notification) {
 	sh := e.shardFor(n.Table, n.Key)
 	if n.Version == 0 {
-		// Version 0 is the "placement moved" convention (wire v4, see
+		// Version 0 is the "placement moved" convention (see
 		// Server.completeMove): the key's region migrated away from the
 		// node we cached it from, its subscription there is dead, but the
 		// VALUE never changed — so drop the cached copy only, keeping the
@@ -892,26 +895,15 @@ func (e *Executor) Optimizer(table string) *core.Optimizer {
 	return sh.opts[table]
 }
 
-// Table returns the resolved handle for a stored table — the v2 entry
-// point. Handles are created once at NewExecutor, so this is a single read
-// of an immutable map; an unknown table panics (a wiring bug, same contract
-// as the deprecated Submit).
+// Table returns the resolved handle for a stored table — the entry point
+// for submissions. Handles are created once at NewExecutor, so this is a
+// single read of an immutable map; an unknown table panics (a wiring bug).
 func (e *Executor) Table(table string) *Table {
 	t := e.tables[table]
 	if t == nil {
 		panic(fmt.Sprintf("live: unknown table %q", table))
 	}
 	return t
-}
-
-// Submit routes one invocation of f(key, params) against table and returns
-// a Future for the result.
-//
-// Deprecated: Submit is the v1 entry point, kept as a thin shim over
-// Table(table).Submit(context.Background(), ...). New code should hold a
-// *Table and pass a real context so deadlines and cancellation propagate.
-func (e *Executor) Submit(table, key string, params []byte) *Future {
-	return e.Table(table).Submit(context.Background(), key, params)
 }
 
 // route is the body of Table.Submit: pick the join location (per-call hint
@@ -923,16 +915,9 @@ func (e *Executor) Submit(table, key string, params []byte) *Future {
 //
 //joinopt:hotpath
 func (e *Executor) route(t *Table, key string, params []byte, fut *Future, cs *cancelState, co callOpts) {
-	node := t.tbl.Locate(key)
-	if t.replicas > 1 {
-		node = e.pickReplica(t, key)
-	} else if e.member != nil {
-		// Membership routing (wire v4): the epoch-versioned map is the
-		// authority. An unknown table falls back to the static striping —
-		// the map converges onto it through redirects.
-		if n, ok := e.member.View().OwnerForKey(t.name, key); ok {
-			node = n
-		}
+	node, replicas := t.placement(key)
+	if replicas != nil {
+		node = e.pickReplica(replicas)
 	}
 	idx := e.shardIdx(t.seed, key)
 	sh := e.shards[idx]
@@ -995,15 +980,16 @@ func (e *Executor) route(t *Table, key string, params []byte, fut *Future, cs *c
 	sh.mu.Unlock()
 }
 
-// pickReplica prices a read at the cheapest live replica of key: among the
+// pickReplica prices a read at the cheapest live replica: among the
 // replica nodes whose pool still has a usable conn, the one with the lowest
 // learned EWMA service time (ties and unobserved nodes resolve to the
 // earliest position, so the primary is preferred until the measurements say
 // otherwise — the same policy as loadbalance.ReplicaTracker.Pick, inlined
 // here so the hot path allocates nothing). With every replica down the
 // primary gets the batch and the transport path reports the failure.
-func (e *Executor) pickReplica(t *Table, key string) cluster.NodeID {
-	nodes := t.tbl.ReplicaNodes(key)
+//
+//joinopt:hotpath
+func (e *Executor) pickReplica(nodes []cluster.NodeID) cluster.NodeID {
 	best := nodes[0]
 	bestCost, haveLive := 0.0, false
 	for _, n := range nodes {
@@ -1018,45 +1004,27 @@ func (e *Executor) pickReplica(t *Table, key string) cluster.NodeID {
 	return best
 }
 
-// tryFailover re-routes a transport-failed or shed wire batch's entries to
-// the next surviving replica instead of surfacing CodeTransport or
-// CodeOverloaded to the callers. Only reads (OpGet, OpExec) of replicated
-// tables fail over: re-running them on another replica changes no server
-// state, while a put that failed at the wire is maybe-committed at its
-// sequencer (re-sequencing it elsewhere could assign the same version to
-// two different values) and must surface per the storage contract. An
-// overloaded shed fails over after a short jittered beat — the sibling
-// replica may have headroom right now, so waiting out the shedding node's
-// full retry-after hint would only stall work another node could absorb,
-// but moving the whole herd instantly would arrive as one synchronized
-// spike. Each entry carries a hop count bounded by the replica set size, so
-// a fully-dead (or fully-saturated) set still fails after every replica was
-// tried once. Returns false when failover does not apply at all (the caller
-// falls through to failBatch); entries whose hop budget is spent are failed
-// here.
-func (e *Executor) tryFailover(bk liveBatchKey, entries []liveEntry, err *Error) bool {
-	if bk.t.replicas <= 1 || (bk.op != OpGet && bk.op != OpExec) ||
-		(!err.Retryable() && err.Code != CodeOverloaded) || e.closed.Load() {
-		return false
-	}
-	if err.Code == CodeOverloaded {
-		time.Sleep(time.Millisecond + jitter(2*time.Millisecond))
-	}
+// reroute is the one re-enqueue loop behind every transparent re-send
+// (replica failover, CodeMoved redirect): each entry asks next for its new
+// destination, spends one hop, re-parks its cancel state there and goes back
+// through enqueue; entries next refuses fail with exhausted. Returns the
+// number re-enqueued. Callers hold no shard lock.
+func (e *Executor) reroute(bk liveBatchKey, entries []liveEntry, exhausted *Error,
+	next func(key string, hops uint8) (cluster.NodeID, bool)) int {
 	var doomed []liveEntry
 	for _, ent := range entries {
-		next, ok := e.nextReplica(bk.t, ent.key, bk.node, ent.hops)
+		node, ok := next(ent.key, ent.hops)
 		if !ok {
 			doomed = append(doomed, ent)
 			continue
 		}
-		e.Failovers.Add(1)
-		nbk := bk
-		nbk.node = next
 		ent.hops++
+		nbk := bk
+		nbk.node = node
 		sh := e.shards[e.shardIdx(bk.t.seed, ent.key)]
 		sh.mu.Lock()
 		// Re-park the cancel state at the new destination so a context
-		// cancellation arriving mid-failover still finds the entry. The
+		// cancellation arriving mid-re-route still finds the entry. The
 		// dedup key carries no node, so a parked waiter's inflight record
 		// survives the move and keeps serving its piled-on waiters.
 		switch {
@@ -1071,9 +1039,38 @@ func (e *Executor) tryFailover(bk liveBatchKey, entries []liveEntry, err *Error)
 		sh.mu.Unlock()
 	}
 	for _, ent := range doomed {
-		// fail re-locks the entry's shard; no shard lock is held here.
-		e.fail(bk, ent, err)
+		e.fail(bk, ent, exhausted) // re-locks the entry's shard
 	}
+	return len(entries) - len(doomed)
+}
+
+// tryFailover re-routes a transport-failed or shed wire batch's entries to
+// the next surviving replica instead of surfacing CodeTransport or
+// CodeOverloaded to the callers. Only reads (OpGet, OpExec) of replicated
+// tables fail over: re-running them on another replica changes no server
+// state, while a put that failed at the wire is maybe-committed at its
+// sequencer (re-sequencing it elsewhere could assign the same version to
+// two different values) and must surface per the storage contract. An
+// overloaded shed fails over after a short jittered beat — the sibling
+// replica may have headroom right now, so waiting out the shedding node's
+// full retry-after hint would only stall work another node could absorb,
+// but moving the whole herd instantly would arrive as one synchronized
+// spike. Each entry carries a hop count bounded by the replica set size, so
+// a fully-dead (or fully-saturated) set still fails with err after every
+// replica was tried once. Returns false when failover does not apply at all
+// (the caller falls through to failBatch).
+func (e *Executor) tryFailover(bk liveBatchKey, entries []liveEntry, err *Error) bool {
+	if bk.t.replicas <= 1 || (bk.op != OpGet && bk.op != OpExec) ||
+		(!err.Retryable() && err.Code != CodeOverloaded) || e.closed.Load() {
+		return false
+	}
+	if err.Code == CodeOverloaded {
+		time.Sleep(time.Millisecond + jitter(2*time.Millisecond))
+	}
+	n := e.reroute(bk, entries, err, func(key string, hops uint8) (cluster.NodeID, bool) {
+		return e.nextReplica(bk.t, key, bk.node, hops)
+	})
+	e.Failovers.Add(int64(n))
 	return true
 }
 
@@ -1127,37 +1124,12 @@ func (e *Executor) handleMoved(bk liveBatchKey, entries []liveEntry, resp *Respo
 	}
 	e.applyMoved(bk.t, moved)
 	v := e.member.View()
-	var doomed []liveEntry
-	for _, ent := range entries {
-		owner, known := v.OwnerForKey(bk.t.name, ent.key)
-		if !known || ent.hops >= movedMaxHops {
-			doomed = append(doomed, ent)
-			continue
-		}
-		ent.hops++
-		nbk := bk
-		nbk.node = owner
-		sh := e.shards[e.shardIdx(bk.t.seed, ent.key)]
-		sh.mu.Lock()
-		// Re-park the cancel state at the new destination, exactly as a
-		// replica failover does: a context cancellation arriving mid-
-		// redirect must still find the entry.
-		switch {
-		case ent.w != nil:
-			if ent.w.cancel != nil {
-				ent.w.cancel.park(sh, nbk, nbk.dedupKey(ent.key), ent.w)
-			}
-		case ent.cancel != nil:
-			ent.cancel.park(sh, nbk, "", nil)
-		}
-		e.enqueue(sh, nbk, ent)
-		sh.mu.Unlock()
-	}
-	for _, ent := range doomed {
-		// fail re-locks the entry's shard; no shard lock is held here.
-		e.fail(bk, ent, &Error{Code: CodeMoved, Op: bk.op,
-			Msg: "redirect hop budget exhausted — cluster membership maps disagree in a loop"})
-	}
+	e.reroute(bk, entries, &Error{Code: CodeMoved, Op: bk.op,
+		Msg: "redirect hop budget exhausted — cluster membership maps disagree in a loop"},
+		func(key string, hops uint8) (cluster.NodeID, bool) {
+			owner, known := v.OwnerForKey(bk.t.name, key)
+			return owner, known && hops < movedMaxHops
+		})
 	return true
 }
 
@@ -1213,7 +1185,8 @@ func (e *Executor) sweepRegionCache(t *Table, region int) {
 
 // enqueue adds an entry to its shard-local batch accumulator; callers hold
 // sh.mu. Accumulation never crosses shard locks — merging into a full-size
-// per-node wire batch happens at flush time.
+// per-node wire batch happens at flush time, which the size trigger fires
+// as soon as the destination's entries across ALL shards fill a batch.
 //
 //joinopt:hotpath
 func (e *Executor) enqueue(sh *execShard, bk liveBatchKey, ent liveEntry) {
@@ -1230,9 +1203,16 @@ func (e *Executor) enqueue(sh *execShard, bk liveBatchKey, ent liveEntry) {
 	if b == nil {
 		b = getBatch()
 		sh.batches[bk] = b
+		if len(e.shards) > 1 {
+			b.dest = e.acquireDest(bk)
+		}
 	}
 	b.entries = append(b.entries, ent)
-	if len(b.entries) >= e.batchLimit(bk.node) {
+	pending := len(b.entries)
+	if b.dest != nil {
+		pending = int(b.dest.n.Add(1))
+	}
+	if pending >= e.batchLimit(bk.node) {
 		e.flushLocked(sh, bk, b)
 	} else if !b.armed {
 		// Arm the max-wait timer (Section 7.2) lazily — a batch that fills
@@ -1257,10 +1237,12 @@ func (e *Executor) enqueue(sh *execShard, bk liveBatchKey, ent liveEntry) {
 // batch, then sweeps every other shard's pending accumulator for the same
 // (table, node, op) — TryLock only, so two concurrent flushers can never
 // deadlock (each holds its own shard lock while sweeping) — until the wire
-// batch reaches BatchSize. Swept entries ship earlier than their own
-// BatchWait would have sent them; their stale timers find the batch flushed
-// and no-op. This keeps wire batches full-size no matter how many shards
-// the accumulation is striped over.
+// batch reaches the batch limit, and never past it: an accumulator the
+// sweep only partly drains keeps its remainder parked under its own timer.
+// Swept entries ship earlier than their own BatchWait would have sent them;
+// a fully swept accumulator's stale timer finds the batch flushed and
+// no-ops. This keeps wire batches full-size no matter how many shards the
+// accumulation is striped over.
 //
 //joinopt:hotpath
 func (e *Executor) flushLocked(sh *execShard, bk liveBatchKey, b *liveBatch) {
@@ -1279,13 +1261,24 @@ func (e *Executor) flushLocked(sh *execShard, bk liveBatchKey, b *liveBatch) {
 	delete(sh.batches, bk)
 	entries := b.entries
 	limit := e.batchLimit(bk.node)
+	dest, refs := b.dest, 1
+	b.dest = nil
 
-	if len(entries) < limit {
-		for _, other := range e.shards {
-			if other == sh || !other.mu.TryLock() {
-				continue
-			}
-			if ob := other.batches[bk]; ob != nil && !ob.flushed && len(ob.entries) > 0 {
+	for _, other := range e.shards {
+		if len(entries) >= limit {
+			break
+		}
+		if other == sh || !other.mu.TryLock() {
+			continue
+		}
+		if ob := other.batches[bk]; ob != nil && !ob.flushed && len(ob.entries) > 0 {
+			take := min(len(ob.entries), limit-len(entries))
+			entries = append(entries, ob.entries[:take]...)
+			if take < len(ob.entries) {
+				n := copy(ob.entries, ob.entries[take:])
+				clear(ob.entries[n:]) // the vacated tail must pin nothing
+				ob.entries = ob.entries[:n]
+			} else {
 				ob.flushed = true
 				ostopped := true
 				if ob.armed {
@@ -1293,16 +1286,16 @@ func (e *Executor) flushLocked(sh *execShard, bk liveBatchKey, b *liveBatch) {
 					ostopped = ob.timer.Stop()
 				}
 				delete(other.batches, bk)
-				entries = append(entries, ob.entries...)
+				refs++
 				if ostopped {
 					putBatch(ob) // its entries were copied into ours
 				}
 			}
-			other.mu.Unlock()
-			if len(entries) >= limit {
-				break
-			}
 		}
+		other.mu.Unlock()
+	}
+	if dest != nil {
+		e.releaseDest(bk, dest, refs, len(entries))
 	}
 	// Drop entries whose context already canceled: their futures are
 	// rejected and counted, and shipping them would only burn data-node
@@ -1382,17 +1375,17 @@ func (e *Executor) flushLocked(sh *execShard, bk liveBatchKey, b *liveBatch) {
 		resp, epoch := e.callNode(bk, &b.req, b.entries, wireCancelable)
 		e.inflightReqs.Add(-int64(len(b.entries)))
 		if resp.Window > 0 {
-			// The node signaled (wire v3): steer this node's batch target
+			// The node signaled: steer this node's batch target
 			// from its advertised credit before results are distributed.
 			e.adaptBatch(bk.node, resp.Credit, resp.Window)
 		}
 		if e.tracker != nil {
 			if respError(bk.op, resp) == nil {
 				// Feed replica routing its per-entry service time — the
-				// server-reported figure when it sent one (wire v3), which
-				// excludes queue wait so an overloaded-but-fast replica is
-				// not priced as intrinsically slow; the measured RTT for
-				// pre-v3 peers. Failures are never folded in: a fast
+				// server-reported figure, which excludes queue wait so an
+				// overloaded-but-fast replica is not priced as
+				// intrinsically slow; the measured RTT when it rounds to
+				// zero. Failures are never folded in: a fast
 				// transport error would make a dead node look like the
 				// cheapest replica in the cluster.
 				per := time.Since(start).Seconds() / float64(len(b.entries))
@@ -1505,7 +1498,7 @@ func jitter(d time.Duration) time.Duration {
 	return time.Duration(rand.Int64N(int64(d)))
 }
 
-// Pacing bounds (wire v3): with the node's advertised credit exhausted and
+// Pacing bounds: with the node's advertised credit exhausted and
 // this pool's outstanding ops at or over its advertised budget, a flush
 // waits in paceTick steps — but never longer than paceMaxWait (or a quarter
 // of the request timeout, whichever is smaller), so pacing can delay a send
@@ -1517,7 +1510,7 @@ const (
 
 // pace holds a wire attempt while the node's advertised window is exhausted
 // (credit 0, window > 0) and this pool already has a full window's worth of
-// ops outstanding. Window 0 means the node never signaled (pre-v3 peer):
+// ops outstanding. Window 0 means the node has not signaled yet:
 // pacing disengages entirely rather than guess. The wait is cooperative
 // backpressure, not admission control — the server's bounded queues remain
 // the enforcement point; pacing just keeps a well-behaved client from
@@ -1547,8 +1540,8 @@ func (e *Executor) pace(pool *Pool, timeout time.Duration) {
 	}
 }
 
-// adaptBatch steers a node's target batch size from its advertised credit
-// (wire v3): starvation halves the target — smaller batches admit under a
+// adaptBatch steers a node's target batch size from its advertised credit:
+// starvation halves the target — smaller batches admit under a
 // tight window and spread the load across flushes — while plentiful credit
 // (at least half the window free) grows it back toward the configured size.
 func (e *Executor) adaptBatch(node cluster.NodeID, credit, window uint8) {
@@ -1850,47 +1843,4 @@ func (e *Executor) computeLocal(t *Table, idx int, key string, params, value []b
 		sh.mu.Unlock()
 		fut.resolve(out)
 	}()
-}
-
-// ResultMap implements the paper's Result HashMap (Figure 4): preMap
-// submits, map fetches by (key, params) in FIFO order per key.
-type ResultMap struct {
-	mu   sync.Mutex
-	futs map[string][]*Future
-}
-
-// NewResultMap returns an empty result map.
-func NewResultMap() *ResultMap {
-	return &ResultMap{futs: make(map[string][]*Future)}
-}
-
-func rmKey(table, key string, params []byte) string {
-	return table + "\x00" + key + "\x00" + string(params)
-}
-
-// Put registers a submitted future.
-func (r *ResultMap) Put(table, key string, params []byte, f *Future) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	k := rmKey(table, key, params)
-	r.futs[k] = append(r.futs[k], f)
-}
-
-// Take removes and returns the oldest future for (table, key, params), or
-// nil if none was submitted.
-func (r *ResultMap) Take(table, key string, params []byte) *Future {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	k := rmKey(table, key, params)
-	fs := r.futs[k]
-	if len(fs) == 0 {
-		return nil
-	}
-	f := fs[0]
-	if len(fs) == 1 {
-		delete(r.futs, k)
-	} else {
-		r.futs[k] = fs[1:]
-	}
-	return f
 }

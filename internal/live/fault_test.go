@@ -2,6 +2,7 @@ package live
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -189,7 +190,7 @@ func (f *fakeNode) setHandler(h func(Request) *Response) {
 }
 
 func (f *fakeNode) serveConn(c net.Conn) {
-	wc := newWireConn(c, WireBinary)
+	wc := newWireConn(c)
 	defer wc.Close()
 	for {
 		req := getRequest()
@@ -355,7 +356,7 @@ func TestFaultNodeKillRestartRecovery(t *testing.T) {
 					k := fmt.Sprintf("k%d", keyBase+rng.Intn(keySpan))
 					p := []byte(fmt.Sprintf("%s-%d-%d", name, c, i))
 					submitted.Add(1)
-					got, err := waitOrHang(t, e.Submit("t", k, p), 30*time.Second)
+					got, err := waitOrHang(t, e.Table("t").Submit(context.Background(), k, p), 30*time.Second)
 					if err != nil {
 						errSeen.Add(1)
 						var le *Error
@@ -482,7 +483,7 @@ func TestFaultMidFrameCutIsRetried(t *testing.T) {
 		futs := make([]*Future, n)
 		for i := 0; i < n; i++ {
 			k := fmt.Sprintf("k%d", (done+i)%64)
-			futs[i] = e.Submit("t", k, []byte("p"))
+			futs[i] = e.Table("t").Submit(context.Background(), k, []byte("p"))
 		}
 		for _, f := range futs {
 			if _, err := waitOrHang(t, f, 30*time.Second); err != nil {
@@ -528,13 +529,13 @@ func TestFaultBlackholeTimesOutThenRecovers(t *testing.T) {
 	})
 
 	// Warm round trip proves the path works.
-	if _, err := waitOrHang(t, e.Submit("t", "k0", []byte("w")), 10*time.Second); err != nil {
+	if _, err := waitOrHang(t, e.Table("t").Submit(context.Background(), "k0", []byte("w")), 10*time.Second); err != nil {
 		t.Fatalf("warm-up: %v", err)
 	}
 
 	proxy.dropResponses.Store(true)
 	for i := 0; i < 3; i++ {
-		_, err := waitOrHang(t, e.Submit("t", "k1", []byte("p")), 10*time.Second)
+		_, err := waitOrHang(t, e.Table("t").Submit(context.Background(), "k1", []byte("p")), 10*time.Second)
 		var le *Error
 		if !errors.As(err, &le) || le.Code != CodeTimeout {
 			t.Fatalf("blackholed op %d: error %v, want CodeTimeout", i, err)
@@ -552,7 +553,7 @@ func TestFaultBlackholeTimesOutThenRecovers(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if _, err := waitOrHang(t, e.Submit("t", "k0", []byte("after")), 10*time.Second); err != nil {
+	if _, err := waitOrHang(t, e.Table("t").Submit(context.Background(), "k0", []byte("after")), 10*time.Second); err != nil {
 		t.Fatalf("post-recovery op failed: %v", err)
 	}
 }
@@ -593,7 +594,7 @@ func TestFaultRedialDropsStaleCache(t *testing.T) {
 		return ok
 	}
 	for i := 0; i < 1000 && !cached(); i++ {
-		if _, err := e.Submit("t", "k0", []byte("p")).WaitErr(); err != nil {
+		if _, err := e.Table("t").Submit(context.Background(), "k0", []byte("p")).WaitErr(); err != nil {
 			t.Fatalf("warm-up op %d: %v", i, err)
 		}
 	}
@@ -630,7 +631,7 @@ func TestFaultRedialDropsStaleCache(t *testing.T) {
 	}
 
 	// The stale cached "old" must be gone: the healed client refetches.
-	got, err := waitOrHang(t, e.Submit("t", "k0", []byte("q")), 10*time.Second)
+	got, err := waitOrHang(t, e.Table("t").Submit(context.Background(), "k0", []byte("q")), 10*time.Second)
 	if err != nil {
 		t.Fatalf("post-heal op: %v", err)
 	}
@@ -660,8 +661,8 @@ func TestFaultMalformedShortResponseFailsBatch(t *testing.T) {
 		cfg.BatchWait = time.Hour // only the size trigger flushes
 	})
 
-	f1 := e.Submit("t", "k0", []byte("p0"))
-	f2 := e.Submit("t", "k1", []byte("p1"))
+	f1 := e.Table("t").Submit(context.Background(), "k0", []byte("p0"))
+	f2 := e.Table("t").Submit(context.Background(), "k1", []byte("p1"))
 	for i, f := range []*Future{f1, f2} {
 		_, err := waitOrHang(t, f, 10*time.Second)
 		var le *Error
@@ -776,7 +777,7 @@ func TestFaultCloseDrainsPendingBatches(t *testing.T) {
 
 	var futs []*Future
 	for i := 0; i < 10; i++ {
-		futs = append(futs, e.Submit("t", "k0", []byte(fmt.Sprintf("p%d", i))))
+		futs = append(futs, e.Table("t").Submit(context.Background(), "k0", []byte(fmt.Sprintf("p%d", i))))
 	}
 	e.Close()
 	for i, f := range futs {
@@ -786,7 +787,7 @@ func TestFaultCloseDrainsPendingBatches(t *testing.T) {
 			t.Fatalf("pending future %d after Close: error %v, want CodeClosed", i, err)
 		}
 	}
-	_, err = waitOrHang(t, e.Submit("t", "k0", []byte("late")), 10*time.Second)
+	_, err = waitOrHang(t, e.Table("t").Submit(context.Background(), "k0", []byte("late")), 10*time.Second)
 	var le *Error
 	if !errors.As(err, &le) || le.Code != CodeClosed {
 		t.Fatalf("Submit after Close: error %v, want CodeClosed", err)

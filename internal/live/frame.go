@@ -24,7 +24,7 @@ const (
 	kindRequest      byte = 0x01
 	kindResponse     byte = 0x02
 	kindNotification byte = 0x03
-	kindCancel       byte = 0x04 // wire v2: client abandons one batched op
+	kindCancel       byte = 0x04 // client abandons one batched op
 )
 
 // maxFrame bounds a single frame payload so a corrupt or hostile length
@@ -160,7 +160,7 @@ func appendRequest(b []byte, req *Request) []byte {
 	b = append(b, kindRequest)
 	b = binary.AppendUvarint(b, req.ID)
 	b = append(b, byte(req.Op), byte(req.Priority))
-	b = binary.AppendUvarint(b, req.Epoch) // wire v4: routing epoch
+	b = binary.AppendUvarint(b, req.Epoch) // routing epoch
 	b = appendString(b, req.Table)
 	b = binary.AppendUvarint(b, uint64(len(req.Keys)))
 	for _, k := range req.Keys {
@@ -233,7 +233,7 @@ func appendNotification(b []byte, n *Notification) []byte {
 	return b
 }
 
-// appendCancel encodes c after a kindCancel byte (wire v2).
+// appendCancel encodes c after a kindCancel byte.
 func appendCancel(b []byte, c *Cancel) []byte {
 	b = append(b, kindCancel)
 	b = binary.AppendUvarint(b, c.ID)
@@ -386,7 +386,7 @@ func decodeRequestInto(payload []byte, req *Request, in *interner) error {
 	req.ID = r.uvarint()
 	req.Op = Op(r.byte())
 	req.Priority = Priority(r.byte())
-	req.Epoch = r.uvarint() // wire v4: routing epoch
+	req.Epoch = r.uvarint() // routing epoch
 	req.Table = r.string()
 	req.Keys = req.Keys[:0]
 	if nk := r.uvarint(); nk > 0 {

@@ -23,8 +23,8 @@ func TestGoldenRequestOpGet(t *testing.T) {
 		0x01,      // kind: request
 		0x01,      // id = 1
 		0x00,      // op = OpGet
-		0x00,      // priority = PriorityNormal (wire v3)
-		0x00,      // epoch = 0: no membership (wire v4)
+		0x00,      // priority = PriorityNormal
+		0x00,      // epoch = 0: no membership
 		0x01, 't', // table "t"
 		0x02,      // 2 keys
 		0x01, 'a', // "a"
@@ -58,8 +58,8 @@ func TestGoldenRequestOpExec(t *testing.T) {
 		0x01,                // kind: request
 		0x07,                // id = 7
 		0x01,                // op = OpExec
-		0x01,                // priority = PriorityHigh (wire v3)
-		0x00,                // epoch = 0: no membership (wire v4)
+		0x01,                // priority = PriorityHigh
+		0x00,                // epoch = 0: no membership
 		0x03, 't', 'b', 'l', // table "tbl"
 		0x01,      // 1 key
 		0x01, 'k', // "k"
@@ -88,8 +88,8 @@ func TestGoldenRequestOpPut(t *testing.T) {
 		0x01,      // kind: request
 		0x03,      // id = 3
 		0x02,      // op = OpPut
-		0x00,      // priority = PriorityNormal (wire v3)
-		0x00,      // epoch = 0: no membership (wire v4)
+		0x00,      // priority = PriorityNormal
+		0x00,      // epoch = 0: no membership
 		0x01, 't', // table "t"
 		0x01,      // 1 key
 		0x01, 'x', // "x"
@@ -119,7 +119,7 @@ func TestGoldenResponse(t *testing.T) {
 		0x05,       // id = 5
 		0x00,       // errcode = CodeOK
 		0x00,       // err = ""
-		0x00,       // credit = 0 (wire v3)
+		0x00,       // credit = 0
 		0x00,       // window = 0 (no signal)
 		0x00,       // retryAfterMillis = 0
 		0x00,       // queueMicros = 0
@@ -142,9 +142,9 @@ func TestGoldenResponse(t *testing.T) {
 	}
 }
 
-// TestGoldenResponseBackpressure pins the wire v3 credit/window header on a
-// shed response: a nonzero backpressure pair, the retry-after hint, and the
-// queue/service time split, byte for byte.
+// TestGoldenResponseBackpressure pins the credit/window backpressure header
+// on a shed response: a nonzero backpressure pair, the retry-after hint, and
+// the queue/service time split, byte for byte.
 func TestGoldenResponseBackpressure(t *testing.T) {
 	resp := Response{
 		ID:               2,
@@ -195,11 +195,11 @@ func TestGoldenNotification(t *testing.T) {
 	}
 }
 
-// TestGoldenCancel pins the wire v2 cancel frame byte for byte.
+// TestGoldenCancel pins the cancel frame byte for byte.
 func TestGoldenCancel(t *testing.T) {
 	c := Cancel{ID: 300, Index: 7}
 	want := []byte{
-		0x04,       // kind: cancel (wire v2)
+		0x04,       // kind: cancel
 		0xAC, 0x02, // id = 300 (uvarint)
 		0x07, // index = 7
 	}
@@ -208,7 +208,7 @@ func TestGoldenCancel(t *testing.T) {
 	}
 }
 
-// TestGoldenRequestEpoch pins the wire v4 epoch byte: a client holding a
+// TestGoldenRequestEpoch pins the routing-epoch stamp: a client holding a
 // membership map stamps every request with its view's epoch (uvarint,
 // between the priority byte and the table name).
 func TestGoldenRequestEpoch(t *testing.T) {
@@ -217,8 +217,8 @@ func TestGoldenRequestEpoch(t *testing.T) {
 		0x01,       // kind: request
 		0x01,       // id = 1
 		0x00,       // op = OpGet
-		0x00,       // priority = PriorityNormal (wire v3)
-		0xAC, 0x02, // epoch = 300 (uvarint, wire v4)
+		0x00,       // priority = PriorityNormal
+		0xAC, 0x02, // epoch = 300 (uvarint)
 		0x01, 't', // table "t"
 		0x01,      // 1 key
 		0x01, 'a', // "a"
@@ -239,7 +239,7 @@ func TestGoldenRequestEpoch(t *testing.T) {
 	}
 }
 
-// TestGoldenResponseMoved pins the wire v4 CodeMoved redirect byte for
+// TestGoldenResponseMoved pins the CodeMoved redirect byte for
 // byte: the error response whose Values[0] carries the moved-region
 // payload (uvarint nmoved, then per entry uvarint epoch · uvarint region ·
 // uvarint node · string addr).
@@ -250,9 +250,9 @@ func TestGoldenResponseMoved(t *testing.T) {
 	want := []byte{
 		0x02,      // kind: response
 		0x04,      // id = 4
-		0x07,      // errcode = CodeMoved (wire v4)
+		0x07,      // errcode = CodeMoved
 		0x01, 'm', // err = "m"
-		0x00, // credit = 0 (wire v3)
+		0x00, // credit = 0
 		0x00, // window = 0
 		0x00, // retryAfterMillis = 0
 		0x00, // queueMicros = 0
@@ -307,7 +307,7 @@ func TestDecodeMovedCorrupt(t *testing.T) {
 	}
 }
 
-// TestGoldenRegionFilter pins the wire v4 OpScan partition filter
+// TestGoldenRegionFilter pins the OpScan partition filter
 // (Params[1]): uvarint region · uvarint nregions.
 func TestGoldenRegionFilter(t *testing.T) {
 	want := []byte{0x02, 0x04}
@@ -428,28 +428,6 @@ func TestBinCodecCancelStream(t *testing.T) {
 	cn, err = c.readRequest(&req)
 	if err != nil || cn == nil || cn.ID != 9 || cn.Index != 0 {
 		t.Fatalf("cancel read: cn=%+v err=%v", cn, err)
-	}
-}
-
-// TestGobCodecCarriesCancel pins the legacy transport's half of wire v2:
-// the gob request stream must multiplex requests and cancels too.
-func TestGobCodecCarriesCancel(t *testing.T) {
-	var buf bytes.Buffer
-	c := newGobCodec(&buf)
-	if err := c.writeRequest(&Request{ID: 5, Op: OpExec, Table: "t", Keys: []string{"k"}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.writeCancel(&Cancel{ID: 5, Index: 3}); err != nil {
-		t.Fatal(err)
-	}
-	var req Request
-	cn, err := c.readRequest(&req)
-	if err != nil || cn != nil || req.ID != 5 || len(req.Keys) != 1 {
-		t.Fatalf("gob request read: cn=%v err=%v req=%+v", cn, err, req)
-	}
-	cn, err = c.readRequest(&req)
-	if err != nil || cn == nil || cn.ID != 5 || cn.Index != 3 {
-		t.Fatalf("gob cancel read: cn=%+v err=%v", cn, err)
 	}
 }
 
@@ -611,25 +589,6 @@ func TestBinCodecStream(t *testing.T) {
 	}
 }
 
-// TestGobCodecCarriesErrCode pins the legacy transport's error fields: a
-// WireGob stream must round-trip the structured code exactly like the
-// binary framing layer does.
-func TestGobCodecCarriesErrCode(t *testing.T) {
-	var buf bytes.Buffer
-	c := newGobCodec(&buf)
-	resp := Response{ID: 4, Code: CodeTransport, Err: "boom"}
-	if err := c.writeResponse(&resp); err != nil {
-		t.Fatal(err)
-	}
-	got, notif, err := c.readMessage()
-	if err != nil || notif != nil || got == nil {
-		t.Fatalf("readMessage: resp=%v notif=%v err=%v", got, notif, err)
-	}
-	if got.Code != CodeTransport || got.Err != "boom" || got.ID != 4 {
-		t.Fatalf("gob round trip lost error fields: %+v", *got)
-	}
-}
-
 func TestReadFrameRejectsOversizedHeader(t *testing.T) {
 	var buf bytes.Buffer
 	c := newBinCodec(&buf)
@@ -692,7 +651,7 @@ func TestDecodeCorruptCountsNoHugeAlloc(t *testing.T) {
 	if _, err := decodeResponse(payload); err == nil {
 		t.Fatal("huge meta count over a padded frame decoded without error")
 	}
-	// Same v3 header, 0 values, then nflags near 2^64 so the ceiling
+	// Same header, 0 values, then nflags near 2^64 so the ceiling
 	// division (nc+7)/8 would wrap to 0 and bypass take()'s bounds check
 	// straight into make([]bool, nc). Must error, not panic or OOM.
 	payload = []byte{0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
@@ -700,7 +659,7 @@ func TestDecodeCorruptCountsNoHugeAlloc(t *testing.T) {
 	if _, err := decodeResponse(payload); err == nil {
 		t.Fatal("overflowing flag count decoded without error")
 	}
-	// A v3 header truncated inside the backpressure fields (err present,
+	// A header truncated inside the backpressure fields (err present,
 	// credit present, window missing) must fail as truncated, not decode.
 	payload = []byte{0x02, 0x00, 0x00, 0x00, 0x07}
 	if _, err := decodeResponse(payload); err == nil {
@@ -729,7 +688,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(appendNotification(nil, &Notification{Table: "t", Key: "k", Version: 1}))
 	f.Add(appendCancel(nil, &Cancel{ID: 7, Index: 3}))
 	f.Add([]byte{0x04}) // truncated cancel
-	// Wire v4: an epoch-stamped request, a CodeMoved redirect carrying a
+	// An epoch-stamped request, a CodeMoved redirect carrying a
 	// moved-region payload, and a version-0 "placement moved" notification.
 	f.Add(appendRequest(nil, &Request{ID: 11, Op: OpGet, Epoch: 1 << 40,
 		Table: "t", Keys: []string{"k"}}))
@@ -742,10 +701,10 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(full[:len(full)-2])
 	f.Add([]byte{0x02, 0x01, 0x00, 0x00, 0xFF, 0xFF, 0xFF, 0xFF})
 	// Flag count near 2^64: (nc+7)/8 wraps unless bounds-checked first
-	// (v3 header: credit, window, 3 zero uvarints before the counts).
+	// (header: credit, window, 3 zero uvarints before the counts).
 	f.Add([]byte{0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
 		0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
-	// Truncated inside the v3 credit/window pair.
+	// Truncated inside the credit/window pair.
 	f.Add([]byte{0x02, 0x00, 0x00, 0x00, 0x07})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -762,7 +721,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	})
 }
 
-// FuzzDecodeMigration covers the wire v4 payload decoders that live inside
+// FuzzDecodeMigration covers the migration payload decoders that live inside
 // response values and scan params rather than the frame layer: the
 // CodeMoved redirect payload, the OpScan region filter, and the migration
 // state record. None may panic or over-allocate on corrupt bytes.

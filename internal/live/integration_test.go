@@ -2,6 +2,7 @@ package live
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -158,10 +159,10 @@ func TestLiveConcurrentJoinMatchesOracle(t *testing.T) {
 			for i := 0; i < opsPer; i++ {
 				k := fmt.Sprintf("k%d", rng.Intn(keys))
 				p := []byte(fmt.Sprintf("c%d-%d", c, i))
-				subs = append(subs, sub{k, p, e.Submit("t", k, p)})
+				subs = append(subs, sub{k, p, e.Table("t").Submit(context.Background(), k, p)})
 			}
 			for _, s := range subs {
-				got := s.fut.Wait()
+				got := mustWait(t, s.fut)
 				if got == nil {
 					t.Errorf("client %d: nil result for %s", c, s.key)
 					continue
@@ -197,7 +198,7 @@ func TestLiveConcurrentJoinMatchesOracle(t *testing.T) {
 		latest := history[k][len(history[k])-1]
 		historyMu.RUnlock()
 		want := append(append(append([]byte{}, latest...), '/'), []byte("final")...)
-		if got := e.Submit("t", k, []byte("final")).Wait(); !bytes.Equal(got, want) {
+		if got := mustWait(t, e.Table("t").Submit(context.Background(), k, []byte("final"))); !bytes.Equal(got, want) {
 			t.Errorf("final read of %s = %q, want %q", k, got, want)
 		}
 	}

@@ -2,6 +2,7 @@ package live
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -83,11 +84,11 @@ func TestLiveEndToEndFO(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		k := fmt.Sprintf("k%d", i%100)
 		p := []byte(fmt.Sprintf("p%d", i))
-		futs = append(futs, e.Submit("t", k, p))
+		futs = append(futs, e.Table("t").Submit(context.Background(), k, p))
 		wants = append(wants, []byte("value-of-"+k+"/"+string(p)))
 	}
 	for i, f := range futs {
-		if got := f.Wait(); !bytes.Equal(got, wants[i]) {
+		if got := mustWait(t, f); !bytes.Equal(got, wants[i]) {
 			t.Fatalf("result %d = %q, want %q", i, got, wants[i])
 		}
 	}
@@ -104,7 +105,7 @@ func TestLiveHotKeyGetsCached(t *testing.T) {
 
 	// Hammer one key; wait for each result so counters advance.
 	for i := 0; i < 300; i++ {
-		e.Submit("t", "k1", []byte("p")).Wait()
+		mustWait(t, e.Table("t").Submit(context.Background(), "k1", []byte("p")))
 	}
 	if e.LocalHits.Load() == 0 {
 		t.Fatal("hot key never served from local cache")
@@ -131,7 +132,7 @@ func TestLiveAlwaysFetchPolicy(t *testing.T) {
 	}
 	defer e.Close()
 	for i := 0; i < 100; i++ {
-		got := e.Submit("t", "k2", []byte("x")).Wait()
+		got := mustWait(t, e.Table("t").Submit(context.Background(), "k2", []byte("x")))
 		if !bytes.Equal(got, []byte("value-of-k2/x")) {
 			t.Fatalf("bad result %q", got)
 		}
@@ -155,7 +156,7 @@ func TestLivePutInvalidatesCachers(t *testing.T) {
 	defer e.Close()
 
 	for i := 0; i < 200; i++ {
-		e.Submit("t", "k3", []byte("p")).Wait()
+		mustWait(t, e.Table("t").Submit(context.Background(), "k3", []byte("p")))
 	}
 	opt := e.OptimizerFor("t", "k3")
 	sh := e.shardFor("t", "k3")
@@ -195,7 +196,7 @@ func TestLivePutInvalidatesCachers(t *testing.T) {
 	}
 
 	// Fresh reads must see the new value.
-	got := e.Submit("t", "k3", []byte("q")).Wait()
+	got := mustWait(t, e.Table("t").Submit(context.Background(), "k3", []byte("q")))
 	if !bytes.Equal(got, []byte("new-value/q")) {
 		t.Fatalf("post-update result %q", got)
 	}
@@ -218,9 +219,9 @@ func TestLiveBalancerBouncesUnderLoad(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 400; i++ {
 		k := fmt.Sprintf("k%d", i%50)
-		f := e.Submit("t", k, nil)
+		f := e.Table("t").Submit(context.Background(), k, nil)
 		wg.Add(1)
-		go func() { defer wg.Done(); f.Wait() }()
+		go func() { defer wg.Done(); mustWait(t, f) }()
 	}
 	wg.Wait()
 	if servers[0].Bounced.Load() == 0 {
@@ -229,6 +230,49 @@ func TestLiveBalancerBouncesUnderLoad(t *testing.T) {
 	if e.RemoteComputed.Load() == 0 {
 		t.Fatal("server computed nothing")
 	}
+}
+
+// TestDiskTierHitServesCachedValue drives skewed reads through a memory tier
+// too small for the hot set, so purchases spill to the disk tier and later
+// hits promote them back: every read — first contact, wire fetch, memory hit,
+// disk hit, promoted hit — must return the stored bytes.
+func TestDiskTierHitServesCachedValue(t *testing.T) {
+	cfg, _ := testCluster(t, 1, 32, "upper", upperUDF, false)
+	cfg.Optimizer = core.Config{Policy: core.Policy{Caching: true},
+		MemCacheBytes: 40, DiskCacheBytes: 1 << 20} // memory holds ~3 of the 32 rows
+	cfg.Shards = 1
+	e, err := NewExecutor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	tbl := e.Table("t")
+	for i := 0; i < 4000; i++ {
+		// Skew: key j is read about twice as often as key 2j.
+		j := i % 32
+		for j > 0 && (i/32+j)%2 == 0 {
+			j /= 2
+		}
+		k := fmt.Sprintf("k%d", j)
+		got, err := tbl.Call(context.Background(), k, []byte("p"))
+		if want := "value-of-" + k + "/p"; err != nil || string(got) != want {
+			t.Fatalf("read %d of %s = %q, %v, want %q", i, k, got, err, want)
+		}
+	}
+	if st := e.Optimizer("t").Stats(); st.LocalDisk == 0 {
+		t.Fatalf("no read was served from the disk tier (%+v); the test exercised nothing", st)
+	}
+}
+
+// mustWait returns f's value, reporting a typed failure as a test error so a
+// value assertion can never mistake a failed request for a missing key.
+func mustWait(t testing.TB, f *Future) []byte {
+	t.Helper()
+	v, err := f.WaitErr()
+	if err != nil {
+		t.Errorf("submission failed: %v", err)
+	}
+	return v
 }
 
 func TestResultMapFIFO(t *testing.T) {

@@ -12,7 +12,7 @@ import (
 	"joinopt/internal/store"
 )
 
-// This file is the server half of elastic membership (wire v4): the
+// This file is the server half of elastic membership: the
 // CodeMoved redirect payload, the partition-scoped scan filter, the
 // migration state record, the per-table migration bookkeeping a store node
 // keeps while a shard is in flight, and the Migrator that drives a live
@@ -118,7 +118,7 @@ func decodeMoved(p []byte) (moved []movedRegion, ok bool) {
 	return moved, len(p) == 0
 }
 
-// encodeRegionFilter packs an OpScan partition filter (Params[1], wire v4):
+// encodeRegionFilter packs an OpScan partition filter (Params[1]):
 // uvarint region · uvarint nregions.
 func encodeRegionFilter(region, nregions int) []byte {
 	b := make([]byte, 0, 2*binary.MaxVarintLen64)
@@ -413,7 +413,7 @@ func (s *Server) releaseForwards(fwds []*regionForward) {
 // acknowledged put landing in (table, region) is forwarded to dstAddr until
 // the region is fenced. migActive arms handlePut's cold path.
 func (s *Server) beginDualWrite(table string, region, nregions int, dstAddr string) error {
-	conn, err := DialNode(dstAddr, nil, s.wire)
+	conn, err := DialNode(dstAddr, nil)
 	if err != nil {
 		return err
 	}
@@ -599,8 +599,7 @@ func (s *Server) CatchUpRegion(peer, table string, region, nregions int) (int, e
 // Migrator drives live shard migrations against a set of in-process store
 // nodes sharing one membership.Map: the coordinator role of the handoff
 // protocol documented at the top of this file. Servers maps every live
-// node; Wire must match the servers' transport. The zero Wire is
-// WireBinary, like everywhere else.
+// node.
 //
 // Migrate serializes on the Migrator (one shard moves at a time per
 // coordinator), but the cluster keeps serving throughout: reads and puts
@@ -609,7 +608,6 @@ func (s *Server) CatchUpRegion(peer, table string, region, nregions int) (int, e
 type Migrator struct {
 	Map     *membership.Map
 	Servers map[cluster.NodeID]*Server
-	Wire    Wire
 
 	mu sync.Mutex
 }

@@ -2,6 +2,7 @@ package live
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -87,9 +88,12 @@ func BenchmarkLiveExecThroughputParallel(b *testing.B) {
 			// Warm up until the hot path is local: every key crosses the
 			// buy threshold within a few rounds.
 			params := []byte("p")
+			tbl, ctx := e.Table("t"), context.Background()
 			for round := 0; round < 12; round++ {
 				for _, k := range keyNames {
-					e.Submit("t", k, params).Wait()
+					if _, err := tbl.Call(ctx, k, params); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 			warmHits := e.LocalHits.Load()
@@ -101,7 +105,9 @@ func BenchmarkLiveExecThroughputParallel(b *testing.B) {
 				// Each goroutine walks its own slice of the key ring.
 				i := int(next.Add(1)) * 7919
 				for pb.Next() {
-					e.Submit("t", keyNames[i%keys], params).Wait()
+					if _, err := tbl.Submit(ctx, keyNames[i%keys], params).WaitErr(); err != nil {
+						b.Error(err)
+					}
 					i++
 				}
 			})

@@ -29,7 +29,6 @@ import (
 type Pool struct {
 	addr      string
 	noConnMsg string // precomputed so a fast-fail burst allocates nothing
-	wire      Wire
 	onNotif   func(Notification)
 
 	next   atomic.Uint64
@@ -49,7 +48,7 @@ type Pool struct {
 	// the conn.
 	onConnDown func()
 
-	// Backpressure state (wire v3). creditState packs the node's last
+	// Backpressure state. creditState packs the node's last
 	// advertised credit/window pair (credit<<8 | window; window 0 = no
 	// signal yet). outstanding counts this pool's requests on the wire
 	// awaiting a response; the executor's pacing compares it against the
@@ -70,7 +69,7 @@ type PoolHealth struct {
 	Redials     int64 // successful reconnects
 	RedialFails int64 // failed reconnect attempts (each backs off)
 	FastFails   int64 // Sends failed because no connection was healthy
-	Credit      uint8 // node's last advertised per-conn credit (wire v3)
+	Credit      uint8 // node's last advertised per-conn credit
 	Window      uint8 // node's last advertised per-conn window; 0 = no signal
 	Outstanding int64 // requests on the wire awaiting a response
 	PaceWaits   int64 // flushes that waited on exhausted credit
@@ -97,23 +96,20 @@ const (
 // connections share the onNotif callback; the server pushes an invalidation
 // on whichever connection fetched the key, so one callback sees them all.
 // Every connection must succeed initially (a bad address fails fast);
-// afterwards the pool redials broken connections on its own.
-func DialPool(addr string, size int, onNotif func(Notification), wire ...Wire) (*Pool, error) {
-	w := WireBinary
-	if len(wire) > 0 {
-		w = wire[0]
-	}
-	return dialPool(addr, size, onNotif, nil, w)
+// afterwards the pool redials broken connections on its own. The trailing
+// wire argument is ignored (see Wire).
+func DialPool(addr string, size int, onNotif func(Notification), _ ...Wire) (*Pool, error) {
+	return dialPool(addr, size, onNotif, nil)
 }
 
 // dialPool is DialPool plus the disconnect hook, which must be bound
 // before the first conn dials so no read loop can ever race its write.
-func dialPool(addr string, size int, onNotif func(Notification), onConnDown func(), w Wire) (*Pool, error) {
+func dialPool(addr string, size int, onNotif func(Notification), onConnDown func()) (*Pool, error) {
 	if size <= 0 {
 		size = 1
 	}
 	p := &Pool{addr: addr, noConnMsg: "no healthy connection to " + addr,
-		wire: w, onNotif: onNotif, onConnDown: onConnDown,
+		onNotif: onNotif, onConnDown: onConnDown,
 		slots: make([]atomic.Pointer[Conn], size)}
 	for i := 0; i < size; i++ {
 		if err := p.dialSlot(i); err != nil {
@@ -127,7 +123,7 @@ func dialPool(addr string, size int, onNotif func(Notification), onConnDown func
 // dialSlot dials one slot's connection, installs it, and only then starts
 // its read loop, so the conn's death hook always finds it installed.
 func (p *Pool) dialSlot(i int) error {
-	c, err := dialDeferred(p.addr, p.onNotif, func(dead *Conn) { p.slotDown(i, dead) }, p.wire)
+	c, err := dialDeferred(p.addr, p.onNotif, func(dead *Conn) { p.slotDown(i, dead) })
 	if err != nil {
 		return err
 	}
@@ -274,14 +270,14 @@ func (p *Pool) Health() PoolHealth {
 	}
 }
 
-// observeCredit records the v3 backpressure pair from a response; installed
+// observeCredit records the backpressure pair from a response; installed
 // as every conn's onCredit hook.
 func (p *Pool) observeCredit(credit, window uint8) {
 	p.creditState.Store(uint32(credit)<<8 | uint32(window))
 }
 
 // lastCredits unpacks the node's last advertised credit/window pair; window
-// 0 means the node has not signaled (pre-v3 peer, or nothing answered yet).
+// 0 means the node has not signaled (nothing answered yet).
 func (p *Pool) lastCredits() (credit, window uint8) {
 	cs := p.creditState.Load()
 	return uint8(cs >> 8), uint8(cs)

@@ -8,27 +8,26 @@
 // come from the simulation plane (internal/exec), where resource contention
 // is modeled deterministically.
 //
-// # Wire protocol (version 4)
+// # Wire protocol
 //
-// Messages cross the wire as length-prefixed binary frames. Every frame is
-// a uvarint byte count followed by that many payload bytes; the first
-// payload byte names the message kind:
+// Messages cross the wire as length-prefixed binary frames; this is the only
+// transport. Every frame is a uvarint byte count followed by that many
+// payload bytes; the first payload byte names the message kind:
 //
 //	frame        := uvarint(len(payload)) payload
 //	payload      := kind(1B) body
 //	kind         := 0x01 request | 0x02 response | 0x03 notification
-//	                | 0x04 cancel                                (wire v2)
+//	                | 0x04 cancel
 //
-//	request      := uvarint id · op(1B) · prio(1B)               (wire v3)
-//	                · uvarint epoch                              (wire v4)
+//	request      := uvarint id · op(1B) · prio(1B) · uvarint epoch
 //	                · string table
 //	                · uvarint nkeys  · nkeys  × string
 //	                · uvarint nparams· nparams× blob
 //	                · stats(6 × varint · 2 × float64le)
 //	response     := uvarint id · errcode(1B) · string err
-//	                · credit(1B) · window(1B)                    (wire v3)
-//	                · uvarint retryAfterMillis                   (wire v3)
-//	                · uvarint queueMicros · uvarint serviceMicros(wire v3)
+//	                · credit(1B) · window(1B)
+//	                · uvarint retryAfterMillis
+//	                · uvarint queueMicros · uvarint serviceMicros
 //	                · uvarint nvalues · nvalues × blob
 //	                · uvarint nflags  · ceil(nflags/8) bytes  (Computed,
 //	                  bit-packed LSB-first)
@@ -38,7 +37,14 @@
 //	notification := string table · string key · varint version
 //	cancel       := uvarint id · uvarint index
 //
-// # Overload & backpressure (wire v3)
+//	string       := uvarint(len) bytes
+//	blob         := uvarint(0) ⇒ nil | uvarint(len+1) bytes   (nil ≠ empty)
+//
+// Responses to one request always arrive on the connection that carried the
+// request; requests are multiplexed by ID, so any number can be in flight per
+// connection, and Pool spreads a client's traffic over several connections.
+//
+// # Overload & backpressure
 //
 // prio is the request's admission class (0 normal, 1 high, 2 low; see
 // Priority). Every response carries a backpressure header. window is the
@@ -47,31 +53,41 @@
 // EWMA service time (≈50ms of queued service per connection, capped at
 // 255); credit is window minus the connection's in-flight count, floored at
 // zero — credit 0 with a nonzero window says "stop sending, I am
-// saturated". The client's flush path paces batch release against the
-// advertised window and adapts its target batch size from the same signal.
-// retryAfterMillis is nonzero only on CodeOverloaded sheds: the server's
-// estimate of when queue headroom returns (depth × EWMA service time ÷
-// workers, clamped to [1ms, 2s]); clients retry idempotent shed ops only
-// after that hint plus jitter. queueMicros/serviceMicros split the
+// saturated". A server always budgets at least one op, so window 0 only
+// appears on responses fabricated locally (transport failures, timeouts)
+// and means "no signal". The client's flush path paces batch release against
+// the advertised window and adapts its target batch size from the same
+// signal. retryAfterMillis is nonzero only on CodeOverloaded sheds: the
+// server's estimate of when queue headroom returns (depth × EWMA service
+// time ÷ workers, clamped to [1ms, 2s]); clients retry idempotent shed ops
+// only after that hint plus jitter. queueMicros/serviceMicros split the
 // server-side life of the request into time spent queued at admission and
 // time spent actually executing, so clients can price replicas on true
 // service time (queue wait never poisons the EWMA) and attribute timeouts
 // to queuing vs long-running UDFs.
 //
-//	string       := uvarint(len) bytes
-//	blob         := uvarint(0) ⇒ nil | uvarint(len+1) bytes   (nil ≠ empty)
+// # Cancellation
 //
-// # Membership & migration (wire v4)
+// A cancel frame tells the server that the client has abandoned one op of an
+// in-flight batch: id is the batch request's ID on this connection, index
+// its position in the request's key list. Because cancel rides the same
+// ordered stream as the request it refers to, it can never overtake it; a
+// cancel for a request that already answered (or was never seen) is
+// dropped. The server skips UDF execution for canceled exec slots it has not
+// started yet (Server.ExecCanceled counts the skips) and returns the slot
+// uncomputed; the client has already rejected the op's future with
+// CodeCanceled and ignores the slot.
 //
-// epoch is the client's routing epoch — the version of the
-// membership.Map view it routed the request under; 0 means "no membership
-// configured" (the static-cluster shape, and what every pre-v4 client
-// effectively sent). A store node with an installed partition map compares
-// the stamp against its own epoch — one equal comparison on the hot path —
-// and only on a mismatch walks the request's keys against its moved-region
-// set. A key whose region migrated away is never served stale: the whole
-// request is answered with errcode CodeMoved, zero work done, and the
-// response's first value blob carries the redirect payload
+// # Membership & migration
+//
+// epoch is the client's routing epoch — the version of the membership.Map
+// view it routed the request under; 0 means "no membership configured" (the
+// static-cluster shape). A store node with an installed partition map
+// compares the stamp against its own epoch — one equal comparison on the hot
+// path — and only on a mismatch walks the request's keys against its
+// moved-region set. A key whose region migrated away is never served stale:
+// the whole request is answered with errcode CodeMoved, zero work done, and
+// the response's first value blob carries the redirect payload
 //
 //	moved        := uvarint nmoved
 //	                · nmoved × (uvarint epoch · uvarint region
@@ -99,18 +115,7 @@
 // assigned, and only then does the map bump — after which the source
 // answers CodeMoved and the target owns the region.
 //
-// A cancel frame (wire version 2) tells the server that the client has
-// abandoned one op of an in-flight batch: id is the batch request's ID on
-// this connection, index its position in the request's key list. Because
-// cancel rides the same ordered stream as the request it refers to, it can
-// never overtake it; a cancel for a request that already answered (or was
-// never seen) is dropped. The server skips UDF execution for canceled exec
-// slots it has not started yet (Server.ExecCanceled counts the skips) and
-// returns the slot uncomputed; the client has already rejected the op's
-// future with CodeCanceled and ignores the slot. The legacy gob stream
-// carries the same message as a kind-prefixed bare Cancel value (requests
-// keep their pre-v2 bare encoding, so the rare cancel is the only message
-// paying for the multiplexing).
+// # Buffers and ownership
 //
 // Encode buffers come from a size-classed arena (frame.go) shared by both
 // sides; each frame is framed in place and handed to the connection's
@@ -123,14 +128,7 @@
 // (params are only valid during the UDF call); client-side response frames
 // pass their ownership to the decoded message, whose values feed futures
 // and the cache. Request/Response carriers and completion cells are pooled
-// end to end — see recycle.go for the ownership rules. Responses to one
-// request always arrive on the connection that carried the request;
-// requests are multiplexed by ID, so any number can be in flight per
-// connection, and Pool spreads a client's traffic over several connections.
-//
-// The legacy encoding/gob stream survives as WireGob, selectable on both
-// ends, so the benchmarks in wire_bench_test.go can compare transports on
-// identical workloads.
+// end to end — see recycle.go for the ownership rules.
 package live
 
 import (
@@ -165,7 +163,7 @@ const (
 	// OpScan pages a table's rows for replica catch-up and shard
 	// migration: Keys[0] is the exclusive start-after cursor ("" = begin),
 	// Params[0] an optional uvarint page limit, and Params[1] an optional
-	// partition filter (wire v4) — uvarint(region) · uvarint(nregions) —
+	// partition filter — uvarint(region) · uvarint(nregions) —
 	// restricting the page to rows store.RegionIndex assigns to that
 	// region, so a migration streams exactly one partition. Each returned
 	// value blob is one row, app-level-encoded as string(key) ·
@@ -184,11 +182,11 @@ const (
 type Request struct {
 	ID uint64
 	Op Op
-	// Priority is the request's admission class (wire v3): under overload
+	// Priority is the request's admission class: under overload
 	// the server's weighted-fair dequeue favors high over normal over low,
 	// and low is evicted first when a run queue fills.
 	Priority Priority
-	// Epoch is the client's routing epoch (wire v4): the membership.Map
+	// Epoch is the client's routing epoch: the membership.Map
 	// view version the request was routed under, or 0 when no membership
 	// is configured. A server holding a newer map answers requests that
 	// touch migrated-away regions with CodeMoved instead of serving stale
@@ -204,7 +202,7 @@ type Request struct {
 
 	// frame is the arena buffer a server-side request was decoded from
 	// (params alias it); putRequest recycles both together. Never set on
-	// the client side, ignored by gob (unexported).
+	// the client side.
 	frame *[]byte
 }
 
@@ -234,11 +232,11 @@ type Response struct {
 	Code     ErrCode
 	Err      string
 
-	// Backpressure header (wire v3). Window is the per-connection
-	// outstanding-op budget the server advertises for the answered op's
-	// class; Credit is the budget minus the connection's current in-flight
-	// count (0 = stop sending). Window 0 means "no signal" (pre-v3 peer or
-	// locally fabricated response), so pacing never engages on it.
+	// Backpressure header. Window is the per-connection outstanding-op
+	// budget the server advertises for the answered op's class; Credit is
+	// the budget minus the connection's current in-flight count (0 = stop
+	// sending). Window 0 means "no signal" (a locally fabricated response),
+	// so pacing never engages on it.
 	Credit uint8
 	Window uint8
 	// RetryAfterMillis is the shed hint: nonzero only with CodeOverloaded.
@@ -256,7 +254,7 @@ type Notification struct {
 	Version int64
 }
 
-// Cancel is a client-initiated abandonment of one batched op (wire v2): ID
+// Cancel is a client-initiated abandonment of one batched op: ID
 // names the in-flight request on the same connection, Index the op's slot
 // in that request's key list. Sent when a submission's context is canceled
 // after its batch went out, so the server can drop exec work it has not
@@ -268,14 +266,14 @@ type Cancel struct {
 
 // wireConn is one transport connection: a net.Conn plus its codec. On the
 // server side it additionally tracks which in-flight requests have canceled
-// slots (wire v2), so exec workers can skip abandoned UDF work.
+// slots, so exec workers can skip abandoned UDF work.
 type wireConn struct {
 	c net.Conn
-	codec
+	*binCodec
 
 	// inflight counts requests read on this connection whose responses
 	// have not been written yet (server side only); credit stamping
-	// subtracts it from the advertised per-conn window (wire v3).
+	// subtracts it from the advertised per-conn window.
 	inflight atomic.Int64
 
 	// Cancel registry (server side only; clients never populate it).
@@ -345,18 +343,12 @@ func (w *wireConn) slotCanceled(id uint64, i int) bool {
 	return ok
 }
 
-func newWireConn(c net.Conn, w Wire) *wireConn {
-	wc := &wireConn{c: c}
-	if w == WireGob {
-		wc.codec = newGobCodec(c)
-	} else {
-		wc.codec = newBinCodecConn(c)
-	}
-	return wc
+func newWireConn(c net.Conn) *wireConn {
+	return &wireConn{c: c, binCodec: newBinCodecConn(c)}
 }
 
 func (w *wireConn) Close() error {
-	w.codec.close() // stop the coalescing writer before the socket goes
+	w.binCodec.close() // stop the coalescing writer before the socket goes
 	return w.c.Close()
 }
 

@@ -129,7 +129,7 @@ const scanPageRows = 512
 // up tolerates: anything missed is either already newer locally or arrives
 // through the live replication stream.
 //
-// Wire v4: a region filter in Params[1] (see encodeRegionFilter) restricts
+// A region filter in Params[1] (see encodeRegionFilter) restricts
 // the page to one partition's rows — a migrating shard streams through the
 // same paged scans replication catch-up uses, without paying for the rest
 // of the table. A page then holds up to limit MATCHING rows; the cursor
@@ -229,7 +229,7 @@ func (s *Server) catchUpTable(peer, table string, tb *serverTable) (int, error) 
 // (encodeRegionFilter) restricting the pull to one partition — the copy
 // phase of a shard migration rides the same paged-scan machinery.
 func (s *Server) catchUpTableFiltered(peer, table string, tb *serverTable, filter []byte) (int, error) {
-	conn, err := DialNode(peer, nil, s.wire)
+	conn, err := DialNode(peer, nil)
 	if err != nil {
 		return 0, err
 	}

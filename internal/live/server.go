@@ -38,7 +38,6 @@ type TableSpec struct {
 type Server struct {
 	reg      *Registry
 	balanced bool
-	wire     Wire
 	engine   storage.Engine // row storage; in-memory unless SetEngine says otherwise
 
 	mu       sync.RWMutex
@@ -46,7 +45,7 @@ type Server struct {
 	conns    map[*wireConn]struct{}
 	listener net.Listener
 
-	// Membership (wire v4, migrate.go). routeState packs the node's
+	// Membership (migrate.go). routeState packs the node's
 	// installed routing epoch (bits 1..63) with a has-moved-regions flag
 	// (bit 0); the hot path compares every request's stamp against it —
 	// one load and one comparison — and only a mismatch takes the cold
@@ -74,7 +73,7 @@ type Server struct {
 	execWorkers   chan struct{}
 	avgUDFSeconds atomic.Uint64 // math.Float64bits; plain atomic so updates don't box
 
-	// Admission control (wire v3, admission.go): bounded per-class run
+	// Admission control (admission.go): bounded per-class run
 	// queues drained by fixed dispatcher pools, plus the per-class EWMA of
 	// service time that prices retry-after hints and advertised windows.
 	admCfg     AdmissionConfig
@@ -86,9 +85,9 @@ type Server struct {
 
 	// Counters for tests/metrics. ExecCanceled counts exec slots whose
 	// UDF was skipped because a cancel frame arrived before the slot was
-	// dispatched (wire v2) — the observable server half of client-side
+	// dispatched — the observable server half of client-side
 	// context cancellation. Shed counts requests rejected at admission
-	// with CodeOverloaded (wire v3).
+	// with CodeOverloaded.
 	Gets, Execs, Puts, Bounced atomic.Int64
 	ExecCanceled               atomic.Int64
 	Shed                       atomic.Int64
@@ -107,8 +106,8 @@ type serverTable struct {
 
 // NewServer creates a server; balanced enables the Section 5 balancer for
 // OpExec batches (disabled servers always compute, like FD/CO). The
-// optional wire argument selects the transport (default WireBinary).
-func NewServer(reg *Registry, balanced bool, wire ...Wire) *Server {
+// trailing wire argument is ignored (see Wire).
+func NewServer(reg *Registry, balanced bool, _ ...Wire) *Server {
 	s := &Server{
 		reg:      reg,
 		balanced: balanced,
@@ -118,9 +117,6 @@ func NewServer(reg *Registry, balanced bool, wire ...Wire) *Server {
 		// Bound concurrent UDF execution to the core count, like a
 		// coprocessor thread pool.
 		execWorkers: make(chan struct{}, runtime.NumCPU()),
-	}
-	if len(wire) > 0 {
-		s.wire = wire[0]
 	}
 	s.avgUDFSeconds.Store(math.Float64bits(1e-4))
 	for cl := range s.classSvc {
@@ -241,7 +237,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		if err != nil {
 			return
 		}
-		wc := newWireConn(c, s.wire)
+		wc := newWireConn(c)
 		s.mu.Lock()
 		s.conns[wc] = struct{}{}
 		s.mu.Unlock()
@@ -293,7 +289,7 @@ func (s *Server) handle(wc *wireConn, req *Request, queueWait time.Duration) {
 	defer wc.endActive(req.ID)
 	svcStart := time.Now()
 	var resp *Response
-	// The membership epoch check (wire v4): one comparison when the
+	// The membership epoch check: one comparison when the
 	// client's map agrees with this node's and nothing ever moved away.
 	// A mismatch — stale stamp, or this node holding any moved record
 	// (the flag bit keeps the word unequal to every stamp) — walks the

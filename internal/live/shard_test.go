@@ -2,6 +2,7 @@ package live
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -28,10 +29,10 @@ func TestFutureWaitConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got := f.Wait()
+			got := mustWait(t, f)
 			// Repeated Wait from the same goroutine must return the
 			// identical slice.
-			if again := f.Wait(); !bytes.Equal(again, got) {
+			if again := mustWait(t, f); !bytes.Equal(again, got) {
 				t.Errorf("repeated Wait diverged: %q then %q", got, again)
 			}
 			results[i] = got
@@ -138,7 +139,7 @@ func TestFlushMergesShardAccumulators(t *testing.T) {
 	done := make(chan int, ops)
 	for i, f := range futs {
 		go func(i int, f *Future) {
-			if got := f.Wait(); got != nil {
+			if got := mustWait(t, f); got != nil {
 				done <- i
 			}
 		}(i, f)
@@ -171,12 +172,114 @@ func TestShardedEndToEnd(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		k := fmt.Sprintf("k%d", i%100)
 		p := []byte(fmt.Sprintf("p%d", i))
-		futs = append(futs, e.Submit("t", k, p))
+		futs = append(futs, e.Table("t").Submit(context.Background(), k, p))
 		wants = append(wants, []byte("value-of-"+k+"/"+string(p)))
 	}
 	for i, f := range futs {
-		if got := f.Wait(); !bytes.Equal(got, wants[i]) {
+		if got := mustWait(t, f); !bytes.Equal(got, wants[i]) {
 			t.Fatalf("result %d = %q, want %q", i, got, wants[i])
 		}
 	}
+}
+
+// echoNode is a scripted node that answers every exec batch with its keys as
+// computed values and reports each batch's size on sizes.
+func echoNode(t *testing.T, sizes chan<- int) *fakeNode {
+	return newFakeNode(t, func(req Request) *Response {
+		resp := &Response{}
+		for _, k := range req.Keys {
+			resp.Values = append(resp.Values, []byte(k))
+			resp.Computed = append(resp.Computed, true)
+			resp.Metas = append(resp.Metas, Meta{ValueSize: 1, ComputedSize: 1, Version: 1})
+		}
+		sizes <- len(req.Keys)
+		return resp
+	})
+}
+
+// TestSizeTriggerCountsAcrossShards pins the size-triggered flush against
+// shard striping: with the max-wait timer an hour out, exactly BatchSize
+// submissions bound for one node must ship as one full wire batch the moment
+// the last one lands, however their keys hash across the shards. Counting
+// per shard accumulator left every shard short of the limit, and the batch
+// sat out BatchWait.
+func TestSizeTriggerCountsAcrossShards(t *testing.T) {
+	const batch = 32
+	sizes := make(chan int, 8) // more than the batches this test can ship
+	e := singleNodeExec(t, echoNode(t, sizes).addr(), func(cfg *ExecConfig) {
+		cfg.Optimizer = core.Config{Policy: core.Policy{AlwaysCompute: true}}
+		cfg.Shards = 4
+		cfg.BatchSize = batch
+		cfg.BatchWait = time.Hour
+	})
+	tbl := e.Table("t")
+	for round := 0; round < 2; round++ { // the second round reuses retired count records
+		futs := make([]*Future, batch)
+		used := make(map[*execShard]bool)
+		for i := range futs {
+			if i == batch-1 && len(sizes) != 0 {
+				t.Fatalf("round %d: a wire batch shipped before the %dth submission", round, batch)
+			}
+			k := fmt.Sprintf("k%d", round*batch+i)
+			used[e.shardFor("t", k)] = true
+			futs[i] = tbl.Submit(context.Background(), k, nil)
+		}
+		if len(used) < 2 {
+			t.Fatalf("keys landed on %d shard(s); the test needs several", len(used))
+		}
+		for i, f := range futs {
+			if _, err := waitOrHang(t, f, 5*time.Second); err != nil {
+				t.Fatalf("round %d op %d: %v (a full batch waited for the timer)", round, i, err)
+			}
+		}
+		if got := <-sizes; got != batch {
+			t.Fatalf("round %d: wire batch of %d keys, want %d", round, got, batch)
+		}
+	}
+	if len(sizes) != 0 || len(e.dests) != 0 {
+		t.Fatalf("%d extra wire batches, %d live count records after both rounds drained", len(sizes), len(e.dests))
+	}
+}
+
+// TestSweepCapsWireBatchAtLimit: when backpressure has shrunk a node's batch
+// target below what the shards hold, a flush ships exactly the target and
+// leaves the rest parked, still counted, for the next trigger.
+func TestSweepCapsWireBatchAtLimit(t *testing.T) {
+	sizes := make(chan int, 8)
+	e := singleNodeExec(t, echoNode(t, sizes).addr(), func(cfg *ExecConfig) {
+		cfg.Optimizer = core.Config{Policy: core.Policy{AlwaysCompute: true}}
+		cfg.Shards = 2
+		cfg.BatchWait = time.Hour
+	})
+	tbl := e.Table("t")
+	// Park 3 keys on one shard and 10 on the other (default target 64).
+	var keys [2][]string
+	for i := 0; len(keys[0]) < 4 || len(keys[1]) < 10; i++ {
+		k := fmt.Sprintf("k%d", i)
+		idx := e.shardIdx(tbl.seed, k)
+		keys[idx] = append(keys[idx], k)
+	}
+	var futs []*Future
+	for _, k := range append(append([]string{}, keys[0][:3]...), keys[1][:10]...) {
+		futs = append(futs, tbl.Submit(context.Background(), k, nil))
+	}
+	e.nodes.Load().targets[0].Store(8)
+	futs = append(futs, tbl.Submit(context.Background(), keys[0][3], nil)) // 14 pending >= 8
+	if got := <-sizes; got != 8 {
+		t.Fatalf("first wire batch carried %d keys, want the target of 8", got)
+	}
+	if n := len(e.shards[1].batches); n != 1 {
+		t.Fatalf("partly swept shard holds %d accumulators, want 1 with the remainder", n)
+	}
+	futs = append(futs, tbl.Submit(context.Background(), keys[1][0], nil), // 6 left + 2 = 8
+		tbl.Submit(context.Background(), keys[0][0], nil))
+	if got := <-sizes; got != 8 {
+		t.Fatalf("second wire batch carried %d keys, want 8", got)
+	}
+	for i, f := range futs {
+		if _, err := waitOrHang(t, f, 5*time.Second); err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+	}
+	invariantSum(t, e, int64(len(futs)))
 }

@@ -2,6 +2,7 @@ package live
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -158,7 +159,7 @@ func TestParallelSubmitStressOracle(t *testing.T) {
 			for i := 0; i < opsPer; i++ {
 				k := fmt.Sprintf("k%d", rng.Intn(keys))
 				p := []byte(fmt.Sprintf("g%d-%d", c, i))
-				subs = append(subs, sub{k, p, e.Submit("t", k, p)})
+				subs = append(subs, sub{k, p, e.Table("t").Submit(context.Background(), k, p)})
 			}
 			for _, s := range subs {
 				got, err := s.fut.WaitErr()

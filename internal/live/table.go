@@ -6,13 +6,14 @@ import (
 	"sync"
 	"time"
 
+	"joinopt/internal/cluster"
 	"joinopt/internal/core"
 	"joinopt/internal/store"
 )
 
 // Table is a resolved handle on one stored relation: the partitioning map,
 // the UDF implementation and every shard-local optimizer are looked up once
-// (at Executor construction) instead of per Submit, so the v2 hot path
+// (at Executor construction) instead of per Submit, so the hot path
 // performs zero map lookups between the caller and the routing decision.
 // Handles are immutable and safe for concurrent use; Executor.Table returns
 // the same *Table for the life of the executor.
@@ -33,6 +34,40 @@ func (t *Table) Name() string { return t.name }
 // Replicas returns the table's replica factor as resolved at construction
 // (1 means unreplicated).
 func (t *Table) Replicas() int { return t.replicas }
+
+// placement answers "where does key live" — the one place the three routing
+// authorities are told apart. A replicated table returns its replica set
+// (placement order, primary first, read-only) with the primary as owner; an
+// unreplicated one returns a nil set and its single owner: the membership
+// map's when one is configured and knows the table, the static striping's
+// otherwise (the map converges onto it through redirects).
+//
+//joinopt:hotpath
+func (t *Table) placement(key string) (owner cluster.NodeID, replicas []cluster.NodeID) {
+	if t.replicas > 1 {
+		replicas = t.tbl.ReplicaNodes(key)
+		return replicas[0], replicas
+	}
+	if m := t.e.member; m != nil {
+		if n, ok := m.View().OwnerForKey(t.name, key); ok {
+			return n, nil
+		}
+	}
+	return t.tbl.Locate(key), nil
+}
+
+// placedOn reports whether node holds key: any member of a replicated key's
+// set (a read may have been served by — and subscribed on — a backup), the
+// single owner otherwise.
+func (t *Table) placedOn(key string, node cluster.NodeID) bool {
+	owner, replicas := t.placement(key)
+	for _, n := range replicas {
+		if n == node {
+			return true
+		}
+	}
+	return replicas == nil && owner == node
+}
 
 // RouteHint overrides the runtime join-location decision for one call,
 // making the paper's FC/FD policies expressible per submission instead of
@@ -134,14 +169,14 @@ func WithNoCache() CallOption {
 }
 
 // Submit routes one invocation of f(key, params) against the table and
-// returns a Future for the result; this is the v2 prefetch entry point.
+// returns a Future for the result; this is the prefetch entry point.
 // The context carries the request scope end to end: once ctx is canceled,
 // the future rejects with CodeCanceled, the submission is pulled out of the
 // batch accumulators and fetch-dedup waiter lists it is parked in, and — if
 // its exec batch is already on the wire — a cancel frame tells the data
 // node to skip the UDF. Cancellation is a race against completion: an op
 // whose result arrives first resolves normally. A background (non-
-// cancellable) context adds no per-op cost over the deprecated v1 Submit.
+// cancellable) context adds no per-op cost.
 //
 //joinopt:hotpath
 func (t *Table) Submit(ctx context.Context, key string, params []byte, opts ...CallOption) *Future {
@@ -191,7 +226,7 @@ func resolveOpts(opts []CallOption) callOpts {
 	return co
 }
 
-// Call is the synchronous v2 submission: Submit then WaitCtx under the same
+// Call is the synchronous submission: Submit then WaitCtx under the same
 // context. A nil, nil return means the key has no stored row; every failure
 // — including cancellation — is a typed *Error.
 func (t *Table) Call(ctx context.Context, key string, params []byte, opts ...CallOption) ([]byte, error) {
@@ -230,14 +265,9 @@ func (t *Table) Put(ctx context.Context, key string, value []byte) (int64, error
 	if err := ctx.Err(); err != nil {
 		return 0, &Error{Code: CodeCanceled, Op: OpPut, Msg: "canceled before send: " + err.Error()}
 	}
-	if t.replicas > 1 {
-		return t.putReplicated(ctx, key, value, e.cfg.RequestTimeout)
-	}
-	node := t.tbl.Locate(key)
-	if e.member != nil {
-		if n, ok := e.member.View().OwnerForKey(t.name, key); ok {
-			node = n
-		}
+	node, replicas := t.placement(key)
+	if replicas != nil {
+		return t.putReplicated(ctx, key, value, replicas)
 	}
 	req := Request{Op: OpPut, Table: t.name, Keys: []string{key}, Params: [][]byte{value}}
 	// A CodeMoved answer did zero work at the old owner (the redirect is
@@ -283,9 +313,9 @@ func (t *Table) Put(ctx context.Context, key string, value []byte) (int64, error
 // first live replica, fan the versioned record to the rest, ack at
 // majority. Stragglers past quorum keep replicating in the background —
 // their set-if-newer applies stay correct whenever they land.
-func (t *Table) putReplicated(ctx context.Context, key string, value []byte, timeout time.Duration) (int64, error) {
+func (t *Table) putReplicated(ctx context.Context, key string, value []byte, nodes []cluster.NodeID) (int64, error) {
 	e := t.e
-	nodes := t.tbl.ReplicaNodes(key)
+	timeout := e.cfg.RequestTimeout
 	// The sequencer is the first replica in placement order whose pool is
 	// live; with every pool down the primary gets the attempt anyway and
 	// the wire reports the failure.
@@ -540,10 +570,14 @@ func removeEntryCS(b *liveBatch, cs *cancelState) bool {
 }
 
 // removeEntryAt shift-deletes entry i, zeroing the vacated tail slot so the
-// pooled batch pins nothing the canceled op referenced.
+// pooled batch pins nothing the canceled op referenced, and uncounts it from
+// the destination's cross-shard pending count.
 func removeEntryAt(b *liveBatch, i int) {
 	n := len(b.entries)
 	copy(b.entries[i:], b.entries[i+1:])
 	b.entries[n-1] = liveEntry{}
 	b.entries = b.entries[:n-1]
+	if b.dest != nil {
+		b.dest.n.Add(-1)
+	}
 }

@@ -2,9 +2,8 @@ package live
 
 import (
 	"bytes"
-	"encoding/gob"
+	"context"
 	"fmt"
-	"io"
 	"sync"
 	"testing"
 	"time"
@@ -45,99 +44,45 @@ func benchResponse() *Response {
 
 func BenchmarkEncodeRequest(b *testing.B) {
 	req := benchRequest()
-	b.Run("gob", func(b *testing.B) {
-		// Persistent encoder: gob amortizes its type metadata across the
-		// stream, exactly as a long-lived connection would.
-		enc := gob.NewEncoder(io.Discard)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := enc.Encode(req); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("binary", func(b *testing.B) {
-		var buf []byte
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buf = appendRequest(buf[:0], req)
-		}
-		sinkLen = len(buf)
-	})
+	var buf []byte
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf = appendRequest(buf[:0], req)
+	}
+	sinkLen = len(buf)
 }
 
 func BenchmarkEncodeResponse(b *testing.B) {
 	resp := benchResponse()
-	b.Run("gob", func(b *testing.B) {
-		enc := gob.NewEncoder(io.Discard)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := enc.Encode(envelope{Resp: resp}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("binary", func(b *testing.B) {
-		var buf []byte
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buf = appendResponse(buf[:0], resp)
-		}
-		sinkLen = len(buf)
-	})
+	var buf []byte
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf = appendResponse(buf[:0], resp)
+	}
+	sinkLen = len(buf)
 }
 
 var sinkLen int
 
-// BenchmarkDecodeResponse decodes a pre-encoded stream of responses. Both
-// codecs get a persistent decoder over a replayed chunk of stream, so gob's
-// per-stream type metadata is amortized the same way a live connection
-// amortizes it.
+// BenchmarkDecodeResponse decodes one pre-encoded response frame: "fresh"
+// into a new Response per message, "into" through the pooled read path,
+// where a reused Response keeps its slice capacities and the steady state is
+// allocation-free.
 func BenchmarkDecodeResponse(b *testing.B) {
-	resp := benchResponse()
-	const chunk = 256 // messages per pre-encoded stream replay
-
-	b.Run("gob", func(b *testing.B) {
-		var stream bytes.Buffer
-		enc := gob.NewEncoder(&stream)
-		for i := 0; i < chunk; i++ {
-			if err := enc.Encode(envelope{Resp: resp}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		raw := stream.Bytes()
-		b.SetBytes(int64(len(raw) / chunk))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i += chunk {
-			dec := gob.NewDecoder(bytes.NewReader(raw))
-			for j := 0; j < chunk; j++ {
-				var env envelope
-				if err := dec.Decode(&env); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("binary", func(b *testing.B) {
-		payload := appendResponse(nil, resp)
+	payload := appendResponse(nil, benchResponse())
+	b.Run("fresh", func(b *testing.B) {
 		b.SetBytes(int64(len(payload)))
 		b.ReportAllocs()
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := decodeResponse(payload); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	// The pooled read path: decoding into a reused Response reuses its
-	// slice capacities, so the steady state is allocation-free.
-	b.Run("binary-into", func(b *testing.B) {
-		payload := appendResponse(nil, resp)
+	b.Run("into", func(b *testing.B) {
 		b.SetBytes(int64(len(payload)))
 		var into Response
 		b.ReportAllocs()
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if err := decodeResponseInto(payload, &into); err != nil {
 				b.Fatal(err)
@@ -150,75 +95,74 @@ func BenchmarkDecodeResponse(b *testing.B) {
 // a real executor, AlwaysCompute policy so every submission crosses the
 // wire as part of an OpExec batch. ns/op is per completed join invocation.
 func BenchmarkLiveExecThroughput(b *testing.B) {
-	for _, wire := range []Wire{WireGob, WireBinary} {
-		b.Run(wire.String(), func(b *testing.B) {
-			reg := NewRegistry()
-			reg.Register("tag", func(key string, params, value []byte) []byte {
-				out := append([]byte{}, value...)
-				out = append(out, '#')
-				return append(out, params...)
-			})
+	reg := NewRegistry()
+	reg.Register("tag", func(key string, params, value []byte) []byte {
+		out := append([]byte{}, value...)
+		out = append(out, '#')
+		return append(out, params...)
+	})
 
-			const keys = 256
-			ids := []cluster.NodeID{0}
-			catalog := store.CatalogFunc(func(string) store.RowMeta {
-				return store.RowMeta{ValueSize: 1024}
-			})
-			table := store.NewTable("t", catalog, 1, ids)
-			rows := make(map[string][]byte, keys)
-			val := bytes.Repeat([]byte("x"), 1024)
-			for i := 0; i < keys; i++ {
-				rows[fmt.Sprintf("k%d", i)] = val
-			}
+	const keys = 256
+	ids := []cluster.NodeID{0}
+	catalog := store.CatalogFunc(func(string) store.RowMeta {
+		return store.RowMeta{ValueSize: 1024}
+	})
+	table := store.NewTable("t", catalog, 1, ids)
+	rows := make(map[string][]byte, keys)
+	val := bytes.Repeat([]byte("x"), 1024)
+	for i := 0; i < keys; i++ {
+		rows[fmt.Sprintf("k%d", i)] = val
+	}
 
-			srv := NewServer(reg, false, wire)
-			srv.AddTable(TableSpec{Name: "t", UDF: "tag", Rows: rows})
-			addr, err := srv.Serve("127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer srv.Close()
+	srv := NewServer(reg, false)
+	srv.AddTable(TableSpec{Name: "t", UDF: "tag", Rows: rows})
+	addr, err := srv.Serve("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
 
-			e, err := NewExecutor(ExecConfig{
-				Tables:    map[string]*store.Table{"t": table},
-				Addrs:     map[cluster.NodeID]string{0: addr},
-				Registry:  reg,
-				TableUDF:  map[string]string{"t": "tag"},
-				Optimizer: core.Config{Policy: core.Policy{AlwaysCompute: true}},
-				BatchWait: 500 * time.Microsecond,
-				Wire:      wire,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer e.Close()
+	e, err := NewExecutor(ExecConfig{
+		Tables:    map[string]*store.Table{"t": table},
+		Addrs:     map[cluster.NodeID]string{0: addr},
+		Registry:  reg,
+		TableUDF:  map[string]string{"t": "tag"},
+		Optimizer: core.Config{Policy: core.Policy{AlwaysCompute: true}},
+		BatchWait: 500 * time.Microsecond,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close()
+	tbl, ctx := e.Table("t"), context.Background()
 
-			// Warm up one round trip so dials and gob type exchange are off
-			// the clock.
-			e.Submit("t", "k0", []byte("w")).Wait()
+	// Warm up one round trip so the dials are off the clock.
+	if _, err := tbl.Call(ctx, "k0", []byte("w")); err != nil {
+		b.Fatal(err)
+	}
 
-			const window = 512 // in-flight submissions per wave
-			params := []byte("p-bench")
-			b.ReportAllocs()
-			b.ResetTimer()
-			done := 0
-			for done < b.N {
-				n := b.N - done
-				if n > window {
-					n = window
+	const window = 512 // in-flight submissions per wave
+	params := []byte("p-bench")
+	b.ReportAllocs()
+	b.ResetTimer()
+	done := 0
+	for done < b.N {
+		n := b.N - done
+		if n > window {
+			n = window
+		}
+		var wg sync.WaitGroup
+		wg.Add(n)
+		for i := 0; i < n; i++ {
+			f := tbl.Submit(ctx, fmt.Sprintf("k%d", (done+i)%keys), params)
+			go func() {
+				defer wg.Done()
+				if _, err := f.WaitErr(); err != nil {
+					b.Error(err)
 				}
-				var wg sync.WaitGroup
-				wg.Add(n)
-				for i := 0; i < n; i++ {
-					f := e.Submit("t", fmt.Sprintf("k%d", (done+i)%keys), params)
-					go func() {
-						defer wg.Done()
-						f.Wait()
-					}()
-				}
-				wg.Wait()
-				done += n
-			}
-		})
+			}()
+		}
+		wg.Wait()
+		done += n
 	}
 }

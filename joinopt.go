@@ -23,9 +23,9 @@
 //     reproduces the paper's evaluation on a deterministic discrete-event
 //     cluster model; see EXPERIMENTS.md.
 //
-// # The v2 API: table handles, contexts, per-call options
+// # The client API: table handles, contexts, per-call options
 //
-// The v2 surface is context-first and handle-based:
+// The client surface is context-first and handle-based:
 //
 //	users := client.Table("users")                   // resolve once
 //	fut := users.Submit(ctx, key, params)            // async
@@ -45,22 +45,6 @@
 //	users.Call(ctx, k, p, joinopt.WithRoute(joinopt.ForceCompute)) // FD per call
 //	users.Call(ctx, k, p, joinopt.WithRoute(joinopt.ForceFetch),
 //	    joinopt.WithNoCache())                                     // FC per call
-//
-// # Migrating from the v1 shims
-//
-// The v1 methods survive as thin deprecated shims over
-// context.Background(); their signatures are frozen (CI builds against
-// them), but new code should not use them:
-//
-//	client.Submit(tbl, k, p)   =>  client.Table(tbl).Submit(ctx, k, p)
-//	client.CallErr(tbl, k, p)  =>  client.Table(tbl).Call(ctx, k, p)
-//	client.Call(tbl, k, p)     =>  v, _ := client.Table(tbl).Call(ctx, k, p)
-//	fut.Wait()                 =>  v, err := fut.WaitCtx(ctx)  (or WaitErr)
-//
-// Resolve handles once (at setup, not per op), thread a real context
-// through, and switch Call sites that ignored errors to the (value, error)
-// forms — a swallowed error is still counted in Stats.Failed, but only the
-// caller can tell a missing key from a dead node.
 //
 // # Error semantics & fault tolerance
 //
@@ -126,7 +110,7 @@
 // classes (WithPriority): under sustained overload low-priority work is
 // shed first and high-priority work keeps flowing.
 //
-// Backpressure rides the wire (protocol v3): every response carries the
+// Backpressure rides the wire: every response carries the
 // node's current credit/window pair — an advisory per-connection
 // outstanding-op budget derived from queue headroom and measured service
 // time. The client paces batch release against the advertised window,
@@ -215,7 +199,7 @@
 // and clients hold their own — possibly stale — copy of the map.
 //
 //   - Routing is optimistic. Every request carries the client's routing
-//     epoch (wire protocol v4, one uvarint); a node that still owns the
+//     epoch (one uvarint); a node that still owns the
 //     key answers normally, so a correct guess costs one predictable
 //     compare on the server's hot path. A node that no longer owns the
 //     key's region answers with a typed redirect (CodeMoved) naming the
@@ -588,8 +572,7 @@ type Future = live.Future
 
 // Table is a resolved handle on one stored relation: partitioning, UDF and
 // shard-routing state are looked up once, and every submission through the
-// handle carries a context and optional per-call options. This is the v2
-// submission surface; see the package documentation's migration guide.
+// handle carries a context and optional per-call options.
 type Table = live.Table
 
 // CallOption overrides the client-level defaults for one submission.
@@ -627,7 +610,7 @@ func WithNoCache() CallOption { return live.WithNoCache() }
 
 // WithPriority classes one call for the data node's weighted-fair admission:
 // under overload, PriorityLow work is shed before PriorityNormal, and
-// PriorityNormal before PriorityHigh. The class rides the wire (protocol v3)
+// PriorityNormal before PriorityHigh. The class rides the wire
 // and selects the server-side run-queue lane; it does not change client-side
 // ordering.
 func WithPriority(p Priority) CallOption { return live.WithPriority(p) }
@@ -636,40 +619,6 @@ func WithPriority(p Priority) CallOption { return live.WithPriority(p) }
 // are resolved once per client and are safe for concurrent use; asking for
 // an undeclared table panics (a wiring bug, like registering no UDF).
 func (cl *Client) Table(name string) *Table { return cl.exec.Table(name) }
-
-// Submit asynchronously evaluates f(key, params) against table, choosing
-// the execution location at runtime.
-//
-// Deprecated: v1 shim over Table(table).Submit(context.Background(), ...).
-// New code should hold a *Table and pass a real context so deadlines and
-// cancellation propagate; see the package migration guide.
-func (cl *Client) Submit(table, key string, params []byte) *Future {
-	return cl.exec.Submit(table, key, params)
-}
-
-// Call is a synchronous Submit returning the value alone; a failed request
-// surfaces as nil, indistinguishable from a missing key — though it is
-// still counted in Stats().Failed (or Canceled), so the loss is at least
-// visible in the counters.
-//
-// Deprecated: v1 shim. Use Table(table).Call(ctx, key, params), which
-// returns the typed error instead of swallowing it.
-func (cl *Client) Call(table, key string, params []byte) []byte {
-	// Route through WaitErr explicitly: the error is dropped by contract
-	// here, but it has already been counted by the executor, and CallErr
-	// remains the one place the full pair comes back.
-	v, _ := cl.exec.Submit(table, key, params).WaitErr()
-	return v
-}
-
-// CallErr is a synchronous Submit: the result value and, if the request
-// failed, a typed *Error (switch on its Code). A nil, nil return means the
-// key has no stored row.
-//
-// Deprecated: v1 shim over Table(table).Call(context.Background(), ...).
-func (cl *Client) CallErr(table, key string, params []byte) ([]byte, error) {
-	return cl.exec.Submit(table, key, params).WaitErr()
-}
 
 // CallCtx evaluates f(key, params) synchronously under ctx with per-call
 // options: sugar for Table(table).Call(ctx, key, params, opts...) when the

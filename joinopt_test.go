@@ -37,10 +37,10 @@ func TestClusterEndToEnd(t *testing.T) {
 	_, cl := startTestCluster(t, Full)
 	for i := 0; i < 100; i++ {
 		k := fmt.Sprintf("user%d", i%60)
-		got := cl.Call("users", k, []byte("!"))
+		got, err := cl.CallCtx(context.Background(), "users", k, []byte("!"))
 		want := []byte(fmt.Sprintf("hello u%d!", i%60))
-		if !bytes.Equal(got, want) {
-			t.Fatalf("Call(%s) = %q, want %q", k, got, want)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("Call(%s) = %q, %v, want %q", k, got, err, want)
 		}
 	}
 }
@@ -49,12 +49,12 @@ func TestAsyncSubmit(t *testing.T) {
 	_, cl := startTestCluster(t, Full)
 	var futs []*Future
 	for i := 0; i < 50; i++ {
-		futs = append(futs, cl.Submit("users", fmt.Sprintf("user%d", i), nil))
+		futs = append(futs, cl.Table("users").Submit(context.Background(), fmt.Sprintf("user%d", i), nil))
 	}
 	for i, f := range futs {
 		want := []byte(fmt.Sprintf("hello u%d", i))
-		if got := f.Wait(); !bytes.Equal(got, want) {
-			t.Fatalf("future %d = %q, want %q", i, got, want)
+		if got, err := f.WaitErr(); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("future %d = %q, %v, want %q", i, got, err, want)
 		}
 	}
 }
@@ -62,7 +62,7 @@ func TestAsyncSubmit(t *testing.T) {
 func TestHotKeyCachingReducesServerLoad(t *testing.T) {
 	c, cl := startTestCluster(t, Full)
 	for i := 0; i < 400; i++ {
-		cl.Call("users", "user7", []byte("x"))
+		cl.CallCtx(context.Background(), "users", "user7", []byte("x"))
 	}
 	if cl.Stats().LocalHits == 0 {
 		t.Fatal("hot key never hit the local cache")
@@ -79,7 +79,7 @@ func TestHotKeyCachingReducesServerLoad(t *testing.T) {
 func TestFetchAlwaysPolicyNeverCaches(t *testing.T) {
 	_, cl := startTestCluster(t, FetchAlways)
 	for i := 0; i < 50; i++ {
-		cl.Call("users", "user3", nil)
+		cl.CallCtx(context.Background(), "users", "user3", nil)
 	}
 	st := cl.Stats()
 	if st.LocalHits != 0 {
@@ -93,7 +93,7 @@ func TestFetchAlwaysPolicyNeverCaches(t *testing.T) {
 func TestComputeAtDataPolicy(t *testing.T) {
 	_, cl := startTestCluster(t, ComputeAtData)
 	for i := 0; i < 50; i++ {
-		cl.Call("users", fmt.Sprintf("user%d", i), nil)
+		cl.CallCtx(context.Background(), "users", fmt.Sprintf("user%d", i), nil)
 	}
 	st := cl.Stats()
 	if st.RemoteComputed != 50 {
@@ -129,7 +129,7 @@ func TestRDDEngineViaFacade(t *testing.T) {
 		MapWithPremap(
 			func(r Row, a *Async) { a.Submit("users", r["k"], nil) },
 			func(r Row, a *Async) Row {
-				r["greeting"] = string(a.Get("users", r["k"], nil))
+				r["greeting"] = string(a.Fetch("users", r["k"], nil))
 				return r
 			}).
 		Collect()
@@ -217,7 +217,7 @@ func TestClientBeforeStartFails(t *testing.T) {
 func TestElasticComputeNodes(t *testing.T) {
 	c, first := startTestCluster(t, Full)
 	for i := 0; i < 50; i++ {
-		first.Call("users", fmt.Sprintf("user%d", i%60), nil)
+		first.CallCtx(context.Background(), "users", fmt.Sprintf("user%d", i%60), nil)
 	}
 	// Scale up: a second compute node joins mid-run.
 	second, err := c.NewClient(ClientOptions{MemCacheBytes: 1 << 20})
@@ -226,15 +226,15 @@ func TestElasticComputeNodes(t *testing.T) {
 	}
 	for i := 0; i < 50; i++ {
 		want := fmt.Sprintf("hello u%d", i%60)
-		if got := second.Call("users", fmt.Sprintf("user%d", i%60), nil); string(got) != want {
-			t.Fatalf("new client got %q, want %q", got, want)
+		if got, err := second.CallCtx(context.Background(), "users", fmt.Sprintf("user%d", i%60), nil); err != nil || string(got) != want {
+			t.Fatalf("new client got %q, %v, want %q", got, err, want)
 		}
 	}
 	// Scale down: the first client leaves; the second keeps working.
 	first.Close()
 	for i := 0; i < 20; i++ {
-		if got := second.Call("users", "user1", nil); string(got) != "hello u1" {
-			t.Fatalf("surviving client got %q", got)
+		if got, err := second.CallCtx(context.Background(), "users", "user1", nil); err != nil || string(got) != "hello u1" {
+			t.Fatalf("surviving client got %q, %v", got, err)
 		}
 	}
 	second.Close()
@@ -267,12 +267,12 @@ func TestShardsKnobAndOpAccounting(t *testing.T) {
 	const ops = 300
 	var futs []*Future
 	for i := 0; i < ops; i++ {
-		futs = append(futs, cl.Submit("t", fmt.Sprintf("k%d", i%40), []byte("!")))
+		futs = append(futs, cl.Table("t").Submit(context.Background(), fmt.Sprintf("k%d", i%40), []byte("!")))
 	}
 	for i, f := range futs {
 		want := []byte(fmt.Sprintf("v%d!", i%40))
-		if got := f.Wait(); !bytes.Equal(got, want) {
-			t.Fatalf("op %d = %q, want %q", i, got, want)
+		if got, err := f.WaitErr(); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("op %d = %q, %v, want %q", i, got, err, want)
 		}
 	}
 
@@ -283,10 +283,10 @@ func TestShardsKnobAndOpAccounting(t *testing.T) {
 	}
 }
 
-// TestTableHandleV2 drives the v2 surface end to end through the public
+// TestTableHandle drives the client surface end to end through the public
 // API: handle resolution, context-scoped Submit/Call, WaitCtx, per-call
 // route hints, and the extended Stats accounting.
-func TestTableHandleV2(t *testing.T) {
+func TestTableHandle(t *testing.T) {
 	_, cl := startTestCluster(t, Full)
 	ctx := context.Background()
 	users := cl.Table("users")
@@ -336,25 +336,26 @@ func TestTableHandleV2(t *testing.T) {
 	}
 }
 
-// TestCallSwallowedErrorCounted pins the Client.Call footgun fix: a typed
-// error still comes back as a bare nil (the v1 contract), but it must be
-// visible in Stats.Failed — never silently identical to a missing key.
-func TestCallSwallowedErrorCounted(t *testing.T) {
+// TestFailedCallCounted pins that a failed request is never silently
+// identical to a missing key: it comes back as a typed error AND is counted
+// in Stats.Failed, so a caller that drops the error still sees the loss.
+func TestFailedCallCounted(t *testing.T) {
 	c, cl := startTestCluster(t, Full)
+	ctx := context.Background()
 	// A healthy call: nothing failed.
-	if v := cl.Call("users", "user1", nil); !bytes.Equal(v, []byte("hello u1")) {
-		t.Fatalf("healthy Call = %q, want %q", v, "hello u1")
+	if v, err := cl.CallCtx(ctx, "users", "user1", nil); err != nil || !bytes.Equal(v, []byte("hello u1")) {
+		t.Fatalf("healthy call = %q, %v, want %q", v, err, "hello u1")
 	}
 	if s := cl.Stats(); s.Failed != 0 {
-		t.Fatalf("healthy Call counted as Failed (%d)", s.Failed)
+		t.Fatalf("healthy call counted as Failed (%d)", s.Failed)
 	}
-	// Kill the cluster: Call still returns nil, but the swallowed error
-	// must show in Stats.Failed.
+	// Kill the cluster: the call fails typed and shows in Stats.Failed.
 	c.Close()
-	if v := cl.Call("users", "user1", nil); v != nil {
-		t.Fatalf("dead-cluster Call = %q, want nil", v)
+	var je *Error
+	if v, err := cl.CallCtx(ctx, "users", "user1", nil); v != nil || !errors.As(err, &je) {
+		t.Fatalf("dead-cluster call = %q, %v, want nil and a typed *Error", v, err)
 	}
 	if s := cl.Stats(); s.Failed == 0 {
-		t.Fatal("dead-cluster Call swallowed its error without counting it in Stats.Failed")
+		t.Fatal("dead-cluster call failed without being counted in Stats.Failed")
 	}
 }
