@@ -1,12 +1,6 @@
 GO ?= go
 
-# benchdiff knobs: REF is the baseline git ref, BENCH filters benchmarks,
-# COUNT is repetitions per side (medians are compared).
-REF ?= HEAD^
-BENCH ?= .
-COUNT ?= 3
-
-.PHONY: build test testcpu race vet lint apicheck benchcheck bench benchpar benchdiff fuzz fault livebench livedurable livereplicas overload livemigrate ci
+.PHONY: build test testcpu race vet lint apicheck benchcheck bench benchpar fuzz fault livebench livedurable livereplicas overload livemigrate ci
 
 build:
 	$(GO) build ./...
@@ -63,19 +57,6 @@ bench:
 # Parallel-Submit scaling curve: sharded vs global-lock executor state.
 benchpar:
 	$(GO) test -run '^$$' -bench LiveExecThroughputParallel -cpu 1,4,8 ./internal/live
-
-# Tier-1 benchmarks on HEAD vs $(REF) (default HEAD^), compared with
-# benchstat when installed, else the in-repo cmd/benchdiff. The baseline is
-# built from a temporary git worktree, so the working tree is untouched.
-benchdiff:
-	@git rev-parse --verify --quiet '$(REF)^{commit}' >/dev/null || { echo "benchdiff: bad REF '$(REF)'" >&2; exit 2; } ; \
-	tmp=$$(mktemp -d) && trap 'git worktree remove --force '"$$tmp"'/ref >/dev/null 2>&1; rm -rf '"$$tmp" EXIT && \
-	git worktree add --detach $$tmp/ref $(REF) >/dev/null && \
-	echo "baseline: $(REF) ($$(git rev-parse --short $(REF)))" && \
-	( cd $$tmp/ref && $(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -count $(COUNT) ./internal/live/... ) > $$tmp/old.txt && \
-	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -count $(COUNT) ./internal/live/... > $$tmp/new.txt && \
-	if command -v benchstat >/dev/null 2>&1; then benchstat $$tmp/old.txt $$tmp/new.txt; \
-	else $(GO) run ./cmd/benchdiff $$tmp/old.txt $$tmp/new.txt; fi
 
 # Short fuzz pass over the frame decoder; CI-friendly budget.
 fuzz:

@@ -10,6 +10,7 @@
 package core
 
 import (
+	"maps"
 	"math/rand"
 
 	"joinopt/internal/cache"
@@ -169,8 +170,14 @@ type Optimizer struct {
 	Model   *costmodel.Model
 	counter freq.Counter
 	keys    map[string]*KeyInfo
-	rng     *rand.Rand
-	stats   Counters
+	// fences holds the version an invalidation announced for a key the
+	// optimizer has no KeyInfo for (a KeyInfo would change what Route
+	// decides). KnownVersion reads it, so a cache install racing the
+	// invalidation still has a version to beat; the key's first KeyInfo
+	// inherits it.
+	fences map[string]int64
+	rng    *rand.Rand
+	stats  Counters
 
 	// Intrinsic (queueing-free) UDF costs, tracked alongside the
 	// effective costs in Model so that per-key costs can be scaled by the
@@ -206,6 +213,7 @@ func New(cfg Config) *Optimizer {
 		Model:         costmodel.NewModel(cfg.Alpha),
 		counter:       ctr,
 		keys:          make(map[string]*KeyInfo),
+		fences:        make(map[string]int64),
 		rng:           rand.New(rand.NewSource(cfg.Seed)),
 		trueDataCost:  costmodel.NewSmoother(cfg.Alpha, 1e-3),
 		trueLocalCost: costmodel.NewSmoother(cfg.Alpha, 1e-3),
@@ -399,9 +407,7 @@ type ResponseMeta struct {
 func (o *Optimizer) OnComputeResponse(m ResponseMeta) {
 	info := o.keys[m.Key]
 	if info == nil {
-		o.pruneKeysIfNeeded()
-		info = &KeyInfo{}
-		o.keys[m.Key] = info
+		info = o.learn(m.Key)
 	} else if m.Version > info.Version {
 		o.counter.Reset(m.Key)
 		o.Cache.Invalidate(m.Key)
@@ -410,7 +416,7 @@ func (o *Optimizer) OnComputeResponse(m ResponseMeta) {
 	info.ValueSize = m.ValueSize
 	info.ComputedSize = m.ComputedSize
 	info.ComputeCost = m.ComputeCost
-	info.Version = m.Version
+	info.Version = max(info.Version, m.Version)
 
 	o.Model.SizeV.Observe(float64(m.ValueSize))
 	o.Model.SizeCV.Observe(float64(m.ComputedSize))
@@ -429,38 +435,67 @@ func (o *Optimizer) OnComputeResponse(m ResponseMeta) {
 func (o *Optimizer) OnValueFetched(key string, size int64, version int64, value interface{}, toMem bool) {
 	info := o.keys[key]
 	if info == nil {
-		o.pruneKeysIfNeeded()
-		info = &KeyInfo{ValueSize: size}
-		o.keys[key] = info
+		info = o.learn(key)
 	}
 	info.ValueSize = size
-	info.Version = version
+	info.Version = max(info.Version, version)
 	if toMem && o.Cache.CondCacheInMemory(key, size, value, true) {
 		return
 	}
 	o.Cache.AddToDisk(key, size, value)
 }
 
+// learn creates key's KeyInfo, starting at the version a prior invalidation
+// fenced it at (0 when there was none).
+func (o *Optimizer) learn(key string) *KeyInfo {
+	o.pruneKeysIfNeeded()
+	info := &KeyInfo{Version: o.fences[key]}
+	delete(o.fences, key)
+	o.keys[key] = info
+	return info
+}
+
 // KnownVersion returns the newest row version the optimizer has learned
 // for key (from compute responses, fetches and invalidations), or 0 for an
-// unknown key. The live executor uses it to reconcile replicated reads: a
-// fetch served by a lagging replica at an older version than one already
-// seen must not (re)install in the cache, or a failover read would resurrect
-// a value a newer write already invalidated.
+// unknown key; it never runs backwards while the key is known. The live
+// executor fences every cache install with it: a fetched value older than a
+// version already seen — answered by a lagging replica, or read just before
+// a put whose invalidation overtook the reply — must not be installed, or
+// the cache would hold a value nobody is left to invalidate.
 func (o *Optimizer) KnownVersion(key string) int64 {
 	if info := o.keys[key]; info != nil {
 		return info.Version
 	}
-	return 0
+	return o.fences[key]
+}
+
+// ForgetVersions drops the learned version and fence of every key match
+// accepts, leaving the rest of the key's state alone. For the caller that
+// knows those keys' version history may have restarted from 0 (the one node
+// holding it went away): otherwise KnownVersion would fence them out of the
+// cache until the new history overtook the old.
+func (o *Optimizer) ForgetVersions(match func(key string) bool) {
+	for k, info := range o.keys {
+		if info.Version != 0 && match(k) {
+			info.Version = 0
+		}
+	}
+	maps.DeleteFunc(o.fences, func(k string, _ int64) bool { return match(k) })
 }
 
 // Invalidate handles an update notification from a data node: the cached
-// copy is dropped and the counter restarts (Section 4.2.3).
+// copy is dropped and the counter restarts (Section 4.2.3). The announced
+// version is remembered even for a key with no KeyInfo (see fences).
 func (o *Optimizer) Invalidate(key string, version int64) {
 	o.Cache.Invalidate(key)
 	o.counter.Reset(key)
 	if info := o.keys[key]; info != nil {
-		info.Version = version
+		info.Version = max(info.Version, version)
+	} else {
+		if len(o.fences) >= o.maxKeys {
+			clear(o.fences) // bound it like keys; a dropped fence only reopens the race it closed
+		}
+		o.fences[key] = max(o.fences[key], version)
 	}
 	o.stats.CounterReset++
 }

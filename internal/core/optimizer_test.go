@@ -188,6 +188,50 @@ func TestInvalidateDropsCacheAndCounter(t *testing.T) {
 	}
 }
 
+// TestInvalidateFencesUnknownKey: an invalidation for a key with no KeyInfo
+// still leaves its version behind for KnownVersion — without creating a
+// KeyInfo, which would change what Route decides — and the key's first
+// KeyInfo inherits it; versions never run backwards from there.
+func TestInvalidateFencesUnknownKey(t *testing.T) {
+	o := newFO(1 << 20)
+	o.Invalidate("k", 5)
+	if o.Known("k") != nil {
+		t.Fatal("an invalidation created a KeyInfo for a key never seen on a response")
+	}
+	if got := o.KnownVersion("k"); got != 5 {
+		t.Fatalf("KnownVersion after the invalidation = %d, want 5", got)
+	}
+	if got := o.Route("k", testBw); got != RouteCompute || o.Stats().FirstContact != 1 {
+		t.Fatalf("route = %v, first contacts = %d; a fenced key must still take the first-contact path", got, o.Stats().FirstContact)
+	}
+	o.OnComputeResponse(ResponseMeta{Key: "k", ValueSize: 10, Version: 4}) // a reply that predates the write
+	if got := o.KnownVersion("k"); got != 5 {
+		t.Fatalf("KnownVersion after an older response = %d, want it held at 5", got)
+	}
+	o.Invalidate("k", 3)
+	o.OnValueFetched("k", 10, 7, nil, true)
+	if got := o.KnownVersion("k"); got != 7 {
+		t.Fatalf("KnownVersion = %d, want 7 (an older invalidation ignored, the newer fetch taken)", got)
+	}
+}
+
+// TestForgetVersions: the matched keys' versions and fences go back to 0 —
+// so a history that restarted there passes the fence again — and nothing
+// else about the keys changes.
+func TestForgetVersions(t *testing.T) {
+	o := newFO(1 << 20)
+	o.OnComputeResponse(ResponseMeta{Key: "a", ValueSize: 10, Version: 5})
+	o.OnComputeResponse(ResponseMeta{Key: "b", ValueSize: 10, Version: 6})
+	o.Invalidate("fenced", 7)
+	o.ForgetVersions(func(k string) bool { return k != "b" })
+	if a, b, f := o.KnownVersion("a"), o.KnownVersion("b"), o.KnownVersion("fenced"); a != 0 || b != 6 || f != 0 {
+		t.Fatalf("versions a=%d b=%d fenced=%d, want 0, 6 (not matched), 0", a, b, f)
+	}
+	if info := o.Known("a"); info == nil || info.ValueSize != 10 {
+		t.Fatalf("forgetting a's version disturbed its KeyInfo: %+v", info)
+	}
+}
+
 func TestFreezeStopsBuying(t *testing.T) {
 	o := New(Config{
 		Policy:        Policy{Caching: true},

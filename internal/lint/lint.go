@@ -27,6 +27,11 @@
 //   - `//joinopt:xfer <reason>` on (or immediately above) a statement
 //     blesses one escape site — a pooled value captured by a closure or
 //     stored into an unmarked field — as a deliberate ownership transfer.
+//   - `//joinopt:lockorder <first> <second>` anywhere in a package declares
+//     that mutex class <first> (e.g. `execShard.mu`) is acquired before
+//     <second>: lockcheck reports any acquisition of <first> while <second>
+//     is held, even when the declared order itself never appears inside one
+//     function (the second lock is taken in a callee).
 //   - `//lint:allow <analyzer> <reason>` on (or immediately above) a line
 //     suppresses that analyzer's diagnostics on the line. The reason is
 //     mandatory: a bare waiver is itself reported.
@@ -154,8 +159,19 @@ type Markers struct {
 	// analyzer names waived there; xfer blesses recyclecheck escapes.
 	xferLines map[string]bool
 	allow     map[string]map[string]bool
-	bare      []Diagnostic // lint:allow markers missing analyzer or reason
+	bare      []Diagnostic // malformed markers (missing reason, class, …)
+
+	lockOrders []LockOrder
 }
+
+// LockOrder is one `//joinopt:lockorder First Second` declaration.
+type LockOrder struct {
+	First, Second string
+	Pos           token.Pos
+}
+
+// LockOrders returns the package's declared lock-acquisition orders.
+func (m *Markers) LockOrders() []LockOrder { return m.lockOrders }
 
 // PooledType reports whether t (a named type or pointer to one) is marked
 // `//joinopt:pooled`.
@@ -280,6 +296,16 @@ func (m *Markers) scanComment(c *ast.Comment) {
 			return
 		}
 		m.xferLines[lineKey(pos.Filename, pos.Line)] = true
+	case strings.HasPrefix(text, "joinopt:lockorder"):
+		classes := strings.Fields(strings.TrimPrefix(text, "joinopt:lockorder"))
+		if len(classes) != 2 {
+			m.bare = append(m.bare, Diagnostic{
+				Pos: pos, Analyzer: "lint",
+				Message: "joinopt:lockorder marker needs two mutex classes: //joinopt:lockorder <first> <second>",
+			})
+			return
+		}
+		m.lockOrders = append(m.lockOrders, LockOrder{First: classes[0], Second: classes[1], Pos: c.Pos()})
 	case strings.HasPrefix(text, "lint:allow"):
 		rest := strings.TrimSpace(strings.TrimPrefix(text, "lint:allow"))
 		name, reason, _ := strings.Cut(rest, " ")

@@ -12,8 +12,11 @@ import (
 // Wait*/Flush calls, time.Sleep — may be reached while a shard or engine
 // mutex is held, and two mutex classes must never be acquired in both
 // orders (the classic deadlock shape). TryLock acquisitions are exempt
-// from the ordering graph: a sweep that backs off on contention (the
-// executor's cross-shard flush) cannot deadlock by construction.
+// from the ordering graph: an acquisition that backs off on contention
+// cannot deadlock by construction. An order whose two halves never meet in
+// one function (shard lock in the caller, accumulator lock in the callee)
+// is declared with `//joinopt:lockorder <first> <second>` and enforced the
+// same way.
 //
 // The analysis is intra-procedural and source-ordered: Lock/Unlock pairs
 // are tracked through the statement list, `defer mu.Unlock()` holds to the
@@ -34,13 +37,18 @@ type heldLock struct {
 type lockEdge struct{ first, second string }
 
 type lockScan struct {
-	pass  *Pass
-	info  *types.Info
-	edges map[lockEdge]token.Pos // first held while second acquired
+	pass     *Pass
+	info     *types.Info
+	edges    map[lockEdge]token.Pos // first held while second acquired
+	declared map[lockEdge]token.Pos // //joinopt:lockorder declarations
 }
 
 func runLockcheck(pass *Pass) error {
-	s := &lockScan{pass: pass, info: pass.TypesInfo, edges: map[lockEdge]token.Pos{}}
+	s := &lockScan{pass: pass, info: pass.TypesInfo,
+		edges: map[lockEdge]token.Pos{}, declared: map[lockEdge]token.Pos{}}
+	for _, o := range pass.Markers().LockOrders() {
+		s.declared[lockEdge{o.First, o.Second}] = o.Pos
+	}
 	funcDecls(pass, func(decl *ast.FuncDecl, _ *types.Func) {
 		s.scanStmts(decl.Body.List, map[string]heldLock{})
 	})
@@ -59,7 +67,16 @@ func runLockcheck(pass *Pass) error {
 	// package is a potential deadlock; report each inverted pair once, at
 	// the lexicographically later acquisition.
 	for e, pos := range s.edges {
+		if _, ok := s.declared[e]; ok {
+			continue // the declared order; its inversions are reported at their own site
+		}
 		rev := lockEdge{e.second, e.first}
+		if dpos, ok := s.declared[rev]; ok {
+			s.pass.Report(pos,
+				"lock order inverted: %s acquired while holding %s, against the order declared at %s",
+				e.second, e.first, s.pass.Fset.Position(dpos))
+			continue
+		}
 		if rpos, ok := s.edges[rev]; ok && e.first < e.second {
 			s.pass.Report(pos,
 				"lock order inverted: %s acquired while holding %s here, but the opposite order is taken at %s",

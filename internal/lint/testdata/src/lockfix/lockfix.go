@@ -1,6 +1,7 @@
 // Package lockfix is the lockcheck fixture: blocking operations under a
-// shard-style mutex and lock-order inversions must report; the executor's
-// TryLock sweep idiom and post-unlock operations must stay clean.
+// shard-style mutex and lock-order inversions (observed or against a
+// declared order) must report; TryLock back-off and post-unlock operations
+// must stay clean.
 package lockfix
 
 import (
@@ -135,4 +136,39 @@ func doubleLock(s *shard) {
 	s.mu.Lock() // want `while the same lock is already held`
 	s.mu.Unlock()
 	s.mu.Unlock()
+}
+
+// The shard → accum order is only ever taken across a call (the accumulator
+// locks itself inside park), so it is declared rather than observed.
+//
+//joinopt:lockorder shard.mu accum.mu
+type accum struct {
+	mu sync.Mutex
+	q  []int
+}
+
+func (a *accum) park(v int) {
+	a.mu.Lock()
+	a.q = append(a.q, v)
+	a.mu.Unlock()
+}
+
+func declaredOrderAcrossCall(s *shard, a *accum) {
+	s.mu.Lock()
+	a.park(1) // ok: the declared order, taken in the callee
+	s.mu.Unlock()
+}
+
+func declaredOrderInline(s *shard, a *accum) {
+	s.mu.Lock()
+	a.mu.Lock() // ok: the declared order
+	a.mu.Unlock()
+	s.mu.Unlock()
+}
+
+func againstDeclaredOrder(s *shard, a *accum) {
+	a.mu.Lock()
+	s.mu.Lock() // want `against the order declared`
+	s.mu.Unlock()
+	a.mu.Unlock()
 }

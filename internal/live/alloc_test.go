@@ -181,3 +181,33 @@ func TestRoundTripAllocBudget(t *testing.T) {
 		t.Errorf("round trip allocates %.2f/op, budget %.1f", n, roundTripAllocBudget)
 	}
 }
+
+// TestPriorityRoundTripAllocBudget is the same round trip under a fixed set
+// of per-call wire policies, alternating: their accumulators must stay
+// mapped between calls, so the steady state never re-enters newAccumulator
+// (table clone, accumulator, limit closure, timer) and costs what the default
+// policy costs plus the option itself.
+func TestPriorityRoundTripAllocBudget(t *testing.T) {
+	e, keyNames := allocHarness(t)
+	tbl := e.Table("t")
+	ctx := context.Background()
+	prios := []CallOption{WithPriority(PriorityLow), WithPriority(PriorityHigh)}
+	submit := func(i int) {
+		if _, err := tbl.Submit(ctx, keyNames[i%len(keyNames)], nil, prios[i%2]).WaitErr(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	submit(0)
+	submit(1)
+	accs := e.accs.Load()
+	noGC(t)
+	i := 0
+	n := testing.AllocsPerRun(300, func() { submit(i); i++ })
+	t.Logf("steady-state round trip under alternating priorities: %.2f allocs/op", n)
+	if n > roundTripAllocBudget+1 {
+		t.Errorf("priority round trip allocates %.2f/op, budget %.1f", n, roundTripAllocBudget+1)
+	}
+	if e.accs.Load() != accs {
+		t.Error("the accumulator table was republished in steady state: a fixed policy set evicts itself")
+	}
+}

@@ -61,57 +61,49 @@ func TestCancelPreCanceled(t *testing.T) {
 // timer is an hour out: the future must reject immediately (not at flush
 // time), the entry must leave the batch, and the wire must never carry it.
 func TestCancelInAccumulator(t *testing.T) {
-	reg := NewRegistry()
-	reg.Register("join", upperUDF)
-	srv := NewServer(reg, false)
-	srv.AddTable(TableSpec{Name: "t", UDF: "join",
-		Rows: map[string][]byte{"k0": []byte("v0"), "k1": []byte("v1")}})
-	addr, err := srv.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("serve: %v", err)
-	}
-	t.Cleanup(srv.Close)
+	forShards(t, func(t *testing.T, shards int) {
+		reg := NewRegistry()
+		reg.Register("join", upperUDF)
+		srv := NewServer(reg, false)
+		srv.AddTable(TableSpec{Name: "t", UDF: "join",
+			Rows: map[string][]byte{"k0": []byte("v0"), "k1": []byte("v1")}})
+		addr, err := srv.Serve("127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("serve: %v", err)
+		}
+		t.Cleanup(srv.Close)
 
-	e := singleNodeExec(t, addr, func(cfg *ExecConfig) {
-		cfg.Optimizer = core.Config{Policy: core.Policy{AlwaysCompute: true}}
-		cfg.Shards = 1
-		cfg.BatchSize = 64
-		cfg.BatchWait = time.Hour // nothing flushes unless full
+		e := singleNodeExec(t, addr, func(cfg *ExecConfig) {
+			cfg.Optimizer = core.Config{Policy: core.Policy{AlwaysCompute: true}}
+			cfg.Shards = shards
+			cfg.BatchSize = 64
+			cfg.BatchWait = time.Hour // nothing flushes unless full
+		})
+
+		ctx, cancel := context.WithCancel(context.Background())
+		fCancel := e.Table("t").Submit(ctx, "k0", []byte("p"))
+		fKeep := e.Table("t").Submit(context.Background(), "k1", []byte("p"))
+		cancel()
+		_, werr := waitOrHang(t, fCancel, 10*time.Second)
+		wantCanceled(t, werr, "accumulator cancel")
+
+		// The canceled entry must leave the pending batch (the future rejects
+		// first, the removal follows); then flush what remains so fKeep
+		// resolves.
+		bk := liveBatchKey{t: e.Table("t"), node: 0, op: OpExec}
+		waitUntil(t, 10*time.Second, "the canceled entry to leave its accumulator", func() bool { return parked(e, bk) == 1 })
+		flush(e, bk)
+		if v, err := waitOrHang(t, fKeep, 10*time.Second); err != nil || !bytes.Equal(v, []byte("v1/p")) {
+			t.Fatalf("surviving batch entry: %q, %v", v, err)
+		}
+		if got := srv.Execs.Load(); got != 1 {
+			t.Fatalf("server executed %d ops, want 1 (canceled entry filtered from the wire)", got)
+		}
+		if n := e.Canceled.Load(); n != 1 {
+			t.Fatalf("Canceled = %d, want 1", n)
+		}
+		invariantSum(t, e, 2)
 	})
-
-	ctx, cancel := context.WithCancel(context.Background())
-	fCancel := e.Table("t").Submit(ctx, "k0", []byte("p"))
-	fKeep := e.Table("t").Submit(context.Background(), "k1", []byte("p"))
-	cancel()
-	_, werr := waitOrHang(t, fCancel, 10*time.Second)
-	wantCanceled(t, werr, "accumulator cancel")
-
-	// The canceled entry must be gone from the pending batch.
-	sh := e.shardFor("t", "k0")
-	bk := liveBatchKey{t: e.Table("t"), node: 0, op: OpExec}
-	sh.mu.Lock()
-	var pending int
-	if b := sh.batches[bk]; b != nil {
-		pending = len(b.entries)
-	}
-	// Flush what remains so fKeep resolves.
-	if b := sh.batches[bk]; b != nil {
-		e.flushLocked(sh, bk, b)
-	}
-	sh.mu.Unlock()
-	if pending != 1 {
-		t.Fatalf("accumulator holds %d entries after cancel, want 1 (the uncanceled op)", pending)
-	}
-	if v, err := waitOrHang(t, fKeep, 10*time.Second); err != nil || !bytes.Equal(v, []byte("v1/p")) {
-		t.Fatalf("surviving batch entry: %q, %v", v, err)
-	}
-	if got := srv.Execs.Load(); got != 1 {
-		t.Fatalf("server executed %d ops, want 1 (canceled entry filtered from the wire)", got)
-	}
-	if n := e.Canceled.Load(); n != 1 {
-		t.Fatalf("Canceled = %d, want 1", n)
-	}
-	invariantSum(t, e, 2)
 }
 
 // TestCancelAfterFlushServerSkips is the wire-level contract: ops canceled
@@ -228,57 +220,52 @@ func TestCancelPiledOnDedupWaiter(t *testing.T) {
 // fetch still sits in the accumulator: the fetch must be withdrawn (never
 // hit the wire) and the dedup record cleared so the next Submit re-issues.
 func TestCancelLastDedupWaiterDropsFetch(t *testing.T) {
-	var served atomic.Int64
-	fake := newFakeNode(t, func(req Request) *Response {
-		served.Add(int64(len(req.Keys)))
-		resp := &Response{}
-		for range req.Keys {
-			resp.Values = append(resp.Values, []byte("fresh"))
-			resp.Computed = append(resp.Computed, false)
-			resp.Metas = append(resp.Metas, Meta{ValueSize: 5, Version: 1})
+	forShards(t, func(t *testing.T, shards int) {
+		var served atomic.Int64
+		fake := newFakeNode(t, func(req Request) *Response {
+			served.Add(int64(len(req.Keys)))
+			resp := &Response{}
+			for range req.Keys {
+				resp.Values = append(resp.Values, []byte("fresh"))
+				resp.Computed = append(resp.Computed, false)
+				resp.Metas = append(resp.Metas, Meta{ValueSize: 5, Version: 1})
+			}
+			return resp
+		})
+		e := singleNodeExec(t, fake.addr(), func(cfg *ExecConfig) {
+			cfg.Shards = shards
+			cfg.BatchSize = 64
+			cfg.BatchWait = time.Hour // the fetch parks in the accumulator
+		})
+
+		ctx, cancel := context.WithCancel(context.Background())
+		f := e.Table("t").Submit(ctx, "k0", []byte("p"), WithRoute(ForceFetch))
+		cancel()
+		_, werr := waitOrHang(t, f, 10*time.Second)
+		wantCanceled(t, werr, "lone waiter")
+
+		sh := e.shardFor("t", "k0")
+		bk := liveBatchKey{t: e.Table("t"), node: 0, op: OpGet}
+		waitUntil(t, 10*time.Second, "the withdrawn fetch to leave no record", func() bool {
+			sh.mu.Lock()
+			defer sh.mu.Unlock()
+			return len(sh.inflight) == 0 && parked(e, bk) == 0
+		})
+		assertIdle(t, e)
+
+		// A fresh Submit must re-issue the fetch from scratch and succeed
+		// (flushed by hand; this executor's timer is parked an hour out).
+		f2 := e.Table("t").Submit(context.Background(), "k0", []byte("q"), WithRoute(ForceFetch))
+		flush(e, bk)
+		v, err := waitOrHang(t, f2, 10*time.Second)
+		if err != nil || !bytes.Equal(v, []byte("fresh/q")) {
+			t.Fatalf("re-issued fetch: %q, %v", v, err)
 		}
-		return resp
+		if n := served.Load(); n != 1 {
+			t.Fatalf("server served %d keys, want 1 (the canceled fetch must never ship)", n)
+		}
+		invariantSum(t, e, 2)
 	})
-	e := singleNodeExec(t, fake.addr(), func(cfg *ExecConfig) {
-		cfg.Shards = 1
-		cfg.BatchSize = 64
-		cfg.BatchWait = time.Hour // the fetch parks in the accumulator
-	})
-
-	ctx, cancel := context.WithCancel(context.Background())
-	f := e.Table("t").Submit(ctx, "k0", []byte("p"), WithRoute(ForceFetch))
-	cancel()
-	_, werr := waitOrHang(t, f, 10*time.Second)
-	wantCanceled(t, werr, "lone waiter")
-
-	sh := e.shardFor("t", "k0")
-	sh.mu.Lock()
-	staleInflight := len(sh.inflight)
-	var staleEntries int
-	for _, b := range sh.batches {
-		staleEntries += len(b.entries)
-	}
-	sh.mu.Unlock()
-	if staleInflight != 0 || staleEntries != 0 {
-		t.Fatalf("cancel left %d inflight record(s), %d batch entr(ies)", staleInflight, staleEntries)
-	}
-
-	// A fresh Submit must re-issue the fetch from scratch and succeed
-	// (flushed by hand; this executor's timer is parked an hour out).
-	f2 := e.Table("t").Submit(context.Background(), "k0", []byte("q"), WithRoute(ForceFetch))
-	sh.mu.Lock()
-	for bk, b := range sh.batches {
-		e.flushLocked(sh, bk, b)
-	}
-	sh.mu.Unlock()
-	v, err := waitOrHang(t, f2, 10*time.Second)
-	if err != nil || !bytes.Equal(v, []byte("fresh/q")) {
-		t.Fatalf("re-issued fetch: %q, %v", v, err)
-	}
-	if n := served.Load(); n != 1 {
-		t.Fatalf("server served %d keys, want 1 (the canceled fetch must never ship)", n)
-	}
-	invariantSum(t, e, 2)
 }
 
 // TestCancelRacingResponsesUnderProxy is the stress half: through the
@@ -532,41 +519,36 @@ func TestWireOptionsSplitDedup(t *testing.T) {
 // different wire overrides must never ride the same wire batch (a 50ms
 // deadline diluted across a default-deadline batch would be a lie).
 func TestWireOptionsSplitBatches(t *testing.T) {
-	reg := NewRegistry()
-	reg.Register("join", upperUDF)
-	srv := NewServer(reg, false)
-	srv.AddTable(TableSpec{Name: "t", UDF: "join",
-		Rows: map[string][]byte{"k0": []byte("v0"), "k1": []byte("v1")}})
-	addr, err := srv.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("serve: %v", err)
-	}
-	t.Cleanup(srv.Close)
-
-	e := singleNodeExec(t, addr, func(cfg *ExecConfig) {
-		cfg.Optimizer = core.Config{Policy: core.Policy{AlwaysCompute: true}}
-		cfg.Shards = 1
-		cfg.BatchSize = 64
-		cfg.BatchWait = time.Hour
-	})
-	tbl := e.Table("t")
-	ctx := context.Background()
-
-	f1 := tbl.Submit(ctx, "k0", []byte("p"))                                   // default wire opts
-	f2 := tbl.Submit(ctx, "k1", []byte("p"), WithTimeout(50*time.Millisecond)) // its own batch
-	sh := e.shards[0]
-	sh.mu.Lock()
-	batches := len(sh.batches)
-	for bk, b := range sh.batches {
-		e.flushLocked(sh, bk, b)
-	}
-	sh.mu.Unlock()
-	if batches != 2 {
-		t.Fatalf("accumulated %d batch(es), want 2 (differing wire options must split)", batches)
-	}
-	for i, f := range []*Future{f1, f2} {
-		if _, err := waitOrHang(t, f, 10*time.Second); err != nil {
-			t.Fatalf("future %d: %v", i, err)
+	forShards(t, func(t *testing.T, shards int) {
+		reg := NewRegistry()
+		reg.Register("join", upperUDF)
+		srv := NewServer(reg, false)
+		srv.AddTable(TableSpec{Name: "t", UDF: "join",
+			Rows: map[string][]byte{"k0": []byte("v0"), "k1": []byte("v1")}})
+		addr, err := srv.Serve("127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("serve: %v", err)
 		}
-	}
+		t.Cleanup(srv.Close)
+
+		e := singleNodeExec(t, addr, func(cfg *ExecConfig) {
+			cfg.Optimizer = core.Config{Policy: core.Policy{AlwaysCompute: true}}
+			cfg.Shards = shards
+			cfg.BatchSize = 64
+			cfg.BatchWait = time.Hour
+		})
+		tbl := e.Table("t")
+		ctx := context.Background()
+
+		f1 := tbl.Submit(ctx, "k0", []byte("p"))                                   // default wire opts
+		f2 := tbl.Submit(ctx, "k1", []byte("p"), WithTimeout(50*time.Millisecond)) // its own batch
+		if batches := flushAll(e); batches != 2 {
+			t.Fatalf("accumulated %d batch(es), want 2 (differing wire options must split)", batches)
+		}
+		for i, f := range []*Future{f1, f2} {
+			if _, err := waitOrHang(t, f, 10*time.Second); err != nil {
+				t.Fatalf("future %d: %v", i, err)
+			}
+		}
+	})
 }

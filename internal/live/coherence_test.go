@@ -1,0 +1,156 @@
+package live
+
+import (
+	"bytes"
+	"context"
+	"net"
+	"testing"
+	"time"
+)
+
+// TestInvalidationOvertakingFetchReplyFencesInstall is the fetch/invalidate
+// race on an unreplicated table: the node registers the cacher, a put lands,
+// and its invalidation reaches the client BEFORE the fetch reply carrying the
+// pre-put row. The invalidation spent the subscription, so installing the
+// older value would leave it cached with nobody left to invalidate it. The
+// key has no KeyInfo yet (its first contact is this fetch), so the fence has
+// to come from the version the invalidation left behind.
+func TestInvalidationOvertakingFetchReplyFencesInstall(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				wc := newWireConn(c)
+				defer wc.Close()
+				for {
+					req := getRequest()
+					if _, err := wc.readRequest(req); err != nil {
+						putRequest(req)
+						return
+					}
+					// The put's invalidation (version 2) first, then the reply
+					// that read the row just before the put (version 1).
+					wc.writeNotification(&Notification{Table: req.Table, Key: req.Keys[0], Version: 2})
+					wc.writeResponse(&Response{ID: req.ID,
+						Values:   [][]byte{[]byte("old")},
+						Computed: []bool{false},
+						Metas:    []Meta{{ValueSize: 3, Version: 1}}})
+					putRequest(req)
+				}
+			}()
+		}
+	}()
+
+	e := singleNodeExec(t, ln.Addr().String(), func(cfg *ExecConfig) {
+		cfg.ConnsPerNode = 1
+		cfg.BatchSize = 1
+	})
+	// The waiter itself may see the old value — a read racing a write.
+	v, err := waitOrHang(t, e.Table("t").Submit(context.Background(), "k0", []byte("p"), WithRoute(ForceFetch)), 10*time.Second)
+	if err != nil || !bytes.Equal(v, []byte("old/p")) {
+		t.Fatalf("fetch: %q, %v", v, err)
+	}
+	sh := e.shardFor("t", "k0")
+	sh.mu.Lock()
+	_, _, cached := sh.opts["t"].Cache.Lookup("k0")
+	known := sh.opts["t"].KnownVersion("k0")
+	sh.mu.Unlock()
+	if cached {
+		t.Fatal("the pre-put value was installed after its invalidation: stale until evicted")
+	}
+	if known != 2 {
+		t.Fatalf("KnownVersion = %d, want the invalidation's 2", known)
+	}
+}
+
+// TestPutInvalidatesOwnCache pins read-your-writes through one executor: the
+// node never notifies the connection a put arrived on, and with
+// ConnsPerNode 1 that is the executor's only connection — so the put path
+// itself must drop the cached copy when the write is acked.
+func TestPutInvalidatesOwnCache(t *testing.T) {
+	reg := NewRegistry()
+	reg.Register("join", upperUDF)
+	srv := NewServer(reg, false)
+	srv.AddTable(TableSpec{Name: "t", UDF: "join", Rows: map[string][]byte{"k0": []byte("old")}})
+	addr, err := srv.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	t.Cleanup(srv.Close)
+	e := singleNodeExec(t, addr, func(cfg *ExecConfig) { cfg.ConnsPerNode = 1 })
+	tbl, ctx := e.Table("t"), context.Background()
+
+	if v, err := tbl.Call(ctx, "k0", []byte("p"), WithRoute(ForceFetch)); err != nil || !bytes.Equal(v, []byte("old/p")) {
+		t.Fatalf("cache fill: %q, %v", v, err)
+	}
+	if v, err := tbl.Call(ctx, "k0", []byte("p")); err != nil || !bytes.Equal(v, []byte("old/p")) || e.LocalHits.Load() != 1 {
+		t.Fatalf("read before the put: %q, %v, %d local hits; want a hit on the cached value", v, err, e.LocalHits.Load())
+	}
+	ver, err := tbl.Put(ctx, "k0", []byte("new"))
+	if err != nil {
+		t.Fatalf("put: %v", err)
+	}
+	if v, err := tbl.Call(ctx, "k0", []byte("p")); err != nil || !bytes.Equal(v, []byte("new/p")) {
+		t.Fatalf("read after own put (acked at version %d): %q, %v; want the new value", ver, v, err)
+	}
+	invariantSum(t, e, 3)
+}
+
+// TestRestartedInMemoryNodeKeysCacheAgain: an unreplicated in-memory node
+// that restarts counts its row versions from 0 again. The version fence must
+// not hold the versions learned before the restart against it, or every key
+// that was ever put could never be cached again.
+func TestRestartedInMemoryNodeKeysCacheAgain(t *testing.T) {
+	newNode := func(row string) *Server {
+		reg := NewRegistry()
+		reg.Register("join", upperUDF)
+		srv := NewServer(reg, false)
+		srv.AddTable(TableSpec{Name: "t", UDF: "join", Rows: map[string][]byte{"k0": []byte(row)}})
+		return srv
+	}
+	srv := newNode("old")
+	addr, err := srv.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	t.Cleanup(srv.Close)
+	e := singleNodeExec(t, addr, func(cfg *ExecConfig) { cfg.ConnsPerNode = 1 })
+	tbl, ctx := e.Table("t"), context.Background()
+	for i := 0; i < 3; i++ {
+		if _, err := tbl.Put(ctx, "k0", []byte("old")); err != nil {
+			t.Fatalf("put: %v", err)
+		}
+	}
+	cached := func() bool {
+		sh := e.shardFor("t", "k0")
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		_, _, ok := sh.opts["t"].Cache.Lookup("k0")
+		return ok
+	}
+	if _, err := tbl.Call(ctx, "k0", nil, WithRoute(ForceFetch)); err != nil || !cached() {
+		t.Fatalf("cache fill before the restart: err %v, cached %v", err, cached())
+	}
+
+	srv.Close()
+	restarted := newNode("reborn") // version 0, below the 3 the executor knows
+	waitUntil(t, 10*time.Second, "the restart to bind "+addr, func() bool {
+		_, err := restarted.Serve(addr)
+		return err == nil
+	})
+	t.Cleanup(restarted.Close)
+	// Fetches fail until the pool has redialed, and one that beats the
+	// disconnect sweep is still fenced; the steady state must cache.
+	waitUntil(t, 10*time.Second, "a fetch from the restarted node to be cached", func() bool {
+		v, err := tbl.Call(ctx, "k0", []byte("p"), WithRoute(ForceFetch))
+		return err == nil && bytes.Equal(v, []byte("reborn/p")) && cached()
+	})
+}

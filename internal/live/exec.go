@@ -3,6 +3,7 @@ package live
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand/v2"
 	"runtime"
 	"sync"
@@ -212,11 +213,11 @@ type ExecConfig struct {
 	Workers   int           // local UDF workers; default 8
 	NetBw     float64       // assumed bandwidth for cost formulas; default 1e9
 
-	// Shards stripes the executor's mutable optimizer state (per-table
-	// optimizers, batch accumulators, fetch dedup) by key hash so parallel
-	// Submit calls on different keys do not serialize on one mutex.
-	// Default GOMAXPROCS; 1 reproduces the old global-lock behaviour
-	// exactly. Cache budgets are divided across shards (each shard-local
+	// Shards stripes the executor's per-key state (per-table optimizers
+	// with their caches and counters, fetch dedup) by key hash so parallel
+	// Submit calls on different keys do not serialize on one mutex; batch
+	// accumulation is per destination and does not depend on it. Default
+	// GOMAXPROCS. Cache budgets are divided across shards (each shard-local
 	// optimizer gets MemCacheBytes/Shards, see core.Config.Shard).
 	Shards int
 
@@ -268,36 +269,42 @@ type ExecConfig struct {
 	Membership *membership.Map
 }
 
-// execShard owns one hash slice of the executor's mutable state. A key's
-// optimizer state (cache, counters, learned costs), its fetch-dedup record
-// and its batch slot all live in the shard that owns the key, so one Submit
-// touches exactly one shard lock.
+// execShard owns one hash slice of the executor's per-key state: a key's
+// optimizer state (cache, counters, learned costs) and its fetch-dedup
+// record live in the shard that owns the key, so one Submit touches exactly
+// one shard lock — and then its destination's accumulator (accumulate.go),
+// which is keyed by where the op goes, not by what its key hashes to.
 type execShard struct {
 	mu       sync.Mutex
 	opts     map[string]*core.Optimizer
-	batches  map[liveBatchKey]*liveBatch
 	inflight map[string][]*waiter // fetch dedup: table/key -> waiters
 }
 
 // Executor drives the core optimizer against live store nodes: every
 // Submit is routed per Algorithm 1 between local cache, compute request and
 // data request, with batching, prefetching, caching and invalidation. The
-// mutable routing state is striped over ExecConfig.Shards shard locks;
-// cluster-wide load signals stay global atomics so the cost formulas still
-// see total pressure.
+// per-key routing state is striped over ExecConfig.Shards shard locks, the
+// pending batches sit in one accumulator per destination, and cluster-wide
+// load signals stay global atomics so the cost formulas still see total
+// pressure.
 type Executor struct {
 	cfg    ExecConfig
 	shards []*execShard
 	tables map[string]*Table // resolved handles; immutable after NewExecutor
 
-	// nodes is the executor's node table (pools, drop-sweep coalescers,
-	// adaptive batch targets). It was three plain maps frozen at
-	// NewExecutor; membership redirects can now teach the executor a node
-	// it has never dialed, so the table is an immutable snapshot replaced
-	// copy-on-write (under nodesMu) by ensureNode — the hot paths read it
-	// through one atomic pointer load, exactly as cheap as the old maps.
+	// nodes is the executor's node table. Membership redirects can teach
+	// the executor a node it has never dialed, so the table is an immutable
+	// snapshot replaced copy-on-write (under nodesMu) by ensureNode — the
+	// hot paths read it through one atomic pointer load.
 	nodes   atomic.Pointer[nodeSet]
 	nodesMu sync.Mutex
+
+	// accs holds the batch accumulator of every destination seen so far,
+	// in the same copy-on-write shape (under accMu): the Submit path finds
+	// its accumulator with one atomic load and one map read. Close swaps in
+	// an empty table; newAccumulator refuses to grow it afterwards.
+	accs  atomic.Pointer[map[liveBatchKey]*accumulator]
+	accMu sync.Mutex
 
 	// member mirrors cfg.Membership (nil = static routing). migGen counts
 	// placement changes this executor has observed — CodeMoved redirects
@@ -312,16 +319,6 @@ type Executor struct {
 	// tracker learns per-replica service times (non-nil only when some
 	// table is replicated), pricing reads at the cheapest live replica.
 	tracker *loadbalance.ReplicaTracker
-
-	// dests counts, per batch key, the entries parked across all shards —
-	// what the size-triggered flush compares against the batch limit, so a
-	// full wire batch never waits out BatchWait because its keys hashed to
-	// different shards. A record lives while some shard accumulator holds
-	// it (refs, under destMu) and is then recycled through destFree. Unused
-	// with one shard, where the accumulator's own length is the count.
-	destMu   sync.Mutex
-	dests    map[liveBatchKey]*destPending
-	destFree []*destPending
 
 	pendingLocal atomic.Int64 // queued local UDFs (lcc_i)
 	inflightReqs atomic.Int64
@@ -358,22 +355,36 @@ type Executor struct {
 	Moved atomic.Int64
 }
 
-// nodeSet is one immutable snapshot of the executor's per-node state; see
-// Executor.nodes. The three maps are never mutated after install.
-type nodeSet struct {
-	conns    map[cluster.NodeID]*Pool
-	dropping map[cluster.NodeID]*atomic.Int64 // pending cache-drop sweeps per node
-	// targets holds the adaptive per-node batch target: shrunk
-	// when a node advertises zero credit, grown back toward cfg.BatchSize
-	// when credit is plentiful. 0 = unadapted (use the configured size).
-	targets map[cluster.NodeID]*atomic.Int64
+// nodeSet is one immutable snapshot of the executor's node table; see
+// Executor.nodes. The map is never mutated after install; the records it
+// points at are shared between snapshots.
+type nodeSet map[cluster.NodeID]*nodeState
+
+// nodeState is everything the executor keeps per data node.
+type nodeState struct {
+	pool     *Pool
+	dropping atomic.Int64 // pending cache-drop sweeps (dropNodeCache)
+	// target is the adaptive batch target: shrunk when the node advertises
+	// zero credit, grown back toward cfg.BatchSize when credit is plentiful.
+	// 0 = unadapted (use the configured size).
+	target atomic.Int64
 }
 
-// pool returns the node's connection pool (nil when the node was never
-// dialed — only possible before a membership redirect's ensureNode).
+// node returns n's record, nil when the node was never dialed — only
+// possible before a membership redirect's ensureNode.
 //
 //joinopt:hotpath
-func (e *Executor) pool(n cluster.NodeID) *Pool { return e.nodes.Load().conns[n] }
+func (e *Executor) node(n cluster.NodeID) *nodeState { return (*e.nodes.Load())[n] }
+
+// pool returns the node's connection pool (nil when it was never dialed).
+//
+//joinopt:hotpath
+func (e *Executor) pool(n cluster.NodeID) *Pool {
+	if s := e.node(n); s != nil {
+		return s.pool
+	}
+	return nil
+}
 
 // ensureNode makes sure a pool for node exists, dialing addr on first
 // contact (a membership redirect can name a node the executor has never
@@ -386,34 +397,17 @@ func (e *Executor) ensureNode(node cluster.NodeID, addr string) *Pool {
 	}
 	e.nodesMu.Lock()
 	defer e.nodesMu.Unlock()
-	old := e.nodes.Load()
-	if p := old.conns[node]; p != nil {
+	if p := e.pool(node); p != nil {
 		return p
 	}
-	n := node
 	pool, err := dialPool(addr, e.cfg.ConnsPerNode, e.onNotification,
-		func() { e.dropNodeCache(n) })
+		func() { e.dropNodeCache(node) })
 	if err != nil {
 		return nil
 	}
-	next := &nodeSet{
-		conns:    make(map[cluster.NodeID]*Pool, len(old.conns)+1),
-		dropping: make(map[cluster.NodeID]*atomic.Int64, len(old.dropping)+1),
-		targets:  make(map[cluster.NodeID]*atomic.Int64, len(old.targets)+1),
-	}
-	for id, p := range old.conns {
-		next.conns[id] = p
-	}
-	for id, d := range old.dropping {
-		next.dropping[id] = d
-	}
-	for id, t := range old.targets {
-		next.targets[id] = t
-	}
-	next.conns[node] = pool
-	next.dropping[node] = &atomic.Int64{}
-	next.targets[node] = &atomic.Int64{}
-	e.nodes.Store(next)
+	next := maps.Clone(*e.nodes.Load())
+	next[node] = &nodeState{pool: pool}
+	e.nodes.Store(&next)
 	return pool
 }
 
@@ -478,74 +472,26 @@ type waiter struct {
 	cancel *cancelState // non-nil only for cancellable-context submissions
 }
 
-// liveBatch accumulates one shard's pending entries for a (table, node,
-// op) destination, and doubles as the pooled carrier of the flushed wire
-// batch: its keys/params slices build the Request and its entries ride to
+// liveBatch is the pooled carrier of one wire batch, from the moment its
+// accumulator hands the entries over until handleResponse has settled them:
+// its keys/params slices build the Request and its entries ride to
 // handleResponse, so a steady-state flush reuses every slice capacity a
 // previous batch grew.
 //
 //joinopt:pooled
 type liveBatch struct {
+	bk      liveBatchKey
 	entries []liveEntry
 	//joinopt:owns
-	req     Request      // the flushed wire request; its Keys/Params reuse caps
-	dest    *destPending // cross-shard pending count; nil with one shard
-	flushed bool
-	armed   bool        // timer armed and not yet stopped
-	timer   *time.Timer // max-wait flush; armed lazily, stopped on flush
-}
-
-// destPending is the cross-shard pending-entry count of one batch key; see
-// Executor.dests.
-type destPending struct {
-	n    atomic.Int64
-	refs int // shard accumulators holding the record; guarded by destMu
+	req Request // the wire request; its Keys/Params reuse caps
 }
 
 var batchPool = sync.Pool{New: func() any { return new(liveBatch) }}
 
-func getBatch() *liveBatch {
-	b := batchPool.Get().(*liveBatch)
-	b.flushed, b.armed, b.timer, b.dest = false, false, nil, nil
-	return b
-}
-
-// acquireDest returns bk's shared pending count for one more accumulator.
-func (e *Executor) acquireDest(bk liveBatchKey) *destPending {
-	e.destMu.Lock()
-	defer e.destMu.Unlock()
-	d := e.dests[bk]
-	if d == nil {
-		if n := len(e.destFree); n > 0 {
-			d, e.destFree = e.destFree[n-1], e.destFree[:n-1]
-		} else {
-			d = new(destPending)
-		}
-		e.dests[bk] = d
-	}
-	d.refs++
-	return d
-}
-
-// releaseDest drops refs accumulators' hold on bk's record and the taken
-// entries they shipped; the last holder retires the record.
-func (e *Executor) releaseDest(bk liveBatchKey, d *destPending, refs, taken int) {
-	d.n.Add(-int64(taken))
-	e.destMu.Lock()
-	if d.refs -= refs; d.refs == 0 {
-		delete(e.dests, bk)
-		e.destFree = append(e.destFree, d)
-	}
-	e.destMu.Unlock()
-}
+func getBatch() *liveBatch { return batchPool.Get().(*liveBatch) }
 
 // putBatch recycles a batch whose wire phase is over, dropping every
-// future/param/key reference so a pooled batch pins nothing. Only batches
-// whose timer was cleanly stopped (or never armed) may come here: a batch
-// whose armed timer already fired is abandoned to the GC, because the
-// in-flight callback still reaches it and must find it flushed forever —
-// recycling it under a new binding would let the stale callback flush (and
-// unmap) the wrong accumulator.
+// future/param/key reference so a pooled batch pins nothing.
 //
 //joinopt:pooled
 func putBatch(b *liveBatch) {
@@ -561,7 +507,7 @@ func putBatch(b *liveBatch) {
 	}
 	b.entries = b.entries[:0]
 	b.req = Request{Keys: keys[:0], Params: params[:0]}
-	b.timer = nil
+	b.bk = liveBatchKey{}
 	batchPool.Put(b)
 }
 
@@ -604,26 +550,17 @@ func NewExecutor(cfg ExecConfig) (*Executor, error) {
 		cfg:     cfg,
 		member:  cfg.Membership,
 		shards:  make([]*execShard, cfg.Shards),
-		dests:   make(map[liveBatchKey]*destPending),
 		workers: make(chan struct{}, cfg.Workers),
 	}
+	e.accs.Store(&map[liveBatchKey]*accumulator{})
 	// Publish an empty node table first: a pool's disconnect hook can fire
 	// while the dial loop below is still building the real one, and it must
 	// find a (harmlessly empty) snapshot, never a half-built map.
-	e.nodes.Store(&nodeSet{
-		conns:    map[cluster.NodeID]*Pool{},
-		dropping: map[cluster.NodeID]*atomic.Int64{},
-		targets:  map[cluster.NodeID]*atomic.Int64{},
-	})
-	ns := &nodeSet{
-		conns:    make(map[cluster.NodeID]*Pool, len(cfg.Addrs)),
-		dropping: make(map[cluster.NodeID]*atomic.Int64, len(cfg.Addrs)),
-		targets:  make(map[cluster.NodeID]*atomic.Int64, len(cfg.Addrs)),
-	}
+	e.nodes.Store(&nodeSet{})
+	ns := make(nodeSet, len(cfg.Addrs))
 	for i := range e.shards {
 		sh := &execShard{
 			opts:     make(map[string]*core.Optimizer, len(cfg.Tables)),
-			batches:  make(map[liveBatchKey]*liveBatch),
 			inflight: make(map[string][]*waiter),
 		}
 		for name := range cfg.Tables {
@@ -668,19 +605,16 @@ func NewExecutor(cfg ExecConfig) (*Executor, error) {
 		// hearing. Drop those cache entries so the next access refetches
 		// instead of serving an arbitrarily stale value forever. The hook
 		// is bound at pool construction, before any read loop runs.
-		node := id
-		ns.dropping[id] = &atomic.Int64{}
-		ns.targets[id] = &atomic.Int64{}
 		pool, err := dialPool(addr, cfg.ConnsPerNode, e.onNotification,
-			func() { e.dropNodeCache(node) })
+			func() { e.dropNodeCache(id) })
 		if err != nil {
-			e.nodes.Store(ns) // the pools dialed so far; Close tears them down
+			e.nodes.Store(&ns) // the pools dialed so far; Close tears them down
 			e.Close()
 			return nil, fmt.Errorf("live: dialing node %d: %w", id, err) //lint:allow errcode setup-time dial failure; no live op ever sees it
 		}
-		ns.conns[id] = pool
+		ns[id] = &nodeState{pool: pool}
 	}
-	e.nodes.Store(ns)
+	e.nodes.Store(&ns)
 	return e, nil
 }
 
@@ -696,10 +630,11 @@ func NewExecutor(cfg ExecConfig) (*Executor, error) {
 // the epoch guard passed, but subscribed on the conn disconnect 2 killed)
 // cached stale forever.
 func (e *Executor) dropNodeCache(node cluster.NodeID) {
-	pend := e.nodes.Load().dropping[node]
-	if pend == nil {
+	s := e.node(node)
+	if s == nil {
 		return // disconnect during construction; nothing is cached yet
 	}
+	pend := &s.dropping
 	if pend.Add(1) > 1 {
 		return // active sweeper sees the bump and goes again
 	}
@@ -718,7 +653,8 @@ func (e *Executor) dropNodeCache(node cluster.NodeID) {
 // blocked behind a full placement scan. A key cached between the snapshot
 // and the invalidate is either epoch-guarded out of the cache (sent before
 // the disconnect) or over-invalidated (sent after, freshly subscribed) — the
-// latter merely costs one refetch.
+// latter merely costs one refetch. An unreplicated table's keys on the node
+// also lose their learned versions, under the same lock.
 func (e *Executor) sweepNodeCache(node cluster.NodeID) {
 	for i, sh := range e.shards {
 		for _, t := range e.tables {
@@ -733,12 +669,21 @@ func (e *Executor) sweepNodeCache(node cluster.NodeID) {
 					doomed = append(doomed, k)
 				}
 			}
-			if len(doomed) == 0 {
+			if len(doomed) == 0 && t.replicas > 1 {
 				continue
 			}
 			sh.mu.Lock()
 			for _, k := range doomed {
 				opt.Cache.Invalidate(k)
+			}
+			if t.replicas <= 1 {
+				// The node was the only holder of its keys' versions, and an
+				// in-memory node that restarted counts them from 0 again:
+				// forget what we learned, or the version fence would keep
+				// those keys out of the cache until the new history overtook
+				// the old. (A replicated table keeps its versions: the
+				// survivors still hold that history.)
+				opt.ForgetVersions(func(k string) bool { return t.placedOn(k, node) })
 			}
 			sh.mu.Unlock()
 		}
@@ -760,35 +705,21 @@ func (e *Executor) Close() {
 	if already {
 		return
 	}
-	// Drain the shard accumulators before touching the conns: these
-	// batches were never sent, so failing them here is the only way their
-	// futures resolve.
-	type pending struct {
-		bk  liveBatchKey
-		ent liveEntry
-	}
-	var drained []pending
-	for _, sh := range e.shards {
-		sh.mu.Lock()
-		for bk, b := range sh.batches {
-			if b.timer != nil {
-				b.timer.Stop()
-			}
-			b.flushed = true
-			delete(sh.batches, bk)
-			for _, ent := range b.entries {
-				drained = append(drained, pending{bk, ent})
-			}
+	// Drain the accumulators before touching the conns: these batches were
+	// never sent, so failing them here is the only way their futures
+	// resolve. The table is emptied first, so a Submit that raced past the
+	// closed check finds no accumulator and is refused a new one.
+	e.accMu.Lock()
+	accs := *e.accs.Load()
+	e.accs.Store(&map[liveBatchKey]*accumulator{})
+	e.accMu.Unlock()
+	for bk, a := range accs {
+		for _, ent := range a.drain() {
+			e.fail(bk, ent, &Error{Code: CodeClosed, Op: bk.op, Msg: "executor closed"})
 		}
-		sh.mu.Unlock()
 	}
-	for _, p := range drained {
-		// fail re-locks the entry's own shard for waiter cleanup, so it
-		// must run with no shard lock held.
-		e.fail(p.bk, p.ent, &Error{Code: CodeClosed, Op: p.bk.op, Msg: "executor closed"})
-	}
-	for _, c := range e.nodes.Load().conns {
-		c.Close()
+	for _, s := range *e.nodes.Load() {
+		s.pool.Close()
 	}
 	e.flushes.Wait()
 }
@@ -810,7 +741,7 @@ func tableSeed(table string) uint32 {
 }
 
 // shardIdx finishes the FNV-1a hash over the key and picks the shard index;
-// all state for one (table, key) — optimizer, dedup record, batch slot,
+// all per-key state for one (table, key) — optimizer, dedup record,
 // invalidations — is guarded by that single shard's lock.
 func (e *Executor) shardIdx(seed uint32, key string) int {
 	if len(e.shards) == 1 {
@@ -837,16 +768,15 @@ func (e *Executor) Shards() int { return len(e.shards) }
 // conn counts, disconnects observed, successful redials and fast-failed
 // sends. Useful for operational dashboards and the fault tests.
 func (e *Executor) PoolHealth() map[cluster.NodeID]PoolHealth {
-	conns := e.nodes.Load().conns
-	out := make(map[cluster.NodeID]PoolHealth, len(conns))
-	for id, p := range conns {
-		out[id] = p.Health()
+	nodes := *e.nodes.Load()
+	out := make(map[cluster.NodeID]PoolHealth, len(nodes))
+	for id, s := range nodes {
+		out[id] = s.pool.Health()
 	}
 	return out
 }
 
 func (e *Executor) onNotification(n Notification) {
-	sh := e.shardFor(n.Table, n.Key)
 	if n.Version == 0 {
 		// Version 0 is the "placement moved" convention (see
 		// Server.completeMove): the key's region migrated away from the
@@ -859,6 +789,7 @@ func (e *Executor) onNotification(n Notification) {
 		// bump fences any fetch of the region still in flight out of its
 		// cache install.
 		e.migGen.Add(1)
+		sh := e.shardFor(n.Table, n.Key)
 		sh.mu.Lock()
 		if opt := sh.opts[n.Table]; opt != nil {
 			opt.Cache.Invalidate(n.Key)
@@ -866,13 +797,23 @@ func (e *Executor) onNotification(n Notification) {
 		sh.mu.Unlock()
 		return
 	}
+	e.invalidate(n.Table, n.Key, n.Version)
+}
+
+// invalidate applies "key is now at version" to the key's optimizer: the
+// cached copy goes and the version stays behind as the fence every later
+// cache install must beat. Pushed notifications land here, and so does this
+// executor's own Table.Put at its ack — the node's notification skips the
+// connection the put arrived on, so without that a writer would keep serving
+// itself the value it just replaced (read-your-writes per executor).
+func (e *Executor) invalidate(table, key string, version int64) {
+	sh := e.shardFor(table, key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if opt := sh.opts[n.Table]; opt != nil {
-		opt.Invalidate(n.Key, n.Version)
+	if opt := sh.opts[table]; opt != nil {
+		opt.Invalidate(key, version)
 		if e.cfg.Trace != nil {
-			e.cfg.Trace(TraceEvent{Kind: TraceInvalidate, Table: n.Table,
-				Key: n.Key, Version: n.Version})
+			e.cfg.Trace(TraceEvent{Kind: TraceInvalidate, Table: table, Key: key, Version: version})
 		}
 	}
 }
@@ -923,6 +864,7 @@ func (e *Executor) route(t *Table, key string, params []byte, fut *Future, cs *c
 	sh := e.shards[idx]
 	opt := t.opts[idx]
 
+	var full *liveBatch // the wire batch this submission filled, if any
 	sh.mu.Lock()
 	var route core.Route
 	switch {
@@ -951,33 +893,29 @@ func (e *Executor) route(t *Table, key string, params []byte, fut *Future, cs *c
 			e.computeLocal(t, idx, key, params, item.Value.([]byte), fut)
 		}
 		return
-	case core.RouteCompute:
+	case core.RouteCompute, core.RouteDataNoCache:
 		bk := liveBatchKey{t, node, OpExec, co.wire}
-		if cs != nil {
-			cs.park(sh, bk, "", nil)
+		if route == core.RouteDataNoCache {
+			bk.op = OpGet // a fetch nothing caches (NO/FC/FR policies): no dedup record
 		}
-		e.enqueue(sh, bk, liveEntry{key: key, params: params, fut: fut, cancel: cs})
+		cs.park(sh, bk, "", nil)
+		full = e.enqueue(bk, liveEntry{key: key, params: params, fut: fut, cancel: cs})
 	case core.RouteDataMem, core.RouteDataDisk:
 		bk := liveBatchKey{t, node, OpGet, co.wire}
 		w := &waiter{params: params, fut: fut, toMem: route == core.RouteDataMem, cancel: cs}
 		ik := bk.dedupKey(key)
-		if cs != nil {
-			cs.park(sh, bk, ik, w)
-		}
+		cs.park(sh, bk, ik, w)
 		if ws, busy := sh.inflight[ik]; busy {
 			sh.inflight[ik] = append(ws, w)
 		} else {
 			sh.inflight[ik] = []*waiter{w}
-			e.enqueue(sh, bk, liveEntry{key: key, w: w})
+			full = e.enqueue(bk, liveEntry{key: key, w: w})
 		}
-	case core.RouteDataNoCache:
-		bk := liveBatchKey{t, node, OpGet, co.wire}
-		if cs != nil {
-			cs.park(sh, bk, "", nil)
-		}
-		e.enqueue(sh, bk, liveEntry{key: key, params: params, fut: fut, cancel: cs})
 	}
 	sh.mu.Unlock()
+	if full != nil {
+		e.ship(full)
+	}
 }
 
 // pickReplica prices a read at the cheapest live replica: among the
@@ -1027,16 +965,16 @@ func (e *Executor) reroute(bk liveBatchKey, entries []liveEntry, exhausted *Erro
 		// cancellation arriving mid-re-route still finds the entry. The
 		// dedup key carries no node, so a parked waiter's inflight record
 		// survives the move and keeps serving its piled-on waiters.
-		switch {
-		case ent.w != nil:
-			if ent.w.cancel != nil {
-				ent.w.cancel.park(sh, nbk, nbk.dedupKey(ent.key), ent.w)
-			}
-		case ent.cancel != nil:
+		if ent.w != nil {
+			ent.w.cancel.park(sh, nbk, nbk.dedupKey(ent.key), ent.w)
+		} else {
 			ent.cancel.park(sh, nbk, "", nil)
 		}
-		e.enqueue(sh, nbk, ent)
+		full := e.enqueue(nbk, ent)
 		sh.mu.Unlock()
+		if full != nil {
+			e.ship(full)
+		}
 	}
 	for _, ent := range doomed {
 		e.fail(bk, ent, exhausted) // re-locks the entry's shard
@@ -1183,152 +1121,100 @@ func (e *Executor) sweepRegionCache(t *Table, region int) {
 	}
 }
 
-// enqueue adds an entry to its shard-local batch accumulator; callers hold
-// sh.mu. Accumulation never crosses shard locks — merging into a full-size
-// per-node wire batch happens at flush time, which the size trigger fires
-// as soon as the destination's entries across ALL shards fill a batch.
+// enqueue parks an entry in its destination's accumulator and returns the
+// wire batch that filled, if any, for the caller to ship once it has dropped
+// its shard lock (route and reroute call this mid-routing, under sh.mu; the
+// lock order is shard → accumulator).
 //
 //joinopt:hotpath
-func (e *Executor) enqueue(sh *execShard, bk liveBatchKey, ent liveEntry) {
-	// Re-check closed under sh.mu: Close flips the flag before draining
-	// the shards under these same locks, so a Submit that raced past the
-	// entry check cannot slip a batch into an already-drained shard (it
-	// would sit until BatchWait, past Close's wait). The goroutine avoids
-	// fail's shard re-lock.
-	if e.closed.Load() {
-		go e.fail(bk, ent, &Error{Code: CodeClosed, Op: bk.op, Msg: "executor closed"})
-		return
-	}
-	b := sh.batches[bk]
-	if b == nil {
-		b = getBatch()
-		sh.batches[bk] = b
-		if len(e.shards) > 1 {
-			b.dest = e.acquireDest(bk)
+func (e *Executor) enqueue(bk liveBatchKey, ent liveEntry) *liveBatch {
+	a := (*e.accs.Load())[bk]
+	for {
+		if a == nil {
+			if a = e.newAccumulator(bk); a == nil {
+				// Closed: Close emptied the table before draining, so a
+				// Submit that raced past the entry check cannot park an
+				// entry nobody will ever flush. The goroutine avoids fail's
+				// re-lock of the caller's shard.
+				go e.fail(bk, ent, &Error{Code: CodeClosed, Op: bk.op, Msg: "executor closed"})
+				return nil
+			}
 		}
-	}
-	b.entries = append(b.entries, ent)
-	pending := len(b.entries)
-	if b.dest != nil {
-		pending = int(b.dest.n.Add(1))
-	}
-	if pending >= e.batchLimit(bk.node) {
-		e.flushLocked(sh, bk, b)
-	} else if !b.armed {
-		// Arm the max-wait timer (Section 7.2) lazily — a batch that fills
-		// immediately (always, with BatchSize=1) never creates one.
-		// AfterFunc, not a sleeping goroutine: flushing stops the timer, so
-		// a drained executor holds no armed timers and Close cannot race a
-		// stale flush into a closed pool. The callback clears armed itself
-		// so a timer-flushed batch is still recyclable.
-		b.armed = true
-		//joinopt:xfer the timer callback re-enters under sh.mu and settles ownership there
-		b.timer = time.AfterFunc(e.cfg.BatchWait, func() { //lint:allow hotpath one timer closure per batch, amortized over BatchSize ops
-			sh.mu.Lock()
-			b.armed = false
-			e.flushLocked(sh, bk, b)
-			sh.mu.Unlock()
-		})
+		if full, ok := a.add(ent); ok {
+			return full
+		}
+		// Retired between the lookup and the add. It left the table under
+		// accMu, which newAccumulator takes: look again there.
+		a = nil
 	}
 }
 
-// flushLocked merges shard accumulators into one per-node wire request and
-// sends it; callers hold sh.mu. The flushing shard contributes its own
-// batch, then sweeps every other shard's pending accumulator for the same
-// (table, node, op) — TryLock only, so two concurrent flushers can never
-// deadlock (each holds its own shard lock while sweeping) — until the wire
-// batch reaches the batch limit, and never past it: an accumulator the
-// sweep only partly drains keeps its remainder parked under its own timer.
-// Swept entries ship earlier than their own BatchWait would have sent them;
-// a fully swept accumulator's stale timer finds the batch flushed and
-// no-ops. This keeps wire batches full-size no matter how many shards the
-// accumulation is striped over.
+// maxPolicyAccs is how many accumulators of non-default wire policies the
+// executor keeps before it prunes the idle ones (see newAccumulator).
+const maxPolicyAccs = 256
+
+// newAccumulator is enqueue's slow path: return bk's accumulator, creating
+// and publishing it on first use. nil once the executor is closed.
+func (e *Executor) newAccumulator(bk liveBatchKey) *accumulator {
+	e.accMu.Lock()
+	defer e.accMu.Unlock()
+	if e.closed.Load() {
+		return nil
+	}
+	old := *e.accs.Load()
+	if a := old[bk]; a != nil {
+		return a
+	}
+	a := &accumulator{bk: bk, wait: e.cfg.BatchWait, ship: e.ship,
+		limit: func() int { return e.batchLimit(bk.node) }}
+	next := maps.Clone(old)
+	// The default policy's accumulators — one per (table, node, op) — live
+	// as long as the executor, and so does a fixed set of per-call policies
+	// (the priority classes). But WithTimeout and WithRetries take arbitrary
+	// values: once maxPolicyAccs non-default accumulators exist, a new one
+	// unmaps the idle ones, so a caller deriving them per call cannot grow
+	// the table without bound.
+	policies := 0
+	for k := range old {
+		if k.wire != (wireOpts{}) {
+			policies++
+		}
+	}
+	if policies >= maxPolicyAccs {
+		maps.DeleteFunc(next, func(k liveBatchKey, o *accumulator) bool {
+			return k.wire != (wireOpts{}) && o.retireIfIdle()
+		})
+	}
+	next[bk] = a
+	e.accs.Store(&next)
+	return a
+}
+
+// ship sends one wire batch taken out of its accumulator: filter what
+// canceled while parked, build the request and hand it to a flush goroutine
+// that carries it through callNode and handleResponse. Callers hold no lock.
 //
 //joinopt:hotpath
-func (e *Executor) flushLocked(sh *execShard, bk liveBatchKey, b *liveBatch) {
-	if b.flushed || len(b.entries) == 0 {
-		return
-	}
-	b.flushed = true
-	// A batch whose armed timer cannot be stopped has a callback in flight
-	// that must find it flushed forever: it is not recyclable (see
-	// putBatch).
-	reusable := true
-	if b.armed {
-		b.armed = false
-		reusable = b.timer.Stop()
-	}
-	delete(sh.batches, bk)
-	entries := b.entries
-	limit := e.batchLimit(bk.node)
-	dest, refs := b.dest, 1
-	b.dest = nil
-
-	for _, other := range e.shards {
-		if len(entries) >= limit {
-			break
-		}
-		if other == sh || !other.mu.TryLock() {
-			continue
-		}
-		if ob := other.batches[bk]; ob != nil && !ob.flushed && len(ob.entries) > 0 {
-			take := min(len(ob.entries), limit-len(entries))
-			entries = append(entries, ob.entries[:take]...)
-			if take < len(ob.entries) {
-				n := copy(ob.entries, ob.entries[take:])
-				clear(ob.entries[n:]) // the vacated tail must pin nothing
-				ob.entries = ob.entries[:n]
-			} else {
-				ob.flushed = true
-				ostopped := true
-				if ob.armed {
-					ob.armed = false
-					ostopped = ob.timer.Stop()
-				}
-				delete(other.batches, bk)
-				refs++
-				if ostopped {
-					putBatch(ob) // its entries were copied into ours
-				}
-			}
-		}
-		other.mu.Unlock()
-	}
-	if dest != nil {
-		e.releaseDest(bk, dest, refs, len(entries))
-	}
+func (e *Executor) ship(b *liveBatch) {
+	bk, entries := b.bk, b.entries
 	// Drop entries whose context already canceled: their futures are
 	// rejected and counted, and shipping them would only burn data-node
 	// time. Canceled dedup fetches are removed at cancel time (the waiter
 	// path), so only exec/no-cache entries carry a cancel here.
 	cancellable := false
-	for i := range entries {
-		if entries[i].cancel != nil {
-			cancellable = true
-			break
-		}
-	}
-	if cancellable {
-		kept := entries[:0]
-		for _, ent := range entries {
-			if ent.cancel != nil && ent.cancel.isCanceled() {
-				continue
-			}
+	kept := entries[:0]
+	for _, ent := range entries {
+		cancellable = cancellable || ent.cancel != nil
+		if !ent.cancel.isCanceled() {
 			kept = append(kept, ent)
 		}
-		for i := len(kept); i < len(entries); i++ {
-			entries[i] = liveEntry{} // the dropped tail must pin nothing
-		}
-		entries = kept
-		if len(entries) == 0 {
-			if reusable {
-				b.entries = entries
-				putBatch(b)
-			}
-			return
-		}
 	}
-	b.entries = entries
+	clear(entries[len(kept):]) // the dropped tail must pin nothing
+	entries, b.entries = kept, kept
+	if len(entries) == 0 {
+		putBatch(b)
+		return
+	}
 
 	keys, params := b.req.Keys[:0], b.req.Params[:0]
 	for i := range entries {
@@ -1346,17 +1232,14 @@ func (e *Executor) flushLocked(sh *execShard, bk liveBatchKey, b *liveBatch) {
 	e.closeMu.RLock()
 	if e.closed.Load() {
 		e.closeMu.RUnlock()
-		errClosed := &Error{Code: CodeClosed, Op: bk.op, Msg: "executor closed"}
-		go e.failBatch(bk, entries, errClosed) // fail re-locks shards; drop sh.mu first
+		e.failBatch(bk, entries, &Error{Code: CodeClosed, Op: bk.op, Msg: "executor closed"})
+		putBatch(b)
 		return
 	}
 	// A cancel arriving after the batch ships must chase it over the wire
 	// (exec only: gets are cheap and idempotent, but an abandoned UDF is
 	// real work the server can still skip).
-	wireCancelable := false
-	if cancellable && bk.op == OpExec {
-		wireCancelable = true
-	}
+	wireCancelable := cancellable && bk.op == OpExec
 	e.flushes.Add(1)
 	e.closeMu.RUnlock()
 	e.inflightReqs.Add(int64(len(entries)))
@@ -1398,9 +1281,7 @@ func (e *Executor) flushLocked(sh *execShard, bk liveBatchKey, b *liveBatch) {
 		}
 		e.handleResponse(bk, b.entries, resp, epoch, gen)
 		putResponse(resp)
-		if reusable {
-			putBatch(b)
-		}
+		putBatch(b)
 	}()
 }
 
@@ -1545,11 +1426,11 @@ func (e *Executor) pace(pool *Pool, timeout time.Duration) {
 // tight window and spread the load across flushes — while plentiful credit
 // (at least half the window free) grows it back toward the configured size.
 func (e *Executor) adaptBatch(node cluster.NodeID, credit, window uint8) {
-	t := e.nodes.Load().targets[node]
-	if t == nil {
+	s := e.node(node)
+	if s == nil {
 		return
 	}
-	cur := t.Load()
+	cur := s.target.Load()
 	if cur <= 0 {
 		cur = int64(e.cfg.BatchSize)
 	}
@@ -1567,7 +1448,7 @@ func (e *Executor) adaptBatch(node cluster.NodeID, credit, window uint8) {
 		}
 	}
 	if next != cur {
-		t.Store(next)
+		s.target.Store(next)
 	}
 }
 
@@ -1576,8 +1457,8 @@ func (e *Executor) adaptBatch(node cluster.NodeID, credit, window uint8) {
 //
 //joinopt:hotpath
 func (e *Executor) batchLimit(node cluster.NodeID) int {
-	if t := e.nodes.Load().targets[node]; t != nil {
-		if v := t.Load(); v > 0 {
+	if s := e.node(node); s != nil {
+		if v := s.target.Load(); v > 0 {
 			return int(v)
 		}
 	}
@@ -1651,7 +1532,7 @@ func (e *Executor) stats() loadbalance.ComputeStats {
 }
 
 // handleResponse distributes a wire batch's results back to each entry's
-// owning shard (a merged batch spans shards). A failed or malformed
+// owning shard (a destination's batch spans shards). A failed or malformed
 // response fails every entry with the typed error and leaves the optimizer
 // state untouched: no phantom OnComputeResponse/OnValueFetched is ever fed
 // from a reply that carried no real result. Entries (and piled-on waiters)
@@ -1731,11 +1612,12 @@ func (e *Executor) handleResponse(bk liveBatchKey, entries []liveEntry, resp *Re
 			// here), and a subscription-less cache entry is stale
 			// forever. The value itself is still good for the waiters —
 			// same guarantee as any read racing a write. The version guard
-			// reconciles replica reads: a fetch answered by a replica that
-			// has not yet applied the newest replicated write must not
-			// roll the cache back past a version we already know about.
-			// Unreplicated tables skip the lookup — one node answers every
-			// fetch of a key, so its versions can never run backwards.
+			// keeps the cache from running backwards: the reply may come
+			// from a replica that has not applied the newest write yet, or
+			// carry a row read just before a put whose invalidation (pushed
+			// by the node, or applied by our own Put at its ack) overtook
+			// it — that invalidation spent the key's subscription, so the
+			// older value must not go in after it.
 			// The migration-generation guard extends the same reasoning to
 			// shard migrations: a fetch in flight across a cutover may have
 			// been answered by the old owner, and the version-0 invalidation
@@ -1743,7 +1625,7 @@ func (e *Executor) handleResponse(bk liveBatchKey, entries []liveEntry, resp *Re
 			// cache the pre-move value with nobody left to invalidate it.
 			if e.pool(bk.node).epoch.Load() == epoch &&
 				(e.member == nil || e.migGen.Load() == gen) &&
-				(bk.t.replicas <= 1 || opt.KnownVersion(ent.key) <= meta.Version) {
+				opt.KnownVersion(ent.key) <= meta.Version {
 				opt.OnValueFetched(ent.key, int64(len(value)), meta.Version, value, ent.w.toMem) //lint:allow hotpath the optimizer's cache stores values as interface{}; boxing is the documented fetch cost
 				if e.cfg.Trace != nil {
 					e.cfg.Trace(TraceEvent{Kind: TraceFetched, Table: bk.t.name,

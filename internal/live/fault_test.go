@@ -703,8 +703,9 @@ func TestFaultWaiterPileOnFailure(t *testing.T) {
 		ik := "t\x00k0"
 		sh.mu.Lock()
 		sh.inflight[ik] = []*waiter{w1, w2}
-		e.enqueue(sh, liveBatchKey{t: e.Table("t"), node: 0, op: OpGet}, liveEntry{key: "k0", w: w1})
+		full := e.enqueue(liveBatchKey{t: e.Table("t"), node: 0, op: OpGet}, liveEntry{key: "k0", w: w1})
 		sh.mu.Unlock()
+		e.ship(full) // BatchSize 1: the enqueue filled the batch
 		return w1, w2
 	}
 
@@ -754,7 +755,7 @@ func TestFaultWaiterPileOnFailure(t *testing.T) {
 // --- Shutdown ----------------------------------------------------------------
 
 // TestFaultCloseDrainsPendingBatches pins the Close contract: batches still
-// sitting in shard accumulators (their timers parked an hour out) are
+// sitting in their accumulators (their timers parked an hour out) are
 // failed with CodeClosed — not leaked, not flushed into closed conns — and
 // a Submit after Close fails immediately instead of hanging.
 func TestFaultCloseDrainsPendingBatches(t *testing.T) {

@@ -136,6 +136,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"joinopt/internal/loadbalance"
 )
@@ -347,8 +348,16 @@ func newWireConn(c net.Conn) *wireConn {
 	return &wireConn{c: c, binCodec: newBinCodecConn(c)}
 }
 
+// closeFlushTimeout bounds how long a closing connection keeps writing out
+// responses already queued on it before the socket goes regardless.
+const closeFlushTimeout = time.Second
+
 func (w *wireConn) Close() error {
-	w.binCodec.close() // stop the coalescing writer before the socket goes
+	// Stop the coalescing writer before the socket goes. It flushes what is
+	// queued first; the deadline keeps a peer that stopped reading from
+	// wedging the close (it also unblocks a write already stuck).
+	w.c.SetWriteDeadline(time.Now().Add(closeFlushTimeout))
+	w.binCodec.close()
 	return w.c.Close()
 }
 

@@ -3,7 +3,7 @@ package live
 import "sync"
 
 // This file is the object lifecycle of the hot path: every per-request
-// carrier — Request, Response, completion cells, batch accumulators — is
+// carrier — Request, Response, completion cells, wire batches — is
 // drawn from a sync.Pool and returned when its bytes are dead, so a
 // steady-state join round trip costs a handful of allocations instead of
 // one per object per op.
@@ -15,6 +15,10 @@ import "sync"
 //     goroutine receives it, distributes it via handleResponse and recycles
 //     it; or a public Call/Send caller receives it and owns it forever
 //     (it escapes the pool and dies by GC).
+//   - A *liveBatch is drawn by the accumulator that fills it (takeLocked), owned
+//     by the flush goroutine ship starts, and recycled there once
+//     handleResponse has settled its entries (or by ship itself when nothing
+//     is left to send).
 //   - A call cell is recycled by whoever receives from it — never by the
 //     sender — because after the single buffered send lands, the receiver
 //     is the last party to touch the channel.

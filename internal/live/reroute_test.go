@@ -86,14 +86,14 @@ var rerouteCases = []rerouteCase{
 
 var rerouteCatalog = store.CatalogFunc(func(string) store.RowMeta { return store.RowMeta{ValueSize: 32} })
 
-func (c rerouteCase) executor(t *testing.T, batchSize int) *Executor {
+func (c rerouteCase) executor(t *testing.T, shards, batchSize int) *Executor {
 	t.Helper()
 	cfg := c.cluster(t)
 	cfg.Registry = NewRegistry()
 	cfg.Registry.Register("id", Identity)
 	cfg.TableUDF = map[string]string{"t": "id"}
 	cfg.Optimizer = core.Config{Policy: core.Policy{AlwaysCompute: true}}
-	cfg.Shards = 1
+	cfg.Shards = shards
 	cfg.BatchSize = batchSize
 	cfg.BatchWait = time.Hour // only the size trigger (or the test) flushes
 	e, err := NewExecutor(cfg)
@@ -113,63 +113,61 @@ func (c rerouteCase) executor(t *testing.T, batchSize int) *Executor {
 func TestRerouteHopBudgetAndCancel(t *testing.T) {
 	for _, c := range rerouteCases {
 		t.Run(c.name+"/exhaustion", func(t *testing.T) {
-			const ops = 6
-			e := c.executor(t, 1)
-			for i := 0; i < ops; i++ {
-				_, err := waitOrHang(t, e.Table("t").Submit(context.Background(), fmt.Sprintf("k%d", i), nil), 10*time.Second)
-				var le *Error
-				if !errors.As(err, &le) || le.Code != c.exhausted {
-					t.Fatalf("op %d: %v, want %v after the hop budget", i, err, c.exhausted)
-				}
-			}
-			if c.reroutes(e) == 0 {
-				t.Fatal("no op was ever re-routed; the test exercised nothing")
-			}
-			if e.Failed.Load() != ops {
-				t.Fatalf("Failed = %d, want %d", e.Failed.Load(), ops)
-			}
-			invariantSum(t, e, ops)
-		})
-		t.Run(c.name+"/cancel mid-re-route", func(t *testing.T) {
-			e := c.executor(t, 2) // one op never fills a batch: it parks wherever it is enqueued
-			sh := e.shards[0]
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			f := e.Table("t").Submit(ctx, "k0", nil)
-
-			// Ship the parked op; the scripted node fails it and the re-route
-			// parks it at its next destination.
-			var first liveBatchKey
-			sh.mu.Lock()
-			for bk, b := range sh.batches {
-				first = bk
-				e.flushLocked(sh, bk, b)
-			}
-			sh.mu.Unlock()
-			var parked *liveBatch
-			waitUntil(t, 10*time.Second, "the op to re-park at its next destination", func() bool {
-				sh.mu.Lock()
-				defer sh.mu.Unlock()
-				for bk, b := range sh.batches {
-					if bk.node != first.node && len(b.entries) == 1 {
-						parked = b
+			forShards(t, func(t *testing.T, shards int) {
+				const ops = 6
+				e := c.executor(t, shards, 1)
+				for i := 0; i < ops; i++ {
+					_, err := waitOrHang(t, e.Table("t").Submit(context.Background(), fmt.Sprintf("k%d", i), nil), 10*time.Second)
+					var le *Error
+					if !errors.As(err, &le) || le.Code != c.exhausted {
+						t.Fatalf("op %d: %v, want %v after the hop budget", i, err, c.exhausted)
 					}
 				}
-				return parked != nil
+				if c.reroutes(e) == 0 {
+					t.Fatal("no op was ever re-routed; the test exercised nothing")
+				}
+				if e.Failed.Load() != ops {
+					t.Fatalf("Failed = %d, want %d", e.Failed.Load(), ops)
+				}
+				invariantSum(t, e, ops)
 			})
+		})
+		t.Run(c.name+"/cancel mid-re-route", func(t *testing.T) {
+			forShards(t, func(t *testing.T, shards int) {
+				e := c.executor(t, shards, 2) // one op never fills a batch: it parks wherever it is enqueued
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				f := e.Table("t").Submit(ctx, "k0", nil)
 
-			cancel()
-			_, err := waitOrHang(t, f, 10*time.Second)
-			wantCanceled(t, err, "re-parked op")
-			waitUntil(t, 10*time.Second, "the canceled op to leave its accumulator", func() bool {
-				sh.mu.Lock()
-				defer sh.mu.Unlock()
-				return len(parked.entries) == 0
+				// Ship the parked op; the scripted node fails it and the re-route
+				// parks it at its next destination.
+				var first, next liveBatchKey
+				for bk := range *e.accs.Load() {
+					first = bk
+				}
+				if flushAll(e) != 1 {
+					t.Fatal("the submitted op is not parked in exactly one accumulator")
+				}
+				waitUntil(t, 10*time.Second, "the op to re-park at its next destination", func() bool {
+					for bk := range *e.accs.Load() {
+						if bk.node != first.node && parked(e, bk) == 1 {
+							next = bk
+							return true
+						}
+					}
+					return false
+				})
+
+				cancel()
+				_, err := waitOrHang(t, f, 10*time.Second)
+				wantCanceled(t, err, "re-parked op")
+				waitUntil(t, 10*time.Second, "the canceled op to leave its accumulator", func() bool { return parked(e, next) == 0 })
+				if e.Canceled.Load() != 1 {
+					t.Fatalf("Canceled = %d, want 1", e.Canceled.Load())
+				}
+				assertIdle(t, e)
+				invariantSum(t, e, 1)
 			})
-			if e.Canceled.Load() != 1 {
-				t.Fatalf("Canceled = %d, want 1", e.Canceled.Load())
-			}
-			invariantSum(t, e, 1)
 		})
 	}
 }

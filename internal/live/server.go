@@ -2,9 +2,11 @@ package live
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -184,10 +186,13 @@ func (s *Server) Close() {
 	if s.listener != nil {
 		s.listener.Close()
 	}
-	for c := range s.conns {
+	conns := slices.Collect(maps.Keys(s.conns))
+	s.mu.Unlock()
+	// Outside the lock: a closing conn first writes out the responses queued
+	// on it, which can take up to closeFlushTimeout against a stalled peer.
+	for _, c := range conns {
 		c.Close()
 	}
-	s.mu.Unlock()
 	for _, q := range s.admission {
 		if q != nil {
 			q.close()
@@ -198,11 +203,12 @@ func (s *Server) Close() {
 // Drain gracefully shuts the node down: stop accepting new connections,
 // wait (up to timeout) for every in-flight request on the existing ones to
 // finish — wc.inflight counts a request from the moment its read loop
-// registered it, queued time included, so "zero everywhere" means no
-// admitted work remains — then Close. Returns false if the timeout expired
-// with work still in flight (Close runs regardless; the stragglers fail
-// through the closed conns). Pair with a data-plane drain (Migrator.Drain)
-// for a decommission that loses neither in-flight requests nor data.
+// registered it, queued time included, until its response is queued on the
+// conn's writer, so "zero everywhere" means no admitted work remains — then
+// Close, which writes those queued responses out before each socket goes.
+// Returns false if the timeout expired with work still in flight (Close runs
+// regardless; the stragglers fail through the closed conns). Pair with
+// Migrator.Drain for a decommission that loses neither requests nor data.
 func (s *Server) Drain(timeout time.Duration) bool {
 	s.mu.Lock()
 	if s.listener != nil {

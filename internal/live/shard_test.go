@@ -88,70 +88,46 @@ func TestShardForStableAndSpread(t *testing.T) {
 	}
 }
 
-// TestFlushMergesShardAccumulators pins the two-level batching contract:
-// accumulation is per shard (no cross-shard locking on the Submit path) but
-// one flush merges every shard's pending accumulator for the same
-// (table, node, op) into a single wire batch. With timers parked an hour
-// out, flushing ONE shard must resolve entries enqueued on ALL shards —
-// without the merge, the other shards' futures would hang until their own
-// timers fired.
+// TestFlushMergesShardAccumulators pins batching against shard striping: a
+// destination has one pending batch however its keys hash. With timers parked
+// an hour out, ONE flush of the destination must resolve entries whose keys
+// live on every shard — were accumulation striped by key, the other shards'
+// futures would hang until their own timers fired.
 func TestFlushMergesShardAccumulators(t *testing.T) {
-	cfg, _ := testCluster(t, 1, 64, "upper", upperUDF, false)
-	cfg.Shards = 8
-	cfg.BatchWait = time.Hour // only explicit flushes send anything
-	e, err := NewExecutor(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-
-	const ops = 40
-	node := cfg.Tables["t"].Locate("k0")
-	bk := liveBatchKey{t: e.Table("t"), node: node, op: OpExec}
-	futs := make([]*Future, ops)
-	shardsUsed := make(map[*execShard]bool)
-	for i := 0; i < ops; i++ {
-		k := fmt.Sprintf("k%d", i)
-		if cfg.Tables["t"].Locate(k) != node {
-			t.Fatalf("single-node cluster located %s elsewhere", k)
+	forShards(t, func(t *testing.T, shards int) {
+		cfg, _ := testCluster(t, 1, 64, "upper", upperUDF, false)
+		cfg.Optimizer = core.Config{Policy: core.Policy{AlwaysCompute: true}}
+		cfg.Shards = shards
+		cfg.BatchWait = time.Hour // only explicit flushes send anything
+		e, err := NewExecutor(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		sh := e.shardFor("t", k)
-		shardsUsed[sh] = true
-		futs[i] = newFuture()
-		sh.mu.Lock()
-		e.enqueue(sh, bk, liveEntry{key: k, params: []byte("p"), fut: futs[i]})
-		sh.mu.Unlock()
-	}
-	if len(shardsUsed) < 2 {
-		t.Fatalf("keys landed on %d shard(s); merge test needs several", len(shardsUsed))
-	}
+		defer e.Close()
 
-	// Flush exactly one shard that holds a pending batch.
-	for sh := range shardsUsed {
-		sh.mu.Lock()
-		if b := sh.batches[bk]; b != nil {
-			e.flushLocked(sh, bk, b)
+		const ops = 40
+		bk := liveBatchKey{t: e.Table("t"), node: cfg.Tables["t"].Locate("k0"), op: OpExec}
+		futs := make([]*Future, ops)
+		shardsUsed := make(map[*execShard]bool)
+		for i := range futs {
+			k := fmt.Sprintf("k%d", i)
+			shardsUsed[e.shardFor("t", k)] = true
+			futs[i] = e.Table("t").Submit(context.Background(), k, []byte("p"))
 		}
-		sh.mu.Unlock()
-		break
-	}
-
-	done := make(chan int, ops)
-	for i, f := range futs {
-		go func(i int, f *Future) {
-			if got := mustWait(t, f); got != nil {
-				done <- i
+		if len(shardsUsed) != min(shards, 4) {
+			t.Fatalf("keys landed on %d of %d shards; the test needs them all", len(shardsUsed), shards)
+		}
+		if n := parked(e, bk); n != ops {
+			t.Fatalf("destination holds %d parked entries, want all %d", n, ops)
+		}
+		flush(e, bk)
+		for i, f := range futs {
+			if v, err := waitOrHang(t, f, 5*time.Second); err != nil || v == nil {
+				t.Fatalf("op %d after one flush: %q, %v", i, v, err)
 			}
-		}(i, f)
-	}
-	deadline := time.After(5 * time.Second)
-	for n := 0; n < ops; n++ {
-		select {
-		case <-done:
-		case <-deadline:
-			t.Fatalf("only %d/%d entries resolved from one flush; shard accumulators were not merged", n, ops)
 		}
-	}
+		assertIdle(t, e)
+	})
 }
 
 // TestShardedEndToEnd runs the standard end-to-end join through an executor
@@ -200,86 +176,82 @@ func echoNode(t *testing.T, sizes chan<- int) *fakeNode {
 // TestSizeTriggerCountsAcrossShards pins the size-triggered flush against
 // shard striping: with the max-wait timer an hour out, exactly BatchSize
 // submissions bound for one node must ship as one full wire batch the moment
-// the last one lands, however their keys hash across the shards. Counting
-// per shard accumulator left every shard short of the limit, and the batch
-// sat out BatchWait.
+// the last one lands, however their keys hash across the shards — twice in a
+// row, leaving nothing parked and no timer armed.
 func TestSizeTriggerCountsAcrossShards(t *testing.T) {
-	const batch = 32
-	sizes := make(chan int, 8) // more than the batches this test can ship
-	e := singleNodeExec(t, echoNode(t, sizes).addr(), func(cfg *ExecConfig) {
-		cfg.Optimizer = core.Config{Policy: core.Policy{AlwaysCompute: true}}
-		cfg.Shards = 4
-		cfg.BatchSize = batch
-		cfg.BatchWait = time.Hour
-	})
-	tbl := e.Table("t")
-	for round := 0; round < 2; round++ { // the second round reuses retired count records
-		futs := make([]*Future, batch)
-		used := make(map[*execShard]bool)
-		for i := range futs {
-			if i == batch-1 && len(sizes) != 0 {
-				t.Fatalf("round %d: a wire batch shipped before the %dth submission", round, batch)
+	forShards(t, func(t *testing.T, shards int) {
+		const batch = 32
+		sizes := make(chan int, 8) // more than the batches this test can ship
+		e := singleNodeExec(t, echoNode(t, sizes).addr(), func(cfg *ExecConfig) {
+			cfg.Optimizer = core.Config{Policy: core.Policy{AlwaysCompute: true}}
+			cfg.Shards = shards
+			cfg.BatchSize = batch
+			cfg.BatchWait = time.Hour
+		})
+		tbl := e.Table("t")
+		for round := 0; round < 2; round++ {
+			futs := make([]*Future, batch)
+			for i := range futs {
+				if i == batch-1 && len(sizes) != 0 {
+					t.Fatalf("round %d: a wire batch shipped before the %dth submission", round, batch)
+				}
+				futs[i] = tbl.Submit(context.Background(), fmt.Sprintf("k%d", round*batch+i), nil)
 			}
-			k := fmt.Sprintf("k%d", round*batch+i)
-			used[e.shardFor("t", k)] = true
-			futs[i] = tbl.Submit(context.Background(), k, nil)
+			for i, f := range futs {
+				if _, err := waitOrHang(t, f, 5*time.Second); err != nil {
+					t.Fatalf("round %d op %d: %v (a full batch waited for the timer)", round, i, err)
+				}
+			}
+			if got := <-sizes; got != batch {
+				t.Fatalf("round %d: wire batch of %d keys, want %d", round, got, batch)
+			}
 		}
-		if len(used) < 2 {
-			t.Fatalf("keys landed on %d shard(s); the test needs several", len(used))
+		if len(sizes) != 0 {
+			t.Fatalf("%d extra wire batches after both rounds drained", len(sizes))
+		}
+		assertIdle(t, e)
+		invariantSum(t, e, 2*batch)
+	})
+}
+
+// TestSweepCapsWireBatchAtLimit: when backpressure shrinks a node's batch
+// target below what is already parked, the next trigger ships exactly the
+// target — never more — and leaves the rest parked for the one after.
+func TestSweepCapsWireBatchAtLimit(t *testing.T) {
+	forShards(t, func(t *testing.T, shards int) {
+		sizes := make(chan int, 8)
+		e := singleNodeExec(t, echoNode(t, sizes).addr(), func(cfg *ExecConfig) {
+			cfg.Optimizer = core.Config{Policy: core.Policy{AlwaysCompute: true}}
+			cfg.Shards = shards
+			cfg.BatchWait = time.Hour
+		})
+		tbl := e.Table("t")
+		bk := liveBatchKey{t: tbl, node: 0, op: OpExec}
+		var futs []*Future
+		submit := func(n int) {
+			for i := 0; i < n; i++ {
+				futs = append(futs, tbl.Submit(context.Background(), fmt.Sprintf("k%d", len(futs)), nil))
+			}
+		}
+		submit(13) // default target 64: all parked
+		e.node(0).target.Store(8)
+		submit(1) // 14 pending >= 8
+		if got := <-sizes; got != 8 {
+			t.Fatalf("first wire batch carried %d keys, want the target of 8", got)
+		}
+		if n := parked(e, bk); n != 6 {
+			t.Fatalf("%d entries left parked, want the remainder of 6", n)
+		}
+		submit(2) // 6 left + 2 = 8
+		if got := <-sizes; got != 8 {
+			t.Fatalf("second wire batch carried %d keys, want 8", got)
 		}
 		for i, f := range futs {
 			if _, err := waitOrHang(t, f, 5*time.Second); err != nil {
-				t.Fatalf("round %d op %d: %v (a full batch waited for the timer)", round, i, err)
+				t.Fatalf("op %d: %v", i, err)
 			}
 		}
-		if got := <-sizes; got != batch {
-			t.Fatalf("round %d: wire batch of %d keys, want %d", round, got, batch)
-		}
-	}
-	if len(sizes) != 0 || len(e.dests) != 0 {
-		t.Fatalf("%d extra wire batches, %d live count records after both rounds drained", len(sizes), len(e.dests))
-	}
-}
-
-// TestSweepCapsWireBatchAtLimit: when backpressure has shrunk a node's batch
-// target below what the shards hold, a flush ships exactly the target and
-// leaves the rest parked, still counted, for the next trigger.
-func TestSweepCapsWireBatchAtLimit(t *testing.T) {
-	sizes := make(chan int, 8)
-	e := singleNodeExec(t, echoNode(t, sizes).addr(), func(cfg *ExecConfig) {
-		cfg.Optimizer = core.Config{Policy: core.Policy{AlwaysCompute: true}}
-		cfg.Shards = 2
-		cfg.BatchWait = time.Hour
+		assertIdle(t, e)
+		invariantSum(t, e, int64(len(futs)))
 	})
-	tbl := e.Table("t")
-	// Park 3 keys on one shard and 10 on the other (default target 64).
-	var keys [2][]string
-	for i := 0; len(keys[0]) < 4 || len(keys[1]) < 10; i++ {
-		k := fmt.Sprintf("k%d", i)
-		idx := e.shardIdx(tbl.seed, k)
-		keys[idx] = append(keys[idx], k)
-	}
-	var futs []*Future
-	for _, k := range append(append([]string{}, keys[0][:3]...), keys[1][:10]...) {
-		futs = append(futs, tbl.Submit(context.Background(), k, nil))
-	}
-	e.nodes.Load().targets[0].Store(8)
-	futs = append(futs, tbl.Submit(context.Background(), keys[0][3], nil)) // 14 pending >= 8
-	if got := <-sizes; got != 8 {
-		t.Fatalf("first wire batch carried %d keys, want the target of 8", got)
-	}
-	if n := len(e.shards[1].batches); n != 1 {
-		t.Fatalf("partly swept shard holds %d accumulators, want 1 with the remainder", n)
-	}
-	futs = append(futs, tbl.Submit(context.Background(), keys[1][0], nil), // 6 left + 2 = 8
-		tbl.Submit(context.Background(), keys[0][0], nil))
-	if got := <-sizes; got != 8 {
-		t.Fatalf("second wire batch carried %d keys, want 8", got)
-	}
-	for i, f := range futs {
-		if _, err := waitOrHang(t, f, 5*time.Second); err != nil {
-			t.Fatalf("op %d: %v", i, err)
-		}
-	}
-	invariantSum(t, e, int64(len(futs)))
 }

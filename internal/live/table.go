@@ -305,6 +305,7 @@ func (t *Table) Put(ctx context.Context, key string, value []byte) (int64, error
 		}
 		v := resp.Metas[0].Version
 		putResponse(resp)
+		e.invalidate(t.name, key, v) // our own cached copy is now stale
 		return v, nil
 	}
 }
@@ -341,6 +342,9 @@ func (t *Table) putReplicated(ctx context.Context, key string, value []byte, nod
 	}
 	version := resp.Metas[0].Version
 	putResponse(resp)
+	// The sequencer applied the write: from here on it may be visible, so
+	// our own cached copy goes now, not at quorum.
+	e.invalidate(t.name, key, version)
 
 	payload := encodePutRepl(version, value)
 	acks, need := 1, len(nodes)/2+1
@@ -393,9 +397,9 @@ func (t *Table) putReplicated(ctx context.Context, key string, value []byte, nod
 // and it owns the op's "counted" claim — the exactly-once token that keeps
 // the Stats accounting invariant exact when cancellation races completion.
 //
-// Lock order: a shard lock may be taken before mu (routing, flush filter);
-// the cancel path therefore snapshots under mu, releases it, and only then
-// touches shard state.
+// Lock order: a shard lock may be taken before mu (routing); the cancel
+// path therefore snapshots under mu, releases it, and only then touches
+// shard and accumulator state.
 type cancelState struct {
 	e    *Executor
 	fut  *Future
@@ -405,7 +409,8 @@ type cancelState struct {
 	counted  bool // the op's one Stats bucket has been chosen
 	canceled bool
 	// Where the submission is parked (written under the owning shard's
-	// lock + mu as it moves):
+	// lock + mu as it moves): its key's shard, for the dedup record, and the
+	// batch key naming its accumulator.
 	sh *execShard
 	bk liveBatchKey
 	ik string  // dedup record key, set with w
@@ -442,8 +447,11 @@ func (cs *cancelState) isCanceled() bool {
 }
 
 // park records the submission's current shard-side location; callers hold
-// the owning shard's lock.
+// the owning shard's lock. Nil-safe, like claim.
 func (cs *cancelState) park(sh *execShard, bk liveBatchKey, ik string, w *waiter) {
+	if cs == nil {
+		return
+	}
 	cs.mu.Lock()
 	cs.sh, cs.bk, cs.ik, cs.w = sh, bk, ik, w
 	cs.mu.Unlock()
@@ -507,6 +515,9 @@ func (cs *cancelState) onCtxDone(ctx context.Context) {
 
 	if sh != nil {
 		sh.mu.Lock()
+		// Looked up under sh.mu: route parks and enqueues under it, so the
+		// accumulator a first-ever submission to bk creates is visible here.
+		acc := (*cs.e.accs.Load())[bk] // nil once an idle wire policy was unmapped
 		switch {
 		case w != nil:
 			// Leave the dedup crowd. If this was the last interested
@@ -521,63 +532,20 @@ func (cs *cancelState) onCtxDone(ctx context.Context) {
 					break
 				}
 			}
-			if len(ws) == 0 {
-				if b := sh.batches[bk]; b != nil && !b.flushed && removeEntryWaiter(b, w) {
-					delete(sh.inflight, ik)
-				} else {
-					sh.inflight[ik] = ws
-				}
+			if len(ws) == 0 && acc.remove(nil, w) {
+				delete(sh.inflight, ik)
 			} else {
 				sh.inflight[ik] = ws
 			}
 		default:
 			// An exec or no-cache entry still sitting in its accumulator
-			// is simply removed; one already flushed is handled by the
+			// is simply removed; one already shipped is handled by the
 			// response-side claim (and, for exec, the cancel frame below).
-			if b := sh.batches[bk]; b != nil && !b.flushed {
-				removeEntryCS(b, cs)
-			}
+			acc.remove(cs, nil)
 		}
 		sh.mu.Unlock()
 	}
 	if conn != nil {
 		conn.cancelRemote(id, idx)
-	}
-}
-
-// removeEntryWaiter drops the accumulator entry carrying waiter w; callers
-// hold the shard lock. Reports whether an entry was removed.
-func removeEntryWaiter(b *liveBatch, w *waiter) bool {
-	for i := range b.entries {
-		if b.entries[i].w == w {
-			removeEntryAt(b, i)
-			return true
-		}
-	}
-	return false
-}
-
-// removeEntryCS drops the accumulator entry owned by cs; callers hold the
-// shard lock.
-func removeEntryCS(b *liveBatch, cs *cancelState) bool {
-	for i := range b.entries {
-		if b.entries[i].cancel == cs {
-			removeEntryAt(b, i)
-			return true
-		}
-	}
-	return false
-}
-
-// removeEntryAt shift-deletes entry i, zeroing the vacated tail slot so the
-// pooled batch pins nothing the canceled op referenced, and uncounts it from
-// the destination's cross-shard pending count.
-func removeEntryAt(b *liveBatch, i int) {
-	n := len(b.entries)
-	copy(b.entries[i:], b.entries[i+1:])
-	b.entries[n-1] = liveEntry{}
-	b.entries = b.entries[:n-1]
-	if b.dest != nil {
-		b.dest.n.Add(-1)
 	}
 }

@@ -35,7 +35,8 @@ type outFrame struct {
 // On a write error the writer closes the underlying connection, so the read
 // loop observes the broken stream and fails every pending call through the
 // normal transport-error path (the PR 3 failure model); queued and
-// subsequently enqueued frames are recycled, not written.
+// subsequently enqueued frames are recycled, not written. A graceful Close
+// is the opposite: what was queued before it is written out and flushed.
 type frameWriter struct {
 	bw   *bufio.Writer
 	conn io.Closer // closed on write error to wake the read loop; may be nil
@@ -44,6 +45,7 @@ type frameWriter struct {
 	dead   chan struct{} // closed on first write error or on Close
 	closed atomic.Bool   // guards close(dead)
 	err    error         // first write error; published by closing dead
+	done   chan struct{} // closed when the writer goroutine has exited
 }
 
 func newFrameWriter(w io.Writer, conn io.Closer) *frameWriter {
@@ -52,6 +54,7 @@ func newFrameWriter(w io.Writer, conn io.Closer) *frameWriter {
 		conn: conn,
 		ch:   make(chan outFrame, maxCoalescedFrames),
 		dead: make(chan struct{}),
+		done: make(chan struct{}),
 	}
 	go fw.run()
 	return fw
@@ -74,13 +77,15 @@ func (fw *frameWriter) enqueue(f outFrame) error {
 	}
 }
 
-// Close stops the writer goroutine. Frames still queued are recycled
-// unwritten: Close is only called when the connection is coming down, and
-// the failure model already resolves whatever those frames carried.
+// Close stops the writer goroutine and waits for it. Frames queued before
+// Close are written out first: a response counts as finished once it is
+// queued here (Server.Drain closes on that count), so dropping it would lose
+// an answer already committed to. wireConn.Close bounds that final write.
 func (fw *frameWriter) Close() {
 	if fw.closed.CompareAndSwap(false, true) {
 		close(fw.dead)
 	}
+	<-fw.done
 }
 
 // fail records the first write error and brings the connection down so the
@@ -96,15 +101,22 @@ func (fw *frameWriter) fail(err error) {
 }
 
 func (fw *frameWriter) run() {
+	defer close(fw.done)
+	defer fw.drain()
 	for {
 		select {
 		case f := <-fw.ch:
 			if !fw.gather(f) {
-				fw.drain()
 				return
 			}
 		case <-fw.dead:
-			fw.drain()
+			// Only a graceful Close gets here (a write error returns through
+			// gather above): write out what was queued before it.
+			select {
+			case f := <-fw.ch:
+				fw.gather(f)
+			default:
+			}
 			return
 		}
 	}
@@ -134,9 +146,9 @@ func (fw *frameWriter) gather(f outFrame) bool {
 	}
 }
 
-// drain recycles whatever is left in the queue after death. A sender that
-// raced its frame in after this final sweep leaks that one buffer to the
-// GC, which is harmless; no goroutine ever blocks on it.
+// drain recycles whatever is left in the queue after a write error. A sender
+// that raced its frame in after this final sweep leaks that one buffer to
+// the GC, which is harmless; no goroutine ever blocks on it.
 func (fw *frameWriter) drain() {
 	for {
 		select {

@@ -15,10 +15,11 @@
 //
 //   - The live plane (this package's Cluster/Client plus the MapReduce,
 //     Stream and RDD engine APIs) runs real joins over TCP against
-//     in-process store nodes. A client's routing state is striped across
-//     ClientOptions.Shards shard-local optimizers (default GOMAXPROCS, each
-//     owning an equal slice of the cache budgets) so concurrent Submit
-//     calls scale with cores.
+//     in-process store nodes. A client's per-key routing state is striped
+//     across ClientOptions.Shards shard-local optimizers (default
+//     GOMAXPROCS, each owning an equal slice of the cache budgets) so
+//     concurrent Submit calls scale with cores; pending requests batch per
+//     destination node, however their keys are striped.
 //   - The simulation plane (Simulate* and the Fig* experiment runners)
 //     reproduces the paper's evaluation on a deterministic discrete-event
 //     cluster model; see EXPERIMENTS.md.
@@ -258,6 +259,9 @@
 //	//joinopt:xfer <reason>    on (or above) a statement: blesses one
 //	                           escape — a capture or field store — as a
 //	                           deliberate ownership transfer
+//	//joinopt:lockorder A B    anywhere in a package: mutex class A (e.g.
+//	                           execShard.mu) is acquired before B; taking
+//	                           A while holding B is reported
 //	//lint:allow <analyzer> <reason>  suppresses that analyzer on that
 //	                           line; the reason is mandatory, and a bare
 //	                           waiver is itself reported
@@ -511,13 +515,13 @@ type ClientOptions struct {
 	DiskCacheBytes int64
 	// Workers is the local UDF parallelism (default 8).
 	Workers int
-	// Shards stripes the client's optimizer state (per-key routing
-	// counters, caches, batch accumulators) by key hash so concurrent
-	// Submit calls scale across cores instead of serializing on one lock.
-	// Default GOMAXPROCS; 1 keeps the single-lock behaviour. The cache
-	// budgets are split across shards: each shard-local optimizer manages
-	// MemCacheBytes/Shards (and DiskCacheBytes/Shards) so the client's
-	// total footprint stays as configured.
+	// Shards stripes the client's per-key optimizer state (routing
+	// counters, caches, fetch dedup) by key hash so concurrent Submit calls
+	// scale across cores instead of serializing on one lock; batching is
+	// per destination and does not depend on it. Default GOMAXPROCS. The
+	// cache budgets are split across shards: each shard-local optimizer
+	// manages MemCacheBytes/Shards (and DiskCacheBytes/Shards) so the
+	// client's total footprint stays as configured.
 	Shards int
 	// MaxRetries bounds how many times an idempotent request is re-sent
 	// after a transport failure (default 2; negative disables retries).
