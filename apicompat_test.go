@@ -26,4 +26,7 @@ var (
 
 	// Error codes.
 	_ = [...]ErrCode{ErrServer, ErrTransport, ErrTimeout, ErrClosed, ErrCanceled}
+
+	// Wire batches by flush cause.
+	_ = Stats{SizeFlushes: 0, WaiterFlushes: 0, CompletionFlushes: 0, TimerFlushes: 0}
 )

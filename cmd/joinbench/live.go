@@ -27,6 +27,8 @@ type liveBenchResult struct {
 	Canceled   int64
 	Failed     int64
 	ServerSkip int64 // exec slots whose UDF the servers skipped on cancel
+	// Wire batches by what made them leave their accumulator.
+	SizeFlushes, WaiterFlushes, CompletionFlushes, TimerFlushes int64
 }
 
 // runLiveBench measures the live plane end to end: it spins up real TCP
@@ -57,6 +59,10 @@ func runLiveBench(out io.Writer, ops, nodes, clients, shards int,
 	fmt.Fprintf(out, "%12s %12.0f %10d %10d %10d %12d\n",
 		r.Elapsed.Round(time.Millisecond), r.OpsPerSec,
 		r.Completed, r.Canceled, r.Failed, r.ServerSkip)
+	batches := r.SizeFlushes + r.WaiterFlushes + r.CompletionFlushes + r.TimerFlushes
+	fmt.Fprintf(out, "\n%d wire batches (%.1f ops each) left their accumulator because: batch full %d, caller blocked on an idle link %d, batch returned with a caller blocked %d, max wait expired %d\n",
+		batches, float64(r.Completed)/float64(max(batches, 1)),
+		r.SizeFlushes, r.WaiterFlushes, r.CompletionFlushes, r.TimerFlushes)
 }
 
 func liveBenchOnce(ops, nodes, clients, shards int,
@@ -206,5 +212,10 @@ func liveBenchOnce(ops, nodes, clients, shards int,
 		Canceled:   canceled.Load(),
 		Failed:     failed.Load(),
 		ServerSkip: serverSkips,
+
+		SizeFlushes:       e.SizeFlushes.Load(),
+		WaiterFlushes:     e.WaiterFlushes.Load(),
+		CompletionFlushes: e.CompletionFlushes.Load(),
+		TimerFlushes:      e.TimerFlushes.Load(),
 	}
 }

@@ -3,30 +3,47 @@ package live
 import (
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // accumulator is the one pending batch of a destination: every submission
 // bound for the same liveBatchKey parks here, whichever shard its key's
-// optimizer state lives on, until the destination's batch limit fills or the
-// max-wait timer (Section 7.2) fires — so a wire batch is limit-sized by
-// construction, with nothing to merge at flush time.
+// optimizer state lives on, until one of four things ships it (flushCause):
+// the destination's batch limit fills, a caller blocks waiting on a parked
+// entry while the link is idle, a batch in flight returns with such a waiter
+// pending, or the max-wait timer (Section 7.2) fires. The wait is therefore a
+// ceiling — what an entry nobody is waiting for yet can sit out — not the price
+// of every partial batch; and a wire batch is limit-sized by construction,
+// with nothing to merge at flush time.
 //
-// The interface is add / remove / drain (and retireIfIdle); a batch leaves
-// through add's return value or the timer's ship. None of them settles a
-// future: what leaves an accumulator is shipped or failed by the caller after
-// mu is dropped, because settling locks the entry's shard and the lock order
-// is shard → accumulator, never the reverse.
+// The interface is add / kick / done / remove / drain (and retireIfIdle); a
+// batch leaves through add's return value or through ship. None of them
+// settles a future: what leaves an accumulator is shipped or failed by the
+// caller after mu is dropped, because settling locks the entry's shard and
+// the lock order is shard → accumulator, never the reverse.
 //
 //joinopt:lockorder execShard.mu accumulator.mu
 type accumulator struct {
-	bk    liveBatchKey
-	wait  time.Duration
-	limit func() int       // the destination's current batch limit (≥ 1)
-	ship  func(*liveBatch) // takes a timer-flushed batch; called with no lock held
+	bk      liveBatchKey
+	wait    time.Duration
+	limit   func() int       // the destination's current batch limit (≥ 1)
+	starved func() bool      // the destination advertises no admission credit
+	ship    func(*liveBatch) // takes a batch that left outside add; called with no lock held
 
 	mu      sync.Mutex
 	entries []liveEntry
+	// gen numbers the batch being accumulated; every take bumps it. A parked
+	// entry's future carries (this accumulator, gen at add), so the bump is
+	// what cuts the links of everything that just left (parkedHere). Written
+	// under mu; atomic so a wait can tell a cut link without taking it.
+	gen atomic.Uint32
+	// inflight counts batches taken and not yet answered (done); a kick ships
+	// only with none out, so waiters never put more than one partial batch of
+	// a destination on the wire at a time. urgent remembers a kick that found
+	// the link busy: the next done ships what is parked.
+	inflight int
+	urgent   bool
 	// One reusable max-wait timer, created on the first arm and armed
 	// exactly while entries are parked (syncTimer). A Stop that loses to an
 	// already-launched fire counts it in stale, and that fire consumes the
@@ -49,8 +66,9 @@ func (a *accumulator) add(ent liveEntry) (full *liveBatch, ok bool) {
 		return nil, false
 	}
 	a.entries = append(a.entries, ent)
+	a.link(ent.waitFut())
 	if len(a.entries) >= a.limit() {
-		full = a.takeLocked()
+		full = a.takeLocked(flushSize)
 	} else {
 		a.syncTimer()
 	}
@@ -58,19 +76,95 @@ func (a *accumulator) add(ent liveEntry) (full *liveBatch, ok bool) {
 	return full, true
 }
 
+// flushCause says what made a batch leave its accumulator.
+type flushCause uint8
+
+const (
+	flushSize       flushCause = iota // the add that reached the batch limit
+	flushWaiter                       // a caller blocked on a parked entry, link idle
+	flushCompletion                   // a batch in flight returned with a waiter pending
+	flushTimer                        // the max wait expired
+)
+
+// link points a parked entry's future at this accumulator's current
+// generation. Callers hold mu.
+func (a *accumulator) link(f *Future) {
+	if f != nil {
+		f.gen.Store(a.gen.Load())
+		f.acc.Store(a)
+	}
+}
+
+// parkedHere reports whether f's entry is still parked in this accumulator:
+// it was added under the current generation and not removed since. The truth
+// under mu; without it a hint that can only err towards a kick that then
+// finds out.
+func (a *accumulator) parkedHere(f *Future) bool {
+	return f.acc.Load() == a && f.gen.Load() == a.gen.Load()
+}
+
+// kick is the waiter-driven flush: f's caller is about to block on an entry
+// that is parked here. With the link idle the batch ships now; with a batch of
+// this destination still out — or the node advertising no credit, where one
+// more frame would only deepen a full admission queue — it is marked urgent
+// and the next done ships it. A kick whose own entry already left (taken,
+// canceled, re-routed) does nothing: a caller collecting an old result must
+// not cut short the batch its later submissions are filling.
+//
+//joinopt:hotpath
+func (a *accumulator) kick(f *Future) {
+	var b *liveBatch
+	a.mu.Lock()
+	if a.parkedHere(f) {
+		if a.inflight > 0 || a.starved() {
+			a.urgent = true
+		} else {
+			b = a.takeLocked(flushWaiter)
+		}
+	}
+	a.mu.Unlock()
+	if b != nil {
+		a.ship(b)
+	}
+}
+
+// done is called once for every batch taken, when its wire phase is over
+// (answered, failed, or never sent): the link is free again, so a waiter that
+// kicked meanwhile gets its batch shipped now.
+//
+//joinopt:hotpath
+func (a *accumulator) done() {
+	var b *liveBatch
+	a.mu.Lock()
+	a.inflight--
+	if a.urgent {
+		b = a.takeLocked(flushCompletion)
+	}
+	a.mu.Unlock()
+	if b != nil {
+		a.ship(b)
+	}
+}
+
 // takeLocked removes up to the current batch limit of parked entries, oldest
-// first, as one wire batch; nil when nothing is parked. Entries past the
-// limit (the node's adaptive target shrank while they sat here) stay parked
-// under the timer. Callers hold mu.
-func (a *accumulator) takeLocked() *liveBatch {
+// first, as one wire batch owed one done; nil when nothing is parked. Entries
+// past the limit (the node's adaptive target shrank while they sat here) stay
+// parked under the timer, re-linked to the new generation. Callers hold mu.
+func (a *accumulator) takeLocked(why flushCause) *liveBatch {
 	n := min(len(a.entries), a.limit())
+	a.urgent = a.urgent && n < len(a.entries) // the waiter may be in what stays
 	if n <= 0 {
 		return nil
 	}
 	b := getBatch()
-	b.bk = a.bk
+	b.bk, b.acc, b.why = a.bk, a, why
 	b.entries = append(b.entries, a.entries[:n]...)
 	a.entries = slices.Delete(a.entries, 0, n) // zeroes the vacated tail: it must pin nothing
+	a.gen.Add(1)
+	a.inflight++
+	for i := range a.entries {
+		a.link(a.entries[i].waitFut())
+	}
 	a.syncTimer()
 	return b
 }
@@ -93,7 +187,11 @@ func (a *accumulator) remove(cs *cancelState, w *waiter) bool {
 	if i < 0 {
 		return false
 	}
+	if f := a.entries[i].waitFut(); f != nil {
+		f.acc.Store(nil) // a kick after the cancel must not ship the others
+	}
 	a.entries = slices.Delete(a.entries, i, i+1)
+	a.urgent = a.urgent && len(a.entries) > 0
 	a.syncTimer()
 	return true
 }
@@ -151,7 +249,7 @@ func (a *accumulator) fire() {
 		return
 	}
 	a.armed = false
-	b := a.takeLocked()
+	b := a.takeLocked(flushTimer)
 	a.mu.Unlock()
 	if b != nil {
 		a.ship(b)

@@ -101,8 +101,9 @@ func TestDecodeIntoAllocFree(t *testing.T) {
 }
 
 // allocHarness builds the round-trip measurement rig: one server, one
-// single-shard batch-of-one executor, warmed pools and interner.
-func allocHarness(t *testing.T) (e *Executor, keyNames []string) {
+// single-shard batch-of-one executor under the given ExecConfig.RequestTimeout
+// (-1: no per-attempt deadline timer), warmed pools and interner.
+func allocHarness(t *testing.T, requestTimeout time.Duration) (e *Executor, keyNames []string) {
 	t.Helper()
 	reg := NewRegistry()
 	reg.Register("id", Identity)
@@ -135,13 +136,13 @@ func allocHarness(t *testing.T) (e *Executor, keyNames []string) {
 		Registry:  reg,
 		TableUDF:  map[string]string{"t": "id"},
 		Optimizer: core.Config{Policy: core.Policy{AlwaysCompute: true}},
-		// A batch of one flushes inline on Submit (no timer is ever
-		// armed), one state shard, no per-attempt deadline timer: the
-		// measured loop is exactly the request lifecycle.
+		// A batch of one flushes inline on Submit (no max-wait timer is
+		// ever armed) and one state shard: the measured loop is exactly
+		// the request lifecycle.
 		BatchSize:      1,
 		BatchWait:      time.Millisecond,
 		Shards:         1,
-		RequestTimeout: -1,
+		RequestTimeout: requestTimeout,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +166,20 @@ func allocHarness(t *testing.T) (e *Executor, keyNames []string) {
 // asserts the documented budget: handle resolution and the context plumbing
 // must not add per-op allocations.
 func TestRoundTripAllocBudget(t *testing.T) {
-	e, keyNames := allocHarness(t)
+	roundTripAllocs(t, -1)
+}
+
+// TestRoundTripAllocBudgetDefaultTimeout holds the round trip to the same
+// budget under the default RequestTimeout: the per-attempt deadline timer is
+// pooled, so the configuration callers actually run costs no more per op than
+// the one with the deadline switched off. A lone caller's batch of one is the
+// normal case, so this fixed cost is per op, not per 64.
+func TestRoundTripAllocBudgetDefaultTimeout(t *testing.T) {
+	roundTripAllocs(t, 0)
+}
+
+func roundTripAllocs(t *testing.T, requestTimeout time.Duration) {
+	e, keyNames := allocHarness(t, requestTimeout)
 	tbl := e.Table("t")
 	ctx := context.Background()
 	noGC(t)
@@ -188,7 +202,7 @@ func TestRoundTripAllocBudget(t *testing.T) {
 // (table clone, accumulator, limit closure, timer) and costs what the default
 // policy costs plus the option itself.
 func TestPriorityRoundTripAllocBudget(t *testing.T) {
-	e, keyNames := allocHarness(t)
+	e, keyNames := allocHarness(t, -1)
 	tbl := e.Table("t")
 	ctx := context.Background()
 	prios := []CallOption{WithPriority(PriorityLow), WithPriority(PriorityHigh)}

@@ -84,14 +84,18 @@ func TestCancelInAccumulator(t *testing.T) {
 		fCancel := e.Table("t").Submit(ctx, "k0", []byte("p"))
 		fKeep := e.Table("t").Submit(context.Background(), "k1", []byte("p"))
 		cancel()
-		_, werr := waitOrHang(t, fCancel, 10*time.Second)
-		wantCanceled(t, werr, "accumulator cancel")
-
 		// The canceled entry must leave the pending batch (the future rejects
-		// first, the removal follows); then flush what remains so fKeep
-		// resolves.
+		// first, the removal follows). Only then wait on it: a wait that
+		// blocked before the cancel landed would ship the batch, k0 included,
+		// and collecting the rejection afterwards must not ship k1 either.
 		bk := liveBatchKey{t: e.Table("t"), node: 0, op: OpExec}
 		waitUntil(t, 10*time.Second, "the canceled entry to leave its accumulator", func() bool { return parked(e, bk) == 1 })
+		_, werr := waitOrHang(t, fCancel, 10*time.Second)
+		wantCanceled(t, werr, "accumulator cancel")
+		if n := parked(e, bk); n != 1 {
+			t.Fatalf("waiting on the canceled future left %d entries parked, want k1 untouched", n)
+		}
+		// Flush what remains so fKeep resolves.
 		flush(e, bk)
 		if v, err := waitOrHang(t, fKeep, 10*time.Second); err != nil || !bytes.Equal(v, []byte("v1/p")) {
 			t.Fatalf("surviving batch entry: %q, %v", v, err)
@@ -241,9 +245,8 @@ func TestCancelLastDedupWaiterDropsFetch(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		f := e.Table("t").Submit(ctx, "k0", []byte("p"), WithRoute(ForceFetch))
 		cancel()
-		_, werr := waitOrHang(t, f, 10*time.Second)
-		wantCanceled(t, werr, "lone waiter")
-
+		// Collect the rejection only once the fetch is withdrawn: a wait that
+		// blocked before the cancel landed would have shipped it.
 		sh := e.shardFor("t", "k0")
 		bk := liveBatchKey{t: e.Table("t"), node: 0, op: OpGet}
 		waitUntil(t, 10*time.Second, "the withdrawn fetch to leave no record", func() bool {
@@ -251,6 +254,8 @@ func TestCancelLastDedupWaiterDropsFetch(t *testing.T) {
 			defer sh.mu.Unlock()
 			return len(sh.inflight) == 0 && parked(e, bk) == 0
 		})
+		_, werr := waitOrHang(t, f, 10*time.Second)
+		wantCanceled(t, werr, "lone waiter")
 		assertIdle(t, e)
 
 		// A fresh Submit must re-issue the fetch from scratch and succeed

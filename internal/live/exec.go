@@ -27,15 +27,30 @@ import (
 // recycled once the first Wait consumes it; the Future header itself is
 // not pooled, so the contract below — repeated and concurrent Waits stay
 // safe forever — is unchanged from the pre-pooling lifecycle.
+//
+// While the submission sits in a batch accumulator the future is linked to
+// it (acc, gen), so a wait that is about to block can ship the batch instead
+// of sitting out BatchWait behind it: see kick.
 type Future struct {
-	cell     *futCell     //joinopt:owns
-	cancel   *cancelState // non-nil only for cancellable-context submissions
-	resolved atomic.Bool  // exactly-once resolve/reject guard
-	done     atomic.Bool  // out/err published; cell consumed and recycled
-	mu       sync.Mutex   // serializes the first Wait's cell consumption
-	out      []byte
-	err      error
+	cell   *futCell     //joinopt:owns
+	cancel *cancelState // non-nil only for cancellable-context submissions
+	// acc is the accumulator the submission's entry parked in and gen that
+	// accumulator's generation at the time: the link holds exactly while the
+	// two still match (accumulator.parkedHere), so a take cuts every link of
+	// the batch by bumping one counter.
+	acc   atomic.Pointer[accumulator]
+	gen   atomic.Uint32
+	state atomic.Uint32 // futPending → futResolved → futDone
+	mu    sync.Mutex    // serializes the first Wait's cell consumption
+	out   []byte
+	err   error
 }
+
+const (
+	futPending  uint32 = iota
+	futResolved        // resolve or reject won the exactly-once race
+	futDone            // out/err published; cell consumed and recycled
+)
 
 type futResult struct {
 	v   []byte
@@ -49,7 +64,7 @@ func newFuture() *Future { return &Future{cell: getFutCell()} }
 // resolution a dropped no-op instead of a corruption of whatever op the
 // recycled cell serves next.
 func (f *Future) resolve(v []byte) bool {
-	if f.resolved.Swap(true) {
+	if !f.state.CompareAndSwap(futPending, futResolved) {
 		return false
 	}
 	if f.cancel != nil {
@@ -62,7 +77,7 @@ func (f *Future) resolve(v []byte) bool {
 // reject fails the future; err is an *Error carrying the op and code.
 // Reports whether this call won the exactly-once race.
 func (f *Future) reject(err error) bool {
-	if f.resolved.Swap(true) {
+	if !f.state.CompareAndSwap(futPending, futResolved) {
 		return false
 	}
 	if f.cancel != nil {
@@ -82,19 +97,41 @@ func (f *Future) reject(err error) bool {
 // slice as read-only, and copy it if you retain it long-term — holding a
 // small result can otherwise pin its whole frame.
 func (f *Future) WaitErr() ([]byte, error) {
-	if f.done.Load() {
+	if f.isDone() {
 		return f.out, f.err
 	}
+	f.kick()
 	f.mu.Lock()
-	if !f.done.Load() {
+	if !f.isDone() {
 		r := <-f.cell.ch //lint:allow lockcheck f.mu serializes the one blocking consume; the resolver's send is buffered and lock-free
-		f.out, f.err = r.v, r.err
-		putFutCell(f.cell)
-		f.cell = nil
-		f.done.Store(true)
+		f.publish(r)
 	}
 	f.mu.Unlock()
 	return f.out, f.err
+}
+
+func (f *Future) isDone() bool { return f.state.Load() == futDone }
+
+// publish stores the consumed resolution for every later Wait and recycles
+// the cell. Callers hold mu.
+func (f *Future) publish(r futResult) {
+	f.out, f.err = r.v, r.err
+	putFutCell(f.cell)
+	f.cell = nil
+	f.state.Store(futDone)
+}
+
+// kick is what a wait does before it blocks: if the submission is still
+// parked, its caller is now waiting on a batch nobody has sent, so the
+// accumulator ships it (or, with the link busy, marks it urgent). A wait on a
+// submission that already left pays a few atomic loads and no lock. Called
+// with no lock held, mu included.
+//
+//joinopt:hotpath
+func (f *Future) kick() {
+	if a := f.acc.Load(); a != nil && f.state.Load() == futPending && a.parkedHere(f) {
+		a.kick(f)
+	}
 }
 
 // Err blocks until the submission resolves and returns its error (nil on
@@ -114,27 +151,25 @@ func (f *Future) WaitCtx(ctx context.Context) ([]byte, error) {
 	if ctx == nil || ctx.Done() == nil {
 		return f.WaitErr()
 	}
-	if f.done.Load() {
+	if f.isDone() {
 		return f.out, f.err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, &Error{Code: CodeCanceled, Op: opNone, Msg: "wait abandoned: " + err.Error()}
 	}
+	f.kick()
 	// Uncontended (the common case): become the consumer and select the
 	// resolution against the context directly — no helper goroutine. An
 	// abandoned wait releases mu without consuming, leaving the cell for
 	// the next waiter.
 	if f.mu.TryLock() {
-		if f.done.Load() {
+		if f.isDone() {
 			f.mu.Unlock()
 			return f.out, f.err
 		}
 		select {
 		case r := <-f.cell.ch:
-			f.out, f.err = r.v, r.err
-			putFutCell(f.cell)
-			f.cell = nil
-			f.done.Store(true)
+			f.publish(r)
 			f.mu.Unlock()
 			return f.out, f.err
 		case <-ctx.Done():
@@ -208,10 +243,16 @@ type ExecConfig struct {
 
 	Optimizer core.Config // policy knobs (Algorithm 1 configuration)
 
-	BatchSize int           // default 64
-	BatchWait time.Duration // default 2ms
-	Workers   int           // local UDF workers; default 8
-	NetBw     float64       // assumed bandwidth for cost formulas; default 1e9
+	BatchSize int // default 64
+	// BatchWait is the ceiling on how long a submission nobody is waiting on
+	// yet may sit in its destination's accumulator for the batch to fill
+	// (default 2ms). It is not what a blocked caller pays: a WaitErr, Err,
+	// WaitCtx or Table.Call on a parked submission ships its batch at once
+	// when the destination has none in flight, and as soon as the one in
+	// flight returns otherwise.
+	BatchWait time.Duration
+	Workers   int     // local UDF workers; default 8
+	NetBw     float64 // assumed bandwidth for cost formulas; default 1e9
 
 	// Shards stripes the executor's per-key state (per-table optimizers
 	// with their caches and counters, fetch dedup) by key hash so parallel
@@ -348,6 +389,13 @@ type Executor struct {
 	// their node's transport retries were exhausted (replicated tables
 	// only); PutFailovers counts puts whose sequencer was not the primary.
 	Failovers, PutFailovers atomic.Int64
+	// SizeFlushes, WaiterFlushes, CompletionFlushes and TimerFlushes count
+	// wire batches (not ops) by what made them leave their accumulator: the
+	// batch limit filled, a caller blocked on a parked entry with the link
+	// idle, a batch in flight returned with such a waiter pending, or
+	// BatchWait expired. Their sum is the number of batches put on the wire
+	// (re-sends excluded, see Retries).
+	SizeFlushes, WaiterFlushes, CompletionFlushes, TimerFlushes atomic.Int64
 	// Moved counts CodeMoved redirects resolved transparently (membership
 	// routing only). Redirected submissions still land in their normal
 	// outcome bucket — a redirect re-routes the op, it never rejects it —
@@ -465,6 +513,15 @@ type liveEntry struct {
 	hops   uint8        // replicas already failed over; bounded by the set size
 }
 
+// waitFut is the future whose waiter this entry's flush serves: the
+// submission's own, or the first waiter's of a deduplicated fetch.
+func (ent *liveEntry) waitFut() *Future {
+	if ent.w != nil {
+		return ent.w.fut
+	}
+	return ent.fut
+}
+
 type waiter struct {
 	params []byte
 	fut    *Future
@@ -481,6 +538,8 @@ type waiter struct {
 //joinopt:pooled
 type liveBatch struct {
 	bk      liveBatchKey
+	acc     *accumulator // where it was taken from; owed one done()
+	why     flushCause
 	entries []liveEntry
 	//joinopt:owns
 	req Request // the wire request; its Keys/Params reuse caps
@@ -507,7 +566,7 @@ func putBatch(b *liveBatch) {
 	}
 	b.entries = b.entries[:0]
 	b.req = Request{Keys: keys[:0], Params: params[:0]}
-	b.bk = liveBatchKey{}
+	b.bk, b.acc = liveBatchKey{}, nil
 	batchPool.Put(b)
 }
 
@@ -906,6 +965,13 @@ func (e *Executor) route(t *Table, key string, params []byte, fut *Future, cs *c
 		ik := bk.dedupKey(key)
 		cs.park(sh, bk, ik, w)
 		if ws, busy := sh.inflight[ik]; busy {
+			if len(ws) > 0 {
+				// Piled onto a fetch that may still be parked: share its
+				// link, so this caller's wait ships it too.
+				lead := ws[0].fut
+				fut.gen.Store(lead.gen.Load())
+				fut.acc.Store(lead.acc.Load())
+			}
 			sh.inflight[ik] = append(ws, w)
 		} else {
 			sh.inflight[ik] = []*waiter{w}
@@ -1166,7 +1232,8 @@ func (e *Executor) newAccumulator(bk liveBatchKey) *accumulator {
 		return a
 	}
 	a := &accumulator{bk: bk, wait: e.cfg.BatchWait, ship: e.ship,
-		limit: func() int { return e.batchLimit(bk.node) }}
+		limit:   func() int { return e.batchLimit(bk.node) },
+		starved: func() bool { p := e.pool(bk.node); return p != nil && p.starved() }}
 	next := maps.Clone(old)
 	// The default policy's accumulators — one per (table, node, op) — live
 	// as long as the executor, and so does a fixed set of per-call policies
@@ -1211,8 +1278,10 @@ func (e *Executor) ship(b *liveBatch) {
 	}
 	clear(entries[len(kept):]) // the dropped tail must pin nothing
 	entries, b.entries = kept, kept
+	acc := b.acc
 	if len(entries) == 0 {
 		putBatch(b)
+		acc.done()
 		return
 	}
 
@@ -1234,6 +1303,7 @@ func (e *Executor) ship(b *liveBatch) {
 		e.closeMu.RUnlock()
 		e.failBatch(bk, entries, &Error{Code: CodeClosed, Op: bk.op, Msg: "executor closed"})
 		putBatch(b)
+		acc.done()
 		return
 	}
 	// A cancel arriving after the batch ships must chase it over the wire
@@ -1242,6 +1312,7 @@ func (e *Executor) ship(b *liveBatch) {
 	wireCancelable := cancellable && bk.op == OpExec
 	e.flushes.Add(1)
 	e.closeMu.RUnlock()
+	e.countFlush(b.why)
 	e.inflightReqs.Add(int64(len(entries)))
 	//joinopt:xfer the flush goroutine takes ownership of b and its req; putBatch runs at its end
 	go func() { //lint:allow hotpath the flush goroutine is the batch's one budgeted allocation
@@ -1257,6 +1328,10 @@ func (e *Executor) ship(b *liveBatch) {
 		gen := e.migGen.Load()
 		resp, epoch := e.callNode(bk, &b.req, b.entries, wireCancelable)
 		e.inflightReqs.Add(-int64(len(b.entries)))
+		// The link is free again — whatever handleResponse does with the
+		// answer (failover included): a waiter that found it busy ships now,
+		// before this batch's results are even distributed.
+		acc.done()
 		if resp.Window > 0 {
 			// The node signaled: steer this node's batch target
 			// from its advertised credit before results are distributed.
@@ -1283,6 +1358,22 @@ func (e *Executor) ship(b *liveBatch) {
 		putResponse(resp)
 		putBatch(b)
 	}()
+}
+
+// countFlush counts one batch going on the wire under its flush cause.
+//
+//joinopt:hotpath
+func (e *Executor) countFlush(why flushCause) {
+	switch why {
+	case flushSize:
+		e.SizeFlushes.Add(1)
+	case flushWaiter:
+		e.WaiterFlushes.Add(1)
+	case flushCompletion:
+		e.CompletionFlushes.Add(1)
+	case flushTimer:
+		e.TimerFlushes.Add(1)
+	}
 }
 
 // callNode sends one wire batch with the batch key's deadline and retry
@@ -1397,8 +1488,7 @@ const (
 // the enforcement point; pacing just keeps a well-behaved client from
 // manufacturing sheds it would then have to retry.
 func (e *Executor) pace(pool *Pool, timeout time.Duration) {
-	credit, window := pool.lastCredits()
-	if window == 0 || credit > 0 || pool.outstanding.Load() < pool.budget() {
+	if !pool.starved() || pool.outstanding.Load() < pool.budget() {
 		return
 	}
 	limit := paceMaxWait
@@ -1415,7 +1505,7 @@ func (e *Executor) pace(pool *Pool, timeout time.Duration) {
 		if pool.outstanding.Load() < pool.budget() {
 			return
 		}
-		if c, w := pool.lastCredits(); w == 0 || c > 0 {
+		if !pool.starved() {
 			return
 		}
 	}
@@ -1489,8 +1579,8 @@ func (e *Executor) callOnce(pool *Pool, req *Request, timeout time.Duration, ent
 		putCall(sc.cl)
 		return resp
 	}
-	t := time.NewTimer(timeout)
-	defer t.Stop()
+	t := getTimer(timeout)
+	defer putTimer(t)
 	select {
 	case resp := <-sc.cl.ch:
 		putCall(sc.cl)
@@ -1518,6 +1608,25 @@ func (e *Executor) callOnce(pool *Pool, req *Request, timeout time.Duration, ent
 		resp.Credit, resp.Window = credit, window
 		return resp
 	}
+}
+
+// timerPool recycles the per-attempt deadline timers: a wire attempt (and
+// every Table.Put) would otherwise allocate a timer it almost never lets fire.
+// Since Go 1.23 a stopped or reset timer's channel holds no stale value, so a
+// recycled timer needs no drain.
+var timerPool sync.Pool
+
+func getTimer(d time.Duration) *time.Timer {
+	if t, _ := timerPool.Get().(*time.Timer); t != nil {
+		t.Reset(d)
+		return t
+	}
+	return time.NewTimer(d)
+}
+
+func putTimer(t *time.Timer) {
+	t.Stop()
+	timerPool.Put(t)
 }
 
 // stats snapshots the Appendix C compute-side statistics. The signals are

@@ -283,6 +283,13 @@ func (p *Pool) lastCredits() (credit, window uint8) {
 	return uint8(cs >> 8), uint8(cs)
 }
 
+// starved reports whether the node's last response advertised an exhausted
+// admission window (credit 0 of a signaled window).
+func (p *Pool) starved() bool {
+	credit, window := p.lastCredits()
+	return window > 0 && credit == 0
+}
+
 // budget is the pool-wide outstanding-op allowance implied by the node's
 // advertised per-conn window, or 0 when the node has not signaled.
 func (p *Pool) budget() int64 {

@@ -159,9 +159,11 @@ func TestRerouteHopBudgetAndCancel(t *testing.T) {
 				})
 
 				cancel()
+				// The removal first, the wait second: a wait that blocked before
+				// the cancel landed would ship the re-parked op instead.
+				waitUntil(t, 10*time.Second, "the canceled op to leave its accumulator", func() bool { return parked(e, next) == 0 })
 				_, err := waitOrHang(t, f, 10*time.Second)
 				wantCanceled(t, err, "re-parked op")
-				waitUntil(t, 10*time.Second, "the canceled op to leave its accumulator", func() bool { return parked(e, next) == 0 })
 				if e.Canceled.Load() != 1 {
 					t.Fatalf("Canceled = %d, want 1", e.Canceled.Load())
 				}

@@ -91,10 +91,11 @@ func BenchmarkDecodeResponse(b *testing.B) {
 	})
 }
 
-// BenchmarkLiveExecThroughput is the end-to-end number: a real TCP server,
-// a real executor, AlwaysCompute policy so every submission crosses the
-// wire as part of an OpExec batch. ns/op is per completed join invocation.
-func BenchmarkLiveExecThroughput(b *testing.B) {
+// benchTable starts a real TCP server over 256 keys x 1 KiB and a real
+// executor with the AlwaysCompute policy, so every submission crosses the wire
+// in an OpExec batch, and warms one round trip so the dials are off the clock.
+// batchWait 0 is the executor's default.
+func benchTable(b *testing.B, batchWait time.Duration) *Table {
 	reg := NewRegistry()
 	reg.Register("tag", func(key string, params, value []byte) []byte {
 		out := append([]byte{}, value...)
@@ -102,15 +103,14 @@ func BenchmarkLiveExecThroughput(b *testing.B) {
 		return append(out, params...)
 	})
 
-	const keys = 256
 	ids := []cluster.NodeID{0}
 	catalog := store.CatalogFunc(func(string) store.RowMeta {
 		return store.RowMeta{ValueSize: 1024}
 	})
 	table := store.NewTable("t", catalog, 1, ids)
-	rows := make(map[string][]byte, keys)
+	rows := make(map[string][]byte, benchKeys)
 	val := bytes.Repeat([]byte("x"), 1024)
-	for i := 0; i < keys; i++ {
+	for i := 0; i < benchKeys; i++ {
 		rows[fmt.Sprintf("k%d", i)] = val
 	}
 
@@ -120,7 +120,7 @@ func BenchmarkLiveExecThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer srv.Close()
+	b.Cleanup(srv.Close)
 
 	e, err := NewExecutor(ExecConfig{
 		Tables:    map[string]*store.Table{"t": table},
@@ -128,18 +128,25 @@ func BenchmarkLiveExecThroughput(b *testing.B) {
 		Registry:  reg,
 		TableUDF:  map[string]string{"t": "tag"},
 		Optimizer: core.Config{Policy: core.Policy{AlwaysCompute: true}},
-		BatchWait: 500 * time.Microsecond,
+		BatchWait: batchWait,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer e.Close()
-	tbl, ctx := e.Table("t"), context.Background()
-
-	// Warm up one round trip so the dials are off the clock.
-	if _, err := tbl.Call(ctx, "k0", []byte("w")); err != nil {
+	b.Cleanup(e.Close)
+	tbl := e.Table("t")
+	if _, err := tbl.Call(context.Background(), "k0", []byte("w")); err != nil {
 		b.Fatal(err)
 	}
+	return tbl
+}
+
+const benchKeys = 256
+
+// BenchmarkLiveExecThroughput is the end-to-end number: ns/op is per
+// completed join invocation, 512 in flight.
+func BenchmarkLiveExecThroughput(b *testing.B) {
+	tbl, ctx := benchTable(b, 500*time.Microsecond), context.Background()
 
 	const window = 512 // in-flight submissions per wave
 	params := []byte("p-bench")
@@ -154,7 +161,7 @@ func BenchmarkLiveExecThroughput(b *testing.B) {
 		var wg sync.WaitGroup
 		wg.Add(n)
 		for i := 0; i < n; i++ {
-			f := tbl.Submit(ctx, fmt.Sprintf("k%d", (done+i)%keys), params)
+			f := tbl.Submit(ctx, fmt.Sprintf("k%d", (done+i)%benchKeys), params)
 			go func() {
 				defer wg.Done()
 				if _, err := f.WaitErr(); err != nil {
@@ -164,5 +171,20 @@ func BenchmarkLiveExecThroughput(b *testing.B) {
 		}
 		wg.Wait()
 		done += n
+	}
+}
+
+// BenchmarkLoneCallLatency is what one caller with nothing else in flight
+// waits for a synchronous Table.Call under the default ExecConfig: a wire
+// round trip, because its wait ships its own batch of one — not BatchWait.
+func BenchmarkLoneCallLatency(b *testing.B) {
+	tbl, ctx := benchTable(b, 0), context.Background()
+	params := []byte("p-bench")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := tbl.Call(ctx, fmt.Sprintf("k%d", i%benchKeys), params); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -653,6 +653,13 @@ type Stats struct {
 	Shed           int64 // submissions rejected with ErrOverloaded (server shed at admission)
 	Failovers      int64 // reads re-routed to a surviving replica
 	PutFailovers   int64 // puts sequenced at a backup (primary was down)
+
+	// Wire batches (not ops) by what made them leave their destination's
+	// accumulator; their sum is the number of batches sent, re-sends aside.
+	SizeFlushes       int64 // the batch limit filled
+	WaiterFlushes     int64 // a caller blocked on a parked op while nothing was in flight to the node
+	CompletionFlushes int64 // a batch in flight returned while a caller was blocked on a parked op
+	TimerFlushes      int64 // the max batch wait expired with nobody blocked
 }
 
 // Stats returns a snapshot of the client's counters.
@@ -669,5 +676,10 @@ func (cl *Client) Stats() Stats {
 		Shed:           cl.exec.Shed.Load(),
 		Failovers:      cl.exec.Failovers.Load(),
 		PutFailovers:   cl.exec.PutFailovers.Load(),
+
+		SizeFlushes:       cl.exec.SizeFlushes.Load(),
+		WaiterFlushes:     cl.exec.WaiterFlushes.Load(),
+		CompletionFlushes: cl.exec.CompletionFlushes.Load(),
+		TimerFlushes:      cl.exec.TimerFlushes.Load(),
 	}
 }
