@@ -1,24 +1,20 @@
-// Command joinoptlint is the multichecker for joinopt's custom static
+// Command joinoptlint is the go vet tool for joinopt's custom static
 // analyzers (internal/lint): recyclecheck, lockcheck, errcode and hotpath.
-// It runs two ways:
 //
-//	joinoptlint ./...                     # standalone: loads packages itself
-//	go vet -vettool=$(which joinoptlint) ./...   # as a vet tool
+//	go build -o /tmp/joinoptlint ./cmd/joinoptlint
+//	go vet -vettool=/tmp/joinoptlint ./...        # = make lint
 //
-// Standalone mode discovers packages with `go list -export` (offline: the
-// export data comes out of the local build cache). Vet-tool mode speaks
+// go vet does the loading (test files included) and drives the tool through
 // the cmd/go vet protocol: -V=full for the version/cache key, -flags for
-// supported flags, and a JSON .cfg file per package carrying the file list
-// and export-data map.
+// supported flags (none), and one JSON .cfg file per package carrying the
+// file list and export-data map.
 //
 // Exit status: 0 clean, 1 on a loading/internal error, 2 when any
-// diagnostic was reported (matching go vet's convention). `-analyzers
-// a,b` restricts the suite.
+// diagnostic was reported (matching go vet's convention).
 package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
 	"strings"
@@ -45,81 +41,11 @@ func run(args []string) int {
 			return 0
 		}
 	}
-
-	fs := flag.NewFlagSet("joinoptlint", flag.ContinueOnError)
-	names := fs.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
-	jsonOut := fs.Bool("json", false, "emit diagnostics as JSON")
-	if err := fs.Parse(args); err != nil {
+	if len(args) != 1 || !strings.HasSuffix(args[0], ".cfg") {
+		fmt.Fprintln(os.Stderr, "joinoptlint: run me through go vet: go vet -vettool=<this binary> ./...")
 		return 1
 	}
-	analyzers, err := selectAnalyzers(*names)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "joinoptlint:", err)
-		return 1
-	}
-
-	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return runVet(rest[0], analyzers)
-	}
-	if len(rest) == 0 {
-		rest = []string{"./..."}
-	}
-	pkgs, err := lintload.Load(rest)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "joinoptlint:", err)
-		return 1
-	}
-	var all []lint.Diagnostic
-	for _, pkg := range pkgs {
-		diags, err := lint.RunPackage(pkg, analyzers)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "joinoptlint:", err)
-			return 1
-		}
-		all = append(all, diags...)
-	}
-	return report(all, *jsonOut)
-}
-
-func selectAnalyzers(names string) ([]*lint.Analyzer, error) {
-	if names == "" {
-		return lint.All(), nil
-	}
-	byName := map[string]*lint.Analyzer{}
-	for _, a := range lint.All() {
-		byName[a.Name] = a
-	}
-	var out []*lint.Analyzer
-	for _, n := range strings.Split(names, ",") {
-		a, ok := byName[strings.TrimSpace(n)]
-		if !ok {
-			return nil, fmt.Errorf("unknown analyzer %q (have recyclecheck, lockcheck, errcode, hotpath)", n)
-		}
-		out = append(out, a)
-	}
-	return out, nil
-}
-
-func report(diags []lint.Diagnostic, jsonOut bool) int {
-	if len(diags) == 0 {
-		return 0
-	}
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		type jd struct{ Pos, Analyzer, Message string }
-		out := make([]jd, len(diags))
-		for i, d := range diags {
-			out[i] = jd{d.Pos.String(), d.Analyzer, d.Message}
-		}
-		_ = enc.Encode(out)
-	} else {
-		for _, d := range diags {
-			fmt.Fprintf(os.Stderr, "%s: %s: %s\n", d.Pos, d.Analyzer, d.Message)
-		}
-	}
-	return 2
+	return runVet(args[0])
 }
 
 // vetConfig is the JSON the go command hands a vet tool per package; the
@@ -141,7 +67,7 @@ type vetConfig struct {
 	SucceedOnTypecheckFailure bool
 }
 
-func runVet(cfgPath string, analyzers []*lint.Analyzer) int {
+func runVet(cfgPath string) int {
 	data, err := os.ReadFile(cfgPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "joinoptlint:", err)
@@ -181,10 +107,16 @@ func runVet(cfgPath string, analyzers []*lint.Analyzer) int {
 		fmt.Fprintln(os.Stderr, "joinoptlint:", err)
 		return 1
 	}
-	diags, err := lint.RunPackage(pkg, analyzers)
+	diags, err := lint.RunPackage(pkg, lint.All())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "joinoptlint:", err)
 		return 1
 	}
-	return report(diags, false)
+	for _, d := range diags {
+		fmt.Fprintf(os.Stderr, "%s: %s: %s\n", d.Pos, d.Analyzer, d.Message)
+	}
+	if len(diags) > 0 {
+		return 2
+	}
+	return 0
 }

@@ -91,18 +91,6 @@ type Config struct {
 	// evictions) after this many routed requests; 0 means never. This is
 	// the "non-adaptive" configuration of Figure 9.
 	FreezeAfter int
-
-	// OffloadCachedWhenOverloaded implements the extension the paper's
-	// footnote 4 leaves as future work: normally a cached key is always
-	// computed locally, which under very high skew plus high compute
-	// cost saturates the compute nodes while data nodes idle. With this
-	// knob, when the local congestion multiplier exceeds the data-node
-	// one by OffloadFactor, cache hits are routed as compute requests
-	// instead.
-	OffloadCachedWhenOverloaded bool
-	// OffloadFactor is the local/remote congestion ratio that triggers
-	// offloading (default 2).
-	OffloadFactor float64
 }
 
 // Shard derives the configuration for shard i of n when a caller stripes
@@ -160,7 +148,6 @@ type Counters struct {
 	NoCacheReqs  int64
 	FirstContact int64 // compute requests forced because costs were unknown
 	CounterReset int64 // ski-rental counters reset by observed updates
-	Offloaded    int64 // cached keys computed remotely (footnote-4 extension)
 }
 
 // Optimizer makes per-request routing decisions for one compute node.
@@ -272,11 +259,6 @@ func (o *Optimizer) Route(key string, netBw float64) Route {
 
 	// Lines 3-9: cache hits.
 	if item, tier, ok := o.Cache.Get(key); ok {
-		if o.shouldOffloadCached() {
-			o.stats.ComputeReqs++
-			o.stats.Offloaded++
-			return RouteCompute
-		}
 		if tier == cache.TierMem {
 			o.stats.LocalMem++
 			return RouteLocalMem
@@ -367,21 +349,6 @@ func (o *Optimizer) inflation(effective, intrinsic *costmodel.Smoother) float64 
 func (o *Optimizer) ObserveLocalCompute(sojourn, trueCost float64) {
 	o.Model.CPUCompute.Observe(sojourn)
 	o.trueLocalCost.Observe(trueCost)
-}
-
-// shouldOffloadCached reports whether a cache hit should nevertheless be
-// computed at the data node (footnote-4 extension).
-func (o *Optimizer) shouldOffloadCached() bool {
-	if !o.cfg.OffloadCachedWhenOverloaded {
-		return false
-	}
-	factor := o.cfg.OffloadFactor
-	if factor <= 0 {
-		factor = 2
-	}
-	local := o.inflation(o.Model.CPUCompute, o.trueLocalCost)
-	remote := o.inflation(o.Model.CPUData, o.trueDataCost)
-	return local > remote*factor
 }
 
 // ResponseMeta is what rides back on every compute-request response: the

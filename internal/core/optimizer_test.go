@@ -329,38 +329,6 @@ func TestSkiRentalAccountingOnHotKey(t *testing.T) {
 	}
 }
 
-func TestOffloadCachedWhenOverloaded(t *testing.T) {
-	o := New(Config{
-		Policy:                      Policy{Caching: true},
-		MemCacheBytes:               1 << 20,
-		OffloadCachedWhenOverloaded: true,
-		OffloadFactor:               2,
-	})
-	learn(o, "k", 50_000, 1e-4)
-	// Buy and cache the key.
-	for i := 0; i < 50; i++ {
-		if r := o.Route("k", testBw); r == RouteDataMem || r == RouteDataDisk {
-			o.OnValueFetched("k", 50_000, 0, nil, true)
-		}
-	}
-	if got := o.Route("k", testBw); got != RouteLocalMem {
-		t.Fatalf("pre-overload route = %v, want local", got)
-	}
-	// The local CPU becomes badly congested (sojourn 10x intrinsic)
-	// while the data node stays uncongested.
-	for i := 0; i < 50; i++ {
-		o.ObserveLocalCompute(10e-4, 1e-4)
-		o.OnComputeResponse(ResponseMeta{Key: "other", ValueSize: 10,
-			ComputedSize: 10, ComputeCost: 1e-4, EffectiveCost: 1e-4})
-	}
-	if got := o.Route("k", testBw); got != RouteCompute {
-		t.Fatalf("overloaded route = %v, want compute request (offload)", got)
-	}
-	if o.Stats().Offloaded == 0 {
-		t.Fatal("offload not counted")
-	}
-}
-
 func TestOffloadDisabledByDefault(t *testing.T) {
 	o := newFO(1 << 20)
 	learn(o, "k", 50_000, 1e-4)

@@ -2,8 +2,8 @@
 // that enforce the live plane's invariants — pooled-object ownership,
 // shard-lock discipline, the typed-error contract and the hot-path
 // allocation budget — at build time instead of waiting for a runtime test
-// to trip them. The suite is driven by cmd/joinoptlint (standalone or as a
-// `go vet -vettool`), wired into `make lint` and CI.
+// to trip them. The suite is driven by cmd/joinoptlint (a `go vet
+// -vettool`), wired into `make lint` and CI.
 //
 // The framework deliberately mirrors the golang.org/x/tools go/analysis
 // API (Analyzer, Pass, Diagnostic) so the analyzers could move onto the

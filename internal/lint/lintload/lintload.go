@@ -1,8 +1,9 @@
-// Package lintload loads and type-checks Go packages for the joinoptlint
-// suite without golang.org/x/tools: package discovery and export data come
-// from `go list -export` (compiled into the local build cache, so it works
-// offline), and types are imported through the standard library's gc
-// importer with a lookup into that export map.
+// Package lintload type-checks Go packages for the joinoptlint suite without
+// golang.org/x/tools: the caller names the files and supplies the gc export
+// data of their imports (go vet's per-package config, or `go list -export`
+// for the stdlib packages a test fixture imports — compiled into the local
+// build cache, so both work offline), and types are imported through the
+// standard library's gc importer with a lookup into that export map.
 package lintload
 
 import (
@@ -17,91 +18,16 @@ import (
 	"io"
 	"os"
 	"os/exec"
-	"path/filepath"
-	"strings"
 
 	"joinopt/internal/lint"
 )
 
-// listPackage is the subset of `go list -json` output the loader consumes.
-type listPackage struct {
-	ImportPath string
-	Name       string
-	Dir        string
-	Export     string
-	GoFiles    []string
-	Standard   bool
-	DepOnly    bool
-	Incomplete bool
-	Error      *struct{ Err string }
-}
-
-// Load lists the packages matching patterns (plus their dependency
-// closure, for export data), parses and type-checks each matched package
-// from source, and returns them ready for lint.RunPackage.
-func Load(patterns []string) ([]*lint.Package, error) {
-	out, err := goList(append([]string{
-		"list", "-e", "-export", "-deps",
-		"-json=ImportPath,Name,Dir,Export,GoFiles,Standard,DepOnly,Incomplete,Error",
-	}, patterns...))
-	if err != nil {
-		return nil, err
-	}
-	exports := map[string]string{}
-	var targets []*listPackage
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var p listPackage
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("lintload: parsing go list output: %w", err)
-		}
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-		if p.DepOnly || p.Standard {
-			continue
-		}
-		if p.Error != nil {
-			return nil, fmt.Errorf("lintload: %s: %s", p.ImportPath, p.Error.Err)
-		}
-		target := p
-		targets = append(targets, &target)
-	}
-	imp := NewExportImporter(exports)
-	var pkgs []*lint.Package
-	for _, t := range targets {
-		pkg, err := typecheck(t.ImportPath, t.Dir, t.GoFiles, imp)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	return pkgs, nil
-}
-
-func goList(args []string) ([]byte, error) {
-	cmd := exec.Command("go", args...)
-	cmd.Env = os.Environ()
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return nil, fmt.Errorf("lintload: go %s: %v\n%s", strings.Join(args[:2], " "), err, stderr.String())
-	}
-	return out, nil
-}
-
-// typecheck parses files (absolute or dir-relative) and type-checks them
-// as one package with the given importer.
-func typecheck(path, dir string, files []string, imp types.Importer) (*lint.Package, error) {
+// CheckFiles parses and type-checks an explicit file set as one package (the
+// fixture runner and the vettool driver), returning it for lint.RunPackage.
+func CheckFiles(path string, files []string, imp types.Importer) (*lint.Package, error) {
 	fset := token.NewFileSet()
 	var astFiles []*ast.File
 	for _, name := range files {
-		if !filepath.IsAbs(name) {
-			name = filepath.Join(dir, name)
-		}
 		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, fmt.Errorf("lintload: %w", err)
@@ -136,7 +62,7 @@ type exportImporter struct {
 }
 
 // NewExportImporter builds a types.Importer over a map from import path to
-// gc export data file (from `go list -export` or a vet config).
+// gc export data file (from a vet config or `go list -export`).
 func NewExportImporter(exports map[string]string) types.Importer {
 	ei := &exportImporter{exports: exports}
 	ei.under = importer.ForCompiler(token.NewFileSet(), "gc", ei.lookup).(types.ImporterFrom)
@@ -159,16 +85,19 @@ func (ei *exportImporter) Import(path string) (*types.Package, error) {
 // closure) and returns an importer over their export data — the fixture
 // loader uses it so testdata packages can import fmt/sync/time offline.
 func StdImporter(pkgs ...string) (types.Importer, error) {
-	out, err := goList(append([]string{
+	cmd := exec.Command("go", append([]string{
 		"list", "-e", "-export", "-deps", "-json=ImportPath,Export",
-	}, pkgs...))
+	}, pkgs...)...)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("lintload: go list -export: %v\n%s", err, stderr.String())
 	}
 	exports := map[string]string{}
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for {
-		var p listPackage
+		var p struct{ ImportPath, Export string }
 		if err := dec.Decode(&p); err == io.EOF {
 			break
 		} else if err != nil {
@@ -179,10 +108,4 @@ func StdImporter(pkgs ...string) (types.Importer, error) {
 		}
 	}
 	return NewExportImporter(exports), nil
-}
-
-// CheckFiles type-checks an explicit file set (the fixture runner and the
-// vettool path), returning the package for lint.RunPackage.
-func CheckFiles(path string, files []string, imp types.Importer) (*lint.Package, error) {
-	return typecheck(path, "", files, imp)
 }

@@ -1,10 +1,13 @@
 package live
 
 import (
+	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"joinopt/internal/cluster"
 )
 
 // accumulator is the one pending batch of a destination: every submission
@@ -254,4 +257,143 @@ func (a *accumulator) fire() {
 	if b != nil {
 		a.ship(b)
 	}
+}
+
+// liveBatchKey identifies one batch accumulator: destination plus the
+// per-call wire policy, so submissions with identical overrides share a
+// batch and differing overrides never dilute each other's deadline.
+type liveBatchKey struct {
+	t    *Table
+	node cluster.NodeID
+	op   Op
+	wire wireOpts
+}
+
+type liveEntry struct {
+	key    string
+	params []byte
+	fut    *Future
+	w      *waiter      // OpGet cache fills: the dedup record
+	cancel *cancelState // non-nil only for cancellable-context submissions
+	hops   uint8        // replicas already failed over; bounded by the set size
+}
+
+// waitFut is the future whose waiter this entry's flush serves: the
+// submission's own, or the first waiter's of a deduplicated fetch.
+func (ent *liveEntry) waitFut() *Future {
+	if ent.w != nil {
+		return ent.w.fut
+	}
+	return ent.fut
+}
+
+// liveBatch is the pooled carrier of one wire batch, from the moment its
+// accumulator hands the entries over until handleResponse has settled them:
+// its keys/params slices build the Request and its entries ride to
+// handleResponse, so a steady-state flush reuses every slice capacity a
+// previous batch grew.
+//
+//joinopt:pooled
+type liveBatch struct {
+	bk      liveBatchKey
+	acc     *accumulator // where it was taken from; owed one done()
+	why     flushCause
+	entries []liveEntry
+	//joinopt:owns
+	req Request // the wire request; its Keys/Params reuse caps
+}
+
+var batchPool = sync.Pool{New: func() any { return new(liveBatch) }}
+
+func getBatch() *liveBatch { return batchPool.Get().(*liveBatch) }
+
+// putBatch recycles a batch whose wire phase is over, dropping every
+// future/param/key reference so a pooled batch pins nothing.
+//
+//joinopt:pooled
+func putBatch(b *liveBatch) {
+	for i := range b.entries {
+		b.entries[i] = liveEntry{}
+	}
+	keys, params := b.req.Keys, b.req.Params
+	for i := range keys {
+		keys[i] = ""
+	}
+	for i := range params {
+		params[i] = nil
+	}
+	b.entries = b.entries[:0]
+	b.req = Request{Keys: keys[:0], Params: params[:0]}
+	b.bk, b.acc = liveBatchKey{}, nil
+	batchPool.Put(b)
+}
+
+// enqueue parks an entry in its destination's accumulator and returns the
+// wire batch that filled, if any, for the caller to ship once it has dropped
+// its shard lock (route and reroute call this mid-routing, under sh.mu; the
+// lock order is shard → accumulator).
+//
+//joinopt:hotpath
+func (e *Executor) enqueue(bk liveBatchKey, ent liveEntry) *liveBatch {
+	a := (*e.accs.Load())[bk]
+	for {
+		if a == nil {
+			if a = e.newAccumulator(bk); a == nil {
+				// Closed: Close emptied the table before draining, so a
+				// Submit that raced past the entry check cannot park an
+				// entry nobody will ever flush. The goroutine avoids fail's
+				// re-lock of the caller's shard.
+				go e.fail(bk, ent, &Error{Code: CodeClosed, Op: bk.op, Msg: "executor closed"})
+				return nil
+			}
+		}
+		if full, ok := a.add(ent); ok {
+			return full
+		}
+		// Retired between the lookup and the add. It left the table under
+		// accMu, which newAccumulator takes: look again there.
+		a = nil
+	}
+}
+
+// maxPolicyAccs is how many accumulators of non-default wire policies the
+// executor keeps before it prunes the idle ones (see newAccumulator).
+const maxPolicyAccs = 256
+
+// newAccumulator is enqueue's slow path: return bk's accumulator, creating
+// and publishing it on first use. nil once the executor is closed.
+func (e *Executor) newAccumulator(bk liveBatchKey) *accumulator {
+	e.accMu.Lock()
+	defer e.accMu.Unlock()
+	if e.closed.Load() {
+		return nil
+	}
+	old := *e.accs.Load()
+	if a := old[bk]; a != nil {
+		return a
+	}
+	a := &accumulator{bk: bk, wait: e.cfg.BatchWait, ship: e.ship,
+		limit:   func() int { return e.batchLimit(bk.node) },
+		starved: func() bool { p := e.pool(bk.node); return p != nil && p.starved() }}
+	next := maps.Clone(old)
+	// The default policy's accumulators — one per (table, node, op) — live
+	// as long as the executor, and so does a fixed set of per-call policies
+	// (the priority classes). But WithTimeout and WithRetries take arbitrary
+	// values: once maxPolicyAccs non-default accumulators exist, a new one
+	// unmaps the idle ones, so a caller deriving them per call cannot grow
+	// the table without bound.
+	policies := 0
+	for k := range old {
+		if k.wire != (wireOpts{}) {
+			policies++
+		}
+	}
+	if policies >= maxPolicyAccs {
+		maps.DeleteFunc(next, func(k liveBatchKey, o *accumulator) bool {
+			return k.wire != (wireOpts{}) && o.retireIfIdle()
+		})
+	}
+	next[bk] = a
+	e.accs.Store(&next)
+	return a
 }

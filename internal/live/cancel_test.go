@@ -210,7 +210,7 @@ func TestCancelPiledOnDedupWaiter(t *testing.T) {
 	if err != nil || !bytes.Equal(v, []byte("fresh/p1")) {
 		t.Fatalf("surviving waiter: %q, %v (the canceled waiter took the fetch down with it?)", v, err)
 	}
-	sh := e.shardFor("t", "k0")
+	sh, _ := e.Table("t").shard("k0")
 	sh.mu.Lock()
 	stale := len(sh.inflight)
 	sh.mu.Unlock()
@@ -247,7 +247,7 @@ func TestCancelLastDedupWaiterDropsFetch(t *testing.T) {
 		cancel()
 		// Collect the rejection only once the fetch is withdrawn: a wait that
 		// blocked before the cancel landed would have shipped it.
-		sh := e.shardFor("t", "k0")
+		sh, _ := e.Table("t").shard("k0")
 		bk := liveBatchKey{t: e.Table("t"), node: 0, op: OpGet}
 		waitUntil(t, 10*time.Second, "the withdrawn fetch to leave no record", func() bool {
 			sh.mu.Lock()
@@ -448,9 +448,9 @@ func TestPerCallOptions(t *testing.T) {
 	if v, err := tbl.Call(ctx, "k1", []byte("p"), WithNoCache()); err != nil || !bytes.Equal(v, []byte("v1/p")) {
 		t.Fatalf("NoCache: %q, %v", v, err)
 	}
-	sh := e.shardFor("t", "k1")
+	sh, opt := e.Table("t").shard("k1")
 	sh.mu.Lock()
-	_, _, cached := sh.opts["t"].Cache.Lookup("k1")
+	_, _, cached := opt.Cache.Lookup("k1")
 	sh.mu.Unlock()
 	if cached {
 		t.Fatal("WithNoCache installed the fetched value")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -58,10 +59,10 @@ func TestInvalidationOvertakingFetchReplyFencesInstall(t *testing.T) {
 	if err != nil || !bytes.Equal(v, []byte("old/p")) {
 		t.Fatalf("fetch: %q, %v", v, err)
 	}
-	sh := e.shardFor("t", "k0")
+	sh, opt := e.Table("t").shard("k0")
 	sh.mu.Lock()
-	_, _, cached := sh.opts["t"].Cache.Lookup("k0")
-	known := sh.opts["t"].KnownVersion("k0")
+	_, _, cached := opt.Cache.Lookup("k0")
+	known := opt.KnownVersion("k0")
 	sh.mu.Unlock()
 	if cached {
 		t.Fatal("the pre-put value was installed after its invalidation: stale until evicted")
@@ -130,10 +131,10 @@ func TestRestartedInMemoryNodeKeysCacheAgain(t *testing.T) {
 		}
 	}
 	cached := func() bool {
-		sh := e.shardFor("t", "k0")
+		sh, opt := e.Table("t").shard("k0")
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
-		_, _, ok := sh.opts["t"].Cache.Lookup("k0")
+		_, _, ok := opt.Cache.Lookup("k0")
 		return ok
 	}
 	if _, err := tbl.Call(ctx, "k0", nil, WithRoute(ForceFetch)); err != nil || !cached() {
@@ -153,4 +154,67 @@ func TestRestartedInMemoryNodeKeysCacheAgain(t *testing.T) {
 		v, err := tbl.Call(ctx, "k0", []byte("p"), WithRoute(ForceFetch))
 		return err == nil && bytes.Equal(v, []byte("reborn/p")) && cached()
 	})
+}
+
+// TestReadAfterPutAckStartsNewFetch pins the dedup side of read-your-writes: a
+// fetch of k is on the wire and held, this executor's Put(k) acks at version
+// 2, and a read submitted after that ack must not pile onto the held fetch —
+// it was sent before the write and answers with the value just replaced. The
+// old fetch still serves the waiter it already had (a read racing a write may
+// see either side) but is fenced out of the cache.
+func TestReadAfterPutAckStartsNewFetch(t *testing.T) {
+	var fetches atomic.Int64
+	held := make(chan struct{}, 1)
+	release := make(chan struct{})
+	fake := newFakeNode(t, func(req Request) *Response {
+		one := func(v string, version int64) *Response {
+			return &Response{Values: [][]byte{[]byte(v)}, Computed: []bool{false},
+				Metas: []Meta{{ValueSize: int64(len(v)), Version: version}}}
+		}
+		switch {
+		case req.Op == OpPut:
+			return &Response{Metas: []Meta{{Version: 2}}}
+		case fetches.Add(1) == 1:
+			held <- struct{}{}
+			<-release // read the row before the put, answers after it
+			return one("old", 1)
+		default:
+			return one("new", 2)
+		}
+	})
+	e := singleNodeExec(t, fake.addr(), func(cfg *ExecConfig) {
+		cfg.Shards = 1
+		cfg.BatchSize = 1 // a fetch ships on enqueue
+		cfg.BatchWait = time.Hour
+	})
+	tbl, ctx := e.Table("t"), context.Background()
+
+	before := tbl.Submit(ctx, "k0", []byte("p"), WithRoute(ForceFetch))
+	<-held
+	if v, err := tbl.Put(ctx, "k0", []byte("new")); err != nil || v != 2 {
+		t.Fatalf("put: version %d, %v", v, err)
+	}
+	after, err := waitOrHang(t, tbl.Submit(ctx, "k0", []byte("p"), WithRoute(ForceFetch)), 10*time.Second)
+	if err != nil || !bytes.Equal(after, []byte("new/p")) {
+		t.Fatalf("read submitted after the put's ack: %q, %v; want the written value", after, err)
+	}
+	close(release)
+	if v, err := waitOrHang(t, before, 10*time.Second); err != nil || !bytes.Equal(v, []byte("old/p")) {
+		t.Fatalf("read racing the put: %q, %v", v, err)
+	}
+	if n := fetches.Load(); n != 2 {
+		t.Fatalf("%d wire fetches, want 2 (the second read must start its own)", n)
+	}
+	sh, opt := tbl.shard("k0")
+	sh.mu.Lock()
+	item, _, cached := opt.Cache.Lookup("k0")
+	joinable := len(sh.inflight)
+	sh.mu.Unlock()
+	if cached && !bytes.Equal(item.Value.([]byte), []byte("new")) {
+		t.Fatalf("cache holds %q after both fetches settled", item.Value)
+	}
+	if joinable != 0 {
+		t.Fatalf("%d dedup record(s) left behind", joinable)
+	}
+	invariantSum(t, e, 2)
 }

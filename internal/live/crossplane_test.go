@@ -88,7 +88,7 @@ func TestCrossPlaneRoutingEquivalence(t *testing.T) {
 		t.Fatalf("traced %d route decisions, want %d", routes, ops)
 	}
 
-	live := e.Optimizer("t")
+	live := e.Table("t").opts[0] // Shards: 1, the table's only optimizer
 	if ls, os := live.Stats(), oracle.Stats(); ls != os {
 		t.Fatalf("routing counters diverged:\nlive:   %+v\noracle: %+v", ls, os)
 	}

@@ -587,10 +587,10 @@ func TestFaultRedialDropsStaleCache(t *testing.T) {
 
 	// Hammer the key until the ski-rental policy buys it into the cache.
 	cached := func() bool {
-		sh := e.shardFor("t", "k0")
+		sh, opt := e.Table("t").shard("k0")
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
-		_, _, ok := sh.opts["t"].Cache.Lookup("k0")
+		_, _, ok := opt.Cache.Lookup("k0")
 		return ok
 	}
 	for i := 0; i < 1000 && !cached(); i++ {
@@ -697,12 +697,11 @@ func TestFaultWaiterPileOnFailure(t *testing.T) {
 	})
 
 	pileOn := func() (*waiter, *waiter) {
-		w1 := &waiter{params: []byte("p1"), fut: newFuture()}
 		w2 := &waiter{params: []byte("p2"), fut: newFuture()}
-		sh := e.shardFor("t", "k0")
-		ik := "t\x00k0"
+		w1 := &waiter{params: []byte("p1"), fut: newFuture(), ik: "t\x00k0", followers: []*waiter{w2}}
+		sh, _ := e.Table("t").shard("k0")
 		sh.mu.Lock()
-		sh.inflight[ik] = []*waiter{w1, w2}
+		sh.inflight[w1.ik] = w1
 		full := e.enqueue(liveBatchKey{t: e.Table("t"), node: 0, op: OpGet}, liveEntry{key: "k0", w: w1})
 		sh.mu.Unlock()
 		e.ship(full) // BatchSize 1: the enqueue filled the batch
@@ -720,7 +719,7 @@ func TestFaultWaiterPileOnFailure(t *testing.T) {
 	if failed := e.Failed.Load(); failed != 2 {
 		t.Fatalf("Failed = %d, want 2 (both piled-on waiters)", failed)
 	}
-	sh := e.shardFor("t", "k0")
+	sh, _ := e.Table("t").shard("k0")
 	sh.mu.Lock()
 	stale := len(sh.inflight)
 	sh.mu.Unlock()

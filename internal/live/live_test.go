@@ -158,8 +158,7 @@ func TestLivePutInvalidatesCachers(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		mustWait(t, e.Table("t").Submit(context.Background(), "k3", []byte("p")))
 	}
-	opt := e.OptimizerFor("t", "k3")
-	sh := e.shardFor("t", "k3")
+	sh, opt := e.Table("t").shard("k3")
 	lookup := func() bool {
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
@@ -259,7 +258,7 @@ func TestDiskTierHitServesCachedValue(t *testing.T) {
 			t.Fatalf("read %d of %s = %q, %v, want %q", i, k, got, err, want)
 		}
 	}
-	if st := e.Optimizer("t").Stats(); st.LocalDisk == 0 {
+	if st := e.Table("t").opts[0].Stats(); st.LocalDisk == 0 {
 		t.Fatalf("no read was served from the disk tier (%+v); the test exercised nothing", st)
 	}
 }

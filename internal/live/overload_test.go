@@ -565,23 +565,29 @@ func TestAdaptBatchFeedback(t *testing.T) {
 	if got := e.batchLimit(0); got != 64 {
 		t.Fatalf("unadapted batch limit = %d, want 64", got)
 	}
-	e.adaptBatch(0, 0, 16) // starved
+	// The pool is the one holder of the node's credit/window pair: advertise
+	// through it, as a response would.
+	adapt := func(credit, window uint8) {
+		e.pool(0).observeCredit(credit, window)
+		e.adaptBatch(0)
+	}
+	adapt(0, 16) // starved
 	if got := e.batchLimit(0); got != 32 {
 		t.Fatalf("after one starved response: %d, want 32", got)
 	}
 	for i := 0; i < 10; i++ {
-		e.adaptBatch(0, 0, 16)
+		adapt(0, 16)
 	}
 	if got := e.batchLimit(0); got != 8 {
 		t.Fatalf("starvation floor = %d, want 8", got)
 	}
 	for i := 0; i < 32; i++ {
-		e.adaptBatch(0, 12, 16) // plentiful credit
+		adapt(12, 16) // plentiful credit
 	}
 	if got := e.batchLimit(0); got != 64 {
 		t.Fatalf("after recovery: %d, want the configured 64", got)
 	}
-	e.adaptBatch(0, 1, 16) // scarce but nonzero credit: hold
+	adapt(1, 16) // scarce but nonzero credit: hold
 	if got := e.batchLimit(0); got != 64 {
 		t.Fatalf("scarce credit changed the target to %d, want hold at 64", got)
 	}

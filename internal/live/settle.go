@@ -1,0 +1,381 @@
+package live
+
+import (
+	"context"
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"joinopt/internal/core"
+)
+
+// Future is the pending result of one submitted function invocation
+// f(k, p); the preMap thread submits, the map function waits (Section 7.1).
+// Every future resolves exactly once, with a value or with a typed *Error —
+// a failed node or broken wire never leaves a Wait hanging, and never
+// masquerades as a missing key.
+//
+// The resolution machinery (a one-shot buffered channel) is a pooled cell
+// recycled once the first Wait consumes it; the Future header itself is
+// not pooled, so the contract below — repeated and concurrent Waits stay
+// safe forever — is unchanged from the pre-pooling lifecycle.
+//
+// While the submission sits in a batch accumulator the future is linked to
+// it (acc, gen), so a wait that is about to block can ship the batch instead
+// of sitting out BatchWait behind it: see kick.
+type Future struct {
+	cell   *futCell     //joinopt:owns
+	cancel *cancelState // non-nil only for cancellable-context submissions
+	// acc is the accumulator the submission's entry parked in and gen that
+	// accumulator's generation at the time: the link holds exactly while the
+	// two still match (accumulator.parkedHere), so a take cuts every link of
+	// the batch by bumping one counter.
+	acc   atomic.Pointer[accumulator]
+	gen   atomic.Uint32
+	state atomic.Uint32 // futPending → futResolved → futDone
+	mu    sync.Mutex    // serializes the first Wait's cell consumption
+	out   []byte
+	err   error
+}
+
+const (
+	futPending  uint32 = iota
+	futResolved        // resolve or reject won the exactly-once race
+	futDone            // out/err published; cell consumed and recycled
+)
+
+type futResult struct {
+	v   []byte
+	err error
+}
+
+func newFuture() *Future { return &Future{cell: getFutCell()} }
+
+// settle delivers the future's one resolution and reports whether this call
+// won the exactly-once race. The CAS guard makes an (invariant-violating)
+// second resolution a dropped no-op instead of a corruption of whatever op
+// the recycled cell serves next.
+func (f *Future) settle(r futResult) bool {
+	if !f.state.CompareAndSwap(futPending, futResolved) {
+		return false
+	}
+	if f.cancel != nil {
+		f.cancel.stopAfterFunc()
+	}
+	f.cell.ch <- r
+	return true
+}
+
+func (f *Future) resolve(v []byte) bool { return f.settle(futResult{v: v}) }
+
+// reject fails the future; err is an *Error carrying the op and code.
+func (f *Future) reject(err error) bool { return f.settle(futResult{err: err}) }
+
+// WaitErr blocks until the submission resolves and returns its value and
+// error. A nil, nil return means the key has no stored row ("key absent"),
+// which is distinct from a server rejection (*Error CodeServer), a wire
+// failure (CodeTransport), a deadline (CodeTimeout) and shutdown
+// (CodeClosed). It is safe for repeated and concurrent callers: every call
+// returns the same pair. Results computed server-side may alias the network
+// frame buffer their batch arrived in (the zero-copy read path): treat the
+// slice as read-only, and copy it if you retain it long-term — holding a
+// small result can otherwise pin its whole frame.
+func (f *Future) WaitErr() ([]byte, error) {
+	if f.isDone() {
+		return f.out, f.err
+	}
+	f.kick()
+	f.mu.Lock()
+	if !f.isDone() {
+		r := <-f.cell.ch //lint:allow lockcheck f.mu serializes the one blocking consume; the resolver's send is buffered and lock-free
+		f.publish(r)
+	}
+	f.mu.Unlock()
+	return f.out, f.err
+}
+
+func (f *Future) isDone() bool { return f.state.Load() == futDone }
+
+// publish stores the consumed resolution for every later Wait and recycles
+// the cell. Callers hold mu.
+func (f *Future) publish(r futResult) {
+	f.out, f.err = r.v, r.err
+	putFutCell(f.cell)
+	f.cell = nil
+	f.state.Store(futDone)
+}
+
+// kick is what a wait does before it blocks: if the submission is still
+// parked, its caller is now waiting on a batch nobody has sent, so the
+// accumulator ships it (or, with the link busy, marks it urgent). A wait on a
+// submission that already left pays a few atomic loads and no lock. Called
+// with no lock held, mu included.
+//
+//joinopt:hotpath
+func (f *Future) kick() {
+	if a := f.acc.Load(); a != nil && f.state.Load() == futPending && a.parkedHere(f) {
+		a.kick(f)
+	}
+}
+
+// Err blocks until the submission resolves and returns its error (nil on
+// success), leaving the value for WaitErr.
+func (f *Future) Err() error {
+	_, err := f.WaitErr()
+	return err
+}
+
+// WaitCtx is WaitErr bounded by a context: when ctx is done first, the wait
+// is abandoned with a CodeCanceled *Error. Abandoning a wait does not
+// resolve the future — the submission keeps running (cancel the submission
+// by passing the same ctx to Table.Submit), its result stays available to
+// other waiters, and a later WaitErr still returns it. A nil or
+// non-cancellable ctx is exactly WaitErr.
+func (f *Future) WaitCtx(ctx context.Context) ([]byte, error) {
+	if ctx == nil || ctx.Done() == nil {
+		return f.WaitErr()
+	}
+	if f.isDone() {
+		return f.out, f.err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, &Error{Code: CodeCanceled, Op: opNone, Msg: "wait abandoned: " + err.Error()}
+	}
+	f.kick()
+	// Uncontended (the common case): become the consumer and select the
+	// resolution against the context directly — no helper goroutine. An
+	// abandoned wait releases mu without consuming, leaving the cell for
+	// the next waiter.
+	if f.mu.TryLock() {
+		if f.isDone() {
+			f.mu.Unlock()
+			return f.out, f.err
+		}
+		select {
+		case r := <-f.cell.ch:
+			f.publish(r)
+			f.mu.Unlock()
+			return f.out, f.err
+		case <-ctx.Done():
+			f.mu.Unlock()
+			return nil, &Error{Code: CodeCanceled, Op: opNone, Msg: "wait abandoned: " + ctx.Err().Error()}
+		}
+	}
+	// Contended: another waiter owns the cell consumption and will publish
+	// done when the future resolves; shadow it from a helper so this wait
+	// can still abandon on ctx. The helper exits as soon as the future
+	// resolves (bounded by the request deadline, or instantly when the
+	// same ctx canceled the submission itself).
+	done := make(chan struct{})
+	go func() {
+		f.WaitErr()
+		close(done)
+	}()
+	select {
+	case <-done:
+		return f.out, f.err
+	case <-ctx.Done():
+		return nil, &Error{Code: CodeCanceled, Op: opNone, Msg: "wait abandoned: " + ctx.Err().Error()}
+	}
+}
+
+// handleResponse distributes a wire batch's results back to each entry's
+// owning shard (a destination's batch spans shards). A failed or malformed
+// response fails every entry with the typed error and leaves the optimizer
+// state untouched: no phantom OnComputeResponse/OnValueFetched is ever fed
+// from a reply that carried no real result. Entries (and piled-on waiters)
+// whose context canceled while the batch was on the wire are skipped
+// entirely — their futures are already rejected and counted, and for exec
+// slots the server's reply carries no UDF result to feed the optimizer.
+//
+//joinopt:hotpath
+func (e *Executor) handleResponse(bk liveBatchKey, entries []liveEntry, resp *Response, epoch, gen int64) {
+	if err := respError(bk.op, resp); err != nil {
+		if err.Code == CodeMoved && e.handleMoved(bk, entries, resp) {
+			return
+		}
+		if e.tryFailover(bk, entries, err) {
+			return
+		}
+		e.failBatch(bk, entries, err)
+		return
+	}
+	// A short or corrupt reply must fail the batch, not index past the
+	// parallel slices' ends and crash the executor.
+	if len(resp.Values) != len(entries) || len(resp.Metas) != len(entries) ||
+		(bk.op == OpExec && len(resp.Computed) != len(entries)) {
+		e.failBatch(bk, entries, &Error{Code: CodeServer, Op: bk.op,
+			Msg: fmt.Sprintf("malformed response: %d values, %d metas, %d computed flags for %d keys", //lint:allow hotpath corrupt-reply failure path
+				len(resp.Values), len(resp.Metas), len(resp.Computed), len(entries))})
+		return
+	}
+	for i, ent := range entries {
+		idx := e.shardIdx(bk.t.seed, ent.key)
+		sh := e.shards[idx]
+		opt := bk.t.opts[idx]
+		meta := resp.Metas[i]
+		value := resp.Values[i]
+		switch {
+		case bk.op == OpExec:
+			if !ent.cancel.claim() {
+				continue // canceled mid-flight; the server skipped this slot
+			}
+			m := core.ResponseMeta{
+				Key:          ent.key,
+				ValueSize:    meta.ValueSize,
+				ComputedSize: meta.ComputedSize,
+				ComputeCost:  meta.ComputeCost,
+				Version:      meta.Version,
+			}
+			sh.mu.Lock()
+			opt.OnComputeResponse(m)
+			if e.cfg.Trace != nil {
+				e.cfg.Trace(TraceEvent{Kind: TraceComputeResp, Table: bk.t.name,
+					Key: ent.key, Meta: m})
+			}
+			sh.mu.Unlock()
+			if resp.Computed[i] {
+				e.RemoteComputed.Add(1)
+				ent.fut.resolve(value)
+			} else {
+				// Balancer bounced it: compute here from the raw value.
+				e.RemoteRaw.Add(1)
+				e.computeLocal(bk.t, idx, ent.key, ent.params, value, ent.fut)
+			}
+		case ent.w != nil:
+			// Cache fill: install and wake every waiter. Detach the value
+			// from the response frame buffer first — a cached value can
+			// outlive the batch by a long time, and the alias would pin the
+			// whole frame in memory. Keep nil as nil (missing key).
+			if value != nil {
+				value = append(make([]byte, 0, len(value)), value...)
+			}
+			e.Fetches.Add(1)
+			sh.mu.Lock()
+			// Install into the cache only if no conn of this node died
+			// since the fetch went out: a disconnect in that window may
+			// have taken the key's invalidation subscription with it
+			// (dropNodeCache could have swept this shard before we got
+			// here), and a subscription-less cache entry is stale
+			// forever. The value itself is still good for the waiters —
+			// same guarantee as any read racing a write. The version guard
+			// keeps the cache from running backwards: the reply may come
+			// from a replica that has not applied the newest write yet, or
+			// carry a row read just before a put whose invalidation (pushed
+			// by the node, or applied by our own Put at its ack) overtook
+			// it — that invalidation spent the key's subscription, so the
+			// older value must not go in after it.
+			// The migration-generation guard extends the same reasoning to
+			// shard migrations: a fetch in flight across a cutover may have
+			// been answered by the old owner, and the version-0 invalidation
+			// that swept the region has already passed — installing now would
+			// cache the pre-move value with nobody left to invalidate it.
+			if e.pool(bk.node).epoch.Load() == epoch &&
+				(e.member == nil || e.migGen.Load() == gen) &&
+				opt.KnownVersion(ent.key) <= meta.Version {
+				opt.OnValueFetched(ent.key, int64(len(value)), meta.Version, value, ent.w.toMem) //lint:allow hotpath the optimizer's cache stores values as interface{}; boxing is the documented fetch cost
+				if e.cfg.Trace != nil {
+					e.cfg.Trace(TraceEvent{Kind: TraceFetched, Table: bk.t.name,
+						Key: ent.key, Size: int64(len(value)), Version: meta.Version,
+						ToMem: ent.w.toMem})
+				}
+			}
+			followers := sh.release(ent.w)
+			sh.mu.Unlock()
+			for i := -1; i < len(followers); i++ {
+				w := ent.w // the lead first, then whoever joined it
+				if i >= 0 {
+					w = followers[i]
+				}
+				if !w.cancel.claim() {
+					continue // this waiter canceled; the fetch still served the rest
+				}
+				e.FetchServed.Add(1)
+				e.computeLocal(bk.t, idx, ent.key, w.params, value, w.fut)
+			}
+		default:
+			// No-cache fetch (NO/FC/FR policies).
+			e.Fetches.Add(1)
+			if !ent.cancel.claim() {
+				continue
+			}
+			e.FetchServed.Add(1)
+			e.computeLocal(bk.t, idx, ent.key, ent.params, value, ent.fut)
+		}
+	}
+}
+
+// failBatch fails every entry of a wire batch with err; callers must hold
+// no shard lock (waiter cleanup locks each entry's own shard).
+func (e *Executor) failBatch(bk liveBatchKey, entries []liveEntry, err *Error) {
+	for _, ent := range entries {
+		e.fail(bk, ent, err)
+	}
+}
+
+// fail rejects one entry's future(s) with err and counts each rejected
+// submission in Failed — or in Shed when the error is a CodeOverloaded
+// load-shed, so overload rejections stay distinguishable from real
+// failures — unless its cancellation already counted it. For a deduped
+// fetch it clears the inflight record first, so every piled-on waiter
+// observes the error and the NEXT Submit for the key re-issues the fetch
+// instead of parking behind dead state.
+func (e *Executor) fail(bk liveBatchKey, ent liveEntry, err *Error) {
+	bucket := &e.Failed
+	if err.Code == CodeOverloaded {
+		bucket = &e.Shed
+	}
+	if ent.w != nil {
+		sh, _ := bk.t.shard(ent.key)
+		sh.mu.Lock()
+		followers := sh.release(ent.w)
+		sh.mu.Unlock()
+		for i := -1; i < len(followers); i++ {
+			w := ent.w // the lead first, then whoever joined it
+			if i >= 0 {
+				w = followers[i]
+			}
+			if w.cancel.claim() {
+				bucket.Add(1)
+			}
+			w.fut.reject(err)
+		}
+		return
+	}
+	if ent.cancel.claim() {
+		bucket.Add(1)
+	}
+	ent.fut.reject(err)
+}
+
+// computeLocal runs the UDF on the local worker pool and feeds the measured
+// sojourn back into the key's shard-local optimizer (Section 3.2 runtime
+// measurement). idx must be the index of the shard owning (t, key).
+func (e *Executor) computeLocal(t *Table, idx int, key string, params, value []byte, fut *Future) {
+	udf := t.udf
+	if udf == nil {
+		panic(fmt.Sprintf("live: UDF %q for table %q not registered", t.udfName, t.name))
+	}
+	sh := e.shards[idx]
+	opt := t.opts[idx]
+	e.pendingLocal.Add(1)
+	enqueued := time.Now()
+	go func() {
+		e.workers <- struct{}{}
+		start := time.Now()
+		out := udf(key, params, value)
+		service := time.Since(start).Seconds()
+		<-e.workers
+		e.pendingLocal.Add(-1)
+		sojourn := time.Since(enqueued).Seconds()
+		sh.mu.Lock()
+		opt.ObserveLocalCompute(sojourn, service)
+		if e.cfg.Trace != nil {
+			e.cfg.Trace(TraceEvent{Kind: TraceLocalCompute, Table: t.name,
+				Key: key, Sojourn: sojourn, Service: service})
+		}
+		sh.mu.Unlock()
+		fut.resolve(out)
+	}()
+}

@@ -64,10 +64,10 @@ func TestShardForStableAndSpread(t *testing.T) {
 	hit := make(map[*execShard]int)
 	for i := 0; i < 1000; i++ {
 		k := fmt.Sprintf("key-%d", i)
-		s1 := e.shardFor("t", k)
-		s2 := e.shardFor("t", k)
+		s1, _ := e.Table("t").shard(k)
+		s2, _ := e.Table("t").shard(k)
 		if s1 != s2 {
-			t.Fatalf("shardFor not stable for %q", k)
+			t.Fatalf("shard not stable for %q", k)
 		}
 		hit[s1]++
 	}
@@ -79,7 +79,7 @@ func TestShardForStableAndSpread(t *testing.T) {
 	diff := 0
 	for i := 0; i < 100; i++ {
 		suffix := fmt.Sprintf("%d", i)
-		if e.shardFor("t", "x"+suffix) != e.shardFor("tx", suffix) {
+		if e.shardIdx(tableSeed("t"), "x"+suffix) != e.shardIdx(tableSeed("tx"), suffix) {
 			diff++
 		}
 	}
@@ -111,7 +111,8 @@ func TestFlushMergesShardAccumulators(t *testing.T) {
 		shardsUsed := make(map[*execShard]bool)
 		for i := range futs {
 			k := fmt.Sprintf("k%d", i)
-			shardsUsed[e.shardFor("t", k)] = true
+			sh, _ := e.Table("t").shard(k)
+			shardsUsed[sh] = true
 			futs[i] = e.Table("t").Submit(context.Background(), k, []byte("p"))
 		}
 		if len(shardsUsed) != min(shards, 4) {

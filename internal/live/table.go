@@ -3,6 +3,7 @@ package live
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -34,40 +35,6 @@ func (t *Table) Name() string { return t.name }
 // Replicas returns the table's replica factor as resolved at construction
 // (1 means unreplicated).
 func (t *Table) Replicas() int { return t.replicas }
-
-// placement answers "where does key live" — the one place the three routing
-// authorities are told apart. A replicated table returns its replica set
-// (placement order, primary first, read-only) with the primary as owner; an
-// unreplicated one returns a nil set and its single owner: the membership
-// map's when one is configured and knows the table, the static striping's
-// otherwise (the map converges onto it through redirects).
-//
-//joinopt:hotpath
-func (t *Table) placement(key string) (owner cluster.NodeID, replicas []cluster.NodeID) {
-	if t.replicas > 1 {
-		replicas = t.tbl.ReplicaNodes(key)
-		return replicas[0], replicas
-	}
-	if m := t.e.member; m != nil {
-		if n, ok := m.View().OwnerForKey(t.name, key); ok {
-			return n, nil
-		}
-	}
-	return t.tbl.Locate(key), nil
-}
-
-// placedOn reports whether node holds key: any member of a replicated key's
-// set (a read may have been served by — and subscribed on — a backup), the
-// single owner otherwise.
-func (t *Table) placedOn(key string, node cluster.NodeID) bool {
-	owner, replicas := t.placement(key)
-	for _, n := range replicas {
-		if n == node {
-			return true
-		}
-	}
-	return replicas == nil && owner == node
-}
 
 // RouteHint overrides the runtime join-location decision for one call,
 // making the paper's FC/FD policies expressible per submission instead of
@@ -269,45 +236,50 @@ func (t *Table) Put(ctx context.Context, key string, value []byte) (int64, error
 	if replicas != nil {
 		return t.putReplicated(ctx, key, value, replicas)
 	}
-	req := Request{Op: OpPut, Table: t.name, Keys: []string{key}, Params: [][]byte{value}}
 	// A CodeMoved answer did zero work at the old owner (the redirect is
 	// issued before any row is touched), so re-sending this non-idempotent
 	// op to the learned owner is safe; the hop bound turns a membership
 	// routing loop into a surfaced error instead of livelock.
 	for hop := 0; ; hop++ {
-		if e.member != nil {
-			req.Epoch = e.member.Epoch()
+		v, moved, err := t.putOnce(node, key, value)
+		if err == nil {
+			return v, nil
 		}
-		pool := e.poolOrDial(node)
-		if pool == nil {
-			return 0, &Error{Code: CodeTransport, Op: OpPut,
-				Msg: fmt.Sprintf("no connection to node %d", node)}
-		}
-		resp := e.callOnce(pool, &req, e.cfg.RequestTimeout, nil, false)
-		if err := respError(OpPut, resp); err != nil {
-			if err.Code == CodeMoved && e.member != nil && hop < movedMaxHops && len(resp.Values) > 0 {
-				if moved, ok := decodeMoved(resp.Values[0]); ok && len(moved) > 0 {
-					e.applyMoved(t, moved)
-					putResponse(resp)
-					if n, k := e.member.View().OwnerForKey(t.name, key); k {
-						node = n
-						continue
-					}
-					return 0, &Error{Code: CodeMoved, Op: OpPut, Msg: "table unknown to membership map after redirect"}
-				}
-			}
-			putResponse(resp)
+		if len(moved) == 0 || e.member == nil || hop >= movedMaxHops {
 			return 0, err
 		}
-		if len(resp.Metas) != 1 {
-			putResponse(resp)
-			return 0, &Error{Code: CodeServer, Op: OpPut, Msg: "malformed put response"}
+		e.applyMoved(t, moved)
+		owner, known := e.member.View().OwnerForKey(t.name, key)
+		if !known {
+			return 0, &Error{Code: CodeMoved, Op: OpPut, Msg: "table unknown to membership map after redirect"}
 		}
-		v := resp.Metas[0].Version
-		putResponse(resp)
-		e.invalidate(t.name, key, v) // our own cached copy is now stale
-		return v, nil
+		node = owner
 	}
+}
+
+// putOnce is the one OpPut of a write: a single wire attempt at node (callNode
+// never re-sends a put: one that failed at the wire is maybe committed) whose
+// ack applies the assigned version to this executor's own, now stale, cached
+// copy. A CodeMoved rejection returns its redirect payload, nil when corrupt.
+func (t *Table) putOnce(node cluster.NodeID, key string, value []byte) (int64, []movedRegion, *Error) {
+	req := Request{Op: OpPut, Table: t.name, Keys: []string{key}, Params: [][]byte{value}}
+	resp, _ := t.e.callNode(liveBatchKey{t: t, node: node, op: OpPut}, &req, nil, false)
+	defer putResponse(resp)
+	if err := respError(OpPut, resp); err != nil {
+		var moved []movedRegion
+		if err.Code == CodeMoved && len(resp.Values) > 0 {
+			if m, ok := decodeMoved(resp.Values[0]); ok {
+				moved = m
+			}
+		}
+		return 0, moved, err
+	}
+	if len(resp.Metas) != 1 {
+		return 0, nil, &Error{Code: CodeServer, Op: OpPut, Msg: "malformed put response"}
+	}
+	v := resp.Metas[0].Version
+	t.e.invalidate(t, key, v)
+	return v, nil, nil
 }
 
 // putReplicated is the replicated arm of Put: sequence the write at the
@@ -316,7 +288,6 @@ func (t *Table) Put(ctx context.Context, key string, value []byte) (int64, error
 // their set-if-newer applies stay correct whenever they land.
 func (t *Table) putReplicated(ctx context.Context, key string, value []byte, nodes []cluster.NodeID) (int64, error) {
 	e := t.e
-	timeout := e.cfg.RequestTimeout
 	// The sequencer is the first replica in placement order whose pool is
 	// live; with every pool down the primary gets the attempt anyway and
 	// the wire reports the failure.
@@ -330,21 +301,12 @@ func (t *Table) putReplicated(ctx context.Context, key string, value []byte, nod
 	if seq != 0 {
 		e.PutFailovers.Add(1)
 	}
-	req := Request{Op: OpPut, Table: t.name, Keys: []string{key}, Params: [][]byte{value}}
-	resp := e.callOnce(e.pool(nodes[seq]), &req, timeout, nil, false)
-	if err := respError(OpPut, resp); err != nil {
-		putResponse(resp)
+	// Once the sequencer has applied the write it may be visible, so our own
+	// cached copy goes at its ack (putOnce), not at quorum.
+	version, _, err := t.putOnce(nodes[seq], key, value)
+	if err != nil {
 		return 0, err // maybe committed at the sequencer; see the Put doc
 	}
-	if len(resp.Metas) != 1 {
-		putResponse(resp)
-		return 0, &Error{Code: CodeServer, Op: OpPut, Msg: "malformed put response"}
-	}
-	version := resp.Metas[0].Version
-	putResponse(resp)
-	// The sequencer applied the write: from here on it may be visible, so
-	// our own cached copy goes now, not at quorum.
-	e.invalidate(t.name, key, version)
 
 	payload := encodePutRepl(version, value)
 	acks, need := 1, len(nodes)/2+1
@@ -357,7 +319,7 @@ func (t *Table) putReplicated(ctx context.Context, key string, value []byte, nod
 		go func() {
 			rreq := Request{Op: OpPutRepl, Table: t.name,
 				Keys: []string{key}, Params: [][]byte{payload}}
-			rresp := e.callOnce(e.pool(node), &rreq, timeout, nil, false)
+			rresp, _ := e.callNode(liveBatchKey{t: t, node: node, op: OpPutRepl}, &rreq, nil, false)
 			err := respError(OpPutRepl, rresp)
 			putResponse(rresp)
 			results <- err
@@ -409,12 +371,12 @@ type cancelState struct {
 	counted  bool // the op's one Stats bucket has been chosen
 	canceled bool
 	// Where the submission is parked (written under the owning shard's
-	// lock + mu as it moves): its key's shard, for the dedup record, and the
-	// batch key naming its accumulator.
-	sh *execShard
-	bk liveBatchKey
-	ik string  // dedup record key, set with w
-	w  *waiter // the op's waiter when it piled onto a fetch
+	// lock + mu as it moves): its key's shard, the batch key naming its
+	// accumulator and, for a cacheable fetch, its waiter and the lead of the
+	// fetch that waiter rides (itself when it leads).
+	sh      *execShard
+	bk      liveBatchKey
+	lead, w *waiter
 	// Wire location of the op's exec batch (set by the flush goroutine):
 	conn   *Conn
 	wireID uint64
@@ -448,12 +410,12 @@ func (cs *cancelState) isCanceled() bool {
 
 // park records the submission's current shard-side location; callers hold
 // the owning shard's lock. Nil-safe, like claim.
-func (cs *cancelState) park(sh *execShard, bk liveBatchKey, ik string, w *waiter) {
+func (cs *cancelState) park(sh *execShard, bk liveBatchKey, lead, w *waiter) {
 	if cs == nil {
 		return
 	}
 	cs.mu.Lock()
-	cs.sh, cs.bk, cs.ik, cs.w = sh, bk, ik, w
+	cs.sh, cs.bk, cs.lead, cs.w = sh, bk, lead, w
 	cs.mu.Unlock()
 }
 
@@ -494,7 +456,7 @@ func (cs *cancelState) onCtxDone(ctx context.Context) {
 		return
 	}
 	cs.canceled = true
-	sh, bk, ik, w := cs.sh, cs.bk, cs.ik, cs.w
+	sh, bk, lead, w := cs.sh, cs.bk, cs.lead, cs.w
 	conn, id, idx := cs.conn, cs.wireID, cs.index
 	cs.mu.Unlock()
 
@@ -520,22 +482,17 @@ func (cs *cancelState) onCtxDone(ctx context.Context) {
 		acc := (*cs.e.accs.Load())[bk] // nil once an idle wire policy was unmapped
 		switch {
 		case w != nil:
-			// Leave the dedup crowd. If this was the last interested
-			// waiter and the fetch has not shipped, drop the fetch and the
-			// record too (the next Submit re-issues); if the fetch is in
-			// flight, keep the record so later Submits pile onto its
-			// answer instead of double-fetching.
-			ws := sh.inflight[ik]
-			for i, x := range ws {
-				if x == w {
-					ws = append(ws[:i], ws[i+1:]...)
-					break
-				}
+			// Leave the dedup crowd (a canceled lead stays on as the record:
+			// the response-side claim skips it). If that leaves nobody
+			// interested and the fetch has not shipped, drop the fetch and
+			// the record too (the next Submit re-issues); if the fetch is in
+			// flight, keep the record so later Submits pile onto its answer
+			// instead of double-fetching.
+			if i := slices.Index(lead.followers, w); i >= 0 {
+				lead.followers = slices.Delete(lead.followers, i, i+1)
 			}
-			if len(ws) == 0 && acc.remove(nil, w) {
-				delete(sh.inflight, ik)
-			} else {
-				sh.inflight[ik] = ws
+			if len(lead.followers) == 0 && lead.cancel.isCanceled() && acc.remove(nil, lead) {
+				sh.unmap(lead)
 			}
 		default:
 			// An exec or no-cache entry still sitting in its accumulator

@@ -17,24 +17,18 @@ import (
 //
 // Nodes are registered lazily on first Observe; Estimate for an unobserved
 // node is 0, which Pick treats as "no evidence against it" so fresh (or
-// freshly rejoined) replicas are tried rather than starved.
-// Beside the cost EWMA the tracker keeps each node's last advertised
-// backpressure pair (wire v3 credit/window), so replica choice can bias
-// away from a node whose run queues are saturated even while its measured
-// service time still looks cheap — queue depth is a leading signal, the
-// EWMA a trailing one.
+// freshly rejoined) replicas are tried rather than starved. The EWMA is a
+// trailing signal; the leading one — a node advertising an exhausted admission
+// window — is held by the caller's connection pool, which sees it on every
+// response, and the caller's picker applies it (live.Executor.pickReplica).
 type ReplicaTracker struct {
-	mu      sync.Mutex
-	nodes   map[int]*atomic.Uint64 // node id -> math.Float64bits(EWMA seconds)
-	credits map[int]*atomic.Uint32 // node id -> credit<<8 | window (0 = no signal)
+	mu    sync.Mutex
+	nodes map[int]*atomic.Uint64 // node id -> math.Float64bits(EWMA seconds)
 }
 
 // NewReplicaTracker returns an empty tracker.
 func NewReplicaTracker() *ReplicaTracker {
-	return &ReplicaTracker{
-		nodes:   make(map[int]*atomic.Uint64),
-		credits: make(map[int]*atomic.Uint32),
-	}
+	return &ReplicaTracker{nodes: make(map[int]*atomic.Uint64)}
 }
 
 const replicaEWMA = 0.25
@@ -83,67 +77,20 @@ func (rt *ReplicaTracker) cell(node int) *atomic.Uint64 {
 	return c
 }
 
-// ObserveBackpressure records a node's advertised credit/window pair from a
-// wire-v3 response. Window 0 means "no signal" (a pre-v3 peer, or a locally
-// fabricated response) and is ignored so a transport hiccup cannot erase a
-// real saturation reading.
-func (rt *ReplicaTracker) ObserveBackpressure(node int, credit, window uint8) {
-	if window == 0 {
-		return
-	}
-	rt.mu.Lock()
-	c := rt.credits[node]
-	if c == nil {
-		c = &atomic.Uint32{}
-		rt.credits[node] = c
-	}
-	rt.mu.Unlock()
-	c.Store(uint32(credit)<<8 | uint32(window))
-}
-
-// Starved reports whether the node's last advertised credit was zero — its
-// admission queues were full enough to exhaust the window. A node that has
-// never signaled is not starved.
-func (rt *ReplicaTracker) Starved(node int) bool {
-	rt.mu.Lock()
-	c := rt.credits[node]
-	rt.mu.Unlock()
-	if c == nil {
-		return false
-	}
-	cs := c.Load()
-	return uint8(cs) > 0 && uint8(cs>>8) == 0
-}
-
 // Pick returns the index into nodes of the cheapest live replica: among the
 // nodes for which alive answers true, the one with the lowest estimate
 // (ties and unobserved nodes resolve to the earliest index, so the primary
-// is preferred until the measurements say otherwise). A node whose last
-// advertised credit was zero (Starved) is only picked when every live
-// alternative is starved too — a saturated replica's EWMA still reflects
-// true service time, so without the penalty it would keep winning while its
-// queue sheds. With every node dead it returns 0 — the caller's transport
-// path surfaces the failure.
+// is preferred until the measurements say otherwise). With every node dead
+// it returns 0 — the caller's transport path surfaces the failure.
 func (rt *ReplicaTracker) Pick(nodes []int, alive func(int) bool) int {
 	best, bestCost, haveLive := 0, math.MaxFloat64, false
-	sBest, sBestCost, haveStarved := 0, math.MaxFloat64, false
 	for i, n := range nodes {
 		if alive != nil && !alive(n) {
 			continue
 		}
-		c := rt.Estimate(n)
-		if rt.Starved(n) {
-			if !haveStarved || c < sBestCost {
-				sBest, sBestCost, haveStarved = i, c, true
-			}
-			continue
-		}
-		if !haveLive || c < bestCost {
+		if c := rt.Estimate(n); !haveLive || c < bestCost {
 			best, bestCost, haveLive = i, c, true
 		}
-	}
-	if !haveLive && haveStarved {
-		return sBest
 	}
 	return best
 }

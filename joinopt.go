@@ -71,6 +71,33 @@
 // Use Future.WaitErr / Future.WaitCtx (or Table.Call) and switch on the
 // error's Code.
 //
+// # Consistency
+//
+// What a read may return next to a concurrent Table.Put; each clause names
+// the test that pins it (internal/live):
+//
+//   - Read-your-writes per client. Once Put has returned, every read that
+//     client submits afterwards sees that write or a newer one: the ack
+//     drops the client's own cached copy (TestPutInvalidatesOwnCache), and
+//     such a read never joins a fetch that was already in flight when the
+//     put was acknowledged — that fetch may carry the value just replaced,
+//     so it only serves the reads it already had
+//     (TestReadAfterPutAckStartsNewFetch). A read still in flight when the
+//     put is acknowledged raced the write and may see either side.
+//   - Monotonic versions per key. A client's cache never runs backwards: a
+//     fetched value older than a version the client has already learned —
+//     from an invalidation that overtook the reply, or a lagging replica —
+//     is handed to its waiters but not cached
+//     (TestInvalidationOvertakingFetchReplyFencesInstall,
+//     TestSettleFetchAnsweredAfterInvalidate).
+//   - Bounded staleness across clients. Another client's cached copy lives
+//     until the data node's invalidation reaches it, one notification
+//     behind the put on a healthy connection (TestLivePutInvalidatesCachers);
+//     if the connection that carried the subscription dies, everything
+//     cached from that node is dropped when the disconnect is detected
+//     (TestFaultRedialDropsStaleCache), so no value outlives the link that
+//     would have invalidated it.
+//
 // # Performance
 //
 // The live plane's request lifecycle is allocation-pooled end to end:
@@ -236,8 +263,8 @@
 // The invariants above — pooled lifecycles, shard-lock discipline, the
 // typed-error contract, the hot-path allocation budget — are enforced at
 // build time by joinoptlint, the custom analyzer suite in internal/lint
-// (run by `make lint` and CI, or directly: `go run ./cmd/joinoptlint ./...`,
-// or as `go vet -vettool=$(which joinoptlint) ./...`). Four analyzers:
+// (run by `make lint` and CI: cmd/joinoptlint is a go vet tool, `go vet
+// -vettool=<the built binary> ./...`). Four analyzers:
 // recyclecheck (use of a pooled object after its release, and pooled values
 // escaping into fields or closures without an ownership marker), lockcheck
 // (blocking operations while a shard or engine mutex is held, and
