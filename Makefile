@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test testcpu race vet lint loc apicheck benchcheck bench benchpar fuzz fault livebench livedurable livereplicas overload livemigrate ci
+.PHONY: build test testcpu race vet lint loc apicheck benchcheck benchjson bench benchpar fuzz fault livebench livedurable livereplicas overload livemigrate ci
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,25 @@ apicheck:
 # here, so a live-plane API change that breaks it fails the root gate.
 benchcheck:
 	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
+
+# Committed benchmark results: the four BENCHMARK.json workloads at seed 1,
+# 30 s, each once untraced (the six end-to-end metrics) and once traced (the
+# per-layer metrics), their eight result lines assembled with the host shape
+# and the commit into BENCH_<n>.json at the repo root (about 25 minutes). Any
+# run that exits non-zero fails the target and leaves no file.
+# TestBenchFilesWellFormed checks every committed file against BENCHMARK.json.
+BENCH_WORKLOADS = wire_exec zipf_cache put_disk sim_paper
+benchjson:
+	@test -n "$(PR)" || { echo "usage: make benchjson PR=<n>" >&2; exit 2; }
+	@set -e; mkdir -p .bench_out; tmp=.bench_out/benchjson.$$$$; trap 'rm -f $$tmp $$tmp.run' EXIT; \
+	printf '{"pr":%s,"commit":"%s","nproc":%s,"go":"%s","seed":1,"seconds":30,"runs":[' \
+		"$(PR)" "$$(git describe --always --dirty --abbrev=40)" "$$(nproc)" "$$($(GO) version)" > $$tmp; \
+	sep=; for w in $(BENCH_WORKLOADS); do for t in 0 1; do \
+		bash benchmark/run.sh --workload $$w --seed 1 --seconds 30 --trace $$t > $$tmp.run; \
+		printf '%s\n{"workload":"%s","trace":%s,"result":%s}' "$$sep" $$w $$t "$$(tail -n 1 $$tmp.run)" >> $$tmp; \
+		sep=,; \
+	done; done; \
+	printf '\n]}\n' >> $$tmp; cp $$tmp BENCH_$(PR).json
 
 test:
 	$(GO) test ./...

@@ -21,7 +21,8 @@ import (
 
 // runLiveOverload is the -liverate scenario: an open-loop overload drill.
 // One store node is deliberately capacity-bounded (a UDF that sleeps, two
-// admission workers, a small bounded exec queue), then ops join invocations
+// exec workers — so two UDFs in flight at most, whatever the host's core
+// count — and a small bounded exec queue), then ops join invocations
 // arrive at a fixed rate ops/sec regardless of completions — the open-loop
 // shape that turns an overloaded closed-loop slowdown into an unbounded
 // queue unless the server sheds. Every eighth op is PriorityHigh, the rest
@@ -49,7 +50,7 @@ func runLiveOverload(out io.Writer, rate, ops int) {
 
 	reg := live.NewRegistry()
 	reg.Register("slow", func(key string, params, value []byte) []byte {
-		time.Sleep(udfDelay) // the capacity bound: ~execWorkers/udfDelay ops/sec
+		time.Sleep(udfDelay) // the capacity bound: ExecWorkers UDFs at once, so ~execWorkers/udfDelay ops/sec
 		o := append([]byte{}, value...)
 		o = append(o, '#')
 		return append(o, params...)

@@ -28,7 +28,8 @@
 // arrivals past the bound are shed immediately with a typed overload error
 // carrying a retry-after hint. -exec-queue/-put-queue/-fetch-queue size the
 // queues and -exec-workers/-put-workers/-fetch-workers size the worker
-// pools (0 = built-in defaults sized from GOMAXPROCS).
+// pools (0 = built-in defaults sized from GOMAXPROCS); -exec-workers is
+// also the ceiling on UDFs the node runs at once, across all batches.
 package main
 
 import (
@@ -70,7 +71,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	execQueue := fs.Int("exec-queue", 0, "bounded run queue depth for exec ops (0 = default)")
 	putQueue := fs.Int("put-queue", 0, "bounded run queue depth for put ops (0 = default)")
 	fetchQueue := fs.Int("fetch-queue", 0, "bounded run queue depth for fetch/get ops (0 = default)")
-	execWorkers := fs.Int("exec-workers", 0, "worker goroutines draining the exec queue (0 = default)")
+	execWorkers := fs.Int("exec-workers", 0, "UDFs the node runs at once; also the exec batches in service (0 = default)")
 	putWorkers := fs.Int("put-workers", 0, "worker goroutines draining the put queue (0 = default)")
 	fetchWorkers := fs.Int("fetch-workers", 0, "worker goroutines draining the fetch queue (0 = default)")
 	if err := fs.Parse(args); err != nil {

@@ -1,7 +1,6 @@
 package live
 
 import (
-	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -67,24 +66,17 @@ func prioIdx(p Priority) int {
 var prioWeights = [numPriorities]int{4, 2, 1}
 
 // AdmissionConfig bounds a server's run queues and dispatcher pools, one
-// pair per op class. Zero or negative fields take the defaults (queues
-// defaultQueueBound deep; worker counts scaled to the core count). Must be
-// set before Serve.
+// pair per op class. ExecWorkers is also the ceiling on UDFs the node runs
+// at once, across all batches (acquireUDFSlots). Zero or negative fields take
+// the defaults (queues defaultQueueBound deep; worker counts scaled to
+// GOMAXPROCS: what the process may use, not what the box has). Must be set
+// before Serve.
 type AdmissionConfig struct {
 	ExecQueue, PutQueue, FetchQueue       int
 	ExecWorkers, PutWorkers, FetchWorkers int
 }
 
-const (
-	defaultQueueBound = 1024
-	// maxRetryAfterMillis clamps the shed hint: past 2s the estimate says
-	// more about EWMA noise than about real drain time.
-	maxRetryAfterMillis = 2000
-	// windowLatencyBudget caps the advertised per-conn window at roughly
-	// this many seconds of queued service time, so a slow-UDF class
-	// advertises a small window and a cheap-fetch class a large one.
-	windowLatencyBudget = 0.050
-)
+const defaultQueueBound = 1024
 
 // SetAdmission replaces the server's default queue bounds and dispatcher
 // pool sizes; it must be called before Serve (the dispatchers start there).
@@ -95,12 +87,12 @@ func (s *Server) SetAdmission(cfg AdmissionConfig) {
 	s.admCfg = cfg
 }
 
-// startAdmission builds the run queues and starts the per-class dispatcher
-// pools; called once, from Serve.
+// startAdmission builds the run queues and the UDF limiter and starts the
+// per-class dispatcher pools; called once, from Serve.
 func (s *Server) startAdmission() {
 	s.admOnce.Do(func() {
 		s.admStarted.Store(true)
-		ncpu := runtime.NumCPU()
+		ncpu := runtime.GOMAXPROCS(0)
 		bounds := [numClasses]int{
 			classExec:  orDefault(s.admCfg.ExecQueue, defaultQueueBound),
 			classPut:   orDefault(s.admCfg.PutQueue, defaultQueueBound),
@@ -111,6 +103,7 @@ func (s *Server) startAdmission() {
 			classPut:   orDefault(s.admCfg.PutWorkers, max(2, ncpu)),
 			classFetch: orDefault(s.admCfg.FetchWorkers, max(4, ncpu)),
 		}
+		s.udfSlots = make(chan struct{}, s.admWorkers[classExec])
 		for cl := range s.admission {
 			q := newRunQueue(bounds[cl])
 			s.admission[cl] = q
@@ -153,84 +146,13 @@ func (s *Server) shed(wc *wireConn, req *Request, cl opClass) {
 	s.Shed.Add(1)
 	resp := errResponse(req.ID, CodeOverloaded, shedMsgs[cl])
 	resp.RetryAfterMillis = s.retryAfterHint(cl)
-	s.stampCredit(wc, resp, cl)
-	id := req.ID
-	putRequest(req)
-	if wc.writeResponse(resp) != nil {
-		wc.Close()
-	}
-	putResponse(resp)
-	wc.endActive(id)
+	s.respond(wc, req, resp, cl)
 }
 
 var shedMsgs = [numClasses]string{
 	classExec:  "overloaded: exec run queue full; request shed at admission, no work performed",
 	classPut:   "overloaded: put run queue full; request shed at admission, no work performed",
 	classFetch: "overloaded: fetch run queue full; request shed at admission, no work performed",
-}
-
-// retryAfterHint estimates when the class's queue will have headroom again:
-// current depth × EWMA service time ÷ dispatcher count, clamped to
-// [1ms, maxRetryAfterMillis]. Deliberately coarse — it only needs to spread
-// retries past the drain horizon, not predict it.
-func (s *Server) retryAfterHint(cl opClass) uint64 {
-	depth := s.admission[cl].len()
-	workers := s.admWorkers[cl]
-	if workers < 1 {
-		workers = 1
-	}
-	ms := uint64(float64(depth+1) * s.classSvcSeconds(cl) / float64(workers) * 1000)
-	if ms < 1 {
-		ms = 1
-	}
-	if ms > maxRetryAfterMillis {
-		ms = maxRetryAfterMillis
-	}
-	return ms
-}
-
-// stampCredit writes the backpressure pair onto an outgoing response:
-// window is the per-conn outstanding-op budget for the class (queue
-// headroom capped at ~windowLatencyBudget seconds of EWMA service time, in
-// [1, 255] — a server always budgets at least one op, so window 0
-// uniquely means "no signal"), credit is the budget minus the connection's
-// in-flight count, floored at zero. Credit 0 with a nonzero window is the
-// explicit "stop sending" signal the client's pacing keys on.
-//
-//joinopt:hotpath
-func (s *Server) stampCredit(wc *wireConn, resp *Response, cl opClass) {
-	q := s.admission[cl]
-	if q == nil {
-		return // handler driven without Serve (direct tests): no signal
-	}
-	window := q.limit - q.len()
-	if svc := s.classSvcSeconds(cl); svc > 0 {
-		if byLatency := int(windowLatencyBudget / svc); byLatency < window {
-			window = byLatency
-		}
-	}
-	if window < 1 {
-		window = 1
-	}
-	if window > 255 {
-		window = 255
-	}
-	credit := window - int(wc.inflight.Load())
-	if credit < 0 {
-		credit = 0
-	}
-	resp.Credit, resp.Window = uint8(credit), uint8(window)
-}
-
-// observeClassService folds one request's measured service time (queue wait
-// excluded) into the class's EWMA, mirroring the UDF-cost EWMA.
-func (s *Server) observeClassService(cl opClass, sec float64) {
-	old := math.Float64frombits(s.classSvc[cl].Load())
-	s.classSvc[cl].Store(math.Float64bits(0.25*sec + 0.75*old))
-}
-
-func (s *Server) classSvcSeconds(cl opClass) float64 {
-	return math.Float64frombits(s.classSvc[cl].Load())
 }
 
 // dispatch is one dispatcher goroutine: it drains its class queue until the

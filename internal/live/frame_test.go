@@ -336,9 +336,9 @@ func TestGoldenRegionFilter(t *testing.T) {
 func TestGoldenStateRecord(t *testing.T) {
 	s := NewServer(NewRegistry(), false, WireBinary)
 	defer s.Close()
-	s.avgUDFSeconds.Store(math.Float64bits(0.5))
+	s.udfCost.set(0.5)
 	for cl := range s.classSvc {
-		s.classSvc[cl].Store(math.Float64bits(0.25))
+		s.classSvc[cl].set(0.25)
 	}
 	quarter := []byte{0, 0, 0, 0, 0, 0, 0xD0, 0x3F} // 0.25 little-endian
 	want := []byte{
@@ -360,11 +360,11 @@ func TestGoldenStateRecord(t *testing.T) {
 	if err := d.ImportState(got); err != nil {
 		t.Fatalf("ImportState: %v", err)
 	}
-	if v := math.Float64frombits(d.avgUDFSeconds.Load()); v != 0.5 {
+	if v := d.udfCost.load(); v != 0.5 {
 		t.Fatalf("imported avgUDFSeconds = %v, want 0.5", v)
 	}
 	for cl := range d.classSvc {
-		if v := math.Float64frombits(d.classSvc[cl].Load()); v != 0.25 {
+		if v := d.classSvc[cl].load(); v != 0.25 {
 			t.Fatalf("imported classSvc[%d] = %v, want 0.25", cl, v)
 		}
 	}
@@ -372,12 +372,14 @@ func TestGoldenStateRecord(t *testing.T) {
 	// ...but never poison them: NaN/Inf/non-positive values are skipped,
 	// and corrupt records are rejected without partial effect on length.
 	poison := append([]byte{}, want...)
-	binary.LittleEndian.PutUint64(poison[1:], math.Float64bits(math.NaN()))
-	if err := d.ImportState(poison); err != nil {
-		t.Fatalf("ImportState(NaN record): %v", err)
-	}
-	if v := math.Float64frombits(d.avgUDFSeconds.Load()); v != 0.5 {
-		t.Fatalf("NaN import changed avgUDFSeconds to %v", v)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1} {
+		binary.LittleEndian.PutUint64(poison[1:], math.Float64bits(bad))
+		if err := d.ImportState(poison); err != nil {
+			t.Fatalf("ImportState(%v record): %v", bad, err)
+		}
+		if v := d.udfCost.load(); v != 0.5 {
+			t.Fatalf("%v import changed avgUDFSeconds to %v", bad, v)
+		}
 	}
 	if err := d.ImportState([]byte{0x02}); err == nil {
 		t.Fatal("unknown record version imported ok")
@@ -744,7 +746,7 @@ func FuzzDecodeMigration(f *testing.F) {
 		d := NewServer(NewRegistry(), false, WireBinary)
 		defer d.Close()
 		_ = d.ImportState(data)
-		if v := math.Float64frombits(d.avgUDFSeconds.Load()); math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
+		if v := d.udfCost.load(); math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
 			t.Fatalf("corrupt state record poisoned avgUDFSeconds: %v", v)
 		}
 	})

@@ -51,9 +51,10 @@ import (
 //     that cached one of the region's keys, so no stale value survives on
 //     a client that never routes to the region again.
 
-// movedRegion is one entry of a CodeMoved redirect payload: the region that
-// moved, its new owner, the owner's wire address, and the epoch of the
-// cutover that moved it (the per-region fencing token LearnOwner compares).
+// movedRegion is one region this node redirected away, and one entry of a
+// CodeMoved redirect payload: the region, its new owner, the owner's wire
+// address, and the epoch of the cutover that moved it (the per-region fencing
+// token LearnOwner compares).
 type movedRegion struct {
 	epoch  uint64
 	region int
@@ -154,10 +155,10 @@ const stateRecordVersion = 1
 func (s *Server) ExportState() []byte {
 	b := make([]byte, 0, 2*binary.MaxVarintLen64+8*(1+numClasses))
 	b = binary.AppendUvarint(b, stateRecordVersion)
-	b = binary.LittleEndian.AppendUint64(b, s.avgUDFSeconds.Load())
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.udfCost.load()))
 	b = binary.AppendUvarint(b, uint64(numClasses))
 	for cl := range s.classSvc {
-		b = binary.LittleEndian.AppendUint64(b, s.classSvc[cl].Load())
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.classSvc[cl].load()))
 	}
 	return b
 }
@@ -165,7 +166,7 @@ func (s *Server) ExportState() []byte {
 // ImportState adopts an exported state record, overwriting the node's UDF
 // and per-class service EWMAs (they re-adapt from live traffic either way;
 // the import just skips the cold-start). Non-finite or non-positive values
-// are skipped — a corrupt record must not poison the pricing formulas.
+// are skipped (ewma.set).
 func (s *Server) ImportState(blob []byte) error {
 	ver, k := binary.Uvarint(blob)
 	if k <= 0 || ver != stateRecordVersion {
@@ -175,12 +176,7 @@ func (s *Server) ImportState(blob []byte) error {
 	if len(blob) < 8 {
 		return fmt.Errorf("live: migration state record: truncated") //lint:allow errcode migration control path; a bad record aborts the handoff, never a live op
 	}
-	setEWMA := func(dst interface{ Store(uint64) }, bits uint64) {
-		if v := math.Float64frombits(bits); v > 0 && !math.IsInf(v, 0) && !math.IsNaN(v) {
-			dst.Store(bits)
-		}
-	}
-	setEWMA(&s.avgUDFSeconds, binary.LittleEndian.Uint64(blob))
+	s.udfCost.set(math.Float64frombits(binary.LittleEndian.Uint64(blob)))
 	blob = blob[8:]
 	n, k := binary.Uvarint(blob)
 	if k <= 0 || uint64(len(blob)-k) < 8*n {
@@ -188,24 +184,16 @@ func (s *Server) ImportState(blob []byte) error {
 	}
 	blob = blob[k:]
 	for cl := 0; cl < int(n) && cl < int(numClasses); cl++ {
-		setEWMA(&s.classSvc[cl], binary.LittleEndian.Uint64(blob[8*cl:]))
+		s.classSvc[cl].set(math.Float64frombits(binary.LittleEndian.Uint64(blob[8*cl:])))
 	}
 	return nil
 }
 
 // --- Server-side migration bookkeeping --------------------------------------
 
-// movedDest is one region this node redirected away: the cutover epoch and
-// the new owner, frozen into every CodeMoved answer for the region.
-type movedDest struct {
-	epoch uint64
-	owner cluster.NodeID
-	addr  string
-}
-
 // regionForward is the dual-write stream of one migrating region: a
 // dedicated connection to the target plus the accounting the fence needs.
-// inflight counts handlePut batches that registered for forwarding before
+// inflight counts put batches (commit) that registered for forwarding before
 // the fence and have not finished their forward yet; dirty records a
 // forward that failed (the fence answers with a re-copy).
 type regionForward struct {
@@ -221,7 +209,7 @@ type tableMigr struct {
 	nregions int
 	dual     map[int]*regionForward // regions being dual-written (src side)
 	fenced   map[int]bool           // regions bounced during cutover
-	moved    map[int]movedDest      // regions redirected away post-cutover
+	moved    map[int]movedRegion    // regions redirected away post-cutover
 }
 
 func (s *Server) tableMigrLocked(table string, nregions int) *tableMigr {
@@ -234,7 +222,7 @@ func (s *Server) tableMigrLocked(table string, nregions int) *tableMigr {
 			nregions: nregions,
 			dual:     make(map[int]*regionForward),
 			fenced:   make(map[int]bool),
-			moved:    make(map[int]movedDest),
+			moved:    make(map[int]movedRegion),
 		}
 		s.migs[table] = mt
 	}
@@ -320,7 +308,7 @@ func (s *Server) routeCheck(req *Request) *Response {
 			}
 		}
 		if !dup {
-			moved = append(moved, movedRegion{epoch: d.epoch, region: r, owner: d.owner, addr: d.addr})
+			moved = append(moved, d)
 		}
 	}
 	s.migMu.Unlock()
@@ -332,7 +320,7 @@ func (s *Server) routeCheck(req *Request) *Response {
 	return resp
 }
 
-// putMigrCheck is the cold half of handlePut's migration guard (reached
+// putMigrCheck is the cold half of commit's migration guard (reached
 // only while migActive is nonzero): bounce the whole batch if any key's
 // region is fenced (before any row is written, so the bounce is retryable),
 // otherwise register the batch on every dual-written region it touches and
@@ -411,7 +399,7 @@ func (s *Server) releaseForwards(fwds []*regionForward) {
 
 // beginDualWrite starts phase 1 at the source: every subsequent
 // acknowledged put landing in (table, region) is forwarded to dstAddr until
-// the region is fenced. migActive arms handlePut's cold path.
+// the region is fenced. migActive arms commit's cold path.
 func (s *Server) beginDualWrite(table string, region, nregions int, dstAddr string) error {
 	conn, err := DialNode(dstAddr, nil)
 	if err != nil {
@@ -442,7 +430,7 @@ func (s *Server) beginDualWrite(table string, region, nregions int, dstAddr stri
 func (s *Server) fenceRegion(table string, region int) (maxVer int64, dirty bool) {
 	s.migMu.Lock()
 	mt := s.migs[table]
-	fw := mt.dual[region]
+	fw, nregions := mt.dual[region], mt.nregions
 	mt.fenced[region] = true
 	s.migMu.Unlock()
 	// Drain: registrations precede the fence flag under migMu, so once
@@ -457,11 +445,7 @@ func (s *Server) fenceRegion(table string, region int) (maxVer int64, dirty bool
 		}
 		time.Sleep(200 * time.Microsecond)
 	}
-	s.mu.RLock()
-	tb := s.tables[table]
-	s.mu.RUnlock()
-	nregions := s.regionCount(table)
-	tb.store.Scan(func(k string, _ []byte, ver int64) bool {
+	s.table(table).store.Scan(func(k string, _ []byte, ver int64) bool {
 		if store.RegionIndex(k, nregions) == region && ver > maxVer {
 			maxVer = ver
 		}
@@ -470,21 +454,12 @@ func (s *Server) fenceRegion(table string, region int) (maxVer int64, dirty bool
 	return maxVer, dirty
 }
 
-func (s *Server) regionCount(table string) int {
-	s.migMu.Lock()
-	defer s.migMu.Unlock()
-	return s.migs[table].nregions
-}
-
 // FloorTable floors the table's version counters above maxVer (phase 5 at
 // the target): every version this node assigns from here on beats anything
 // the old owner ever assigned, so set-if-newer reconciliation can never
 // prefer a pre-move row over a post-cutover write.
 func (s *Server) FloorTable(table string, maxVer int64) {
-	s.mu.RLock()
-	tb := s.tables[table]
-	s.mu.RUnlock()
-	if tb != nil {
+	if tb := s.table(table); tb != nil {
 		tb.store.SetFloor(maxVer)
 	}
 }
@@ -519,7 +494,7 @@ func (s *Server) completeMove(table string, region int, epoch uint64, owner clus
 		s.migActive.Add(-1)
 	}
 	delete(mt.fenced, region)
-	mt.moved[region] = movedDest{epoch: epoch, owner: owner, addr: addr}
+	mt.moved[region] = movedRegion{epoch: epoch, region: region, owner: owner, addr: addr}
 	nregions := mt.nregions
 	// Flag before epoch, inside the record's critical section: once the
 	// word says "moved regions here", no stamp can match it, so there is no
@@ -529,32 +504,9 @@ func (s *Server) completeMove(table string, region int, epoch uint64, owner clus
 	s.noteEpoch(epoch)
 	s.migMu.Unlock()
 
-	s.mu.RLock()
-	tb := s.tables[table]
-	s.mu.RUnlock()
-	type push struct {
-		conns []*wireConn
-		n     Notification
-	}
-	var pushes []push
-	tb.cmu.Lock()
-	for k, set := range tb.cachers {
-		if store.RegionIndex(k, nregions) != region || len(set) == 0 {
-			continue
-		}
-		conns := make([]*wireConn, 0, len(set))
-		for c := range set {
-			conns = append(conns, c)
-		}
-		pushes = append(pushes, push{conns, Notification{Table: table, Key: k, Version: 0}})
-		delete(tb.cachers, k)
-	}
-	tb.cmu.Unlock()
-	for _, p := range pushes {
-		for _, c := range p.conns {
-			c.writeNotification(&p.n)
-		}
-	}
+	push(s.table(table).cachers.takeIf(table, func(k string) bool {
+		return store.RegionIndex(k, nregions) == region
+	}))
 }
 
 // abortMigration rolls a failed migration attempt back at the source: the
@@ -581,13 +533,11 @@ func (s *Server) abortMigration(table string, region int) {
 // once — phase 2 (and the dirty re-copy of phase 4) of a shard migration,
 // run at the target. Returns the number of rows that actually applied.
 func (s *Server) CatchUpRegion(peer, table string, region, nregions int) (int, error) {
-	s.mu.RLock()
-	tb := s.tables[table]
-	s.mu.RUnlock()
+	tb := s.table(table)
 	if tb == nil {
 		return 0, fmt.Errorf("live: catch-up of unknown table %q", table) //lint:allow errcode migration control path at the coordinator, not a live op result
 	}
-	applied, err := s.catchUpTableFiltered(peer, table, tb, encodeRegionFilter(region, nregions))
+	applied, err := s.catchUpTable(peer, table, tb, encodeRegionFilter(region, nregions))
 	if ferr := s.engine.Flush(); ferr != nil && err == nil {
 		err = ferr
 	}

@@ -601,7 +601,7 @@ func TestServerRetryHintGrowsWithQueue(t *testing.T) {
 	srv.admission[classExec] = newRunQueue(64)
 	srv.admWorkers[classExec] = 1
 	for i := 0; i < 8; i++ {
-		srv.observeClassService(classExec, 0.010) // settle the EWMA at ~10ms/op
+		srv.classSvc[classExec].observe(0.010) // settle the EWMA at ~10ms/op
 	}
 	shallow := srv.retryAfterHint(classExec)
 	for i := 0; i < 32; i++ {

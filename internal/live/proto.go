@@ -8,6 +8,19 @@
 // come from the simulation plane (internal/exec), where resource contention
 // is modeled deterministically.
 //
+// # The server's stages
+//
+// A request read off a connection (server.go: lifecycle, accept and read
+// loops) crosses four stage files, each the sole owner of its decisions:
+// admission.go admits it into its class's bounded run queue or sheds it;
+// execute.go serves it — the op switch, the one UDF limiter (ExecWorkers
+// slots bound the UDFs in flight across all batches), the Section 5 balancer
+// and the load it reads, and the one commit path both write ops take (apply →
+// flush barrier → take cachers → notify); respond.go prices backpressure and
+// is the one way a response leaves; notify.go is the cacher registry. Each
+// has a socketless _test.go: socketlessServer and socketlessConn
+// (execute_test.go) drive the stages over an in-memory connection.
+//
 // # Wire protocol
 //
 // Messages cross the wire as length-prefixed binary frames; this is the only
@@ -276,6 +289,9 @@ type wireConn struct {
 	// have not been written yet (server side only); credit stamping
 	// subtracts it from the advertised per-conn window.
 	inflight atomic.Int64
+	// gone is set when the server's read loop exits, before it sweeps the
+	// conn out of the cacher registries (see cachers.register).
+	gone atomic.Bool
 
 	// Cancel registry (server side only; clients never populate it).
 	// cancelsSeen makes the zero-cancel hot path one atomic load: exec

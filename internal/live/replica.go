@@ -11,7 +11,8 @@ import (
 // This file is the server half of the live plane's K-way replication
 // (ROADMAP "Replication"): applying the replication stream (OpPutRepl),
 // serving catch-up scans (OpScan), and pulling a rejoined replica back up
-// to date from its peers (Server.CatchUp). The client half — replica
+// to date from its peers (Server.CatchUp). OpPutRepl batches land through
+// the same commit path as OpPut (execute.go). The client half — replica
 // placement, quorum puts, read failover — lives in exec.go/table.go.
 
 // encodePutRepl packs one replication-stream row into an OpPutRepl param
@@ -54,68 +55,16 @@ func encodeScanRow(key string, version int64, value []byte) []byte {
 	return appendBlob(b, value)
 }
 
-// decodeScanRow unpacks one OpScan row blob; ok is false on corruption.
-// The returned key and value alias p.
+// decodeScanRow unpacks one OpScan row blob — a key ahead of the same
+// (version, value) pair an OpPutRepl param carries; ok is false on
+// corruption. The returned key and value alias p.
 func decodeScanRow(p []byte) (key string, version int64, value []byte, ok bool) {
 	kl, n := binary.Uvarint(p)
 	if n <= 0 || uint64(len(p)-n) < kl {
 		return "", 0, nil, false
 	}
-	key = string(p[n : n+int(kl)])
-	p = p[n+int(kl):]
-	v, n := binary.Uvarint(p)
-	if n <= 0 {
-		return "", 0, nil, false
-	}
-	p = p[n:]
-	l, n := binary.Uvarint(p)
-	if n <= 0 {
-		return "", 0, nil, false
-	}
-	p = p[n:]
-	if l == 0 {
-		return key, int64(v), nil, len(p) == 0
-	}
-	if uint64(len(p)) != l-1 {
-		return "", 0, nil, false
-	}
-	return key, int64(v), p, true
-}
-
-// handlePutRepl applies one replication-stream batch: each param decodes to
-// the sequencer's (version, value) and applies set-if-newer, so re-sent and
-// reordered stream records are harmless. The batch shares handlePut's
-// shape: group-commit flush barrier before the acknowledgment, registry
-// mutations and invalidation notifications only after it. Computed[i]
-// reports whether row i actually applied (false = this replica already had
-// an equal-or-newer version), so quorum logic upstream can tell a fresh ack
-// from an idempotent replay.
-func (s *Server) handlePutRepl(from *wireConn, tb *serverTable, req *Request) *Response {
-	s.Puts.Add(int64(len(req.Keys)))
-	resp := getResponse()
-	resp.ID = req.ID
-	applied := make([]bool, len(req.Keys))
-	for i, k := range req.Keys {
-		ver, value, ok := decodePutRepl(param(req.Params, i))
-		if !ok {
-			putResponse(resp)
-			return errResponse(req.ID, CodeServer, "malformed replication record for key "+k)
-		}
-		ap, err := tb.store.PutAt(k, value, ver)
-		if err != nil {
-			putResponse(resp)
-			return errResponse(req.ID, CodeServer, "storage: "+err.Error())
-		}
-		applied[i] = ap
-		resp.Metas = append(resp.Metas, Meta{Version: ver})
-		resp.Computed = append(resp.Computed, ap)
-	}
-	if err := s.engine.Flush(); err != nil {
-		putResponse(resp)
-		return errResponse(req.ID, CodeServer, "storage flush: "+err.Error())
-	}
-	s.notifyCachers(from, tb, req.Table, req.Keys, resp.Metas, applied)
-	return resp
+	version, value, ok = decodePutRepl(p[n+int(kl):])
+	return string(p[n : n+int(kl)]), version, value, ok
 }
 
 // scanPageRows is the default OpScan page size when the request names none.
@@ -201,7 +150,7 @@ func (s *Server) CatchUp(peers []string) (applied int, err error) {
 	for name, tb := range tables {
 		ok := false
 		for _, peer := range peers {
-			n, perr := s.catchUpTable(peer, name, tb)
+			n, perr := s.catchUpTable(peer, name, tb, nil)
 			applied += n
 			if perr != nil {
 				lastErr = fmt.Errorf("live: catch-up %q from %s: %w", name, peer, perr)
@@ -220,15 +169,11 @@ func (s *Server) CatchUp(peers []string) (applied int, err error) {
 	return applied, err
 }
 
-// catchUpTable pages one table from one peer, applying rows set-if-newer.
-func (s *Server) catchUpTable(peer, table string, tb *serverTable) (int, error) {
-	return s.catchUpTableFiltered(peer, table, tb, nil)
-}
-
-// catchUpTableFiltered is catchUpTable with an optional region filter
-// (encodeRegionFilter) restricting the pull to one partition — the copy
-// phase of a shard migration rides the same paged-scan machinery.
-func (s *Server) catchUpTableFiltered(peer, table string, tb *serverTable, filter []byte) (int, error) {
+// catchUpTable pages one table from one peer, applying rows set-if-newer. An
+// optional region filter (encodeRegionFilter) restricts the pull to one
+// partition — the copy phase of a shard migration rides the same paged-scan
+// machinery.
+func (s *Server) catchUpTable(peer, table string, tb *serverTable, filter []byte) (int, error) {
 	conn, err := DialNode(peer, nil)
 	if err != nil {
 		return 0, err
