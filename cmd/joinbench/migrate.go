@@ -81,7 +81,7 @@ func runLiveMigrate(out io.Writer, ops int) {
 		m.AddNode(id, bound)
 		return bound
 	}
-	addr0 := boot(0)
+	boot(0)
 	owners := make([]cluster.NodeID, regions)
 	m.SetTable("t", owners) // all regions → node 0
 	servers[0].SetMembership(m, 0)
@@ -98,7 +98,6 @@ func runLiveMigrate(out io.Writer, ops int) {
 	table := store.NewTable("t", catalog, regions, []cluster.NodeID{0})
 	e, err := live.NewExecutor(live.ExecConfig{
 		Tables:     map[string]*store.Table{"t": table},
-		Addrs:      map[cluster.NodeID]string{0: addr0},
 		Registry:   reg,
 		TableUDF:   map[string]string{"t": "tag"},
 		Membership: stale,
@@ -253,8 +252,8 @@ func runLiveMigrate(out io.Writer, ops int) {
 	// through redirects — the ongoing reads and writes trigger them.
 	converged := func() bool {
 		tv := stale.View().Tables["t"]
-		for _, o := range tv.Owners {
-			if o != 1 {
+		for _, set := range tv.Sets {
+			if set[0] != 1 {
 				return false
 			}
 		}

@@ -15,6 +15,7 @@ import (
 	"joinopt/internal/cluster"
 	"joinopt/internal/core"
 	"joinopt/internal/live"
+	"joinopt/internal/membership"
 	"joinopt/internal/store"
 )
 
@@ -50,8 +51,8 @@ func runLiveReplicas(out io.Writer, ops, replicas int) {
 	catalog := store.CatalogFunc(func(string) store.RowMeta {
 		return store.RowMeta{ValueSize: 1024}
 	})
-	table := store.NewTable("t", catalog, 2, ids)
-	table.SetReplicas(replicas)
+	tables := map[string]*store.Table{"t": store.NewTable("t", catalog, 2, ids)}
+	placement := membership.NewStatic(nil, tables, replicas) // the factor, said once; the executor dials addrs itself
 
 	// Seeds load on every replica of their partition (version 0; catch-up
 	// scans carry only real puts, so each boot re-seeds locally).
@@ -62,7 +63,7 @@ func runLiveReplicas(out io.Writer, ops, replicas int) {
 	val := bytes.Repeat([]byte("x"), 1024)
 	for i := 0; i < keys; i++ {
 		k := fmt.Sprintf("k%d", i)
-		for _, n := range table.ReplicaNodes(k) {
+		for _, n := range placement.View().ReplicasForKey("t", k) {
 			nodeRows[n][k] = val
 		}
 	}
@@ -99,16 +100,16 @@ func runLiveReplicas(out io.Writer, ops, replicas int) {
 	}()
 
 	e, err := live.NewExecutor(live.ExecConfig{
-		Tables:   map[string]*store.Table{"t": table},
-		Addrs:    addrs,
-		Registry: reg,
-		TableUDF: map[string]string{"t": "tag"},
+		Tables:     tables,
+		Addrs:      addrs,
+		Membership: placement,
+		Registry:   reg,
+		TableUDF:   map[string]string{"t": "tag"},
 		Optimizer: core.Config{
 			Policy:        core.Policy{Caching: true},
 			MemCacheBytes: 32 << 20,
 		},
 		BatchWait:      500 * time.Microsecond,
-		Replicas:       replicas,
 		RequestTimeout: 2 * time.Second,
 	})
 	if err != nil {

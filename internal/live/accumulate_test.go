@@ -10,6 +10,7 @@ import (
 
 	"joinopt/internal/cluster"
 	"joinopt/internal/core"
+	"joinopt/internal/membership"
 	"joinopt/internal/store"
 )
 
@@ -664,13 +665,14 @@ func TestShipReleasesInFlightOnEveryExit(t *testing.T) {
 		// transport error, so the op fails over once and then surfaces it.
 		reg := NewRegistry()
 		reg.Register("id", Identity)
+		tables := map[string]*store.Table{"t": store.NewTable("t", rerouteCatalog, 2, []cluster.NodeID{0, 1})}
 		e, err := NewExecutor(ExecConfig{
-			Tables:     map[string]*store.Table{"t": store.NewTable("t", rerouteCatalog, 2, []cluster.NodeID{0, 1})},
+			Tables:     tables,
+			Membership: membership.NewStatic(nil, tables, 2),
 			Registry:   reg,
 			TableUDF:   map[string]string{"t": "id"},
 			Optimizer:  core.Config{Policy: core.Policy{AlwaysCompute: true}},
 			Shards:     2,
-			Replicas:   2,
 			MaxRetries: -1,
 			BatchWait:  time.Hour,
 		})
@@ -683,7 +685,10 @@ func TestShipReleasesInFlightOnEveryExit(t *testing.T) {
 		for bk := range *e.accs.Load() {
 			first = bk
 		}
-		f.kick() // what the caller's wait does: ships to the first replica
+		// Ship to the first replica through the waiter's kick, but with nobody
+		// recorded as blocked (Future.kick would): the re-route then leaves the
+		// op parked where it lands.
+		(*e.accs.Load())[first].kick(f)
 		waitUntil(t, 5*time.Second, "the op to re-park at the other replica", func() bool {
 			for bk := range *e.accs.Load() {
 				if bk.node != first.node && parked(e, bk) == 1 {

@@ -27,8 +27,8 @@ type nodeState struct {
 	target atomic.Int64
 }
 
-// node returns n's record, nil when the node was never dialed — only
-// possible before a membership redirect's ensureNode.
+// node returns n's record, nil when the node was never dialed: it is in the
+// placement map but not in ExecConfig.Addrs, or a redirect just named it.
 //
 //joinopt:hotpath
 func (e *Executor) node(n cluster.NodeID) *nodeState { return (*e.nodes.Load())[n] }
@@ -208,7 +208,7 @@ func (e *Executor) countFlush(why flushCause) {
 // subscriptions are intact.
 func (e *Executor) callNode(bk liveBatchKey, req *Request, entries []liveEntry, publish bool) (*Response, int64) {
 	pool := e.pool(bk.node)
-	if pool == nil && e.member != nil {
+	if pool == nil {
 		// Never contacted: a redirect resolved in another goroutine publishes
 		// ownership through the shared map, so an op can route here before
 		// (or without) that goroutine's own dial. The map, not the redirect
@@ -234,11 +234,10 @@ func (e *Executor) callNode(bk liveBatchKey, req *Request, entries []liveEntry, 
 	var resp *Response
 	for a := 0; ; a++ {
 		e.pace(pool, timeout)
-		if e.member != nil {
-			// Stamp the routing epoch per attempt: a retry that spans a
-			// learned cutover carries the fresher stamp.
-			req.Epoch = e.member.Epoch()
-		}
+		// Stamp the routing epoch per attempt: a retry that spans a learned
+		// cutover carries the fresher stamp (a static map stamps 0, the
+		// wire's "no membership", until a redirect teaches it).
+		req.Epoch = e.member.Epoch()
 		epoch := pool.epoch.Load()
 		resp = e.callOnce(pool, req, timeout, entries, publish)
 		err := respError(bk.op, resp)

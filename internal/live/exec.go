@@ -3,6 +3,7 @@ package live
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,9 +52,14 @@ type TraceEvent struct {
 
 // ExecConfig configures a live executor (one per compute node process).
 type ExecConfig struct {
-	// Tables gives the partitioning of each stored table (key -> node).
+	// Tables names the stored tables the executor resolves a handle for.
+	// With Membership nil each table's striping (region -> node, one copy)
+	// also fills the executor's private placement map; with a map given it
+	// is not consulted, and every name here must be a table of the map.
+	// The tables are only read.
 	Tables map[string]*store.Table
-	// Addrs maps data-node ids to TCP addresses.
+	// Addrs are the data nodes dialed at construction (id -> TCP address);
+	// with Membership nil they are also the private map's addresses.
 	Addrs map[cluster.NodeID]string
 	// Registry resolves UDF names for local execution.
 	Registry *Registry
@@ -86,15 +92,6 @@ type ExecConfig struct {
 	ConnsPerNode int
 	Wire         Wire
 
-	// Replicas, when > 1 (or < 0 for cluster.DefaultReplicas), applies
-	// K-way replica placement to every table at construction
-	// (store.Table.SetReplicas — deterministic, so every executor and the
-	// seeding side derive identical sets). 0 leaves each table's
-	// pre-configured factor alone. With any table replicated the executor
-	// routes reads to the cheapest live replica, fails transport errors
-	// over to surviving replicas, and fans Table.Put out at write-quorum.
-	Replicas int
-
 	// MaxRetries bounds how many times an idempotent request (OpGet,
 	// OpExec) is re-sent after a transport failure; every retry goes
 	// through the pool again, which routes it to a healthy (possibly
@@ -115,17 +112,17 @@ type ExecConfig struct {
 	// the callback fast and never call back into the executor from it.
 	Trace func(TraceEvent)
 
-	// Membership, when non-nil, makes the epoch-versioned partition map —
-	// not the static Table.Locate striping — the routing authority (wire
-	// v4): every request is stamped with the map's epoch, reads and puts
-	// go to the map's owner for the key, and a CodeMoved redirect from a
-	// node that migrated a shard away is resolved transparently (the map
-	// learns the new owner, an undailed owner is dialed on first contact,
-	// and the op is re-sent) — callers never see the redirect. The map may
-	// be shared with the migration coordinator or a Clone that converges
-	// through redirects. Membership does not compose with Replicas > 1:
-	// the map models single-owner regions, and NewExecutor rejects the
-	// combination rather than route half the protocol around it.
+	// Membership is the placement map: every request is routed to the map's
+	// replica set for its key (membership.View.ReplicasForKey — reads priced
+	// over the set and failed over within it, Table.Put sequenced at its
+	// first live member and acked at a majority) and stamped with the map's
+	// epoch, and a CodeMoved redirect from a node that migrated a shard away
+	// is resolved transparently (the map learns the new owner, an undialed
+	// owner is dialed on first contact, and the op is re-sent) — callers
+	// never see the redirect. Pass a coordinator's map, or a Clone that
+	// converges through redirects, or a membership.NewStatic filled with
+	// replicated sets. Nil means a private static map of Tables and Addrs:
+	// unreplicated, epoch 0 until a redirect teaches it otherwise.
 	Membership *membership.Map
 }
 
@@ -168,7 +165,8 @@ type Executor struct {
 	accs  atomic.Pointer[map[liveBatchKey]*accumulator]
 	accMu sync.Mutex
 
-	// member mirrors cfg.Membership (nil = static routing). migGen counts
+	// member is the placement map: cfg.Membership, or the private static
+	// one built from cfg.Tables and cfg.Addrs. migGen counts
 	// placement changes this executor has observed — CodeMoved redirects
 	// applied and version-0 "placement moved" notifications — and fences
 	// cache installs: a fetch that was in flight across a migration
@@ -179,7 +177,8 @@ type Executor struct {
 	migGen atomic.Int64
 
 	// tracker learns per-replica service times (non-nil only when some
-	// table is replicated), pricing reads at the cheapest live replica.
+	// table had a replicated region at construction), pricing reads at the
+	// cheapest live replica.
 	tracker *loadbalance.ReplicaTracker
 
 	pendingLocal atomic.Int64 // queued local UDFs (lcc_i)
@@ -259,9 +258,6 @@ func NewExecutor(cfg ExecConfig) (*Executor, error) {
 	}
 	cfg.MaxRetries = knob(cfg.MaxRetries, 2)
 	cfg.RequestTimeout = knob(cfg.RequestTimeout, 10*time.Second)
-	if cfg.Membership != nil && cfg.Replicas > 1 {
-		return nil, fmt.Errorf("live: Membership does not compose with Replicas > 1 (the map models single-owner regions)") //lint:allow errcode construction-time config validation; no live op ever sees it
-	}
 	e := &Executor{
 		cfg:     cfg,
 		member:  cfg.Membership,
@@ -273,22 +269,18 @@ func NewExecutor(cfg ExecConfig) (*Executor, error) {
 	for i := range e.shards {
 		e.shards[i] = &execShard{inflight: make(map[string]*waiter)}
 	}
-	// Apply the configured replica factor before the handles are resolved
-	// (they cache the per-table factor). SetReplicas is deterministic, so
-	// every executor and the seeding side derive identical placements.
-	if cfg.Replicas != 0 {
-		r := cfg.Replicas
-		if r < 0 {
-			r = 0 // store.Table.SetReplicas(0) selects cluster.DefaultReplicas
-		}
-		for _, st := range cfg.Tables {
-			st.SetReplicas(r)
-		}
+	if cfg.Membership == nil {
+		e.member = membership.NewStatic(cfg.Addrs, cfg.Tables, 1)
 	}
-	// Resolve every table handle once: partitioning, UDF and the per-shard
-	// optimizer pointers. The hot path never touches a map again.
+	view := e.member.View()
+	// Resolve every table handle once: UDF and the per-shard optimizer
+	// pointers.
 	e.tables = make(map[string]*Table, len(cfg.Tables))
-	for name, st := range cfg.Tables {
+	for name := range cfg.Tables {
+		tv := view.Tables[name]
+		if tv == nil {
+			return nil, fmt.Errorf("live: table %q is not in the membership map", name) //lint:allow errcode construction-time config validation; no live op ever sees it
+		}
 		opts := make([]*core.Optimizer, len(e.shards))
 		for i := range opts {
 			opts[i] = core.New(cfg.Optimizer.Shard(i, cfg.Shards))
@@ -296,11 +288,10 @@ func NewExecutor(cfg ExecConfig) (*Executor, error) {
 		udfName := cfg.TableUDF[name]
 		udf, _ := cfg.Registry.Lookup(udfName) // nil if unregistered; computeLocal panics lazily, as before
 		e.tables[name] = &Table{
-			e: e, name: name, tbl: st, replicas: st.Replicas(),
-			udf: udf, udfName: udfName,
+			e: e, name: name, udf: udf, udfName: udfName,
 			seed: tableSeed(name), opts: opts,
 		}
-		if e.tracker == nil && st.Replicas() > 1 {
+		if e.tracker == nil && slices.ContainsFunc(tv.Sets, func(set []cluster.NodeID) bool { return len(set) > 1 }) {
 			e.tracker = loadbalance.NewReplicaTracker()
 		}
 	}
@@ -337,13 +328,14 @@ func (e *Executor) dropNodeCache(node cluster.NodeID) {
 	for {
 		n := pend.Load()
 		for _, t := range e.tables {
-			// An unreplicated table's node was the only holder of its keys'
+			// The one member of a key's set was the only holder of its
 			// versions, and an in-memory node that restarted counts them from
 			// 0 again: forget what we learned, or the version fence would keep
 			// those keys out of the cache until the new history overtook the
-			// old. (A replicated table keeps its versions: the survivors still
+			// old. (A replicated key keeps its versions: the survivors still
 			// hold that history.)
-			e.sweep(t, func(k string) bool { return t.placedOn(k, node) }, t.replicas <= 1)
+			e.sweep(t, func(k string) bool { return t.placedOn(k, node) },
+				func(k string) bool { set := t.placement(k); return len(set) == 1 && set[0] == node })
 		}
 		if pend.CompareAndSwap(n, 0) {
 			return
@@ -358,9 +350,9 @@ func (e *Executor) dropNodeCache(node cluster.NodeID) {
 // filtered outside it and invalidated under it again, so the Submit hot path
 // is never blocked behind a placement scan; a key cached in between is either
 // fenced out of the cache (sent before the event) or over-invalidated (sent
-// after, freshly subscribed), which costs one refetch. With forgetVersions the
-// matching keys also lose their learned versions, under the same lock.
-func (e *Executor) sweep(t *Table, match func(key string) bool, forgetVersions bool) {
+// after, freshly subscribed), which costs one refetch. The keys a non-nil forget
+// accepts also lose their learned versions, under the same lock.
+func (e *Executor) sweep(t *Table, match, forget func(key string) bool) {
 	for i, sh := range e.shards {
 		opt := t.opts[i]
 		var ks []string
@@ -373,15 +365,15 @@ func (e *Executor) sweep(t *Table, match func(key string) bool, forgetVersions b
 				doomed = append(doomed, k)
 			}
 		}
-		if len(doomed) == 0 && !forgetVersions {
+		if len(doomed) == 0 && forget == nil {
 			continue
 		}
 		sh.mu.Lock()
 		for _, k := range doomed {
 			opt.Cache.Invalidate(k)
 		}
-		if forgetVersions {
-			opt.ForgetVersions(match)
+		if forget != nil {
+			opt.ForgetVersions(forget)
 		}
 		sh.mu.Unlock()
 	}

@@ -229,12 +229,12 @@ func (s *Server) tableMigrLocked(table string, nregions int) *tableMigr {
 	return mt
 }
 
-// SetMembership installs the node's partition map and its own node ID.
-// The node adopts the map's current epoch as its routing epoch; requests
-// stamped with a different epoch take the (cheap) moved-region check in
-// routeCheck instead of the one-comparison fast path. Call before Serve.
-func (s *Server) SetMembership(m *membership.Map, self cluster.NodeID) {
-	s.member, s.self = m, self
+// SetMembership adopts the map's current epoch as the node's routing epoch
+// (the node keeps neither the map nor its own ID: what it must know about
+// placement — which regions it redirected away — it learns at each cutover).
+// Requests stamped with a different epoch take the (cheap) moved-region check
+// in routeCheck instead of the one-comparison fast path. Call before Serve.
+func (s *Server) SetMembership(m *membership.Map, _ cluster.NodeID) {
 	s.routeState.Store(m.Epoch() << 1) // fresh node: no moved records
 }
 
@@ -564,17 +564,24 @@ type Migrator struct {
 
 // Migrate moves one region of table from src to dst through the fenced
 // five-phase handoff. The map must already know both nodes' addresses and
-// assign the region to src; dst must already serve the table (AddTable with
-// the same spec — its seed rows lose every version race against migrated
-// rows, so sharing the baseline is safe). On an error before cutover the
-// source is rolled back and keeps the region; the cutover itself (SetOwner)
-// is atomic, so the region is owned by exactly one node at every epoch.
+// assign the region to src alone; dst must already serve the table (AddTable
+// with the same spec — its seed rows lose every version race against migrated
+// rows, so sharing the baseline is safe). A region with more than one member
+// is refused before anything starts: its backups take the sequencer's
+// OpPutRepl fan-out, not the dual-write stream, and would not follow the
+// cutover (ROADMAP item 3, the one copy stream, is what moves it). On an
+// error before cutover the source is rolled back and keeps the region; the
+// cutover itself (SetOwner) is atomic, so the region is owned by exactly one
+// node at every epoch.
 func (m *Migrator) Migrate(table string, region int, src, dst cluster.NodeID) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	v := m.Map.View()
 	if owner, ok := v.Owner(table, region); !ok || owner != src {
 		return fmt.Errorf("live: migrate %q/%d: source %d does not own it", table, region, src) //lint:allow errcode coordinator control path; callers are operators, not live ops
+	}
+	if set := v.Tables[table].Sets[region]; len(set) > 1 {
+		return fmt.Errorf("live: migrate %q/%d: region is replicated on nodes %v, and a multi-member region cannot be moved: its backups would not follow the cutover", table, region, set) //lint:allow errcode coordinator control path; callers are operators, not live ops
 	}
 	srcSrv, dstSrv := m.Servers[src], m.Servers[dst]
 	if srcSrv == nil || dstSrv == nil {

@@ -3,6 +3,8 @@ package live
 import (
 	"context"
 	"fmt"
+	"maps"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -213,9 +215,9 @@ func TestMigrateUnderLoad(t *testing.T) {
 
 	// The client's map must have converged onto node 1 for every region.
 	tv := c.stale.View().Tables["t"]
-	for r, owner := range tv.Owners {
-		if owner != 1 {
-			t.Errorf("client still believes region %d is owned by node %d", r, owner)
+	for r, set := range tv.Sets {
+		if len(set) != 1 || set[0] != 1 {
+			t.Errorf("client still believes region %d is held by %v", r, set)
 		}
 	}
 }
@@ -464,5 +466,182 @@ func TestServerDrain(t *testing.T) {
 	}
 	if _, err := DialNode(addr, nil); err == nil {
 		t.Fatal("dial succeeded after drain closed the listener")
+	}
+}
+
+// TestFaultMembershipServesReplicatedTable exercises what the old
+// Membership × Replicas rejection forbade: one membership cluster serving a
+// replicated table "r" (R=3 on nodes 0–2) beside an unreplicated table "s"
+// (every region on node 0), through one stale-clone client. Node 2 is killed
+// under load — reads of "r" fail over, its quorum puts keep acking on the
+// two survivors — while node 3 joins and every region of "s" is drained to
+// it, reaching the client as redirects alone. No read error may surface, no
+// acked put of either table may be lost, and Migrate of a region of "r"
+// must refuse, saying why, before it changes anything.
+func TestFaultMembershipServesReplicatedTable(t *testing.T) {
+	const keys = 32
+	reg := NewRegistry()
+	reg.Register("tag", func(key string, p, value []byte) []byte {
+		return append(append(append([]byte{}, value...), '#'), p...)
+	})
+	rows := map[string][]byte{}
+	for i := 0; i < keys; i++ {
+		rows[fmt.Sprintf("k%d", i)] = []byte(fmt.Sprintf("v-%d", i))
+	}
+	m := membership.NewMap()
+	servers := map[cluster.NodeID]*Server{}
+	addrs := map[cluster.NodeID]string{}
+	boot := func(id cluster.NodeID) {
+		srv := NewServer(reg, false)
+		for _, name := range []string{"r", "s"} {
+			srv.AddTable(TableSpec{Name: name, UDF: "tag", Rows: rows})
+		}
+		addr, err := srv.Serve("127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("serve node %d: %v", id, err)
+		}
+		t.Cleanup(srv.Close)
+		servers[id], addrs[id] = srv, addr
+		m.AddNode(id, addr)
+	}
+	trio := []cluster.NodeID{0, 1, 2}
+	for _, id := range trio {
+		boot(id)
+	}
+	tables := map[string]*store.Table{
+		"r": store.NewTable("r", rerouteCatalog, 2, trio),
+		"s": store.NewTable("s", rerouteCatalog, migRegions, []cluster.NodeID{0}),
+	}
+	m.SetTableSets("r", membership.ReplicaSets(tables["r"], 3))
+	m.SetTable("s", make([]cluster.NodeID, migRegions)) // every region → node 0
+	for id, srv := range servers {
+		srv.SetMembership(m, id)
+	}
+	e, err := NewExecutor(ExecConfig{
+		Tables:         tables,
+		Addrs:          maps.Clone(addrs),
+		Membership:     m.Clone(), // stale from here on: node 3 and the drain arrive as redirects
+		Registry:       reg,
+		TableUDF:       map[string]string{"r": "tag", "s": "tag"},
+		Optimizer:      core.Config{Policy: core.Policy{Caching: true}, MemCacheBytes: 1 << 20},
+		BatchWait:      200 * time.Microsecond,
+		RequestTimeout: 2 * time.Second,
+	})
+	if err != nil {
+		t.Fatalf("a membership map holding a replicated table was rejected: %v", err)
+	}
+	t.Cleanup(e.Close)
+	ctx := context.Background()
+
+	type ack struct {
+		val string
+		ver int64
+	}
+	var (
+		mu      sync.Mutex
+		acked   = map[string]map[string]ack{"r": {}, "s": {}}
+		ackedN  atomic.Int64
+		stop    atomic.Bool
+		readErr atomic.Int64
+		wg      sync.WaitGroup
+	)
+	for _, name := range []string{"r", "s"} {
+		tbl := e.Table(name)
+		wg.Add(2)
+		go func() { // writer: a failed put is maybe committed; the retry is a newer version
+			defer wg.Done()
+			for i := 1; !stop.Load(); i++ {
+				k, v := fmt.Sprintf("w%d", i%24), fmt.Sprintf("seq%d", i)
+				ver, err := tbl.Put(ctx, k, []byte(v))
+				if err != nil {
+					time.Sleep(time.Millisecond)
+					continue
+				}
+				mu.Lock()
+				acked[name][k] = ack{v, ver}
+				mu.Unlock()
+				ackedN.Add(1)
+			}
+		}()
+		go func() { // reader: failover and redirects must absorb everything
+			defer wg.Done()
+			for i := 0; !stop.Load(); i++ {
+				k := fmt.Sprintf("k%d", i%keys)
+				opts := []CallOption{}
+				if i%3 == 0 {
+					opts = append(opts, WithNoCache())
+				}
+				if _, err := tbl.Call(ctx, k, []byte("p"), opts...); err != nil {
+					readErr.Add(1)
+					t.Errorf("read %s/%s surfaced: %v", name, k, err)
+					return
+				}
+			}
+		}()
+	}
+	runUntil := func(n int64) {
+		for target := ackedN.Load() + n; ackedN.Load() < target; {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	runUntil(100)
+
+	// A replicated region does not migrate: refused up front, nothing changed.
+	mig := &Migrator{Map: m, Servers: servers}
+	before := m.View()
+	owner, _ := before.Owner("r", 0)
+	if err := mig.Migrate("r", 0, owner, (owner+1)%3); err == nil || !strings.Contains(err.Error(), "replicated") {
+		t.Fatalf("Migrate of an R=3 region: %v, want a refusal that says why", err)
+	}
+	if m.View() != before || servers[owner].migActive.Load() != 0 {
+		t.Fatal("the refused migration changed the map or started a dual-write")
+	}
+
+	servers[2].Close() // one replica of every region of "r" dies under load
+	boot(3)            // a node the client has never heard of
+	servers[3].SetMembership(m, 3)
+	if moved, err := mig.Drain(0, 3, []string{"s"}); err != nil || moved != migRegions {
+		t.Fatalf("drain of the unreplicated table: moved %d regions, err %v", moved, err)
+	}
+	runUntil(100)
+	stop.Store(true)
+	wg.Wait()
+
+	if readErr.Load() > 0 {
+		t.Fatalf("%d reads surfaced errors", readErr.Load())
+	}
+	if e.Moved.Load() == 0 {
+		t.Fatal("no CodeMoved redirect was exercised; the stale client never had to learn")
+	}
+	if e.Failed.Load() != 0 {
+		t.Fatalf("executor counted %d failed submissions; failover and redirects must absorb them", e.Failed.Load())
+	}
+	// Every acked put is held at >= its acked version: an "s" row by the
+	// node its region drained to, an "r" row by a surviving member of its set.
+	newest := func(name, k string, nodes ...cluster.NodeID) (ver int64, val string) {
+		for _, n := range nodes {
+			conn, err := DialNode(addrs[n], nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := conn.Call(Request{Op: OpGet, Table: name, Keys: []string{k}})
+			conn.Close()
+			if err != nil {
+				t.Fatalf("readback %s/%s at node %d: %v", name, k, n, err)
+			}
+			if v := resp.Metas[0].Version; v > ver {
+				ver, val = v, string(resp.Values[0])
+			}
+		}
+		return ver, val
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for name, holders := range map[string][]cluster.NodeID{"r": {0, 1}, "s": {3}} {
+		for k, want := range acked[name] {
+			if ver, val := newest(name, k, holders...); ver < want.ver || (ver == want.ver && val != want.val) {
+				t.Errorf("acked put %s/%s lost: %q at v%d on %v, acked %q at v%d", name, k, val, ver, holders, want.val, want.ver)
+			}
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"joinopt/internal/cluster"
 	"joinopt/internal/core"
+	"joinopt/internal/membership"
 	"joinopt/internal/storage"
 	"joinopt/internal/store"
 )
@@ -166,7 +167,7 @@ func TestFaultFailedPutStillVisible(t *testing.T) {
 type replicaTrio struct {
 	t       *testing.T
 	reg     *Registry
-	table   *store.Table
+	place   *membership.View // the static R=3 placement of table "t"
 	exec    *Executor
 	servers []*Server
 	faults  []*storage.Fault
@@ -192,14 +193,14 @@ func bootReplicaTrio(t *testing.T, seedKeys int) *replicaTrio {
 	catalog := store.CatalogFunc(func(string) store.RowMeta {
 		return store.RowMeta{ValueSize: 32}
 	})
-	tr.table = store.NewTable("t", catalog, 2, []cluster.NodeID{0, 1, 2})
-	tr.table.SetReplicas(3)
+	tables := map[string]*store.Table{"t": store.NewTable("t", catalog, 2, []cluster.NodeID{0, 1, 2})}
+	tr.place = membership.NewStatic(nil, tables, 3).View()
 	for i := range tr.rows {
 		tr.rows[i] = make(map[string][]byte)
 	}
 	for i := 0; i < seedKeys; i++ {
 		k := fmt.Sprintf("k%d", i)
-		for _, n := range tr.table.ReplicaNodes(k) {
+		for _, n := range tr.place.ReplicasForKey("t", k) {
 			tr.rows[n][k] = []byte("seed-" + k)
 		}
 	}
@@ -207,13 +208,13 @@ func bootReplicaTrio(t *testing.T, seedKeys int) *replicaTrio {
 		tr.boot(i, "127.0.0.1:0", nil)
 	}
 	e, err := NewExecutor(ExecConfig{
-		Tables:    map[string]*store.Table{"t": tr.table},
-		Addrs:     tr.addrs,
-		Registry:  tr.reg,
-		TableUDF:  map[string]string{"t": "join"},
-		Optimizer: core.Config{Policy: core.Policy{Caching: true}, MemCacheBytes: 1 << 20},
-		BatchWait: time.Millisecond,
-		Replicas:  3,
+		Tables:     tables,
+		Addrs:      tr.addrs,
+		Membership: membership.NewStatic(tr.addrs, tables, 3),
+		Registry:   tr.reg,
+		TableUDF:   map[string]string{"t": "join"},
+		Optimizer:  core.Config{Policy: core.Policy{Caching: true}, MemCacheBytes: 1 << 20},
+		BatchWait:  time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("executor: %v", err)
@@ -251,7 +252,7 @@ func TestFaultReplicationQuorum(t *testing.T) {
 	tbl := tr.exec.Table("t")
 	ctx := context.Background()
 	key := "quorum-key"
-	nodes := tr.table.ReplicaNodes(key) // placement order; nodes[0] sequences
+	nodes := tr.place.ReplicasForKey("t", key) // placement order; nodes[0] sequences
 
 	// One failing backup: the sequencer plus the healthy backup are a
 	// majority, so the put still acknowledges.

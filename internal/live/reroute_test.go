@@ -39,10 +39,11 @@ var rerouteCases = []rerouteCase{
 					return &Response{Code: CodeTransport, Err: "scripted outage"}
 				}).addr()
 			}
+			tables := map[string]*store.Table{"t": store.NewTable("t", rerouteCatalog, 2, ids)}
 			return ExecConfig{
-				Tables:     map[string]*store.Table{"t": store.NewTable("t", rerouteCatalog, 2, ids)},
+				Tables:     tables,
 				Addrs:      addrs,
-				Replicas:   3,
+				Membership: membership.NewStatic(addrs, tables, 3),
 				MaxRetries: -1, // every failure goes straight to failover
 			}
 		},
@@ -130,6 +131,38 @@ func TestRerouteHopBudgetAndCancel(t *testing.T) {
 					t.Fatalf("Failed = %d, want %d", e.Failed.Load(), ops)
 				}
 				invariantSum(t, e, ops)
+			})
+		})
+		t.Run(c.name+"/blocked caller is re-kicked", func(t *testing.T) {
+			// One synchronous call that never fills a batch, under a max wait
+			// nobody can sit out: the caller's wait ships the op at its first
+			// destination, and every re-route must ship it again where it
+			// lands — a waiter that blocked before the move is kicked there —
+			// until the hop budget surfaces the cause. No batch may have left
+			// on the timer.
+			forShards(t, func(t *testing.T, shards int) {
+				e := c.executor(t, shards, 2)
+				done := make(chan error, 1)
+				go func() {
+					_, err := e.Table("t").Call(context.Background(), "k0", nil)
+					done <- err
+				}()
+				select {
+				case err := <-done:
+					var le *Error
+					if !errors.As(err, &le) || le.Code != c.exhausted {
+						t.Fatalf("blocked call: %v, want %v after the hop budget", err, c.exhausted)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatal("a caller blocked before its op was re-routed is sitting out BatchWait at the next destination")
+				}
+				if c.reroutes(e) == 0 {
+					t.Fatal("the op was never re-routed; the test exercised nothing")
+				}
+				if n := e.TimerFlushes.Load(); n != 0 {
+					t.Fatalf("TimerFlushes = %d, want 0: every batch left because its caller was blocked", n)
+				}
+				invariantSum(t, e, 1)
 			})
 		})
 		t.Run(c.name+"/cancel mid-re-route", func(t *testing.T) {

@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"joinopt/internal/cluster"
@@ -9,38 +10,19 @@ import (
 	"joinopt/internal/store"
 )
 
-// placement answers "where does key live" — the one place the three routing
-// authorities are told apart. A replicated table returns its replica set
-// (placement order, primary first, read-only) with the primary as owner; an
-// unreplicated one returns a nil set and its single owner: the membership
-// map's when one is configured and knows the table, the static striping's
-// otherwise (the map converges onto it through redirects).
+// placement answers "where does key live": its region's replica set in the
+// executor's placement map, primary first — a set of one for an unreplicated
+// region. The slice belongs to the map's frozen view: read-only.
 //
 //joinopt:hotpath
-func (t *Table) placement(key string) (owner cluster.NodeID, replicas []cluster.NodeID) {
-	if t.replicas > 1 {
-		replicas = t.tbl.ReplicaNodes(key)
-		return replicas[0], replicas
-	}
-	if m := t.e.member; m != nil {
-		if n, ok := m.View().OwnerForKey(t.name, key); ok {
-			return n, nil
-		}
-	}
-	return t.tbl.Locate(key), nil
+func (t *Table) placement(key string) []cluster.NodeID {
+	return t.e.member.View().ReplicasForKey(t.name, key)
 }
 
-// placedOn reports whether node holds key: any member of a replicated key's
-// set (a read may have been served by — and subscribed on — a backup), the
-// single owner otherwise.
+// placedOn reports whether node holds key: any member of its set (a read may
+// have been served by — and subscribed on — a backup).
 func (t *Table) placedOn(key string, node cluster.NodeID) bool {
-	owner, replicas := t.placement(key)
-	for _, n := range replicas {
-		if n == node {
-			return true
-		}
-	}
-	return replicas == nil && owner == node
+	return slices.Contains(t.placement(key), node)
 }
 
 // dedupKey builds the fetch-dedup record key for one key under this batch
@@ -113,9 +95,10 @@ func (sh *execShard) release(lead *waiter) []*waiter {
 //
 //joinopt:hotpath
 func (e *Executor) route(t *Table, key string, params []byte, fut *Future, cs *cancelState, co callOpts) {
-	node, replicas := t.placement(key)
-	if replicas != nil {
-		node = e.pickReplica(replicas)
+	set := t.placement(key)
+	node := set[0]
+	if len(set) > 1 { // only a replicated table has a tracker to price with
+		node = e.pickReplica(set)
 	}
 	idx := e.shardIdx(t.seed, key)
 	sh := e.shards[idx]
@@ -240,9 +223,18 @@ func (e *Executor) reroute(bk liveBatchKey, entries []liveEntry, exhausted *Erro
 			ent.cancel.park(sh, nbk, nil, nil)
 		}
 		full := e.enqueue(nbk, ent)
+		// A caller that blocked before the move kicked the old destination:
+		// its wait must ship this one too, or it sits out BatchWait here.
+		f := ent.waitFut()
+		blocked := f.waited()
+		if ent.w != nil {
+			blocked = blocked || slices.ContainsFunc(ent.w.followers, func(w *waiter) bool { return w.fut.waited() })
+		}
 		sh.mu.Unlock()
 		if full != nil {
 			e.ship(full)
+		} else if a := f.acc.Load(); blocked && a != nil {
+			a.kick(f)
 		}
 	}
 	for _, ent := range doomed {
@@ -267,8 +259,9 @@ func (e *Executor) reroute(bk liveBatchKey, entries []liveEntry, exhausted *Erro
 // replica was tried once. Returns false when failover does not apply at all
 // (the caller falls through to failBatch).
 func (e *Executor) tryFailover(bk liveBatchKey, entries []liveEntry, err *Error) bool {
-	if bk.t.replicas <= 1 || (bk.op != OpGet && bk.op != OpExec) ||
-		(!err.Retryable() && err.Code != CodeOverloaded) || e.closed.Load() {
+	if (bk.op != OpGet && bk.op != OpExec) ||
+		(!err.Retryable() && err.Code != CodeOverloaded) || e.closed.Load() ||
+		!slices.ContainsFunc(entries, func(ent liveEntry) bool { return len(bk.t.placement(ent.key)) > 1 }) {
 		return false
 	}
 	if err.Code == CodeOverloaded {
@@ -287,7 +280,7 @@ func (e *Executor) tryFailover(bk liveBatchKey, entries []liveEntry, err *Error)
 // before the re-enqueued batch ships. ok is false once hops says every
 // other replica was already visited.
 func (e *Executor) nextReplica(t *Table, key string, cur cluster.NodeID, hops uint8) (cluster.NodeID, bool) {
-	nodes := t.tbl.ReplicaNodes(key)
+	nodes := t.placement(key)
 	if len(nodes) < 2 || int(hops) >= len(nodes)-1 {
 		return 0, false
 	}
@@ -322,7 +315,7 @@ const movedMaxHops = 4
 // ever see the redirect if the hop budget runs out. Returns false when the
 // payload is absent or corrupt (the caller falls through to failBatch).
 func (e *Executor) handleMoved(bk liveBatchKey, entries []liveEntry, resp *Response) bool {
-	if e.member == nil || len(resp.Values) == 0 {
+	if len(resp.Values) == 0 {
 		return false
 	}
 	moved, ok := decodeMoved(resp.Values[0])
@@ -330,12 +323,10 @@ func (e *Executor) handleMoved(bk liveBatchKey, entries []liveEntry, resp *Respo
 		return false
 	}
 	e.applyMoved(bk.t, moved)
-	v := e.member.View()
 	e.reroute(bk, entries, &Error{Code: CodeMoved, Op: bk.op,
 		Msg: "redirect hop budget exhausted — cluster membership maps disagree in a loop"},
 		func(key string, hops uint8) (cluster.NodeID, bool) {
-			owner, known := v.OwnerForKey(bk.t.name, key)
-			return owner, known && hops < movedMaxHops
+			return bk.t.placement(key)[0], hops < movedMaxHops
 		})
 	return true
 }
@@ -361,9 +352,8 @@ func (e *Executor) applyMoved(t *Table, moved []movedRegion) {
 			e.ensureNode(m.owner, m.addr)
 		}
 		if e.member.LearnOwner(m.epoch, t.name, m.region, m.owner, m.addr) {
-			if nregions := e.member.View().Regions(t.name); nregions > 0 {
-				e.sweep(t, func(k string) bool { return store.RegionIndex(k, nregions) == m.region }, false)
-			}
+			nregions := e.member.View().Regions(t.name)
+			e.sweep(t, func(k string) bool { return store.RegionIndex(k, nregions) == m.region }, nil)
 		}
 	}
 }

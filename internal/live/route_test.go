@@ -1,7 +1,10 @@
 package live
 
 import (
+	"fmt"
 	"slices"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -93,53 +96,136 @@ func TestPickReplica(t *testing.T) {
 	}
 }
 
-// TestPlacement pins the one placement question for the three kinds of table:
-// static striping, a replica set (primary first), and a membership map that
-// overrules the striping and is followed as it changes.
+// TestPlacement pins the one placement question over the ways a map gets
+// filled: the executor's private static fill (one copy), a static fill at R=3,
+// a coordinator's map with sets of one that is followed as it changes, and a
+// coordinator's map holding a replicated table. Every row answers through the
+// same placement body: the set is the map's for the key's region, primary
+// first and where the striping put it, placedOn is membership in the set, and
+// neither allocates.
 func TestPlacement(t *testing.T) {
 	nodes := []cluster.NodeID{0, 1, 2}
-	replicated := store.NewTable("r", rerouteCatalog, 2, nodes)
-	replicated.SetReplicas(3)
-	m := membership.NewMap()
-	m.SetTable("m", []cluster.NodeID{2, 2, 2, 2}) // every region on node 2, whatever the striping says
-	e, err := NewExecutor(ExecConfig{
-		Tables: map[string]*store.Table{
-			"s": store.NewTable("s", rerouteCatalog, 2, nodes),
-			"r": replicated,
-			"m": store.NewTable("m", rerouteCatalog, 2, nodes[:2]),
-		},
-		Registry:   NewRegistry(),
-		Membership: m,
-	})
-	if err != nil {
-		t.Fatal(err)
+	tables := map[string]*store.Table{"t": store.NewTable("t", rerouteCatalog, 2, nodes)}
+	coordinator := func(sets [][]cluster.NodeID) *membership.Map {
+		m := membership.NewMap()
+		m.SetTableSets("t", sets)
+		return m
 	}
-	t.Cleanup(e.Close)
+	onNode2 := [][]cluster.NodeID{{2}, {2}, {2}, {2}, {2}, {2}} // whatever the striping says
+	cases := []struct {
+		name   string
+		member *membership.Map // nil: the executor fills its own
+		want   [][]cluster.NodeID
+		static bool // filled under epoch 0, primaries where the striping put them
+	}{
+		{"static R=1", nil, membership.ReplicaSets(tables["t"], 1), true},
+		{"static R=3", membership.NewStatic(nil, tables, 3), membership.ReplicaSets(tables["t"], 3), true},
+		{"coordinator R=1", coordinator(onNode2), onNode2, false},
+		{"coordinator R=3", coordinator(membership.ReplicaSets(tables["t"], 3)), membership.ReplicaSets(tables["t"], 3), false},
+	}
+	keys := []string{"k0", "k1", "k2", "k3", "k4", "k5", "k6", "k7"}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := NewExecutor(ExecConfig{Tables: tables, Registry: NewRegistry(), Membership: tc.member})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(e.Close)
+			if got := e.member.Epoch(); (got == 0) != tc.static {
+				t.Fatalf("routing epoch %d: a static fill stamps 0, a coordinator's map never does", got)
+			}
+			tbl := e.Table("t")
+			check := func(k string, want []cluster.NodeID) {
+				t.Helper()
+				set := tbl.placement(k)
+				if !slices.Equal(set, want) {
+					t.Fatalf("%s: placement %v, want %v", k, set, want)
+				}
+				for _, n := range nodes {
+					if tbl.placedOn(k, n) != slices.Contains(want, n) {
+						t.Fatalf("%s: placedOn(%d) = %v with the set %v", k, n, tbl.placedOn(k, n), want)
+					}
+				}
+			}
+			for _, k := range keys {
+				want := tc.want[store.RegionIndex(k, len(tc.want))]
+				check(k, want)
+				if tc.static && want[0] != tables["t"].Locate(k) {
+					t.Fatalf("%s: primary %d, the striping says %d", k, want[0], tables["t"].Locate(k))
+				}
+			}
+			if n := testing.AllocsPerRun(100, func() { tbl.placement("k0"); tbl.placedOn("k0", 1) }); n != 0 {
+				t.Fatalf("placement + placedOn allocate %.0f times per call", n)
+			}
+			if tc.name == "coordinator R=1" {
+				// The map moves a region: the very next question follows it.
+				tc.member.SetOwner("t", store.RegionIndex("k0", 6), 1)
+				check("k0", []cluster.NodeID{1})
+			}
+		})
+	}
+}
 
-	static, repl, owned := e.Table("s"), e.Table("r"), e.Table("m")
-	for _, k := range []string{"k0", "k1", "k2", "k3", "k4", "k5", "k6", "k7"} {
-		if owner, set := static.placement(k); set != nil || owner != static.tbl.Locate(k) {
-			t.Fatalf("static %s: owner %d set %v, want the striping's node %d and no set", k, owner, set, static.tbl.Locate(k))
+// TestNewExecutorValidatesMap pins what construction asks of a given map:
+// every configured table is in it (the error names the one that is not), and
+// a map holding a replicated table is accepted — the old Membership × Replicas
+// rejection is gone.
+func TestNewExecutorValidatesMap(t *testing.T) {
+	tables := map[string]*store.Table{
+		"t":       store.NewTable("t", rerouteCatalog, 2, []cluster.NodeID{0, 1, 2}),
+		"missing": store.NewTable("missing", rerouteCatalog, 2, []cluster.NodeID{0, 1, 2}),
+	}
+	m := membership.NewMap()
+	m.SetTableSets("t", membership.ReplicaSets(tables["t"], 3))
+	_, err := NewExecutor(ExecConfig{Tables: tables, Registry: NewRegistry(), Membership: m})
+	if err == nil || !strings.Contains(err.Error(), `"missing"`) {
+		t.Fatalf("NewExecutor with a table the map does not hold: %v, want an error naming it", err)
+	}
+	delete(tables, "missing")
+	e, err := NewExecutor(ExecConfig{Tables: tables, Registry: NewRegistry(), Membership: m})
+	if err != nil {
+		t.Fatalf("NewExecutor with a map holding a replicated table: %v", err)
+	}
+	e.Close()
+}
+
+// TestSharedTablesConcurrentExecutors is the regression for a data race:
+// NewExecutor used to write the replica factor into the store.Tables it was
+// handed, which every client of one cluster shares. Executors are built
+// concurrently against one shared map of tables while another routes through
+// it; NewExecutor must only read what it is given.
+func TestSharedTablesConcurrentExecutors(t *testing.T) {
+	tables := map[string]*store.Table{"t": store.NewTable("t", rerouteCatalog, 2, []cluster.NodeID{0, 1, 2})}
+	build := func(r int) *Executor {
+		e, err := NewExecutor(ExecConfig{Tables: tables, Registry: NewRegistry(), Membership: membership.NewStatic(nil, tables, r)})
+		if err != nil {
+			t.Error(err)
+			return nil
 		}
-		owner, set := repl.placement(k)
-		if !slices.Equal(set, repl.tbl.ReplicaNodes(k)) || len(set) != 3 || owner != set[0] {
-			t.Fatalf("replicated %s: owner %d set %v, want the replica set %v led by its primary", k, owner, set, repl.tbl.ReplicaNodes(k))
-		}
-		for _, n := range nodes {
-			if !repl.placedOn(k, n) {
-				t.Fatalf("replicated %s: not placed on replica %d", k, n)
+		return e
+	}
+	router := build(3)
+	if router == nil {
+		t.FailNow()
+	}
+	t.Cleanup(router.Close)
+	var wg sync.WaitGroup
+	for _, r := range []int{3, 2} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if e := build(r); e != nil {
+					e.Close()
+				}
 			}
-			if static.placedOn(k, n) != (n == static.tbl.Locate(k)) {
-				t.Fatalf("static %s: placedOn(%d) disagrees with the striping", k, n)
-			}
-		}
-		if owner, set := owned.placement(k); set != nil || owner != 2 {
-			t.Fatalf("membership-owned %s: owner %d set %v, want the map's node 2", k, owner, set)
+		}()
+	}
+	tbl := router.Table("t")
+	for i := 0; i < 2000; i++ {
+		if set := tbl.placement(fmt.Sprintf("k%d", i)); len(set) != 3 {
+			t.Fatalf("placement %v changed under a concurrent NewExecutor", set)
 		}
 	}
-	k := "k0"
-	m.SetOwner("m", store.RegionIndex(k, 4), 1)
-	if owner, _ := owned.placement(k); owner != 1 || !owned.placedOn(k, 1) || owned.placedOn(k, 2) {
-		t.Fatalf("membership-owned %s after the map moved its region: owner %d, want 1", k, owner)
-	}
+	wg.Wait()
 }

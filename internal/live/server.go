@@ -9,8 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"joinopt/internal/cluster"
-	"joinopt/internal/membership"
 	"joinopt/internal/storage"
 )
 
@@ -57,11 +55,9 @@ type Server struct {
 	// never matches (the flag forces the walk); a node that never migrated
 	// anything — every static cluster — has flag 0 and stays on the
 	// one-comparison path, with state 0 matching the 0 every
-	// membership-less client stamps. migActive counts regions this node is
+	// statically configured client stamps. migActive counts regions this node is
 	// currently dual-writing; commit consults the migration state only
 	// while it is nonzero. migMu guards migs (per-table bookkeeping).
-	member     *membership.Map
-	self       cluster.NodeID
 	routeState atomic.Uint64
 	migActive  atomic.Int64
 	migMu      sync.Mutex

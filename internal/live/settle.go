@@ -33,7 +33,7 @@ type Future struct {
 	// the batch by bumping one counter.
 	acc   atomic.Pointer[accumulator]
 	gen   atomic.Uint32
-	state atomic.Uint32 // futPending → futResolved → futDone
+	state atomic.Uint32 // futPending (→ futWaited) → futResolved → futDone
 	mu    sync.Mutex    // serializes the first Wait's cell consumption
 	out   []byte
 	err   error
@@ -41,6 +41,7 @@ type Future struct {
 
 const (
 	futPending  uint32 = iota
+	futWaited          // still pending, and a caller has blocked on it (kick)
 	futResolved        // resolve or reject won the exactly-once race
 	futDone            // out/err published; cell consumed and recycled
 )
@@ -57,7 +58,7 @@ func newFuture() *Future { return &Future{cell: getFutCell()} }
 // second resolution a dropped no-op instead of a corruption of whatever op
 // the recycled cell serves next.
 func (f *Future) settle(r futResult) bool {
-	if !f.state.CompareAndSwap(futPending, futResolved) {
+	if !f.state.CompareAndSwap(futPending, futResolved) && !f.state.CompareAndSwap(futWaited, futResolved) {
 		return false
 	}
 	if f.cancel != nil {
@@ -109,15 +110,22 @@ func (f *Future) publish(r futResult) {
 // kick is what a wait does before it blocks: if the submission is still
 // parked, its caller is now waiting on a batch nobody has sent, so the
 // accumulator ships it (or, with the link busy, marks it urgent). A wait on a
-// submission that already left pays a few atomic loads and no lock. Called
-// with no lock held, mu included.
+// submission that already left pays a few atomic operations and no lock. It
+// first records that a caller is blocked (futWaited), so a re-route that parks
+// the entry somewhere else later (reroute) knows to kick there: whichever of
+// the two runs second sees the other's write. Called with no lock held, mu
+// included.
 //
 //joinopt:hotpath
 func (f *Future) kick() {
-	if a := f.acc.Load(); a != nil && f.state.Load() == futPending && a.parkedHere(f) {
+	f.state.CompareAndSwap(futPending, futWaited)
+	if a := f.acc.Load(); a != nil && f.state.Load() < futResolved && a.parkedHere(f) {
 		a.kick(f)
 	}
 }
+
+// waited reports whether a caller has blocked on the still-unresolved future.
+func (f *Future) waited() bool { return f.state.Load() == futWaited }
 
 // Err blocks until the submission resolves and returns its error (nil on
 // success), leaving the value for WaitErr.
@@ -272,7 +280,7 @@ func (e *Executor) handleResponse(bk liveBatchKey, entries []liveEntry, resp *Re
 			// that swept the region has already passed — installing now would
 			// cache the pre-move value with nobody left to invalidate it.
 			if e.pool(bk.node).epoch.Load() == epoch &&
-				(e.member == nil || e.migGen.Load() == gen) &&
+				e.migGen.Load() == gen &&
 				opt.KnownVersion(ent.key) <= meta.Version {
 				opt.OnValueFetched(ent.key, int64(len(value)), meta.Version, value, ent.w.toMem) //lint:allow hotpath the optimizer's cache stores values as interface{}; boxing is the documented fetch cost
 				if e.cfg.Trace != nil {

@@ -9,32 +9,25 @@ import (
 
 	"joinopt/internal/cluster"
 	"joinopt/internal/core"
-	"joinopt/internal/store"
 )
 
-// Table is a resolved handle on one stored relation: the partitioning map,
-// the UDF implementation and every shard-local optimizer are looked up once
-// (at Executor construction) instead of per Submit, so the hot path
-// performs zero map lookups between the caller and the routing decision.
+// Table is a resolved handle on one stored relation: the UDF implementation
+// and every shard-local optimizer are looked up once (at Executor
+// construction) instead of per Submit, so the one map lookup between the
+// caller and the routing decision is the placement map's (placement).
 // Handles are immutable and safe for concurrent use; Executor.Table returns
 // the same *Table for the life of the executor.
 type Table struct {
-	e        *Executor
-	name     string
-	tbl      *store.Table
-	udf      UDF // resolved implementation; nil if never registered
-	udfName  string
-	seed     uint32            // FNV-1a of name+separator: the shard hash prefix
-	opts     []*core.Optimizer // per shard, guarded by that shard's lock
-	replicas int               // replica factor resolved at construction
+	e       *Executor
+	name    string
+	udf     UDF // resolved implementation; nil if never registered
+	udfName string
+	seed    uint32            // FNV-1a of name+separator: the shard hash prefix
+	opts    []*core.Optimizer // per shard, guarded by that shard's lock
 }
 
 // Name returns the table's name.
 func (t *Table) Name() string { return t.name }
-
-// Replicas returns the table's replica factor as resolved at construction
-// (1 means unreplicated).
-func (t *Table) Replicas() int { return t.replicas }
 
 // RouteHint overrides the runtime join-location decision for one call,
 // making the paper's FC/FD policies expressible per submission instead of
@@ -203,14 +196,14 @@ func (t *Table) Call(ctx context.Context, key string, params []byte, opts ...Cal
 // Put writes key=value through the live plane and returns the version the
 // write committed at.
 //
-// Unreplicated tables (the default) send one OpPut to the key's owner.
-// Replicated tables sequence the write: the first replica in placement
-// order with a live pool assigns the version (a plain OpPut), the value is
-// then fanned to the remaining replicas as versioned OpPutRepl records
-// applied set-if-newer, and Put returns once a majority of the R replicas
-// have acked — the write-quorum (the sequencer counts as one ack). Versions
-// stay continuous across sequencer changes because replication carries the
-// assigned version explicitly.
+// The write is sequenced, then fanned out: the first member of the key's
+// replica set with a live pool assigns the version (a plain OpPut), the value
+// is then sent to the remaining members as versioned OpPutRepl records
+// applied set-if-newer, and Put returns once a majority of the set has acked
+// — the write-quorum (the sequencer counts as one ack). An unreplicated key
+// is a set of one: its owner's ack is the quorum and nothing is fanned out.
+// Versions stay continuous across sequencer changes because replication
+// carries the assigned version explicitly.
 //
 // Failure semantics follow the storage contract (storage.Table.Put): an
 // error does NOT mean the write was rolled back. A put that failed at its
@@ -232,90 +225,54 @@ func (t *Table) Put(ctx context.Context, key string, value []byte) (int64, error
 	if err := ctx.Err(); err != nil {
 		return 0, &Error{Code: CodeCanceled, Op: OpPut, Msg: "canceled before send: " + err.Error()}
 	}
-	node, replicas := t.placement(key)
-	if replicas != nil {
-		return t.putReplicated(ctx, key, value, replicas)
-	}
-	// A CodeMoved answer did zero work at the old owner (the redirect is
-	// issued before any row is touched), so re-sending this non-idempotent
-	// op to the learned owner is safe; the hop bound turns a membership
-	// routing loop into a surfaced error instead of livelock.
+	var nodes []cluster.NodeID
+	var seq int
+	var version int64
 	for hop := 0; ; hop++ {
-		v, moved, err := t.putOnce(node, key, value)
-		if err == nil {
-			return v, nil
+		// The sequencer is the first member in placement order whose pool is
+		// live; with every pool down the primary gets the attempt anyway and
+		// the wire reports the failure.
+		nodes, seq = t.placement(key), 0
+		for i, n := range nodes {
+			if p := e.pool(n); p != nil && p.live() {
+				seq = i
+				break
+			}
 		}
-		if len(moved) == 0 || e.member == nil || hop >= movedMaxHops {
+		// Once the sequencer has applied the write it may be visible, so our own
+		// cached copy goes at its ack (putOnce), not at quorum.
+		v, moved, err := t.putOnce(nodes[seq], key, value)
+		if err == nil {
+			version = v
+			break
+		}
+		// A CodeMoved answer did zero work at the old owner (the redirect is
+		// issued before any row is touched), so re-sending this non-idempotent
+		// op to the re-resolved set is safe; the hop bound turns a membership
+		// routing loop into a surfaced error instead of livelock. Anything
+		// else is maybe committed at the sequencer; see above.
+		if len(moved) == 0 || hop >= movedMaxHops {
 			return 0, err
 		}
 		e.applyMoved(t, moved)
-		owner, known := e.member.View().OwnerForKey(t.name, key)
-		if !known {
-			return 0, &Error{Code: CodeMoved, Op: OpPut, Msg: "table unknown to membership map after redirect"}
-		}
-		node = owner
-	}
-}
-
-// putOnce is the one OpPut of a write: a single wire attempt at node (callNode
-// never re-sends a put: one that failed at the wire is maybe committed) whose
-// ack applies the assigned version to this executor's own, now stale, cached
-// copy. A CodeMoved rejection returns its redirect payload, nil when corrupt.
-func (t *Table) putOnce(node cluster.NodeID, key string, value []byte) (int64, []movedRegion, *Error) {
-	req := Request{Op: OpPut, Table: t.name, Keys: []string{key}, Params: [][]byte{value}}
-	resp, _ := t.e.callNode(liveBatchKey{t: t, node: node, op: OpPut}, &req, nil, false)
-	defer putResponse(resp)
-	if err := respError(OpPut, resp); err != nil {
-		var moved []movedRegion
-		if err.Code == CodeMoved && len(resp.Values) > 0 {
-			if m, ok := decodeMoved(resp.Values[0]); ok {
-				moved = m
-			}
-		}
-		return 0, moved, err
-	}
-	if len(resp.Metas) != 1 {
-		return 0, nil, &Error{Code: CodeServer, Op: OpPut, Msg: "malformed put response"}
-	}
-	v := resp.Metas[0].Version
-	t.e.invalidate(t, key, v)
-	return v, nil, nil
-}
-
-// putReplicated is the replicated arm of Put: sequence the write at the
-// first live replica, fan the versioned record to the rest, ack at
-// majority. Stragglers past quorum keep replicating in the background —
-// their set-if-newer applies stay correct whenever they land.
-func (t *Table) putReplicated(ctx context.Context, key string, value []byte, nodes []cluster.NodeID) (int64, error) {
-	e := t.e
-	// The sequencer is the first replica in placement order whose pool is
-	// live; with every pool down the primary gets the attempt anyway and
-	// the wire reports the failure.
-	seq := 0
-	for i, n := range nodes {
-		if p := e.pool(n); p != nil && p.live() {
-			seq = i
-			break
-		}
 	}
 	if seq != 0 {
 		e.PutFailovers.Add(1)
 	}
-	// Once the sequencer has applied the write it may be visible, so our own
-	// cached copy goes at its ack (putOnce), not at quorum.
-	version, _, err := t.putOnce(nodes[seq], key, value)
-	if err != nil {
-		return 0, err // maybe committed at the sequencer; see the Put doc
+	if len(nodes) == 1 {
+		return version, nil
 	}
 
+	// Fan the versioned record to the rest and ack at majority. Stragglers
+	// past quorum keep replicating in the background — their set-if-newer
+	// applies stay correct whenever they land.
 	payload := encodePutRepl(version, value)
 	acks, need := 1, len(nodes)/2+1
 	results := make(chan *Error, len(nodes)-1)
-	for i := range nodes {
+	for i, node := range nodes {
 		if i == seq {
 			continue
 		}
-		node := nodes[i]
 		go func() {
 			rreq := Request{Op: OpPutRepl, Table: t.name,
 				Keys: []string{key}, Params: [][]byte{payload}}
@@ -351,6 +308,31 @@ func (t *Table) putReplicated(ctx context.Context, key string, value []byte, nod
 		return version, &Error{Code: CodeTransport, Op: OpPut, Msg: msg}
 	}
 	return version, nil
+}
+
+// putOnce is the one OpPut of a write: a single wire attempt at node (callNode
+// never re-sends a put: one that failed at the wire is maybe committed) whose
+// ack applies the assigned version to this executor's own, now stale, cached
+// copy. A CodeMoved rejection returns its redirect payload, nil when corrupt.
+func (t *Table) putOnce(node cluster.NodeID, key string, value []byte) (int64, []movedRegion, *Error) {
+	req := Request{Op: OpPut, Table: t.name, Keys: []string{key}, Params: [][]byte{value}}
+	resp, _ := t.e.callNode(liveBatchKey{t: t, node: node, op: OpPut}, &req, nil, false)
+	defer putResponse(resp)
+	if err := respError(OpPut, resp); err != nil {
+		var moved []movedRegion
+		if err.Code == CodeMoved && len(resp.Values) > 0 {
+			if m, ok := decodeMoved(resp.Values[0]); ok {
+				moved = m
+			}
+		}
+		return 0, moved, err
+	}
+	if len(resp.Metas) != 1 {
+		return 0, nil, &Error{Code: CodeServer, Op: OpPut, Msg: "malformed put response"}
+	}
+	v := resp.Metas[0].Version
+	t.e.invalidate(t, key, v)
+	return v, nil, nil
 }
 
 // cancelState chases one cancellable submission through the executor: it

@@ -1,18 +1,22 @@
-// Package membership is the live plane's elastic-cluster subsystem: an
-// epoch-versioned partition map that replaces the static striping of
-// store.Table.Locate as the routing authority, so data nodes can join and
-// leave a *running* cluster.
+// Package membership is the live plane's placement: one epoch-versioned
+// partition map answers "where does this key live" for every executor,
+// replicas of a region included — the paper's client-cached region map. A
+// statically configured cluster routes through an epoch-0 map filled once
+// (NewStatic); an elastic one shares a coordinator's map (NewMap), so data
+// nodes can join and leave a *running* cluster.
 //
 // # Model
 //
 // A Map holds one monotonically increasing epoch and, per table, a dense
-// region → owner assignment (region boundaries are store.RegionIndex — the
-// same FNV-1a striping the static tables use, so promoting a static table
-// into the map changes no placement). Every mutation — a node joining, a
-// region changing owners at a migration cutover — installs a fresh immutable
-// View under the next epoch. Readers (the executor's per-op owner lookup,
-// the server's stale-epoch check) load the View through one atomic pointer:
-// no locks, no allocation on the routing hot path.
+// region → replica set assignment: the region's nodes in placement order,
+// primary (the owner) first; an unreplicated region is a set of one. Region
+// boundaries are store.RegionIndex, the FNV-1a hash static tables use. Two
+// policies fill a set (ReplicaSets): the primary is the table's round-robin
+// striping, the backups are the region's consistent-hash ring successors.
+// Every mutation — a node joining, a region changing owners at a migration
+// cutover — installs a fresh immutable View under the next epoch. Readers
+// (the executor's per-op placement lookup) load the View through one atomic
+// pointer: no locks, no allocation on the routing hot path.
 //
 // Clients stamp every wire request with their View's epoch. A store node
 // compares that stamp against its own installed epoch — one comparison when
@@ -23,13 +27,14 @@
 //
 // # Epochs
 //
-// Epoch 0 is reserved on the wire for "no membership configured" (static
-// clusters stamp 0 and servers without a map expect 0, so the pre-v4
-// deployment shape stays a single equal comparison). A Map therefore starts
-// at epoch 1. Each mutation bumps the epoch by exactly one; a migration's
-// cutover is *fenced* on that bump — the old owner starts redirecting and
-// the new owner starts serving under the same freshly installed epoch, so
-// there is no epoch at which both nodes claim the region.
+// Epoch 0 is reserved on the wire for "no membership configured": a static
+// map (NewStatic) stamps 0 until a redirect teaches it otherwise, and servers
+// without a map expect 0, so the pre-v4 deployment shape stays a single equal
+// comparison. A coordinator's Map therefore starts at epoch 1. Each mutation
+// bumps the epoch by exactly one; a migration's cutover is *fenced* on that
+// bump — the old owner starts redirecting and the new owner starts serving
+// under the same freshly installed epoch, so there is no epoch at which both
+// nodes claim the region.
 //
 // Each region additionally remembers the epoch at which its ownership was
 // last set (TableView.Epochs), and LearnOwner compares a redirect against
@@ -42,6 +47,9 @@
 package membership
 
 import (
+	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -50,8 +58,8 @@ import (
 )
 
 // Map is the epoch-versioned partition map. The zero value is not usable;
-// call NewMap. Writers (a membership coordinator, a client applying
-// redirects) serialize on an internal mutex; readers are lock-free.
+// call NewMap or NewStatic. Writers (a membership coordinator, a client
+// applying redirects) serialize on an internal mutex; readers are lock-free.
 type Map struct {
 	mu   sync.Mutex // serializes view replacement; never held while blocking
 	view atomic.Pointer[View]
@@ -61,25 +69,27 @@ type Map struct {
 // and slices they reach are frozen at install time: readers may hold a View
 // across any number of lookups without synchronization.
 type View struct {
-	// Epoch is the map version this view was installed under (≥ 1).
+	// Epoch is the map version this view was installed under (0 only in a
+	// static map no redirect has taught yet).
 	Epoch uint64
-	// Tables maps table name → its region ownership.
+	// Tables maps table name → its region placement.
 	Tables map[string]*TableView
 	// Addrs maps node → its wire address (host:port).
 	Addrs map[cluster.NodeID]string
 }
 
-// TableView is one table's frozen region → owner assignment; region i is
-// owned by Owners[i], and len(Owners) is the table's region count.
+// TableView is one table's frozen placement: region i lives on Sets[i], in
+// placement order with the primary — the region's owner — first, and
+// len(Sets) is the table's region count.
 type TableView struct {
-	Owners []cluster.NodeID
+	Sets [][]cluster.NodeID
 	// Epochs[i] is the epoch at which region i's ownership was last set —
 	// the fencing token a CodeMoved redirect for the region is compared
 	// against (see LearnOwner).
 	Epochs []uint64
 }
 
-// NewMap returns an empty map at epoch 1.
+// NewMap returns an empty coordinator's map at epoch 1.
 func NewMap() *Map {
 	m := &Map{}
 	m.view.Store(&View{
@@ -88,6 +98,58 @@ func NewMap() *Map {
 		Addrs:  map[cluster.NodeID]string{},
 	})
 	return m
+}
+
+// NewStatic returns the map of a statically configured cluster: the given
+// addresses (copied) and every table's ReplicaSets at factor r, under epoch
+// 0, the wire's "no membership configured" stamp — servers that were never
+// given a map expect exactly that, so requests routed by this map stay on
+// their one-comparison fast path. The epoch leaves 0 only when a CodeMoved
+// redirect teaches the map a newer owner (LearnOwner), or a coordinator's
+// mutation is applied to it.
+func NewStatic(addrs map[cluster.NodeID]string, tables map[string]*store.Table, r int) *Map {
+	v := &View{Tables: make(map[string]*TableView, len(tables)), Addrs: make(map[cluster.NodeID]string, len(addrs))}
+	maps.Copy(v.Addrs, addrs)
+	for name, t := range tables {
+		sets := ReplicaSets(t, r)
+		v.Tables[name] = &TableView{Sets: sets, Epochs: make([]uint64, len(sets))}
+	}
+	m := &Map{}
+	m.view.Store(v)
+	return m
+}
+
+// ReplicaSets applies the two fill policies to a striped table and returns
+// its regions' replica sets, r copies each. The primary of region i is the
+// node store.NewTable's round-robin striping put it on (nodes[i % len(nodes)]),
+// so a key's owner is Table.Locate's answer at every r; the r-1 backups are
+// the first distinct ring successors of Hash("<table>#<region>") on the
+// consistent-hash ring over the table's nodes, skipping the primary — every
+// client and the seeding side derive identical sets from the table alone.
+// r == 0 means cluster.DefaultReplicas; r is clamped to [1, distinct nodes].
+func ReplicaSets(t *store.Table, r int) [][]cluster.NodeID {
+	regions := t.Regions()
+	if r == 0 {
+		r = cluster.DefaultReplicas
+	}
+	var ring *cluster.Ring
+	if r > 1 {
+		primaries := make([]cluster.NodeID, len(regions))
+		for i, reg := range regions {
+			primaries[i] = reg.Node
+		}
+		ring = cluster.NewRing(primaries, 0) // duplicates collapse: the table's distinct nodes
+		r = min(r, ring.Nodes())
+	}
+	sets := make([][]cluster.NodeID, len(regions))
+	for i, reg := range regions {
+		sets[i] = []cluster.NodeID{reg.Node}
+		if r > 1 {
+			h := cluster.Hash(fmt.Sprintf("%s#%d", t.Name, reg.Index))
+			sets[i] = append(sets[i], ring.Successors(h, r-1, reg.Node)...)
+		}
+	}
+	return sets
 }
 
 // View returns the current immutable view.
@@ -102,12 +164,19 @@ func (m *Map) Epoch() uint64 { return m.view.Load().Epoch }
 
 // Clone returns an independent Map frozen at m's current view: the clone
 // starts with the same epoch and placement but does not observe later
-// mutations of m. Drills and tests use clones to model a client whose map
-// went stale and must converge through CodeMoved redirects.
+// mutations of m. Every client of a cluster routes through its own clone,
+// and drills and tests use one to model a client whose map went stale and
+// must converge through CodeMoved redirects.
 func (m *Map) Clone() *Map {
 	c := &Map{}
 	c.view.Store(m.view.Load())
 	return c
+}
+
+// next returns a copy of old under the given epoch whose table and address
+// maps can be edited (a TableView is replaced copy-on-write when edited).
+func (old *View) next(epoch uint64) *View {
+	return &View{Epoch: epoch, Tables: maps.Clone(old.Tables), Addrs: maps.Clone(old.Addrs)}
 }
 
 // mutate installs the next view: it copies the current view, applies fn to
@@ -116,17 +185,7 @@ func (m *Map) mutate(fn func(*View)) uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	old := m.view.Load()
-	next := &View{
-		Epoch:  old.Epoch + 1,
-		Tables: make(map[string]*TableView, len(old.Tables)),
-		Addrs:  make(map[cluster.NodeID]string, len(old.Addrs)),
-	}
-	for name, tv := range old.Tables {
-		next.Tables[name] = tv // replaced copy-on-write by fn when edited
-	}
-	for id, addr := range old.Addrs {
-		next.Addrs[id] = addr
-	}
+	next := old.next(old.Epoch + 1)
 	fn(next)
 	m.view.Store(next)
 	return next.Epoch
@@ -141,13 +200,16 @@ func (m *Map) AddNode(id cluster.NodeID, addr string) uint64 {
 
 // RemoveNode forgets a node's address and returns the new epoch. The caller
 // must have migrated every region away first; RemoveNode panics if the node
-// still owns a region — silently black-holing a partition is never correct.
+// is still a member of a region's set — silently black-holing a partition
+// (or a copy of one) is never correct.
 func (m *Map) RemoveNode(id cluster.NodeID) uint64 {
 	return m.mutate(func(v *View) {
 		for name, tv := range v.Tables {
-			for _, owner := range tv.Owners {
-				if owner == id {
-					panic("membership: RemoveNode(" + name + " owner still)") //lint:allow errcode coordinator misuse is a programming error, not a request outcome
+			for _, set := range tv.Sets {
+				for _, member := range set {
+					if member == id {
+						panic("membership: RemoveNode(" + name + " owner still)") //lint:allow errcode coordinator misuse is a programming error, not a request outcome
+					}
 				}
 			}
 		}
@@ -155,46 +217,58 @@ func (m *Map) RemoveNode(id cluster.NodeID) uint64 {
 	})
 }
 
-// SetTable installs a table's full region → owner assignment (owners[i]
-// owns region i; the slice is copied) and returns the new epoch. Promoting
-// a static store.Table: pass one owner per region in region order and the
-// map reproduces Table.Locate exactly.
+// SetTable installs an unreplicated table — owners[i] alone holds region i —
+// and returns the new epoch: SetTableSets with sets of one. Promoting a
+// static store.Table: pass one owner per region in region order and the map
+// reproduces Table.Locate exactly.
 func (m *Map) SetTable(name string, owners []cluster.NodeID) uint64 {
-	cp := make([]cluster.NodeID, len(owners))
-	copy(cp, owners)
+	sets := make([][]cluster.NodeID, len(owners))
+	for i := range owners {
+		sets[i] = owners[i : i+1]
+	}
+	return m.SetTableSets(name, sets)
+}
+
+// SetTableSets installs a table's full placement (sets[i] is region i's
+// replica set, primary first; copied) and returns the new epoch. An
+// executor decides at construction whether it prices replicas, so install a
+// table's sets before building the executors that route it.
+func (m *Map) SetTableSets(name string, sets [][]cluster.NodeID) uint64 {
+	cp := make([][]cluster.NodeID, len(sets))
+	for i, set := range sets {
+		cp[i] = slices.Clone(set)
+	}
 	return m.mutate(func(v *View) {
 		eps := make([]uint64, len(cp))
 		for i := range eps {
 			eps[i] = v.Epoch // the install is each region's first assignment
 		}
-		v.Tables[name] = &TableView{Owners: cp, Epochs: eps}
+		v.Tables[name] = &TableView{Sets: cp, Epochs: eps}
 	})
 }
 
-// SetOwner reassigns one region of a table to a new owner and returns the
-// new epoch — this is the fenced cutover bump of a shard migration. Panics
-// on an unknown table or out-of-range region (coordinator bug).
+// SetOwner makes owner the sole holder of one region of a table and returns
+// the new epoch — this is the fenced cutover bump of a shard migration.
+// Panics on an unknown table or out-of-range region (coordinator bug).
 func (m *Map) SetOwner(table string, region int, owner cluster.NodeID) uint64 {
 	return m.mutate(func(v *View) {
 		tv := v.Tables[table]
-		if tv == nil || region < 0 || region >= len(tv.Owners) {
+		if tv == nil || region < 0 || region >= len(tv.Sets) {
 			panic("membership: SetOwner of unknown table/region") //lint:allow errcode coordinator misuse is a programming error, not a request outcome
 		}
-		next := copyTableView(tv)
-		next.Owners[region] = owner
-		next.Epochs[region] = v.Epoch
-		v.Tables[table] = next
+		v.Tables[table] = tv.withOwner(region, owner, v.Epoch)
 	})
 }
 
-// copyTableView deep-copies one table's assignment for copy-on-write edits.
-func copyTableView(tv *TableView) *TableView {
+// withOwner returns a copy of tv whose region is held by owner alone since
+// epoch. The other regions' sets are shared: a set is never edited in place.
+func (tv *TableView) withOwner(region int, owner cluster.NodeID, epoch uint64) *TableView {
 	next := &TableView{
-		Owners: make([]cluster.NodeID, len(tv.Owners)),
-		Epochs: make([]uint64, len(tv.Epochs)),
+		Sets:   append([][]cluster.NodeID(nil), tv.Sets...),
+		Epochs: append([]uint64(nil), tv.Epochs...),
 	}
-	copy(next.Owners, tv.Owners)
-	copy(next.Epochs, tv.Epochs)
+	next.Sets[region] = []cluster.NodeID{owner}
+	next.Epochs[region] = epoch
 	return next
 }
 
@@ -205,7 +279,10 @@ func copyTableView(tv *TableView) *TableView {
 // redirect's, and the map's global epoch rises to the redirect's when the
 // redirect is ahead of it. Reports whether the map changed. A redirect at
 // or below the region's epoch is ignored — a racing or delayed redirect
-// from an older cutover can never roll the region back.
+// from an older cutover can never roll the region back — and so is one that
+// names a region with more than one member: a redirect is wire input, and
+// no cutover moves a replicated region (Migrator.Migrate refuses it), so
+// nothing true could be learned from it.
 //
 // A redirect teaches one region at a time; a client many epochs behind
 // converges through successive redirects (each wrong guess is answered with
@@ -215,27 +292,14 @@ func (m *Map) LearnOwner(epoch uint64, table string, region int, owner cluster.N
 	defer m.mu.Unlock()
 	old := m.view.Load()
 	tv := old.Tables[table]
-	if tv == nil || region < 0 || region >= len(tv.Owners) {
+	if tv == nil || region < 0 || region >= len(tv.Sets) || len(tv.Sets[region]) > 1 {
 		return false
 	}
 	if epoch <= tv.Epochs[region] {
 		return false
 	}
-	next := &View{
-		Epoch:  max(epoch, old.Epoch),
-		Tables: make(map[string]*TableView, len(old.Tables)),
-		Addrs:  make(map[cluster.NodeID]string, len(old.Addrs)+1),
-	}
-	for name, t := range old.Tables {
-		next.Tables[name] = t
-	}
-	for id, a := range old.Addrs {
-		next.Addrs[id] = a
-	}
-	nt := copyTableView(tv)
-	nt.Owners[region] = owner
-	nt.Epochs[region] = epoch
-	next.Tables[table] = nt
+	next := old.next(max(epoch, old.Epoch))
+	next.Tables[table] = tv.withOwner(region, owner, epoch)
 	if addr != "" {
 		next.Addrs[owner] = addr
 	}
@@ -243,31 +307,46 @@ func (m *Map) LearnOwner(epoch uint64, table string, region int, owner cluster.N
 	return true
 }
 
-// Owner returns the owner of table's region and whether the table is known.
+// Owner returns the owner (the primary) of table's region and whether the
+// table is known.
 func (v *View) Owner(table string, region int) (cluster.NodeID, bool) {
 	tv := v.Tables[table]
-	if tv == nil || region < 0 || region >= len(tv.Owners) {
+	if tv == nil || region < 0 || region >= len(tv.Sets) {
 		return 0, false
 	}
-	return tv.Owners[region], true
+	return tv.Sets[region][0], true
 }
 
-// OwnerForKey returns the node owning key in table (via store.RegionIndex,
-// the same striping static tables use) and whether the table is known.
+// ReplicasForKey returns the replica set of key's region in table (via
+// store.RegionIndex), primary first — the placement answer. The slice is
+// part of the frozen view: read-only, allocation-free. nil for an unknown
+// table.
+//
+//joinopt:hotpath
+func (v *View) ReplicasForKey(table, key string) []cluster.NodeID {
+	tv := v.Tables[table]
+	if tv == nil {
+		return nil
+	}
+	return tv.Sets[store.RegionIndex(key, len(tv.Sets))]
+}
+
+// OwnerForKey returns the node owning key in table — the first member of
+// its replica set — and whether the table is known.
 //
 //joinopt:hotpath
 func (v *View) OwnerForKey(table, key string) (cluster.NodeID, bool) {
-	tv := v.Tables[table]
-	if tv == nil {
+	set := v.ReplicasForKey(table, key)
+	if set == nil {
 		return 0, false
 	}
-	return tv.Owners[store.RegionIndex(key, len(tv.Owners))], true
+	return set[0], true
 }
 
 // Regions returns the region count of table (0 if unknown).
 func (v *View) Regions(table string) int {
 	if tv := v.Tables[table]; tv != nil {
-		return len(tv.Owners)
+		return len(tv.Sets)
 	}
 	return 0
 }
@@ -275,16 +354,17 @@ func (v *View) Regions(table string) int {
 // Addr returns a node's wire address ("" if unknown).
 func (v *View) Addr(id cluster.NodeID) string { return v.Addrs[id] }
 
-// RegionsOwnedBy returns the regions of table owned by node, ascending.
-// Coordinators use it to enumerate what must migrate before a node drains.
+// RegionsOwnedBy returns the regions of table owned by node (it is their
+// primary), ascending. Coordinators use it to enumerate what must migrate
+// before a node drains.
 func (v *View) RegionsOwnedBy(table string, node cluster.NodeID) []int {
 	tv := v.Tables[table]
 	if tv == nil {
 		return nil
 	}
 	var out []int
-	for i, owner := range tv.Owners {
-		if owner == node {
+	for i, set := range tv.Sets {
+		if set[0] == node {
 			out = append(out, i)
 		}
 	}

@@ -6,7 +6,8 @@
 //
 // The simulation plane stores row *metadata* (value size, UDF cost) rather
 // than bytes; the live plane (package live) stores real bytes but reuses the
-// partitioning logic here.
+// partitioning hash (RegionIndex) here; where a live table's regions and their
+// replicas sit is package membership's to answer.
 package store
 
 import (
@@ -53,16 +54,6 @@ type Table struct {
 	Catalog Catalog
 
 	regions []Region
-	nodes   []cluster.NodeID // distinct nodes, in NewTable order
-
-	// Replication (PR 7): replicas is the copies kept of every region
-	// (1 = unreplicated, the historical behaviour). replicaSets[i] is
-	// region i's full placement — primary first (regions[i].Node, so
-	// Locate is unchanged by replication), then replicas-1 backups from
-	// the consistent-hash ring. Precomputed by SetReplicas so the routing
-	// hot path reads a slice instead of walking the ring per key.
-	replicas    int
-	replicaSets [][]cluster.NodeID
 
 	// updates tracks row versions for invalidation: version 0 means never
 	// updated. Timestamps ride on compute-request responses so compute
@@ -79,68 +70,12 @@ func NewTable(name string, catalog Catalog, regionsPerNode int, nodes []cluster.
 	if len(nodes) == 0 {
 		panic("store: table needs at least one node")
 	}
-	t := &Table{Name: name, Catalog: catalog, replicas: 1, versions: make(map[string]int64)}
-	seen := make(map[cluster.NodeID]struct{}, len(nodes))
-	for _, n := range nodes {
-		if _, dup := seen[n]; !dup {
-			seen[n] = struct{}{}
-			t.nodes = append(t.nodes, n)
-		}
-	}
+	t := &Table{Name: name, Catalog: catalog, versions: make(map[string]int64)}
 	total := regionsPerNode * len(nodes)
 	for r := 0; r < total; r++ {
 		t.regions = append(t.regions, Region{Index: r, Node: nodes[r%len(nodes)]})
 	}
 	return t
-}
-
-// SetReplicas sets the table's replication factor: every region keeps r
-// copies (r == 0 means cluster.DefaultReplicas), clamped to the number of
-// distinct nodes. The primary of each region is unchanged — Locate answers
-// exactly as before — and the r-1 backups are the region's consistent-hash
-// ring successors, so every client and server derives the identical
-// placement from the membership alone. Placement is deterministic:
-// repeated calls with the same factor rebuild the same sets.
-//
-// Not safe to call concurrently with ReplicaNodes/Locate readers; configure
-// replication at setup time, before traffic starts.
-func (t *Table) SetReplicas(r int) {
-	if r == 0 {
-		r = cluster.DefaultReplicas
-	}
-	if r < 1 {
-		r = 1
-	}
-	if r > len(t.nodes) {
-		r = len(t.nodes)
-	}
-	t.replicas = r
-	if r == 1 {
-		t.replicaSets = nil
-		return
-	}
-	ring := cluster.NewRing(t.nodes, 0)
-	t.replicaSets = make([][]cluster.NodeID, len(t.regions))
-	for i, reg := range t.regions {
-		set := make([]cluster.NodeID, 0, r)
-		set = append(set, reg.Node)
-		h := cluster.Hash(fmt.Sprintf("%s#%d", t.Name, reg.Index))
-		set = append(set, ring.Successors(h, r-1, reg.Node)...)
-		t.replicaSets[i] = set
-	}
-}
-
-// Replicas returns the table's replication factor (1 = unreplicated).
-func (t *Table) Replicas() int { return t.replicas }
-
-// ReplicaNodes returns key's full placement, primary first. The returned
-// slice is the precomputed per-region set — read-only, allocation-free.
-// With Replicas() == 1 it is nil; use Locate.
-func (t *Table) ReplicaNodes(key string) []cluster.NodeID {
-	if t.replicas == 1 {
-		return nil
-	}
-	return t.replicaSets[t.RegionFor(key)]
 }
 
 // Regions returns the table's regions.

@@ -185,13 +185,13 @@
 //
 // # Replication
 //
-// Tables can be replicated K ways across the store nodes
-// (Cluster.SetReplicas before Start, or ClientOptions.Replicas). Placement
-// is a deterministic consistent-hash ring: every partition keeps its
-// original primary — partition maps answer exactly as unreplicated — and
-// gains K-1 backups chosen as ring successors of the partition's hash, so
-// every client and server derives identical replica sets with no
-// coordination.
+// Tables can be replicated K ways across the store nodes. The factor is said
+// once, where the placement is built: Cluster.SetReplicas before Start, which
+// fills the cluster's partition map, seeds every member of each key's replica
+// set from it and hands every client a clone. Placement is deterministic:
+// every partition keeps its striped primary — a key's owner is the same at
+// every K — and gains K-1 backups chosen as consistent-hash ring successors
+// of the partition's hash, so all clients derive identical replica sets.
 //
 //   - Writes are sequenced. Table.Put sends the value to the first live
 //     replica in placement order, which assigns the version; the versioned
@@ -222,7 +222,8 @@
 // A cluster's placement no longer has to be fixed at Start: store nodes
 // can join and leave a running cluster, and partitions move between owners
 // while both keep serving. The authority is an epoch-versioned partition
-// map (internal/membership): each table's regions map to owners, every
+// map (internal/membership; a fixed cluster routes through the same map at
+// epoch 0): each table's regions map to owners, every
 // ownership change is a cutover stamped with a strictly increasing epoch,
 // and clients hold their own — possibly stale — copy of the map.
 //
@@ -255,8 +256,8 @@
 // drill: a node joins mid-put-storm, every partition migrates to it under
 // load against a deliberately stale client, and the old owner is removed —
 // no lost acked put, no wrong answer, no caller-visible redirect.
-// Membership routing and replicated tables (Replicas > 1) are mutually
-// exclusive today; see ROADMAP.md "Membership & live migration".
+// The one map holds replica sets too, so a membership cluster can serve a
+// replicated table; migrating one is still refused (ROADMAP.md open item 3).
 //
 // # Static analysis
 //
@@ -302,6 +303,7 @@ import (
 	"joinopt/internal/cluster"
 	"joinopt/internal/core"
 	"joinopt/internal/live"
+	"joinopt/internal/membership"
 	"joinopt/internal/store"
 )
 
@@ -410,11 +412,12 @@ type Cluster struct {
 	specs    []TableSpec
 	replicas int
 
-	servers []*live.Server
-	addrs   map[cluster.NodeID]string
-	tables  map[string]*store.Table
-	udfs    map[string]string
-	started bool
+	servers   []*live.Server
+	addrs     map[cluster.NodeID]string
+	tables    map[string]*store.Table
+	udfs      map[string]string
+	started   bool
+	placement *membership.Map // built once at Start; every client routes through its own Clone
 }
 
 // NewCluster creates a cluster of n data nodes; the policy decides whether
@@ -473,30 +476,30 @@ func (c *Cluster) Start() error {
 		catalog := store.CatalogFunc(func(string) store.RowMeta {
 			return store.RowMeta{ValueSize: 256}
 		})
-		t := store.NewTable(spec.Name, catalog, spec.RegionsPerNode, nodes)
-		if c.replicas != 0 {
-			r := c.replicas
-			if r < 0 {
-				r = 0 // store.Table.SetReplicas(0) selects the default factor
-			}
-			t.SetReplicas(r)
-		}
-		c.tables[spec.Name] = t
+		c.tables[spec.Name] = store.NewTable(spec.Name, catalog, spec.RegionsPerNode, nodes)
 		c.udfs[spec.Name] = spec.UDFName
+	}
+	r := c.replicas // SetReplicas's encoding: 0 is unreplicated, negative the default factor
+	switch {
+	case r == 0:
+		r = 1
+	case r < 0:
+		r = cluster.DefaultReplicas
+	}
+	// The map carries no addresses: every client dials c.addrs itself.
+	c.placement = membership.NewStatic(nil, c.tables, r)
+	seeding := c.placement.View()
+	for _, spec := range c.specs {
 		shards := make([]map[string][]byte, c.nodes)
 		for i := range shards {
 			shards[i] = make(map[string][]byte)
 		}
 		for k, v := range spec.Rows {
-			if t.Replicas() > 1 {
-				// Seeds load on every replica of their partition, so a
-				// backup can answer reads (and re-seed a catch-up scan is
-				// never needed for version-0 rows).
-				for _, n := range t.ReplicaNodes(k) {
-					shards[n][k] = v
-				}
-			} else {
-				shards[t.Locate(k)][k] = v
+			// Seeds load on every member of their key's set, so a backup can
+			// answer reads (and a catch-up scan never needs to carry
+			// version-0 rows).
+			for _, n := range seeding.ReplicasForKey(spec.Name, k) {
+				shards[n][k] = v
 			}
 		}
 		for i := range shards {
@@ -557,11 +560,6 @@ type ClientOptions struct {
 	// answer within the deadline fails with ErrTimeout (default 10s;
 	// negative disables the deadline).
 	RequestTimeout time.Duration
-	// Replicas overrides the tables' replica factor at client construction
-	// (> 1 for K-way placement, < 0 for the default factor). 0 — the
-	// usual choice — keeps whatever the cluster configured via
-	// SetReplicas. See the package documentation's "Replication" section.
-	Replicas int
 }
 
 // Client is a compute-node runtime: every Submit is routed by the paper's
@@ -577,10 +575,11 @@ func (c *Cluster) NewClient(opts ClientOptions) (*Client, error) {
 		return nil, fmt.Errorf("joinopt: cluster not started") //lint:allow errcode setup misuse, outside the op result contract
 	}
 	e, err := live.NewExecutor(live.ExecConfig{
-		Tables:   c.tables,
-		Addrs:    c.addrs,
-		Registry: c.registry,
-		TableUDF: c.udfs,
+		Tables:     c.tables,
+		Addrs:      c.addrs,
+		Membership: c.placement.Clone(),
+		Registry:   c.registry,
+		TableUDF:   c.udfs,
 		Optimizer: core.Config{
 			Policy:         c.policy.corePolicy(),
 			MemCacheBytes:  opts.MemCacheBytes,
@@ -590,7 +589,6 @@ func (c *Cluster) NewClient(opts ClientOptions) (*Client, error) {
 		Shards:         opts.Shards,
 		MaxRetries:     opts.MaxRetries,
 		RequestTimeout: opts.RequestTimeout,
-		Replicas:       opts.Replicas,
 	})
 	if err != nil {
 		return nil, err
