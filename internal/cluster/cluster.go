@@ -175,11 +175,9 @@ func (c *Cluster) Send(from, to NodeID, bytes int64, deliver func()) {
 	dst.BytesReceived += bytes
 	bw := c.Bandwidth(from, to)
 	d := sim.Duration(float64(bytes) / bw)
-	src.NetOut.Schedule(d, func(_, end sim.Time) {
-		arrive := end + sim.Time(c.Cfg.LatencySec)
-		dst.NetIn.ScheduleAfter(arrive, d, func(_, _ sim.Time) {
-			deliver()
-		})
+	src.NetOut.Schedule(d, func() {
+		arrive := c.K.Now() + sim.Time(c.Cfg.LatencySec)
+		dst.NetIn.ScheduleAfter(arrive, d, deliver)
 	})
 }
 

@@ -126,7 +126,7 @@ func (cn *computeNode) pump() {
 // admit charges the per-tuple input cost and dispatches stage 0.
 func (cn *computeNode) admit(t Tuple) {
 	req := &request{cn: cn, stage: 0, key: t.Keys[0], tuple: t}
-	cn.node.CPU.Schedule(cn.ex.cfg.PerTupleCPU, func(_, _ sim.Time) {
+	cn.node.CPU.Schedule(cn.ex.cfg.PerTupleCPU, func() {
 		cn.dispatch(req)
 	})
 }
@@ -167,7 +167,7 @@ func (cn *computeNode) dispatch(req *request) {
 			fs := ex.c.FSReadTime(size)
 			opt.Model.DiskCompute.Observe(float64(fs))
 			cn.pendingLocal++
-			cn.node.CPU.Schedule(fs, func(_, _ sim.Time) {
+			cn.node.CPU.Schedule(fs, func() {
 				cn.pendingLocal--
 				cn.computeLocally(req, 0)
 			})
@@ -189,7 +189,7 @@ func (cn *computeNode) dispatch(req *request) {
 	// The optimized strategies pay a small bookkeeping cost per decision
 	// (statistics, counters, cache maintenance).
 	if ex.cfg.Strategy.optimized() {
-		cn.node.CPU.Schedule(ex.cfg.DecisionCPU, func(_, _ sim.Time) { act() })
+		cn.node.CPU.Schedule(ex.cfg.DecisionCPU, act)
 		return
 	}
 	act()
@@ -206,10 +206,10 @@ func (cn *computeNode) computeLocally(req *request, procBytes int64) {
 	}
 	cn.pendingLocal++
 	enqueued := ex.k.Now()
-	cn.node.CPU.Schedule(d, func(_, end sim.Time) {
+	cn.node.CPU.Schedule(d, func() {
 		cn.pendingLocal--
 		cn.localCPUSmooth.Observe(meta.ComputeCost)
-		cn.opts[req.stage].ObserveLocalCompute(float64(end-enqueued), meta.ComputeCost)
+		cn.opts[req.stage].ObserveLocalCompute(float64(ex.k.Now()-enqueued), meta.ComputeCost)
 		cn.advance(req)
 	})
 }

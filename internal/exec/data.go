@@ -239,22 +239,18 @@ func (dn *dataNode) serveValue(m core.ResponseMeta, compute bool, done func(sojo
 			cost += sim.Duration(m.ComputeCost)
 		}
 		enqueued := ex.k.Now()
-		dn.node.CPU.Schedule(cost, func(_, end sim.Time) {
-			done(float64(end - enqueued))
+		dn.node.CPU.Schedule(cost, func() {
+			done(float64(ex.k.Now() - enqueued))
 		})
 	}
 	if dn.blockCache != nil && dn.blockCache.touch(m.Key, m.ValueSize) {
 		// Block-cache hit (ablation): a memory read instead of a disk
 		// fetch, charged on the CPU.
 		dn.BlockCacheHits++
-		dn.node.CPU.Schedule(ex.c.MemReadTime(m.ValueSize), func(_, _ sim.Time) {
-			runCPU()
-		})
+		dn.node.CPU.Schedule(ex.c.MemReadTime(m.ValueSize), runCPU)
 		return
 	}
-	dn.node.Disk.Schedule(ex.c.DiskReadTime(m.ValueSize), func(_, _ sim.Time) {
-		runCPU()
-	})
+	dn.node.Disk.Schedule(ex.c.DiskReadTime(m.ValueSize), runCPU)
 }
 
 // handleDataBatch processes a batch of data requests (fetches).

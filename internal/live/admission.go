@@ -123,8 +123,9 @@ func orDefault(v, def int) int {
 
 // admit routes one decoded request into its class's bounded run queue, or
 // sheds it (and possibly a lower-priority victim evicted to make room)
-// immediately with CodeOverloaded. The caller has already registered the
-// request active; shed answers deregister it.
+// immediately with CodeOverloaded — unless Close already shut the queue, in
+// which case it refuses it instead. The caller has already registered the
+// request active; shed and refuse answers deregister it.
 //
 //joinopt:hotpath
 func (s *Server) admit(wc *wireConn, req *Request) {
@@ -134,6 +135,10 @@ func (s *Server) admit(wc *wireConn, req *Request) {
 		s.shed(evicted.wc, evicted.req, cl)
 	}
 	if !admitted {
+		if s.admission[cl].isClosed() {
+			s.refuse(wc, req, cl)
+			return
+		}
 		s.shed(wc, req, cl)
 	}
 }
@@ -148,6 +153,17 @@ func (s *Server) shed(wc *wireConn, req *Request, cl opClass) {
 	resp.RetryAfterMillis = s.retryAfterHint(cl)
 	s.respond(wc, req, resp, cl)
 }
+
+// refuse answers a request that arrived after Close shut its run queue. The
+// node is going away, not overloaded, so the answer is what every straggler
+// of a Close gets from the cut connection — CodeTransport, which the client
+// counts as Failed and may retry on another replica — with no retry-after
+// hint and no Shed count: a shutdown must not read as overload.
+func (s *Server) refuse(wc *wireConn, req *Request, cl opClass) {
+	s.respond(wc, req, errResponse(req.ID, CodeTransport, refuseMsg), cl)
+}
+
+const refuseMsg = "store node closing; request refused at admission, no work performed"
 
 var shedMsgs = [numClasses]string{
 	classExec:  "overloaded: exec run queue full; request shed at admission, no work performed",
@@ -321,6 +337,14 @@ func (rq *runQueue) pop() (queued, bool) {
 		}
 		rq.cond.Wait() //lint:allow lockcheck cond.Wait releases the queue mutex while parked; this is the dispatcher's idle state
 	}
+}
+
+// isClosed reports whether close has run; push refuses every request from
+// then on.
+func (rq *runQueue) isClosed() bool {
+	rq.mu.Lock()
+	defer rq.mu.Unlock()
+	return rq.closed
 }
 
 // close wakes every dispatcher; they drain what is queued, then exit.

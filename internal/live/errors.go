@@ -21,9 +21,10 @@ const (
 	// same request would fail the same way.
 	CodeServer
 	// CodeTransport: the connection failed underneath the request — dial
-	// refused, stream cut mid-frame, decode error, write error. The
-	// request may or may not have reached the server; idempotent ops are
-	// safe to retry on a fresh connection.
+	// refused, stream cut mid-frame, decode error, write error — or a
+	// closing store node refused it at admission. The request may or may
+	// not have reached the server; idempotent ops are safe to retry on a
+	// fresh connection.
 	CodeTransport
 	// CodeTimeout: no response within ExecConfig.RequestTimeout. The
 	// request is abandoned (a late response is dropped on the floor).

@@ -2,10 +2,16 @@
 // by the cluster model. Virtual time is a float64 number of seconds. The
 // kernel is single-threaded: handlers run one at a time in timestamp order,
 // with FIFO ordering among events scheduled for the same instant.
+//
+// Allocation contract: the kernel allocates nothing per event once its queue
+// has grown to the run's high-water mark. Events are stored by value in a
+// slice-backed binary heap ordered on (time, sequence number), and
+// Resource.Schedule/ScheduleAfter hand the caller's done straight to At.
+// Whatever a caller's handler closure captures is the caller's allocation,
+// not the kernel's.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -25,24 +31,13 @@ type event struct {
 	fn  func()
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before is the queue order. seq is unique, so (at, seq) is a total order:
+// every correct heap pops the same sequence.
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+	return e.seq < o.seq
 }
 
 // Kernel is a discrete-event simulator. The zero value is not ready for use;
@@ -50,7 +45,7 @@ func (h *eventHeap) Pop() interface{} {
 type Kernel struct {
 	now       Time
 	seq       uint64
-	events    eventHeap
+	events    []event // binary min-heap on (at, seq)
 	executed  uint64
 	maxEvents uint64 // safety valve against runaway simulations; 0 = unlimited
 }
@@ -71,18 +66,20 @@ func (k *Kernel) Executed() uint64 { return k.executed }
 func (k *Kernel) SetMaxEvents(n uint64) { k.maxEvents = n }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
-// panics: it always indicates a modeling bug.
+// (or at NaN, which would corrupt the queue order) panics: it always
+// indicates a modeling bug.
 func (k *Kernel) At(t Time, fn func()) {
-	if t < k.now {
+	if !(t >= k.now) {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
 	}
 	k.seq++
-	heap.Push(&k.events, &event{at: t, seq: k.seq, fn: fn})
+	k.events = append(k.events, event{at: t, seq: k.seq, fn: fn})
+	k.siftUp(len(k.events) - 1)
 }
 
-// After schedules fn to run d seconds from now. Negative d panics.
+// After schedules fn to run d seconds from now. Negative or NaN d panics.
 func (k *Kernel) After(d Duration, fn func()) {
-	if d < 0 {
+	if !(d >= 0) {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
 	k.At(k.now+d, fn)
@@ -97,11 +94,10 @@ func (k *Kernel) Run() Time {
 // the last executed event (not to limit), and returns the current time.
 func (k *Kernel) RunUntil(limit Time) Time {
 	for len(k.events) > 0 {
-		next := k.events[0]
-		if next.at > limit {
+		if k.events[0].at > limit {
 			break
 		}
-		heap.Pop(&k.events)
+		next := k.pop()
 		k.now = next.at
 		k.executed++
 		if k.maxEvents != 0 && k.executed > k.maxEvents {
@@ -114,3 +110,51 @@ func (k *Kernel) RunUntil(limit Time) Time {
 
 // Pending reports the number of events still queued.
 func (k *Kernel) Pending() int { return len(k.events) }
+
+// siftUp restores the heap after an append at index i.
+func (k *Kernel) siftUp(i int) {
+	h := k.events
+	ev := h[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = ev
+}
+
+// pop removes and returns the earliest event. The vacated tail slot is
+// cleared so the queue does not keep a fired handler's captures alive.
+func (k *Kernel) pop() event {
+	h := k.events
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{}
+	h = h[:n]
+	k.events = h
+	if n == 0 {
+		return top
+	}
+	// Sift the former tail down from the root.
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(&h[c]) {
+			c = r
+		}
+		if !h[c].before(&last) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = last
+	return top
+}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -98,6 +99,37 @@ func TestKernelNegativeAfterPanics(t *testing.T) {
 	k.After(-1, func() {})
 }
 
+// TestKernelNaNPanics: NaN compares false both ways, so a NaN time or
+// duration would pass a "t < now" or "d < 0" guard and then corrupt the
+// queue order. Every entry point refuses it before touching any state.
+func TestKernelNaNPanics(t *testing.T) {
+	nan := Time(math.NaN())
+	k := NewKernel()
+	r := NewResource(k, "cpu", 1)
+	for _, c := range []struct {
+		name string
+		call func()
+	}{
+		{"At", func() { k.At(nan, func() {}) }},
+		{"After", func() { k.After(nan, func() {}) }},
+		{"Schedule", func() { r.Schedule(nan, nil) }},
+		{"ScheduleAfter", func() { r.ScheduleAfter(1, nan, func() {}) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s with NaN did not panic", c.name)
+				}
+			}()
+			c.call()
+		})
+	}
+	if k.Pending() != 0 || r.Jobs() != 0 || r.EarliestFree() != 0 {
+		t.Fatalf("a refused NaN left state behind: pending %d, jobs %d, earliest free %v",
+			k.Pending(), r.Jobs(), r.EarliestFree())
+	}
+}
+
 func TestKernelMaxEvents(t *testing.T) {
 	k := NewKernel()
 	k.SetMaxEvents(3)
@@ -117,7 +149,7 @@ func TestResourceSingleServerFCFS(t *testing.T) {
 	r := NewResource(k, "disk", 1)
 	var ends []Time
 	for i := 0; i < 3; i++ {
-		r.Schedule(2, func(_, end Time) { ends = append(ends, end) })
+		r.Schedule(2, func() { ends = append(ends, k.Now()) })
 	}
 	k.Run()
 	want := []Time{2, 4, 6}
@@ -136,8 +168,8 @@ func TestResourceMultiServerParallelism(t *testing.T) {
 	r := NewResource(k, "cpu", 4)
 	var maxEnd Time
 	for i := 0; i < 8; i++ {
-		r.Schedule(3, func(_, end Time) {
-			if end > maxEnd {
+		r.Schedule(3, func() {
+			if end := k.Now(); end > maxEnd {
 				maxEnd = end
 			}
 		})
@@ -156,8 +188,8 @@ func TestResourceScheduleAfter(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "cpu", 1)
 	var end1, end2 Time
-	r.ScheduleAfter(10, 1, func(_, e Time) { end1 = e })
-	r.Schedule(2, func(_, e Time) { end2 = e })
+	r.ScheduleAfter(10, 1, func() { end1 = k.Now() })
+	r.Schedule(2, func() { end2 = k.Now() })
 	k.Run()
 	if end1 != 11 {
 		t.Fatalf("delayed job ended at %v, want 11", end1)
@@ -173,9 +205,10 @@ func TestResourceZeroDuration(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "net", 1)
 	fired := false
-	r.Schedule(0, func(start, end Time) {
+	var start Time
+	start, _ = r.Schedule(0, func() {
 		fired = true
-		if start != end {
+		if end := k.Now(); start != end {
 			t.Errorf("zero-duration job start %v != end %v", start, end)
 		}
 	})
@@ -188,8 +221,8 @@ func TestResourceZeroDuration(t *testing.T) {
 func TestResourceBacklog(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "cpu", 1)
-	r.Schedule(5, func(_, _ Time) {})
-	r.Schedule(5, func(_, _ Time) {})
+	r.Schedule(5, func() {})
+	r.Schedule(5, func() {})
 	if got := r.Backlog(); got != 10 {
 		t.Fatalf("backlog %v, want 10", got)
 	}
@@ -214,8 +247,8 @@ func TestResourceWorkConservationProperty(t *testing.T) {
 		for i := 0; i < njobs; i++ {
 			d := Duration(rng.Float64() * 10)
 			total += d
-			r.Schedule(d, func(_, end Time) {
-				if end > makespan {
+			r.Schedule(d, func() {
+				if end := k.Now(); end > makespan {
 					makespan = end
 				}
 			})
@@ -254,4 +287,146 @@ func TestKernelOrderingProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// orderRun records every event of one seeded run: the time each was
+// scheduled for, in At order (the kernel's seq order), and the order the
+// handlers ran in. Handlers schedule more events while the run is going,
+// at offsets drawn from a small set, so equal timestamps are common.
+type orderRun struct {
+	k     *Kernel
+	rng   *rand.Rand
+	at    []Time // at[id], ids in scheduling order
+	ran   []int  // ids in execution order
+	spawn int    // events the handlers may still add
+}
+
+func newOrderRun(seed int64, initial, spawn int) *orderRun {
+	o := &orderRun{k: NewKernel(), rng: rand.New(rand.NewSource(seed)), spawn: spawn}
+	for i := 0; i < initial; i++ {
+		o.schedule(Time(o.rng.Intn(5)))
+	}
+	return o
+}
+
+func (o *orderRun) schedule(t Time) {
+	id := len(o.at)
+	o.at = append(o.at, t)
+	o.k.At(t, func() {
+		o.ran = append(o.ran, id)
+		for o.spawn > 0 && o.rng.Intn(3) > 0 {
+			o.spawn--
+			o.schedule(o.k.Now() + Time(o.rng.Intn(3)))
+		}
+	})
+}
+
+// want is every scheduled event stably sorted by time: the (at, seq) order.
+func (o *orderRun) want() []int {
+	ids := make([]int, len(o.at))
+	for i := range ids {
+		ids[i] = i
+	}
+	sort.SliceStable(ids, func(a, b int) bool { return o.at[ids[a]] < o.at[ids[b]] })
+	return ids
+}
+
+// TestKernelHeapOrderProperty pins the guarantee every simulation's
+// bit-identity rests on, on any host: the kernel executes events exactly in
+// (at, seq) order — a stable sort by time of the scheduling order — also
+// when handlers schedule more events mid-run; RunUntil(limit) leaves
+// exactly the later events queued; and the max-events valve still trips.
+func TestKernelHeapOrderProperty(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		o := newOrderRun(seed, 1+int(seed%40), int(seed*7%120))
+		limit := Time(o.rng.Intn(7))
+		o.k.RunUntil(limit)
+		for _, id := range o.ran {
+			if o.at[id] > limit {
+				t.Fatalf("seed %d: RunUntil(%v) ran an event at %v", seed, limit, o.at[id])
+			}
+		}
+		later := 0
+		for _, at := range o.at {
+			if at > limit {
+				later++
+			}
+		}
+		if o.k.Pending() != later || len(o.ran)+later != len(o.at) {
+			t.Fatalf("seed %d: after RunUntil(%v) %d ran and %d queued of %d, want %d queued (the later ones)",
+				seed, limit, len(o.ran), o.k.Pending(), len(o.at), later)
+		}
+		o.k.Run()
+		want := o.want()
+		if len(o.ran) != len(want) {
+			t.Fatalf("seed %d: ran %d of %d events", seed, len(o.ran), len(want))
+		}
+		for i := range want {
+			if o.ran[i] != want[i] {
+				t.Fatalf("seed %d: event %d ran id %d (at %v), want id %d (at %v)",
+					seed, i, o.ran[i], o.at[o.ran[i]], want[i], o.at[want[i]])
+			}
+		}
+	}
+
+	// The valve: the same seeded run capped at half its events executes
+	// exactly that many handlers, then panics.
+	total := len(func() *orderRun { o := newOrderRun(99, 30, 60); o.k.Run(); return o }().ran)
+	o := newOrderRun(99, 30, 60)
+	o.k.SetMaxEvents(uint64(total / 2))
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("max events %d of %d did not trip", total/2, total)
+			}
+		}()
+		o.k.Run()
+	}()
+	if len(o.ran) != total/2 {
+		t.Fatalf("max events %d ran %d handlers", total/2, len(o.ran))
+	}
+}
+
+// eventTimes are the offsets the kernel benchmarks schedule at.
+func eventTimes() []Time {
+	rng := rand.New(rand.NewSource(1))
+	ts := make([]Time, 1024)
+	for i := range ts {
+		ts[i] = Time(rng.Float64())
+	}
+	return ts
+}
+
+// BenchmarkKernelEvent is one event through the kernel: At into a queue up
+// to 1024 deep, then its share of the RunUntil that pops it.
+func BenchmarkKernelEvent(b *testing.B) {
+	k := NewKernel()
+	ts := eventTimes()
+	fn := func() {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.At(k.Now()+ts[i%len(ts)], fn)
+		if i%len(ts) == len(ts)-1 {
+			k.Run()
+		}
+	}
+	k.Run()
+}
+
+// BenchmarkResourceSchedule is one reservation on a 4-server resource with
+// a completion handler, plus its share of running the completions.
+func BenchmarkResourceSchedule(b *testing.B) {
+	k := NewKernel()
+	r := NewResource(k, "cpu", 4)
+	done := func() {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Schedule(Duration(1e-6*float64(1+i%7)), done)
+		if i%1024 == 1023 {
+			k.Run()
+		}
+	}
+	k.Run()
 }

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Resource models a k-server FCFS service center (CPU cores, a disk channel,
 // a NIC direction). Work scheduled on a Resource is assigned to the server
@@ -16,26 +13,12 @@ import (
 type Resource struct {
 	k       *Kernel
 	name    string
-	servers serverHeap // freeAt per server
+	servers []Time // freeAt per server, a binary min-heap
 
 	busy      Duration // total busy server-seconds
 	jobs      uint64
 	lastFree  Time // latest completion scheduled so far
 	createdAt Time
-}
-
-type serverHeap []Time
-
-func (h serverHeap) Len() int            { return len(h) }
-func (h serverHeap) Less(i, j int) bool  { return h[i] < h[j] }
-func (h serverHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *serverHeap) Push(x interface{}) { *h = append(*h, x.(Time)) }
-func (h *serverHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	v := old[n-1]
-	*h = old[:n-1]
-	return v
 }
 
 // NewResource creates a resource with the given number of identical servers.
@@ -44,8 +27,7 @@ func NewResource(k *Kernel, name string, servers int) *Resource {
 		panic(fmt.Sprintf("sim: resource %q needs at least one server", name))
 	}
 	r := &Resource{k: k, name: name, createdAt: k.Now()}
-	r.servers = make(serverHeap, servers)
-	heap.Init(&r.servers)
+	r.servers = make([]Time, servers) // all free at 0: already a heap
 	return r
 }
 
@@ -56,40 +38,21 @@ func (r *Resource) Name() string { return r.name }
 func (r *Resource) Servers() int { return len(r.servers) }
 
 // Schedule reserves the earliest available server for d seconds of service
-// and invokes done (if non-nil) at the completion time. It returns the
-// (start, end) times of the service interval. Zero-duration work completes
-// at max(now, earliest free) with no capacity consumed.
-func (r *Resource) Schedule(d Duration, done func(start, end Time)) (start, end Time) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative service time %v on %q", d, r.name))
-	}
-	freeAt := r.servers[0]
-	start = freeAt
-	if now := r.k.Now(); now > start {
-		start = now
-	}
-	end = start + d
-	r.servers[0] = end
-	heap.Fix(&r.servers, 0)
-	r.busy += d
-	r.jobs++
-	if end > r.lastFree {
-		r.lastFree = end
-	}
-	if done != nil {
-		r.k.At(end, func() { done(start, end) })
-	}
-	return start, end
+// and invokes done (if non-nil) at the completion time, which is Now() when
+// done runs. It returns the (start, end) times of the service interval.
+// Zero-duration work completes at max(now, earliest free) with no capacity
+// consumed.
+func (r *Resource) Schedule(d Duration, done func()) (start, end Time) {
+	return r.ScheduleAfter(r.k.Now(), d, done)
 }
 
 // ScheduleAfter is like Schedule but the service cannot start before t.
 // It is used for work whose input only becomes available at t.
-func (r *Resource) ScheduleAfter(t Time, d Duration, done func(start, end Time)) (start, end Time) {
-	if d < 0 {
+func (r *Resource) ScheduleAfter(t Time, d Duration, done func()) (start, end Time) {
+	if !(d >= 0) {
 		panic(fmt.Sprintf("sim: negative service time %v on %q", d, r.name))
 	}
-	freeAt := r.servers[0]
-	start = freeAt
+	start = r.servers[0]
 	if now := r.k.Now(); now > start {
 		start = now
 	}
@@ -98,16 +61,41 @@ func (r *Resource) ScheduleAfter(t Time, d Duration, done func(start, end Time))
 	}
 	end = start + d
 	r.servers[0] = end
-	heap.Fix(&r.servers, 0)
+	r.siftDown()
 	r.busy += d
 	r.jobs++
 	if end > r.lastFree {
 		r.lastFree = end
 	}
 	if done != nil {
-		r.k.At(end, func() { done(start, end) })
+		r.k.At(end, done)
 	}
 	return start, end
+}
+
+// siftDown restores the server heap after its root (the server just
+// reserved) moved later. The servers are identical, so only the multiset of
+// free times matters, never which server holds which.
+func (r *Resource) siftDown() {
+	h := r.servers
+	n := len(h)
+	v := h[0]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if rc := c + 1; rc < n && h[rc] < h[c] {
+			c = rc
+		}
+		if !(h[c] < v) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = v
 }
 
 // EarliestFree returns the earliest time at which a server is (or becomes)
