@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test testcpu race vet lint loc apicheck benchcheck benchjson bench benchpar fuzz fault livebench livedurable livereplicas overload livemigrate ci
+.PHONY: build test testcpu race vet lint loc apicheck benchcheck benchjson figcheck bench benchpar fuzz fault livebench livedurable livereplicas overload livemigrate ci
 
 build:
 	$(GO) build ./...
@@ -36,6 +36,16 @@ benchjson:
 		sep=,; \
 	done; done; \
 	printf '\n]}\n' >> $$tmp; cp $$tmp BENCH_$(PR).json
+
+# The paper's figures, byte for byte: a fresh `joinbench -fig all` (about
+# 40 s) diffed against the output committed in internal/bench/testdata. A
+# sim-plane change that moves one printed digit of one figure fails here.
+# After a deliberate model change, regenerate the file with
+# `go run ./cmd/joinbench -fig all > internal/bench/testdata/fig_all.golden`.
+figcheck:
+	@out=$$(mktemp); trap 'rm -f $$out' EXIT; \
+	$(GO) run ./cmd/joinbench -fig all > $$out && \
+	diff -u internal/bench/testdata/fig_all.golden $$out && echo "figcheck: all figures byte-identical"
 
 test:
 	$(GO) test ./...
@@ -134,4 +144,4 @@ overload:
 livemigrate:
 	$(GO) run ./cmd/joinbench -livemigrate -liveops 20000
 
-ci: lint race testcpu fault benchcheck
+ci: lint race testcpu fault benchcheck figcheck

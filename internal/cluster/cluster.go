@@ -87,6 +87,29 @@ type Cluster struct {
 
 	TotalMessages int64
 	TotalBytes    int64
+
+	transfers []*transfer // free list
+}
+
+// transfer is a message between its sender's NetOut and its receiver's
+// NetIn. It is the event NetOut fires when the bytes have left, and goes
+// back on its cluster's free list once it has booked NetIn.
+type transfer struct {
+	c       *Cluster
+	dst     *Node
+	d       sim.Duration
+	deliver sim.Handler
+}
+
+// Fire books the receiver's NetIn. It must run when NetOut completes, not
+// when the message is sent: that call order decides NetIn's reservation
+// order.
+func (t *transfer) Fire() {
+	c := t.c
+	arrive := c.K.Now() + sim.Time(c.Cfg.LatencySec)
+	t.dst.NetIn.ScheduleAfter(arrive, t.d, t.deliver)
+	*t = transfer{c: c}
+	c.transfers = append(c.transfers, t)
 }
 
 // New builds a cluster from cfg. Panics on nonsensical configs: cluster
@@ -151,14 +174,15 @@ func (c *Cluster) Bandwidth(from, to NodeID) float64 {
 }
 
 // Send models transferring a message of size bytes from one node to another
-// and invokes deliver at the receiver once the transfer completes. The
+// and fires deliver at the receiver once the transfer completes. The
 // transfer occupies the sender's outbound NIC and the receiver's inbound NIC
 // sequentially (store-and-forward with a propagation latency in between),
 // which yields FCFS bandwidth contention on both endpoints.
 //
 // Local sends (from == to) are delivered after a negligible loopback delay
-// without consuming NIC capacity.
-func (c *Cluster) Send(from, to NodeID, bytes int64, deliver func()) {
+// without consuming NIC capacity. Once the cluster has carried as many
+// messages at a time as it ever will, Send allocates nothing.
+func (c *Cluster) Send(from, to NodeID, bytes int64, deliver sim.Handler) {
 	if bytes < 0 {
 		panic("cluster: negative message size")
 	}
@@ -168,17 +192,21 @@ func (c *Cluster) Send(from, to NodeID, bytes int64, deliver func()) {
 	src.MsgsSent++
 	src.BytesSent += bytes
 	if from == to {
-		c.K.After(1e-7, deliver)
+		c.K.Post(c.K.Now()+1e-7, deliver)
 		return
 	}
 	dst := c.Node(to)
 	dst.BytesReceived += bytes
-	bw := c.Bandwidth(from, to)
-	d := sim.Duration(float64(bytes) / bw)
-	src.NetOut.Schedule(d, func() {
-		arrive := c.K.Now() + sim.Time(c.Cfg.LatencySec)
-		dst.NetIn.ScheduleAfter(arrive, d, deliver)
-	})
+	var t *transfer
+	if n := len(c.transfers); n > 0 {
+		t = c.transfers[n-1]
+		c.transfers = c.transfers[:n-1]
+	} else {
+		t = &transfer{c: c}
+	}
+	t.dst, t.deliver = dst, deliver
+	t.d = sim.Duration(float64(bytes) / c.Bandwidth(from, to))
+	src.NetOut.Schedule(t.d, t)
 }
 
 // DiskReadTime returns the service time of a random read of size bytes:

@@ -45,7 +45,7 @@ func TestSendTransferTime(t *testing.T) {
 	cfg.LatencySec = 0.001
 	c := New(cfg)
 	var delivered sim.Time
-	c.Send(0, 1, 1e6, func() { delivered = c.K.Now() })
+	c.Send(0, 1, 1e6, sim.Func(func() { delivered = c.K.Now() }))
 	c.K.Run()
 	// 1 MB at 1 MB/s: 1s on sender NIC + 1ms latency + 1s on receiver NIC.
 	want := sim.Time(2.001)
@@ -61,11 +61,11 @@ func TestSendContentionSerializesOnSenderNIC(t *testing.T) {
 	c := New(cfg)
 	var last sim.Time
 	for i := 0; i < 3; i++ {
-		c.Send(0, 1, 1e6, func() {
+		c.Send(0, 1, 1e6, sim.Func(func() {
 			if c.K.Now() > last {
 				last = c.K.Now()
 			}
-		})
+		}))
 	}
 	c.K.Run()
 	// Three 1s sends: sender NIC serializes at 1,2,3; receiver NIC then
@@ -79,7 +79,7 @@ func TestSendContentionSerializesOnSenderNIC(t *testing.T) {
 func TestSendLocalLoopback(t *testing.T) {
 	c := New(testConfig())
 	done := false
-	c.Send(2, 2, 1<<30, func() { done = true })
+	c.Send(2, 2, 1<<30, sim.Func(func() { done = true }))
 	end := c.K.Run()
 	if !done {
 		t.Fatal("local send not delivered")
@@ -108,7 +108,7 @@ func TestBandwidthOverride(t *testing.T) {
 		t.Fatalf("Bandwidth(0,2) = %v, want default 1e6", got)
 	}
 	var delivered sim.Time
-	c.Send(0, 1, 2e6, func() { delivered = c.K.Now() })
+	c.Send(0, 1, 2e6, sim.Func(func() { delivered = c.K.Now() }))
 	c.K.Run()
 	if diff := delivered - 2; diff > 1e-9 || diff < -1e-9 {
 		t.Fatalf("override transfer delivered at %v, want 2", delivered)
@@ -131,8 +131,8 @@ func TestDiskAndMemReadTimes(t *testing.T) {
 
 func TestTrafficAccounting(t *testing.T) {
 	c := New(testConfig())
-	c.Send(0, 1, 100, func() {})
-	c.Send(0, 2, 200, func() {})
+	c.Send(0, 1, 100, sim.Func(func() {}))
+	c.Send(0, 2, 200, sim.Func(func() {}))
 	c.K.Run()
 	if c.TotalMessages != 2 || c.TotalBytes != 300 {
 		t.Fatalf("totals = %d msgs / %d bytes, want 2/300", c.TotalMessages, c.TotalBytes)

@@ -1,12 +1,13 @@
 package exec
 
 import (
+	"slices"
+
 	"joinopt/internal/cluster"
 	"joinopt/internal/core"
 	"joinopt/internal/costmodel"
 	"joinopt/internal/loadbalance"
 	"joinopt/internal/sim"
-	"sort"
 )
 
 // batchKey identifies a pending request batch: one per (stage, data node,
@@ -25,14 +26,41 @@ const (
 	kindData
 )
 
+// pendingBatch is the batch a batchKey is filling. There is one for the life
+// of the node, and gen counts the times flush has drained it.
 type pendingBatch struct {
+	cn   *computeNode
+	key  batchKey
 	reqs []*request
+	gen  uint64
+}
+
+// batchTimer is a batch's max-wait timer. It flushes only the filling it was
+// armed for: if the batch has drained since, gen is stale and it does
+// nothing.
+type batchTimer struct {
+	b   *pendingBatch
+	gen uint64
+}
+
+func (t *batchTimer) Fire() {
+	b, gen := t.b, t.gen
+	b.cn.ex.timers.put(t)
+	if b.gen == gen {
+		b.cn.flush(b)
+	}
 }
 
 // fetchKey identifies an in-flight cache fill.
 type fetchKey struct {
 	stage int
 	key   string
+}
+
+// fetchWaiters lists the requests waiting on one in-flight cache fill,
+// linked through request.next; head triggered the fill.
+type fetchWaiters struct {
+	head, tail *request
 }
 
 // outTrack tracks compute requests in flight to one data node and the
@@ -54,9 +82,10 @@ type computeNode struct {
 	outstanding int
 
 	batches map[batchKey]*pendingBatch
+	kicked  []*pendingBatch // kick's scratch
 	// inflightFetch holds requests waiting on a cache fill already in
-	// flight, keyed by (stage, key); the first element triggered it.
-	inflightFetch map[fetchKey][]*request
+	// flight, keyed by (stage, key).
+	inflightFetch map[fetchKey]fetchWaiters
 
 	// Load statistics (Appendix C, compute side).
 	pendingLocal   int // lcc_i
@@ -77,7 +106,7 @@ func newComputeNode(ex *Executor, id cluster.NodeID, idx int64) *computeNode {
 		id:            id,
 		node:          ex.c.Node(id),
 		batches:       make(map[batchKey]*pendingBatch),
-		inflightFetch: make(map[fetchKey][]*request),
+		inflightFetch: make(map[fetchKey]fetchWaiters),
 		out:           make(map[cluster.NodeID]*outTrack),
 		outstandingTo: make(map[cluster.NodeID]int),
 		localCPUSmooth: costmodel.NewSmoother(
@@ -125,93 +154,90 @@ func (cn *computeNode) pump() {
 
 // admit charges the per-tuple input cost and dispatches stage 0.
 func (cn *computeNode) admit(t Tuple) {
-	req := &request{cn: cn, stage: 0, key: t.Keys[0], tuple: t}
-	cn.node.CPU.Schedule(cn.ex.cfg.PerTupleCPU, func() {
-		cn.dispatch(req)
-	})
+	req := cn.ex.reqs.get()
+	*req = request{cn: cn, key: t.Keys[0], tuple: t, phase: phaseAdmitted}
+	cn.node.CPU.Schedule(cn.ex.cfg.PerTupleCPU, req)
 }
 
 // advance moves a finished stage-result to the next stage or completes the
-// tuple, applying the stage selectivity.
+// tuple, applying the stage selectivity. The request itself goes on to the
+// next stage.
 func (cn *computeNode) advance(req *request) {
 	ex := cn.ex
 	next := req.stage + 1
 	if next >= len(ex.tables) || !survives(req.key, req.stage, ex.selectivity(req.stage)) {
-		ex.tupleDone(cn)
+		ex.tupleDone(cn, req)
 		return
 	}
-	nreq := &request{cn: cn, stage: next, key: req.tuple.Keys[next], tuple: req.tuple}
-	cn.dispatch(nreq)
+	req.stage, req.key = next, req.tuple.Keys[next]
+	cn.dispatch(req)
 }
 
-// dispatch routes one request per Algorithm 1 and acts on the decision.
+// dispatch routes one request per Algorithm 1, then acts on the decision.
 func (cn *computeNode) dispatch(req *request) {
 	ex := cn.ex
-	opt := cn.opts[req.stage]
-	j := ex.tables[req.stage].Locate(req.key)
-	route := opt.Route(req.key, ex.effectiveBw(cn.id, j))
-	req.route = route
-
-	act := func() {
-		switch route {
-		case core.RouteLocalMem:
-			cn.computeLocally(req, 0)
-		case core.RouteLocalDisk:
-			info := opt.Known(req.key)
-			size := int64(0)
-			if info != nil {
-				size = info.ValueSize
-			}
-			// Disk-cache reads go through the FS buffer (Section 9's
-			// SSD-cost observation): CPU + memory bandwidth.
-			fs := ex.c.FSReadTime(size)
-			opt.Model.DiskCompute.Observe(float64(fs))
-			cn.pendingLocal++
-			cn.node.CPU.Schedule(fs, func() {
-				cn.pendingLocal--
-				cn.computeLocally(req, 0)
-			})
-		case core.RouteCompute:
-			cn.enqueue(batchKey{req.stage, j, kindCompute}, req)
-		case core.RouteDataMem, core.RouteDataDisk:
-			fk := fetchKey{req.stage, req.key}
-			if waiters, inflight := cn.inflightFetch[fk]; inflight {
-				cn.inflightFetch[fk] = append(waiters, req)
-				return
-			}
-			cn.inflightFetch[fk] = []*request{req}
-			cn.enqueue(batchKey{req.stage, j, kindData}, req)
-		case core.RouteDataNoCache:
-			cn.enqueue(batchKey{req.stage, j, kindData}, req)
-		}
-	}
+	req.node = ex.tables[req.stage].Locate(req.key)
+	req.route = cn.opts[req.stage].Route(req.key, ex.effectiveBw(cn.id, req.node))
 
 	// The optimized strategies pay a small bookkeeping cost per decision
 	// (statistics, counters, cache maintenance).
 	if ex.cfg.Strategy.optimized() {
-		cn.node.CPU.Schedule(ex.cfg.DecisionCPU, act)
+		req.phase = phaseDecided
+		cn.node.CPU.Schedule(ex.cfg.DecisionCPU, req)
 		return
 	}
-	act()
+	cn.act(req)
+}
+
+// act carries out a request's routing decision.
+func (cn *computeNode) act(req *request) {
+	ex := cn.ex
+	switch req.route {
+	case core.RouteLocalMem:
+		cn.computeLocally(req, 0)
+	case core.RouteLocalDisk:
+		opt := cn.opts[req.stage]
+		info := opt.Known(req.key)
+		size := int64(0)
+		if info != nil {
+			size = info.ValueSize
+		}
+		// Disk-cache reads go through the FS buffer (Section 9's
+		// SSD-cost observation): CPU + memory bandwidth.
+		fs := ex.c.FSReadTime(size)
+		opt.Model.DiskCompute.Observe(float64(fs))
+		cn.pendingLocal++
+		req.phase = phaseDiskRead
+		cn.node.CPU.Schedule(fs, req)
+	case core.RouteCompute:
+		cn.enqueue(batchKey{req.stage, req.node, kindCompute}, req)
+	case core.RouteDataMem, core.RouteDataDisk:
+		fk := fetchKey{req.stage, req.key}
+		if w, inflight := cn.inflightFetch[fk]; inflight {
+			w.tail.next = req
+			cn.inflightFetch[fk] = fetchWaiters{w.head, req}
+			return
+		}
+		cn.inflightFetch[fk] = fetchWaiters{req, req}
+		cn.enqueue(batchKey{req.stage, req.node, kindData}, req)
+	case core.RouteDataNoCache:
+		cn.enqueue(batchKey{req.stage, req.node, kindData}, req)
+	}
 }
 
 // computeLocally charges the UDF cost (plus optional value materialization
-// cost) on the local CPU and advances the request.
+// cost) on the local CPU; the request advances when it is done.
 func (cn *computeNode) computeLocally(req *request, procBytes int64) {
 	ex := cn.ex
-	meta := ex.rowMeta(req.stage, req.key)
-	d := sim.Duration(meta.ComputeCost)
+	req.cost = ex.rowMeta(req.stage, req.key).ComputeCost
+	d := sim.Duration(req.cost)
 	if procBytes > 0 {
 		d += sim.Duration(float64(procBytes) / ex.cfg.ValueProcBps)
 	}
 	cn.pendingLocal++
-	enqueued := ex.k.Now()
-	cn.node.CPU.Schedule(d, func() {
-		cn.pendingLocal--
-		cn.localCPUSmooth.Observe(meta.ComputeCost)
-		cn.opts[req.stage].ObserveLocalCompute(float64(ex.k.Now()-enqueued), meta.ComputeCost)
-		cn.advance(req)
-	})
+	req.enqueued = ex.k.Now()
+	req.phase = phaseLocalUDF
+	cn.node.CPU.Schedule(d, req)
 }
 
 // enqueue adds the request to its batch, flushing on size and arming the
@@ -220,7 +246,7 @@ func (cn *computeNode) enqueue(bk batchKey, req *request) {
 	ex := cn.ex
 	b := cn.batches[bk]
 	if b == nil {
-		b = &pendingBatch{}
+		b = &pendingBatch{cn: cn, key: bk}
 		cn.batches[bk] = b
 	}
 	b.reqs = append(b.reqs, req)
@@ -230,39 +256,30 @@ func (cn *computeNode) enqueue(bk batchKey, req *request) {
 		cn.unsentData++
 	}
 	if len(b.reqs) >= ex.cfg.BatchSize {
-		cn.flush(bk)
+		cn.flush(b)
 		return
 	}
 	if len(b.reqs) == 1 && ex.cfg.Strategy.batched() {
-		ex.k.After(ex.cfg.BatchTimeout, func() {
-			// Only flush if this batch object is still pending.
-			if cn.batches[bk] == b && len(b.reqs) > 0 {
-				cn.flush(bk)
-			}
-		})
+		t := ex.timers.get()
+		*t = batchTimer{b, b.gen}
+		ex.k.Post(ex.k.Now()+ex.cfg.BatchTimeout, t)
 	}
 }
 
 // flush drains a batch toward its data node in chunks of at most BatchSize
 // requests, stopping when the per-data-node backpressure cap is reached;
 // held requests are retried when responses free capacity (kick).
-func (cn *computeNode) flush(bk batchKey) {
+func (cn *computeNode) flush(b *pendingBatch) {
 	ex := cn.ex
-	b := cn.batches[bk]
-	if b == nil || len(b.reqs) == 0 {
-		return
+	sent := 0
+	for sent < len(b.reqs) && cn.outstandingTo[b.key.node] < ex.cfg.MaxPerDataNode {
+		n := min(ex.cfg.BatchSize, len(b.reqs)-sent)
+		cn.sendChunk(b.key, b.reqs[sent:sent+n])
+		sent += n
 	}
-	for len(b.reqs) > 0 && cn.outstandingTo[bk.node] < ex.cfg.MaxPerDataNode {
-		n := ex.cfg.BatchSize
-		if n > len(b.reqs) {
-			n = len(b.reqs)
-		}
-		chunk := b.reqs[:n:n]
-		b.reqs = b.reqs[n:]
-		cn.sendChunk(bk, chunk)
-	}
+	b.reqs = b.reqs[:copy(b.reqs, b.reqs[sent:])]
 	if len(b.reqs) == 0 {
-		delete(cn.batches, bk)
+		b.gen++
 	}
 }
 
@@ -270,24 +287,26 @@ func (cn *computeNode) flush(bk batchKey) {
 // Candidates are flushed in a fixed order (stage, then kind) so runs stay
 // deterministic despite map iteration.
 func (cn *computeNode) kick(j cluster.NodeID) {
-	var keys []batchKey
-	for bk := range cn.batches {
-		if bk.node == j {
-			keys = append(keys, bk)
+	held := cn.kicked[:0]
+	for bk, b := range cn.batches {
+		if bk.node == j && len(b.reqs) > 0 {
+			held = append(held, b)
 		}
 	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].stage != keys[b].stage {
-			return keys[a].stage < keys[b].stage
+	slices.SortFunc(held, func(a, b *pendingBatch) int {
+		if a.key.stage != b.key.stage {
+			return a.key.stage - b.key.stage
 		}
-		return keys[a].kind < keys[b].kind
+		return int(a.key.kind) - int(b.key.kind)
 	})
-	for _, bk := range keys {
-		cn.flush(bk)
+	for _, b := range held {
+		cn.flush(b)
 	}
+	cn.kicked = held[:0]
 }
 
-// sendChunk ships one request chunk as a single message.
+// sendChunk ships one request chunk as a single message, a batchMsg that
+// copies the chunk.
 func (cn *computeNode) sendChunk(bk batchKey, reqs []*request) {
 	ex := cn.ex
 	n := len(reqs)
@@ -313,24 +332,16 @@ func (cn *computeNode) sendChunk(bk batchKey, reqs []*request) {
 	}
 	cn.outstandingTo[bk.node] += n
 
-	cn.sendMsg(bk.node, bytes, func() {
-		dn := ex.datas[bk.node]
-		if bk.kind == kindCompute {
-			dn.handleComputeBatch(cn, bk.stage, reqs, stats)
-		} else {
-			dn.handleDataBatch(cn, bk.stage, reqs)
-		}
-	})
+	m := ex.msgs.get()
+	m.cn, m.key, m.stats = cn, bk, stats
+	m.reqs = append(m.reqs[:0], reqs...)
+	ex.send(cn.id, bk.node, bytes, m)
 }
 
-// sendMsg transfers a message, charging the per-message NIC occupancy on
-// both endpoints in addition to the byte time.
-func (cn *computeNode) sendMsg(to cluster.NodeID, bytes int64, deliver func()) {
-	cn.ex.send(cn.id, to, bytes, deliver)
-}
-
-// send is the shared message primitive (also used by data nodes).
-func (ex *Executor) send(from, to cluster.NodeID, bytes int64, deliver func()) {
+// send is the message primitive of both node kinds: it transfers a message,
+// charging the per-message NIC occupancy on both endpoints in addition to
+// the byte time.
+func (ex *Executor) send(from, to cluster.NodeID, bytes int64, deliver sim.Handler) {
 	overhead := int64(float64(ex.cfg.MsgNICSec) * ex.c.Bandwidth(from, to))
 	ex.c.Send(from, to, bytes+overhead, deliver)
 }
@@ -411,12 +422,12 @@ func (cn *computeNode) onDataResponse(j cluster.NodeID, reqs []*request, metas [
 			delete(cn.inflightFetch, fk)
 			// Materialize the value once, then run the UDF for every
 			// waiting tuple.
-			for w, waiter := range waiters {
-				proc := int64(0)
-				if w == 0 {
-					proc = m.ValueSize
-				}
-				cn.computeLocally(waiter, proc)
+			proc := m.ValueSize
+			for w := waiters.head; w != nil; {
+				next := w.next
+				w.next = nil
+				cn.computeLocally(w, proc)
+				proc, w = 0, next
 			}
 		default: // RouteDataNoCache
 			cn.computeLocally(req, m.ValueSize)

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"slices"
+
 	"joinopt/internal/cluster"
 	"joinopt/internal/core"
 	"joinopt/internal/costmodel"
@@ -131,18 +133,107 @@ func (dn *dataNode) observe(m core.ResponseMeta, paramSize int64) {
 	dn.model.CPUData.Observe(m.ComputeCost)
 }
 
+// batchMsg is one request chunk on its way to a data node and back. It is
+// the event that delivers the chunk (Fire), it holds the data node's
+// response metadata and one serveSlot per request, and its two replies are
+// the events that deliver the responses. It goes back on the free list
+// after its last reply.
+type batchMsg struct {
+	cn    *computeNode
+	key   batchKey
+	reqs  []*request
+	stats loadbalance.ComputeStats
+
+	// Set when the data node takes the batch: reqs[:d] run the UDF there,
+	// reqs[d:] go back raw (all of a data batch does).
+	dn      *dataNode
+	ft      *fromTrack
+	d       int
+	metas   []core.ResponseMeta // one per request
+	slots   []serveSlot         // one per request
+	bytes   [2]int64            // per reply: computed, raw
+	left    [2]int              // serves outstanding per reply
+	replies int                 // replies not yet handled
+
+	computed, raw reply
+}
+
+// Fire delivers the batch to its data node.
+func (m *batchMsg) Fire() {
+	dn := m.cn.ex.datas[m.key.node]
+	if m.key.kind == kindCompute {
+		dn.handleComputeBatch(m)
+	} else {
+		dn.handleDataBatch(m)
+	}
+}
+
+// reply is one response message of a batch, delivered to its compute node.
+type reply struct {
+	m   *batchMsg
+	raw bool
+}
+
+func (r *reply) Fire() {
+	m := r.m
+	cn, j := m.cn, m.dn.id
+	switch {
+	case m.key.kind == kindData:
+		m.dn.pendingDataResps -= len(m.reqs)
+		cn.onDataResponse(j, m.reqs, m.metas)
+	case r.raw:
+		cn.onRawResponse(j, m.reqs[m.d:], m.metas[m.d:])
+	default:
+		cn.onComputedResponse(j, m.reqs[:m.d], m.metas[:m.d])
+	}
+	if m.replies--; m.replies == 0 {
+		cn.ex.msgs.put(m)
+	}
+}
+
+// serveSlot is one request's pass through the store read path at a data
+// node: a read (disk, or the block cache), then request-handling CPU
+// (deserialization proportional to the value size) plus the UDF when it
+// runs here.
+type serveSlot struct {
+	m        *batchMsg
+	i        int // index into m.reqs and m.metas
+	cpu      bool
+	enqueued sim.Time
+}
+
+// Fire ends the slot's current phase: a finished read queues the CPU work,
+// finished CPU work reports the request served with its sojourn (queue
+// wait + service), the runtime cost measurement of Section 3.2.
+func (s *serveSlot) Fire() {
+	m := s.m
+	ex := m.cn.ex
+	if s.cpu {
+		m.served(s.i, float64(ex.k.Now()-s.enqueued))
+		return
+	}
+	meta := &m.metas[s.i]
+	cost := ex.cfg.RequestCPU + sim.Duration(float64(meta.ValueSize)/ex.cfg.ValueProcBps)
+	if s.i < m.d {
+		cost += sim.Duration(meta.ComputeCost)
+	}
+	s.cpu = true
+	s.enqueued = ex.k.Now()
+	m.dn.node.CPU.Schedule(cost, s)
+}
+
 // handleComputeBatch processes a batch of compute requests: fetch each
 // requested value from disk, decide how many to execute locally
 // (Section 5), run those on the local CPU, and ship back two responses --
 // computed results and raw values for the remainder.
-func (dn *dataNode) handleComputeBatch(cn *computeNode, stage int, reqs []*request, cs loadbalance.ComputeStats) {
+func (dn *dataNode) handleComputeBatch(m *batchMsg) {
 	ex := dn.ex
-	b := len(reqs)
-	ft := dn.fromTrackFor(cn.id)
+	b := len(m.reqs)
+	ft := dn.fromTrackFor(m.cn.id)
 
 	d := b
 	if ex.cfg.Strategy.loadBalanced() {
-		d = dn.balance(cn.id, cs, b)
+		d = dn.balance(m.cn.id, m.stats, b)
 	}
 
 	dn.pendingCompute += b
@@ -151,64 +242,73 @@ func (dn *dataNode) handleComputeBatch(cn *computeNode, stage int, reqs []*reque
 	ft.computedAtData += d
 	ft.plannedBounce += b - d
 
-	computed := reqs[:d]
-	raw := reqs[d:]
 	dn.computedHere += int64(d)
 	dn.returnedRaw += int64(b - d)
+	dn.serve(m, ft, d)
+}
 
-	compMetas := make([]core.ResponseMeta, len(computed))
-	rawMetas := make([]core.ResponseMeta, len(raw))
-	remainingComp := len(computed)
-	remainingRaw := len(raw)
-	var compBytes, rawBytes int64 = ex.cfg.MsgHeader, ex.cfg.MsgHeader
+// handleDataBatch processes a batch of data requests (fetches).
+func (dn *dataNode) handleDataBatch(m *batchMsg) {
+	dn.pendingDataReqs += len(m.reqs)
+	dn.serve(m, nil, 0)
+}
 
-	finishComputed := func() {
-		dn.pendingCompute -= len(computed)
-		dn.committedLocal -= len(computed)
-		ft.pending -= len(computed)
-		ft.computedAtData -= len(computed)
-		ex.send(dn.id, cn.id, compBytes, func() {
-			cn.onComputedResponse(dn.id, computed, compMetas)
-		})
+// serve starts every request of a batch down the store read path, the d
+// computed ones first.
+func (dn *dataNode) serve(m *batchMsg, ft *fromTrack, d int) {
+	ex := dn.ex
+	n := len(m.reqs)
+	m.dn, m.ft, m.d = dn, ft, d
+	m.metas = slices.Grow(m.metas[:0], n)[:n]
+	m.slots = slices.Grow(m.slots[:0], n)[:n]
+	m.bytes = [2]int64{ex.cfg.MsgHeader, ex.cfg.MsgHeader}
+	m.left = [2]int{d, n - d}
+	m.computed, m.raw = reply{m: m}, reply{m: m, raw: true}
+	m.replies = min(d, 1) + min(n-d, 1) // one per nonempty part
+	for i, req := range m.reqs {
+		meta := dn.metaFor(m.key.stage, req.key)
+		dn.observe(meta, req.tuple.ParamSize)
+		if i < d {
+			m.bytes[0] += ex.cfg.PerReqBytes + meta.ComputedSize
+		} else {
+			meta.EffectiveCost = dn.effectiveCostFor(meta)
+			m.bytes[1] += ex.cfg.PerReqBytes + meta.ValueSize
+		}
+		m.metas[i] = meta
+		m.slots[i] = serveSlot{m: m, i: i}
+		dn.serveValue(&m.slots[i])
 	}
-	finishRaw := func() {
-		dn.pendingCompute -= len(raw)
-		ft.pending -= len(raw)
-		ft.plannedBounce -= len(raw)
-		ex.send(dn.id, cn.id, rawBytes, func() {
-			cn.onRawResponse(dn.id, raw, rawMetas)
-		})
-	}
+}
 
-	for i, req := range computed {
-		i := i
-		m := dn.metaFor(stage, req.key)
-		dn.observe(m, req.tuple.ParamSize)
-		compMetas[i] = m
-		compBytes += ex.cfg.PerReqBytes + m.ComputedSize
-		dn.serveValue(m, true, func(sojourn float64) {
-			dn.sojourn.Observe(sojourn)
-			compMetas[i].EffectiveCost = sojourn
-			remainingComp--
-			if remainingComp == 0 {
-				finishComputed()
-			}
-		})
+// served counts request i of a batch done, after a CPU sojourn, and sends a
+// reply once its last request is.
+func (m *batchMsg) served(i int, sojourn float64) {
+	dn, ft := m.dn, m.ft
+	if i < m.d {
+		dn.sojourn.Observe(sojourn)
+		m.metas[i].EffectiveCost = sojourn
+		if m.left[0]--; m.left[0] > 0 {
+			return
+		}
+		dn.pendingCompute -= m.d
+		dn.committedLocal -= m.d
+		ft.pending -= m.d
+		ft.computedAtData -= m.d
+		dn.ex.send(dn.id, m.cn.id, m.bytes[0], &m.computed)
+		return
 	}
-	for i, req := range raw {
-		i := i
-		m := dn.metaFor(stage, req.key)
-		dn.observe(m, req.tuple.ParamSize)
-		m.EffectiveCost = dn.effectiveCostFor(m)
-		rawMetas[i] = m
-		rawBytes += ex.cfg.PerReqBytes + m.ValueSize
-		dn.serveValue(m, false, func(float64) {
-			remainingRaw--
-			if remainingRaw == 0 {
-				finishRaw()
-			}
-		})
+	if m.left[1]--; m.left[1] > 0 {
+		return
 	}
+	if n := len(m.reqs) - m.d; m.key.kind == kindCompute {
+		dn.pendingCompute -= n
+		ft.pending -= n
+		ft.plannedBounce -= n
+	} else {
+		dn.pendingDataReqs -= n
+		dn.pendingDataResps += n
+	}
+	dn.ex.send(dn.id, m.cn.id, m.bytes[1], &m.raw)
 }
 
 // effectiveCostFor scales a key's intrinsic cost by the node's current
@@ -225,59 +325,19 @@ func (dn *dataNode) effectiveCostFor(m core.ResponseMeta) float64 {
 	return m.ComputeCost * inflation
 }
 
-// serveValue models the store read path for one request: a disk fetch
-// followed by request-handling CPU (deserialization proportional to the
-// value size), and the UDF itself when compute is true. done receives the
-// request's CPU sojourn (queue wait + service), the runtime cost
-// measurement of Section 3.2.
-func (dn *dataNode) serveValue(m core.ResponseMeta, compute bool, done func(sojourn float64)) {
+// serveValue starts one request down the store read path: a disk fetch, or
+// a block-cache read (ablation); the slot then queues its CPU work.
+func (dn *dataNode) serveValue(s *serveSlot) {
 	ex := dn.ex
-	runCPU := func() {
-		cost := ex.cfg.RequestCPU +
-			sim.Duration(float64(m.ValueSize)/ex.cfg.ValueProcBps)
-		if compute {
-			cost += sim.Duration(m.ComputeCost)
-		}
-		enqueued := ex.k.Now()
-		dn.node.CPU.Schedule(cost, func() {
-			done(float64(ex.k.Now() - enqueued))
-		})
-	}
-	if dn.blockCache != nil && dn.blockCache.touch(m.Key, m.ValueSize) {
+	meta := &s.m.metas[s.i]
+	if dn.blockCache != nil && dn.blockCache.touch(meta.Key, meta.ValueSize) {
 		// Block-cache hit (ablation): a memory read instead of a disk
 		// fetch, charged on the CPU.
 		dn.BlockCacheHits++
-		dn.node.CPU.Schedule(ex.c.MemReadTime(m.ValueSize), runCPU)
+		dn.node.CPU.Schedule(ex.c.MemReadTime(meta.ValueSize), s)
 		return
 	}
-	dn.node.Disk.Schedule(ex.c.DiskReadTime(m.ValueSize), runCPU)
-}
-
-// handleDataBatch processes a batch of data requests (fetches).
-func (dn *dataNode) handleDataBatch(cn *computeNode, stage int, reqs []*request) {
-	ex := dn.ex
-	dn.pendingDataReqs += len(reqs)
-	var metas []core.ResponseMeta
-	var bytes int64 = ex.cfg.MsgHeader
-	remaining := len(reqs)
-	for _, req := range reqs {
-		m := dn.metaFor(stage, req.key)
-		dn.observe(m, req.tuple.ParamSize)
-		m.EffectiveCost = dn.effectiveCostFor(m)
-		metas = append(metas, m)
-		bytes += ex.cfg.PerReqBytes + m.ValueSize
-		dn.serveValue(m, false, func(float64) {
-			remaining--
-			if remaining == 0 {
-				dn.pendingDataReqs -= len(reqs)
-				dn.pendingDataResps += len(reqs)
-				ex.send(dn.id, cn.id, bytes, func() {
-					dn.pendingDataResps -= len(reqs)
-					cn.onDataResponse(dn.id, reqs, metas)
-				})
-			}
-		})
-	}
+	dn.node.Disk.Schedule(ex.c.DiskReadTime(meta.ValueSize), s)
 }
 
 // balance runs the Section 5 / Appendix C optimization: choose d, the number
@@ -321,10 +381,10 @@ func (dn *dataNode) applyUpdate(stage int, key string, broadcast bool) {
 	version := table.Update(key)
 	notifyBytes := ex.cfg.MsgHeader + int64(len(key))
 	notify := func(cn *computeNode) {
-		ex.send(dn.id, cn.id, notifyBytes, func() {
+		ex.send(dn.id, cn.id, notifyBytes, sim.Func(func() {
 			cn.opts[stage].Invalidate(key, version)
 			ex.cfg.Store.DropCacher(ex.cfg.Tables[stage], key, cn.id)
-		})
+		}))
 	}
 	if broadcast {
 		for _, cn := range ex.computes {

@@ -24,16 +24,78 @@ type Executor struct {
 	exhausted bool
 	lastDone  sim.Time
 
+	// Free lists: the run's requests, batch messages and batch timers are
+	// recycled, so the steady state allocates none of them.
+	reqs   freeList[request]
+	msgs   freeList[batchMsg]
+	timers freeList[batchTimer]
+
 	report Report
 }
 
-// request is one stage-level unit of work flowing through the system.
+// freeList is a stack of recycled objects.
+type freeList[T any] []*T
+
+// get pops a recycled object, or allocates one if the list is empty. Its
+// fields hold whatever its last user left in them.
+func (f *freeList[T]) get() *T {
+	n := len(*f)
+	if n == 0 {
+		return new(T)
+	}
+	x := (*f)[n-1]
+	*f = (*f)[:n-1]
+	return x
+}
+
+func (f *freeList[T]) put(x *T) { *f = append(*f, x) }
+
+// request is one tuple's work at one join stage. It is its own event (see
+// Fire): phase says which step its next firing takes. advance reuses it for
+// the tuple's next stage, and it goes back on the free list when the tuple
+// is done.
 type request struct {
 	cn    *computeNode
 	stage int
 	key   string
 	tuple Tuple
 	route core.Route
+	phase phase
+	node  cluster.NodeID // the data node holding key
+	next  *request       // the next waiter on the same in-flight fetch
+
+	// The local UDF run in flight (phaseLocalUDF).
+	enqueued sim.Time
+	cost     float64
+}
+
+// phase is the step a request takes when it next fires.
+type phase uint8
+
+const (
+	phaseAdmitted phase = iota // input cost paid: route it (dispatch)
+	phaseDecided               // decision cost paid: act on the route
+	phaseDiskRead              // disk-cache read done: run the UDF here
+	phaseLocalUDF              // local UDF done: advance to the next stage
+)
+
+// Fire takes the request's next step.
+func (r *request) Fire() {
+	cn := r.cn
+	switch r.phase {
+	case phaseAdmitted:
+		cn.dispatch(r)
+	case phaseDecided:
+		cn.act(r)
+	case phaseDiskRead:
+		cn.pendingLocal--
+		cn.computeLocally(r, 0)
+	case phaseLocalUDF:
+		cn.pendingLocal--
+		cn.localCPUSmooth.Observe(r.cost)
+		cn.opts[r.stage].ObserveLocalCompute(float64(cn.ex.k.Now()-r.enqueued), r.cost)
+		cn.advance(r)
+	}
 }
 
 // New builds an executor. The cluster must already have roles assigned and
@@ -113,8 +175,9 @@ func (ex *Executor) selectivity(stage int) float64 {
 	return ex.cfg.StageSelectivity[stage]
 }
 
-// tupleDone finalizes one tuple.
-func (ex *Executor) tupleDone(cn *computeNode) {
+// tupleDone finalizes one tuple and frees its request.
+func (ex *Executor) tupleDone(cn *computeNode, req *request) {
+	ex.reqs.put(req)
 	ex.completed++
 	ex.lastDone = ex.k.Now()
 	cn.outstanding--

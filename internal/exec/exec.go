@@ -13,11 +13,24 @@
 //	CO  ski-rental caching only (no load balancing)
 //	LO  load balancing only (no caching)
 //	FO  all optimizations (the paper's full system)
+//
+// The executor's moving parts are their own kernel events (sim.Handler):
+// a request, a batch message and its replies, a data node's serve slot and
+// a batch's max-wait timer each fire themselves, so no closure is built per
+// request, batch or message. Requests, batch messages and timers are
+// recycled on free lists owned by the Executor, under two ownership rules:
+//
+//   - A request is in exactly one place at a time: the event queue, a
+//     pending batch, an in-flight fetch's waiters or a batch message.
+//     advance reuses it for the tuple's next stage, and it is freed at
+//     tupleDone.
+//   - A batchMsg carries one chunk of requests to a data node and its
+//     responses back, and is freed after its last reply.
 package exec
 
 import (
 	"fmt"
-	"hash/fnv"
+	"strconv"
 
 	"joinopt/internal/cluster"
 	"joinopt/internal/core"
@@ -239,8 +252,21 @@ func survives(key string, stage int, selectivity float64) bool {
 	if selectivity <= 0 {
 		return false
 	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s/%d", key, stage)
-	u := h.Sum64() >> 11 // 53 bits
+	u := stageHash(key, stage) >> 11 // 53 bits
 	return float64(u)/float64(1<<53) < selectivity
+}
+
+// stageHash is the 64-bit FNV-1a hash of "key/stage", computed inline so it
+// allocates nothing.
+func stageHash(key string, stage int) uint64 {
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint64(key[i])) * prime64
+	}
+	var buf [24]byte
+	for _, c := range strconv.AppendInt(append(buf[:0], '/'), int64(stage), 10) {
+		h = (h ^ uint64(c)) * prime64
+	}
+	return h
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"joinopt/internal/cluster"
@@ -232,6 +233,25 @@ func TestSurvivesDeterministic(t *testing.T) {
 	}
 	if hits < 4500 || hits > 5500 {
 		t.Fatalf("selectivity 0.5 passed %d of %d", hits, n)
+	}
+}
+
+// TestStageHashMatchesFNV: the inline hash is bit for bit the hash.Hash64
+// FNV-1a of fmt's "%s/%d" that survives used to build per call, so every
+// survival decision is unchanged.
+func TestStageHashMatchesFNV(t *testing.T) {
+	for i := 0; i < 10_000; i++ {
+		key := fmt.Sprintf("k%07d", i*7919%2_000_000)
+		if i%3 == 0 {
+			key = fmt.Sprintf("item/%d#%x", i, i*i) // separators and hex in the key
+		}
+		for stage := 0; stage <= 5; stage++ {
+			h := fnv.New64a()
+			fmt.Fprintf(h, "%s/%d", key, stage)
+			if want, got := h.Sum64(), stageHash(key, stage); got != want {
+				t.Fatalf("stageHash(%q, %d) = %#x, fnv+Fprintf %#x", key, stage, got, want)
+			}
+		}
 	}
 }
 

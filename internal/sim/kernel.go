@@ -4,11 +4,15 @@
 // with FIFO ordering among events scheduled for the same instant.
 //
 // Allocation contract: the kernel allocates nothing per event once its queue
-// has grown to the run's high-water mark. Events are stored by value in a
-// slice-backed binary heap ordered on (time, sequence number), and
-// Resource.Schedule/ScheduleAfter hand the caller's done straight to At.
-// Whatever a caller's handler closure captures is the caller's allocation,
-// not the kernel's.
+// has grown to the run's high-water mark. An event fires a Handler, and
+// events are stored by value in a slice-backed binary heap ordered on (time,
+// sequence number). Post queues a Handler as it is: a pointer to a
+// long-lived model object satisfies Handler without allocating, so a model
+// that recycles its objects schedules with no garbage at all. At and After
+// take a plain func() through Func, which converts to a Handler for free;
+// Resource.Schedule/ScheduleAfter hand the caller's done straight to Post.
+// Whatever a caller's closure captures is the caller's allocation, not the
+// kernel's.
 package sim
 
 import (
@@ -25,10 +29,20 @@ type Duration = Time
 // Infinity is a time later than any event the kernel will ever execute.
 const Infinity Time = math.MaxFloat64
 
+// Handler is what an event does when it comes due.
+type Handler interface{ Fire() }
+
+// Func adapts a plain function to a Handler. A func value is one pointer,
+// so the conversion to Handler allocates nothing.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
 type event struct {
 	at  Time
 	seq uint64 // tie-break so same-time events run FIFO
-	fn  func()
+	h   Handler
 }
 
 // before is the queue order. seq is unique, so (at, seq) is a total order:
@@ -65,17 +79,20 @@ func (k *Kernel) Executed() uint64 { return k.executed }
 // execute; Run panics if the limit is exceeded. Zero disables the limit.
 func (k *Kernel) SetMaxEvents(n uint64) { k.maxEvents = n }
 
-// At schedules fn to run at absolute virtual time t. Scheduling in the past
-// (or at NaN, which would corrupt the queue order) panics: it always
+// Post schedules h to fire at absolute virtual time t. Scheduling in the
+// past (or at NaN, which would corrupt the queue order) panics: it always
 // indicates a modeling bug.
-func (k *Kernel) At(t Time, fn func()) {
+func (k *Kernel) Post(t Time, h Handler) {
 	if !(t >= k.now) {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
 	}
 	k.seq++
-	k.events = append(k.events, event{at: t, seq: k.seq, fn: fn})
+	k.events = append(k.events, event{at: t, seq: k.seq, h: h})
 	k.siftUp(len(k.events) - 1)
 }
+
+// At schedules fn to run at absolute virtual time t, like Post.
+func (k *Kernel) At(t Time, fn func()) { k.Post(t, Func(fn)) }
 
 // After schedules fn to run d seconds from now. Negative or NaN d panics.
 func (k *Kernel) After(d Duration, fn func()) {
@@ -103,7 +120,7 @@ func (k *Kernel) RunUntil(limit Time) Time {
 		if k.maxEvents != 0 && k.executed > k.maxEvents {
 			panic(fmt.Sprintf("sim: exceeded max events %d at t=%v", k.maxEvents, k.now))
 		}
-		next.fn()
+		next.h.Fire()
 	}
 	return k.now
 }

@@ -113,7 +113,7 @@ func TestKernelNaNPanics(t *testing.T) {
 		{"At", func() { k.At(nan, func() {}) }},
 		{"After", func() { k.After(nan, func() {}) }},
 		{"Schedule", func() { r.Schedule(nan, nil) }},
-		{"ScheduleAfter", func() { r.ScheduleAfter(1, nan, func() {}) }},
+		{"ScheduleAfter", func() { r.ScheduleAfter(1, nan, Func(func() {})) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			defer func() {
@@ -149,7 +149,7 @@ func TestResourceSingleServerFCFS(t *testing.T) {
 	r := NewResource(k, "disk", 1)
 	var ends []Time
 	for i := 0; i < 3; i++ {
-		r.Schedule(2, func() { ends = append(ends, k.Now()) })
+		r.Schedule(2, Func(func() { ends = append(ends, k.Now()) }))
 	}
 	k.Run()
 	want := []Time{2, 4, 6}
@@ -168,11 +168,11 @@ func TestResourceMultiServerParallelism(t *testing.T) {
 	r := NewResource(k, "cpu", 4)
 	var maxEnd Time
 	for i := 0; i < 8; i++ {
-		r.Schedule(3, func() {
+		r.Schedule(3, Func(func() {
 			if end := k.Now(); end > maxEnd {
 				maxEnd = end
 			}
-		})
+		}))
 	}
 	k.Run()
 	// 8 jobs of 3s on 4 servers: two waves -> makespan 6.
@@ -188,8 +188,8 @@ func TestResourceScheduleAfter(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "cpu", 1)
 	var end1, end2 Time
-	r.ScheduleAfter(10, 1, func() { end1 = k.Now() })
-	r.Schedule(2, func() { end2 = k.Now() })
+	r.ScheduleAfter(10, 1, Func(func() { end1 = k.Now() }))
+	r.Schedule(2, Func(func() { end2 = k.Now() }))
 	k.Run()
 	if end1 != 11 {
 		t.Fatalf("delayed job ended at %v, want 11", end1)
@@ -206,12 +206,12 @@ func TestResourceZeroDuration(t *testing.T) {
 	r := NewResource(k, "net", 1)
 	fired := false
 	var start Time
-	start, _ = r.Schedule(0, func() {
+	start, _ = r.Schedule(0, Func(func() {
 		fired = true
 		if end := k.Now(); start != end {
 			t.Errorf("zero-duration job start %v != end %v", start, end)
 		}
-	})
+	}))
 	k.Run()
 	if !fired {
 		t.Fatal("zero-duration completion never fired")
@@ -221,8 +221,8 @@ func TestResourceZeroDuration(t *testing.T) {
 func TestResourceBacklog(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "cpu", 1)
-	r.Schedule(5, func() {})
-	r.Schedule(5, func() {})
+	r.Schedule(5, Func(func() {}))
+	r.Schedule(5, Func(func() {}))
 	if got := r.Backlog(); got != 10 {
 		t.Fatalf("backlog %v, want 10", got)
 	}
@@ -247,11 +247,11 @@ func TestResourceWorkConservationProperty(t *testing.T) {
 		for i := 0; i < njobs; i++ {
 			d := Duration(rng.Float64() * 10)
 			total += d
-			r.Schedule(d, func() {
+			r.Schedule(d, Func(func() {
 				if end := k.Now(); end > makespan {
 					makespan = end
 				}
-			})
+			}))
 		}
 		k.Run()
 		if diff := r.BusyTime() - total; diff > 1e-9 || diff < -1e-9 {
@@ -419,7 +419,7 @@ func BenchmarkKernelEvent(b *testing.B) {
 func BenchmarkResourceSchedule(b *testing.B) {
 	k := NewKernel()
 	r := NewResource(k, "cpu", 4)
-	done := func() {}
+	done := Func(func() {})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

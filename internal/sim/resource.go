@@ -38,17 +38,17 @@ func (r *Resource) Name() string { return r.name }
 func (r *Resource) Servers() int { return len(r.servers) }
 
 // Schedule reserves the earliest available server for d seconds of service
-// and invokes done (if non-nil) at the completion time, which is Now() when
-// done runs. It returns the (start, end) times of the service interval.
+// and fires done (if non-nil) at the completion time, which is Now() when
+// done fires. It returns the (start, end) times of the service interval.
 // Zero-duration work completes at max(now, earliest free) with no capacity
 // consumed.
-func (r *Resource) Schedule(d Duration, done func()) (start, end Time) {
+func (r *Resource) Schedule(d Duration, done Handler) (start, end Time) {
 	return r.ScheduleAfter(r.k.Now(), d, done)
 }
 
 // ScheduleAfter is like Schedule but the service cannot start before t.
 // It is used for work whose input only becomes available at t.
-func (r *Resource) ScheduleAfter(t Time, d Duration, done func()) (start, end Time) {
+func (r *Resource) ScheduleAfter(t Time, d Duration, done Handler) (start, end Time) {
 	if !(d >= 0) {
 		panic(fmt.Sprintf("sim: negative service time %v on %q", d, r.name))
 	}
@@ -68,7 +68,7 @@ func (r *Resource) ScheduleAfter(t Time, d Duration, done func()) (start, end Ti
 		r.lastFree = end
 	}
 	if done != nil {
-		r.k.At(end, done)
+		r.k.Post(end, done)
 	}
 	return start, end
 }
