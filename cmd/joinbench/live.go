@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -18,19 +17,6 @@ import (
 	"joinopt/internal/store"
 )
 
-// liveBenchResult is one end-to-end measurement.
-type liveBenchResult struct {
-	Ops        int
-	Elapsed    time.Duration
-	OpsPerSec  float64
-	Completed  int64
-	Canceled   int64
-	Failed     int64
-	ServerSkip int64 // exec slots whose UDF the servers skipped on cancel
-	// Wire batches by what made them leave their accumulator.
-	SizeFlushes, WaiterFlushes, CompletionFlushes, TimerFlushes int64
-}
-
 // runLiveBench measures the live plane end to end: it spins up real TCP
 // store servers and a real executor in-process and pushes ops batched
 // OpExec joins through the wire. clients is the number of concurrent
@@ -42,11 +28,8 @@ type liveBenchResult struct {
 // into completed/canceled/failed and shows how many UDFs the servers
 // skipped.
 func runLiveBench(out io.Writer, ops, nodes, clients, shards int,
-	retries int, timeout time.Duration, cancelFrac float64) {
-	if clients < 1 {
-		clients = 1
-	}
-
+	retries int, timeout time.Duration, cancelFrac float64) error {
+	clients = max(clients, 1)
 	fmt.Fprintf(out, "live plane throughput: %d ops, %d store nodes, %d client goroutines, batched OpExec\n",
 		ops, nodes, clients)
 	if cancelFrac > 0 {
@@ -55,44 +38,13 @@ func runLiveBench(out io.Writer, ops, nodes, clients, shards int,
 	fmt.Fprintln(out)
 	fmt.Fprintf(out, "%12s %12s %10s %10s %10s %12s\n",
 		"elapsed", "ops/sec", "completed", "canceled", "failed", "udfs skipped")
-	r := liveBenchOnce(ops, nodes, clients, shards, retries, timeout, cancelFrac)
-	fmt.Fprintf(out, "%12s %12.0f %10d %10d %10d %12d\n",
-		r.Elapsed.Round(time.Millisecond), r.OpsPerSec,
-		r.Completed, r.Canceled, r.Failed, r.ServerSkip)
-	batches := r.SizeFlushes + r.WaiterFlushes + r.CompletionFlushes + r.TimerFlushes
-	fmt.Fprintf(out, "\n%d wire batches (%.1f ops each) left their accumulator because: batch full %d, caller blocked on an idle link %d, batch returned with a caller blocked %d, max wait expired %d\n",
-		batches, float64(r.Completed)/float64(max(batches, 1)),
-		r.SizeFlushes, r.WaiterFlushes, r.CompletionFlushes, r.TimerFlushes)
-}
-
-func liveBenchOnce(ops, nodes, clients, shards int,
-	retries int, timeout time.Duration, cancelFrac float64) liveBenchResult {
 	reg := live.NewRegistry()
-	reg.Register("tag", func(key string, params, value []byte) []byte {
-		out := append([]byte{}, value...)
-		out = append(out, '#')
-		return append(out, params...)
-	})
+	reg.Register("tag", tag)
 
 	const keys = 512
-	ids := make([]cluster.NodeID, nodes)
-	for i := range ids {
-		ids[i] = cluster.NodeID(i)
-	}
-	catalog := store.CatalogFunc(func(string) store.RowMeta {
-		return store.RowMeta{ValueSize: 1024}
-	})
-	table := store.NewTable("t", catalog, 2, ids)
+	table := tableT(1024, 2, nodes)
 
-	nodeRows := make([]map[string][]byte, nodes)
-	for i := range nodeRows {
-		nodeRows[i] = make(map[string][]byte)
-	}
-	val := bytes.Repeat([]byte("x"), 1024)
-	for i := 0; i < keys; i++ {
-		k := fmt.Sprintf("k%d", i)
-		nodeRows[table.Locate(k)][k] = val
-	}
+	nodeRows := kbRows(nodes, keys, func(k string) []cluster.NodeID { return []cluster.NodeID{table.Locate(k)} })
 
 	addrs := make(map[cluster.NodeID]string)
 	var servers []*live.Server
@@ -101,7 +53,8 @@ func liveBenchOnce(ops, nodes, clients, shards int,
 		s.AddTable(live.TableSpec{Name: "t", UDF: "tag", Rows: nodeRows[i]})
 		addr, err := s.Serve("127.0.0.1:0")
 		if err != nil {
-			log.Fatal(err)
+			s.Close()
+			return err
 		}
 		addrs[cluster.NodeID(i)] = addr
 		servers = append(servers, s)
@@ -124,7 +77,7 @@ func liveBenchOnce(ops, nodes, clients, shards int,
 		RequestTimeout: timeout,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer e.Close()
 
@@ -135,7 +88,7 @@ func liveBenchOnce(ops, nodes, clients, shards int,
 	// One warm-up round trip per node takes dialing off the clock.
 	for i := 0; i < keys; i += keys / 8 {
 		if _, err := tbl.Call(ctx, fmt.Sprintf("k%d", i), []byte("warm")); err != nil {
-			log.Fatalf("warm-up: %v", err)
+			return fmt.Errorf("warm-up: %w", err)
 		}
 	}
 
@@ -145,10 +98,7 @@ func liveBenchOnce(ops, nodes, clients, shards int,
 	// submitted under a cancellable context that is canceled right after
 	// submission — while the op sits in a batch accumulator or rides the
 	// wire — exercising the full abandonment path under load.
-	window := 512 / clients
-	if window < 1 {
-		window = 1
-	}
+	window := max(512/clients, 1)
 	params := []byte("p-live-bench")
 	start := time.Now()
 	var completed, canceled, failed atomic.Int64
@@ -204,18 +154,13 @@ func liveBenchOnce(ops, nodes, clients, shards int,
 	for _, s := range servers {
 		serverSkips += s.ExecCanceled.Load()
 	}
-	return liveBenchResult{
-		Ops:        ops,
-		Elapsed:    elapsed,
-		OpsPerSec:  float64(ops) / elapsed.Seconds(),
-		Completed:  completed.Load(),
-		Canceled:   canceled.Load(),
-		Failed:     failed.Load(),
-		ServerSkip: serverSkips,
 
-		SizeFlushes:       e.SizeFlushes.Load(),
-		WaiterFlushes:     e.WaiterFlushes.Load(),
-		CompletionFlushes: e.CompletionFlushes.Load(),
-		TimerFlushes:      e.TimerFlushes.Load(),
-	}
+	fmt.Fprintf(out, "%12s %12.0f %10d %10d %10d %12d\n",
+		elapsed.Round(time.Millisecond), float64(ops)/elapsed.Seconds(),
+		completed.Load(), canceled.Load(), failed.Load(), serverSkips)
+	size, waiter, completion, timer := e.SizeFlushes.Load(), e.WaiterFlushes.Load(), e.CompletionFlushes.Load(), e.TimerFlushes.Load()
+	batches := size + waiter + completion + timer
+	fmt.Fprintf(out, "\n%d wire batches (%.1f ops each) left their accumulator because: batch full %d, caller blocked on an idle link %d, batch returned with a caller blocked %d, max wait expired %d\n",
+		batches, float64(completed.Load())/float64(max(batches, 1)), size, waiter, completion, timer)
+	return nil
 }

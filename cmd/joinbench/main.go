@@ -58,6 +58,21 @@
 // acknowledged put, any stale post-migration read, or a run in which no
 // redirect was exercised.
 //
+// Every drill ends its report with one verdict line,
+//
+//	<drill> drill: PASS: <what held>
+//	<drill> drill: FAIL: <each broken rule, separated by "; ">
+//
+// <drill> being durability, replication, overload or migration. A FAIL line
+// is repeated on standard error and the command exits 1, after its cleanup
+// (profiles, the durability drill's temp directory) has run; a drill that
+// cannot start (-livereplicas below 3, a node that will not boot) exits 1
+// with no verdict. The durability, replication and migration drills audit
+// every acknowledged put against one history.Ledger and print each one the
+// cluster failed to serve back, before the verdict, as
+//
+//	<LOST|DIVERGED|STALE|UNREADABLE> acked put <key> (v<acked> "<value>"): <what was read>
+//
 // Figures: 5, 6, 7, 8a, 8b, 8c, 9, 11a, 11b, 11c, all.
 package main
 
@@ -75,7 +90,11 @@ import (
 	"joinopt/internal/workload"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the command; it returns the exit status, so every deferred
+// cleanup (profiles, a drill's temp directory) has run before the exit.
+func run() (code int) {
 	fig := flag.String("fig", "all", "figure to reproduce: 5, 6, 7, 8a, 8b, 8c, 9, 11a, 11b, 11c, all")
 	tuples := flag.Int("tuples", 0, "input size per run (0 = per-figure default)")
 	seed := flag.Int64("seed", 1, "workload RNG seed")
@@ -101,7 +120,7 @@ func main() {
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			log.Fatalf("cpuprofile: %v", err)
+			log.Fatalf("cpuprofile: %v", err) // nothing to clean up yet
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
@@ -113,50 +132,55 @@ func main() {
 		defer func() {
 			f, err := os.Create(*memProfile)
 			if err != nil {
-				log.Fatalf("memprofile: %v", err)
+				log.Printf("memprofile: %v", err)
+				code = 1
+				return
 			}
 			defer f.Close()
 			runtime.GC() // flush the final allocation stats
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				log.Fatalf("memprofile: %v", err)
+				log.Printf("memprofile: %v", err)
+				code = 1
 			}
 		}()
 	}
 
-	if *liveDurable {
-		runLiveDurable(os.Stdout, *liveOps, *liveDir, *liveFsync)
-		return
-	}
-	if *liveReplicas > 0 {
-		runLiveReplicas(os.Stdout, *liveOps, *liveReplicas)
-		return
-	}
-	if *liveRate > 0 {
-		runLiveOverload(os.Stdout, *liveRate, *liveOps)
-		return
-	}
-	if *liveMigrate {
-		runLiveMigrate(os.Stdout, *liveOps)
-		return
-	}
-	if *liveBench {
-		runLiveBench(os.Stdout, *liveOps, *liveNodes, *liveClients, *liveShards,
+	var err error
+	switch {
+	case *liveDurable:
+		err = runLiveDurable(os.Stdout, *liveOps, *liveDir, *liveFsync)
+	case *liveReplicas > 0:
+		err = runLiveReplicas(os.Stdout, *liveOps, *liveReplicas)
+	case *liveRate > 0:
+		err = runLiveOverload(os.Stdout, *liveRate, *liveOps)
+	case *liveMigrate:
+		err = runLiveMigrate(os.Stdout, *liveOps)
+	case *liveBench:
+		err = runLiveBench(os.Stdout, *liveOps, *liveNodes, *liveClients, *liveShards,
 			*liveRetries, *liveTimeout, *liveCancel)
-		return
+	default:
+		var progress io.Writer
+		if *verbose {
+			progress = os.Stderr
+		}
+		return figures(*fig, bench.Options{Tuples: *tuples, Seed: *seed, Out: progress})
 	}
-
-	var progress io.Writer
-	if *verbose {
-		progress = os.Stderr
+	if err != nil {
+		log.Print(err)
+		return 1
 	}
-	o := bench.Options{Tuples: *tuples, Seed: *seed, Out: progress}
+	return 0
+}
 
+// figures prints one paper figure, or all of them, and returns the exit
+// status: 2 for an unknown figure.
+func figures(fig string, o bench.Options) int {
 	kinds := map[string]workload.SynthKind{
 		"8a": workload.DataHeavy, "8b": workload.ComputeHeavy, "8c": workload.DataComputeHeavy,
 		"11a": workload.DataHeavy, "11b": workload.ComputeHeavy, "11c": workload.DataComputeHeavy,
 	}
 
-	run := func(name string) {
+	figure := func(name string) bool {
 		switch name {
 		case "5":
 			bench.PrintFig5(os.Stdout, bench.Fig5(o))
@@ -172,17 +196,21 @@ func main() {
 			bench.PrintSynth(os.Stdout, bench.Fig11(kinds[name], o))
 		default:
 			fmt.Fprintf(os.Stderr, "unknown figure %q\n", name)
-			os.Exit(2)
+			return false
 		}
 		fmt.Println()
+		return true
 	}
 
-	if *fig == "all" {
+	if fig == "all" {
 		for _, f := range []string{"5", "6", "7", "8a", "8b", "8c", "9", "11a", "11b", "11c"} {
 			fmt.Printf("== Figure %s ==\n", strings.ToUpper(f))
-			run(f)
+			figure(f)
 		}
-		return
+		return 0
 	}
-	run(*fig)
+	if !figure(fig) {
+		return 2
+	}
+	return 0
 }

@@ -1,13 +1,10 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
-	"log"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -29,15 +26,15 @@ import (
 // PriorityLow, so the report also shows the weighted-fair split.
 //
 // The drill passes when every op resolves promptly as either served or a
-// typed CodeOverloaded shed: exit 1 if any op fails with an opaque timeout
+// typed CodeOverloaded shed: it fails if any op fails with an opaque timeout
 // (the failure mode bounded queues exist to eliminate), fails any other
 // way, or if the run hangs. The report prints the served/shed split per
 // priority and p50/p99 latency of the served ops, which stays bounded by
 // queue depth x service time no matter how far the arrival rate exceeds
 // capacity.
-func runLiveOverload(out io.Writer, rate, ops int) {
+func runLiveOverload(out io.Writer, rate, ops int) error {
 	if rate < 1 {
-		log.Fatalf("-liverate needs a positive arrival rate, got %d", rate)
+		return fmt.Errorf("-liverate needs a positive arrival rate, got %d", rate)
 	}
 
 	const (
@@ -51,22 +48,12 @@ func runLiveOverload(out io.Writer, rate, ops int) {
 	reg := live.NewRegistry()
 	reg.Register("slow", func(key string, params, value []byte) []byte {
 		time.Sleep(udfDelay) // the capacity bound: ExecWorkers UDFs at once, so ~execWorkers/udfDelay ops/sec
-		o := append([]byte{}, value...)
-		o = append(o, '#')
-		return append(o, params...)
+		return tag(key, params, value)
 	})
 
-	ids := []cluster.NodeID{0}
-	catalog := store.CatalogFunc(func(string) store.RowMeta {
-		return store.RowMeta{ValueSize: 1024}
-	})
-	table := store.NewTable("t", catalog, 2, ids)
+	table := tableT(1024, 2, 1)
 
-	rows := make(map[string][]byte, keys)
-	val := bytes.Repeat([]byte("x"), 1024)
-	for i := 0; i < keys; i++ {
-		rows[fmt.Sprintf("k%d", i)] = val
-	}
+	rows := kbRows(1, keys, func(string) []cluster.NodeID { return []cluster.NodeID{0} })[0]
 
 	srv := live.NewServer(reg, false)
 	srv.AddTable(live.TableSpec{Name: "t", UDF: "slow", Rows: rows})
@@ -77,7 +64,7 @@ func runLiveOverload(out io.Writer, rate, ops int) {
 	})
 	addr, err := srv.Serve("127.0.0.1:0")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer srv.Close()
 
@@ -96,14 +83,14 @@ func runLiveOverload(out io.Writer, rate, ops int) {
 		RequestTimeout: 10 * time.Second,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer e.Close()
 
 	ctx := context.Background()
 	tbl := e.Table("t")
 	if _, err := tbl.Call(ctx, "k0", []byte("warm")); err != nil {
-		log.Fatalf("warm-up: %v", err)
+		return fmt.Errorf("warm-up: %w", err)
 	}
 
 	fmt.Fprintf(out, "open-loop overload drill: %d ops arriving at %d/sec against ~%.0f ops/sec capacity (%.1fx)\n",
@@ -111,12 +98,12 @@ func runLiveOverload(out io.Writer, rate, ops int) {
 	fmt.Fprintf(out, "admission: exec queue %d, %d workers, udf %v; client retries disabled\n\n",
 		execQueue, execWorkers, udfDelay)
 
+	const low, high = 0, 1 // priority classes, indexing servedBy and shedBy
 	var (
-		servedHigh, servedLow atomic.Int64
-		shedHigh, shedLow     atomic.Int64
-		timeouts, failed      atomic.Int64
-		mu                    sync.Mutex
-		latencies             []time.Duration
+		servedBy, shedBy [2]atomic.Int64
+		timeouts, failed atomic.Int64
+		mu               sync.Mutex
+		latencies        []time.Duration
 	)
 	params := []byte("p-overload")
 	interval := time.Second / time.Duration(rate)
@@ -127,41 +114,32 @@ func runLiveOverload(out io.Writer, rate, ops int) {
 		if sleep := start.Add(time.Duration(i) * interval).Sub(time.Now()); sleep > 0 {
 			time.Sleep(sleep)
 		}
-		high := i%8 == 0
-		opts := []live.CallOption{live.WithPriority(live.PriorityLow)}
-		if high {
-			opts[0] = live.WithPriority(live.PriorityHigh)
+		class, prio := low, live.PriorityLow
+		if i%8 == 0 {
+			class, prio = high, live.PriorityHigh
 		}
 		submitted := time.Now()
-		f := tbl.Submit(ctx, fmt.Sprintf("k%d", i%keys), params, opts...)
+		f := tbl.Submit(ctx, fmt.Sprintf("k%d", i%keys), params, live.WithPriority(prio))
 		wg.Add(1)
-		go func(high bool, submitted time.Time) {
+		go func(class int, submitted time.Time) {
 			defer wg.Done()
 			_, err := f.WaitErr()
 			var le *live.Error
 			switch {
 			case err == nil:
-				if high {
-					servedHigh.Add(1)
-				} else {
-					servedLow.Add(1)
-				}
+				servedBy[class].Add(1)
 				d := time.Since(submitted)
 				mu.Lock()
 				latencies = append(latencies, d)
 				mu.Unlock()
 			case errors.As(err, &le) && le.Code == live.CodeOverloaded:
-				if high {
-					shedHigh.Add(1)
-				} else {
-					shedLow.Add(1)
-				}
+				shedBy[class].Add(1)
 			case errors.As(err, &le) && le.Code == live.CodeTimeout:
 				timeouts.Add(1)
 			default:
 				failed.Add(1)
 			}
-		}(high, submitted)
+		}(class, submitted)
 	}
 
 	// A bounded-queue server must resolve every op quickly: either into
@@ -172,13 +150,13 @@ func runLiveOverload(out io.Writer, rate, ops int) {
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		fmt.Fprintln(out, "FAIL: ops still unresolved 30s after the last arrival — the overload path hung")
-		os.Exit(1)
+		f := failures{"ops still unresolved 30s after the last arrival — the overload path hung"}
+		return f.verdict(out, "overload", "")
 	}
 	elapsed := time.Since(start)
 
-	served := servedHigh.Load() + servedLow.Load()
-	shed := shedHigh.Load() + shedLow.Load()
+	served := servedBy[high].Load() + servedBy[low].Load()
+	shed := shedBy[high].Load() + shedBy[low].Load()
 	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
 	pct := func(p float64) time.Duration {
 		if len(latencies) == 0 {
@@ -197,37 +175,19 @@ func runLiveOverload(out io.Writer, rate, ops int) {
 		}
 		fmt.Fprintf(out, "%-10s %10d %10d %9.1f%%\n", name, s, sh, frac)
 	}
-	row("high", servedHigh.Load(), shedHigh.Load())
-	row("low", servedLow.Load(), shedLow.Load())
+	row("high", servedBy[high].Load(), shedBy[high].Load())
+	row("low", servedBy[low].Load(), shedBy[low].Load())
 	row("all", served, shed)
 	fmt.Fprintf(out, "\nserved latency: p50 %v  p99 %v  max %v\n",
 		pct(0.50).Round(10*time.Microsecond), pct(0.99).Round(10*time.Microsecond), pct(1.0).Round(10*time.Microsecond))
 	fmt.Fprintf(out, "elapsed %v, served throughput %.0f ops/sec, server sheds %d\n",
 		elapsed.Round(time.Millisecond), float64(served)/elapsed.Seconds(), srv.Shed.Load())
 
-	ok := true
-	if n := timeouts.Load(); n > 0 {
-		fmt.Fprintf(out, "FAIL: %d ops died with opaque timeouts — overload must shed with CodeOverloaded, not time out\n", n)
-		ok = false
-	}
-	if n := failed.Load(); n > 0 {
-		fmt.Fprintf(out, "FAIL: %d ops failed with neither success nor a typed shed\n", n)
-		ok = false
-	}
-	if served == 0 {
-		fmt.Fprintln(out, "FAIL: no op was served — the server shed everything, including work it had capacity for")
-		ok = false
-	}
-	if shed == 0 && float64(rate) > capacity*1.5 {
-		fmt.Fprintln(out, "FAIL: arrival rate far exceeds capacity yet nothing was shed — the queue is not bounded")
-		ok = false
-	}
-	if e.Shed.Load() != shed {
-		fmt.Fprintf(out, "FAIL: executor Stats.Shed %d != observed sheds %d\n", e.Shed.Load(), shed)
-		ok = false
-	}
-	if !ok {
-		os.Exit(1)
-	}
-	fmt.Fprintln(out, "PASS: every op resolved as served or a typed shed; no opaque timeouts")
+	var f failures
+	f.check(timeouts.Load() > 0, "%d ops died with opaque timeouts — overload must shed with CodeOverloaded, not time out", timeouts.Load())
+	f.check(failed.Load() > 0, "%d ops failed with neither success nor a typed shed", failed.Load())
+	f.check(served == 0, "no op was served — the server shed everything, including work it had capacity for")
+	f.check(shed == 0 && float64(rate) > capacity*1.5, "arrival rate far exceeds capacity yet nothing was shed — the queue is not bounded")
+	f.check(e.Shed.Load() != shed, "executor Stats.Shed %d != observed sheds %d", e.Shed.Load(), shed)
+	return f.verdict(out, "overload", "every op resolved as served or a typed shed; no opaque timeouts")
 }

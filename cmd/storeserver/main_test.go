@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"joinopt/internal/history"
 	"joinopt/internal/live"
 )
 
@@ -78,7 +79,7 @@ func TestDiskEngineSurvivesProcessKill(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	const puts = 40
-	acked := make(map[string]int64, puts)
+	var led history.Ledger
 	for i := 0; i < puts; i++ {
 		k := fmt.Sprintf("smoke-k%d", i%10)
 		v := []byte(fmt.Sprintf("smoke-v%d", i))
@@ -87,7 +88,7 @@ func TestDiskEngineSurvivesProcessKill(t *testing.T) {
 		if err != nil {
 			t.Fatalf("put %s: %v", k, err)
 		}
-		acked[k] = resp.Metas[0].Version
+		led.Ack(k, v, resp.Metas[0].Version)
 	}
 	conn.Close()
 
@@ -132,18 +133,21 @@ func TestDiskEngineSurvivesProcessKill(t *testing.T) {
 		t.Fatalf("dial after restart: %v", err)
 	}
 	defer conn2.Close()
-	for k, ver := range acked {
+	// Every acked put must be recovered at its acked version with its
+	// value, or newer; and whatever version comes back must hold a value
+	// this test wrote.
+	vs := led.Audit(func(k string) ([]byte, int64, error) {
 		resp, err := conn2.Call(live.Request{Op: live.OpGet, Table: "demo", Keys: []string{k}})
 		if err != nil {
-			t.Fatalf("get %s after restart: %v", k, err)
+			return nil, 0, err
 		}
-		got := resp.Metas[0].Version
-		if got < ver {
-			t.Errorf("key %s: recovered version %d < acked %d", k, got, ver)
+		if v := resp.Values[0]; !strings.HasPrefix(string(v), "smoke-v") {
+			return nil, 0, fmt.Errorf("recovered value %q is not a written value", v)
 		}
-		if !strings.HasPrefix(string(resp.Values[0]), "smoke-v") {
-			t.Errorf("key %s: recovered value %q is not a written value", k, resp.Values[0])
-		}
+		return resp.Values[0], resp.Metas[0].Version, nil
+	})
+	for _, v := range vs {
+		t.Errorf("after restart: %v", v)
 	}
 	// A seed row the test never wrote must still be served (version 0,
 	// re-seeded at boot, untouched by recovery).

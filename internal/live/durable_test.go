@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"joinopt/internal/history"
 	"joinopt/internal/storage"
 )
 
@@ -157,14 +158,7 @@ func TestFaultDurableKillRestartRecoversAckedPuts(t *testing.T) {
 	}
 	srv, eng, addr := boot("127.0.0.1:0")
 
-	var (
-		mu    sync.Mutex
-		acked = map[string]struct {
-			val string
-			ver int64
-		}{}
-		ackedN atomic.Int64
-	)
+	var led history.Ledger
 	put := func(conn **Conn, key, val string) bool {
 		deadline := time.Now().Add(30 * time.Second)
 		for {
@@ -186,13 +180,7 @@ func TestFaultDurableKillRestartRecoversAckedPuts(t *testing.T) {
 			resp, err := (*conn).Call(Request{Op: OpPut, Table: "t",
 				Keys: []string{key}, Params: [][]byte{[]byte(val)}})
 			if err == nil {
-				mu.Lock()
-				acked[key] = struct {
-					val string
-					ver int64
-				}{val, resp.Metas[0].Version}
-				mu.Unlock()
-				ackedN.Add(1)
+				led.Ack(key, []byte(val), resp.Metas[0].Version)
 				return true
 			}
 			if time.Now().After(deadline) {
@@ -228,7 +216,7 @@ func TestFaultDurableKillRestartRecoversAckedPuts(t *testing.T) {
 
 	// Kill the node mid-storm and restart it on the same directory and
 	// address. Writers ride out the outage through their redial loop.
-	for ackedN.Load() < killAt {
+	for led.Acked() < killAt {
 		time.Sleep(time.Millisecond)
 	}
 	srv.Close()
@@ -240,7 +228,7 @@ func TestFaultDurableKillRestartRecoversAckedPuts(t *testing.T) {
 
 	st := eng2.Stats()
 	if st.RecoveredRows == 0 && st.ReplayedRecords == 0 {
-		t.Fatalf("restart recovered nothing (stats %+v) with %d puts acked", st, ackedN.Load())
+		t.Fatalf("restart recovered nothing (stats %+v) with %d puts acked", st, led.Acked())
 	}
 	wg.Wait()
 
@@ -252,30 +240,28 @@ func TestFaultDurableKillRestartRecoversAckedPuts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	mu.Lock()
-	defer mu.Unlock()
-	lost := 0
-	for k, want := range acked {
-		resp, err := conn.Call(Request{Op: OpGet, Table: "t", Keys: []string{k}})
-		if err != nil {
-			t.Fatalf("readback %s: %v", k, err)
-		}
-		v, ver := resp.Values[0], resp.Metas[0].Version
-		switch {
-		case ver < want.ver:
-			t.Errorf("LOST acked put: %s recovered at v%d < acked v%d (%q)", k, ver, want.ver, want.val)
-			lost++
-		case ver == want.ver && string(v) != want.val:
-			t.Errorf("acked put corrupted: %s v%d = %q, acked %q", k, ver, v, want.val)
-			lost++
-		}
+	vs := led.Audit(nodeReader(conn, "t"))
+	for _, v := range vs {
+		t.Error(v)
 	}
-	if lost == 0 {
+	if len(vs) == 0 {
 		t.Logf("durability held: %d acked puts, %d keys readable after kill+restart (recovered %d snapshot rows + %d WAL records)",
-			ackedN.Load(), len(acked), st.RecoveredRows, st.ReplayedRecords)
+			led.Acked(), led.Keys(), st.RecoveredRows, st.ReplayedRecords)
 	}
 	if v, _, _ := readRow(t, conn, "seeded"); string(v) != "base" {
 		t.Errorf("seed row missing after restart: %q", v)
+	}
+}
+
+// nodeReader reads a table's rows straight off one node, for
+// history.Ledger.Audit.
+func nodeReader(conn *Conn, table string) func(key string) ([]byte, int64, error) {
+	return func(key string) ([]byte, int64, error) {
+		resp, err := conn.Call(Request{Op: OpGet, Table: table, Keys: []string{key}})
+		if err != nil {
+			return nil, 0, err
+		}
+		return resp.Values[0], resp.Metas[0].Version, nil
 	}
 }
 

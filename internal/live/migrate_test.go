@@ -12,6 +12,7 @@ import (
 
 	"joinopt/internal/cluster"
 	"joinopt/internal/core"
+	"joinopt/internal/history"
 	"joinopt/internal/membership"
 	"joinopt/internal/store"
 )
@@ -126,12 +127,7 @@ func TestMigrateUnderLoad(t *testing.T) {
 	ctx := context.Background()
 
 	var (
-		mu    sync.Mutex
-		acked = map[string]struct {
-			val string
-			ver int64
-		}{}
-		ackedN  atomic.Int64
+		led     history.Ledger
 		stop    atomic.Bool
 		readErr atomic.Int64
 	)
@@ -149,13 +145,7 @@ func TestMigrateUnderLoad(t *testing.T) {
 				time.Sleep(time.Millisecond)
 				continue
 			}
-			mu.Lock()
-			acked[k] = struct {
-				val string
-				ver int64
-			}{v, ver}
-			mu.Unlock()
-			ackedN.Add(1)
+			led.Ack(k, []byte(v), ver)
 		}
 	}()
 	wg.Add(1)
@@ -171,7 +161,7 @@ func TestMigrateUnderLoad(t *testing.T) {
 		}
 	}()
 
-	for ackedN.Load() < 200 { // let the load establish itself
+	for led.Acked() < 200 { // let the load establish itself
 		time.Sleep(time.Millisecond)
 	}
 	for region := 0; region < migRegions; region++ {
@@ -180,8 +170,8 @@ func TestMigrateUnderLoad(t *testing.T) {
 		}
 	}
 	// Keep the load running against the new placement for a while.
-	target := ackedN.Load() + 200
-	for ackedN.Load() < target {
+	target := led.Acked() + 200
+	for led.Acked() < target {
 		time.Sleep(time.Millisecond)
 	}
 	stop.Store(true)
@@ -199,18 +189,8 @@ func TestMigrateUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	mu.Lock()
-	defer mu.Unlock()
-	for k, want := range acked {
-		resp, err := conn.Call(Request{Op: OpGet, Table: "t", Keys: []string{k}})
-		if err != nil {
-			t.Fatalf("readback %s: %v", k, err)
-		}
-		if ver := resp.Metas[0].Version; ver < want.ver {
-			t.Errorf("acked put %s lost: v%d on new owner < acked v%d", k, ver, want.ver)
-		} else if ver == want.ver && string(resp.Values[0]) != want.val {
-			t.Errorf("acked put %s diverged: %q at v%d, acked %q", k, resp.Values[0], ver, want.val)
-		}
+	for _, v := range led.Audit(nodeReader(conn, "t")) {
+		t.Errorf("new owner: %v", v)
 	}
 
 	// The client's map must have converged onto node 1 for every region.
@@ -533,14 +513,8 @@ func TestFaultMembershipServesReplicatedTable(t *testing.T) {
 	t.Cleanup(e.Close)
 	ctx := context.Background()
 
-	type ack struct {
-		val string
-		ver int64
-	}
 	var (
-		mu      sync.Mutex
-		acked   = map[string]map[string]ack{"r": {}, "s": {}}
-		ackedN  atomic.Int64
+		ledgers = map[string]*history.Ledger{"r": {}, "s": {}}
 		stop    atomic.Bool
 		readErr atomic.Int64
 		wg      sync.WaitGroup
@@ -557,10 +531,7 @@ func TestFaultMembershipServesReplicatedTable(t *testing.T) {
 					time.Sleep(time.Millisecond)
 					continue
 				}
-				mu.Lock()
-				acked[name][k] = ack{v, ver}
-				mu.Unlock()
-				ackedN.Add(1)
+				ledgers[name].Ack(k, []byte(v), ver)
 			}
 		}()
 		go func() { // reader: failover and redirects must absorb everything
@@ -579,8 +550,9 @@ func TestFaultMembershipServesReplicatedTable(t *testing.T) {
 			}
 		}()
 	}
+	acked := func() int64 { return ledgers["r"].Acked() + ledgers["s"].Acked() }
 	runUntil := func(n int64) {
-		for target := ackedN.Load() + n; ackedN.Load() < target; {
+		for target := acked() + n; acked() < target; {
 			time.Sleep(time.Millisecond)
 		}
 	}
@@ -618,30 +590,30 @@ func TestFaultMembershipServesReplicatedTable(t *testing.T) {
 	}
 	// Every acked put is held at >= its acked version: an "s" row by the
 	// node its region drained to, an "r" row by a surviving member of its set.
-	newest := func(name, k string, nodes ...cluster.NodeID) (ver int64, val string) {
-		for _, n := range nodes {
+	for name, holders := range map[string][]cluster.NodeID{"r": {0, 1}, "s": {3}} {
+		reads := make([]func(string) ([]byte, int64, error), len(holders))
+		for i, n := range holders {
 			conn, err := DialNode(addrs[n], nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			resp, err := conn.Call(Request{Op: OpGet, Table: name, Keys: []string{k}})
-			conn.Close()
-			if err != nil {
-				t.Fatalf("readback %s/%s at node %d: %v", name, k, n, err)
-			}
-			if v := resp.Metas[0].Version; v > ver {
-				ver, val = v, string(resp.Values[0])
-			}
+			defer conn.Close()
+			reads[i] = nodeReader(conn, name)
 		}
-		return ver, val
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	for name, holders := range map[string][]cluster.NodeID{"r": {0, 1}, "s": {3}} {
-		for k, want := range acked[name] {
-			if ver, val := newest(name, k, holders...); ver < want.ver || (ver == want.ver && val != want.val) {
-				t.Errorf("acked put %s/%s lost: %q at v%d on %v, acked %q at v%d", name, k, val, ver, holders, want.val, want.ver)
+		newest := func(k string) (val []byte, ver int64, err error) {
+			for i, read := range reads {
+				v, vv, err := read(k)
+				if err != nil {
+					return nil, 0, fmt.Errorf("node %d: %w", holders[i], err)
+				}
+				if vv > ver {
+					val, ver = v, vv
+				}
 			}
+			return val, ver, nil
+		}
+		for _, v := range ledgers[name].Audit(newest) {
+			t.Errorf("table %s on %v: %v", name, holders, v)
 		}
 	}
 }
