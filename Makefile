@@ -81,16 +81,19 @@ lint: vet
 	$(GO) build -o $(JOINOPTLINT) ./cmd/joinoptlint
 	$(GO) vet -vettool=$(JOINOPTLINT) ./...
 
-# The line ledger: non-test Go lines (wc -l) per package, the sum over the
-# placement packages (the count ISSUE 23 and ROADMAP item 3 are taken over),
-# then per file of internal/live. "Net-negative line counts are a result to
-# report" (ROADMAP): run it before and after, and put both in CHANGES.md.
+# The line ledger: non-test Go lines (wc -l) per package, the sums over the
+# placement packages and over the optimizer's per-key state (core, freq,
+# cache), then per file of internal/live. "Net-negative line counts are a
+# result to report" (ROADMAP): run it before and after, and put both in
+# CHANGES.md.
 GOFILES = '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}'
 PLACEMENT_PKGS = ./internal/live ./internal/store ./internal/membership ./internal/cluster
+OPTIMIZER_PKGS = ./internal/core ./internal/freq ./internal/cache
 loc:
 	@$(GO) list -f $(GOFILES) ./... | while read pkg files; do \
 		echo "$$(cat $$files | wc -l) $$pkg"; done
 	@echo "$$($(GO) list -f $(GOFILES) $(PLACEMENT_PKGS) | cut -d' ' -f2- | xargs cat | wc -l) internal/live + store + membership + cluster"
+	@echo "$$($(GO) list -f $(GOFILES) $(OPTIMIZER_PKGS) | cut -d' ' -f2- | xargs cat | wc -l) internal/core + freq + cache"
 	@$(GO) list -f $(GOFILES) ./internal/live | cut -d' ' -f2- | xargs wc -l | sed "s|$(CURDIR)/||"
 
 # Wire-codec micro-benchmarks and the end-to-end executor throughput

@@ -87,7 +87,6 @@ import (
 	"strings"
 
 	"joinopt/internal/bench"
-	"joinopt/internal/workload"
 )
 
 func main() { os.Exit(run()) }
@@ -175,42 +174,18 @@ func run() (code int) {
 // figures prints one paper figure, or all of them, and returns the exit
 // status: 2 for an unknown figure.
 func figures(fig string, o bench.Options) int {
-	kinds := map[string]workload.SynthKind{
-		"8a": workload.DataHeavy, "8b": workload.ComputeHeavy, "8c": workload.DataComputeHeavy,
-		"11a": workload.DataHeavy, "11b": workload.ComputeHeavy, "11c": workload.DataComputeHeavy,
-	}
-
-	figure := func(name string) bool {
-		switch name {
-		case "5":
-			bench.PrintFig5(os.Stdout, bench.Fig5(o))
-		case "6":
-			bench.PrintFig6(os.Stdout, bench.Fig6(o))
-		case "7":
-			bench.PrintFig7(os.Stdout, bench.Fig7(o))
-		case "8a", "8b", "8c":
-			bench.PrintSynth(os.Stdout, bench.Fig8(kinds[name], o))
-		case "9":
-			bench.PrintFig9(os.Stdout, bench.Fig9(o))
-		case "11a", "11b", "11c":
-			bench.PrintSynth(os.Stdout, bench.Fig11(kinds[name], o))
-		default:
-			fmt.Fprintf(os.Stderr, "unknown figure %q\n", name)
-			return false
-		}
-		fmt.Println()
-		return true
-	}
-
 	if fig == "all" {
-		for _, f := range []string{"5", "6", "7", "8a", "8b", "8c", "9", "11a", "11b", "11c"} {
+		for _, f := range bench.Figures {
 			fmt.Printf("== Figure %s ==\n", strings.ToUpper(f))
-			figure(f)
+			bench.Figure(os.Stdout, f, o)
+			fmt.Println()
 		}
 		return 0
 	}
-	if !figure(fig) {
+	if !bench.Figure(os.Stdout, fig, o) {
+		fmt.Fprintf(os.Stderr, "unknown figure %q\n", fig)
 		return 2
 	}
+	fmt.Println()
 	return 0
 }

@@ -53,6 +53,39 @@ var AllStrategies = []exec.Strategy{exec.NO, exec.FC, exec.FD, exec.FR, exec.CO,
 // MuppetStrategies is the Figure 6/11 strategy set.
 var MuppetStrategies = []exec.Strategy{exec.NO, exec.FC, exec.FD, exec.FR, exec.FO}
 
+// Figures names every figure Figure reproduces, in the paper's order.
+var Figures = []string{"5", "6", "7", "8a", "8b", "8c", "9", "11a", "11b", "11c"}
+
+// Figure reproduces the named figure and prints its table to w. It reports
+// false, printing nothing, for a name not in Figures.
+func Figure(w io.Writer, name string, o Options) bool {
+	switch name {
+	case "5":
+		PrintFig5(w, Fig5(o))
+	case "6":
+		PrintFig6(w, Fig6(o))
+	case "7":
+		PrintFig7(w, Fig7(o))
+	case "8a":
+		PrintSynth(w, Fig8(workload.DataHeavy, o))
+	case "8b":
+		PrintSynth(w, Fig8(workload.ComputeHeavy, o))
+	case "8c":
+		PrintSynth(w, Fig8(workload.DataComputeHeavy, o))
+	case "9":
+		PrintFig9(w, Fig9(o))
+	case "11a":
+		PrintSynth(w, Fig11(workload.DataHeavy, o))
+	case "11b":
+		PrintSynth(w, Fig11(workload.ComputeHeavy, o))
+	case "11c":
+		PrintSynth(w, Fig11(workload.DataComputeHeavy, o))
+	default:
+		return false
+	}
+	return true
+}
+
 // env is one disposable simulated cluster with a populated store.
 type env struct {
 	c  *cluster.Cluster

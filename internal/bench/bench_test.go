@@ -256,3 +256,12 @@ func TestReduceSideVariants(t *testing.T) {
 		prev = rep.Makespan
 	}
 }
+
+// TestFigureRejectsUnknownName: the dispatcher both joinbench and
+// joinopt.ReproduceFigure call reports an unknown figure without printing.
+func TestFigureRejectsUnknownName(t *testing.T) {
+	var sb strings.Builder
+	if Figure(&sb, "10", Options{Tuples: 100}) || sb.Len() != 0 {
+		t.Fatalf("unknown figure accepted, printed %q", sb.String())
+	}
+}

@@ -7,6 +7,8 @@ package cache
 
 import (
 	"container/heap"
+	"maps"
+	"slices"
 	"sort"
 )
 
@@ -44,7 +46,8 @@ type Item struct {
 type entry struct {
 	Item
 	benefit float64
-	idx     int // position in the tier's min-heap
+	tier    *tier // the tier holding the entry
+	idx     int   // position in that tier's min-heap
 }
 
 type entryHeap []*entry
@@ -63,15 +66,13 @@ func (h *entryHeap) Pop() interface{} {
 	return e
 }
 
+// tier is one cache level: its entries' min-heap by benefit and its space.
+// The entries themselves are indexed in TwoTier.items, shared by both tiers.
 type tier struct {
-	items map[string]*entry
-	h     entryHeap
-	used  int64
-	cap   int64 // 0 = unlimited
-}
-
-func newTier(capacity int64) *tier {
-	return &tier{items: make(map[string]*entry), cap: capacity}
+	id   Tier
+	h    entryHeap
+	used int64
+	cap  int64 // 0 = unlimited
 }
 
 func (t *tier) free() int64 {
@@ -81,16 +82,19 @@ func (t *tier) free() int64 {
 	return t.cap - t.used
 }
 
-func (t *tier) add(e *entry) {
-	t.items[e.Key] = e
+// add places e in tier t and indexes it.
+func (c *TwoTier) add(t *tier, e *entry) {
+	c.items[e.Key] = e
+	e.tier = t
 	heap.Push(&t.h, e)
 	t.used += e.Size
 }
 
-func (t *tier) remove(e *entry) {
-	delete(t.items, e.Key)
-	heap.Remove(&t.h, e.idx)
-	t.used -= e.Size
+// remove drops e from its tier and from the index.
+func (c *TwoTier) remove(e *entry) {
+	delete(c.items, e.Key)
+	heap.Remove(&e.tier.h, e.idx)
+	e.tier.used -= e.Size
 }
 
 func (t *tier) min() *entry {
@@ -116,8 +120,11 @@ type Stats struct {
 // TwoTier is the compute-node cache. It is not safe for concurrent use; the
 // simulator is single-threaded and the live plane wraps it with a mutex.
 type TwoTier struct {
-	mem  *tier
-	disk *tier
+	// items indexes every cached entry, whichever tier holds it: a key is
+	// in at most one tier.
+	items map[string]*entry
+	mem   *tier
+	disk  *tier
 
 	// LFU-DA aging factor: set to the benefit of the last item evicted
 	// from memory so that newly touched items are not starved by
@@ -160,8 +167,9 @@ func New(memCap, diskCap int64) *TwoTier {
 		panic("cache: memory capacity must be positive")
 	}
 	return &TwoTier{
-		mem:      newTier(memCap),
-		disk:     newTier(diskCap),
+		items:    make(map[string]*entry),
+		mem:      &tier{id: TierMem, cap: memCap},
+		disk:     &tier{id: TierDisk, cap: diskCap},
 		benefits: make(map[string]float64),
 		maxGhost: 1 << 16,
 	}
@@ -177,10 +185,10 @@ func (c *TwoTier) MemUsed() int64 { return c.mem.used }
 func (c *TwoTier) DiskUsed() int64 { return c.disk.used }
 
 // MemLen returns the number of items in the memory tier.
-func (c *TwoTier) MemLen() int { return len(c.mem.items) }
+func (c *TwoTier) MemLen() int { return len(c.mem.h) }
 
 // DiskLen returns the number of items in the disk tier.
-func (c *TwoTier) DiskLen() int { return len(c.disk.items) }
+func (c *TwoTier) DiskLen() int { return len(c.disk.h) }
 
 // AgingFactor exposes the current LFU-DA L value (for tests/metrics).
 func (c *TwoTier) AgingFactor() float64 { return c.agingL }
@@ -190,20 +198,12 @@ func (c *TwoTier) AgingFactor() float64 { return c.agingL }
 // the LFU-DA rule benefit = max(old, L) + weight, so that recency (via L)
 // and frequency (via accumulation) both count.
 func (c *TwoTier) UpdateBenefit(key string, weight float64) float64 {
-	var b float64
-	if e, ok := c.mem.items[key]; ok {
-		b = lfuda(e.benefit, c.agingL, weight)
-		e.benefit = b
-		heap.Fix(&c.mem.h, e.idx)
-		return b
+	if e := c.items[key]; e != nil {
+		e.benefit = lfuda(e.benefit, c.agingL, weight)
+		heap.Fix(&e.tier.h, e.idx)
+		return e.benefit
 	}
-	if e, ok := c.disk.items[key]; ok {
-		b = lfuda(e.benefit, c.agingL, weight)
-		e.benefit = b
-		heap.Fix(&c.disk.h, e.idx)
-		return b
-	}
-	b = lfuda(c.benefits[key], c.agingL, weight)
+	b := lfuda(c.benefits[key], c.agingL, weight)
 	c.benefits[key] = b
 	if len(c.benefits) > c.maxGhost {
 		c.pruneGhosts()
@@ -235,10 +235,7 @@ func (c *TwoTier) pruneGhosts() {
 
 // Benefit returns the current benefit for a key, whether cached or ghost.
 func (c *TwoTier) Benefit(key string) float64 {
-	if e, ok := c.mem.items[key]; ok {
-		return e.benefit
-	}
-	if e, ok := c.disk.items[key]; ok {
+	if e := c.items[key]; e != nil {
 		return e.benefit
 	}
 	return c.benefits[key]
@@ -246,11 +243,8 @@ func (c *TwoTier) Benefit(key string) float64 {
 
 // Lookup finds key in either tier without recording a hit.
 func (c *TwoTier) Lookup(key string) (Item, Tier, bool) {
-	if e, ok := c.mem.items[key]; ok {
-		return e.Item, TierMem, true
-	}
-	if e, ok := c.disk.items[key]; ok {
-		return e.Item, TierDisk, true
+	if e := c.items[key]; e != nil {
+		return e.Item, e.tier.id, true
 	}
 	return Item{}, TierNone, false
 }
@@ -281,15 +275,17 @@ func (c *TwoTier) CondCacheInMemory(key string, size int64, value interface{}, i
 		c.stats.Rejected++
 		return false
 	}
-	if e, ok := c.mem.items[key]; ok {
-		// Already resident: refresh metadata if we can still fit it.
-		if insert && c.mem.free()+e.Size >= size {
-			c.mem.used += size - e.Size
-			e.Size, e.Value = size, value
+	ben := c.benefits[key]
+	if cur := c.items[key]; cur != nil {
+		if cur.tier == c.mem {
+			// Already resident: refresh metadata if we can still fit it.
+			if insert {
+				c.refreshMem(cur, size, value)
+			}
+			return true
 		}
-		return true
+		ben = cur.benefit
 	}
-	ben := c.Benefit(key)
 	if c.mem.free() >= size {
 		if insert {
 			c.insertMem(key, size, value, ben)
@@ -317,7 +313,7 @@ func (c *TwoTier) CondCacheInMemory(key string, size int64, value interface{}, i
 	if freed < need || ben < prelimBenefit {
 		// Not beneficial: put candidates back, reject.
 		for _, e := range prelim {
-			c.mem.add(e)
+			c.add(c.mem, e)
 		}
 		c.stats.Rejected++
 		return false
@@ -329,7 +325,7 @@ func (c *TwoTier) CondCacheInMemory(key string, size int64, value interface{}, i
 	sort.Slice(prelim, func(i, j int) bool { return prelim[i].benefit > prelim[j].benefit })
 	for _, e := range prelim {
 		if e.Size <= slack {
-			c.mem.add(e) // retained
+			c.add(c.mem, e) // retained
 			slack -= e.Size
 			continue
 		}
@@ -348,123 +344,97 @@ func (c *TwoTier) popMinMem() *entry {
 		return nil
 	}
 	e := heap.Pop(&c.mem.h).(*entry)
-	delete(c.mem.items, e.Key)
+	delete(c.items, e.Key)
 	c.mem.used -= e.Size
 	return e
+}
+
+// refreshMem updates a memory-resident entry in place if the new size still
+// fits.
+func (c *TwoTier) refreshMem(e *entry, size int64, value interface{}) {
+	if c.mem.free()+e.Size >= size {
+		c.mem.used += size - e.Size
+		e.Size, e.Value = size, value
+	}
 }
 
 func (c *TwoTier) insertMem(key string, size int64, value interface{}, benefit float64) {
 	// If it was on disk, move it (Appendix B: items moved to mCache can be
 	// removed from dCache to save space).
-	if e, ok := c.disk.items[key]; ok {
-		c.disk.remove(e)
+	if e := c.items[key]; e != nil {
+		c.remove(e)
 	}
 	delete(c.benefits, key)
-	e := &entry{Item: Item{Key: key, Size: size, Value: value}, benefit: benefit}
-	c.mem.add(e)
+	c.add(c.mem, &entry{Item: Item{Key: key, Size: size, Value: value}, benefit: benefit})
 	c.stats.MemInserts++
 }
 
 // evictToDisk demotes a memory entry (already detached from the memory tier)
-// into the disk tier, updating the LFU-DA aging factor, and evicting
-// lowest benefit-per-byte disk entries if the disk tier is bounded and full.
+// into the disk tier, updating the LFU-DA aging factor.
 func (c *TwoTier) evictToDisk(e *entry) {
 	if e.benefit > c.agingL {
 		c.agingL = e.benefit
 	}
 	c.stats.EvictToDisk++
-	if _, ok := c.disk.items[e.Key]; ok {
-		return // already resident on disk
-	}
-	if c.disk.cap != 0 {
-		for c.disk.free() < e.Size {
-			victim := c.disk.min()
-			if victim == nil {
-				return // cannot fit; drop silently
-			}
-			c.disk.remove(victim)
-			c.benefits[victim.Key] = victim.benefit
-			c.stats.EvictFromDisk++
+	c.toDisk(e)
+}
+
+// toDisk places e in the disk tier, first evicting the lowest-benefit disk
+// entries if the tier is bounded and full; an entry that cannot fit is
+// dropped.
+func (c *TwoTier) toDisk(e *entry) {
+	for c.disk.cap != 0 && c.disk.free() < e.Size {
+		victim := c.disk.min()
+		if victim == nil {
+			return
 		}
+		c.remove(victim)
+		c.benefits[victim.Key] = victim.benefit
+		c.stats.EvictFromDisk++
 	}
-	c.disk.add(e)
+	c.add(c.disk, e)
 	c.stats.DiskInserts++
 }
 
 // AddToDisk places a fetched item directly in the disk tier (the buy-to-disk
 // path of Algorithm 1 line 19).
 func (c *TwoTier) AddToDisk(key string, size int64, value interface{}) {
-	if e, ok := c.mem.items[key]; ok {
-		// Already in the faster tier; just refresh.
-		if c.mem.free()+e.Size >= size {
-			c.mem.used += size - e.Size
-			e.Size, e.Value = size, value
+	ben := c.benefits[key]
+	if e := c.items[key]; e != nil {
+		if e.tier == c.mem {
+			c.refreshMem(e, size, value) // already in the faster tier
+			return
 		}
-		return
-	}
-	if e, ok := c.disk.items[key]; ok {
 		// Re-add through the capacity loop so a grown item still fits.
-		c.disk.remove(e)
-		c.benefits[key] = e.benefit
+		c.remove(e)
+		ben = e.benefit
 	}
-	ben := c.Benefit(key)
 	delete(c.benefits, key)
-	e := &entry{Item: Item{Key: key, Size: size, Value: value}, benefit: ben}
-	if c.disk.cap != 0 {
-		for c.disk.free() < size {
-			victim := c.disk.min()
-			if victim == nil {
-				return
-			}
-			c.disk.remove(victim)
-			c.benefits[victim.Key] = victim.benefit
-			c.stats.EvictFromDisk++
-		}
-	}
-	c.disk.add(e)
-	c.stats.DiskInserts++
+	c.toDisk(&entry{Item: Item{Key: key, Size: size, Value: value}, benefit: ben})
 }
 
-// Invalidate removes the key from both tiers (data-store update,
-// Section 4.2.3). It reports whether anything was removed.
+// Invalidate removes the key from whichever tier holds it (data-store
+// update, Section 4.2.3). It reports whether anything was removed.
 func (c *TwoTier) Invalidate(key string) bool {
-	removed := false
-	if e, ok := c.mem.items[key]; ok {
-		c.mem.remove(e)
-		removed = true
-	}
-	if e, ok := c.disk.items[key]; ok {
-		c.disk.remove(e)
-		removed = true
-	}
-	delete(c.benefits, key)
-	if removed {
+	e := c.items[key]
+	if e != nil {
+		c.remove(e)
 		c.stats.Invalidations++
 	}
-	return removed
+	delete(c.benefits, key)
+	return e != nil
 }
 
 // EachKey calls f for every cached key (both tiers, unordered). It is the
 // cheap enumeration for callers that only filter — no allocation beyond
 // what f does, no sort.
 func (c *TwoTier) EachKey(f func(key string)) {
-	for k := range c.mem.items {
-		f(k)
-	}
-	for k := range c.disk.items {
+	for k := range c.items {
 		f(k)
 	}
 }
 
 // Keys returns all cached keys (both tiers), for tests and introspection.
 func (c *TwoTier) Keys() []string {
-	out := make([]string, 0, len(c.mem.items)+len(c.disk.items))
-	for k := range c.mem.items {
-		out = append(out, k)
-	}
-	for k := range c.disk.items {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(c.items))
 }

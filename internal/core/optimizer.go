@@ -3,6 +3,11 @@
 // costs, frequency tracking, two-tier caching, and the update-invalidation
 // rules of Section 4.2.3.
 //
+// Everything the optimizer knows about one key (learned costs, the version
+// an invalidation fenced it at, the access count) sits in one record behind
+// one map lookup; the cached value and an uncached key's admission benefit
+// stay in the cache.
+//
 // The optimizer is execution-plane agnostic: it decides where each request
 // should go and mutates its own cache/counter state, while the caller (the
 // discrete-event executor or the live TCP executor) performs the actual
@@ -10,7 +15,6 @@
 package core
 
 import (
-	"maps"
 	"math/rand"
 
 	"joinopt/internal/cache"
@@ -150,19 +154,28 @@ type Counters struct {
 	CounterReset int64 // ski-rental counters reset by observed updates
 }
 
-// Optimizer makes per-request routing decisions for one compute node.
+// keyRec is everything the optimizer knows about one key. Until learned is
+// set, info holds only Version: the fence, the newest version an
+// invalidation announced, which KnownVersion reports so that a cache install
+// racing the invalidation still has a version to beat. Learning is a bit,
+// not the record's existence, because learned costs change what Route
+// decides.
+type keyRec struct {
+	info    KeyInfo
+	learned bool
+	count   freq.Count
+}
+
+// Optimizer makes per-request routing decisions for one compute node. Its
+// per-key state is one map of records. A lossy-counting compress visits no
+// record: a count it drops reads as 0 from then on (freq.Window.Estimate).
+// Records are deleted only at their one bound, maxKeys (pruneKeysIfNeeded).
 type Optimizer struct {
-	cfg     Config
-	Cache   *cache.TwoTier
-	Model   *costmodel.Model
-	counter freq.Counter
-	keys    map[string]*KeyInfo
-	// fences holds the version an invalidation announced for a key the
-	// optimizer has no KeyInfo for (a KeyInfo would change what Route
-	// decides). KnownVersion reads it, so a cache install racing the
-	// invalidation still has a version to beat; the key's first KeyInfo
-	// inherits it.
-	fences map[string]int64
+	cfg    Config
+	Cache  *cache.TwoTier
+	Model  *costmodel.Model
+	recs   map[string]*keyRec
+	window freq.Window // the lossy-counting stream position of every count
 	rng    *rand.Rand
 	stats  Counters
 
@@ -188,19 +201,12 @@ func New(cfg Config) *Optimizer {
 	if cfg.Alpha <= 0 {
 		cfg.Alpha = costmodel.DefaultAlpha
 	}
-	var ctr freq.Counter
-	if cfg.Epsilon > 0 {
-		ctr = freq.NewLossy(cfg.Epsilon)
-	} else {
-		ctr = freq.NewExact()
-	}
 	return &Optimizer{
 		cfg:           cfg,
 		Cache:         cache.New(cfg.MemCacheBytes, cfg.DiskCacheBytes),
 		Model:         costmodel.NewModel(cfg.Alpha),
-		counter:       ctr,
-		keys:          make(map[string]*KeyInfo),
-		fences:        make(map[string]int64),
+		recs:          make(map[string]*keyRec),
+		window:        freq.NewWindow(cfg.Epsilon),
 		rng:           rand.New(rand.NewSource(cfg.Seed)),
 		trueDataCost:  costmodel.NewSmoother(cfg.Alpha, 1e-3),
 		trueLocalCost: costmodel.NewSmoother(cfg.Alpha, 1e-3),
@@ -212,10 +218,31 @@ func New(cfg Config) *Optimizer {
 func (o *Optimizer) Stats() Counters { return o.stats }
 
 // Known returns learned information about a key, or nil.
-func (o *Optimizer) Known(key string) *KeyInfo { return o.keys[key] }
+func (o *Optimizer) Known(key string) *KeyInfo {
+	if r := o.recs[key]; r != nil && r.learned {
+		return &r.info
+	}
+	return nil
+}
 
 // Frequency returns the current access-count estimate for key.
-func (o *Optimizer) Frequency(key string) int { return o.counter.Estimate(key) }
+func (o *Optimizer) Frequency(key string) int {
+	if r := o.recs[key]; r != nil {
+		return o.window.Estimate(r.count)
+	}
+	return 0
+}
+
+// record returns key's record, creating an empty one if there is none.
+func (o *Optimizer) record(key string) *keyRec {
+	r := o.recs[key]
+	if r == nil {
+		o.pruneKeysIfNeeded()
+		r = new(keyRec)
+		o.recs[key] = r
+	}
+	return r
+}
 
 func (o *Optimizer) frozen() bool {
 	return o.cfg.FreezeAfter > 0 && o.stats.Routed > int64(o.cfg.FreezeAfter)
@@ -247,7 +274,11 @@ func (o *Optimizer) Route(key string, netBw float64) Route {
 	}
 
 	frozen := o.frozen()
-	info := o.keys[key]
+	r := o.record(key)
+	var info *KeyInfo
+	if r.learned {
+		info = &r.info
+	}
 	params := o.paramsFor(info, netBw)
 
 	// Lines 1-2: updateBenefit, updateCounter. The benefit weight is the
@@ -255,7 +286,7 @@ func (o *Optimizer) Route(key string, netBw float64) Route {
 	if !frozen {
 		o.Cache.UpdateBenefit(key, params.TCompute())
 	}
-	count := o.counter.Observe(key)
+	count, _ := o.window.Observe(&r.count)
 
 	// Lines 3-9: cache hits.
 	if item, tier, ok := o.Cache.Get(key); ok {
@@ -372,11 +403,12 @@ type ResponseMeta struct {
 // between two compute requests, the ski-rental counter is reset so that
 // frequently updated items are not bought.
 func (o *Optimizer) OnComputeResponse(m ResponseMeta) {
-	info := o.keys[m.Key]
-	if info == nil {
-		info = o.learn(m.Key)
+	r := o.record(m.Key)
+	info := &r.info
+	if !r.learned {
+		r.learned = true
 	} else if m.Version > info.Version {
-		o.counter.Reset(m.Key)
+		r.count.Reset()
 		o.Cache.Invalidate(m.Key)
 		o.stats.CounterReset++
 	}
@@ -400,26 +432,14 @@ func (o *Optimizer) OnComputeResponse(m ResponseMeta) {
 // re-checked because the cache may have churned while the fetch was in
 // flight, falling back to the disk tier.
 func (o *Optimizer) OnValueFetched(key string, size int64, version int64, value interface{}, toMem bool) {
-	info := o.keys[key]
-	if info == nil {
-		info = o.learn(key)
-	}
-	info.ValueSize = size
-	info.Version = max(info.Version, version)
+	r := o.record(key)
+	r.learned = true
+	r.info.ValueSize = size
+	r.info.Version = max(r.info.Version, version)
 	if toMem && o.Cache.CondCacheInMemory(key, size, value, true) {
 		return
 	}
 	o.Cache.AddToDisk(key, size, value)
-}
-
-// learn creates key's KeyInfo, starting at the version a prior invalidation
-// fenced it at (0 when there was none).
-func (o *Optimizer) learn(key string) *KeyInfo {
-	o.pruneKeysIfNeeded()
-	info := &KeyInfo{Version: o.fences[key]}
-	delete(o.fences, key)
-	o.keys[key] = info
-	return info
 }
 
 // KnownVersion returns the newest row version the optimizer has learned
@@ -430,53 +450,47 @@ func (o *Optimizer) learn(key string) *KeyInfo {
 // a put whose invalidation overtook the reply — must not be installed, or
 // the cache would hold a value nobody is left to invalidate.
 func (o *Optimizer) KnownVersion(key string) int64 {
-	if info := o.keys[key]; info != nil {
-		return info.Version
+	if r := o.recs[key]; r != nil {
+		return r.info.Version
 	}
-	return o.fences[key]
+	return 0
 }
 
-// ForgetVersions drops the learned version and fence of every key match
+// ForgetVersions zeroes the learned version or fence of every key match
 // accepts, leaving the rest of the key's state alone. For the caller that
 // knows those keys' version history may have restarted from 0 (the one node
 // holding it went away): otherwise KnownVersion would fence them out of the
 // cache until the new history overtook the old.
 func (o *Optimizer) ForgetVersions(match func(key string) bool) {
-	for k, info := range o.keys {
-		if info.Version != 0 && match(k) {
-			info.Version = 0
+	for k, r := range o.recs {
+		if r.info.Version != 0 && match(k) {
+			r.info.Version = 0
 		}
 	}
-	maps.DeleteFunc(o.fences, func(k string, _ int64) bool { return match(k) })
 }
 
 // Invalidate handles an update notification from a data node: the cached
 // copy is dropped and the counter restarts (Section 4.2.3). The announced
-// version is remembered even for a key with no KeyInfo (see fences).
+// version is remembered even for a key not yet learned (its fence).
 func (o *Optimizer) Invalidate(key string, version int64) {
 	o.Cache.Invalidate(key)
-	o.counter.Reset(key)
-	if info := o.keys[key]; info != nil {
-		info.Version = max(info.Version, version)
-	} else {
-		if len(o.fences) >= o.maxKeys {
-			clear(o.fences) // bound it like keys; a dropped fence only reopens the race it closed
-		}
-		o.fences[key] = max(o.fences[key], version)
-	}
+	r := o.record(key)
+	r.count.Reset()
+	r.info.Version = max(r.info.Version, version)
 	o.stats.CounterReset++
 }
 
-// pruneKeysIfNeeded bounds the learned-key map: when it overflows, entries
-// for keys with negligible observed frequency are dropped (they will be
-// re-learned by a first-contact compute request if seen again).
+// pruneKeysIfNeeded is the one bound on records: at maxKeys, every record
+// counted at most once is dropped, whatever else it holds. Its key is
+// re-learned by a first-contact compute request if seen again; a dropped
+// fence only reopens the race it closed.
 func (o *Optimizer) pruneKeysIfNeeded() {
-	if len(o.keys) < o.maxKeys {
+	if len(o.recs) < o.maxKeys {
 		return
 	}
-	for k := range o.keys {
-		if o.counter.Estimate(k) <= 1 {
-			delete(o.keys, k)
+	for k, r := range o.recs {
+		if o.window.Estimate(r.count) <= 1 {
+			delete(o.recs, k)
 		}
 	}
 }

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"joinopt/internal/cache"
+	"joinopt/internal/freq"
 )
 
 const testBw = 100e6
@@ -406,5 +408,66 @@ func TestDiskHitPromotionKeepsValue(t *testing.T) {
 	}
 	if v, _ := it.Value.([]byte); string(v) != "row" {
 		t.Fatalf("promoted entry holds %v, want the cached value", it.Value)
+	}
+}
+
+// TestFrequencyMatchesLossyReference: the count each record keeps is the
+// lossy-counting rule of freq.Lossy, compresses included. At ε = 0.01 a
+// bucket closes every 100 observations, so a compress fires many times;
+// after every call each key seen must estimate what a freq.Lossy fed the
+// same observations and resets estimates.
+func TestFrequencyMatchesLossyReference(t *testing.T) {
+	const eps = 0.01
+	o := New(Config{Policy: Policy{Caching: true}, MemCacheBytes: 1 << 20, Epsilon: eps})
+	ref := freq.NewLossy(eps)
+	rng := rand.New(rand.NewSource(11))
+	zipf := rand.NewZipf(rng, 1.2, 1, 299)
+	seen := make(map[string]bool)
+	learned := make(map[string]bool)
+	versions := make(map[string]int64)
+	for i := 0; i < 6000; i++ {
+		k := fmt.Sprintf("k%d", zipf.Uint64())
+		seen[k] = true
+		switch p := rng.Intn(20); {
+		case p == 0: // an update notification
+			versions[k]++
+			o.Invalidate(k, versions[k])
+			ref.Reset(k)
+		case p == 1: // a response that saw a newer version of the row
+			versions[k]++
+			o.OnComputeResponse(ResponseMeta{Key: k, ValueSize: 1000, ComputedSize: 100, ComputeCost: 1e-4, Version: versions[k]})
+			if learned[k] {
+				ref.Reset(k)
+			}
+			learned[k] = true
+		default:
+			if r := o.Route(k, testBw); r == RouteDataMem || r == RouteDataDisk {
+				o.OnValueFetched(k, 1000, versions[k], nil, r == RouteDataMem)
+				learned[k] = true
+			}
+			ref.Observe(k)
+		}
+		for s := range seen {
+			if got, want := o.Frequency(s), ref.Estimate(s); got != want {
+				t.Fatalf("call %d: Frequency(%s) = %d, reference lossy counter says %d", i, s, got, want)
+			}
+		}
+	}
+	if o.Stats().CounterReset == 0 || o.Stats().DataReqs == 0 {
+		t.Fatalf("stream never reset a count or bought a value: %+v", o.Stats())
+	}
+}
+
+// TestRecordsBoundedUnderExactCounting: exact counting (Epsilon 0, what the
+// live client runs) never compresses, so the record map's one bound is
+// maxKeys: keys routed once each must not grow it past that.
+func TestRecordsBoundedUnderExactCounting(t *testing.T) {
+	o := newFO(1 << 20)
+	o.maxKeys = 1024
+	for i := 0; i < 4*o.maxKeys; i++ {
+		o.Route(fmt.Sprintf("k%d", i), testBw)
+		if len(o.recs) > o.maxKeys {
+			t.Fatalf("after %d distinct keys the optimizer holds %d records, bound %d", i+1, len(o.recs), o.maxKeys)
+		}
 	}
 }

@@ -185,6 +185,3 @@ func TestLossyObserveEstimateConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-var _ Counter = (*Exact)(nil)
-var _ Counter = (*Lossy)(nil)

@@ -94,28 +94,7 @@ type ExperimentOptions = bench.Options
 // Experiment runners: each reproduces one figure of the paper's evaluation
 // and prints it to w. See EXPERIMENTS.md for the paper-vs-measured record.
 func ReproduceFigure(w io.Writer, figure string, o ExperimentOptions) {
-	switch figure {
-	case "5":
-		bench.PrintFig5(w, bench.Fig5(o))
-	case "6":
-		bench.PrintFig6(w, bench.Fig6(o))
-	case "7":
-		bench.PrintFig7(w, bench.Fig7(o))
-	case "8a":
-		bench.PrintSynth(w, bench.Fig8(workload.DataHeavy, o))
-	case "8b":
-		bench.PrintSynth(w, bench.Fig8(workload.ComputeHeavy, o))
-	case "8c":
-		bench.PrintSynth(w, bench.Fig8(workload.DataComputeHeavy, o))
-	case "9":
-		bench.PrintFig9(w, bench.Fig9(o))
-	case "11a":
-		bench.PrintSynth(w, bench.Fig11(workload.DataHeavy, o))
-	case "11b":
-		bench.PrintSynth(w, bench.Fig11(workload.ComputeHeavy, o))
-	case "11c":
-		bench.PrintSynth(w, bench.Fig11(workload.DataComputeHeavy, o))
-	default:
+	if !bench.Figure(w, figure, o) {
 		panic("joinopt: unknown figure " + figure)
 	}
 }
