@@ -38,8 +38,11 @@ benchjson:
 	printf '\n]}\n' >> $$tmp; cp $$tmp BENCH_$(PR).json
 
 # The paper's figures, byte for byte: a fresh `joinbench -fig all` (about
-# 40 s) diffed against the output committed in internal/bench/testdata. A
-# sim-plane change that moves one printed digit of one figure fails here.
+# 12 s on two cores, 18 s at GOMAXPROCS=1) diffed against the output
+# committed in internal/bench/testdata. A sim-plane change that moves one
+# printed digit of one figure fails here. The figures' runs are spread over
+# GOMAXPROCS workers, so run it at GOMAXPROCS=1 too: the output must not
+# depend on the worker count.
 # After a deliberate model change, regenerate the file with
 # `go run ./cmd/joinbench -fig all > internal/bench/testdata/fig_all.golden`.
 figcheck:

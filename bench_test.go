@@ -13,7 +13,7 @@ package joinopt
 // Each benchmark executes the figure's full configuration sweep per
 // iteration at a reduced input size and reports the figure's headline
 // comparison as custom metrics. Run `go run ./cmd/joinbench -fig all` for
-// the full-size tables recorded in EXPERIMENTS.md.
+// the full-size tables, committed as internal/bench/testdata/fig_all.golden.
 
 import (
 	"testing"

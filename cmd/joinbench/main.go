@@ -84,7 +84,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 
 	"joinopt/internal/bench"
 )
@@ -97,7 +96,7 @@ func run() (code int) {
 	fig := flag.String("fig", "all", "figure to reproduce: 5, 6, 7, 8a, 8b, 8c, 9, 11a, 11b, 11c, all")
 	tuples := flag.Int("tuples", 0, "input size per run (0 = per-figure default)")
 	seed := flag.Int64("seed", 1, "workload RNG seed")
-	verbose := flag.Bool("v", false, "log every run as it completes")
+	verbose := flag.Bool("v", false, "log every run to stderr, in run order, once its figure's runs have finished")
 	liveBench := flag.Bool("live", false, "benchmark the live plane end to end instead of reproducing figures")
 	liveDurable := flag.Bool("livedurable", false, "run the disk-engine kill/restart durability drill instead of reproducing figures")
 	liveDir := flag.String("livedir", "", "durability drill: data directory for the WAL and snapshots (empty = temp dir)")
@@ -174,18 +173,12 @@ func run() (code int) {
 // figures prints one paper figure, or all of them, and returns the exit
 // status: 2 for an unknown figure.
 func figures(fig string, o bench.Options) int {
-	if fig == "all" {
-		for _, f := range bench.Figures {
-			fmt.Printf("== Figure %s ==\n", strings.ToUpper(f))
-			bench.Figure(os.Stdout, f, o)
-			fmt.Println()
-		}
-		return 0
-	}
 	if !bench.Figure(os.Stdout, fig, o) {
 		fmt.Fprintf(os.Stderr, "unknown figure %q\n", fig)
 		return 2
 	}
-	fmt.Println()
+	if fig != "all" {
+		fmt.Println() // "all" ends every figure with a blank line itself
+	}
 	return 0
 }

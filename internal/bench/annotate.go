@@ -31,20 +31,28 @@ func Fig5(o Options) Fig5Result {
 	}
 
 	hw := cluster.DefaultConfig()
-	for _, v := range []exec.ReduceSideVariant{exec.PlainHadoop, exec.CSAWPartitioner, exec.FlowJoinLB} {
-		rep := exec.RunReduceSide(exec.ReduceSideConfig{
+	variants := []exec.ReduceSideVariant{exec.PlainHadoop, exec.CSAWPartitioner, exec.FlowJoinLB}
+	reduceSide := fanOut(len(variants), func(i int) exec.ReduceSideReport {
+		return exec.RunReduceSide(exec.ReduceSideConfig{
 			Hardware: hw,
 			Ann:      workload.NewAnnotate(spots, o.Seed+31),
-			Variant:  v,
+			Variant:  variants[i],
 		})
+	})
+	for i, v := range variants {
+		rep := reduceSide[i]
 		res.Seconds[v.String()] = rep.Makespan
 		o.logf("fig5 %s: %.1fs (map %.1f shuffle %.1f reduceMax %.1f avg %.1f repl %d)\n",
 			v, rep.Makespan, rep.MapTime, rep.ShuffleTime, rep.ReduceMax,
 			rep.ReduceAvg, rep.Replicated)
 	}
 
-	for _, s := range []exec.Strategy{exec.NO, exec.FC, exec.FD, exec.FR, exec.FO} {
-		rep := runAnnotate(s, spots, o.Seed+31)
+	strategies := []exec.Strategy{exec.NO, exec.FC, exec.FD, exec.FR, exec.FO}
+	storeBased := fanOut(len(strategies), func(i int) exec.Report {
+		return runAnnotate(strategies[i], spots, o.Seed+31)
+	})
+	for i, s := range strategies {
+		rep := storeBased[i]
 		res.Seconds[s.String()] = rep.Makespan
 		res.Reports[s.String()] = rep
 		o.logf("fig5 %s: %.1fs (%s)\n", s, rep.Makespan, rep)
@@ -95,7 +103,7 @@ func Fig6(o Options) Fig6Result {
 		TweetsPerSec: make(map[string]float64),
 		Reports:      make(map[string]exec.Report),
 	}
-	for _, s := range MuppetStrategies {
+	reps := fanOut(len(MuppetStrategies), func(i int) exec.Report {
 		e := newSplitEnv()
 		ann := workload.NewAnnotate(spots, o.Seed+41)
 		// Twitter vocabulary is flatter than web text but burstier; the
@@ -107,10 +115,13 @@ func Fig6(o Options) Fig6Result {
 			Cluster:  e.c,
 			Store:    e.st,
 			Tables:   []string{"models"},
-			Strategy: s,
+			Strategy: MuppetStrategies[i],
 			Seed:     o.Seed + 41,
 		}
-		rep := exec.New(cfg, ann.Source()).Run()
+		return exec.New(cfg, ann.Source()).Run()
+	})
+	for i, s := range MuppetStrategies {
+		rep := reps[i]
 		res.Reports[s.String()] = rep
 		res.TweetsPerSec[s.String()] = 2 * rep.Throughput
 		o.logf("fig6 %s: %.0f tweets/s\n", s, 2*rep.Throughput)

@@ -9,12 +9,18 @@
 // render them the way the paper reports them. Absolute times are simulator
 // seconds (the paper's testbed minutes do not transfer); the comparisons --
 // who wins, by what factor, where the crossovers fall -- are the
-// reproduction targets recorded in EXPERIMENTS.md.
+// reproduction targets, pinned by the shape tests in bench_test.go and by
+// the full-size output in testdata/fig_all.golden.
 package bench
 
 import (
 	"fmt"
 	"io"
+	"runtime"
+	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
 
 	"joinopt/internal/cluster"
 	"joinopt/internal/exec"
@@ -56,9 +62,28 @@ var MuppetStrategies = []exec.Strategy{exec.NO, exec.FC, exec.FD, exec.FR, exec.
 // Figures names every figure Figure reproduces, in the paper's order.
 var Figures = []string{"5", "6", "7", "8a", "8b", "8c", "9", "11a", "11b", "11c"}
 
-// Figure reproduces the named figure and prints its table to w. It reports
-// false, printing nothing, for a name not in Figures.
+// Figure reproduces the named figure and prints its table to w. Given
+// "all", it prints every figure in Figures under a "== Figure <name> =="
+// header, each followed by a blank line, and reads each Figure 11 panel
+// from the Figure 8 panel's runs instead of running them again. It reports
+// false, printing nothing, for any other name not in Figures.
 func Figure(w io.Writer, name string, o Options) bool {
+	if name != "all" {
+		return figure(w, name, o, nil)
+	}
+	fig8 := map[workload.SynthKind]SynthFigure{}
+	for _, f := range Figures {
+		fmt.Fprintf(w, "== Figure %s ==\n", strings.ToUpper(f))
+		figure(w, f, o, fig8)
+		fmt.Fprintln(w)
+	}
+	return true
+}
+
+// figure prints one figure of Figures. A non-nil fig8 keeps every Figure 8
+// panel drawn, and a Figure 11 panel whose Figure 8 panel it holds is
+// derived from it.
+func figure(w io.Writer, name string, o Options, fig8 map[workload.SynthKind]SynthFigure) bool {
 	switch name {
 	case "5":
 		PrintFig5(w, Fig5(o))
@@ -66,24 +91,55 @@ func Figure(w io.Writer, name string, o Options) bool {
 		PrintFig6(w, Fig6(o))
 	case "7":
 		PrintFig7(w, Fig7(o))
-	case "8a":
-		PrintSynth(w, Fig8(workload.DataHeavy, o))
-	case "8b":
-		PrintSynth(w, Fig8(workload.ComputeHeavy, o))
-	case "8c":
-		PrintSynth(w, Fig8(workload.DataComputeHeavy, o))
+	case "8a", "8b", "8c":
+		fig := Fig8(panelKind(name), o)
+		if fig8 != nil {
+			fig8[fig.Kind] = fig
+		}
+		PrintSynth(w, fig)
 	case "9":
 		PrintFig9(w, Fig9(o))
-	case "11a":
-		PrintSynth(w, Fig11(workload.DataHeavy, o))
-	case "11b":
-		PrintSynth(w, Fig11(workload.ComputeHeavy, o))
-	case "11c":
-		PrintSynth(w, Fig11(workload.DataComputeHeavy, o))
+	case "11a", "11b", "11c":
+		if drawn, ok := fig8[panelKind(name)]; ok {
+			PrintSynth(w, Fig11From(drawn))
+		} else {
+			PrintSynth(w, Fig11(panelKind(name), o))
+		}
 	default:
 		return false
 	}
 	return true
+}
+
+// panelKind is the workload a Figure 8 or 11 panel's letter names.
+func panelKind(name string) workload.SynthKind {
+	kinds := [...]workload.SynthKind{workload.DataHeavy, workload.ComputeHeavy, workload.DataComputeHeavy}
+	return kinds[name[len(name)-1]-'a']
+}
+
+// fanOut runs f(0), ..., f(n-1) on up to GOMAXPROCS goroutines and returns
+// the results by index, so a figure's numbers and the order it prints them
+// in do not depend on the worker count. The calls must share no mutable
+// state; every simulated run builds its own cluster, store and seeded rand.
+func fanOut[T any](n int, f func(i int) T) []T {
+	out := make([]T, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(n, runtime.GOMAXPROCS(0)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				out[i] = f(i)
+			}
+		}()
+	}
+	wg.Wait()
+	return out
 }
 
 // env is one disposable simulated cluster with a populated store.
@@ -106,13 +162,25 @@ func (e *env) addTable(name string, cat store.Catalog) {
 	e.st.AddTable(store.NewTable(name, cat, 4, e.c.DataNodes()))
 }
 
-// runSynth executes one synthetic-workload cell.
-func runSynth(kind workload.SynthKind, strat exec.Strategy, skew float64,
-	tuples, shifts, freeze int, seed int64) exec.Report {
-	e := newSplitEnv()
+// drawSynth draws one synthetic-workload input, to be replayed to every run
+// over it.
+func drawSynth(kind workload.SynthKind, tuples int, skew float64, shifts int, seed int64) []workload.Tuple {
 	syn := workload.NewSynth(kind, tuples, skew, seed)
 	syn.Shifts = shifts
-	e.addTable("synth", syn.Catalog())
+	src := syn.Source()
+	input := make([]workload.Tuple, 0, tuples)
+	for t, ok := src.Next(); ok; t, ok = src.Next() {
+		input = append(input, t)
+	}
+	return input
+}
+
+// runSynth executes one synthetic-workload cell over a drawn input.
+func runSynth(kind workload.SynthKind, strat exec.Strategy, input []workload.Tuple,
+	freeze int, seed int64) exec.Report {
+	e := newSplitEnv()
+	// The catalog depends on the kind alone: sizes and costs are uniform.
+	e.addTable("synth", workload.NewSynth(kind, len(input), 0, seed).Catalog())
 	cfg := exec.Config{
 		Cluster:     e.c,
 		Store:       e.st,
@@ -121,7 +189,7 @@ func runSynth(kind workload.SynthKind, strat exec.Strategy, skew float64,
 		Seed:        seed,
 		FreezeAfter: freeze,
 	}
-	return exec.New(cfg, syn.Source()).Run()
+	return exec.New(cfg, &workload.SliceSource{Tuples: input}).Run()
 }
 
 // SynthSeries is one strategy's normalized values across the skew sweep.
@@ -143,28 +211,59 @@ type SynthFigure struct {
 // Fig8 reproduces one panel of Figure 8 (normalized time vs skew on the
 // Hadoop-style batch setting).
 func Fig8(kind workload.SynthKind, o Options) SynthFigure {
-	return synthFigure(kind, "time", AllStrategies, o)
+	return synthFigure(kind, "time", AllStrategies, synthRuns(kind, "time", AllStrategies, o))
 }
 
 // Fig11 reproduces one panel of Figure 11 (normalized throughput vs skew on
 // the Muppet-style streaming setting).
 func Fig11(kind workload.SynthKind, o Options) SynthFigure {
-	return synthFigure(kind, "throughput", MuppetStrategies, o)
+	return synthFigure(kind, "throughput", MuppetStrategies, synthRuns(kind, "throughput", MuppetStrategies, o))
 }
 
-func synthFigure(kind workload.SynthKind, metric string, strategies []exec.Strategy, o Options) SynthFigure {
-	tuples := o.tuples(30_000)
+// Fig11From derives one panel of Figure 11 from the same panel of Figure 8,
+// as returned by Fig8: Figure 11 runs a subset of Figure 8's strategies over
+// the same inputs and seed, so it reads the same runs' makespans as
+// throughputs. It equals Fig11 under the Options that drew fig8.
+func Fig11From(fig8 SynthFigure) SynthFigure {
+	raw := map[exec.Strategy][]exec.Report{}
+	for _, ser := range fig8.Series {
+		raw[ser.Strategy] = ser.Raw
+	}
+	runs := make([][]exec.Report, len(MuppetStrategies))
+	for i, s := range MuppetStrategies {
+		runs[i] = raw[s]
+	}
+	return synthFigure(fig8.Kind, "throughput", MuppetStrategies, runs)
+}
+
+// synthRuns runs every strategy at every skew and returns the reports as
+// runs[strategy][skew]. Each skew's tuple stream is drawn once and replayed
+// to every strategy.
+func synthRuns(kind workload.SynthKind, metric string, strategies []exec.Strategy, o Options) [][]exec.Report {
+	tuples, seed := o.tuples(30_000), o.Seed+11
+	inputs := fanOut(len(Skews), func(i int) []workload.Tuple {
+		return drawSynth(kind, tuples, Skews[i], 0, seed)
+	})
+	reps := fanOut(len(strategies)*len(Skews), func(i int) exec.Report {
+		return runSynth(kind, strategies[i/len(Skews)], inputs[i%len(Skews)], 0, seed)
+	})
+	runs := make([][]exec.Report, len(strategies))
+	for i, s := range strategies {
+		runs[i] = reps[i*len(Skews) : (i+1)*len(Skews)]
+		for j, z := range Skews {
+			o.logf("fig(%s,%s) %s z=%.1f: %.3fs\n", kind, metric, s, z, runs[i][j].Makespan)
+		}
+	}
+	return runs
+}
+
+// synthFigure normalizes runs[strategy][skew] into a figure panel.
+func synthFigure(kind workload.SynthKind, metric string, strategies []exec.Strategy, runs [][]exec.Report) SynthFigure {
 	fig := SynthFigure{Kind: kind, Metric: metric}
-	var base float64
-	for _, s := range strategies {
-		series := SynthSeries{Strategy: s}
-		for _, z := range Skews {
-			rep := runSynth(kind, s, z, tuples, 0, 0, o.Seed+11)
-			series.Raw = append(series.Raw, rep)
-			o.logf("fig(%s,%s) %s z=%.1f: %.3fs\n", kind, metric, s, z, rep.Makespan)
-			if s == exec.NO && z == 0 {
-				base = rep.Makespan
-			}
+	base := runs[slices.Index(strategies, exec.NO)][slices.Index(Skews, 0)].Makespan
+	for i, s := range strategies {
+		series := SynthSeries{Strategy: s, Raw: runs[i]}
+		for _, rep := range runs[i] {
 			var v float64
 			if metric == "time" {
 				v = rep.Makespan / base
@@ -225,14 +324,30 @@ type Fig9Row struct {
 // the non-adaptive variant freezes cache decisions after the first 10% of
 // tuples. Load balancing stays on in both, as in the paper.
 func Fig9(o Options) []Fig9Row {
-	tuples := o.tuples(30_000)
+	tuples, seed := o.tuples(30_000), o.Seed+23
 	kinds := []workload.SynthKind{workload.DataHeavy, workload.DataComputeHeavy, workload.ComputeHeavy}
+	// One input per skew, shared by every kind's adaptive and frozen runs:
+	// a synthetic stream depends on the kind only through its key space,
+	// which the three kinds share.
+	inputs := fanOut(len(Skews), func(i int) []workload.Tuple {
+		return drawSynth(kinds[0], tuples, Skews[i], 10, seed)
+	})
+	// Run 2c is cell c's adaptive run and 2c+1 its frozen one, where cell
+	// c is kind c/len(Skews) at skew c%len(Skews).
+	reps := fanOut(2*len(kinds)*len(Skews), func(i int) exec.Report {
+		freeze := 0
+		if i%2 == 1 {
+			freeze = tuples / 10 / 10
+		}
+		cell := i / 2
+		return runSynth(kinds[cell/len(Skews)], exec.FO, inputs[cell%len(Skews)], freeze, seed)
+	})
 	var rows []Fig9Row
-	for _, kind := range kinds {
+	for k, kind := range kinds {
 		row := Fig9Row{Kind: kind}
-		for _, z := range Skews {
-			adaptive := runSynth(kind, exec.FO, z, tuples, 10, 0, o.Seed+23)
-			frozen := runSynth(kind, exec.FO, z, tuples, 10, tuples/10/10, o.Seed+23)
+		for j, z := range Skews {
+			c := k*len(Skews) + j
+			adaptive, frozen := reps[2*c], reps[2*c+1]
 			ratio := frozen.Makespan / adaptive.Makespan
 			o.logf("fig9 %s z=%.1f: adaptive=%.3fs frozen=%.3fs ratio=%.2f\n",
 				kind, z, adaptive.Makespan, frozen.Makespan, ratio)

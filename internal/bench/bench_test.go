@@ -1,23 +1,37 @@
 package bench
 
 import (
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"joinopt/internal/exec"
 	"joinopt/internal/workload"
 )
 
-// The tests below assert the paper's qualitative claims (the shape targets
-// of EXPERIMENTS.md) at reduced input sizes so the suite stays fast.
+// The tests below assert the paper's qualitative claims at reduced input
+// sizes so the suite stays fast; the full-size figures are pinned digit for
+// digit by testdata/fig_all.golden (make figcheck).
 
 func small() Options { return Options{Tuples: 6000, Seed: 3} }
+
+// smallFig8 is each Figure 8 panel at small(), drawn once for every test
+// that reads it: the Figure 8 and Figure 11 shape tests and the printer
+// test.
+var smallFig8 = map[workload.SynthKind]func() SynthFigure{}
+
+func init() {
+	for _, kind := range []workload.SynthKind{workload.DataHeavy, workload.ComputeHeavy, workload.DataComputeHeavy} {
+		smallFig8[kind] = sync.OnceValue(func() SynthFigure { return Fig8(kind, small()) })
+	}
+}
 
 func TestFig8aDataHeavyShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	fig := Fig8(workload.DataHeavy, small())
+	fig := smallFig8[workload.DataHeavy]()
 	// FD clearly beats NO/FC at z=0 (join at the data node wins).
 	if !(fig.Value(exec.FD, 0) < 0.6) {
 		t.Errorf("FD@0 = %.2f, want < 0.6", fig.Value(exec.FD, 0))
@@ -47,7 +61,7 @@ func TestFig8bComputeHeavyShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	fig := Fig8(workload.ComputeHeavy, small())
+	fig := smallFig8[workload.ComputeHeavy]()
 	// FR spreads compute over all nodes and does very well at z=0.
 	if !(fig.Value(exec.FR, 0) < 0.75) {
 		t.Errorf("FR@0 = %.2f, want < 0.75", fig.Value(exec.FR, 0))
@@ -81,7 +95,7 @@ func TestFig8cDataComputeHeavyShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	fig := Fig8(workload.DataComputeHeavy, small())
+	fig := smallFig8[workload.DataComputeHeavy]()
 	// FO works well across all skews.
 	for _, z := range Skews {
 		if v := fig.Value(exec.FO, z); v > 1.1 {
@@ -130,7 +144,7 @@ func TestFig11aThroughputShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	fig := Fig11(workload.DataHeavy, small())
+	fig := Fig11From(smallFig8[workload.DataHeavy]())
 	// FD throughput comparable to FO at z=0.
 	r0 := fig.Value(exec.FD, 0) / fig.Value(exec.FO, 0)
 	if r0 < 0.6 || r0 > 1.7 {
@@ -149,6 +163,64 @@ func TestFig11aThroughputShape(t *testing.T) {
 	for _, s := range []exec.Strategy{exec.NO, exec.FC} {
 		if !(fig.Value(s, 1.5) < fig.Value(s, 0)) {
 			t.Errorf("%s throughput did not decrease with skew", s)
+		}
+	}
+}
+
+func TestFig11bComputeHeavyThroughputShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation sweep")
+	}
+	computeHeavyThroughputShape(t, Fig11From(smallFig8[workload.ComputeHeavy]()))
+}
+
+func TestFig11cDataComputeHeavyThroughputShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation sweep")
+	}
+	computeHeavyThroughputShape(t, Fig11From(smallFig8[workload.DataComputeHeavy]()))
+}
+
+// computeHeavyThroughputShape asserts Figure 11b and 11c's claims, which
+// the two compute-heavy workloads share.
+func computeHeavyThroughputShape(t *testing.T, fig SynthFigure) {
+	t.Helper()
+	// FR spreads the UDF over every node and leads at z=0.
+	if !(fig.Value(exec.FR, 0) > fig.Value(exec.NO, 0)*1.3) {
+		t.Errorf("FR@0 = %.2f not clearly above NO@0 = %.2f",
+			fig.Value(exec.FR, 0), fig.Value(exec.NO, 0))
+	}
+	// FD and FR fall with skew: the hot data node saturates.
+	for _, s := range []exec.Strategy{exec.FD, exec.FR} {
+		if !(fig.Value(s, 1.5) < fig.Value(s, 0)*0.5) {
+			t.Errorf("%s throughput did not fall with skew: %.2f -> %.2f",
+				s, fig.Value(s, 0), fig.Value(s, 1.5))
+		}
+	}
+	// FO holds at least NO's throughput at every skew and is clearly above
+	// FD and FR at z=1.5.
+	for _, z := range Skews {
+		if v := fig.Value(exec.FO, z); v < 0.95 {
+			t.Errorf("FO@%.1f = %.2f, want >= NO@0's 1.0 within 5%%", z, v)
+		}
+	}
+	for _, s := range []exec.Strategy{exec.FD, exec.FR} {
+		if !(fig.Value(exec.FO, 1.5) > fig.Value(s, 1.5)*1.5) {
+			t.Errorf("FO@1.5 = %.2f not clearly above %s@1.5 = %.2f",
+				fig.Value(exec.FO, 1.5), s, fig.Value(s, 1.5))
+		}
+	}
+}
+
+// TestFig11FromMatchesFig11: reading Figure 11 from Figure 8's runs gives
+// exactly what running Figure 11's own strategies gives, reports included.
+func TestFig11FromMatchesFig11(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation sweep")
+	}
+	for kind, fig8 := range smallFig8 {
+		if got, want := Fig11From(fig8()), Fig11(kind, small()); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Fig11From(Fig8) = %+v\nFig11 = %+v", kind, got, want)
 		}
 	}
 }
@@ -178,7 +250,7 @@ func TestFig5Shape(t *testing.T) {
 	}
 	// FO at least matches FC (the paper reports FC = 1.25x FO; our FO's
 	// margin over FC is thinner because cached-key work is pinned to the
-	// compute nodes -- see EXPERIMENTS.md).
+	// compute nodes).
 	if !(r.Seconds["FO"] < r.Seconds["FC"]*1.1) {
 		t.Errorf("FO %.1f clearly above FC %.1f", r.Seconds["FO"], r.Seconds["FC"])
 	}
@@ -223,8 +295,7 @@ func TestPrintersProduceTables(t *testing.T) {
 		t.Skip("simulation sweep")
 	}
 	var sb strings.Builder
-	fig := Fig8(workload.DataHeavy, Options{Tuples: 2000, Seed: 1})
-	PrintSynth(&sb, fig)
+	PrintSynth(&sb, smallFig8[workload.DataHeavy]())
 	out := sb.String()
 	for _, want := range []string{"DH workload", "z=0.0", "FO", "NO"} {
 		if !strings.Contains(out, want) {
@@ -263,5 +334,44 @@ func TestFigureRejectsUnknownName(t *testing.T) {
 	var sb strings.Builder
 	if Figure(&sb, "10", Options{Tuples: 100}) || sb.Len() != 0 {
 		t.Fatalf("unknown figure accepted, printed %q", sb.String())
+	}
+}
+
+// TestFanOutCollectsByIndex: results land at their run's index whatever the
+// worker count; under -race it also checks that the workers share nothing
+// but the output slice.
+func TestFanOutCollectsByIndex(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 100} {
+		got := fanOut(n, func(i int) int { return i * i })
+		if len(got) != n {
+			t.Fatalf("fanOut(%d) returned %d results", n, len(got))
+		}
+		for i, v := range got {
+			if v != i*i {
+				t.Fatalf("fanOut(%d)[%d] = %d, want %d", n, i, v, i*i)
+			}
+		}
+	}
+}
+
+// TestFigureAllMatchesEachFigure: "all" prints each figure under its header
+// exactly as the figure alone prints, though it derives Figure 11 from
+// Figure 8's runs instead of running them.
+func TestFigureAllMatchesEachFigure(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation sweep")
+	}
+	o := Options{Tuples: 500, Seed: 3}
+	var all, each strings.Builder
+	if !Figure(&all, "all", o) {
+		t.Fatal(`Figure rejected "all"`)
+	}
+	for _, f := range Figures {
+		each.WriteString("== Figure " + strings.ToUpper(f) + " ==\n")
+		Figure(&each, f, o)
+		each.WriteString("\n")
+	}
+	if all.String() != each.String() {
+		t.Errorf("all:\n%s\none by one:\n%s", all.String(), each.String())
 	}
 }

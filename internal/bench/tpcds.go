@@ -32,13 +32,15 @@ type Fig7Row struct {
 // simulator, so ours is simulated on a fact sample with proportionally
 // scaled dimensions, and the measured per-row compute cost and warmup are
 // extrapolated to the full row count; SparkSQL's shuffle phase model is
-// evaluated directly at full scale. EXPERIMENTS.md discusses the
-// extrapolation's assumptions.
+// evaluated directly at full scale. The comments below state the
+// extrapolation's assumptions; TestFig7OursWinsEveryQuery and
+// testdata/fig_all.golden pin its outcome.
 func Fig7(o Options) []Fig7Row {
 	factRows := o.tuples(120_000)
-	var rows []Fig7Row
 	hw := cluster.DefaultConfig()
-	for _, q := range workload.Queries() {
+	queries := workload.Queries()
+	rows := fanOut(len(queries), func(i int) Fig7Row {
+		q := queries[i]
 		td := workload.NewTPCDS(factRows, o.Seed+53)
 		full := td
 		full.DimScale = 1
@@ -77,14 +79,16 @@ func Fig7(o Options) []Fig7Row {
 			// the full dimension cardinalities, not the fact count.
 			rep.Makespan*float64(td.DimScale)*float64(rep.Tuples)/float64(FullFactRows)
 
-		rows = append(rows, Fig7Row{
+		return Fig7Row{
 			Query:    q.Name,
 			SparkSQL: spark / 60,
 			Ours:     ours / 60,
 			Report:   rep,
-		})
+		}
+	})
+	for _, r := range rows {
 		o.logf("fig7 %s: spark=%.1fmin ours=%.1fmin (sample makespan %.3fs)\n",
-			q.Name, spark/60, ours/60, rep.Makespan)
+			r.Query, r.SparkSQL, r.Ours, r.Report.Makespan)
 	}
 	return rows
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 
 	"joinopt/internal/store"
 )
@@ -99,10 +101,10 @@ func (a Annotate) ClassifyCost(rank int) float64 {
 // TokenKey returns the stored key for a token rank.
 func (a Annotate) TokenKey(rank int) string { return fmt.Sprintf("tok%06d", rank) }
 
-// rankOf inverts TokenKey.
+// rankOf inverts TokenKey; the catalog calls it on every row lookup, so it
+// parses the digits directly instead of through fmt's scanner.
 func rankOf(key string) int {
-	var r int
-	fmt.Sscanf(key, "tok%d", &r)
+	r, _ := strconv.Atoi(strings.TrimPrefix(key, "tok"))
 	return r
 }
 

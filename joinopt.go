@@ -22,7 +22,9 @@
 //     destination node, however their keys are striped.
 //   - The simulation plane (Simulate* and the Fig* experiment runners)
 //     reproduces the paper's evaluation on a deterministic discrete-event
-//     cluster model; see EXPERIMENTS.md.
+//     cluster model. The shape tests in internal/bench assert the paper's
+//     qualitative claims, and internal/bench/testdata/fig_all.golden pins
+//     every figure's full-size output.
 //
 // # The client API: table handles, contexts, per-call options
 //

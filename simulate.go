@@ -91,8 +91,10 @@ func Simulate(cfg SimConfig, tuples []SimTuple) SimReport {
 // ExperimentOptions scales the paper-figure reproductions.
 type ExperimentOptions = bench.Options
 
-// Experiment runners: each reproduces one figure of the paper's evaluation
-// and prints it to w. See EXPERIMENTS.md for the paper-vs-measured record.
+// ReproduceFigure reproduces one figure of the paper's evaluation, named as
+// in cmd/joinbench's -fig flag ("all" prints every one), and prints it to w.
+// The shape tests in internal/bench pin each figure's qualitative claims,
+// and internal/bench/testdata/fig_all.golden its full-size output.
 func ReproduceFigure(w io.Writer, figure string, o ExperimentOptions) {
 	if !bench.Figure(w, figure, o) {
 		panic("joinopt: unknown figure " + figure)
