@@ -26,10 +26,11 @@ type Zipf struct {
 // normalised prefix sum of math.Pow(rank+1, -s), bit for bit, but each term
 // is computed the way math.Pow would compute it, without the call: s is
 // split once into an integer part yi and a fraction yf in (-0.5, 0.5], and
-// the term is 1 / (x^yi * exp(yf*log x)), which is exact wherever x^yi is.
-// Where it might not be (yi > 2, or yi = 2 with n > 2^26) the term is
-// math.Pow's own. At s = 0 every term is 1, so no CDF is stored: the sampler
-// answers from the formula the stored CDF would have held.
+// the term is 1 / (x^yi * exp(yf*log x)). That rounds as math.Pow does
+// wherever x^yi is exact in float64 and math.Pow multiplies by it in one
+// step; where either might fail (yi > 2, or yi = 2 with n > 2^26) the term
+// is math.Pow's own. At s = 0 every term is 1, so no CDF is stored: the
+// sampler answers from the formula the stored CDF would have held.
 func NewZipf(rng *rand.Rand, s float64, n int) *Zipf {
 	if n <= 0 {
 		panic("workload: zipf needs n > 0")
