@@ -116,10 +116,11 @@ fuzz:
 # cuts, blackholes, malformed responses, torn WAL tails, interrupted
 # snapshot renames, plus the replication suites (write-quorum arithmetic,
 # kill-one-replica failover, catch-up paging, put/flush-barrier registry
-# and failed-put visibility contracts). Run under the race detector, like
-# CI does.
+# and failed-put visibility contracts), and local UDF runs queued across
+# executor Close. Run under the race detector, like CI does.
 fault:
 	$(GO) test -race -run 'TestFault|TestCrash' ./internal/live ./internal/storage
+	$(GO) test -race -run TestLocalJobsResolveAcrossClose -cpu 1,2,4 ./internal/live
 
 # End-to-end live-plane throughput over real TCP via the CLI.
 livebench:

@@ -29,6 +29,11 @@ const (
 	// the batched throughput benchmark — and that was amortized over
 	// 64-op batches; this budget is per unamortized round trip.
 	roundTripAllocBudget = 5.5
+	// localHitAllocBudget bounds a steady-state Submit→WaitErr of a cached
+	// key, which never leaves the process: the Future header and the UDF's
+	// output. The run is a value in the local workers' queue, not a
+	// goroutine or a closure.
+	localHitAllocBudget = 2
 )
 
 // noGC pins the garbage collector off for the duration of an AllocsPerRun
@@ -223,5 +228,35 @@ func TestPriorityRoundTripAllocBudget(t *testing.T) {
 	}
 	if e.accs.Load() != accs {
 		t.Error("the accumulator table was republished in steady state: a fixed policy set evicts itself")
+	}
+}
+
+// TestLocalHitAllocBudget measures a steady-state Submit→WaitErr of a key the
+// optimizer has bought, the compute-node join the paper's skewed workloads
+// live on, and asserts the documented budget: routing to the local cache,
+// queuing the UDF run for a worker and resolving the future add nothing to
+// what the caller and the UDF allocate themselves.
+func TestLocalHitAllocBudget(t *testing.T) {
+	e := localExec(t, 8, copyUDF, nil, "k0", "k1", "k2", "k3")
+	tbl, ctx := e.Table("t"), context.Background()
+	keys := []string{"k0", "k1", "k2", "k3"}
+	submit := func(i int) {
+		if _, err := tbl.Submit(ctx, keys[i%len(keys)], nil).WaitErr(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range 64 {
+		submit(i)
+	}
+	hits := e.LocalHits.Load()
+	noGC(t)
+	i := 0
+	n := testing.AllocsPerRun(300, func() { submit(i); i++ })
+	t.Logf("steady-state local hit: %.2f allocs/op (budget %d)", n, localHitAllocBudget)
+	if got := e.LocalHits.Load() - hits; got != 301 {
+		t.Fatalf("%d of 301 measured ops were local hits", got)
+	}
+	if n > localHitAllocBudget {
+		t.Errorf("local hit allocates %.2f/op, budget %d", n, localHitAllocBudget)
 	}
 }

@@ -76,8 +76,11 @@ type ExecConfig struct {
 	// when the destination has none in flight, and as soon as the one in
 	// flight returns otherwise.
 	BatchWait time.Duration
-	Workers   int     // local UDF workers; default 8
-	NetBw     float64 // assumed bandwidth for cost formulas; default 1e9
+	// Workers is the ceiling on local UDFs running at once: that many
+	// long-lived goroutines, which NewExecutor starts and Close stops once
+	// the queued runs are done. Default 8.
+	Workers int
+	NetBw   float64 // assumed bandwidth for cost formulas; default 1e9
 
 	// Shards stripes the executor's per-key state (per-table optimizers
 	// with their caches and counters, fetch dedup) by key hash so parallel
@@ -133,10 +136,10 @@ type ExecConfig struct {
 // which is keyed by where the op goes, not by what its key hashes to.
 type execShard struct {
 	mu sync.Mutex
-	// inflight is the fetch dedup: dedupKey -> the lead waiter of the key's
-	// joinable fetch, unmapped by whatever ends its joinability first (its
-	// answer, failure or withdrawal, or an invalidation of the key).
-	inflight map[string]*waiter
+	// inflight is the fetch dedup: the lead waiter of each key's joinable
+	// fetch, unmapped by whatever ends its joinability first (its answer,
+	// failure or withdrawal, or an invalidation of the key).
+	inflight map[fetchKey]*waiter
 }
 
 // Executor drives the core optimizer against live store nodes: every
@@ -181,10 +184,10 @@ type Executor struct {
 	// cheapest live replica.
 	tracker *loadbalance.ReplicaTracker
 
-	pendingLocal atomic.Int64 // queued local UDFs (lcc_i)
+	pendingLocal atomic.Int64 // local UDF runs queued plus running (lcc_i)
 	inflightReqs atomic.Int64
 
-	workers chan struct{}
+	local localQueue // feeds the cfg.Workers local UDF workers (settle.go)
 
 	closed  atomic.Bool
 	closeMu sync.RWMutex   // orders flush registration against Close
@@ -244,7 +247,7 @@ func NewExecutor(cfg ExecConfig) (*Executor, error) {
 	if cfg.BatchWait == 0 {
 		cfg.BatchWait = 2 * time.Millisecond
 	}
-	if cfg.Workers == 0 {
+	if cfg.Workers <= 0 {
 		cfg.Workers = 8
 	}
 	if cfg.NetBw == 0 {
@@ -259,15 +262,14 @@ func NewExecutor(cfg ExecConfig) (*Executor, error) {
 	cfg.MaxRetries = knob(cfg.MaxRetries, 2)
 	cfg.RequestTimeout = knob(cfg.RequestTimeout, 10*time.Second)
 	e := &Executor{
-		cfg:     cfg,
-		member:  cfg.Membership,
-		shards:  make([]*execShard, cfg.Shards),
-		workers: make(chan struct{}, cfg.Workers),
+		cfg:    cfg,
+		member: cfg.Membership,
+		shards: make([]*execShard, cfg.Shards),
 	}
 	e.accs.Store(&map[liveBatchKey]*accumulator{})
 	e.nodes.Store(&nodeSet{})
 	for i := range e.shards {
-		e.shards[i] = &execShard{inflight: make(map[string]*waiter)}
+		e.shards[i] = &execShard{inflight: make(map[fetchKey]*waiter)}
 	}
 	if cfg.Membership == nil {
 		e.member = membership.NewStatic(cfg.Addrs, cfg.Tables, 1)
@@ -295,9 +297,14 @@ func NewExecutor(cfg ExecConfig) (*Executor, error) {
 			e.tracker = loadbalance.NewReplicaTracker()
 		}
 	}
+	e.local.live = cfg.Workers
+	e.local.exited.Add(cfg.Workers)
+	for range cfg.Workers {
+		go e.localWorker(make(chan localJob, 1))
+	}
 	for id, addr := range cfg.Addrs {
 		if _, err := e.ensureNode(id, addr); err != nil {
-			// Close tears down the pools dialed so far.
+			// Close tears down the pools dialed so far and stops the workers.
 			e.Close()
 			return nil, fmt.Errorf("live: dialing node %d: %w", id, err) //lint:allow errcode setup-time dial failure; no live op ever sees it
 		}
@@ -382,11 +389,11 @@ func (e *Executor) sweep(t *Table, match, forget func(key string) bool) {
 // Close shuts the executor down: it stops every pending batch timer, fails
 // the batches that never shipped with CodeClosed, closes the pools (which
 // fails in-flight wire batches through the normal error path) and waits
-// for every outstanding batch handler to finish. After Close, no future
-// can be left hanging: every one has either resolved or its resolution is
-// already queued on the local worker pool (a bounced or fetched value
-// whose UDF is still running) and lands moments later. Safe to call more
-// than once.
+// for every outstanding batch handler to finish, then for the local workers
+// to run what is queued and exit. After Close, no future can be left
+// hanging: every one has resolved, or is a local hit that raced Close and
+// whose UDF runs on a worker its queuing started, landing moments later.
+// Safe to call more than once.
 func (e *Executor) Close() {
 	e.closeMu.Lock()
 	already := e.closed.Swap(true)
@@ -411,6 +418,7 @@ func (e *Executor) Close() {
 		s.pool.Close()
 	}
 	e.flushes.Wait()
+	e.local.close()
 }
 
 const (
@@ -500,9 +508,7 @@ func (e *Executor) onNotification(n Notification) {
 //
 // A fetch of the key still in flight may answer with the value just replaced:
 // it keeps the waiters it has (a read racing a write may see either side) but
-// stops being joinable, so a read submitted from now on starts its own. The
-// dedup key is built only with a fetch in flight in the shard: a put-heavy
-// caller invalidates on every ack and must not pay a string for it.
+// stops being joinable, so a read submitted from now on starts its own.
 func (e *Executor) invalidate(t *Table, key string, version int64) {
 	sh, opt := t.shard(key)
 	sh.mu.Lock()
@@ -511,9 +517,7 @@ func (e *Executor) invalidate(t *Table, key string, version int64) {
 	if e.cfg.Trace != nil {
 		e.cfg.Trace(TraceEvent{Kind: TraceInvalidate, Table: t.name, Key: key, Version: version})
 	}
-	if len(sh.inflight) > 0 {
-		sh.cut(liveBatchKey{t: t}.dedupKey(key))
-	}
+	sh.cut(t, key)
 }
 
 // Table returns the resolved handle for a stored table — the entry point

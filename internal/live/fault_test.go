@@ -698,7 +698,7 @@ func TestFaultWaiterPileOnFailure(t *testing.T) {
 
 	pileOn := func() (*waiter, *waiter) {
 		w2 := &waiter{params: []byte("p2"), fut: newFuture()}
-		w1 := &waiter{params: []byte("p1"), fut: newFuture(), ik: "t\x00k0", followers: []*waiter{w2}}
+		w1 := &waiter{params: []byte("p1"), fut: newFuture(), ik: fetchKey{t: e.Table("t"), key: "k0"}, followers: []*waiter{w2}}
 		sh, _ := e.Table("t").shard("k0")
 		sh.mu.Lock()
 		sh.inflight[w1.ik] = w1

@@ -1,7 +1,6 @@
 package live
 
 import (
-	"fmt"
 	"slices"
 	"time"
 
@@ -25,28 +24,23 @@ func (t *Table) placedOn(key string, node cluster.NodeID) bool {
 	return slices.Contains(t.placement(key), node)
 }
 
-// dedupKey builds the fetch-dedup record key for one key under this batch
-// key's wire policy. Non-default wire overrides are folded in, so a call
-// with its own deadline/retry budget never piles onto (or is never served
-// by) a fetch flying under a different policy — the same separation the
-// batch accumulators get from the wire field. The default-policy path keeps
-// the plain two-part key, allocating nothing extra.
-//
-//joinopt:hotpath
-func (bk liveBatchKey) dedupKey(key string) string {
-	if bk.wire == (wireOpts{}) {
-		return bk.t.name + "\x00" + key //lint:allow hotpath the dedup map key is the allocation; one concat is its minimal form
-	}
-	return fmt.Sprintf("%s\x00%s\x00%d:%d:%d", bk.t.name, key, bk.wire.timeout, bk.wire.retries, bk.wire.prio) //lint:allow hotpath non-default wire policies only; the default path above stays concat-only
+// fetchKey names a joinable fetch in its shard's dedup map: the key of a
+// table under one wire policy. The policy is part of it, so a call with its
+// own deadline/retry budget never piles onto (or is never served by) a fetch
+// flying under a different policy — the same separation the batch
+// accumulators get from their wire field.
+type fetchKey struct {
+	t    *Table
+	key  string
+	wire wireOpts
 }
 
-// cut ends the joinability of every fetch of the key whose default-policy
-// dedup key is ik: that record, and the records of per-call wire policies,
-// whose keys extend it. Callers hold mu.
-func (sh *execShard) cut(ik string) {
-	delete(sh.inflight, ik)
+// cut ends the joinability of every fetch of t's key, whatever its wire
+// policy. Callers hold mu.
+func (sh *execShard) cut(t *Table, key string) {
+	delete(sh.inflight, fetchKey{t: t, key: key})
 	for k := range sh.inflight {
-		if len(k) > len(ik) && k[len(ik)] == 0 && k[:len(ik)] == ik {
+		if k.t == t && k.key == key {
 			delete(sh.inflight, k)
 		}
 	}
@@ -64,7 +58,7 @@ type waiter struct {
 	cancel *cancelState // non-nil only for cancellable-context submissions
 	// Lead only, guarded by the key's shard lock: the dedup key the fetch is
 	// (or was) mapped under, and the waiters that joined it.
-	ik        string
+	ik        fetchKey
 	followers []*waiter
 }
 
@@ -143,7 +137,7 @@ func (e *Executor) route(t *Table, key string, params []byte, fut *Future, cs *c
 	case core.RouteDataMem, core.RouteDataDisk:
 		bk := liveBatchKey{t, node, OpGet, co.wire}
 		w := &waiter{params: params, fut: fut, toMem: route == core.RouteDataMem, cancel: cs}
-		ik := bk.dedupKey(key)
+		ik := fetchKey{t, key, bk.wire}
 		if lead := sh.inflight[ik]; lead != nil {
 			// Piled onto a fetch that may still be parked: share its link,
 			// so this caller's wait ships it too.

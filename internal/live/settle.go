@@ -357,33 +357,156 @@ func (e *Executor) fail(bk liveBatchKey, ent liveEntry, err *Error) {
 	ent.fut.reject(err)
 }
 
-// computeLocal runs the UDF on the local worker pool and feeds the measured
-// sojourn back into the key's shard-local optimizer (Section 3.2 runtime
-// measurement). idx must be the index of the shard owning (t, key).
+// computeLocal queues the UDF run on the executor's local workers, which feed
+// the measured sojourn back into the key's shard-local optimizer (Section 3.2
+// runtime measurement). idx must be the index of the shard owning (t, key).
+// It never blocks: the queue grows instead.
+//
+//joinopt:hotpath
 func (e *Executor) computeLocal(t *Table, idx int, key string, params, value []byte, fut *Future) {
-	udf := t.udf
-	if udf == nil {
-		panic(fmt.Sprintf("live: UDF %q for table %q not registered", t.udfName, t.name))
+	if t.udf == nil {
+		panic(fmt.Sprintf("live: UDF %q for table %q not registered", t.udfName, t.name)) //lint:allow hotpath wiring-bug panic, never taken by a registered UDF
 	}
-	sh := e.shards[idx]
-	opt := t.opts[idx]
 	e.pendingLocal.Add(1)
-	enqueued := time.Now()
-	go func() {
-		e.workers <- struct{}{}
-		start := time.Now()
-		out := udf(key, params, value)
-		service := time.Since(start).Seconds()
-		<-e.workers
-		e.pendingLocal.Add(-1)
-		sojourn := time.Since(enqueued).Seconds()
-		sh.mu.Lock()
-		opt.ObserveLocalCompute(sojourn, service)
-		if e.cfg.Trace != nil {
-			e.cfg.Trace(TraceEvent{Kind: TraceLocalCompute, Table: t.name,
-				Key: key, Sojourn: sojourn, Service: service})
+	if e.local.push(localJob{t: t, idx: idx, key: key, params: params, value: value,
+		fut: fut, enqueued: time.Now()}) {
+		go e.localWorker(nil)
+	}
+}
+
+// localJob is one local UDF run: the op's table, the index of the shard owning
+// its key, the UDF's inputs, the future it resolves and when it was queued
+// (the start of its sojourn).
+type localJob struct {
+	t             *Table
+	idx           int
+	key           string
+	params, value []byte
+	fut           *Future
+	enqueued      time.Time
+}
+
+// localQueue feeds the executor's Workers long-lived UDF workers: a FIFO ring
+// of jobs that doubles when full, so a push never blocks, and a LIFO stack of
+// the idle workers' cap-1 channels, so the most recently idle worker takes the
+// next job. A worker parks only on an empty ring, so a job that finds one
+// idle is handed over through its channel and never enters the ring.
+type localQueue struct {
+	mu      sync.Mutex
+	ring    []localJob // length a power of two (or zero)
+	head, n int
+	idle    []chan localJob
+	live    int  // workers running
+	closing bool // set by Close: a worker that finds the ring empty exits
+	// exited counts the Workers that NewExecutor started down to zero; Close
+	// waits for it.
+	exited sync.WaitGroup
+}
+
+// push hands j to the most recently idle worker, or queues it behind the
+// ring's jobs when every worker is busy. It reports true when every worker
+// has already exited (Close): the caller then starts one more, which runs
+// what is queued and exits in turn.
+//
+//joinopt:hotpath
+func (q *localQueue) push(j localJob) (spawn bool) {
+	q.mu.Lock()
+	if k := len(q.idle) - 1; k >= 0 {
+		wake := q.idle[k]
+		q.idle = q.idle[:k]
+		q.mu.Unlock()
+		wake <- j // cap 1 and its worker's own: never blocks
+		return false
+	}
+	if q.n == len(q.ring) {
+		q.grow()
+	}
+	q.ring[(q.head+q.n)&(len(q.ring)-1)] = j
+	q.n++
+	spawn = q.live == 0
+	if spawn {
+		q.live++
+	}
+	q.mu.Unlock()
+	return spawn
+}
+
+// grow doubles the ring, unwrapping the queued jobs to its front. Callers
+// hold mu.
+func (q *localQueue) grow() {
+	ring := make([]localJob, max(2*len(q.ring), 16))
+	for i := range q.n {
+		ring[i] = q.ring[(q.head+i)&(len(q.ring)-1)]
+	}
+	q.ring, q.head = ring, 0
+}
+
+// close stops the workers — the idle ones now, by closing their channels, and
+// the busy ones once the ring is empty — and returns when all have exited.
+func (q *localQueue) close() {
+	q.mu.Lock()
+	q.closing = true
+	idle := q.idle
+	q.idle = nil
+	q.live -= len(idle)
+	q.mu.Unlock()
+	for _, wake := range idle {
+		close(wake)
+	}
+	q.exited.Wait()
+}
+
+// localWorker runs jobs until the queue is closed and its ring empty: the
+// ring's, oldest first, and while the ring is empty whatever push hands it
+// through wake, its own cap-1 channel, which it puts on the idle stack first.
+// A worker that push starts after Close passes nil: it never parks, and exits
+// as soon as the ring is empty.
+func (e *Executor) localWorker(wake chan localJob) {
+	q := &e.local
+	if wake != nil {
+		defer q.exited.Done()
+	}
+	for {
+		q.mu.Lock()
+		if q.n == 0 {
+			if q.closing || wake == nil {
+				q.live--
+				q.mu.Unlock()
+				return
+			}
+			q.idle = append(q.idle, wake)
+			q.mu.Unlock()
+			j, ok := <-wake
+			if !ok {
+				return // close counted this worker out
+			}
+			e.runLocal(j)
+			continue
 		}
-		sh.mu.Unlock()
-		fut.resolve(out)
-	}()
+		j := q.ring[q.head]
+		q.ring[q.head] = localJob{} // the ring must not pin the job's buffers
+		q.head = (q.head + 1) & (len(q.ring) - 1)
+		q.n--
+		q.mu.Unlock()
+		e.runLocal(j)
+	}
+}
+
+// runLocal runs one job's UDF, observes its sojourn (queued plus service)
+// and service time at the key's optimizer, and resolves the future.
+func (e *Executor) runLocal(j localJob) {
+	start := time.Now()
+	out := j.t.udf(j.key, j.params, j.value)
+	end := time.Now()
+	e.pendingLocal.Add(-1)
+	sojourn, service := end.Sub(j.enqueued).Seconds(), end.Sub(start).Seconds()
+	sh := e.shards[j.idx]
+	sh.mu.Lock()
+	j.t.opts[j.idx].ObserveLocalCompute(sojourn, service)
+	if e.cfg.Trace != nil {
+		e.cfg.Trace(TraceEvent{Kind: TraceLocalCompute, Table: j.t.name,
+			Key: j.key, Sojourn: sojourn, Service: service})
+	}
+	sh.mu.Unlock()
+	j.fut.resolve(out)
 }

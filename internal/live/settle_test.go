@@ -4,8 +4,16 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
+	"slices"
+	"sync"
 	"testing"
 	"time"
+
+	"joinopt/internal/cluster"
+	"joinopt/internal/core"
+	"joinopt/internal/store"
 )
 
 // settleExec is socketlessExec plus a node record for node 0 whose pool has
@@ -190,4 +198,225 @@ func TestSettleFetchAnsweredAfterInvalidate(t *testing.T) {
 		}
 		invariantSum(t, e, 3)
 	})
+}
+
+// localExec is a socketless executor whose every key is a cache hit: the
+// Caching policy with the given keys installed in memory at version 1, so a
+// Submit of one of them takes the local path straight to the UDF workers and
+// never reaches a wire. udf runs as table t's UDF.
+func localExec(t *testing.T, workers int, udf UDF, trace func(TraceEvent), keys ...string) *Executor {
+	t.Helper()
+	reg := NewRegistry()
+	reg.Register("u", udf)
+	catalog := store.CatalogFunc(func(string) store.RowMeta { return store.RowMeta{ValueSize: 32} })
+	e, err := NewExecutor(ExecConfig{
+		Tables:    map[string]*store.Table{"t": store.NewTable("t", catalog, 2, []cluster.NodeID{0})},
+		Registry:  reg,
+		TableUDF:  map[string]string{"t": "u"},
+		Optimizer: core.Config{Policy: core.Policy{Caching: true}, MemCacheBytes: 1 << 20},
+		Shards:    1,
+		Workers:   workers,
+		BatchWait: time.Hour,
+		Trace:     trace,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Close)
+	tbl := e.Table("t")
+	for _, k := range keys {
+		sh, opt := tbl.shard(k)
+		sh.mu.Lock()
+		opt.OnValueFetched(k, 1, 1, []byte("v"), true)
+		sh.mu.Unlock()
+	}
+	return e
+}
+
+func copyUDF(_ string, _, value []byte) []byte { return append([]byte(nil), value...) }
+
+// TestLocalJobsResolveAcrossClose: submitters race Close on cached keys.
+// Every future resolves, with the UDF's value or a typed error, the ops
+// invariant holds, and once the queue drains every worker goroutine is gone —
+// including the one a run queued after the workers exited starts for itself.
+func TestLocalJobsResolveAcrossClose(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	keys := []string{"k0", "k1", "k2", "k3", "k4", "k5", "k6", "k7"}
+	e := localExec(t, 2, copyUDF, nil, keys...)
+	tbl, ctx := e.Table("t"), context.Background()
+
+	const submitters, perSubmitter = 4, 400
+	futs := make([][]*Future, submitters)
+	started := make(chan struct{}, submitters)
+	var wg sync.WaitGroup
+	for g := range submitters {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range perSubmitter {
+				futs[g] = append(futs[g], tbl.Submit(ctx, keys[(g+i)%len(keys)], nil))
+				if i == perSubmitter/8 {
+					started <- struct{}{}
+				}
+			}
+		}()
+	}
+	for range submitters {
+		<-started
+	}
+	e.Close()
+	wg.Wait()
+
+	resolved := make(chan struct{})
+	var served, refused int
+	go func() {
+		defer close(resolved)
+		for _, fs := range futs {
+			for _, f := range fs {
+				v, err := f.WaitErr()
+				var le *Error
+				switch {
+				case err == nil && string(v) == "v":
+					served++
+				case errors.As(err, &le) && le.Code == CodeClosed:
+					refused++
+				default:
+					t.Errorf("future resolved with %q, %v; want the value or CodeClosed", v, err)
+				}
+			}
+		}
+	}()
+	select {
+	case <-resolved:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a future submitted across Close never resolved")
+	}
+	if served == 0 {
+		t.Fatal("no op ran before Close: the race was not exercised")
+	}
+	invariantSum(t, e, submitters*perSubmitter)
+
+	// A run queued once every worker has exited (a local hit that raced past
+	// Submit's closed check) still runs, on a worker it starts for itself.
+	waitGoroutines(t, baseline)
+	f := newFuture()
+	e.computeLocal(tbl, 0, "k0", nil, []byte("late"), f)
+	if v, err := waitOrHang(t, f, 5*time.Second); err != nil || string(v) != "late" {
+		t.Fatalf("run queued after the workers exited: %q, %v", v, err)
+	}
+	waitGoroutines(t, baseline)
+	if n := e.pendingLocal.Load(); n != 0 {
+		t.Fatalf("pendingLocal = %d after every run finished", n)
+	}
+}
+
+// waitGoroutines polls until the goroutine count is back to baseline.
+func waitGoroutines(t *testing.T, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines outlive Close, baseline %d", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestLocalRunsInSubmissionOrder: with one worker, local UDFs run in the
+// order they were submitted — the total order the cross-plane and migration
+// replay tests read their traces in — also once the queue has grown past its
+// first ring while the worker was held.
+func TestLocalRunsInSubmissionOrder(t *testing.T) {
+	var mu sync.Mutex
+	var ran []string
+	hold, holding := make(chan struct{}), make(chan struct{})
+	keys := []string{"hold"}
+	for i := range 100 {
+		keys = append(keys, fmt.Sprintf("k%d", i))
+	}
+	e := localExec(t, 1, func(key string, _, value []byte) []byte {
+		if key == "hold" {
+			close(holding)
+			<-hold
+		}
+		mu.Lock()
+		ran = append(ran, key)
+		mu.Unlock()
+		return value
+	}, nil, keys...)
+	tbl, ctx := e.Table("t"), context.Background()
+
+	futs := []*Future{tbl.Submit(ctx, "hold", nil)}
+	<-holding
+	for _, k := range keys[1:] {
+		futs = append(futs, tbl.Submit(ctx, k, nil))
+	}
+	close(hold)
+	for i, f := range futs {
+		if _, err := waitOrHang(t, f, 5*time.Second); err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !slices.Equal(ran, keys) {
+		t.Fatalf("UDFs ran in order %v, want submission order %v", ran, keys)
+	}
+}
+
+// TestLocalQueueStatsAndSojourn: with the one worker held by a UDF, the
+// shipped ComputeStats.PendingLocal counts the running run plus the queued
+// ones, and a queued run's sojourn includes the service of the run ahead of
+// it.
+func TestLocalQueueStatsAndSojourn(t *testing.T) {
+	const slow = 20 * time.Millisecond
+	var mu sync.Mutex
+	observed := map[string]TraceEvent{}
+	hold, holding := make(chan struct{}), make(chan struct{})
+	e := localExec(t, 1, func(key string, _, value []byte) []byte {
+		switch key {
+		case "hold":
+			close(holding)
+			<-hold
+		case "slow":
+			time.Sleep(slow)
+		}
+		return value
+	}, func(ev TraceEvent) {
+		if ev.Kind == TraceLocalCompute {
+			mu.Lock()
+			observed[ev.Key] = ev
+			mu.Unlock()
+		}
+	}, "hold", "slow", "queued")
+	tbl, ctx := e.Table("t"), context.Background()
+
+	futs := []*Future{tbl.Submit(ctx, "hold", nil)}
+	<-holding
+	if n := e.stats().PendingLocal; n != 1 {
+		t.Fatalf("PendingLocal = %d with one run in service, want 1", n)
+	}
+	futs = append(futs, tbl.Submit(ctx, "slow", nil), tbl.Submit(ctx, "queued", nil))
+	if n := e.stats().PendingLocal; n != 3 {
+		t.Fatalf("PendingLocal = %d with one run in service and two queued, want 3", n)
+	}
+	close(hold)
+	for i, f := range futs {
+		if _, err := waitOrHang(t, f, 5*time.Second); err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+	}
+	if n := e.stats().PendingLocal; n != 0 {
+		t.Fatalf("PendingLocal = %d once every run returned, want 0", n)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	s, q := observed["slow"], observed["queued"]
+	if s.Service < slow.Seconds() {
+		t.Fatalf("slow run's service %.4fs, want at least %v", s.Service, slow)
+	}
+	if q.Sojourn < s.Service || q.Sojourn < q.Service {
+		t.Fatalf("queued run's sojourn %.4fs, want at least the slow run's service %.4fs and its own %.4fs",
+			q.Sojourn, s.Service, q.Service)
+	}
 }
