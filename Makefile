@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test testcpu race vet lint loc apicheck benchcheck benchjson figcheck bench benchpar fuzz fault livebench livedurable livereplicas overload livemigrate ci
+.PHONY: build test testcpu allocs race vet lint loc apicheck benchcheck benchjson figcheck bench benchpar fuzz fault livebench livedurable livereplicas overload livemigrate ci
 
 build:
 	$(GO) build ./...
@@ -57,6 +57,12 @@ test:
 # GOMAXPROCS, so host shape must never decide whether the suite passes.
 testcpu:
 	$(GO) test -cpu 1,2,4 ./internal/live
+
+# The allocation budgets by name. Every *AllocBudget and *AllocFree test is
+# built only without -race (the race detector's instrumentation allocates),
+# so the race run never sees them: run them here, in every package.
+allocs:
+	$(GO) test -count=1 -run 'Alloc' ./...
 
 race:
 	$(GO) test -race ./...
@@ -151,4 +157,4 @@ overload:
 livemigrate:
 	$(GO) run ./cmd/joinbench -livemigrate -liveops 20000
 
-ci: lint race testcpu fault benchcheck figcheck
+ci: lint race testcpu allocs fault benchcheck figcheck

@@ -21,6 +21,7 @@ import (
 	"joinopt/internal/costmodel"
 	"joinopt/internal/freq"
 	"joinopt/internal/skirental"
+	"joinopt/internal/slab"
 )
 
 // Route says where one request should be executed.
@@ -169,12 +170,14 @@ type keyRec struct {
 // Optimizer makes per-request routing decisions for one compute node. Its
 // per-key state is one map of records. A lossy-counting compress visits no
 // record: a count it drops reads as 0 from then on (freq.Window.Estimate).
-// Records are deleted only at their one bound, maxKeys (pruneKeysIfNeeded).
+// Records come from free, a chunk at a time, and are deleted only at their
+// one bound, maxKeys (pruneKeysIfNeeded), which puts them back on free.
 type Optimizer struct {
 	cfg    Config
 	Cache  *cache.TwoTier
 	Model  *costmodel.Model
 	recs   map[string]*keyRec
+	free   slab.List[keyRec]
 	window freq.Window // the lossy-counting stream position of every count
 	rng    *rand.Rand
 	stats  Counters
@@ -217,12 +220,13 @@ func New(cfg Config) *Optimizer {
 // Stats returns a copy of the routing counters.
 func (o *Optimizer) Stats() Counters { return o.stats }
 
-// Known returns learned information about a key, or nil.
-func (o *Optimizer) Known(key string) *KeyInfo {
+// Known returns a copy of the learned information about a key, and whether
+// there is any.
+func (o *Optimizer) Known(key string) (KeyInfo, bool) {
 	if r := o.recs[key]; r != nil && r.learned {
-		return &r.info
+		return r.info, true
 	}
-	return nil
+	return KeyInfo{}, false
 }
 
 // Frequency returns the current access-count estimate for key.
@@ -238,7 +242,8 @@ func (o *Optimizer) record(key string) *keyRec {
 	r := o.recs[key]
 	if r == nil {
 		o.pruneKeysIfNeeded()
-		r = new(keyRec)
+		r = o.free.Get()
+		*r = keyRec{}
 		o.recs[key] = r
 	}
 	return r
@@ -483,7 +488,8 @@ func (o *Optimizer) Invalidate(key string, version int64) {
 // pruneKeysIfNeeded is the one bound on records: at maxKeys, every record
 // counted at most once is dropped, whatever else it holds. Its key is
 // re-learned by a first-contact compute request if seen again; a dropped
-// fence only reopens the race it closed.
+// fence only reopens the race it closed. Each dropped record goes back on
+// the free list.
 func (o *Optimizer) pruneKeysIfNeeded() {
 	if len(o.recs) < o.maxKeys {
 		return
@@ -491,6 +497,7 @@ func (o *Optimizer) pruneKeysIfNeeded() {
 	for k, r := range o.recs {
 		if o.window.Estimate(r.count) <= 1 {
 			delete(o.recs, k)
+			o.free.Put(r)
 		}
 	}
 }

@@ -197,7 +197,7 @@ func TestInvalidateDropsCacheAndCounter(t *testing.T) {
 func TestInvalidateFencesUnknownKey(t *testing.T) {
 	o := newFO(1 << 20)
 	o.Invalidate("k", 5)
-	if o.Known("k") != nil {
+	if _, ok := o.Known("k"); ok {
 		t.Fatal("an invalidation created a KeyInfo for a key never seen on a response")
 	}
 	if got := o.KnownVersion("k"); got != 5 {
@@ -229,7 +229,7 @@ func TestForgetVersions(t *testing.T) {
 	if a, b, f := o.KnownVersion("a"), o.KnownVersion("b"), o.KnownVersion("fenced"); a != 0 || b != 6 || f != 0 {
 		t.Fatalf("versions a=%d b=%d fenced=%d, want 0, 6 (not matched), 0", a, b, f)
 	}
-	if info := o.Known("a"); info == nil || info.ValueSize != 10 {
+	if info, ok := o.Known("a"); !ok || info.ValueSize != 10 {
 		t.Fatalf("forgetting a's version disturbed its KeyInfo: %+v", info)
 	}
 }
@@ -279,11 +279,11 @@ func TestFrozenCacheStillServesHits(t *testing.T) {
 func TestLearnedInfoExposed(t *testing.T) {
 	o := newFO(1 << 20)
 	learn(o, "k", 1234, 0.5)
-	info := o.Known("k")
-	if info == nil || info.ValueSize != 1234 || info.ComputeCost != 0.5 {
-		t.Fatalf("Known = %+v", info)
+	info, ok := o.Known("k")
+	if !ok || info.ValueSize != 1234 || info.ComputeCost != 0.5 {
+		t.Fatalf("Known = %+v, %v", info, ok)
 	}
-	if o.Known("absent") != nil {
+	if _, ok := o.Known("absent"); ok {
 		t.Fatal("unknown key returned info")
 	}
 }
@@ -469,5 +469,46 @@ func TestRecordsBoundedUnderExactCounting(t *testing.T) {
 		if len(o.recs) > o.maxKeys {
 			t.Fatalf("after %d distinct keys the optimizer holds %d records, bound %d", i+1, len(o.recs), o.maxKeys)
 		}
+	}
+}
+
+// TestPrunedRecordReusedClean: a record dropped at maxKeys goes back on the
+// free list, and the new key that takes it starts from nothing — whatever
+// costs, version, fence or count the dropped key left behind.
+func TestPrunedRecordReusedClean(t *testing.T) {
+	o := newFO(1 << 20)
+	o.maxKeys = 4
+	for i := 0; i < o.maxKeys; i++ {
+		k := fmt.Sprintf("k%d", i)
+		o.Route(k, testBw) // a count of 1: still prunable
+		o.OnComputeResponse(ResponseMeta{Key: k, ValueSize: 10, ComputedSize: 5, ComputeCost: 1, Version: 3})
+	}
+	o.Invalidate("k0", 9) // one record carries a fence above its learned version
+	dropped := make(map[*keyRec]bool, len(o.recs))
+	for _, r := range o.recs {
+		dropped[r] = true
+	}
+	for i := 0; i < o.maxKeys; i++ {
+		k := fmt.Sprintf("new%d", i)
+		before := o.Stats().FirstContact
+		if got := o.Route(k, testBw); got != RouteCompute || o.Stats().FirstContact != before+1 {
+			t.Fatalf("%s: route %v, first contacts %d -> %d; want a first-contact compute request", k, got, before, o.Stats().FirstContact)
+		}
+		if !dropped[o.recs[k]] {
+			t.Fatalf("%s did not land on a pruned record", k)
+		}
+		delete(dropped, o.recs[k])
+		if _, ok := o.Known(k); ok {
+			t.Fatalf("%s inherited learned costs", k)
+		}
+		if v := o.KnownVersion(k); v != 0 {
+			t.Fatalf("%s: KnownVersion %d, want 0", k, v)
+		}
+		if f := o.Frequency(k); f != 1 {
+			t.Fatalf("%s: Frequency %d, want 1", k, f)
+		}
+	}
+	if len(dropped) != 0 {
+		t.Fatalf("%d pruned records were never reused", len(dropped))
 	}
 }

@@ -45,7 +45,7 @@ type batchTimer struct {
 
 func (t *batchTimer) Fire() {
 	b, gen := t.b, t.gen
-	b.cn.ex.timers.put(t)
+	b.cn.ex.timers.Put(t)
 	if b.gen == gen {
 		b.cn.flush(b)
 	}
@@ -154,7 +154,7 @@ func (cn *computeNode) pump() {
 
 // admit charges the per-tuple input cost and dispatches stage 0.
 func (cn *computeNode) admit(t Tuple) {
-	req := cn.ex.reqs.get()
+	req := cn.ex.reqs.Get()
 	*req = request{cn: cn, key: t.Keys[0], tuple: t, phase: phaseAdmitted}
 	cn.node.CPU.Schedule(cn.ex.cfg.PerTupleCPU, req)
 }
@@ -197,14 +197,10 @@ func (cn *computeNode) act(req *request) {
 		cn.computeLocally(req, 0)
 	case core.RouteLocalDisk:
 		opt := cn.opts[req.stage]
-		info := opt.Known(req.key)
-		size := int64(0)
-		if info != nil {
-			size = info.ValueSize
-		}
+		info, _ := opt.Known(req.key) // size 0 if unknown
 		// Disk-cache reads go through the FS buffer (Section 9's
 		// SSD-cost observation): CPU + memory bandwidth.
-		fs := ex.c.FSReadTime(size)
+		fs := ex.c.FSReadTime(info.ValueSize)
 		opt.Model.DiskCompute.Observe(float64(fs))
 		cn.pendingLocal++
 		req.phase = phaseDiskRead
@@ -260,7 +256,7 @@ func (cn *computeNode) enqueue(bk batchKey, req *request) {
 		return
 	}
 	if len(b.reqs) == 1 && ex.cfg.Strategy.batched() {
-		t := ex.timers.get()
+		t := ex.timers.Get()
 		*t = batchTimer{b, b.gen}
 		ex.k.Post(ex.k.Now()+ex.cfg.BatchTimeout, t)
 	}
@@ -332,7 +328,7 @@ func (cn *computeNode) sendChunk(bk batchKey, reqs []*request) {
 	}
 	cn.outstandingTo[bk.node] += n
 
-	m := ex.msgs.get()
+	m := ex.msgs.Get()
 	m.cn, m.key, m.stats = cn, bk, stats
 	m.reqs = append(m.reqs[:0], reqs...)
 	ex.send(cn.id, bk.node, bytes, m)

@@ -187,7 +187,7 @@ func (r *reply) Fire() {
 		cn.onComputedResponse(j, m.reqs[:m.d], m.metas[:m.d])
 	}
 	if m.replies--; m.replies == 0 {
-		cn.ex.msgs.put(m)
+		cn.ex.msgs.Put(m)
 	}
 }
 

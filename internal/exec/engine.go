@@ -5,6 +5,7 @@ import (
 	"joinopt/internal/core"
 	"joinopt/internal/costmodel"
 	"joinopt/internal/sim"
+	"joinopt/internal/slab"
 	"joinopt/internal/store"
 )
 
@@ -25,30 +26,14 @@ type Executor struct {
 	lastDone  sim.Time
 
 	// Free lists: the run's requests, batch messages and batch timers are
-	// recycled, so the steady state allocates none of them.
-	reqs   freeList[request]
-	msgs   freeList[batchMsg]
-	timers freeList[batchTimer]
+	// recycled, so the steady state allocates none of them, and the
+	// warm-up allocates them a chunk at a time.
+	reqs   slab.List[request]
+	msgs   slab.List[batchMsg]
+	timers slab.List[batchTimer]
 
 	report Report
 }
-
-// freeList is a stack of recycled objects.
-type freeList[T any] []*T
-
-// get pops a recycled object, or allocates one if the list is empty. Its
-// fields hold whatever its last user left in them.
-func (f *freeList[T]) get() *T {
-	n := len(*f)
-	if n == 0 {
-		return new(T)
-	}
-	x := (*f)[n-1]
-	*f = (*f)[:n-1]
-	return x
-}
-
-func (f *freeList[T]) put(x *T) { *f = append(*f, x) }
 
 // request is one tuple's work at one join stage. It is its own event (see
 // Fire): phase says which step its next firing takes. advance reuses it for
@@ -177,7 +162,7 @@ func (ex *Executor) selectivity(stage int) float64 {
 
 // tupleDone finalizes one tuple and frees its request.
 func (ex *Executor) tupleDone(cn *computeNode, req *request) {
-	ex.reqs.put(req)
+	ex.reqs.Put(req)
 	ex.completed++
 	ex.lastDone = ex.k.Now()
 	cn.outstanding--

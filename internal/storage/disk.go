@@ -95,6 +95,10 @@ const (
 	maxKVLen    = 1 << 30 // sanity bound on decoded lengths (defends torn uvarints)
 )
 
+// walHdrPad is the prefix appendRecord reserves for a record's length
+// header; binary.MaxVarintLen64 covers any length.
+var walHdrPad [binary.MaxVarintLen64]byte
+
 // OpenDisk opens (creating if needed) a disk engine rooted at dir and
 // recovers its durable state: snapshot first, then the WAL tail.
 func OpenDisk(dir string, opts DiskOptions) (*Disk, error) {
@@ -310,26 +314,28 @@ func (d *Disk) appendRecord(table, key string, value []byte, version int64) erro
 	if d.closed {
 		return errClosed
 	}
-	body := d.enc[:0]
-	body = binary.AppendUvarint(body, uint64(len(table)))
-	body = append(body, table...)
-	body = binary.AppendUvarint(body, uint64(len(key)))
-	body = append(body, key...)
-	body = appendBlob(body, value)
-	body = binary.AppendUvarint(body, uint64(version))
-	d.enc = body // keep the grown capacity
-
-	var hdr [binary.MaxVarintLen64]byte
+	// The record is framed in place: the body is encoded after a reserved
+	// prefix, its length header written right-aligned into that prefix and
+	// its CRC appended, so one Write sends it and nothing escapes per put.
+	b := append(d.enc[:0], walHdrPad[:]...)
+	b = binary.AppendUvarint(b, uint64(len(table)))
+	b = append(b, table...)
+	b = binary.AppendUvarint(b, uint64(len(key)))
+	b = append(b, key...)
+	b = appendBlob(b, value)
+	b = binary.AppendUvarint(b, uint64(version))
+	body := b[len(walHdrPad):]
+	var hdr [len(walHdrPad)]byte
 	n := binary.PutUvarint(hdr[:], uint64(len(body)))
-	var crc [crcLen]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(body))
+	off := len(walHdrPad) - n
+	copy(b[off:], hdr[:n])
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(body))
+	d.enc = b // keep the grown capacity
 
-	for _, p := range [][]byte{hdr[:n], body, crc[:]} {
-		if _, err := d.bw.Write(p); err != nil {
-			return fmt.Errorf("storage: wal append: %w", err)
-		}
+	if _, err := d.bw.Write(b[off:]); err != nil {
+		return fmt.Errorf("storage: wal append: %w", err)
 	}
-	d.walBytes += int64(n + len(body) + crcLen)
+	d.walBytes += int64(len(b) - off)
 	if d.opts.SnapshotBytes > 0 && d.walBytes >= d.opts.SnapshotBytes {
 		return d.snapshotLocked()
 	}
