@@ -157,4 +157,6 @@ overload:
 livemigrate:
 	$(GO) run ./cmd/joinbench -livemigrate -liveops 20000
 
-ci: lint race testcpu allocs fault benchcheck figcheck
+# The CI workflow's gates, figures included at GOMAXPROCS=1 as CI runs them.
+ci: apicheck lint race testcpu allocs fault benchcheck figcheck
+	GOMAXPROCS=1 $(MAKE) figcheck

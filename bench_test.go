@@ -116,47 +116,8 @@ func BenchmarkOptimizerRoute(b *testing.B) {
 	}
 }
 
-// Ablation: the paper's gradient-descent balancer vs the exact minimizer.
-func BenchmarkAblationGradientDescentLB(b *testing.B) {
-	for _, gd := range []bool{false, true} {
-		name := "exact"
-		if gd {
-			name = "gradient"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rep := simulateLB(gd)
-				b.ReportMetric(rep.Makespan, "makespan-s")
-			}
-		})
-	}
-}
-
-func simulateLB(gd bool) SimReport {
-	syn := workload.NewSynth(workload.ComputeHeavy, 3000, 1.0, 5)
-	var tuples []SimTuple
-	src := syn.Source()
-	for {
-		t, ok := src.Next()
-		if !ok {
-			break
-		}
-		tuples = append(tuples, t)
-	}
-	cfg := SimConfig{
-		ComputeNodes: 4, DataNodes: 4,
-		Strategy: StrategyLO,
-		Tables: []SimTable{{Name: "t", Row: func(string) (int64, int64, float64) {
-			return 10 << 10, 1 << 10, 100e-3
-		}}},
-		Seed:               5,
-		UseGradientDescent: gd,
-	}
-	return Simulate(cfg, tuples)
-}
-
 // Ablation: data-node block cache (off in the faithful configuration; see
-// DESIGN.md). With it on, FD's skew penalty shrinks because hot keys are
+// exec.Config.BlockCacheBytes). With it on, FD's skew penalty shrinks because hot keys are
 // served from server memory.
 func BenchmarkAblationBlockCache(b *testing.B) {
 	for _, bc := range []int64{0, 1 << 30} {

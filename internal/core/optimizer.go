@@ -88,8 +88,6 @@ type Config struct {
 	// Epsilon is the lossy-counting error bound; <=0 selects exact
 	// counting (small key spaces / tests).
 	Epsilon float64
-	// Alpha is the cost-model smoothing parameter (Section 3.2).
-	Alpha float64
 	// Seed drives the FR random choice.
 	Seed int64
 	// FreezeAfter stops adaptation (benefit updates, new purchases,
@@ -201,18 +199,15 @@ func New(cfg Config) *Optimizer {
 	if cfg.MemCacheBytes <= 0 {
 		cfg.MemCacheBytes = DefaultMemCacheBytes
 	}
-	if cfg.Alpha <= 0 {
-		cfg.Alpha = costmodel.DefaultAlpha
-	}
 	return &Optimizer{
 		cfg:           cfg,
 		Cache:         cache.New(cfg.MemCacheBytes, cfg.DiskCacheBytes),
-		Model:         costmodel.NewModel(cfg.Alpha),
+		Model:         costmodel.NewModel(costmodel.DefaultAlpha),
 		recs:          make(map[string]*keyRec),
 		window:        freq.NewWindow(cfg.Epsilon),
 		rng:           rand.New(rand.NewSource(cfg.Seed)),
-		trueDataCost:  costmodel.NewSmoother(cfg.Alpha, 1e-3),
-		trueLocalCost: costmodel.NewSmoother(cfg.Alpha, 1e-3),
+		trueDataCost:  costmodel.NewSmoother(costmodel.DefaultAlpha, 1e-3),
+		trueLocalCost: costmodel.NewSmoother(costmodel.DefaultAlpha, 1e-3),
 		maxKeys:       1 << 20,
 	}
 }

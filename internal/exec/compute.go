@@ -117,7 +117,7 @@ func newComputeNode(ex *Executor, id cluster.NodeID, idx int64) *computeNode {
 			Policy:         ex.cfg.Strategy.policy(),
 			MemCacheBytes:  ex.cfg.MemCacheBytes,
 			DiskCacheBytes: ex.cfg.DiskCacheBytes,
-			Epsilon:        ex.cfg.Epsilon,
+			Epsilon:        lossyEpsilon,
 			Seed:           ex.cfg.Seed*1021 + idx,
 			FreezeAfter:    ex.cfg.FreezeAfter,
 		}))
@@ -183,7 +183,7 @@ func (cn *computeNode) dispatch(req *request) {
 	// (statistics, counters, cache maintenance).
 	if ex.cfg.Strategy.optimized() {
 		req.phase = phaseDecided
-		cn.node.CPU.Schedule(ex.cfg.DecisionCPU, req)
+		cn.node.CPU.Schedule(decisionCPU, req)
 		return
 	}
 	cn.act(req)
@@ -228,7 +228,7 @@ func (cn *computeNode) computeLocally(req *request, procBytes int64) {
 	req.cost = ex.rowMeta(req.stage, req.key).ComputeCost
 	d := sim.Duration(req.cost)
 	if procBytes > 0 {
-		d += sim.Duration(float64(procBytes) / ex.cfg.ValueProcBps)
+		d += sim.Duration(float64(procBytes) / valueProcBps)
 	}
 	cn.pendingLocal++
 	req.enqueued = ex.k.Now()
@@ -258,7 +258,7 @@ func (cn *computeNode) enqueue(bk batchKey, req *request) {
 	if len(b.reqs) == 1 && ex.cfg.Strategy.batched() {
 		t := ex.timers.Get()
 		*t = batchTimer{b, b.gen}
-		ex.k.Post(ex.k.Now()+ex.cfg.BatchTimeout, t)
+		ex.k.Post(ex.k.Now()+batchTimeout, t)
 	}
 }
 
@@ -306,9 +306,9 @@ func (cn *computeNode) kick(j cluster.NodeID) {
 func (cn *computeNode) sendChunk(bk batchKey, reqs []*request) {
 	ex := cn.ex
 	n := len(reqs)
-	var bytes int64 = ex.cfg.MsgHeader
+	bytes := msgHeader
 	for _, r := range reqs {
-		bytes += ex.cfg.PerReqBytes + int64(len(r.key))
+		bytes += perReqBytes + int64(len(r.key))
 		if bk.kind == kindCompute {
 			bytes += r.tuple.ParamSize
 		}
@@ -319,7 +319,7 @@ func (cn *computeNode) sendChunk(bk batchKey, reqs []*request) {
 		cn.unsentCompute -= n
 		cn.track(bk.node).inflight += n
 		if ex.cfg.Strategy.optimized() {
-			bytes += ex.cfg.StatsBytes
+			bytes += statsBytes
 			stats = cn.snapshotStats(bk.node)
 		}
 	} else {
@@ -338,7 +338,7 @@ func (cn *computeNode) sendChunk(bk batchKey, reqs []*request) {
 // charging the per-message NIC occupancy on both endpoints in addition to
 // the byte time.
 func (ex *Executor) send(from, to cluster.NodeID, bytes int64, deliver sim.Handler) {
-	overhead := int64(float64(ex.cfg.MsgNICSec) * ex.c.Bandwidth(from, to))
+	overhead := int64(float64(msgNICSec) * ex.c.Bandwidth(from, to))
 	ex.c.Send(from, to, bytes+overhead, deliver)
 }
 

@@ -213,7 +213,7 @@ func (s *serveSlot) Fire() {
 		return
 	}
 	meta := &m.metas[s.i]
-	cost := ex.cfg.RequestCPU + sim.Duration(float64(meta.ValueSize)/ex.cfg.ValueProcBps)
+	cost := requestCPU + sim.Duration(float64(meta.ValueSize)/valueProcBps)
 	if s.i < m.d {
 		cost += sim.Duration(meta.ComputeCost)
 	}
@@ -256,12 +256,11 @@ func (dn *dataNode) handleDataBatch(m *batchMsg) {
 // serve starts every request of a batch down the store read path, the d
 // computed ones first.
 func (dn *dataNode) serve(m *batchMsg, ft *fromTrack, d int) {
-	ex := dn.ex
 	n := len(m.reqs)
 	m.dn, m.ft, m.d = dn, ft, d
 	m.metas = slices.Grow(m.metas[:0], n)[:n]
 	m.slots = slices.Grow(m.slots[:0], n)[:n]
-	m.bytes = [2]int64{ex.cfg.MsgHeader, ex.cfg.MsgHeader}
+	m.bytes = [2]int64{msgHeader, msgHeader}
 	m.left = [2]int{d, n - d}
 	m.computed, m.raw = reply{m: m}, reply{m: m, raw: true}
 	m.replies = min(d, 1) + min(n-d, 1) // one per nonempty part
@@ -269,10 +268,10 @@ func (dn *dataNode) serve(m *batchMsg, ft *fromTrack, d int) {
 		meta := dn.metaFor(m.key.stage, req.key)
 		dn.observe(meta, req.tuple.ParamSize)
 		if i < d {
-			m.bytes[0] += ex.cfg.PerReqBytes + meta.ComputedSize
+			m.bytes[0] += perReqBytes + meta.ComputedSize
 		} else {
 			meta.EffectiveCost = dn.effectiveCostFor(meta)
-			m.bytes[1] += ex.cfg.PerReqBytes + meta.ValueSize
+			m.bytes[1] += perReqBytes + meta.ValueSize
 		}
 		m.metas[i] = meta
 		m.slots[i] = serveSlot{m: m, i: i}
@@ -365,10 +364,6 @@ func (dn *dataNode) balance(from cluster.NodeID, cs loadbalance.ComputeStats, b 
 		cs.PendingLocal += ft.plannedBounce
 	}
 	p := loadbalance.Build(cs, ds, loadbalance.Sizes{SK: sk, SP: sp, SV: sv, SCV: scv}, b)
-	if dn.ex.cfg.UseGradientDescent {
-		d, _ := p.SolveGradientDescent(float64(b)/2, 64)
-		return d
-	}
 	d, _ := p.SolveExact()
 	return d
 }
@@ -379,7 +374,7 @@ func (dn *dataNode) applyUpdate(stage int, key string, broadcast bool) {
 	ex := dn.ex
 	table := ex.tables[stage]
 	version := table.Update(key)
-	notifyBytes := ex.cfg.MsgHeader + int64(len(key))
+	notifyBytes := msgHeader + int64(len(key))
 	notify := func(cn *computeNode) {
 		ex.send(dn.id, cn.id, notifyBytes, sim.Func(func() {
 			cn.opts[stage].Invalidate(key, version)

@@ -121,27 +121,21 @@ type Config struct {
 	// proceeds to stage i+1 (deterministic, hash-derived). Empty = all 1.
 	StageSelectivity []float64
 
-	BatchSize    int          // requests per batch (Section 7.2); default 64
-	BatchTimeout sim.Duration // max wait before flushing a partial batch; default 5ms
-	Window       int          // max outstanding tuples per compute node; default 256
+	BatchSize int // requests per batch (Section 7.2); default 64
+	Window    int // max outstanding tuples per compute node; default 256
 	// MaxPerDataNode bounds requests in flight from one compute node to
 	// one data node (the store's RPC handler-queue backpressure); default
 	// 32. Without it a skewed data node absorbs its entire backlog before
 	// any cost feedback returns.
 	MaxPerDataNode int
 
-	MemCacheBytes  int64   // mCache capacity per compute node; default 100 MB
-	DiskCacheBytes int64   // dCache capacity; 0 = unbounded
-	Epsilon        float64 // lossy counting error; default 1e-4
+	MemCacheBytes  int64 // mCache capacity per compute node; default 100 MB
+	DiskCacheBytes int64 // dCache capacity; 0 = unbounded
 	Seed           int64
 
 	// FreezeAfter stops ski-rental adaptation after this many routed
 	// tuples per compute node (Figure 9 non-adaptive mode). 0 = adaptive.
 	FreezeAfter int
-
-	// UseGradientDescent selects the paper's gradient-descent LB solver
-	// instead of the exact piecewise minimizer.
-	UseGradientDescent bool
 
 	// BlockCacheBytes enables an LRU block cache at each data node
 	// (ablation; 0 = off). The faithful configuration keeps it off: the
@@ -150,24 +144,28 @@ type Config struct {
 	// depend on hot keys hitting the read path.
 	BlockCacheBytes int64
 
-	// Service-model parameters. Zero values select defaults.
-	PerTupleCPU  sim.Duration // input parse/map cost per tuple at compute node
-	DecisionCPU  sim.Duration // optimizer bookkeeping per routed tuple (CO/LO/FO)
-	RequestCPU   sim.Duration // per-request handling CPU at the data node
-	ValueProcBps float64      // value materialization bandwidth (bytes/sec of CPU)
-	MsgHeader    int64        // fixed wire bytes per message
-	PerReqBytes  int64        // framing bytes per request within a batch
-	StatsBytes   int64        // piggybacked statistics per batch (Section 5)
-	MsgNICSec    sim.Duration // per-message NIC occupancy (RPC framing/syscalls)
+	// PerTupleCPU is the input parse/map cost per tuple at a compute
+	// node; default 10µs.
+	PerTupleCPU sim.Duration
 }
+
+// The service model's fixed parameters.
+const (
+	batchTimeout sim.Duration = 0.005  // max wait before flushing a partial batch
+	lossyEpsilon              = 1e-4   // the optimizers' lossy-counting error bound
+	decisionCPU  sim.Duration = 2e-6   // optimizer bookkeeping per routed tuple (CO/LO/FO)
+	requestCPU   sim.Duration = 30e-6  // per-request handling CPU at the data node
+	valueProcBps              = 500e6  // value materialization bandwidth (bytes/sec of CPU)
+	msgHeader    int64        = 256    // fixed wire bytes per message
+	perReqBytes  int64        = 32     // framing bytes per request within a batch
+	statsBytes   int64        = 200    // piggybacked statistics per batch (Section 5)
+	msgNICSec    sim.Duration = 0.3e-3 // per-message NIC occupancy (RPC framing/syscalls)
+)
 
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
 	if c.BatchSize == 0 {
 		c.BatchSize = 64
-	}
-	if c.BatchTimeout == 0 {
-		c.BatchTimeout = 0.005
 	}
 	if c.Window == 0 {
 		c.Window = 256
@@ -178,32 +176,8 @@ func (c Config) withDefaults() Config {
 	if c.MemCacheBytes == 0 {
 		c.MemCacheBytes = 100 << 20
 	}
-	if c.Epsilon == 0 {
-		c.Epsilon = 1e-4
-	}
 	if c.PerTupleCPU == 0 {
 		c.PerTupleCPU = 10e-6
-	}
-	if c.DecisionCPU == 0 {
-		c.DecisionCPU = 2e-6
-	}
-	if c.RequestCPU == 0 {
-		c.RequestCPU = 30e-6
-	}
-	if c.ValueProcBps == 0 {
-		c.ValueProcBps = 500e6
-	}
-	if c.MsgHeader == 0 {
-		c.MsgHeader = 256
-	}
-	if c.PerReqBytes == 0 {
-		c.PerReqBytes = 32
-	}
-	if c.StatsBytes == 0 {
-		c.StatsBytes = 200
-	}
-	if c.MsgNICSec == 0 {
-		c.MsgNICSec = 0.3e-3
 	}
 	if c.Strategy == NO {
 		// Default blocking API: one request per call, one call per map

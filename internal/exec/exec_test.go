@@ -133,19 +133,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestGradientDescentCloseToExact(t *testing.T) {
-	cfgE, srcE := rig(t, workload.ComputeHeavy, 1500, 1.0, FO)
-	exact := New(cfgE, srcE).Run()
-	cfgG, srcG := rig(t, workload.ComputeHeavy, 1500, 1.0, FO)
-	cfgG.UseGradientDescent = true
-	gd := New(cfgG, srcG).Run()
-	ratio := gd.Makespan / exact.Makespan
-	if ratio > 1.25 || ratio < 0.75 {
-		t.Fatalf("GD makespan %.2fs vs exact %.2fs (ratio %.2f)",
-			gd.Makespan, exact.Makespan, ratio)
-	}
-}
-
 func TestMultiStagePipeline(t *testing.T) {
 	cfg := cluster.DefaultConfig()
 	cfg.Nodes = 8

@@ -41,8 +41,8 @@ func pinOf(r Report) pathsPin {
 }
 
 // pathsCases are the executor paths the sim_paper benchmark never reaches
-// (it is single-stage, with no selectivity, disk-cache tier, block cache,
-// gradient descent or updates), one configuration each.
+// (it is single-stage, with no selectivity, disk-cache tier, block cache
+// or updates), one configuration each.
 var pathsCases = []struct {
 	name string
 	run  func(t *testing.T) Report
@@ -97,15 +97,6 @@ var pathsCases = []struct {
 			return New(cfg, src).Run()
 		},
 		pin: pathsPin{Makespan: 0x3fb14289995efb00, ComputeReqs: 3000, DataReqs: 0, NoCacheReqs: 0, MemHits: 0, DiskHits: 0, ComputedAtDN: 3000, ReturnedRaw: 0, Messages: 228, BytesOnWire: 11949168, Invalidations: 0},
-	},
-	{
-		name: "LO gradient descent",
-		run: func(t *testing.T) Report {
-			cfg, src := rig(t, workload.ComputeHeavy, 1500, 1.0, LO)
-			cfg.UseGradientDescent = true
-			return New(cfg, src).Run()
-		},
-		pin: pathsPin{Makespan: 0x400e9449340c0a01, ComputeReqs: 1500, DataReqs: 0, NoCacheReqs: 0, MemHits: 0, DiskHits: 0, ComputedAtDN: 537, ReturnedRaw: 963, Messages: 111, BytesOnWire: 14751324, Invalidations: 0},
 	},
 	{
 		// Periodic applyUpdate on the hottest key: invalidation sends.

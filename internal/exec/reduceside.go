@@ -42,43 +42,21 @@ type ReduceSideConfig struct {
 	Nodes    int
 	Ann      workload.Annotate
 	Variant  ReduceSideVariant
+}
 
-	// MapCostPerSpot is the CPU time to extract one spot and its context.
-	MapCostPerSpot float64
-	// ShuffleRecordBytes is the size of one shuffled (token, context)
-	// record.
-	ShuffleRecordBytes int64
-	// ReplicationFactor is the work multiple of a fair reducer share
-	// above which CSAW replicates a model.
-	ReplicationFactor float64
-	// FreqFraction is FlowJoinLB's heavy-hitter threshold as a fraction
+const (
+	// mapCostPerSpot is the CPU time to extract one spot and its context.
+	mapCostPerSpot = 30e-6
+	// replicationFactor is the work multiple of a fair reducer share
+	// above which CSAW replicates a model. It replicates only models that
+	// would singlehandedly overwhelm a reducer: the paper's critique of
+	// threshold-based schemes is precisely that mid-weight keys below any
+	// fixed threshold still skew the reducers.
+	replicationFactor = 1.0
+	// freqFraction is FlowJoinLB's heavy-hitter threshold as a fraction
 	// of the input size.
-	FreqFraction float64
-}
-
-// withDefaults fills zero fields.
-func (c ReduceSideConfig) withDefaults() ReduceSideConfig {
-	if c.Nodes == 0 {
-		c.Nodes = c.Hardware.Nodes
-	}
-	if c.MapCostPerSpot == 0 {
-		c.MapCostPerSpot = 30e-6
-	}
-	if c.ShuffleRecordBytes == 0 {
-		c.ShuffleRecordBytes = c.Ann.ContextBytes + 16
-	}
-	if c.ReplicationFactor == 0 {
-		// Replicate only models that would singlehandedly overwhelm a
-		// reducer. The paper's critique of threshold-based schemes is
-		// precisely that mid-weight keys below any fixed threshold
-		// still skew the reducers.
-		c.ReplicationFactor = 1.0
-	}
-	if c.FreqFraction == 0 {
-		c.FreqFraction = 0.002
-	}
-	return c
-}
+	freqFraction = 0.002
+)
 
 // ReduceSideReport breaks down a reduce-side run.
 type ReduceSideReport struct {
@@ -98,8 +76,10 @@ type ReduceSideReport struct {
 // CSAW/FlowJoinLB, matching Section 9.1.1 ("we precompute statistics ... and
 // do not include the time taken").
 func RunReduceSide(cfg ReduceSideConfig) ReduceSideReport {
-	cfg = cfg.withDefaults()
 	n := cfg.Nodes
+	if n == 0 {
+		n = cfg.Hardware.Nodes
+	}
 	hw := cfg.Hardware
 	ann := cfg.Ann
 	freqs := ann.SpotFreqs()
@@ -120,13 +100,13 @@ func RunReduceSide(cfg ReduceSideConfig) ReduceSideReport {
 			case CSAWPartitioner:
 				// Cost-aware: replicate when this one model's work
 				// is a material fraction of a fair reducer share.
-				if f*ann.ClassifyCost(r) > cfg.ReplicationFactor*fairShare {
+				if f*ann.ClassifyCost(r) > replicationFactor*fairShare {
 					replicated[r] = true
 					nReplicated++
 				}
 			case FlowJoinLB:
 				// Frequency-only heavy hitters.
-				if f > cfg.FreqFraction*totalSpots {
+				if f > freqFraction*totalSpots {
 					replicated[r] = true
 					nReplicated++
 				}
@@ -135,12 +115,12 @@ func RunReduceSide(cfg ReduceSideConfig) ReduceSideReport {
 	}
 
 	// Map phase: spots evenly spread over all nodes.
-	mapTime := totalSpots / float64(n) * cfg.MapCostPerSpot / float64(hw.Cores)
+	mapTime := totalSpots / float64(n) * mapCostPerSpot / float64(hw.Cores)
 
 	// Shuffle phase: every spot record crosses the network (1/n stays
 	// local). Outbound is uniform; inbound concentrates on the reducers
 	// owning hot tokens, unless those tokens are replicated.
-	recB := float64(cfg.ShuffleRecordBytes)
+	recB := float64(ann.ContextBytes + 16) // one shuffled (token, context) record
 	outPerNode := totalSpots / float64(n) * recB * (1 - 1/float64(n))
 	inbound := make([]float64, n)
 	reduceCPU := make([]float64, n)

@@ -722,7 +722,7 @@ func TestShipReleasesInFlightOnEveryExit(t *testing.T) {
 
 // --- Over real sockets: what a blocked caller is owed ---------------------------
 
-// TestLoneWaiterShipsItsBatch is ROADMAP item 1(c)'s contract: BatchWait is a
+// TestLoneWaiterShipsItsBatch pins the waiter-driven flush: BatchWait is a
 // ceiling, not the price of a partial batch. With the batch limit at 64 and
 // the max wait an hour out, a lone synchronous call can only return through
 // the waiter-driven flush — whichever way it waits, compute or fetch — while

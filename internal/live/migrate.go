@@ -569,7 +569,7 @@ type Migrator struct {
 // rows, so sharing the baseline is safe). A region with more than one member
 // is refused before anything starts: its backups take the sequencer's
 // OpPutRepl fan-out, not the dual-write stream, and would not follow the
-// cutover (ROADMAP item 3, the one copy stream, is what moves it). On an
+// cutover (ROADMAP item 13, the one copy stream, is what moves it). On an
 // error before cutover the source is rolled back and keeps the region; the
 // cutover itself (SetOwner) is atomic, so the region is owned by exactly one
 // node at every epoch.

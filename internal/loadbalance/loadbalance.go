@@ -8,8 +8,8 @@
 //
 // All four loads are linear in d, so the objective is convex piecewise
 // linear. The paper minimizes it with gradient descent; this package
-// provides both that (SolveGradientDescent) and an exact minimizer
-// (SolveExact) used as the default and as the test oracle.
+// minimizes it exactly (SolveExact), checking the few points where the
+// optimum can lie.
 package loadbalance
 
 import "math"
@@ -71,24 +71,6 @@ func (p Problem) At(d float64) float64 {
 		}
 	}
 	return v
-}
-
-// activeSlope returns the slope of (one of) the active functions at d,
-// preferring the steepest, which is the correct subgradient direction for
-// descent on a max of linear functions.
-func (p Problem) activeSlope(d float64) float64 {
-	v := p.At(d)
-	slope := 0.0
-	first := true
-	for _, l := range p.Loads {
-		if math.Abs(l.At(d)-v) < 1e-12*math.Max(1, math.Abs(v)) {
-			if first || math.Abs(l.Slope) > math.Abs(slope) {
-				slope = l.Slope
-				first = false
-			}
-		}
-	}
-	return slope
 }
 
 // Build constructs the Problem for a batch of b requests using the paper's
@@ -182,53 +164,4 @@ func (p Problem) SolveExact() (d int, value float64) {
 		}
 	}
 	return int(bestD + 0.5), best
-}
-
-// SolveGradientDescent minimizes the objective with projected (sub)gradient
-// descent as described in Appendix C: start from an arbitrary point, follow
-// the decreasing slope of the active load with a diminishing step. start
-// should be in [0, B]; iterations around 64 suffice for the batch sizes the
-// system uses.
-func (p Problem) SolveGradientDescent(start float64, iterations int) (d int, value float64) {
-	bf := float64(p.B)
-	x := math.Min(math.Max(start, 0), bf)
-	step := bf / 2
-	if step < 1 {
-		step = 1
-	}
-	bestX, bestV := x, p.At(x)
-	for it := 0; it < iterations; it++ {
-		slope := p.activeSlope(x)
-		if slope == 0 {
-			break
-		}
-		next := x - step*sign(slope)
-		next = math.Min(math.Max(next, 0), bf)
-		if v := p.At(next); v < bestV {
-			bestV = v
-			bestX = next
-		} else {
-			step /= 2
-			if step < 0.25 {
-				break
-			}
-		}
-		x = next
-	}
-	// Snap to the better integer neighbor.
-	lo, hi := math.Floor(bestX), math.Ceil(bestX)
-	if p.At(lo) <= p.At(hi) {
-		return int(lo), p.At(lo)
-	}
-	return int(hi), p.At(hi)
-}
-
-func sign(x float64) float64 {
-	if x < 0 {
-		return -1
-	}
-	if x > 0 {
-		return 1
-	}
-	return 0
 }

@@ -106,26 +106,6 @@ func TestExactOptimalProperty(t *testing.T) {
 	}
 }
 
-// Property: gradient descent lands within a small factor of the exact
-// optimum (it is the paper's heuristic; we assert it is a good one on
-// convex piecewise-linear objectives).
-func TestGradientDescentNearOptimalProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		p := randomProblem(rng)
-		_, exact := p.SolveExact()
-		start := rng.Float64() * float64(p.B)
-		_, gd := p.SolveGradientDescent(start, 128)
-		if exact == 0 {
-			return gd < 1e-9
-		}
-		return gd <= exact*1.05+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func randomProblem(rng *rand.Rand) Problem {
 	cs := ComputeStats{
 		PendingLocal:        rng.Intn(1000),
@@ -177,17 +157,6 @@ func TestLinearAt(t *testing.T) {
 	l := Linear{Slope: 2, Intercept: 3}
 	if l.At(4) != 11 {
 		t.Fatalf("Linear.At = %v, want 11", l.At(4))
-	}
-}
-
-func TestGradientDescentRespectsBounds(t *testing.T) {
-	cs, ds, sz := balancedInputs()
-	p := Build(cs, ds, sz, 10)
-	for _, start := range []float64{-5, 0, 5, 10, 99} {
-		d, _ := p.SolveGradientDescent(start, 64)
-		if d < 0 || d > 10 {
-			t.Fatalf("gd from %v returned out-of-range d=%d", start, d)
-		}
 	}
 }
 

@@ -40,7 +40,7 @@ import (
 // Recovery at OpenDisk is snapshot-then-tail: load dir/snapshot if
 // present, then replay wal.log on top, tolerating a torn final record.
 // Versions travel with the rows, so a recovered store resumes its version
-// sequence — the invariant client caches and (future) replicas depend on.
+// sequence — the invariant client caches and replicas depend on.
 type Disk struct {
 	dir  string
 	opts DiskOptions
@@ -135,7 +135,7 @@ func (d *Disk) table(name string) *diskTable {
 	defer d.tmu.Unlock()
 	t := d.tables[name]
 	if t == nil {
-		t = &diskTable{eng: d, name: name, rows: make(map[string]Row)}
+		t = &diskTable{rowTable: rowTable{rows: make(map[string]Row)}, eng: d, name: name}
 		d.tables[name] = t
 	}
 	return t
@@ -203,20 +203,12 @@ var errClosed = errors.New("storage: engine closed")
 
 // --- Per-table handle -------------------------------------------------------
 
+// diskTable is the row table plus the WAL: only Put and PutAt differ, each
+// appending its record after the row is applied.
 type diskTable struct {
+	rowTable
 	eng  *Disk
 	name string
-
-	mu    sync.RWMutex
-	rows  map[string]Row
-	floor int64
-}
-
-func (t *diskTable) Get(key string) ([]byte, int64, bool) {
-	t.mu.RLock()
-	r, ok := t.rows[key]
-	t.mu.RUnlock()
-	return r.Value, r.Version, ok
 }
 
 // Put applies the write to the in-memory table first, then appends its WAL
@@ -226,13 +218,7 @@ func (t *diskTable) Get(key string) ([]byte, int64, bool) {
 // already included is skipped by its version.
 func (t *diskTable) Put(key string, value []byte) (int64, error) {
 	v := append([]byte(nil), value...)
-	t.mu.Lock()
-	ver := t.rows[key].Version + 1
-	if ver <= t.floor {
-		ver = t.floor + 1
-	}
-	t.rows[key] = Row{Value: v, Version: ver}
-	t.mu.Unlock()
+	ver := t.put(key, v)
 	if err := t.eng.appendRecord(t.name, key, v, ver); err != nil {
 		return 0, err
 	}
@@ -244,63 +230,13 @@ func (t *diskTable) Put(key string, value []byte) (int64, error) {
 // same memtable-first order as Put keeps concurrent snapshots consistent.
 func (t *diskTable) PutAt(key string, value []byte, version int64) (bool, error) {
 	v := append([]byte(nil), value...)
-	if !t.setIfNewer(key, Row{Value: v, Version: version}) {
+	if !t.setIfNewer(key, v, version) {
 		return false, nil
 	}
 	if err := t.eng.appendRecord(t.name, key, v, version); err != nil {
 		return true, err // visible in memory, never logged: maybe-committed
 	}
 	return true, nil
-}
-
-func (t *diskTable) Seed(key string, value []byte) {
-	t.mu.Lock()
-	if _, ok := t.rows[key]; !ok {
-		t.rows[key] = Row{Value: value}
-	}
-	t.mu.Unlock()
-}
-
-func (t *diskTable) Scan(fn func(key string, value []byte, version int64) bool) error {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for k, r := range t.rows {
-		if !fn(k, r.Value, r.Version) {
-			return nil
-		}
-	}
-	return nil
-}
-
-// SetFloor raises the version floor for Put-assigned versions. The floor is
-// not WAL-logged: rows written above it carry their versions into the log,
-// and a crash mid-migration restarts the migration rather than resuming it.
-func (t *diskTable) SetFloor(version int64) {
-	t.mu.Lock()
-	if version > t.floor {
-		t.floor = version
-	}
-	t.mu.Unlock()
-}
-
-func (t *diskTable) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.rows)
-}
-
-// setIfNewer applies a recovered row only if it is newer than what is
-// already there — the idempotence that lets a WAL replay over a snapshot
-// that already absorbed some of its records, and that orders same-key
-// records whose appends raced.
-func (t *diskTable) setIfNewer(key string, r Row) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if cur, ok := t.rows[key]; ok && cur.Version >= r.Version {
-		return false
-	}
-	t.rows[key] = r
-	return true
 }
 
 // --- WAL --------------------------------------------------------------------
@@ -383,7 +319,7 @@ func (d *Disk) replayWAL() error {
 			break
 		}
 		tbl := d.table(rec.table)
-		if tbl.setIfNewer(rec.key, Row{Value: rec.value, Version: rec.version}) {
+		if tbl.setIfNewer(rec.key, rec.value, rec.version) {
 			d.stats.ReplayedRecords++
 		}
 		off += n

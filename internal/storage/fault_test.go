@@ -41,26 +41,14 @@ func TestFaultEngineToggles(t *testing.T) {
 	}
 }
 
-// TestPutAtSetIfNewer pins the replication-stream semantics on both
-// engines: strictly-newer versions apply, equal or older ones do not, and
-// a put resumes the version sequence past a PutAt.
+// TestPutAtSetIfNewer pins the replication-stream semantics on every
+// engine: strictly-newer versions apply, equal or older ones do not (an
+// absent row reading as version 0), a refused PutAt logs nothing, and a put
+// resumes the version sequence past a PutAt.
 func TestPutAtSetIfNewer(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		eng  func(t *testing.T) Engine
-	}{
-		{"mem", func(t *testing.T) Engine { return NewMem() }},
-		{"disk", func(t *testing.T) Engine {
-			d, err := OpenDisk(t.TempDir(), DiskOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { d.Close() })
-			return d
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			tb, err := tc.eng(t).Table("t")
+	for name, eng := range engines(t) {
+		t.Run(name, func(t *testing.T) {
+			tb, err := eng.Table("t")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,6 +67,28 @@ func TestPutAtSetIfNewer(t *testing.T) {
 			ver, err := tb.Put("k", []byte("v6"))
 			if err != nil || ver != 6 {
 				t.Fatalf("Put after PutAt: v%d err=%v, want v6", ver, err)
+			}
+
+			// A PutAt over a seed row applies from v1.
+			tb.Seed("s", []byte("seed"))
+			if ok, err := tb.PutAt("s", []byte("s1"), 1); err != nil || !ok {
+				t.Fatalf("PutAt v1 over seed: applied=%v err=%v", ok, err)
+			}
+			if v, ver, _ := tb.Get("s"); string(v) != "s1" || ver != 1 {
+				t.Fatalf("got %q v%d, want s1@1", v, ver)
+			}
+
+			// A PutAt at version 0 is never newer, even on an absent key,
+			// and a refused PutAt appends nothing to the WAL.
+			before := walBytes(eng)
+			if ok, err := tb.PutAt("absent", []byte("v0"), 0); err != nil || ok {
+				t.Fatalf("PutAt v0 on absent key: applied=%v err=%v", ok, err)
+			}
+			if _, _, ok := tb.Get("absent"); ok {
+				t.Fatal("refused PutAt left a row")
+			}
+			if after := walBytes(eng); after != before {
+				t.Fatalf("refused PutAt grew the WAL %d -> %d bytes", before, after)
 			}
 		})
 	}

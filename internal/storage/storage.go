@@ -1,5 +1,5 @@
 // Package storage provides the pluggable row-storage engines behind the
-// live plane's data nodes (ROADMAP item 1: durable data plane).
+// live plane's data nodes (ROADMAP.md, "Durability (PR 6)").
 //
 // The paper's system runs on HBase, where a region's rows survive the
 // region server's death; our live servers originally kept every row in a
@@ -18,7 +18,7 @@
 // than the version it replaced — and travel with the rows through
 // snapshots and the WAL, so a recovered store resumes the version sequence
 // instead of restarting it (client caches compare versions, and the
-// planned replication layer will reconcile replicas by them).
+// replication layer reconciles replicas by them).
 //
 // Seed rows are the operator-provided baseline a server loads at startup
 // (live.TableSpec.Rows). They sit at version 0, are never persisted, and
@@ -148,12 +148,12 @@ func ParseEngine(s string) (string, error) {
 // pluggable choice instead of a tax on the in-memory hot path.
 type Mem struct {
 	mu     sync.Mutex
-	tables map[string]*memTable
+	tables map[string]*rowTable
 }
 
 // NewMem returns an empty in-memory engine.
 func NewMem() *Mem {
-	return &Mem{tables: make(map[string]*memTable)}
+	return &Mem{tables: make(map[string]*rowTable)}
 }
 
 // Table opens (creating if absent) an in-memory table.
@@ -162,7 +162,7 @@ func (m *Mem) Table(name string) (Table, error) {
 	defer m.mu.Unlock()
 	t := m.tables[name]
 	if t == nil {
-		t = &memTable{rows: make(map[string]Row)}
+		t = &rowTable{rows: make(map[string]Row)}
 		m.tables[name] = t
 	}
 	return t, nil
@@ -174,43 +174,64 @@ func (m *Mem) Flush() error { return nil }
 // Close is a no-op.
 func (m *Mem) Close() error { return nil }
 
-type memTable struct {
+// --- Row table --------------------------------------------------------------
+
+// rowTable is the versioned row table under both engines: Mem serves it as
+// its Table, and the disk engine's table embeds it and adds the WAL append.
+// Its two version rules, put and setIfNewer, are the only places a row's
+// version is decided.
+type rowTable struct {
 	mu    sync.RWMutex
 	rows  map[string]Row
 	floor int64
 }
 
-func (t *memTable) Get(key string) ([]byte, int64, bool) {
+func (t *rowTable) Get(key string) ([]byte, int64, bool) {
 	t.mu.RLock()
 	r, ok := t.rows[key]
 	t.mu.RUnlock()
 	return r.Value, r.Version, ok
 }
 
-func (t *memTable) Put(key string, value []byte) (int64, error) {
-	v := append([]byte(nil), value...)
+func (t *rowTable) Put(key string, value []byte) (int64, error) {
+	return t.put(key, append([]byte(nil), value...)), nil
+}
+
+func (t *rowTable) PutAt(key string, value []byte, version int64) (bool, error) {
+	return t.setIfNewer(key, append([]byte(nil), value...), version), nil
+}
+
+// put stores value (which the table now owns) at the replaced version + 1,
+// kept above the floor, and returns that version.
+func (t *rowTable) put(key string, value []byte) int64 {
 	t.mu.Lock()
 	ver := t.rows[key].Version + 1
 	if ver <= t.floor {
 		ver = t.floor + 1
 	}
-	t.rows[key] = Row{Value: v, Version: ver}
+	t.rows[key] = Row{Value: value, Version: ver}
 	t.mu.Unlock()
-	return ver, nil
+	return ver
 }
 
-func (t *memTable) PutAt(key string, value []byte, version int64) (bool, error) {
+// setIfNewer stores value (which the table now owns) at version only if
+// version is strictly newer than the stored row's, an absent row reading as
+// version 0, and reports whether it did. PutAt and WAL replay both apply
+// through it: the rule makes replication streams and catch-up replays
+// idempotent and order-tolerant, lets a WAL replay over a snapshot that
+// already absorbed some of its records, and orders same-key records whose
+// appends raced.
+func (t *rowTable) setIfNewer(key string, value []byte, version int64) bool {
 	t.mu.Lock()
-	if cur := t.rows[key]; cur.Version >= version {
-		t.mu.Unlock()
-		return false, nil
+	defer t.mu.Unlock()
+	if t.rows[key].Version >= version {
+		return false
 	}
-	t.rows[key] = Row{Value: append([]byte(nil), value...), Version: version}
-	t.mu.Unlock()
-	return true, nil
+	t.rows[key] = Row{Value: value, Version: version}
+	return true
 }
 
-func (t *memTable) Seed(key string, value []byte) {
+func (t *rowTable) Seed(key string, value []byte) {
 	t.mu.Lock()
 	if _, ok := t.rows[key]; !ok {
 		t.rows[key] = Row{Value: value}
@@ -218,7 +239,7 @@ func (t *memTable) Seed(key string, value []byte) {
 	t.mu.Unlock()
 }
 
-func (t *memTable) Scan(fn func(key string, value []byte, version int64) bool) error {
+func (t *rowTable) Scan(fn func(key string, value []byte, version int64) bool) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	for k, r := range t.rows {
@@ -229,7 +250,7 @@ func (t *memTable) Scan(fn func(key string, value []byte, version int64) bool) e
 	return nil
 }
 
-func (t *memTable) SetFloor(version int64) {
+func (t *rowTable) SetFloor(version int64) {
 	t.mu.Lock()
 	if version > t.floor {
 		t.floor = version
@@ -237,7 +258,7 @@ func (t *memTable) SetFloor(version int64) {
 	t.mu.Unlock()
 }
 
-func (t *memTable) Len() int {
+func (t *rowTable) Len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return len(t.rows)

@@ -9,16 +9,32 @@ import (
 	"testing"
 )
 
-// engines returns one fresh instance of every Engine implementation, so
-// the semantic tests run identically against both.
+// engines returns one fresh instance of every Engine implementation, plus
+// a disk engine behind an idle WrapFault, so the semantic tests run
+// identically against all three.
 func engines(t *testing.T) map[string]Engine {
 	t.Helper()
-	disk, err := OpenDisk(t.TempDir(), DiskOptions{})
-	if err != nil {
-		t.Fatalf("OpenDisk: %v", err)
+	openDisk := func() *Disk {
+		d, err := OpenDisk(t.TempDir(), DiskOptions{})
+		if err != nil {
+			t.Fatalf("OpenDisk: %v", err)
+		}
+		t.Cleanup(func() { d.Close() })
+		return d
 	}
-	t.Cleanup(func() { disk.Close() })
-	return map[string]Engine{"mem": NewMem(), "disk": disk}
+	return map[string]Engine{"mem": NewMem(), "disk": openDisk(), "fault": WrapFault(openDisk())}
+}
+
+// walBytes reports the WAL size of eng (unwrapping a Fault), 0 for an
+// engine without one.
+func walBytes(eng Engine) int64 {
+	if f, ok := eng.(*Fault); ok {
+		eng = f.inner
+	}
+	if d, ok := eng.(*Disk); ok {
+		return d.Stats().WALBytes
+	}
+	return 0
 }
 
 func TestEngineSemantics(t *testing.T) {
@@ -79,6 +95,12 @@ func TestEngineSemantics(t *testing.T) {
 			tb2, _ := eng.Table("t")
 			if v, _, ok := tb2.Get("k"); !ok || string(v) != "v2" {
 				t.Fatalf("second handle Get = %q ok=%v", v, ok)
+			}
+
+			// A raised floor puts the next version above it.
+			tb.SetFloor(10)
+			if ver, _ = tb.Put("k", []byte("v11")); ver != 11 {
+				t.Fatalf("Put after SetFloor(10) version = %d, want 11", ver)
 			}
 
 			if err := eng.Flush(); err != nil {

@@ -259,7 +259,7 @@
 // load against a deliberately stale client, and the old owner is removed —
 // no lost acked put, no wrong answer, no caller-visible redirect.
 // The one map holds replica sets too, so a membership cluster can serve a
-// replicated table; migrating one is still refused (ROADMAP.md open item 3).
+// replicated table; migrating one is still refused (ROADMAP.md open item 13).
 //
 // # Static analysis
 //

@@ -38,9 +38,6 @@ type SimConfig struct {
 	// StageSelectivity[i] is the survival probability after stage i.
 	StageSelectivity []float64
 	Seed             int64
-	// UseGradientDescent selects the paper's gradient-descent balancer
-	// instead of the exact piecewise minimizer.
-	UseGradientDescent bool
 }
 
 // SimTable is one stored relation in a simulation.
@@ -77,13 +74,12 @@ func Simulate(cfg SimConfig, tuples []SimTuple) SimReport {
 		names = append(names, t.Name)
 	}
 	e := exec.New(exec.Config{
-		Cluster:            c,
-		Store:              st,
-		Tables:             names,
-		Strategy:           cfg.Strategy,
-		StageSelectivity:   cfg.StageSelectivity,
-		Seed:               cfg.Seed,
-		UseGradientDescent: cfg.UseGradientDescent,
+		Cluster:          c,
+		Store:            st,
+		Tables:           names,
+		Strategy:         cfg.Strategy,
+		StageSelectivity: cfg.StageSelectivity,
+		Seed:             cfg.Seed,
 	}, &workload.SliceSource{Tuples: tuples})
 	return e.Run()
 }
@@ -102,7 +98,7 @@ func ReproduceFigure(w io.Writer, figure string, o ExperimentOptions) {
 }
 
 // simulateBlockCache runs FD on the data-heavy workload with an optional
-// data-node block cache (the ablation of DESIGN.md).
+// data-node block cache (the ablation exec.Config.BlockCacheBytes documents).
 func simulateBlockCache(tuples []SimTuple, blockCacheBytes int64) SimReport {
 	hw := cluster.DefaultConfig()
 	c := cluster.New(hw)
