@@ -65,7 +65,7 @@ allocs:
 	$(GO) test -count=1 -run 'Alloc' ./...
 
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -shuffle=on ./...
 
 vet:
 	$(GO) vet ./...
@@ -125,7 +125,7 @@ fuzz:
 # and failed-put visibility contracts), and local UDF runs queued across
 # executor Close. Run under the race detector, like CI does.
 fault:
-	$(GO) test -race -run 'TestFault|TestCrash' ./internal/live ./internal/storage
+	$(GO) test -race -run 'TestFault|TestCrash' -count 2 ./internal/live ./internal/storage
 	$(GO) test -race -run TestLocalJobsResolveAcrossClose -cpu 1,2,4 ./internal/live
 
 # End-to-end live-plane throughput over real TCP via the CLI.
@@ -135,7 +135,7 @@ livebench:
 # Disk-engine durability drill: kill and restart a node mid-put-storm on
 # the same data directory; fails if any acknowledged put is lost.
 livedurable:
-	$(GO) run ./cmd/joinbench -livedurable
+	$(GO) run ./cmd/joinbench -livedurable -liveops 20000
 
 # Replication drill: kill one of three replicas under concurrent quorum
 # puts and failover reads, restart it, catch it up from the survivors;
@@ -157,6 +157,11 @@ overload:
 livemigrate:
 	$(GO) run ./cmd/joinbench -livemigrate -liveops 20000
 
-# The CI workflow's gates, figures included at GOMAXPROCS=1 as CI runs them.
-ci: apicheck lint race testcpu allocs fault benchcheck figcheck
+# The CI workflow's steps in its order, with its arguments: figures at
+# GOMAXPROCS=1 too, the four drills, the 10 s fuzz smoke and one pass of
+# every benchmark. Only the coverage and line-ledger uploads are left out.
+ci: apicheck benchcheck lint race allocs testcpu fault figcheck
 	GOMAXPROCS=1 $(MAKE) figcheck
+	$(MAKE) livedurable livereplicas overload livemigrate
+	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/live
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./...

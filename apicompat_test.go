@@ -1,9 +1,6 @@
 package joinopt
 
-import (
-	"context"
-	"time"
-)
+import "context"
 
 // Compile-time API pins: an accidental signature drift of the client surface
 // in a refactor breaks this file — and with it the CI "API surface" step —
@@ -17,8 +14,6 @@ var (
 	_ func(context.Context, string, string, []byte, ...CallOption) ([]byte, error) = (*Client)(nil).CallCtx
 
 	// Per-call options.
-	_ CallOption = WithTimeout(time.Second)
-	_ CallOption = WithRetries(1)
 	_ CallOption = WithRoute(Auto)
 	_ CallOption = WithRoute(ForceFetch)
 	_ CallOption = WithRoute(ForceCompute)

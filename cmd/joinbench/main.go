@@ -109,7 +109,7 @@ func run() (code int) {
 	liveClients := flag.Int("liveclients", 1, "live bench: concurrent submitter goroutines on the one executor (parallel-Submit scaling)")
 	liveShards := flag.Int("liveshards", 0, "live bench: executor state shards (0 = GOMAXPROCS, 1 = single global lock)")
 	liveRetries := flag.Int("liveretries", 0, "live bench: max transport-error retries per request (0 = default 2, negative = disabled)")
-	liveTimeout := flag.Duration("livetimeout", 0, "live bench: per-request deadline (0 = default 10s, negative = none)")
+	liveTimeout := flag.Duration("livetimeout", 0, "live bench: per-request deadline (0 or negative = default 10s)")
 	liveCancel := flag.Float64("livecancel", 0, "live bench: fraction (0..1) of in-flight ops to cancel via context; reports completed/canceled/failed split")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile of the run to this file")

@@ -60,9 +60,12 @@ func main() {
 		log.Fatalf("canceled context returned no ErrCanceled: %v", err)
 	}
 
-	// Kill every store node: requests must fail with a typed error.
+	// Kill every store node: requests must fail with a typed error. The
+	// call's own bound is its context's deadline.
 	cluster.Close()
-	_, err = users.Call(ctx, "u2", []byte("?"), joinopt.WithTimeout(500*time.Millisecond))
+	dead, cancelDead := context.WithTimeout(ctx, 500*time.Millisecond)
+	defer cancelDead()
+	_, err = users.Call(dead, "u2", []byte("?"))
 	if errors.As(err, &je) {
 		fmt.Printf("dead cluster:      code=%v err=%v\n", je.Code, je)
 	} else {

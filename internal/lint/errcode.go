@@ -7,7 +7,7 @@ import (
 )
 
 // Errcode enforces the typed-error contract of the public joinopt/live
-// API (ROADMAP "Error semantics"): every failure crossing the exported
+// API (DESIGN.md "Error semantics"): every failure crossing the exported
 // surface is a *live.Error carrying a Code, so callers can switch on it.
 // The analyzer activates only in packages that declare (or alias) a
 // struct type named Error with a Code field, and reports:

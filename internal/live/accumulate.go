@@ -20,11 +20,11 @@ import (
 // of every partial batch; and a wire batch is limit-sized by construction,
 // with nothing to merge at flush time.
 //
-// The interface is add / kick / done / remove / drain (and retireIfIdle); a
-// batch leaves through add's return value or through ship. None of them
-// settles a future: what leaves an accumulator is shipped or failed by the
-// caller after mu is dropped, because settling locks the entry's shard and
-// the lock order is shard → accumulator, never the reverse.
+// The interface is add / kick / done / remove / drain; a batch leaves
+// through add's return value or through ship. None of them settles a
+// future: what leaves an accumulator is shipped or failed by the caller
+// after mu is dropped, because settling locks the entry's shard and the
+// lock order is shard → accumulator, never the reverse.
 //
 //joinopt:lockorder execShard.mu accumulator.mu
 type accumulator struct {
@@ -54,7 +54,7 @@ type accumulator struct {
 	timer   *time.Timer
 	armed   bool
 	stale   int
-	retired bool // drained by Close or unmapped when idle: add refuses
+	retired bool // drained by Close: add refuses
 }
 
 // add parks one entry. When that fills the batch limit it returns the full
@@ -211,18 +211,6 @@ func (a *accumulator) drain() []liveEntry {
 	return parked
 }
 
-// retireIfIdle retires the accumulator if nothing is parked in it (the
-// executor unmaps the idle accumulators of one-off wire policies).
-func (a *accumulator) retireIfIdle() bool {
-	a.mu.Lock()
-	idle := len(a.entries) == 0
-	if idle {
-		a.retired = true
-	}
-	a.mu.Unlock()
-	return idle
-}
-
 // syncTimer keeps the max-wait timer armed exactly while entries are parked.
 // An arming is never extended by later adds, so no entry waits longer than
 // one BatchWait for its flush.
@@ -260,13 +248,12 @@ func (a *accumulator) fire() {
 }
 
 // liveBatchKey identifies one batch accumulator: destination plus the
-// per-call wire policy, so submissions with identical overrides share a
-// batch and differing overrides never dilute each other's deadline.
+// call's priority, so one wire batch carries exactly one admission class.
 type liveBatchKey struct {
 	t    *Table
 	node cluster.NodeID
 	op   Op
-	wire wireOpts
+	prio Priority
 }
 
 type liveEntry struct {
@@ -336,32 +323,26 @@ func putBatch(b *liveBatch) {
 //joinopt:hotpath
 func (e *Executor) enqueue(bk liveBatchKey, ent liveEntry) *liveBatch {
 	a := (*e.accs.Load())[bk]
-	for {
-		if a == nil {
-			if a = e.newAccumulator(bk); a == nil {
-				// Closed: Close emptied the table before draining, so a
-				// Submit that raced past the entry check cannot park an
-				// entry nobody will ever flush. The goroutine avoids fail's
-				// re-lock of the caller's shard.
-				go e.fail(bk, ent, &Error{Code: CodeClosed, Op: bk.op, Msg: "executor closed"})
-				return nil
-			}
-		}
+	if a == nil {
+		a = e.newAccumulator(bk)
+	}
+	if a != nil {
 		if full, ok := a.add(ent); ok {
 			return full
 		}
-		// Retired between the lookup and the add. It left the table under
-		// accMu, which newAccumulator takes: look again there.
-		a = nil
 	}
+	// Closed: Close empties the table before draining it, so a Submit that
+	// raced past the entry check finds no accumulator or a drained one, and
+	// cannot park an entry nobody will ever flush. The goroutine avoids
+	// fail's re-lock of the caller's shard.
+	go e.fail(bk, ent, &Error{Code: CodeClosed, Op: bk.op, Msg: "executor closed"})
+	return nil
 }
 
-// maxPolicyAccs is how many accumulators of non-default wire policies the
-// executor keeps before it prunes the idle ones (see newAccumulator).
-const maxPolicyAccs = 256
-
 // newAccumulator is enqueue's slow path: return bk's accumulator, creating
-// and publishing it on first use. nil once the executor is closed.
+// and publishing it on first use. nil once the executor is closed. The
+// table is bounded by tables × nodes × ops × priorities, so an accumulator
+// lives as long as the executor.
 func (e *Executor) newAccumulator(bk liveBatchKey) *accumulator {
 	e.accMu.Lock()
 	defer e.accMu.Unlock()
@@ -376,23 +357,6 @@ func (e *Executor) newAccumulator(bk liveBatchKey) *accumulator {
 		limit:   func() int { return e.batchLimit(bk.node) },
 		starved: func() bool { p := e.pool(bk.node); return p != nil && p.starved() }}
 	next := maps.Clone(old)
-	// The default policy's accumulators — one per (table, node, op) — live
-	// as long as the executor, and so does a fixed set of per-call policies
-	// (the priority classes). But WithTimeout and WithRetries take arbitrary
-	// values: once maxPolicyAccs non-default accumulators exist, a new one
-	// unmaps the idle ones, so a caller deriving them per call cannot grow
-	// the table without bound.
-	policies := 0
-	for k := range old {
-		if k.wire != (wireOpts{}) {
-			policies++
-		}
-	}
-	if policies >= maxPolicyAccs {
-		maps.DeleteFunc(next, func(k liveBatchKey, o *accumulator) bool {
-			return k.wire != (wireOpts{}) && o.retireIfIdle()
-		})
-	}
 	next[bk] = a
 	e.accs.Store(&next)
 	return a

@@ -284,13 +284,10 @@ func TestAccumulatorRemove(t *testing.T) {
 }
 
 // TestAccumulatorDrainAndRetire: drain hands back everything parked and
-// retires the accumulator; retireIfIdle refuses while entries are parked.
+// retires the accumulator, which then refuses every add.
 func TestAccumulatorDrainAndRetire(t *testing.T) {
 	h := newAccHarness(time.Hour, 64)
 	mustAdd(t, h, "k0")
-	if h.retireIfIdle() {
-		t.Fatal("retireIfIdle retired an accumulator holding an entry")
-	}
 	mustAdd(t, h, "k1")
 	if got := h.drain(); len(got) != 2 {
 		t.Fatalf("drain returned %d entries, want 2", len(got))
@@ -300,13 +297,6 @@ func TestAccumulatorDrainAndRetire(t *testing.T) {
 	}
 	if _, ok := h.add(liveEntry{key: "late"}); ok {
 		t.Fatal("a drained accumulator accepted an entry")
-	}
-	idle := newAccHarness(time.Hour, 64)
-	if !idle.retireIfIdle() {
-		t.Fatal("retireIfIdle refused an empty accumulator")
-	}
-	if _, ok := idle.add(liveEntry{key: "late"}); ok {
-		t.Fatal("a retired accumulator accepted an entry")
 	}
 }
 
@@ -516,7 +506,7 @@ func socketlessExec(t *testing.T, shards int) *Executor {
 }
 
 // TestCloseDrainsEveryAccumulator: Close fails every parked entry — exec,
-// fetch with piled-on waiters, per-call policy — with CodeClosed, and a
+// fetch with piled-on waiters, another priority's — with CodeClosed, and a
 // Submit after Close is refused rather than parked.
 func TestCloseDrainsEveryAccumulator(t *testing.T) {
 	forShards(t, func(t *testing.T, shards int) {
@@ -529,9 +519,9 @@ func TestCloseDrainsEveryAccumulator(t *testing.T) {
 		futs = append(futs,
 			tbl.Submit(ctx, "f0", nil, WithRoute(ForceFetch)),
 			tbl.Submit(ctx, "f0", nil, WithRoute(ForceFetch)), // piles onto the parked fetch
-			tbl.Submit(ctx, "p0", nil, WithTimeout(time.Second)))
+			tbl.Submit(ctx, "p0", nil, WithPriority(PriorityLow)))
 		if n := len(*e.accs.Load()); n != 3 {
-			t.Fatalf("%d accumulators, want 3 (exec, get, exec under its own wire policy)", n)
+			t.Fatalf("%d accumulators, want 3 (exec, get, exec of its own priority)", n)
 		}
 		e.Close()
 		futs = append(futs, tbl.Submit(ctx, "late", nil))
@@ -547,50 +537,6 @@ func TestCloseDrainsEveryAccumulator(t *testing.T) {
 		}
 		invariantSum(t, e, int64(len(futs)))
 	})
-}
-
-// TestPerCallPolicyAccumulatorsArePruned: the default policy's accumulator
-// lives as long as the executor, and so do per-call wire policies up to
-// maxPolicyAccs of them; past that the idle ones are unmapped by the next new
-// policy to appear — whether their entry shipped or was canceled — so callers
-// deriving WithTimeout per call cannot grow the table without bound.
-func TestPerCallPolicyAccumulatorsArePruned(t *testing.T) {
-	e := socketlessExec(t, 2)
-	tbl := e.Table("t")
-	keep := tbl.Submit(context.Background(), "k0", nil)
-	const oneOffs = 3 * maxPolicyAccs
-	for i := 1; i <= oneOffs; i++ {
-		ctx, cancel := context.WithCancel(context.Background())
-		f := tbl.Submit(ctx, "k1", nil, WithTimeout(time.Duration(i)*time.Second))
-		bk := liveBatchKey{t: tbl, node: 0, op: OpExec, wire: wireOpts{timeout: time.Duration(i) * time.Second}}
-		if i%2 == 0 {
-			cancel()
-			// Wait for the removal before blocking on the future: a wait that
-			// beat the cancel would ship the op instead.
-			waitUntil(t, 5*time.Second, "the canceled op to leave its accumulator", func() bool { return parked(e, bk) == 0 })
-			_, err := waitOrHang(t, f, 5*time.Second)
-			wantCanceled(t, err, "parked per-call op")
-		} else {
-			flush(e, bk)
-			if _, err := waitOrHang(t, f, 5*time.Second); err == nil {
-				t.Fatal("an op shipped to an undialed node succeeded")
-			}
-			cancel()
-		}
-		// The default one, the allowance, and the policy whose arrival at
-		// the allowance pruned the rest.
-		if n := len(*e.accs.Load()); n > maxPolicyAccs+2 {
-			t.Fatalf("after %d one-off policies the table holds %d accumulators", i, n)
-		}
-	}
-	if n := parked(e, liveBatchKey{t: tbl, node: 0, op: OpExec}); n != 1 {
-		t.Fatalf("default accumulator holds %d entries, want the 1 parked op", n)
-	}
-	e.Close()
-	if _, err := waitOrHang(t, keep, 5*time.Second); err == nil {
-		t.Fatal("parked op resolved without an error on Close")
-	}
-	invariantSum(t, e, oneOffs+1)
 }
 
 // inflightOf reads bk's in-flight batch count.

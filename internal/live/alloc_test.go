@@ -16,7 +16,7 @@ import (
 // The allocation budgets of the hot path, locked in by testing.AllocsPerRun
 // so a future change cannot silently reintroduce per-op garbage. The
 // encode and decode budgets are exact; the end-to-end round trip asserts a
-// ceiling (roundTripAllocBudget) documented in ROADMAP.md.
+// ceiling (roundTripAllocBudget) documented in DESIGN.md.
 const (
 	encodeRequestAllocs  = 0
 	encodeResponseAllocs = 0
@@ -107,7 +107,7 @@ func TestDecodeIntoAllocFree(t *testing.T) {
 
 // allocHarness builds the round-trip measurement rig: one server, one
 // single-shard batch-of-one executor under the given ExecConfig.RequestTimeout
-// (-1: no per-attempt deadline timer), warmed pools and interner.
+// (0: the default), warmed pools and interner.
 func allocHarness(t *testing.T, requestTimeout time.Duration) (e *Executor, keyNames []string) {
 	t.Helper()
 	reg := NewRegistry()
@@ -167,18 +167,18 @@ func allocHarness(t *testing.T, requestTimeout time.Duration) (e *Executor, keyN
 
 // TestRoundTripAllocBudget measures a full steady-state Submit→WaitErr
 // round trip — executor, wire, server, UDF, response, resolve — as an
-// unamortized batch of one with a background context and no options, and
-// asserts the documented budget: handle resolution and the context plumbing
-// must not add per-op allocations.
+// unamortized batch of one with a background context and no options, under
+// a RequestTimeout the executor sets, and asserts the documented budget:
+// handle resolution, the context plumbing and the per-attempt deadline
+// timer must not add per-op allocations.
 func TestRoundTripAllocBudget(t *testing.T) {
-	roundTripAllocs(t, -1)
+	roundTripAllocs(t, time.Minute)
 }
 
 // TestRoundTripAllocBudgetDefaultTimeout holds the round trip to the same
-// budget under the default RequestTimeout: the per-attempt deadline timer is
-// pooled, so the configuration callers actually run costs no more per op than
-// the one with the deadline switched off. A lone caller's batch of one is the
-// normal case, so this fixed cost is per op, not per 64.
+// budget under the default RequestTimeout. Every wire attempt waits under a
+// deadline timer, and the timer is pooled: a lone caller's batch of one is
+// the normal case, so its cost would be per op, not per 64.
 func TestRoundTripAllocBudgetDefaultTimeout(t *testing.T) {
 	roundTripAllocs(t, 0)
 }
@@ -201,13 +201,12 @@ func roundTripAllocs(t *testing.T, requestTimeout time.Duration) {
 	}
 }
 
-// TestPriorityRoundTripAllocBudget is the same round trip under a fixed set
-// of per-call wire policies, alternating: their accumulators must stay
-// mapped between calls, so the steady state never re-enters newAccumulator
+// TestPriorityRoundTripAllocBudget is the same round trip under the
+// priorities, alternating: their accumulators must stay mapped between calls, so the steady state never re-enters newAccumulator
 // (table clone, accumulator, limit closure, timer) and costs what the default
 // policy costs plus the option itself.
 func TestPriorityRoundTripAllocBudget(t *testing.T) {
-	e, keyNames := allocHarness(t, -1)
+	e, keyNames := allocHarness(t, 0)
 	tbl := e.Table("t")
 	ctx := context.Background()
 	prios := []CallOption{WithPriority(PriorityLow), WithPriority(PriorityHigh)}
@@ -227,7 +226,7 @@ func TestPriorityRoundTripAllocBudget(t *testing.T) {
 		t.Errorf("priority round trip allocates %.2f/op, budget %.1f", n, roundTripAllocBudget+1)
 	}
 	if e.accs.Load() != accs {
-		t.Error("the accumulator table was republished in steady state: a fixed policy set evicts itself")
+		t.Error("the accumulator table was republished in steady state: a priority's accumulator was evicted")
 	}
 }
 

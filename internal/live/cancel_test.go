@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -410,10 +411,9 @@ func TestWaitCtxAbandonsWithoutResolving(t *testing.T) {
 	invariantSum(t, e, 1)
 }
 
-// TestPerCallOptions pins the CallOption semantics: a per-call timeout
-// beats the executor default against a blackholed node, ForceCompute and
-// NoCache land in their own counters, and differing wire options never
-// share a batch.
+// TestPerCallOptions pins the CallOption semantics: ForceCompute and NoCache
+// land in their own counters, and a call's own bound is its context's
+// deadline, which beats the executor default against a blackholed node.
 func TestPerCallOptions(t *testing.T) {
 	reg := NewRegistry()
 	reg.Register("join", upperUDF)
@@ -463,66 +463,81 @@ func TestPerCallOptions(t *testing.T) {
 		t.Fatalf("FetchServed = %d, want 2 (NoCache + ForceFetch)", n)
 	}
 
-	// Per-call deadline: with responses blackholed and the executor's
-	// default at an hour, only WithTimeout can fail this quickly.
+	// A call's own deadline is its context's: with responses blackholed and
+	// the executor's default at an hour, only the context can fail this
+	// quickly.
 	proxy.dropResponses.Store(true)
 	start := time.Now()
-	_, err = tbl.Call(ctx, "k0", []byte("p"),
-		WithRoute(ForceCompute), WithTimeout(100*time.Millisecond), WithRetries(0))
-	var le *Error
-	if !errors.As(err, &le) || le.Code != CodeTimeout {
-		t.Fatalf("per-call timeout: error %v, want CodeTimeout", err)
-	}
+	dctx, cancel := context.WithTimeout(ctx, 100*time.Millisecond)
+	defer cancel()
+	_, err = tbl.Call(dctx, "k0", []byte("p"), WithRoute(ForceCompute))
+	wantCanceled(t, err, "context deadline")
 	if waited := time.Since(start); waited > 5*time.Second {
-		t.Fatalf("per-call timeout took %v; the executor default leaked through", waited)
+		t.Fatalf("context deadline took %v; the executor default leaked through", waited)
 	}
+	// The wait returns at the deadline; the op is counted by the context's
+	// callback, which may land a moment later.
+	waitUntil(t, 5*time.Second, "the expired op to be counted", func() bool { return e.Canceled.Load() == 1 })
 	invariantSum(t, e, 4)
 }
 
 // TestWireOptionsSplitDedup pins the dedup half of the per-call wire
-// policy: a call with its own deadline must never pile onto a fetch flying
-// under a different policy — against a stalled node, the 100ms caller gets
-// its CodeTimeout on time even though a no-deadline fetch for the same key
-// is already in flight.
+// policy: a fetch never piles onto one parked or flying in another priority
+// class — each class gets its own wire request, carrying its own class — and
+// an invalidation cuts the key's records in every class.
 func TestWireOptionsSplitDedup(t *testing.T) {
-	stall := make(chan struct{})
-	t.Cleanup(func() { close(stall) })
+	var mu sync.Mutex
+	var seen []Priority
 	fake := newFakeNode(t, func(req Request) *Response {
-		<-stall // never answers during the test
-		return &Response{Code: CodeServer, Err: "too late"}
+		mu.Lock()
+		seen = append(seen, req.Priority)
+		mu.Unlock()
+		resp := &Response{}
+		for range req.Keys {
+			resp.Values = append(resp.Values, []byte("v"))
+			resp.Computed = append(resp.Computed, false)
+			resp.Metas = append(resp.Metas, Meta{ValueSize: 1, Version: 1})
+		}
+		return resp
 	})
 	e := singleNodeExec(t, fake.addr(), func(cfg *ExecConfig) {
 		cfg.Shards = 1
-		cfg.BatchSize = 1
-		cfg.MaxRetries = -1
-		cfg.RequestTimeout = -1 // only a per-call deadline can fire
+		cfg.BatchWait = time.Hour
 	})
 	tbl := e.Table("t")
 	ctx := context.Background()
 
-	f1 := tbl.Submit(ctx, "k0", []byte("p"), WithRoute(ForceFetch)) // no deadline
-	start := time.Now()
-	_, err := tbl.Call(ctx, "k0", []byte("p"),
-		WithRoute(ForceFetch), WithTimeout(100*time.Millisecond))
-	var le *Error
-	if !errors.As(err, &le) || le.Code != CodeTimeout {
-		t.Fatalf("deadline caller: error %v, want CodeTimeout (piled onto the no-deadline fetch?)", err)
+	f1 := tbl.Submit(ctx, "k0", []byte("p"), WithRoute(ForceFetch))
+	f2 := tbl.Submit(ctx, "k0", []byte("p"), WithRoute(ForceFetch), WithPriority(PriorityHigh))
+	f3 := tbl.Submit(ctx, "k0", []byte("p"), WithRoute(ForceFetch), WithPriority(PriorityHigh)) // piles onto f2
+	sh, _ := tbl.shard("k0")
+	sh.mu.Lock()
+	records := len(sh.inflight)
+	sh.cut(tbl, "k0")
+	cut := len(sh.inflight)
+	sh.mu.Unlock()
+	if records != 2 || cut != 0 {
+		t.Fatalf("dedup records: %d before the cut, %d after; want 2 (one per class), then 0", records, cut)
 	}
-	if waited := time.Since(start); waited > 5*time.Second {
-		t.Fatalf("deadline caller waited %v; its per-call timeout was diluted", waited)
+	if batches := flushAll(e); batches != 2 {
+		t.Fatalf("accumulated %d batch(es), want 2 (one fetch per class)", batches)
 	}
-	// The no-deadline fetch is still pending — prove it by shutting down:
-	// Close must fail it with CodeClosed, not leave it hanging.
-	e.Close()
-	_, err = waitOrHang(t, f1, 10*time.Second)
-	if !errors.As(err, &le) || (le.Code != CodeClosed && le.Code != CodeTransport) {
-		t.Fatalf("no-deadline fetch after Close: %v, want CodeClosed/CodeTransport", err)
+	for i, f := range []*Future{f1, f2, f3} {
+		if v, err := waitOrHang(t, f, 10*time.Second); err != nil || !bytes.Equal(v, []byte("v/p")) {
+			t.Fatalf("future %d: %q, %v", i, v, err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	slices.Sort(seen)
+	if !slices.Equal(seen, []Priority{PriorityNormal, PriorityHigh}) {
+		t.Fatalf("the node saw requests of classes %v, want one Normal and one High", seen)
 	}
 }
 
-// TestWireOptionsSplitBatches pins the batch-key contract: submissions with
-// different wire overrides must never ride the same wire batch (a 50ms
-// deadline diluted across a default-deadline batch would be a lie).
+// TestWireOptionsSplitBatches pins the batch-key contract: submissions of
+// different priorities must never ride the same wire batch (the class is
+// carried per request, so one batch has exactly one).
 func TestWireOptionsSplitBatches(t *testing.T) {
 	forShards(t, func(t *testing.T, shards int) {
 		reg := NewRegistry()
@@ -545,10 +560,10 @@ func TestWireOptionsSplitBatches(t *testing.T) {
 		tbl := e.Table("t")
 		ctx := context.Background()
 
-		f1 := tbl.Submit(ctx, "k0", []byte("p"))                                   // default wire opts
-		f2 := tbl.Submit(ctx, "k1", []byte("p"), WithTimeout(50*time.Millisecond)) // its own batch
+		f1 := tbl.Submit(ctx, "k0", []byte("p"))                            // default priority
+		f2 := tbl.Submit(ctx, "k1", []byte("p"), WithPriority(PriorityLow)) // its own batch
 		if batches := flushAll(e); batches != 2 {
-			t.Fatalf("accumulated %d batch(es), want 2 (differing wire options must split)", batches)
+			t.Fatalf("accumulated %d batch(es), want 2 (differing priorities must split)", batches)
 		}
 		for i, f := range []*Future{f1, f2} {
 			if _, err := waitOrHang(t, f, 10*time.Second); err != nil {

@@ -1,8 +1,10 @@
 package live
 
 import (
+	"fmt"
 	"net"
 	"sync"
+	"time"
 )
 
 // Conn is a client connection to one store node with asynchronous request
@@ -11,7 +13,7 @@ import (
 //
 // A Conn does not heal itself: when the stream breaks, every pending call
 // fails with a CodeTransport response, Down() reports true, and further
-// Sends fail fast. Pool layers reconnection on top.
+// calls fail fast. Pool layers reconnection on top.
 //
 // In-flight calls live in pooled completion cells (see recycle.go), with
 // the pending map as the single source of truth for delivery: the party
@@ -121,36 +123,26 @@ func (c *Conn) failAll(err error) {
 }
 
 // Down reports whether the connection's stream has failed (or Close was
-// called): every Send on a down conn fails immediately.
+// called): every call on a down conn fails immediately.
 func (c *Conn) Down() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.closed
 }
 
-// Send submits a request asynchronously; the returned channel yields the
-// response exactly once. A broken stream yields a CodeTransport response.
-// The channel's cell escapes the pool (the executor's internal paths use
-// send directly and recycle).
-func (c *Conn) Send(req Request) <-chan *Response {
-	return c.send(&req).cl.ch
-}
-
 // sentCall is the by-value handle of one in-flight send: the pooled
 // completion cell plus enough identity to cancel the call without
-// allocating a closure per request. Whoever receives from cl.ch recycles
-// the cell with putCall; a caller that will never receive calls cancel
-// instead. Cancel must not be called after receiving.
+// allocating a closure per request. wait is its one receive: it recycles
+// the cell with putCall, or calls cancel when the deadline wins.
 type sentCall struct {
 	cl *call //joinopt:owns
 	c  *Conn // nil when the call failed fast (response already buffered)
 	id uint64
 }
 
-// cancel abandons the call by dropping its pending entry, so a caller that
-// stops waiting (a timed-out deadline) does not leave the entry — and
-// eventually the late response — pinned in the map for the life of the
-// connection. If the delivery race was already lost, the imminent response
+// cancel abandons the call by dropping its pending entry, so a wait whose
+// deadline expired does not leave the entry — and eventually the late
+// response — pinned in the map for the life of the connection. If the delivery race was already lost, the imminent response
 // is drained and recycled; either way the cell returns to the pool. A
 // fast-failed call's cancel is a no-op (its cell holds the undelivered
 // response and both are left to the GC).
@@ -212,16 +204,77 @@ func (c *Conn) send(req *Request) sentCall {
 	return sentCall{cl: cl, c: c, id: id}
 }
 
-// Call is a synchronous Send; a failed response surfaces as an *Error.
+// Call sends req and waits for its response, bounded by the executor's
+// default request timeout (ExecConfig.RequestTimeout); a failed response, a
+// timeout included, surfaces as an *Error.
 func (c *Conn) Call(req Request) (*Response, error) {
-	sc := c.send(&req)
-	resp := <-sc.cl.ch
-	putCall(sc.cl)
-	if err := respError(req.Op, resp); err != nil {
+	return c.send(&req).result(req.Op, nil)
+}
+
+// result is the synchronous tail of Conn.Call and Pool.Call: wait under the
+// default request timeout and surface a failed response as an *Error.
+func (s sentCall) result(op Op, p *Pool) (*Response, error) {
+	resp := s.wait(time.Duration(defaultRequestTimeout.Load()), p)
+	if err := respError(op, resp); err != nil {
 		putResponse(resp) // the *Error copied what it needs
 		return nil, err
 	}
 	return resp, nil
+}
+
+// wait is the one wait on a call's response, bounded by d. A timed-out call
+// is cancelled on its conn — the pending entry is dropped, a late response is
+// discarded, and the pooled completion cell is recycled by the cancel — so a
+// stalled-but-alive server cannot pin one abandoned call per timeout for the
+// life of the connection. p is the pool the call went through, nil for a
+// bare Conn, which learns no credits.
+func (s sentCall) wait(d time.Duration, p *Pool) *Response {
+	t := getTimer(d)
+	defer putTimer(t)
+	select {
+	case resp := <-s.cl.ch:
+		putCall(s.cl)
+		return resp
+	case <-t.C:
+		s.cancel()
+		// Attribute the deadline before surfacing it (the message callers
+		// see must distinguish "the server never dequeued it" from "the
+		// UDF ran long"): a node whose last advertised credit was zero was
+		// saturated, so the request most likely expired in its run queue;
+		// with credits available it was almost certainly in service. The
+		// credit pair rides the fabricated response so respError can mark
+		// the queue case Overload without string sniffing.
+		var credit, window uint8
+		if p != nil {
+			credit, window = p.lastCredits()
+		}
+		msg := fmt.Sprintf("no response within %v with credits available — request was likely in service (long-running UDF or oversized batch)", d)
+		if window > 0 && credit == 0 {
+			msg = fmt.Sprintf("no response within %v; node advertised 0/%d credits — request was likely still queued at an overloaded server, not in service", d, window)
+		}
+		resp := errResponse(s.id, CodeTimeout, msg)
+		resp.Credit, resp.Window = credit, window
+		return resp
+	}
+}
+
+// timerPool recycles the deadline timers of wait: every wire attempt would
+// otherwise allocate a timer it almost never lets fire. Since Go 1.23 a
+// stopped or reset timer's channel holds no stale value, so a recycled timer
+// needs no drain.
+var timerPool sync.Pool
+
+func getTimer(d time.Duration) *time.Timer {
+	if t, _ := timerPool.Get().(*time.Timer); t != nil {
+		t.Reset(d)
+		return t
+	}
+	return time.NewTimer(d)
+}
+
+func putTimer(t *time.Timer) {
+	t.Stop()
+	timerPool.Put(t)
 }
 
 // Close closes the connection; pending calls fail via the read loop's exit.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"maps"
 	"math/rand/v2"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -106,7 +105,7 @@ func (e *Executor) ship(b *liveBatch) {
 		keys = append(keys, entries[i].key)
 		params = append(params, entries[i].params)
 	}
-	b.req = Request{Op: bk.op, Table: bk.t.name, Priority: bk.wire.prio, Keys: keys, Params: params}
+	b.req = Request{Op: bk.op, Table: bk.t.name, Priority: bk.prio, Keys: keys, Params: params}
 	if bk.op == OpExec {
 		b.req.Stats = e.stats()
 	}
@@ -192,16 +191,15 @@ func (e *Executor) countFlush(why flushCause) {
 }
 
 // callNode is how every client request crosses the wire — a batch from ship, a
-// Table.Put, a replication record — under the batch key's deadline and retry
-// policy (per-call overrides; zero means the executor defaults): each
-// attempt is paced, stamped with the routing epoch and bounded by the request
-// timeout, and transport failures of idempotent ops (OpGet, OpExec —
-// re-running them changes no server state; a put gets its one attempt) are
-// re-sent up to the retry budget through the pool, which routes around dead
-// connections while its dialers bring them back. A CodeOverloaded shed
-// spends the same budget, but only for idempotent ops and only after the
-// server's retry-after hint (plus jitter, so a herd of shed batches cannot
-// re-arrive in lockstep). Server rejections and timeouts return as-is. The
+// Table.Put, a replication record — under the executor's deadline and retry
+// policy: each attempt is paced, stamped with the routing epoch and bounded
+// by ExecConfig.RequestTimeout, and transport failures of idempotent ops
+// (OpGet, OpExec — re-running them changes no server state; a put gets its
+// one attempt) are re-sent up to the retry budget through the pool, which
+// routes around dead connections while its dialers bring them back. A
+// CodeOverloaded shed spends the same budget, but only for idempotent ops and
+// only after the server's retry-after hint (plus jitter, so a herd of shed
+// batches cannot re-arrive in lockstep). Server rejections and timeouts return as-is. The
 // returned epoch is the pool's disconnect epoch snapshotted just before the
 // answered attempt went out: if it still matches at cache-install time, no
 // conn of this node died in between and the fetched values' invalidation
@@ -224,22 +222,20 @@ func (e *Executor) callNode(bk liveBatchKey, req *Request, entries []liveEntry, 
 		return errResponse(req.ID, CodeTransport,
 			fmt.Sprintf("live: no connection to node %d", bk.node)), 0
 	}
-	retries := knob(int(bk.wire.retries), e.cfg.MaxRetries)
-	timeout := knob(bk.wire.timeout, e.cfg.RequestTimeout)
 	attempts := 1
 	if bk.op == OpGet || bk.op == OpExec {
-		attempts += retries
+		attempts += e.cfg.MaxRetries
 	}
 	backoff := time.Millisecond
 	var resp *Response
 	for a := 0; ; a++ {
-		e.pace(pool, timeout)
+		e.pace(pool)
 		// Stamp the routing epoch per attempt: a retry that spans a learned
 		// cutover carries the fresher stamp (a static map stamps 0, the
 		// wire's "no membership", until a redirect teaches it).
 		req.Epoch = e.member.Epoch()
 		epoch := pool.epoch.Load()
-		resp = e.callOnce(pool, req, timeout, entries, publish)
+		resp = e.callOnce(pool, req, entries, publish)
 		err := respError(bk.op, resp)
 		if err == nil {
 			return resp, epoch
@@ -300,16 +296,12 @@ const (
 // backpressure, not admission control — the server's bounded queues remain
 // the enforcement point; pacing just keeps a well-behaved client from
 // manufacturing sheds it would then have to retry.
-func (e *Executor) pace(pool *Pool, timeout time.Duration) {
+func (e *Executor) pace(pool *Pool) {
 	if !pool.starved() || pool.outstanding.Load() < pool.budget() {
 		return
 	}
-	limit := paceMaxWait
-	if timeout > 0 && timeout/4 < limit {
-		limit = timeout / 4
-	}
 	pool.paceWaits.Add(1)
-	deadline := time.Now().Add(limit)
+	deadline := time.Now().Add(min(paceMaxWait, e.cfg.RequestTimeout/4))
 	for {
 		time.Sleep(paceTick)
 		if e.closed.Load() || !time.Now().Before(deadline) {
@@ -369,15 +361,12 @@ func (e *Executor) batchLimit(node cluster.NodeID) int {
 	return e.cfg.BatchSize
 }
 
-// callOnce is one wire attempt under the given deadline. A timed-out
-// request is cancelled on its conn — the pending entry is dropped, a late
-// response is discarded, and the pooled completion cell is recycled by the
-// cancel — so a stalled-but-alive server cannot pin one abandoned call per
-// timeout for the life of the connection. With publish set, every
-// cancellable entry learns its wire location right after the send, so a
-// context cancellation can chase the op with a cancel frame (a cancel that
-// fired in the gap is sent by publishWire itself).
-func (e *Executor) callOnce(pool *Pool, req *Request, timeout time.Duration, entries []liveEntry, publish bool) *Response {
+// callOnce is one wire attempt under ExecConfig.RequestTimeout (see
+// sentCall.wait). With publish set, every cancellable entry learns its wire
+// location right after the send, so a context cancellation can chase the op
+// with a cancel frame (a cancel that fired in the gap is sent by publishWire
+// itself).
+func (e *Executor) callOnce(pool *Pool, req *Request, entries []liveEntry, publish bool) *Response {
 	pool.outstanding.Add(1)
 	defer pool.outstanding.Add(-1)
 	sc := pool.send(req)
@@ -388,54 +377,7 @@ func (e *Executor) callOnce(pool *Pool, req *Request, timeout time.Duration, ent
 			}
 		}
 	}
-	if timeout <= 0 {
-		resp := <-sc.cl.ch
-		putCall(sc.cl)
-		return resp
-	}
-	t := getTimer(timeout)
-	defer putTimer(t)
-	select {
-	case resp := <-sc.cl.ch:
-		putCall(sc.cl)
-		return resp
-	case <-t.C:
-		sc.cancel()
-		// Attribute the deadline before surfacing it (the message callers
-		// see must distinguish "the server never dequeued it" from "the
-		// UDF ran long"): a node whose last advertised credit was zero was
-		// saturated, so the request most likely expired in its run queue;
-		// with credits available it was almost certainly in service. The
-		// credit pair rides the fabricated response so respError can mark
-		// the queue case Overload without string sniffing.
-		credit, window := pool.lastCredits()
-		msg := fmt.Sprintf("no response within %v with credits available — request was likely in service (long-running UDF or oversized batch)", timeout)
-		if window > 0 && credit == 0 {
-			msg = fmt.Sprintf("no response within %v; node advertised 0/%d credits — request was likely still queued at an overloaded server, not in service", timeout, window)
-		}
-		resp := errResponse(req.ID, CodeTimeout, msg)
-		resp.Credit, resp.Window = credit, window
-		return resp
-	}
-}
-
-// timerPool recycles the per-attempt deadline timers: a wire attempt (and
-// every Table.Put) would otherwise allocate a timer it almost never lets fire.
-// Since Go 1.23 a stopped or reset timer's channel holds no stale value, so a
-// recycled timer needs no drain.
-var timerPool sync.Pool
-
-func getTimer(d time.Duration) *time.Timer {
-	if t, _ := timerPool.Get().(*time.Timer); t != nil {
-		t.Reset(d)
-		return t
-	}
-	return time.NewTimer(d)
-}
-
-func putTimer(t *time.Timer) {
-	t.Stop()
-	timerPool.Put(t)
+	return sc.wait(e.cfg.RequestTimeout, pool)
 }
 
 // stats snapshots the Appendix C compute-side statistics. The signals are

@@ -103,8 +103,8 @@ type ExecConfig struct {
 	MaxRetries int
 	// RequestTimeout bounds each wire attempt: a batch whose response has
 	// not arrived within the deadline fails with CodeTimeout (late
-	// responses are dropped). Default 10s; negative disables the
-	// deadline.
+	// responses are dropped). Zero or negative means the default, 10s. A
+	// call's own, tighter bound is its context's deadline.
 	RequestTimeout time.Duration
 
 	// Trace, when non-nil, receives every optimizer interaction, called
@@ -226,18 +226,15 @@ type Executor struct {
 	Moved atomic.Int64
 }
 
-// knob resolves a retry or deadline setting, the executor's against its
-// built-in default and a call's against the executor's: zero takes def,
-// negative means disabled.
-func knob[T int | time.Duration](v, def T) T {
-	switch {
-	case v == 0:
-		return def
-	case v < 0:
-		return 0
-	}
-	return v
-}
+// defaultRequestTimeout bounds every wire wait whose caller names no bound:
+// it is ExecConfig.RequestTimeout's default and the whole bound of Conn.Call
+// and Pool.Call, so the server-to-server calls that ride those (catch-up
+// paging, migration forwards) cannot wait forever on a silent peer. In
+// nanoseconds; a variable only so fault tests can shorten it, atomic because
+// connections of earlier tests may still be calling.
+var defaultRequestTimeout atomic.Int64
+
+func init() { defaultRequestTimeout.Store(int64(10 * time.Second)) }
 
 // NewExecutor connects to all data nodes and returns a ready executor.
 func NewExecutor(cfg ExecConfig) (*Executor, error) {
@@ -259,8 +256,15 @@ func NewExecutor(cfg ExecConfig) (*Executor, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = runtime.GOMAXPROCS(0)
 	}
-	cfg.MaxRetries = knob(cfg.MaxRetries, 2)
-	cfg.RequestTimeout = knob(cfg.RequestTimeout, 10*time.Second)
+	switch {
+	case cfg.MaxRetries == 0:
+		cfg.MaxRetries = 2
+	case cfg.MaxRetries < 0:
+		cfg.MaxRetries = 0
+	}
+	if cfg.RequestTimeout <= 0 {
+		cfg.RequestTimeout = time.Duration(defaultRequestTimeout.Load())
+	}
 	e := &Executor{
 		cfg:    cfg,
 		member: cfg.Membership,

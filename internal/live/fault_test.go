@@ -794,3 +794,134 @@ func TestFaultCloseDrainsPendingBatches(t *testing.T) {
 	}
 	invariantSum(t, e, 11)
 }
+
+// shortenRequestTimeout lowers the default request timeout — the whole
+// bound of Conn.Call and Pool.Call — to d for the rest of the test.
+func shortenRequestTimeout(t *testing.T, d time.Duration) {
+	old := defaultRequestTimeout.Swap(int64(d))
+	t.Cleanup(func() { defaultRequestTimeout.Store(old) })
+}
+
+// TestFaultCatchUpBlackholedPeerTimesOut: a rejoining node's catch-up
+// against a peer that accepts requests but never answers fails within the
+// request timeout with a CodeTimeout naming the peer, instead of waiting
+// forever on the first scan page.
+func TestFaultCatchUpBlackholedPeerTimesOut(t *testing.T) {
+	const bound = 200 * time.Millisecond
+	shortenRequestTimeout(t, bound)
+	reg := NewRegistry()
+	_, _, srcAddr := faultServer(t, reg, map[string][]byte{"a": []byte("1")})
+	proxy := newFaultProxy(t, srcAddr)
+	proxy.dropResponses.Store(true)
+
+	cold := NewServer(reg, false)
+	cold.AddTable(TableSpec{Name: "t", UDF: "join"})
+	done := make(chan error, 1)
+	start := time.Now()
+	go func() {
+		_, err := cold.CatchUp([]string{proxy.addr()})
+		done <- err
+	}()
+	var err error
+	select {
+	case err = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("catch-up from a blackholed peer hung")
+	}
+	if waited := time.Since(start); waited > 10*bound {
+		t.Fatalf("catch-up failed after %v, want about one %v bound", waited, bound)
+	}
+	var le *Error
+	if !errors.As(err, &le) || le.Code != CodeTimeout {
+		t.Fatalf("catch-up from a blackholed peer: %v, want CodeTimeout", err)
+	}
+	if !containsStr(err.Error(), proxy.addr()) {
+		t.Fatalf("catch-up error %q does not name the peer %s", err, proxy.addr())
+	}
+}
+
+// TestFaultBlackholedMigrationTargetCostsOneBound: while a region is
+// dual-written to a migration target whose responses are blackholed, the
+// source answers a put batch of that region within one request timeout —
+// the first forward times out and marks the region dirty, and the rest are
+// left to the fence's re-copy — and it keeps acking puts to its other
+// regions meanwhile.
+func TestFaultBlackholedMigrationTargetCostsOneBound(t *testing.T) {
+	const (
+		bound    = 250 * time.Millisecond
+		nregions = 4
+		region   = 1
+		keys     = 8
+	)
+	shortenRequestTimeout(t, bound)
+	reg := NewRegistry()
+	src, _, srcAddr := faultServer(t, reg, nil)
+	_, _, dstAddr := faultServer(t, reg, nil)
+	proxy := newFaultProxy(t, dstAddr)
+	proxy.dropResponses.Store(true)
+	if err := src.beginDualWrite("t", region, nregions, proxy.addr()); err != nil {
+		t.Fatal(err)
+	}
+
+	var moving, others []string
+	for i := 0; len(moving) < keys || len(others) < keys; i++ {
+		k := fmt.Sprintf("k%d", i)
+		if store.RegionIndex(k, nregions) == region {
+			moving = append(moving, k)
+		} else {
+			others = append(others, k)
+		}
+	}
+	put := func(ks []string) Request {
+		return Request{Op: OpPut, Table: "t", Keys: ks, Params: make([][]byte, len(ks))}
+	}
+	mover, err := DialNode(srcAddr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mover.Close()
+	other, err := DialNode(srcAddr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+
+	// The migrating batch waits under its own, longer bound: the point is
+	// when the source answers, not the test client's deadline.
+	req := put(moving[:keys])
+	sc := mover.send(&req)
+	start := time.Now()
+	var answered atomic.Bool
+	done := make(chan *Response, 1)
+	go func() {
+		resp := sc.wait(10*time.Second, nil)
+		answered.Store(true)
+		done <- resp
+	}()
+	meanwhile := 0
+	for i := 0; !answered.Load(); i++ {
+		if _, err := other.Call(put(others[i%keys : i%keys+1])); err != nil {
+			t.Fatalf("put to another region while the migrating batch waits: %v", err)
+		}
+		if !answered.Load() {
+			meanwhile++
+		}
+		if time.Since(start) > 10*time.Second {
+			t.Fatal("the migrating region's put batch hung")
+		}
+	}
+	resp := <-done
+	if waited := time.Since(start); waited > 4*bound {
+		t.Fatalf("the migrating batch was answered after %v, want about one %v bound", waited, bound)
+	}
+	if err := respError(OpPut, resp); err != nil || len(resp.Metas) != keys {
+		t.Fatalf("migrating batch: %d metas, %v; want %d acked puts", len(resp.Metas), err, keys)
+	}
+	putResponse(resp)
+	if meanwhile == 0 {
+		t.Fatal("no put to another region was acked while the migrating batch waited")
+	}
+	if _, dirty := src.fenceRegion("t", region); !dirty {
+		t.Fatal("a blackholed forward left the region clean; the fence would skip its re-copy")
+	}
+}

@@ -301,14 +301,18 @@ func TestConnFailurePropagates(t *testing.T) {
 	}
 	defer conn.Close()
 	// Kill the server mid-flight: pending calls must fail, not hang.
-	ch := conn.Send(Request{Op: OpGet, Table: "t", Keys: []string{"k1"}})
-	<-ch // first call fine
+	if _, err := conn.Call(Request{Op: OpGet, Table: "t", Keys: []string{"k1"}}); err != nil {
+		t.Fatalf("first call: %v", err)
+	}
 	servers[0].Close()
-	deadline := time.After(5 * time.Second)
+	done := make(chan error, 1)
+	go func() {
+		_, err := conn.Call(Request{Op: OpGet, Table: "t", Keys: []string{"k1"}})
+		done <- err // either an error or a late success is fine
+	}()
 	select {
-	case resp := <-conn.Send(Request{Op: OpGet, Table: "t", Keys: []string{"k1"}}):
-		_ = resp // either an error response or a late success is fine
-	case <-deadline:
+	case <-done:
+	case <-time.After(5 * time.Second):
 		t.Fatal("call against dead server hung")
 	}
 }
@@ -327,5 +331,20 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 func TestIdentityUDF(t *testing.T) {
 	if got := Identity("k", []byte("p"), []byte("v")); !bytes.Equal(got, []byte("v")) {
 		t.Fatalf("Identity = %q", got)
+	}
+}
+
+// TestRequestTimeoutHasNoUnboundedMode: a zero or negative RequestTimeout
+// means the default, never "no deadline".
+func TestRequestTimeoutHasNoUnboundedMode(t *testing.T) {
+	for _, d := range []time.Duration{0, -1} {
+		e, err := NewExecutor(ExecConfig{RequestTimeout: d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Close()
+		if got := e.cfg.RequestTimeout; got != 10*time.Second {
+			t.Errorf("RequestTimeout %v resolved to %v, want the 10s default", d, got)
+		}
 	}
 }

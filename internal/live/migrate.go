@@ -360,17 +360,24 @@ func (s *Server) putMigrCheck(req *Request) (fwds []*regionForward, bounce *Resp
 // targets as OpPutRepl records carrying the versions the local engine just
 // assigned, then releases the fence registrations taken by putMigrCheck.
 // A failed forward marks the region's migration dirty — the fence re-copies
-// the region before cutover, so the row still arrives. Called after the
-// flush barrier: only acknowledged (version-assigned, durable) rows ride
-// the stream.
+// a dirty region before cutover, so the row still arrives, and the region's
+// later rows are not forwarded at all: a silent target costs one request
+// timeout, not one per key. Called after the flush barrier: only
+// acknowledged (version-assigned, durable) rows ride the stream.
 func (s *Server) forwardPuts(req *Request, metas []Meta, fwds []*regionForward) {
 	for i, fw := range fwds {
 		if fw == nil {
 			continue
 		}
-		rec := encodePutRepl(metas[i].Version, param(req.Params, i))
-		_, err := fw.conn.Call(Request{Op: OpPutRepl, Table: req.Table,
-			Keys: []string{req.Keys[i]}, Params: [][]byte{rec}})
+		s.migMu.Lock()
+		dirty := fw.dirty
+		s.migMu.Unlock()
+		var err error
+		if !dirty {
+			rec := encodePutRepl(metas[i].Version, param(req.Params, i))
+			_, err = fw.conn.Call(Request{Op: OpPutRepl, Table: req.Table,
+				Keys: []string{req.Keys[i]}, Params: [][]byte{rec}})
+		}
 		s.migMu.Lock()
 		if err != nil {
 			fw.dirty = true

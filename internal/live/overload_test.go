@@ -493,16 +493,21 @@ func TestTimeoutMessageSplitsQueueFromService(t *testing.T) {
 	started := make(chan struct{}, 4)
 	release := make(chan struct{})
 	_, addr := overloadNode(t, 8, started, release)
-	e := singleNodeExec(t, addr, func(cfg *ExecConfig) {
-		cfg.Optimizer = core.Config{Policy: core.Policy{AlwaysCompute: true}}
-		cfg.Shards = 1
-		cfg.BatchSize = 1
-		cfg.MaxRetries = -1
-	})
-	tbl := e.Table("t")
+	// The occupant's executor keeps the default deadline; the probes' has a
+	// short one.
+	executor := func(timeout time.Duration) *Executor {
+		return singleNodeExec(t, addr, func(cfg *ExecConfig) {
+			cfg.Optimizer = core.Config{Policy: core.Policy{AlwaysCompute: true}}
+			cfg.Shards = 1
+			cfg.BatchSize = 1
+			cfg.MaxRetries = -1
+			cfg.RequestTimeout = timeout
+		})
+	}
+	e, tbl := executor(0), executor(150*time.Millisecond).Table("t")
 
 	// Occupy the single worker so later ops sit in the run queue.
-	occupant := tbl.Submit(context.Background(), "k0", []byte("p"))
+	occupant := e.Table("t").Submit(context.Background(), "k0", []byte("p"))
 	select {
 	case <-started:
 	case <-time.After(5 * time.Second):
@@ -511,8 +516,8 @@ func TestTimeoutMessageSplitsQueueFromService(t *testing.T) {
 
 	// The node is saturated: fabricate its last advertisement accordingly
 	// (a real storm would deliver this through a shed or served response).
-	e.pool(0).observeCredit(0, 4)
-	_, err := tbl.Call(context.Background(), "k1", []byte("p"), WithTimeout(150*time.Millisecond))
+	tbl.e.pool(0).observeCredit(0, 4)
+	_, err := tbl.Call(context.Background(), "k1", []byte("p"))
 	var le *Error
 	if !errors.As(err, &le) || le.Code != CodeTimeout {
 		t.Fatalf("saturated timeout: %v, want CodeTimeout", err)
@@ -525,8 +530,8 @@ func TestTimeoutMessageSplitsQueueFromService(t *testing.T) {
 	}
 
 	// With credits available the same deadline is attributed to service.
-	e.pool(0).observeCredit(3, 4)
-	_, err = tbl.Call(context.Background(), "k2", []byte("p"), WithTimeout(150*time.Millisecond))
+	tbl.e.pool(0).observeCredit(3, 4)
+	_, err = tbl.Call(context.Background(), "k2", []byte("p"))
 	if !errors.As(err, &le) || le.Code != CodeTimeout {
 		t.Fatalf("in-service timeout: %v, want CodeTimeout", err)
 	}

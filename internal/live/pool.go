@@ -15,13 +15,13 @@ import (
 // The pool is self-healing: when a connection's stream breaks (its read
 // loop exits), the conn's in-flight calls fail with a CodeTransport
 // response, its slot is vacated, and a background dialer redials it with
-// exponential backoff while new Sends route to the remaining healthy
-// connections. With every slot down, Send fails fast with CodeTransport —
+// exponential backoff while new calls route to the remaining healthy
+// connections. With every slot down, a call fails fast with CodeTransport —
 // it never blocks waiting for a redial — so the caller's retry policy stays
 // in charge of timing.
 //
 // Slots are atomic pointers (nil while a slot's dialer is backing off), so
-// the Send hot path takes no lock: picking a conn is one atomic counter
+// the send hot path takes no lock: picking a conn is one atomic counter
 // bump plus slot loads. Each conn is bound to its slot index and its read
 // loop only starts after the slot is installed, so a conn that dies at any
 // moment — even instantly — always finds its slot and triggers exactly one
@@ -68,7 +68,7 @@ type PoolHealth struct {
 	Disconnects int64 // connection deaths observed
 	Redials     int64 // successful reconnects
 	RedialFails int64 // failed reconnect attempts (each backs off)
-	FastFails   int64 // Sends failed because no connection was healthy
+	FastFails   int64 // sends failed because no connection was healthy
 	Credit      uint8 // node's last advertised per-conn credit
 	Window      uint8 // node's last advertised per-conn window; 0 = no signal
 	Outstanding int64 // requests on the wire awaiting a response
@@ -201,14 +201,6 @@ func (p *Pool) live() bool {
 	return false
 }
 
-// Send submits a request on one of the pooled connections; the returned
-// channel yields the response exactly once. With the pool closed or every
-// connection down it fails fast with CodeClosed/CodeTransport instead of
-// blocking on a redial.
-func (p *Pool) Send(req Request) <-chan *Response {
-	return p.send(&req).cl.ch
-}
-
 // fastFail is the shared allocation-free failure path of send: a pooled
 // cell pre-loaded with a pooled error response. The caller always receives
 // (the response is already buffered), so the handle carries no conn and
@@ -219,7 +211,10 @@ func fastFail(resp *Response) sentCall {
 	return sentCall{cl: cl}
 }
 
-// send is Send plus the cancel handle of Conn.send (see there).
+// send submits a request on one of the pooled connections and returns the
+// cancel handle of Conn.send (see there). With the pool closed or every
+// connection down it fails fast with CodeClosed/CodeTransport instead of
+// blocking on a redial.
 func (p *Pool) send(req *Request) sentCall {
 	if p.closed.Load() {
 		return fastFail(errResponse(req.ID, CodeClosed, "pool closed"))
@@ -232,16 +227,11 @@ func (p *Pool) send(req *Request) sentCall {
 	return c.send(req)
 }
 
-// Call is a synchronous Send; a failed response surfaces as an *Error.
+// Call sends req on one of the pooled connections and waits for its
+// response, bounded like Conn.Call; a failed response, a timeout included,
+// surfaces as an *Error.
 func (p *Pool) Call(req Request) (*Response, error) {
-	sc := p.send(&req)
-	resp := <-sc.cl.ch
-	putCall(sc.cl)
-	if err := respError(req.Op, resp); err != nil {
-		putResponse(resp) // the *Error copied what it needs
-		return nil, err
-	}
-	return resp, nil
+	return p.send(&req).result(req.Op, p)
 }
 
 // Size returns the number of connection slots in the pool.

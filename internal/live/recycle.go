@@ -13,15 +13,16 @@ import "sync"
 //
 //   - A *Response travels exactly one of two roads: the executor's flush
 //     goroutine receives it, distributes it via handleResponse and recycles
-//     it; or a public Call/Send caller receives it and owns it forever
-//     (it escapes the pool and dies by GC).
+//     it; or a public Conn.Call/Pool.Call caller receives it and owns it
+//     forever (it escapes the pool and dies by GC).
 //   - A *liveBatch is drawn by the accumulator that fills it (takeLocked), owned
 //     by the flush goroutine ship starts, and recycled there once
 //     handleResponse has settled its entries (or by ship itself when nothing
 //     is left to send).
-//   - A call cell is recycled by whoever receives from it — never by the
-//     sender — because after the single buffered send lands, the receiver
-//     is the last party to touch the channel.
+//   - A call cell is recycled by its one receiver, sentCall.wait (or by
+//     sentCall.cancel when the wait's deadline wins) — never by the sender
+//     — because after the single buffered send lands, the receiver is the
+//     last party to touch the channel.
 //   - A server-side *Request (and the arena frame its params alias) is
 //     recycled by the handler goroutine once the response bytes are framed.
 //   - Decoded client response frames are NEVER recycled: their values alias

@@ -9,7 +9,7 @@ import (
 )
 
 // This file is the server half of the live plane's K-way replication
-// (ROADMAP "Replication"): applying the replication stream (OpPutRepl),
+// (DESIGN.md "Replication"): applying the replication stream (OpPutRepl),
 // serving catch-up scans (OpScan), and pulling a rejoined replica back up
 // to date from its peers (Server.CatchUp). OpPutRepl batches land through
 // the same commit path as OpPut (execute.go). The client half — replica

@@ -25,24 +25,20 @@ func (t *Table) placedOn(key string, node cluster.NodeID) bool {
 }
 
 // fetchKey names a joinable fetch in its shard's dedup map: the key of a
-// table under one wire policy. The policy is part of it, so a call with its
-// own deadline/retry budget never piles onto (or is never served by) a fetch
-// flying under a different policy — the same separation the batch
-// accumulators get from their wire field.
+// table under one priority. The priority is part of it, so a call never
+// piles onto (or is served by) a fetch flying in another admission class —
+// the same separation the batch accumulators get from their prio field.
 type fetchKey struct {
 	t    *Table
 	key  string
-	wire wireOpts
+	prio Priority
 }
 
-// cut ends the joinability of every fetch of t's key, whatever its wire
-// policy. Callers hold mu.
+// cut ends the joinability of every fetch of t's key, whatever its priority.
+// Callers hold mu.
 func (sh *execShard) cut(t *Table, key string) {
-	delete(sh.inflight, fetchKey{t: t, key: key})
-	for k := range sh.inflight {
-		if k.t == t && k.key == key {
-			delete(sh.inflight, k)
-		}
+	for p := range Priority(numPriorities) {
+		delete(sh.inflight, fetchKey{t: t, key: key, prio: p})
 	}
 }
 
@@ -128,16 +124,16 @@ func (e *Executor) route(t *Table, key string, params []byte, fut *Future, cs *c
 		}
 		return
 	case core.RouteCompute, core.RouteDataNoCache:
-		bk := liveBatchKey{t, node, OpExec, co.wire}
+		bk := liveBatchKey{t, node, OpExec, co.prio}
 		if route == core.RouteDataNoCache {
 			bk.op = OpGet // a fetch nothing caches (NO/FC/FR policies): no dedup record
 		}
 		cs.park(sh, bk, nil, nil)
 		full = e.enqueue(bk, liveEntry{key: key, params: params, fut: fut, cancel: cs})
 	case core.RouteDataMem, core.RouteDataDisk:
-		bk := liveBatchKey{t, node, OpGet, co.wire}
+		bk := liveBatchKey{t, node, OpGet, co.prio}
 		w := &waiter{params: params, fut: fut, toMem: route == core.RouteDataMem, cancel: cs}
-		ik := fetchKey{t, key, bk.wire}
+		ik := fetchKey{t, key, bk.prio}
 		if lead := sh.inflight[ik]; lead != nil {
 			// Piled onto a fetch that may still be parked: share its link,
 			// so this caller's wait ships it too.

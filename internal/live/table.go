@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"joinopt/internal/cluster"
 	"joinopt/internal/core"
@@ -66,45 +65,18 @@ const (
 	PriorityLow
 )
 
-// wireOpts is the per-call wire policy carried in the batch key: calls with
-// identical overrides share batches, calls with different overrides get
-// their own. Zero means "executor default", negative means "disabled" —
-// normalized by the With* options, so the zero value is always the default
-// batch.
-type wireOpts struct {
-	timeout time.Duration
-	retries int32
-	prio    Priority
-}
-
-// callOpts is the resolved option set of one submission.
+// callOpts is the resolved option set of one submission. The priority is
+// its whole wire policy: it is part of the batch and dedup keys, so calls of
+// different classes never share a batch or a fetch. A call's own bound is
+// its context's deadline.
 type callOpts struct {
 	route   RouteHint
 	noCache bool
-	wire    wireOpts
+	prio    Priority
 }
 
 // CallOption tunes one submission, overriding the client-level defaults.
 type CallOption func(*callOpts)
-
-// WithTimeout bounds each wire attempt of this call (overriding
-// ExecConfig.RequestTimeout); d <= 0 disables the deadline entirely.
-func WithTimeout(d time.Duration) CallOption {
-	if d <= 0 {
-		d = -1
-	}
-	return func(co *callOpts) { co.wire.timeout = d }
-}
-
-// WithRetries bounds this call's transport-error retries (overriding
-// ExecConfig.MaxRetries); n <= 0 disables retries for the call.
-func WithRetries(n int) CallOption {
-	r := int32(-1)
-	if n > 0 {
-		r = int32(n)
-	}
-	return func(co *callOpts) { co.wire.retries = r }
-}
 
 // WithPriority sets the call's admission class (see Priority). Calls with
 // different priorities never share a wire batch: the priority byte is
@@ -113,7 +85,7 @@ func WithPriority(p Priority) CallOption {
 	if p > PriorityLow {
 		p = PriorityNormal
 	}
-	return func(co *callOpts) { co.wire.prio = p }
+	return func(co *callOpts) { co.prio = p }
 }
 
 // WithRoute forces the call's join location; see RouteHint.
@@ -461,7 +433,7 @@ func (cs *cancelState) onCtxDone(ctx context.Context) {
 		sh.mu.Lock()
 		// Looked up under sh.mu: route parks and enqueues under it, so the
 		// accumulator a first-ever submission to bk creates is visible here.
-		acc := (*cs.e.accs.Load())[bk] // nil once an idle wire policy was unmapped
+		acc := (*cs.e.accs.Load())[bk] // nil once Close emptied the table
 		switch {
 		case w != nil:
 			// Leave the dedup crowd (a canceled lead stays on as the record:

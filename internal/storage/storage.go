@@ -1,5 +1,5 @@
 // Package storage provides the pluggable row-storage engines behind the
-// live plane's data nodes (ROADMAP.md, "Durability (PR 6)").
+// live plane's data nodes (DESIGN.md, "Durability (PR 6)").
 //
 // The paper's system runs on HBase, where a region's rows survive the
 // region server's death; our live servers originally kept every row in a

@@ -40,14 +40,15 @@
 // the request scope end to end — cancel it and the submission's future
 // rejects with ErrCanceled, the op is pulled out of the client's batch and
 // dedup machinery, and (for in-flight compute requests) a wire-level cancel
-// frame lets the data node skip the UDF. Per-call options override the
-// client defaults per submission:
+// frame lets the data node skip the UDF. The context is also a call's own
+// bound: a deadline tighter than ClientOptions.RequestTimeout rejects the
+// submission with ErrCanceled when it passes. Per-call options choose the
+// join location, caching and admission class per submission:
 //
-//	users.Call(ctx, k, p, joinopt.WithTimeout(50*time.Millisecond))
-//	users.Call(ctx, k, p, joinopt.WithRetries(0))
 //	users.Call(ctx, k, p, joinopt.WithRoute(joinopt.ForceCompute)) // FD per call
 //	users.Call(ctx, k, p, joinopt.WithRoute(joinopt.ForceFetch),
 //	    joinopt.WithNoCache())                                     // FC per call
+//	users.Call(ctx, k, p, joinopt.WithPriority(joinopt.PriorityLow)) // shed first
 //
 // # Error semantics & fault tolerance
 //
@@ -109,7 +110,7 @@
 // syscalls. Steady state, encoding and decoding a message allocates
 // nothing and a full Submit-to-wire-and-back round trip costs about five
 // small allocations (budgets are enforced by allocation-regression tests;
-// see ROADMAP.md "Allocation budgets & I/O scheduling"). Two consequences
+// see DESIGN.md "Allocation budgets & I/O scheduling"). Two consequences
 // surface in the API: a UDF's params and value slices are only valid for
 // the duration of the call (copy what you retain), and a Future's result
 // may alias the network frame its batch arrived in (treat it as read-only
@@ -152,7 +153,7 @@
 // a sibling replica with headroom. ErrTimeout messages distinguish a
 // request that was still queued at a saturated node from one whose UDF ran
 // long, and the optimizer's learned state is never fed from shed
-// responses. See ROADMAP.md "Overload & backpressure" for the wire layout
+// responses. See DESIGN.md "Overload & backpressure" for the wire layout
 // and the server-side invariants.
 //
 // # Durable storage
@@ -559,8 +560,9 @@ type ClientOptions struct {
 	// after a transport failure (default 2; negative disables retries).
 	MaxRetries int
 	// RequestTimeout bounds each wire attempt; a request that gets no
-	// answer within the deadline fails with ErrTimeout (default 10s;
-	// negative disables the deadline).
+	// answer within the deadline fails with ErrTimeout. Zero or negative
+	// means the default, 10s; a call's own, tighter bound is its context's
+	// deadline.
 	RequestTimeout time.Duration
 }
 
@@ -622,14 +624,6 @@ const (
 	ForceFetch   = live.ForceFetch
 	ForceCompute = live.ForceCompute
 )
-
-// WithTimeout bounds each wire attempt of one call, overriding
-// ClientOptions.RequestTimeout; d <= 0 disables the deadline.
-func WithTimeout(d time.Duration) CallOption { return live.WithTimeout(d) }
-
-// WithRetries bounds one call's transport-error retries, overriding
-// ClientOptions.MaxRetries; n <= 0 disables retries for the call.
-func WithRetries(n int) CallOption { return live.WithRetries(n) }
 
 // WithRoute forces one call's join location; see RouteHint.
 func WithRoute(h RouteHint) CallOption { return live.WithRoute(h) }
