@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test testcpu allocs race vet lint loc apicheck benchcheck benchjson figcheck bench benchpar fuzz fault livebench livedurable livereplicas overload livemigrate ci
+.PHONY: build test testcpu allocs race vet lint loc apicheck benchcheck benchsmoke benchjson figcheck bench benchpar fuzz fault livebench livedurable livereplicas overload livemigrate ci
 
 build:
 	$(GO) build ./...
@@ -36,6 +36,21 @@ benchjson:
 		sep=,; \
 	done; done; \
 	printf '\n]}\n' >> $$tmp; cp $$tmp BENCH_$(PR).json
+
+# The repo benchmark's smoke pass: each workload once at 3 s, untraced
+# (about 10 s on two cores). A run that exits non-zero — any failed, canceled
+# or shed op, an accounting mismatch, or a benchmark module that no longer
+# compiles — or whose last line is not a result line fails the target, so a
+# change that breaks a workload fails here and not first in a 30 s run.
+benchsmoke:
+	@set -e; for w in $(BENCH_WORKLOADS); do \
+		out=$$(bash benchmark/run.sh --workload $$w --seed 1 --seconds 3 --trace 0) || \
+			{ echo "benchsmoke: $$w exited non-zero" >&2; exit 1; }; \
+		case "$$(printf '%s\n' "$$out" | tail -n 1)" in \
+		'{'*'"metrics"'*) echo "benchsmoke: $$w ok" ;; \
+		*) echo "benchsmoke: $$w printed no result line" >&2; exit 1 ;; \
+		esac; \
+	done
 
 # The paper's figures, byte for byte: a fresh `joinbench -fig all` (about
 # 12 s on two cores, 18 s at GOMAXPROCS=1) diffed against the output
@@ -150,17 +165,19 @@ overload:
 	$(GO) run ./cmd/joinbench -liverate 20000 -liveops 40000
 
 # Elastic-membership drill: a node joins mid-run, every partition migrates
-# to it live (fenced handoff, dual-write, epoch-bumped cutover) under
-# concurrent puts and mixed-route reads against a stale-map client, and
-# the old owner is removed; fails on any caller-visible error or wrong
-# answer, any lost acked put, or a stale post-migration read.
+# to it live (fenced handoff, paged copy plus a delta copy above the
+# version floor, epoch-bumped cutover) under concurrent puts and
+# mixed-route reads against a stale-map client, and the old owner is
+# removed; fails on any caller-visible error or wrong answer, any acked put
+# missing from the new owner at cutover or lost at the end, or a stale
+# post-migration read.
 livemigrate:
 	$(GO) run ./cmd/joinbench -livemigrate -liveops 20000
 
-# The CI workflow's steps in its order, with its arguments: figures at
-# GOMAXPROCS=1 too, the four drills, the 10 s fuzz smoke and one pass of
+# The CI workflow's steps in its order, with its arguments: the benchmark
+# smoke pass, figures at GOMAXPROCS=1 too, the four drills, the 10 s fuzz smoke and one pass of
 # every benchmark. Only the coverage and line-ledger uploads are left out.
-ci: apicheck benchcheck lint race allocs testcpu fault figcheck
+ci: apicheck benchcheck benchsmoke lint race allocs testcpu fault figcheck
 	GOMAXPROCS=1 $(MAKE) figcheck
 	$(MAKE) livedurable livereplicas overload livemigrate
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/live

@@ -54,8 +54,9 @@
 // concurrent puts and mixed-route reads keep running against a client whose
 // membership map is deliberately stale (so every ownership change must
 // reach it as a CodeMoved redirect), and the old owner is then removed.
-// Exits 1 on any caller-visible read failure or wrong answer, any lost
-// acknowledged put, any stale post-migration read, or a run in which no
+// Exits 1 on any caller-visible read failure or wrong answer, any
+// acknowledged put missing from the new owner when the migration returns
+// or lost at the end, any stale post-migration read, or a run in which no
 // redirect was exercised.
 //
 // Every drill ends its report with one verdict line,

@@ -88,8 +88,9 @@ func runLiveMigrate(out io.Writer, ops int) error {
 		// gate quiesces the load for the instant the old owner is torn
 		// down: workers hold it shared per op, the remover takes it
 		// exclusively, so no op is in flight to a node being closed.
-		gate  sync.RWMutex
-		addr1 string
+		gate    sync.RWMutex
+		addr1   string
+		cutLost int
 	)
 	s := &storm{writers: writers, perWriter: perWriter,
 		put: func(k string, v []byte) (int64, error) {
@@ -142,6 +143,16 @@ func runLiveMigrate(out io.Writer, ops int) error {
 		}
 		fmt.Fprintf(out, "migrated %d regions in %s (map epoch %d)\n",
 			moved, time.Since(migStart).Round(time.Millisecond), m.Epoch())
+
+		// The cutover audit: every put acked so far must already be on the
+		// new owner. The final audit alone misses a put lost mid-migration
+		// once a later put of the same key has overwritten it.
+		conn, err := live.DialNode(addr1, nil)
+		if err != nil {
+			return err
+		}
+		cutLost = report(out, s.led.Audit(nodeReader(conn.Call)))
+		conn.Close()
 
 		// Wait for the client's stale clone to converge onto the new
 		// placement through redirects — the ongoing reads and writes
@@ -209,8 +220,9 @@ func runLiveMigrate(out io.Writer, ops int) error {
 	var f failures
 	f.check(s.readFailed.Load() > 0, "%d caller-visible read failures", s.readFailed.Load())
 	f.check(s.readWrong.Load() > 0, "%d wrong answers", s.readWrong.Load())
+	f.check(cutLost > 0, "%d acked puts missing from the new owner at cutover", cutLost)
 	f.check(lost > 0, "%d acked puts lost", lost)
 	f.check(staleReads > 0, "%d stale post-migration reads", staleReads)
 	f.check(e.Moved.Load() == 0, "no CodeMoved redirect was ever exercised")
-	return f.verdict(out, "migration", "zero caller-visible failures, every acked put survived the move, redirects resolved transparently")
+	return f.verdict(out, "migration", "zero caller-visible failures, every acked put was on the new owner at cutover and survived the move, redirects resolved transparently")
 }

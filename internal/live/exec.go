@@ -229,7 +229,7 @@ type Executor struct {
 // defaultRequestTimeout bounds every wire wait whose caller names no bound:
 // it is ExecConfig.RequestTimeout's default and the whole bound of Conn.Call
 // and Pool.Call, so the server-to-server calls that ride those (catch-up
-// paging, migration forwards) cannot wait forever on a silent peer. In
+// and migration-copy paging) cannot wait forever on a silent peer. In
 // nanoseconds; a variable only so fault tests can shorten it, atomic because
 // connections of earlier tests may still be calling.
 var defaultRequestTimeout atomic.Int64

@@ -17,7 +17,7 @@ import (
 //	Server.classSvc   per request (handle)   → retry-after on a shed; the advertised window
 //	ServiceMicros     raw, on every response → the client's replica pricing (its own EWMA)
 //
-// The first two travel in the migration state record (ExportState).
+// The first two travel in the migration state record (exportState).
 type ewma struct{ bits atomic.Uint64 }
 
 // coldServiceSeconds seeds every EWMA until traffic or an imported state
@@ -302,13 +302,14 @@ func (s *Server) commit(from *wireConn, tb *serverTable, req *Request) *Response
 	s.Puts.Add(int64(len(req.Keys)))
 	// Migration guard (migrate.go), OpPut only (the replication stream is
 	// never client-routed) and armed only while a region of this node is
-	// mid-handoff: a batch touching a fenced region bounces retryable before
-	// any row is written, and a batch touching a dual-written region
-	// registers for forwarding so the fence can drain it.
-	var fwds []*regionForward
-	if req.Op == OpPut && s.migActive.Load() != 0 {
-		var bounce *Response
-		if fwds, bounce = s.putMigrCheck(req); bounce != nil {
+	// being copied away: a batch touching a fenced region bounces retryable
+	// before any row is written, and every other batch writes its rows
+	// holding putGate shared, so the fence can wait them out.
+	gated := req.Op == OpPut && s.migActive.Load() != 0
+	if gated {
+		s.putGate.RLock()
+		if bounce := s.putFenced(req); bounce != nil {
+			s.putGate.RUnlock()
 			return bounce
 		}
 	}
@@ -340,6 +341,9 @@ func (s *Server) commit(from *wireConn, tb *serverTable, req *Request) *Response
 		}
 		resp.Metas = append(resp.Metas, Meta{Version: ver})
 	}
+	if gated {
+		s.putGate.RUnlock()
+	}
 	// The acknowledgment barrier: every row above is durable (to the
 	// engine's configured level) once Flush returns. The in-memory engine
 	// answers instantly.
@@ -350,14 +354,7 @@ func (s *Server) commit(from *wireConn, tb *serverTable, req *Request) *Response
 	}
 	if fail != "" {
 		putResponse(resp)
-		s.releaseForwards(fwds)
 		return errResponse(req.ID, CodeServer, fail)
-	}
-	// Dual-write forwarding, synchronous past the barrier: only
-	// acknowledged rows ride the migration stream, and the registration is
-	// released only once the forward lands (or fails dirty).
-	if fwds != nil {
-		s.forwardPuts(req, resp.Metas, fwds)
 	}
 	push(tb.cachers.take(req.Table, req.Keys, resp.Metas, resp.Computed, from))
 	return resp

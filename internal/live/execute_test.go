@@ -2,6 +2,7 @@ package live
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -231,6 +232,9 @@ func TestExecuteTypedFailures(t *testing.T) {
 		{ID: 1, Op: OpExec, Table: "nope", Keys: []string{"k0"}},
 		{ID: 2, Op: OpExec, Table: "orphan", Keys: []string{"k0"}},
 		{ID: 3, Op: Op(99), Table: "t"},
+		{ID: 4, Op: OpScan, Table: "t", Params: [][]byte{nil, nil, {0x80}}},                           // truncated version bound
+		{ID: 5, Op: OpScan, Table: "t", Params: [][]byte{nil, nil, {0x80, 0x01, 0x00}}},               // trailing byte
+		{ID: 6, Op: OpScan, Table: "t", Params: [][]byte{nil, nil, binary.AppendUvarint(nil, 1<<63)}}, // no int64 version
 	} {
 		wc, mc := socketlessConn()
 		resp := serve(t, s, wc, mc, req)

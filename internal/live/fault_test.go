@@ -14,6 +14,7 @@ import (
 
 	"joinopt/internal/cluster"
 	"joinopt/internal/core"
+	"joinopt/internal/membership"
 	"joinopt/internal/store"
 )
 
@@ -840,88 +841,82 @@ func TestFaultCatchUpBlackholedPeerTimesOut(t *testing.T) {
 	}
 }
 
-// TestFaultBlackholedMigrationTargetCostsOneBound: while a region is
-// dual-written to a migration target whose responses are blackholed, the
-// source answers a put batch of that region within one request timeout —
-// the first forward times out and marks the region dirty, and the rest are
-// left to the fence's re-copy — and it keeps acking puts to its other
-// regions meanwhile.
-func TestFaultBlackholedMigrationTargetCostsOneBound(t *testing.T) {
+// TestFaultBlackholedMigrationCopyCostsOneBound: a migration whose copy
+// link to the source is blackholed — the scan requests arrive, the pages
+// never come back — fails within one request timeout and rolls back (the
+// source drops the region's registration and the map is unchanged), while
+// the source keeps acking puts to the migrating region well inside the
+// bound: the copy is pulled by the target and never sits on the source's
+// put path.
+func TestFaultBlackholedMigrationCopyCostsOneBound(t *testing.T) {
 	const (
-		bound    = 250 * time.Millisecond
-		nregions = 4
-		region   = 1
-		keys     = 8
+		bound  = 250 * time.Millisecond
+		region = 1
 	)
 	shortenRequestTimeout(t, bound)
 	reg := NewRegistry()
 	src, _, srcAddr := faultServer(t, reg, nil)
-	_, _, dstAddr := faultServer(t, reg, nil)
-	proxy := newFaultProxy(t, dstAddr)
+	dst, _, dstAddr := faultServer(t, reg, nil)
+	proxy := newFaultProxy(t, srcAddr)
 	proxy.dropResponses.Store(true)
-	if err := src.beginDualWrite("t", region, nregions, proxy.addr()); err != nil {
-		t.Fatal(err)
-	}
+	m := membership.NewMap()
+	m.AddNode(0, proxy.addr()) // the target reaches the source only through the proxy
+	m.AddNode(1, dstAddr)
+	m.SetTable("t", make([]cluster.NodeID, migRegions))
+	before := m.View()
+	mig := &Migrator{Map: m, Servers: map[cluster.NodeID]*Server{0: src, 1: dst}}
 
-	var moving, others []string
-	for i := 0; len(moving) < keys || len(others) < keys; i++ {
-		k := fmt.Sprintf("k%d", i)
-		if store.RegionIndex(k, nregions) == region {
+	var moving []string
+	for i := 0; len(moving) < 8; i++ {
+		if k := fmt.Sprintf("k%d", i); store.RegionIndex(k, migRegions) == region {
 			moving = append(moving, k)
-		} else {
-			others = append(others, k)
 		}
 	}
-	put := func(ks []string) Request {
-		return Request{Op: OpPut, Table: "t", Keys: ks, Params: make([][]byte, len(ks))}
-	}
-	mover, err := DialNode(srcAddr, nil)
+	conn, err := DialNode(srcAddr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mover.Close()
-	other, err := DialNode(srcAddr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer other.Close()
+	defer conn.Close()
 
-	// The migrating batch waits under its own, longer bound: the point is
-	// when the source answers, not the test client's deadline.
-	req := put(moving[:keys])
-	sc := mover.send(&req)
 	start := time.Now()
-	var answered atomic.Bool
-	done := make(chan *Response, 1)
-	go func() {
-		resp := sc.wait(10*time.Second, nil)
-		answered.Store(true)
-		done <- resp
-	}()
-	meanwhile := 0
-	for i := 0; !answered.Load(); i++ {
-		if _, err := other.Call(put(others[i%keys : i%keys+1])); err != nil {
-			t.Fatalf("put to another region while the migrating batch waits: %v", err)
+	done := make(chan error, 1)
+	go func() { done <- mig.Migrate("t", region, 0, 1) }()
+	for src.migActive.Load() == 0 {
+		if time.Since(start) > 10*time.Second {
+			t.Fatal("the migration never registered the region at the source")
 		}
-		if !answered.Load() {
-			meanwhile++
+		time.Sleep(100 * time.Microsecond)
+	}
+	acked, slowest := 0, time.Duration(0)
+	for err = nil; err == nil; {
+		select {
+		case err = <-done:
+			continue
+		default:
 		}
 		if time.Since(start) > 10*time.Second {
-			t.Fatal("the migrating region's put batch hung")
+			t.Fatal("Migrate against a blackholed copy link hung")
 		}
+		k := moving[acked%len(moving)]
+		t0 := time.Now()
+		if _, perr := conn.Call(Request{Op: OpPut, Table: "t", Keys: []string{k}, Params: [][]byte{[]byte("v")}}); perr != nil {
+			t.Fatalf("put to the migrating region while its copy stalls: %v", perr)
+		}
+		slowest = max(slowest, time.Since(t0))
+		acked++
 	}
-	resp := <-done
 	if waited := time.Since(start); waited > 4*bound {
-		t.Fatalf("the migrating batch was answered after %v, want about one %v bound", waited, bound)
+		t.Fatalf("Migrate failed after %v, want about one %v bound", waited, bound)
 	}
-	if err := respError(OpPut, resp); err != nil || len(resp.Metas) != keys {
-		t.Fatalf("migrating batch: %d metas, %v; want %d acked puts", len(resp.Metas), err, keys)
+	var le *Error
+	if !errors.As(err, &le) || le.Code != CodeTimeout {
+		t.Fatalf("Migrate against a blackholed copy link: %v, want a wrapped CodeTimeout", err)
 	}
-	putResponse(resp)
-	if meanwhile == 0 {
-		t.Fatal("no put to another region was acked while the migrating batch waited")
+	if acked == 0 || slowest > bound/4 {
+		t.Fatalf("%d puts to the migrating region acked while its copy stalled, slowest %v; want some, each well inside %v",
+			acked, slowest, bound)
 	}
-	if _, dirty := src.fenceRegion("t", region); !dirty {
-		t.Fatal("a blackholed forward left the region clean; the fence would skip its re-copy")
+	if src.migActive.Load() != 0 || m.View() != before {
+		t.Fatal("the failed migration was not rolled back: the region is still registered or the map changed")
 	}
 }

@@ -349,7 +349,7 @@ func TestGoldenStateRecord(t *testing.T) {
 	for i := 0; i < int(numClasses); i++ {
 		want = append(want, quarter...)
 	}
-	got := s.ExportState()
+	got := s.exportState()
 	if !bytes.Equal(got, want) {
 		t.Fatalf("state record encoding:\n got %#v\nwant %#v", got, want)
 	}
@@ -357,8 +357,8 @@ func TestGoldenStateRecord(t *testing.T) {
 	// Import on a cold server adopts the EWMAs...
 	d := NewServer(NewRegistry(), false, WireBinary)
 	defer d.Close()
-	if err := d.ImportState(got); err != nil {
-		t.Fatalf("ImportState: %v", err)
+	if err := d.importState(got); err != nil {
+		t.Fatalf("importState: %v", err)
 	}
 	if v := d.udfCost.load(); v != 0.5 {
 		t.Fatalf("imported avgUDFSeconds = %v, want 0.5", v)
@@ -374,18 +374,18 @@ func TestGoldenStateRecord(t *testing.T) {
 	poison := append([]byte{}, want...)
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1} {
 		binary.LittleEndian.PutUint64(poison[1:], math.Float64bits(bad))
-		if err := d.ImportState(poison); err != nil {
-			t.Fatalf("ImportState(%v record): %v", bad, err)
+		if err := d.importState(poison); err != nil {
+			t.Fatalf("importState(%v record): %v", bad, err)
 		}
 		if v := d.udfCost.load(); v != 0.5 {
 			t.Fatalf("%v import changed avgUDFSeconds to %v", bad, v)
 		}
 	}
-	if err := d.ImportState([]byte{0x02}); err == nil {
+	if err := d.importState([]byte{0x02}); err == nil {
 		t.Fatal("unknown record version imported ok")
 	}
 	for i := 1; i < len(want); i++ {
-		if err := d.ImportState(want[:i]); err == nil {
+		if err := d.importState(want[:i]); err == nil {
 			t.Fatalf("truncated record at %d imported ok", i)
 		}
 	}
@@ -737,7 +737,7 @@ func FuzzDecodeMigration(f *testing.F) {
 	f.Add(encodeRegionFilter(2, 4))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x0F}) // huge count, tiny buffer
 	s := NewServer(NewRegistry(), false, WireBinary)
-	f.Add(s.ExportState())
+	f.Add(s.exportState())
 	s.Close()
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -745,7 +745,7 @@ func FuzzDecodeMigration(f *testing.F) {
 		_, _, _ = decodeRegionFilter(data)
 		d := NewServer(NewRegistry(), false, WireBinary)
 		defer d.Close()
-		_ = d.ImportState(data)
+		_ = d.importState(data)
 		if v := d.udfCost.load(); math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
 			t.Fatalf("corrupt state record poisoned avgUDFSeconds: %v", v)
 		}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"joinopt/internal/cluster"
 	"joinopt/internal/membership"
@@ -26,22 +25,23 @@ import (
 // reads served by src until the very last step so no request ever sees a
 // half-moved shard:
 //
-//  1. Dual-write: src starts forwarding every acknowledged put that lands
-//     in the region to dst as OpPutRepl records (synchronous, versioned
-//     set-if-newer). A forward failure marks the migration dirty.
-//  2. Copy: dst pulls the region through partition-scoped OpScan pages
-//     (CatchUpRegion) while src keeps serving. Rows put mid-copy are
-//     covered by the dual-write stream; the copy and the stream reconcile
-//     through versions.
+//  1. Begin: src registers the region and raises its table's version
+//     floor to the region's highest version F, so every put from here on
+//     is assigned a version above F.
+//  2. Copy: dst pulls the region through region-filtered OpScan pages
+//     (catchUpRegion) while src keeps serving, applying rows set-if-newer.
+//     Every row at or below F existed before the copy began, so the copy
+//     carries it (or a newer version of it).
 //  3. State: src's learned execution profile (UDF-cost EWMA, per-class
 //     service EWMAs) is exported as a migration state record and imported
 //     at dst, so dst's balancer and backpressure pricing do not restart
 //     cold for traffic it is about to inherit.
 //  4. Fence: src stops admitting puts to the region — they bounce with a
 //     typed CodeOverloaded (retry-after ≈1ms; zero work done, so the
-//     bounce is always safe to retry) — drains the forwards still in
-//     flight, re-copies if any forward failed, and measures the highest
-//     version it ever assigned in the region.
+//     bounce is always safe to retry) — waits out the put batches already
+//     writing, and measures the highest version it holds in the region;
+//     dst then pulls the region's rows above F, every row put since phase
+//     1, through the same pages. Nothing is ever sent on src's put path.
 //  5. Cutover: dst floors its version counters above src's maximum (a
 //     dst-assigned version can never lose a set-if-newer race against a
 //     pre-move row), the map bumps (membership.Map.SetOwner — the fencing
@@ -146,13 +146,13 @@ func decodeRegionFilter(p []byte) (region, nregions int, ok bool) {
 // can be added without breaking an in-flight upgrade.
 const stateRecordVersion = 1
 
-// ExportState serializes the node's learned execution profile as a
+// exportState serializes the node's learned execution profile as a
 // migration state record: uvarint version · float64le avgUDFSeconds ·
 // uvarint nclasses · nclasses × float64le classSvcSeconds. It travels with
 // a shard migration so the new owner's balancer (Section 5 uses the UDF
 // EWMA) and backpressure pricing (retry-after hints, advertised windows)
 // start from the old owner's measurements instead of the cold defaults.
-func (s *Server) ExportState() []byte {
+func (s *Server) exportState() []byte {
 	b := make([]byte, 0, 2*binary.MaxVarintLen64+8*(1+numClasses))
 	b = binary.AppendUvarint(b, stateRecordVersion)
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.udfCost.load()))
@@ -163,24 +163,24 @@ func (s *Server) ExportState() []byte {
 	return b
 }
 
-// ImportState adopts an exported state record, overwriting the node's UDF
+// importState adopts an exported state record, overwriting the node's UDF
 // and per-class service EWMAs (they re-adapt from live traffic either way;
 // the import just skips the cold-start). Non-finite or non-positive values
 // are skipped (ewma.set).
-func (s *Server) ImportState(blob []byte) error {
+func (s *Server) importState(blob []byte) error {
 	ver, k := binary.Uvarint(blob)
 	if k <= 0 || ver != stateRecordVersion {
-		return fmt.Errorf("live: migration state record: unknown version") //lint:allow errcode migration control path; a bad record aborts the handoff, never a live op
+		return fmt.Errorf("live: migration state record: unknown version")
 	}
 	blob = blob[k:]
 	if len(blob) < 8 {
-		return fmt.Errorf("live: migration state record: truncated") //lint:allow errcode migration control path; a bad record aborts the handoff, never a live op
+		return fmt.Errorf("live: migration state record: truncated")
 	}
 	s.udfCost.set(math.Float64frombits(binary.LittleEndian.Uint64(blob)))
 	blob = blob[8:]
 	n, k := binary.Uvarint(blob)
 	if k <= 0 || uint64(len(blob)-k) < 8*n {
-		return fmt.Errorf("live: migration state record: truncated") //lint:allow errcode migration control path; a bad record aborts the handoff, never a live op
+		return fmt.Errorf("live: migration state record: truncated")
 	}
 	blob = blob[k:]
 	for cl := 0; cl < int(n) && cl < int(numClasses); cl++ {
@@ -191,25 +191,13 @@ func (s *Server) ImportState(blob []byte) error {
 
 // --- Server-side migration bookkeeping --------------------------------------
 
-// regionForward is the dual-write stream of one migrating region: a
-// dedicated connection to the target plus the accounting the fence needs.
-// inflight counts put batches (commit) that registered for forwarding before
-// the fence and have not finished their forward yet; dirty records a
-// forward that failed (the fence answers with a re-copy).
-type regionForward struct {
-	conn     *Conn
-	inflight int64 // guarded by the owning tableMigr's server migMu
-	dirty    bool
-}
-
 // tableMigr is one table's migration state at a store node. All fields are
 // guarded by Server.migMu; the hot path never takes that lock — it is
 // reached only behind the routeState mismatch or the migActive counter.
 type tableMigr struct {
-	nregions int
-	dual     map[int]*regionForward // regions being dual-written (src side)
-	fenced   map[int]bool           // regions bounced during cutover
-	moved    map[int]movedRegion    // regions redirected away post-cutover
+	nregions  int
+	migrating map[int]bool        // regions being copied away (src side); true once fenced
+	moved     map[int]movedRegion // regions redirected away post-cutover
 }
 
 func (s *Server) tableMigrLocked(table string, nregions int) *tableMigr {
@@ -219,10 +207,9 @@ func (s *Server) tableMigrLocked(table string, nregions int) *tableMigr {
 	mt := s.migs[table]
 	if mt == nil {
 		mt = &tableMigr{
-			nregions: nregions,
-			dual:     make(map[int]*regionForward),
-			fenced:   make(map[int]bool),
-			moved:    make(map[int]movedRegion),
+			nregions:  nregions,
+			migrating: make(map[int]bool),
+			moved:     make(map[int]movedRegion),
 		}
 		s.migs[table] = mt
 	}
@@ -320,155 +307,84 @@ func (s *Server) routeCheck(req *Request) *Response {
 	return resp
 }
 
-// putMigrCheck is the cold half of commit's migration guard (reached
-// only while migActive is nonzero): bounce the whole batch if any key's
-// region is fenced (before any row is written, so the bounce is retryable),
-// otherwise register the batch on every dual-written region it touches and
-// return the per-key forward assignments. The caller MUST pair a non-nil
-// return with forwardPuts, which releases the registrations — the fence
-// drains on them.
-func (s *Server) putMigrCheck(req *Request) (fwds []*regionForward, bounce *Response) {
+// putFenced is the cold half of commit's migration guard (reached only
+// while migActive is nonzero, with putGate held shared): it answers a
+// retryable bounce if any key's region is fenced, before any row is
+// written, and nil otherwise.
+func (s *Server) putFenced(req *Request) *Response {
 	s.migMu.Lock()
 	defer s.migMu.Unlock()
 	mt := s.migs[req.Table]
-	if mt == nil || (len(mt.dual) == 0 && len(mt.fenced) == 0) {
-		return nil, nil
+	if mt == nil || len(mt.migrating) == 0 {
+		return nil
 	}
 	for _, k := range req.Keys {
-		if mt.fenced[store.RegionIndex(k, mt.nregions)] {
+		if mt.migrating[store.RegionIndex(k, mt.nregions)] {
 			resp := errResponse(req.ID, CodeOverloaded,
 				"region fenced for migration cutover; retry shortly")
 			resp.RetryAfterMillis = 1
-			return nil, resp
+			return resp
 		}
 	}
-	for i, k := range req.Keys {
-		fw := mt.dual[store.RegionIndex(k, mt.nregions)]
-		if fw == nil {
-			continue
-		}
-		if fwds == nil {
-			fwds = make([]*regionForward, len(req.Keys))
-		}
-		fwds[i] = fw
-		fw.inflight++
-	}
-	return fwds, nil
-}
-
-// forwardPuts streams a put batch's dual-written rows to their migration
-// targets as OpPutRepl records carrying the versions the local engine just
-// assigned, then releases the fence registrations taken by putMigrCheck.
-// A failed forward marks the region's migration dirty — the fence re-copies
-// a dirty region before cutover, so the row still arrives, and the region's
-// later rows are not forwarded at all: a silent target costs one request
-// timeout, not one per key. Called after the flush barrier: only
-// acknowledged (version-assigned, durable) rows ride the stream.
-func (s *Server) forwardPuts(req *Request, metas []Meta, fwds []*regionForward) {
-	for i, fw := range fwds {
-		if fw == nil {
-			continue
-		}
-		s.migMu.Lock()
-		dirty := fw.dirty
-		s.migMu.Unlock()
-		var err error
-		if !dirty {
-			rec := encodePutRepl(metas[i].Version, param(req.Params, i))
-			_, err = fw.conn.Call(Request{Op: OpPutRepl, Table: req.Table,
-				Keys: []string{req.Keys[i]}, Params: [][]byte{rec}})
-		}
-		s.migMu.Lock()
-		if err != nil {
-			fw.dirty = true
-		}
-		fw.inflight--
-		s.migMu.Unlock()
-	}
-}
-
-// releaseForwards undoes putMigrCheck's registrations without forwarding,
-// for put batches that failed before the flush barrier (their rows are
-// unacknowledged; the fence's re-copy rules them in or out by version).
-func (s *Server) releaseForwards(fwds []*regionForward) {
-	if fwds == nil {
-		return
-	}
-	s.migMu.Lock()
-	for _, fw := range fwds {
-		if fw != nil {
-			fw.inflight--
-			fw.dirty = true // unacked rows may be visible; let the re-copy reconcile
-		}
-	}
-	s.migMu.Unlock()
-}
-
-// beginDualWrite starts phase 1 at the source: every subsequent
-// acknowledged put landing in (table, region) is forwarded to dstAddr until
-// the region is fenced. migActive arms commit's cold path.
-func (s *Server) beginDualWrite(table string, region, nregions int, dstAddr string) error {
-	conn, err := DialNode(dstAddr, nil)
-	if err != nil {
-		return err
-	}
-	s.migMu.Lock()
-	defer s.migMu.Unlock()
-	mt := s.tableMigrLocked(table, nregions)
-	if mt.dual[region] != nil || mt.fenced[region] {
-		conn.Close()
-		return fmt.Errorf("live: region %d of %q is already migrating", region, table)
-	}
-	if _, gone := mt.moved[region]; gone {
-		conn.Close()
-		return fmt.Errorf("live: region %d of %q already migrated away", region, table)
-	}
-	mt.dual[region] = &regionForward{conn: conn}
-	s.migActive.Add(1)
 	return nil
 }
 
-// fenceRegion runs phase 4 at the source: stop admitting the region's puts
-// (they bounce retryable), wait out the forwards already registered, and
-// report the highest version this node ever assigned in the region plus
-// whether any forward failed (dirty ⇒ the caller re-copies before
-// cutover). After fenceRegion the region is frozen at src: no row in it can
-// change until completeMove or abortMigration.
-func (s *Server) fenceRegion(table string, region int) (maxVer int64, dirty bool) {
-	s.migMu.Lock()
-	mt := s.migs[table]
-	fw, nregions := mt.dual[region], mt.nregions
-	mt.fenced[region] = true
-	s.migMu.Unlock()
-	// Drain: registrations precede the fence flag under migMu, so once
-	// inflight reaches zero no forward for this region can be outstanding.
-	for fw != nil {
-		s.migMu.Lock()
-		n, d := fw.inflight, fw.dirty
-		s.migMu.Unlock()
-		if n == 0 {
-			dirty = d
-			break
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-	s.table(table).store.Scan(func(k string, _ []byte, ver int64) bool {
-		if store.RegionIndex(k, nregions) == region && ver > maxVer {
+// regionMax returns the highest version tb holds in region.
+func regionMax(tb *serverTable, region, nregions int) (maxVer int64) {
+	tb.store.Scan(func(k string, _ []byte, ver int64) bool {
+		if ver > maxVer && store.RegionIndex(k, nregions) == region {
 			maxVer = ver
 		}
 		return true
 	})
-	return maxVer, dirty
+	return maxVer
 }
 
-// FloorTable floors the table's version counters above maxVer (phase 5 at
-// the target): every version this node assigns from here on beats anything
-// the old owner ever assigned, so set-if-newer reconciliation can never
-// prefer a pre-move row over a post-cutover write.
-func (s *Server) FloorTable(table string, maxVer int64) {
-	if tb := s.table(table); tb != nil {
-		tb.store.SetFloor(maxVer)
+// beginMigration runs phase 1 at the source: register the region (arming
+// commit's fence check) and raise the table's version floor to the region's
+// highest version, which it returns. Every put from here on is assigned a
+// version above that floor, so the fence's delta copy can tell the rows
+// written during the bulk copy apart from the rows the bulk copy carries.
+func (s *Server) beginMigration(table string, region, nregions int) (floor int64, err error) {
+	tb := s.table(table)
+	if tb == nil {
+		return 0, fmt.Errorf("live: migration of unknown table %q", table)
 	}
+	s.migMu.Lock()
+	mt := s.tableMigrLocked(table, nregions)
+	if _, busy := mt.migrating[region]; busy {
+		s.migMu.Unlock()
+		return 0, fmt.Errorf("live: region %d of %q is already migrating", region, table)
+	}
+	if _, gone := mt.moved[region]; gone {
+		s.migMu.Unlock()
+		return 0, fmt.Errorf("live: region %d of %q already migrated away", region, table)
+	}
+	mt.migrating[region] = false
+	s.migActive.Add(1)
+	s.migMu.Unlock()
+	floor = regionMax(tb, region, nregions)
+	tb.store.SetFloor(floor)
+	return floor, nil
+}
+
+// fenceRegion runs phase 4 at the source: stop admitting the region's puts
+// (they bounce retryable), wait out the put batches that passed the fence
+// check before it went up — they only write locally, so the wait is short —
+// and report the highest version this node holds in the region. After
+// fenceRegion the region is frozen at src: no row in it can change until
+// completeMove or abortMigration.
+func (s *Server) fenceRegion(table string, region int) (maxVer int64) {
+	// Taking putGate exclusively waits for every batch holding it shared;
+	// every batch that takes it afterwards sees the fence.
+	s.putGate.Lock()
+	s.migMu.Lock()
+	mt := s.migs[table]
+	mt.migrating[region] = true
+	nregions := mt.nregions
+	s.migMu.Unlock()
+	s.putGate.Unlock()
+	return regionMax(s.table(table), region, nregions)
 }
 
 // adoptRegion completes the cutover at the target: the node clears any
@@ -483,24 +399,28 @@ func (s *Server) adoptRegion(table string, region, nregions int, epoch uint64) {
 	s.migMu.Unlock()
 }
 
+// endMigrationLocked drops the region's migration registration, if any;
+// the caller holds migMu.
+func (s *Server) endMigrationLocked(mt *tableMigr, region int) {
+	if _, ok := mt.migrating[region]; ok {
+		delete(mt.migrating, region)
+		s.migActive.Add(-1)
+	}
+}
+
 // completeMove finishes the cutover at the source: install the moved record
 // (the region's requests now answer CodeMoved), adopt the cutover epoch,
-// drop the dual-write stream, and push a version-0 "placement moved"
-// notification to every client that cached one of the region's keys — their
-// subscriptions die with this node's ownership, and without the push a
-// client that never routes to the region again would serve its cached value
-// stale forever. Version 0 (impossible for a real put, whose versions are
-// ≥ 1) tells the client to drop the value but keep the key's learned
-// optimizer state: the value did not change, it moved.
+// drop the fence, and push a version-0 "placement moved" notification to
+// every client that cached one of the region's keys — their subscriptions
+// die with this node's ownership, and without the push a client that never
+// routes to the region again would serve its cached value stale forever.
+// Version 0 (impossible for a real put, whose versions are ≥ 1) tells the
+// client to drop the value but keep the key's learned optimizer state: the
+// value did not change, it moved.
 func (s *Server) completeMove(table string, region int, epoch uint64, owner cluster.NodeID, addr string) {
 	s.migMu.Lock()
 	mt := s.migs[table]
-	if fw := mt.dual[region]; fw != nil {
-		fw.conn.Close()
-		delete(mt.dual, region)
-		s.migActive.Add(-1)
-	}
-	delete(mt.fenced, region)
+	s.endMigrationLocked(mt, region)
 	mt.moved[region] = movedRegion{epoch: epoch, region: region, owner: owner, addr: addr}
 	nregions := mt.nregions
 	// Flag before epoch, inside the record's critical section: once the
@@ -517,34 +437,30 @@ func (s *Server) completeMove(table string, region int, epoch uint64, owner clus
 }
 
 // abortMigration rolls a failed migration attempt back at the source: the
-// dual-write stream and the fence are dropped and the region serves puts
+// registration and the fence are dropped and the region serves puts
 // normally again. Rows already copied to the target are harmless — it does
-// not own the region, and a future retry reconciles them by version.
+// not own the region, and a future retry reconciles them by version — and
+// so is the raised floor: versions only ever go up.
 func (s *Server) abortMigration(table string, region int) {
 	s.migMu.Lock()
-	defer s.migMu.Unlock()
-	mt := s.migs[table]
-	if mt == nil {
-		return
+	if mt := s.migs[table]; mt != nil {
+		s.endMigrationLocked(mt, region)
 	}
-	if fw := mt.dual[region]; fw != nil {
-		fw.conn.Close()
-		delete(mt.dual, region)
-		s.migActive.Add(-1)
-	}
-	delete(mt.fenced, region)
+	s.migMu.Unlock()
 }
 
-// CatchUpRegion pulls one partition of one table from a peer through
-// region-filtered OpScan pages, applying rows set-if-newer, and flushes
-// once — phase 2 (and the dirty re-copy of phase 4) of a shard migration,
-// run at the target. Returns the number of rows that actually applied.
-func (s *Server) CatchUpRegion(peer, table string, region, nregions int) (int, error) {
+// catchUpRegion pulls one partition of one table from a peer through
+// region-filtered OpScan pages, applying the rows above version `above`
+// set-if-newer, and flushes once — the bulk copy (above 0) and the fenced
+// delta copy (above the phase-1 floor) of a shard migration, run at the
+// target. Returns the number of rows that actually applied.
+func (s *Server) catchUpRegion(peer, table string, region, nregions int, above int64) (int, error) {
 	tb := s.table(table)
 	if tb == nil {
-		return 0, fmt.Errorf("live: catch-up of unknown table %q", table) //lint:allow errcode migration control path at the coordinator, not a live op result
+		return 0, fmt.Errorf("live: catch-up of unknown table %q", table)
 	}
-	applied, err := s.catchUpTable(peer, table, tb, encodeRegionFilter(region, nregions))
+	applied, err := s.catchUpTable(peer, table, tb,
+		encodeRegionFilter(region, nregions), binary.AppendUvarint(nil, uint64(above)))
 	if ferr := s.engine.Flush(); ferr != nil && err == nil {
 		err = ferr
 	}
@@ -559,9 +475,9 @@ func (s *Server) CatchUpRegion(peer, table string, region, nregions int) (int, e
 // node.
 //
 // Migrate serializes on the Migrator (one shard moves at a time per
-// coordinator), but the cluster keeps serving throughout: reads and puts
-// proceed at the source until the fence (a few hundred microseconds), and
-// only puts to the moving region ever notice — as a retryable bounce.
+// coordinator), but the cluster keeps serving throughout: only puts to the
+// moving region ever notice — as a retryable bounce while the fence's
+// delta copy runs, one paged scan of the rows put during the bulk copy.
 type Migrator struct {
 	Map     *membership.Map
 	Servers map[cluster.NodeID]*Server
@@ -575,62 +491,110 @@ type Migrator struct {
 // with the same spec — its seed rows lose every version race against migrated
 // rows, so sharing the baseline is safe). A region with more than one member
 // is refused before anything starts: its backups take the sequencer's
-// OpPutRepl fan-out, not the dual-write stream, and would not follow the
-// cutover (ROADMAP item 13, the one copy stream, is what moves it). On an
-// error before cutover the source is rolled back and keeps the region; the
-// cutover itself (SetOwner) is atomic, so the region is owned by exactly one
-// node at every epoch.
+// OpPutRepl fan-out, which the region-filtered copy does not follow, so they
+// would not follow the cutover either. On an error before cutover the source
+// is rolled back and keeps the region; the cutover itself (SetOwner) is
+// atomic, so the region is owned by exactly one node at every epoch.
 func (m *Migrator) Migrate(table string, region int, src, dst cluster.NodeID) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	h, err := m.plan(table, region, src, dst)
+	if err == nil {
+		err = h.begin()
+	}
+	if err == nil {
+		err = h.copy()
+	}
+	if err == nil {
+		err = h.fence()
+	}
+	if err != nil {
+		return err
+	}
+	h.cutover()
+	return nil
+}
+
+// handoff is one migration of (table, region) from src to dst, its phases
+// as methods so Migrate runs them in order and a test can act between any
+// two. A phase that fails after begin rolls the source back.
+type handoff struct {
+	m                *Migrator
+	table            string
+	region, nregions int
+	dst              cluster.NodeID
+	src, target      *Server
+	srcAddr, dstAddr string
+	floor            int64 // the source's version floor from begin
+	maxVer           int64 // the source's highest version in the region, from fence
+}
+
+// plan checks a migration against the map and resolves its nodes; it
+// changes nothing.
+func (m *Migrator) plan(table string, region int, src, dst cluster.NodeID) (*handoff, error) {
 	v := m.Map.View()
 	if owner, ok := v.Owner(table, region); !ok || owner != src {
-		return fmt.Errorf("live: migrate %q/%d: source %d does not own it", table, region, src) //lint:allow errcode coordinator control path; callers are operators, not live ops
+		return nil, fmt.Errorf("live: migrate %q/%d: source %d does not own it", table, region, src) //lint:allow errcode coordinator control path; callers are operators, not live ops
 	}
 	if set := v.Tables[table].Sets[region]; len(set) > 1 {
-		return fmt.Errorf("live: migrate %q/%d: region is replicated on nodes %v, and a multi-member region cannot be moved: its backups would not follow the cutover", table, region, set) //lint:allow errcode coordinator control path; callers are operators, not live ops
+		return nil, fmt.Errorf("live: migrate %q/%d: region is replicated on nodes %v, and a multi-member region cannot be moved: its backups would not follow the cutover", table, region, set) //lint:allow errcode coordinator control path; callers are operators, not live ops
 	}
-	srcSrv, dstSrv := m.Servers[src], m.Servers[dst]
-	if srcSrv == nil || dstSrv == nil {
-		return fmt.Errorf("live: migrate %q/%d: unknown node", table, region) //lint:allow errcode coordinator control path; callers are operators, not live ops
+	h := &handoff{m: m, table: table, region: region, nregions: v.Regions(table), dst: dst,
+		src: m.Servers[src], target: m.Servers[dst], srcAddr: v.Addr(src), dstAddr: v.Addr(dst)}
+	if h.src == nil || h.target == nil {
+		return nil, fmt.Errorf("live: migrate %q/%d: unknown node", table, region) //lint:allow errcode coordinator control path; callers are operators, not live ops
 	}
-	srcAddr, dstAddr := v.Addr(src), v.Addr(dst)
-	if srcAddr == "" || dstAddr == "" {
-		return fmt.Errorf("live: migrate %q/%d: node address unknown", table, region) //lint:allow errcode coordinator control path; callers are operators, not live ops
+	if h.srcAddr == "" || h.dstAddr == "" {
+		return nil, fmt.Errorf("live: migrate %q/%d: node address unknown", table, region) //lint:allow errcode coordinator control path; callers are operators, not live ops
 	}
-	nregions := v.Regions(table)
+	return h, nil
+}
 
-	// Phase 1: dual-write on, so the copy can be loose about racing puts.
-	if err := srcSrv.beginDualWrite(table, region, nregions, dstAddr); err != nil {
-		return fmt.Errorf("live: migrate %q/%d: dual-write: %w", table, region, err) //lint:allow errcode coordinator control path; the phase's typed error is wrapped, not replaced
-	}
-	// Phase 2: bulk copy while src serves.
-	if _, err := dstSrv.CatchUpRegion(srcAddr, table, region, nregions); err != nil {
-		srcSrv.abortMigration(table, region)
-		return fmt.Errorf("live: migrate %q/%d: copy: %w", table, region, err) //lint:allow errcode coordinator control path; the phase's typed error is wrapped, not replaced
-	}
-	// Phase 3: learned execution state travels with the shard.
-	if err := dstSrv.ImportState(srcSrv.ExportState()); err != nil {
-		srcSrv.abortMigration(table, region)
-		return fmt.Errorf("live: migrate %q/%d: state: %w", table, region, err) //lint:allow errcode coordinator control path; the phase's typed error is wrapped, not replaced
-	}
-	// Phase 4: fence, drain, re-copy if any forward failed.
-	maxVer, dirty := srcSrv.fenceRegion(table, region)
-	if dirty {
-		if _, err := dstSrv.CatchUpRegion(srcAddr, table, region, nregions); err != nil {
-			srcSrv.abortMigration(table, region)
-			return fmt.Errorf("live: migrate %q/%d: re-copy: %w", table, region, err) //lint:allow errcode coordinator control path; the phase's typed error is wrapped, not replaced
-		}
-	}
-	// Phase 5: floor, bump, adopt, redirect.
-	dstSrv.FloorTable(table, maxVer)
-	epoch := m.Map.SetOwner(table, region, dst)
-	dstSrv.adoptRegion(table, region, nregions, epoch)
-	srcSrv.completeMove(table, region, epoch, dst, dstAddr)
-	for _, sv := range m.Servers {
-		sv.noteEpoch(epoch)
+// fail rolls the source back and names the phase that failed.
+func (h *handoff) fail(phase string, err error) error {
+	h.src.abortMigration(h.table, h.region)
+	return fmt.Errorf("live: migrate %q/%d: %s: %w", h.table, h.region, phase, err) //lint:allow errcode coordinator control path; the phase's typed error is wrapped, not replaced
+}
+
+// begin is phase 1: register the region at the source and raise its floor.
+func (h *handoff) begin() (err error) {
+	if h.floor, err = h.src.beginMigration(h.table, h.region, h.nregions); err != nil {
+		return fmt.Errorf("live: migrate %q/%d: begin: %w", h.table, h.region, err) //lint:allow errcode coordinator control path; the phase's typed error is wrapped, not replaced
 	}
 	return nil
+}
+
+// copy is phases 2 and 3: the bulk copy while the source serves, then the
+// learned execution state.
+func (h *handoff) copy() error {
+	if _, err := h.target.catchUpRegion(h.srcAddr, h.table, h.region, h.nregions, 0); err != nil {
+		return h.fail("copy", err)
+	}
+	if err := h.target.importState(h.src.exportState()); err != nil {
+		return h.fail("state", err)
+	}
+	return nil
+}
+
+// fence is phase 4: fence the region at the source, then copy the rows put
+// there since begin — every one of them above the floor.
+func (h *handoff) fence() error {
+	h.maxVer = h.src.fenceRegion(h.table, h.region)
+	if _, err := h.target.catchUpRegion(h.srcAddr, h.table, h.region, h.nregions, h.floor); err != nil {
+		return h.fail("delta copy", err)
+	}
+	return nil
+}
+
+// cutover is phase 5: floor the target, bump the map, adopt, redirect.
+func (h *handoff) cutover() {
+	h.target.table(h.table).store.SetFloor(h.maxVer)
+	epoch := h.m.Map.SetOwner(h.table, h.region, h.dst)
+	h.target.adoptRegion(h.table, h.region, h.nregions, epoch)
+	h.src.completeMove(h.table, h.region, epoch, h.dst, h.dstAddr)
+	for _, sv := range h.m.Servers {
+		sv.noteEpoch(epoch)
+	}
 }
 
 // Drain migrates every region of every table owned by node to dst (the

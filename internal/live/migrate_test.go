@@ -202,6 +202,70 @@ func TestMigrateUnderLoad(t *testing.T) {
 	}
 }
 
+// TestMigratePhasesCarryMidCopyPut drives the handoff one phase at a time:
+// begin, bulk copy, a put at the source to a key below the region's highest
+// version, fence with its delta copy, cutover. The put lands after the bulk
+// copy, so only the delta copy can carry it, and that copy finds it only
+// because begin raised the source's version floor: the new owner must hold
+// it at its acked version, and the new owner's next put of the key must be
+// assigned a higher one.
+func TestMigratePhasesCarryMidCopyPut(t *testing.T) {
+	c := newMigCluster(t, 2, "tag", nil, nil)
+	hot := "k0"
+	region := store.RegionIndex(hot, migRegions)
+	cold := ""
+	for i := 1; cold == ""; i++ {
+		if k := fmt.Sprintf("k%d", i); store.RegionIndex(k, migRegions) == region {
+			cold = k
+		}
+	}
+	conns := map[cluster.NodeID]*Conn{}
+	for id, addr := range c.addrs {
+		conn, err := DialNode(addr, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conns[id] = conn
+	}
+	put := func(node cluster.NodeID, k, v string) int64 {
+		t.Helper()
+		resp, err := conns[node].Call(Request{Op: OpPut, Table: "t", Keys: []string{k}, Params: [][]byte{[]byte(v)}})
+		if err != nil {
+			t.Fatalf("put %s at node %d: %v", k, node, err)
+		}
+		return resp.Metas[0].Version
+	}
+	for i := 0; i < 5; i++ {
+		put(0, hot, "h") // the region's highest version: 5
+	}
+	put(0, cold, "c") // version 1
+
+	h, err := c.mig.plan("t", region, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.begin(); err != nil || h.floor != 5 {
+		t.Fatalf("begin: floor %d, err %v; want floor 5", h.floor, err)
+	}
+	if err := h.copy(); err != nil {
+		t.Fatalf("bulk copy: %v", err)
+	}
+	acked := put(0, cold, "mid-copy")
+	if err := h.fence(); err != nil {
+		t.Fatalf("fence and delta copy: %v", err)
+	}
+	h.cutover()
+
+	val, ver, err := nodeReader(conns[1], "t")(cold)
+	if err != nil || ver != acked || string(val) != "mid-copy" {
+		t.Fatalf("new owner holds %s at v%d %q (err %v); want the mid-copy put at its acked v%d", cold, ver, val, err, acked)
+	}
+	if next := put(1, cold, "after"); next <= acked {
+		t.Fatalf("new owner's next put of %s got v%d, not above the acked v%d", cold, next, acked)
+	}
+}
+
 // TestMigrateRedirectEpochFencing pins the redirect protocol: any request
 // for a moved region arriving at the old owner earns CodeMoved with a
 // decodable payload (the node holds a moved record, so no stamp can match
@@ -566,7 +630,7 @@ func TestFaultMembershipServesReplicatedTable(t *testing.T) {
 		t.Fatalf("Migrate of an R=3 region: %v, want a refusal that says why", err)
 	}
 	if m.View() != before || servers[owner].migActive.Load() != 0 {
-		t.Fatal("the refused migration changed the map or started a dual-write")
+		t.Fatal("the refused migration changed the map or registered the region")
 	}
 
 	servers[2].Close() // one replica of every region of "r" dies under load

@@ -115,18 +115,20 @@
 // transparently re-sends — callers never observe CodeMoved under a healthy
 // map.
 //
-// Migration itself rides existing machinery: the new owner bulk-copies the
+// Migration itself rides existing machinery: the new owner copies the
 // partition through partition-scoped OpScan pages (Params[1] carries the
 // region filter — uvarint region · uvarint nregions — and the server skips
-// rows hashing outside it), the old owner dual-writes concurrent puts to
-// the target as OpPutRepl records, and the old owner's learned execution
-// state travels as a migration state record (see migrate.go) so the new
-// owner's balancer does not start cold. Cutover is fenced on the epoch
-// bump: puts to the moving region are briefly bounced with a typed
-// CodeOverloaded (retry-after ≈1ms) while in-flight dual-writes drain, the
-// target's version counters are floored above everything the source ever
-// assigned, and only then does the map bump — after which the source
-// answers CodeMoved and the target owns the region.
+// rows hashing outside it), and the old owner's learned execution state
+// travels as a migration state record (see migrate.go) so the new owner's
+// balancer does not start cold. Before the copy the old owner raises its
+// version floor to the region's highest version, so the puts it takes
+// during the copy land above it. Cutover is fenced on the epoch bump: puts
+// to the moving region are briefly bounced with a typed CodeOverloaded
+// (retry-after ≈1ms), a second pass pulls only the rows above the floor
+// (Params[2], a uvarint version bound), the target's version counters are
+// floored above everything the source ever assigned, and only then does
+// the map bump — after which the source answers CodeMoved and the target
+// owns the region.
 //
 // # Buffers and ownership
 //
@@ -179,9 +181,12 @@ const (
 	// Params[0] an optional uvarint page limit, and Params[1] an optional
 	// partition filter — uvarint(region) · uvarint(nregions) —
 	// restricting the page to rows store.RegionIndex assigns to that
-	// region, so a migration streams exactly one partition. Each returned
-	// value blob is one row, app-level-encoded as string(key) ·
-	// uvarint(version) · blob(value); rows come back in ascending key
+	// region, so a migration streams exactly one partition, and Params[2]
+	// an optional uvarint version bound: rows at or below it are skipped,
+	// so a migration's delta pass pulls only the rows put since the
+	// source raised its floor. Each returned value blob is one row,
+	// app-level-encoded as string(key) · uvarint(version) · blob(value);
+	// rows come back in ascending key
 	// order, so the last key is the next cursor and a short page ends the
 	// scan. Filtered pages may be short without ending the scan only when
 	// the server ran out of rows, never mid-table: the page is "limit

@@ -3,6 +3,7 @@ package live
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 
 	"joinopt/internal/store"
@@ -81,8 +82,10 @@ const scanPageRows = 512
 // A region filter in Params[1] (see encodeRegionFilter) restricts
 // the page to one partition's rows — a migrating shard streams through the
 // same paged scans replication catch-up uses, without paying for the rest
-// of the table. A page then holds up to limit MATCHING rows; the cursor
-// contract is unchanged (the last returned key).
+// of the table — and a uvarint version bound in Params[2] skips every row
+// at or below it (a migration's delta copy pulls only the rows put since
+// the source raised its floor). A page then holds up to limit MATCHING
+// rows; the cursor contract is unchanged (the last returned key).
 func (s *Server) handleScan(tb *serverTable, req *Request) *Response {
 	after := ""
 	if len(req.Keys) > 0 {
@@ -101,9 +104,17 @@ func (s *Server) handleScan(tb *serverTable, req *Request) *Response {
 			return errResponse(req.ID, CodeServer, "malformed scan region filter")
 		}
 	}
+	var above int64
+	if len(req.Params) > 2 && len(req.Params[2]) > 0 {
+		v, k := binary.Uvarint(req.Params[2])
+		if k != len(req.Params[2]) || v > math.MaxInt64 {
+			return errResponse(req.ID, CodeServer, "malformed scan version bound")
+		}
+		above = int64(v)
+	}
 	var keys []string
 	tb.store.Scan(func(k string, _ []byte, ver int64) bool {
-		if ver > 0 && k > after &&
+		if ver > above && k > after &&
 			(nregions == 0 || store.RegionIndex(k, nregions) == region) {
 			keys = append(keys, k)
 		}
@@ -117,7 +128,7 @@ func (s *Server) handleScan(tb *serverTable, req *Request) *Response {
 	resp.ID = req.ID
 	for _, k := range keys {
 		v, ver, ok := tb.store.Get(k)
-		if !ok || ver == 0 {
+		if !ok || ver <= above {
 			continue // deleted or re-seeded between snapshot and read
 		}
 		resp.Values = append(resp.Values, encodeScanRow(k, ver, v))
@@ -150,7 +161,7 @@ func (s *Server) CatchUp(peers []string) (applied int, err error) {
 	for name, tb := range tables {
 		ok := false
 		for _, peer := range peers {
-			n, perr := s.catchUpTable(peer, name, tb, nil)
+			n, perr := s.catchUpTable(peer, name, tb)
 			applied += n
 			if perr != nil {
 				lastErr = fmt.Errorf("live: catch-up %q from %s: %w", name, peer, perr)
@@ -169,11 +180,11 @@ func (s *Server) CatchUp(peers []string) (applied int, err error) {
 	return applied, err
 }
 
-// catchUpTable pages one table from one peer, applying rows set-if-newer. An
-// optional region filter (encodeRegionFilter) restricts the pull to one
-// partition — the copy phase of a shard migration rides the same paged-scan
-// machinery.
-func (s *Server) catchUpTable(peer, table string, tb *serverTable, filter []byte) (int, error) {
+// catchUpTable pages one table from one peer, applying rows set-if-newer.
+// Optional scan params after the page limit (a region filter, then a version
+// bound; see handleScan) restrict the pull — both copies of a shard
+// migration ride the same paged-scan machinery.
+func (s *Server) catchUpTable(peer, table string, tb *serverTable, filter ...[]byte) (int, error) {
 	conn, err := DialNode(peer, nil)
 	if err != nil {
 		return 0, err
@@ -181,10 +192,7 @@ func (s *Server) catchUpTable(peer, table string, tb *serverTable, filter []byte
 	defer conn.Close()
 	applied := 0
 	cursor := ""
-	params := [][]byte{binary.AppendUvarint(nil, scanPageRows)}
-	if filter != nil {
-		params = append(params, filter)
-	}
+	params := append([][]byte{binary.AppendUvarint(nil, scanPageRows)}, filter...)
 	for {
 		resp, err := conn.Call(Request{Op: OpScan, Table: table,
 			Keys: []string{cursor}, Params: params})

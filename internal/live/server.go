@@ -56,10 +56,13 @@ type Server struct {
 	// anything — every static cluster — has flag 0 and stays on the
 	// one-comparison path, with state 0 matching the 0 every
 	// statically configured client stamps. migActive counts regions this node is
-	// currently dual-writing; commit consults the migration state only
-	// while it is nonzero. migMu guards migs (per-table bookkeeping).
+	// currently copying away; commit consults the migration state only
+	// while it is nonzero, and then writes its rows holding putGate shared,
+	// which fenceRegion takes exclusively to wait out the batches already
+	// past the fence check. migMu guards migs (per-table bookkeeping).
 	routeState atomic.Uint64
 	migActive  atomic.Int64
+	putGate    sync.RWMutex
 	migMu      sync.Mutex
 	migs       map[string]*tableMigr
 

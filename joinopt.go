@@ -241,11 +241,11 @@
 //     Per-region epoch fencing makes learning monotonic: a stale or
 //     reordered redirect can never regress the client's map.
 //   - Migration is live. A background coordinator streams a partition to
-//     its new owner in pages while the old owner keeps serving, forwards
-//     concurrent puts to both (dual-write), then fences the partition for
-//     a bounce-window measured in milliseconds — puts arriving in the gap
-//     are shed with a 1ms retry-after, never lost — verifies nothing
-//     slipped through, and cuts over with a single epoch bump.
+//     its new owner in pages while the old owner keeps serving, then
+//     fences the partition for a bounce-window measured in milliseconds —
+//     puts arriving in the gap are shed with a 1ms retry-after, never
+//     lost — pages over the rows put meanwhile (versioned above a floor
+//     raised up front), and cuts over with a single epoch bump.
 //   - The optimizer's learned state moves with the data. The paper's
 //     Algorithm 1 decides fetch-vs-compute from runtime measurements;
 //     a migration serializes the server-side UDF cost estimates into the
