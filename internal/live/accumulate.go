@@ -248,7 +248,9 @@ func (a *accumulator) fire() {
 }
 
 // liveBatchKey identifies one batch accumulator: destination plus the
-// call's priority, so one wire batch carries exactly one admission class.
+// call's priority, so one wire batch carries exactly one admission class. A
+// fetch nothing caches has prioNoCache set in prio, so it never shares a
+// batch with a caching fetch: the node registers whole requests or none.
 type liveBatchKey struct {
 	t    *Table
 	node cluster.NodeID

@@ -45,10 +45,10 @@ func classOf(op Op) opClass {
 const numPriorities = 3
 
 // prioIdx maps a wire priority onto its queue lane, ordered by service
-// preference: high first, low last. Unknown bytes from a hostile peer land
-// in the normal lane.
+// preference: high first, low last. The prioNoCache bit does not choose a
+// lane; unknown bytes from a hostile peer land in the normal lane.
 func prioIdx(p Priority) int {
-	switch p {
+	switch p &^ prioNoCache {
 	case PriorityHigh:
 		return 0
 	case PriorityLow:

@@ -34,6 +34,11 @@ const (
 	// output. The run is a value in the local workers' queue, not a
 	// goroutine or a closure.
 	localHitAllocBudget = 2
+	// putRoundTripAllocs is a steady-state Table.Put of an unreplicated key:
+	// the flush goroutine of the put's wire call. The ack carries no value,
+	// so the client decodes it in place in its read buffer, and a put that
+	// nobody caches owes no notification.
+	putRoundTripAllocs = 1
 )
 
 // noGC pins the garbage collector off for the duration of an AllocsPerRun
@@ -183,14 +188,14 @@ func TestRoundTripAllocBudgetDefaultTimeout(t *testing.T) {
 	roundTripAllocs(t, 0)
 }
 
-func roundTripAllocs(t *testing.T, requestTimeout time.Duration) {
+func roundTripAllocs(t *testing.T, requestTimeout time.Duration, opts ...CallOption) {
 	e, keyNames := allocHarness(t, requestTimeout)
 	tbl := e.Table("t")
 	ctx := context.Background()
 	noGC(t)
 	i := 0
 	n := testing.AllocsPerRun(300, func() {
-		if _, err := tbl.Submit(ctx, keyNames[i%len(keyNames)], nil).WaitErr(); err != nil {
+		if _, err := tbl.Submit(ctx, keyNames[i%len(keyNames)], nil, opts...).WaitErr(); err != nil {
 			t.Fatal(err)
 		}
 		i++
@@ -258,4 +263,41 @@ func TestLocalHitAllocBudget(t *testing.T) {
 	if n > localHitAllocBudget {
 		t.Errorf("local hit allocates %.2f/op, budget %d", n, localHitAllocBudget)
 	}
+}
+
+// TestPutRoundTripAllocBudget measures a steady-state Table.Put — executor,
+// wire, server commit, ack — and pins the measured count: the ack frame is
+// decoded where it lies in the client's read buffer (readMessage), so it
+// costs no frame allocation.
+func TestPutRoundTripAllocBudget(t *testing.T) {
+	e, keyNames := allocHarness(t, 0)
+	tbl := e.Table("t")
+	ctx := context.Background()
+	val := []byte("value")
+	for _, k := range keyNames {
+		if _, err := tbl.Put(ctx, k, val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	noGC(t)
+	i := 0
+	n := testing.AllocsPerRun(300, func() {
+		if _, err := tbl.Put(ctx, keyNames[i%len(keyNames)], val); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	t.Logf("steady-state put round trip: %.2f allocs/op (budget %d)", n, putRoundTripAllocs)
+	if n > putRoundTripAllocs {
+		t.Errorf("put round trip allocates %.2f/op, budget %d", n, putRoundTripAllocs)
+	}
+}
+
+// TestNoCacheFetchRoundTripAllocBudget is the round trip of a WithNoCache
+// call: a flagged fetch, which the node answers without registering a
+// cacher, then the UDF on a local worker. The flag changes what the node
+// keeps, not what the client allocates: the value still arrives in an
+// exact-size frame it aliases.
+func TestNoCacheFetchRoundTripAllocBudget(t *testing.T) {
+	roundTripAllocs(t, 0, WithNoCache())
 }

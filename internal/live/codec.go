@@ -127,31 +127,68 @@ func (c *binCodec) readRequest(req *Request) (*Cancel, error) {
 // readMessage is the client-side read: exactly one of the results is non-nil
 // on success. A returned Response is pool-sourced; the party that consumes it
 // owns its recycling.
+//
+// A frame that fits the read buffer is decoded where it lies, and the header
+// up to a response's value count is decoded once, to choose where the values
+// go. A notification, or a response with no values (a put ack, an error
+// reply), keeps only copies — strings, flags, metas — so it never leaves
+// the buffer. A response with values gets an exact-size GC allocation that
+// its values alias, not the arena: they escape into futures and the cache,
+// so the buffer could never come back (the zero-copy contract of
+// Future.WaitErr).
+//
+//joinopt:hotpath
 func (c *binCodec) readMessage() (*Response, *Notification, error) {
-	// Exact-size GC allocation, not the arena: a response's values alias
-	// the frame and escape into futures and the cache, so the buffer could
-	// never come back.
-	payload, err := readFrame(c.br)
+	n, err := readFrameLen(c.br)
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(payload) == 0 {
+	if n == 0 {
 		return nil, nil, errTruncated
 	}
+	if n > c.br.Size() {
+		payload := make([]byte, n) //lint:allow hotpath a frame larger than the read buffer
+		if _, err := io.ReadFull(c.br, payload); err != nil {
+			return nil, nil, unexpectedEOF(err)
+		}
+		return decodeClientMessage(payload, false)
+	}
+	payload, err := c.br.Peek(n)
+	if err != nil {
+		return nil, nil, unexpectedEOF(err)
+	}
+	resp, notif, err := decodeClientMessage(payload, true)
+	_, _ = c.br.Discard(n) // cannot fail: Peek buffered all n bytes
+	return resp, notif, err
+}
+
+// decodeClientMessage decodes a response or notification payload for
+// readMessage. With borrowed set the payload is the read buffer, which the
+// next read overwrites: only a response carrying values needs to keep
+// bytes from it, and it gets an exact-size copy before they are decoded.
+//
+//joinopt:hotpath
+func decodeClientMessage(payload []byte, borrowed bool) (*Response, *Notification, error) {
 	switch payload[0] {
 	case kindResponse:
 		resp := getResponse()
-		if err := decodeResponseInto(payload, resp); err != nil {
+		r := frameReader{buf: payload, pos: 1}
+		nv := r.responseHead(resp)
+		if borrowed && nv > 0 && r.err == nil {
+			r.buf = append(make([]byte, 0, len(payload)), payload...) //lint:allow hotpath the value-bearing response's frame: its values escape
+		}
+		r.responseBody(resp, nv)
+		if r.err != nil {
 			putResponse(resp)
-			return nil, nil, err
+			return nil, nil, r.err
 		}
 		return resp, nil, nil
 	case kindNotification:
-		n, err := decodeNotification(payload)
+		notif, err := decodeNotification(payload)
 		if err != nil {
 			return nil, nil, err
 		}
-		return nil, &n, nil
+		return nil, &notif, nil
 	}
 	return nil, nil, errBadKind
 }

@@ -3,10 +3,13 @@ package live
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"joinopt/internal/core"
 )
 
 // TestInvalidationOvertakingFetchReplyFencesInstall is the fetch/invalidate
@@ -217,4 +220,119 @@ func TestReadAfterPutAckStartsNewFetch(t *testing.T) {
 		t.Fatalf("%d dedup record(s) left behind", joinable)
 	}
 	invariantSum(t, e, 2)
+}
+
+// registryHarness serves table "t" (k0..k7) from one node and builds a
+// one-connection executor over it under policy, counting the pushed
+// invalidations it applies. other is a second client's connection to the
+// same node, for writes the executor did not make.
+func registryHarness(t *testing.T, policy core.Policy) (srv *Server, e *Executor, other *Conn, invalidations *atomic.Int64) {
+	t.Helper()
+	reg := NewRegistry()
+	reg.Register("join", upperUDF)
+	srv = NewServer(reg, false)
+	rows := make(map[string][]byte)
+	for i := range 8 {
+		rows[fmt.Sprintf("k%d", i)] = []byte("v")
+	}
+	srv.AddTable(TableSpec{Name: "t", UDF: "join", Rows: rows})
+	addr, err := srv.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	invalidations = new(atomic.Int64)
+	e = singleNodeExec(t, addr, func(cfg *ExecConfig) {
+		cfg.ConnsPerNode = 1 // a later round trip orders every notification before it
+		cfg.Optimizer.Policy = policy
+		cfg.Trace = func(ev TraceEvent) {
+			if ev.Kind == TraceInvalidate {
+				invalidations.Add(1)
+			}
+		}
+	})
+	if other, err = DialNode(addr, nil); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { other.Close() })
+	return srv, e, other, invalidations
+}
+
+// putFromOther writes every key through other, then runs one round trip on
+// the executor's only connection: a notification pushed for those writes is
+// framed before their acks, so by the time that round trip answers, the
+// executor has applied it.
+func putFromOther(t *testing.T, e *Executor, other *Conn, keys []string) {
+	t.Helper()
+	for i, k := range keys {
+		if _, err := other.Call(putReq(uint64(i+1), k, "new")); err != nil {
+			t.Fatalf("put %s: %v", k, err)
+		}
+	}
+	if _, err := e.Table("t").Call(context.Background(), keys[0], nil, WithRoute(ForceCompute)); err != nil {
+		t.Fatalf("barrier: %v", err)
+	}
+}
+
+// TestUncachedFetchRegistersNoCacher: a fetch nothing caches — every fetch
+// under NO, the fetch half of FR, a WithNoCache call under the caching
+// policy — leaves the node's cacher registry empty, so a later put of the
+// key from another connection notifies the fetcher of nothing.
+func TestUncachedFetchRegistersNoCacher(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		policy core.Policy
+		opts   []CallOption
+	}{
+		{"NO", core.Policy{AlwaysFetch: true}, nil},
+		{"FR", core.Policy{RandomChoice: true}, nil},
+		{"WithNoCache", core.Policy{Caching: true}, []CallOption{WithNoCache()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, e, other, invalidations := registryHarness(t, tc.policy)
+			tbl, ctx := e.Table("t"), context.Background()
+			keys := keysN(8)
+			for range 4 {
+				for _, k := range keys {
+					if v, err := tbl.Call(ctx, k, []byte("p"), tc.opts...); err != nil || string(v) != "v/p" {
+						t.Fatalf("read %s: %q, %v", k, v, err)
+					}
+				}
+			}
+			if srv.Gets.Load() == 0 {
+				t.Fatal("no read reached the node as a fetch")
+			}
+			if n := srv.table("t").cachers.size(); n != 0 {
+				t.Fatalf("the node registered %d keys for fetches nothing caches, want 0", n)
+			}
+			putFromOther(t, e, other, keys)
+			if n := invalidations.Load(); n != 0 {
+				t.Fatalf("the puts pushed %d notifications to a client that caches nothing, want 0", n)
+			}
+		})
+	}
+}
+
+// TestCachingFetchStillRegistered is the contract the uncached flag keeps: a
+// fetch the client caches registers its connection, and a put from another
+// connection invalidates it.
+func TestCachingFetchStillRegistered(t *testing.T) {
+	srv, e, other, invalidations := registryHarness(t, core.Policy{Caching: true})
+	tbl, ctx := e.Table("t"), context.Background()
+	if v, err := tbl.Call(ctx, "k0", []byte("p"), WithRoute(ForceFetch)); err != nil || string(v) != "v/p" {
+		t.Fatalf("fetch: %q, %v", v, err)
+	}
+	if c := &srv.table("t").cachers; c.size() != 1 || c.holders("k0") != 1 {
+		t.Fatalf("registry holds %d keys, %d cachers of k0; want 1 and 1", c.size(), c.holders("k0"))
+	}
+	putFromOther(t, e, other, []string{"k0"})
+	if n := invalidations.Load(); n != 1 {
+		t.Fatalf("the put pushed %d notifications to the caching client, want 1", n)
+	}
+	if n := srv.table("t").cachers.size(); n != 0 {
+		t.Fatalf("the registry holds %d keys after the put took them, want 0", n)
+	}
+	if v, err := tbl.Call(ctx, "k0", []byte("p")); err != nil || string(v) != "new/p" {
+		t.Fatalf("read after the invalidation: %q, %v; want the new value", v, err)
+	}
 }

@@ -100,10 +100,14 @@ func (e *Executor) ship(b *liveBatch) {
 		return
 	}
 
+	// A fetch ships keys alone: the server reads no params for it, and the
+	// entries keep theirs for the local UDF run.
 	keys, params := b.req.Keys[:0], b.req.Params[:0]
 	for i := range entries {
 		keys = append(keys, entries[i].key)
-		params = append(params, entries[i].params)
+		if bk.op != OpGet {
+			params = append(params, entries[i].params)
+		}
 	}
 	b.req = Request{Op: bk.op, Table: bk.t.name, Priority: bk.prio, Keys: keys, Params: params}
 	if bk.op == OpExec {

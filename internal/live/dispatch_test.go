@@ -2,6 +2,9 @@ package live
 
 import (
 	"context"
+	"fmt"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -74,5 +77,58 @@ func TestPutPacesLikeAnyOtherSend(t *testing.T) {
 	}
 	if n := puts.Load(); n != 1 {
 		t.Fatalf("the node saw %d put requests, want exactly 1", n)
+	}
+}
+
+// TestFetchBatchesShipKeysOnly: a fetch batch ships keys and no params — the
+// node reads none for an OpGet — while each entry keeps its params for the
+// local UDF run. A fetch nothing caches carries prioNoCache and never shares
+// a batch with a caching fetch; an exec batch still ships its params.
+func TestFetchBatchesShipKeysOnly(t *testing.T) {
+	type seen struct {
+		op           Op
+		prio         Priority
+		keys, params int
+	}
+	var mu sync.Mutex
+	var reqs []seen
+	fake := newFakeNode(t, func(req Request) *Response {
+		mu.Lock()
+		reqs = append(reqs, seen{req.Op, req.Priority, len(req.Keys), len(req.Params)})
+		mu.Unlock()
+		resp := &Response{}
+		for range req.Keys {
+			resp.Values = append(resp.Values, []byte("v"))
+			resp.Computed = append(resp.Computed, false) // an exec slot comes back bounced
+			resp.Metas = append(resp.Metas, Meta{ValueSize: 1, Version: 1})
+		}
+		return resp
+	})
+	e := singleNodeExec(t, fake.addr(), func(cfg *ExecConfig) {
+		cfg.BatchSize = 8
+		cfg.BatchWait = time.Hour // every batch ships on its first wait
+	})
+	tbl, ctx := e.Table("t"), context.Background()
+	futs := []*Future{
+		tbl.Submit(ctx, "k0", []byte("p0"), WithRoute(ForceFetch)),
+		tbl.Submit(ctx, "k1", []byte("p1"), WithNoCache()),
+		tbl.Submit(ctx, "k2", []byte("p2"), WithRoute(ForceFetch)),
+		tbl.Submit(ctx, "k3", []byte("p3"), WithNoCache()),
+		tbl.Submit(ctx, "k4", []byte("p4"), WithRoute(ForceCompute)),
+	}
+	for i, f := range futs {
+		if v, err := waitOrHang(t, f, 10*time.Second); err != nil || string(v) != fmt.Sprintf("v/p%d", i) {
+			t.Fatalf("k%d: %q, %v; want the local UDF over its own params", i, v, err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	want := []seen{
+		{OpGet, PriorityNormal, 2, 0},
+		{OpGet, PriorityNormal | prioNoCache, 2, 0},
+		{OpExec, PriorityNormal, 1, 1},
+	}
+	if !slices.Equal(reqs, want) {
+		t.Fatalf("the node saw %+v, want %+v", reqs, want)
 	}
 }

@@ -80,7 +80,8 @@ func (s *Server) handle(wc *wireConn, req *Request, queueWait time.Duration) {
 }
 
 // handleGet answers a fetch batch: register this conn as a cacher of each
-// key, then read the rows under the engine's reader lock.
+// key, unless the request says nothing will cache the values (prioNoCache),
+// then read the rows under the engine's reader lock.
 //
 // Registration deliberately comes FIRST. If a Put lands between the two
 // steps, the sweep already sees this conn and sends an invalidation, and
@@ -94,7 +95,9 @@ func (s *Server) handleGet(wc *wireConn, tb *serverTable, req *Request) *Respons
 	s.Gets.Add(int64(len(req.Keys)))
 	resp := getResponse()
 	resp.ID = req.ID
-	tb.cachers.register(wc, req.Keys)
+	if req.Priority&prioNoCache == 0 {
+		tb.cachers.register(wc, req.Keys)
+	}
 	for _, k := range req.Keys {
 		v, ver, _ := tb.store.Get(k)
 		resp.Values = append(resp.Values, v)

@@ -16,7 +16,9 @@ import (
 // retry-after, queue/service micros); version 4 added the request's routing
 // epoch (membership) and the CodeMoved redirect payload — see the package
 // doc. The frame layouts are not self-describing, so both ends of a
-// deployment must move together (as with any golden-bytes bump).
+// deployment must move together (as with any golden-bytes bump). The
+// priority byte's high bit (prioNoCache) needed no bump: a node that
+// predates it serves the flagged fetch in its normal lane and registers it.
 const wireVersion = 4
 
 // Message kinds: the first byte of every frame payload.
@@ -44,10 +46,12 @@ var (
 // circulate at that capacity, so the steady state allocates nothing; a
 // buffer that ballooned past bufRecycleMax is left to the GC instead, so
 // one jumbo frame cannot pin megabytes in the pool for the life of the
-// process. Client-side response frames deliberately do NOT come from the
-// arena: their decoded values escape into futures and the cache, the
-// buffer can never be returned, and a pool that leaks its buffers is just
-// a slow allocator.
+// process. Client-side reads take no arena buffer (readMessage): a
+// notification or a value-less response (a put ack, an error reply) is
+// decoded in place in the connection's read buffer, every field a copy, and
+// a response that carries values gets an exact-size GC allocation — its
+// values escape into futures and the cache, so the buffer could never come
+// back, and a pool that leaks its buffers is just a slow allocator.
 const (
 	bufInitialCap = 4 << 10
 	bufRecycleMax = 1 << 20
@@ -436,6 +440,17 @@ func decodeResponseInto(payload []byte, resp *Response) error {
 	if r.byte() != kindResponse {
 		return errBadKind
 	}
+	r.responseBody(resp, r.responseHead(resp))
+	return r.err
+}
+
+// responseHead decodes a response's fields up to and including its value
+// count, which it returns: everything before the values, so a reader can
+// choose where the values will live (readMessage) without decoding twice.
+// The error string is a copy.
+//
+//joinopt:hotpath
+func (r *frameReader) responseHead(resp *Response) uint64 {
 	resp.ID = r.uvarint()
 	resp.Code = ErrCode(r.byte())
 	resp.Err = r.string()
@@ -444,8 +459,16 @@ func decodeResponseInto(payload []byte, resp *Response) error {
 	resp.RetryAfterMillis = r.uvarint()
 	resp.QueueMicros = r.uvarint()
 	resp.ServiceMicros = r.uvarint()
+	return r.uvarint()
+}
+
+// responseBody decodes the rest of a response after responseHead: nv values
+// (aliasing r.buf), the Computed flags and the metas (copies).
+//
+//joinopt:hotpath
+func (r *frameReader) responseBody(resp *Response, nv uint64) {
 	resp.Values = resp.Values[:0]
-	if nv := r.uvarint(); nv > 0 {
+	if nv > 0 {
 		if resp.Values == nil {
 			resp.Values = make([][]byte, 0, r.sliceCap(nv))
 		}
@@ -484,7 +507,6 @@ func decodeResponseInto(payload []byte, resp *Response) error {
 		m.Version = r.varint()
 		resp.Metas = append(resp.Metas, m)
 	}
-	return r.err
 }
 
 // decodeCancel decodes a kindCancel payload. A hostile index beyond
@@ -541,50 +563,42 @@ func decodeMessage(payload []byte) error {
 	return err
 }
 
-// readFrame reads one length-prefixed payload. The returned buffer is owned
-// by the caller (decoded messages alias it).
-func readFrame(br *bufio.Reader) ([]byte, error) {
+// readFrameLen reads a frame's uvarint length header and bounds it.
+func readFrameLen(br *bufio.Reader) (int, error) {
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	if n > maxFrame {
-		return nil, errFrameTooBig
+		return 0, errFrameTooBig
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, err
-	}
-	return buf, nil
+	return int(n), nil
 }
 
-// readFramePooled is readFrame backed by the buffer arena: the caller owns
-// the returned buffer and must putBuf it once nothing aliases the decoded
-// message — or deliberately leak it to the GC when decoded slices escape
-// (the client does, for response frames whose values feed futures and the
-// cache).
+// unexpectedEOF reports a stream that ended inside a frame as such.
+func unexpectedEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// readFramePooled reads one length-prefixed payload into an arena buffer
+// (the server's request read): the caller owns the returned buffer and must
+// putBuf it once nothing aliases the decoded message.
 //
 //joinopt:hotpath
 func readFramePooled(br *bufio.Reader) (*[]byte, error) {
-	n, err := binary.ReadUvarint(br)
+	n, err := readFrameLen(br)
 	if err != nil {
 		return nil, err
 	}
-	if n > maxFrame {
-		return nil, errFrameTooBig
-	}
-	bp := getBuf(int(n)) // guarantees cap >= n
+	bp := getBuf(n) // guarantees cap >= n
 	buf := (*bp)[:n]
 	*bp = buf
 	if _, err := io.ReadFull(br, buf); err != nil {
 		putBuf(bp)
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, err
+		return nil, unexpectedEOF(err)
 	}
 	return bp, nil
 }

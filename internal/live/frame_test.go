@@ -3,8 +3,10 @@ package live
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -36,6 +38,39 @@ func TestGoldenRequestOpGet(t *testing.T) {
 	}
 	if got := appendRequest(nil, &req); !bytes.Equal(got, want) {
 		t.Fatalf("OpGet encoding:\n got %#v\nwant %#v", got, want)
+	}
+}
+
+// TestGoldenRequestNoCache pins the uncached-fetch flag: the high bit of the
+// priority byte (prioNoCache), which no priority class uses. The server
+// strips it before choosing a queue lane.
+func TestGoldenRequestNoCache(t *testing.T) {
+	req := Request{ID: 1, Op: OpGet, Priority: PriorityHigh | prioNoCache, Table: "t", Keys: []string{"a", "b"}}
+	want := []byte{
+		0x01,      // kind: request
+		0x01,      // id = 1
+		0x00,      // op = OpGet
+		0x81,      // priority = PriorityHigh | prioNoCache
+		0x00,      // epoch = 0: no membership
+		0x01, 't', // table "t"
+		0x02,      // 2 keys
+		0x01, 'a', // "a"
+		0x01, 'b', // "b"
+		0x00,             // 0 params: a fetch ships none
+		0, 0, 0, 0, 0, 0, // stats: 6 zero varints
+		0, 0, 0, 0, 0, 0, 0, 0, // TCC = 0.0
+		0, 0, 0, 0, 0, 0, 0, 0, // NetBw = 0.0
+	}
+	got := appendRequest(nil, &req)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("flagged OpGet encoding:\n got %#v\nwant %#v", got, want)
+	}
+	dec, err := decodeRequest(got)
+	if err != nil || !reflect.DeepEqual(dec, req) {
+		t.Fatalf("decode: %+v, %v; want %+v", dec, err, req)
+	}
+	if prioIdx(dec.Priority) != prioIdx(PriorityHigh) || prioIdx(prioNoCache) != prioIdx(PriorityNormal) {
+		t.Fatal("the uncached flag moved a request out of its priority lane")
 	}
 }
 
@@ -591,6 +626,98 @@ func TestBinCodecStream(t *testing.T) {
 	}
 }
 
+// chunkStream hands out one chunk per Read, so a bufio.Reader over it
+// refills from the start of its buffer for each chunk: the bytes a frame was
+// decoded from are overwritten by the next frame read. Writes are dropped.
+type chunkStream struct{ chunks [][]byte }
+
+func (s *chunkStream) Read(p []byte) (int, error) {
+	if len(s.chunks) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, s.chunks[0])
+	if s.chunks[0] = s.chunks[0][n:]; len(s.chunks[0]) == 0 {
+		s.chunks = s.chunks[1:]
+	}
+	return n, nil
+}
+
+func (s *chunkStream) Write(p []byte) (int, error) { return len(p), nil }
+
+func framed(payload []byte) []byte {
+	return append(binary.AppendUvarint(nil, uint64(len(payload))), payload...)
+}
+
+// sameResponse is field-for-field equality that does not tell a nil slice
+// from an empty one (a pooled response reuses emptied slices) but does tell
+// a nil value blob from an empty one, and compares costs by their bits.
+func sameResponse(a, b *Response) bool {
+	if a.ID != b.ID || a.Code != b.Code || a.Err != b.Err || a.Credit != b.Credit ||
+		a.Window != b.Window || a.RetryAfterMillis != b.RetryAfterMillis ||
+		a.QueueMicros != b.QueueMicros || a.ServiceMicros != b.ServiceMicros ||
+		len(a.Values) != len(b.Values) || len(a.Metas) != len(b.Metas) ||
+		!slices.Equal(a.Computed, b.Computed) {
+		return false
+	}
+	for i := range a.Values {
+		if (a.Values[i] == nil) != (b.Values[i] == nil) || !bytes.Equal(a.Values[i], b.Values[i]) {
+			return false
+		}
+	}
+	for i := range a.Metas {
+		x, y := a.Metas[i], b.Metas[i]
+		if x.ValueSize != y.ValueSize || x.ComputedSize != y.ComputedSize || x.Version != y.Version ||
+			math.Float64bits(x.ComputeCost) != math.Float64bits(y.ComputeCost) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestInPlaceDecodeOutlivesReadBuffer: a put ack, an error reply and a
+// notification are decoded where they lie in the client's read buffer, and
+// each keeps every field after later frames overwrote those bytes. A
+// response carrying values gets its own frame, so its values survive too.
+func TestInPlaceDecodeOutlivesReadBuffer(t *testing.T) {
+	ack := Response{ID: 1, Computed: []bool{true, false}, Metas: []Meta{{Version: 7}, {Version: 9}},
+		Credit: 3, Window: 9, QueueMicros: 5, ServiceMicros: 6}
+	errReply := Response{ID: 2, Code: CodeServer, Err: "storage: disk full"}
+	notif := Notification{Table: "t", Key: "k0", Version: 8}
+	valued := Response{ID: 3, Values: [][]byte{[]byte("value"), nil}, Computed: []bool{false, false},
+		Metas: []Meta{{ValueSize: 5, Version: 2}, {}}}
+	// The last frame is longer than any before it and all 0xEE bytes past
+	// its headers: it overwrites every byte the others were read from.
+	filler := Notification{Table: strings.Repeat("\xEE", 200), Key: strings.Repeat("\xEE", 200)}
+	c := newBinCodec(&chunkStream{chunks: [][]byte{
+		framed(appendResponse(nil, &ack)),
+		framed(appendResponse(nil, &errReply)),
+		framed(appendNotification(nil, &notif)),
+		framed(appendResponse(nil, &valued)),
+		framed(appendNotification(nil, &filler)),
+	}})
+	var resps []*Response
+	var notifs []*Notification
+	for range 5 {
+		resp, n, err := c.readMessage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp != nil {
+			resps = append(resps, resp)
+		} else {
+			notifs = append(notifs, n)
+		}
+	}
+	for i, want := range []*Response{&ack, &errReply, &valued} {
+		if !sameResponse(resps[i], want) {
+			t.Errorf("response %d after the buffer was overwritten:\n got %+v\nwant %+v", i, *resps[i], *want)
+		}
+	}
+	if *notifs[0] != notif || *notifs[1] != filler {
+		t.Errorf("notifications after the buffer was overwritten: %+v, %+v", *notifs[0], *notifs[1])
+	}
+}
+
 func TestReadFrameRejectsOversizedHeader(t *testing.T) {
 	var buf bytes.Buffer
 	c := newBinCodec(&buf)
@@ -708,6 +835,13 @@ func FuzzDecodeFrame(f *testing.F) {
 		0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
 	// Truncated inside the credit/window pair.
 	f.Add([]byte{0x02, 0x00, 0x00, 0x00, 0x07})
+	// An uncached fetch (the priority byte's prioNoCache bit), and the
+	// value-less responses the client decodes in place: a put ack and an
+	// error reply.
+	f.Add(appendRequest(nil, &Request{ID: 13, Op: OpGet, Priority: PriorityLow | prioNoCache,
+		Table: "t", Keys: []string{"k"}}))
+	f.Add(appendResponse(nil, &Response{ID: 14, Metas: []Meta{{Version: 3}}, Credit: 1, Window: 8}))
+	f.Add(appendResponse(nil, &Response{ID: 15, Code: CodeServer, Err: "storage: disk full"}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_ = decodeMessage(data) // must not panic
@@ -719,6 +853,34 @@ func FuzzDecodeFrame(f *testing.F) {
 			if _, _, err := c.readMessage(); err != nil {
 				break
 			}
+		}
+
+		// Differential: the client's read, which decodes a value-less frame
+		// in place, yields what decoding an owned copy yields, even after
+		// the read buffer was overwritten.
+		if len(data) == 0 || (data[0] != kindResponse && data[0] != kindNotification) {
+			return
+		}
+		c = newBinCodec(&chunkStream{chunks: [][]byte{framed(data), bytes.Repeat([]byte{0xEE}, len(data)+16)}})
+		resp, n, err := c.readMessage()
+		c.br.Peek(1) // refill: the next chunk lands where the frame was
+		owned := bytes.Clone(data)
+		if data[0] == kindResponse {
+			want, werr := decodeResponse(owned)
+			if (err == nil) != (werr == nil) {
+				t.Fatalf("read error %v, owned-copy decode error %v", err, werr)
+			}
+			if err == nil && !sameResponse(resp, &want) {
+				t.Fatalf("read %+v, owned-copy decode %+v", *resp, want)
+			}
+			return
+		}
+		want, werr := decodeNotification(owned)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("read error %v, owned-copy decode error %v", err, werr)
+		}
+		if err == nil && *n != want {
+			t.Fatalf("read %+v, owned-copy decode %+v", *n, want)
 		}
 	})
 }

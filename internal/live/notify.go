@@ -1,25 +1,71 @@
 package live
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // cachers is one table's tracked-cacher registry (Section 4.2.3): which conns
-// fetched which key via OpGet, so a write invalidates exactly those compute
-// nodes. Only this file touches the map, under its own lock — row access
-// synchronizes inside the engine, so concurrent Gets share the engine's read
-// lock instead of serializing on a table-wide one. A registration leaves in
-// three ways: take, for a write past its flush barrier (commit is the only
-// caller, so a failed batch deregisters nobody); takeIf, when a region moves
-// away; dropConn, when the conn disconnects.
+// fetched which key through a caching OpGet, so a write invalidates exactly
+// those compute nodes. A fetch whose request carries prioNoCache (a value
+// nothing will cache: the NO, FC and FR policies and WithNoCache) is never
+// registered, so a write to its key owes that conn nothing. Only this file
+// touches the map, under its own lock — row access synchronizes inside the
+// engine, so concurrent Gets share the engine's read lock instead of
+// serializing on a table-wide one. A registration leaves in three ways: take,
+// for a write past its flush barrier (commit is the only caller, so a failed
+// batch deregisters nobody); takeIf, when a region moves away; dropConn, when
+// the conn disconnects.
 type cachers struct {
 	mu    sync.Mutex
-	byKey map[string]map[*wireConn]struct{}
+	byKey map[string]cacherSet
 }
 
-// invalidation is one key's taken registrations and the notification owed to
-// them; push sends it once the registry lock is released.
+// cacherSet is one key's cachers, held by value in the map: the first conn
+// inline and the rare others in more. A key is nearly always cached by one
+// compute node at a time, so registering it allocates no set of its own.
+type cacherSet struct {
+	first *wireConn
+	more  []*wireConn
+}
+
+// add records wc, reporting whether the set changed (and so must be stored
+// back into the map).
+func (s *cacherSet) add(wc *wireConn) bool {
+	switch {
+	case s.first == nil:
+		s.first = wc
+	case s.first == wc || slices.Contains(s.more, wc):
+		return false
+	default:
+		s.more = append(s.more, wc) //lint:allow hotpath a second cacher of one key only
+	}
+	return true
+}
+
+// remove drops wc, reporting whether it was there; the last of more moves up
+// when first leaves.
+func (s *cacherSet) remove(wc *wireConn) bool {
+	if s.first == wc {
+		s.first = nil
+		if n := len(s.more); n > 0 {
+			s.first = s.more[n-1]
+			s.more = slices.Delete(s.more, n-1, n)
+		}
+		return true
+	}
+	if i := slices.Index(s.more, wc); i >= 0 {
+		s.more = slices.Delete(s.more, i, i+1)
+		return true
+	}
+	return false
+}
+
+// invalidation is the notification owed to one taken cacher; push sends it
+// once the registry lock is released.
 type invalidation struct {
-	conns []*wireConn
-	n     Notification
+	wc *wireConn
+	n  Notification
 }
 
 // register records wc as a cacher of every key (interned by the conn's read
@@ -34,34 +80,31 @@ func (c *cachers) register(wc *wireConn, keys []string) {
 		return
 	}
 	if c.byKey == nil {
-		c.byKey = make(map[string]map[*wireConn]struct{}) //lint:allow hotpath first fetch of a table only
+		c.byKey = make(map[string]cacherSet) //lint:allow hotpath first fetch of a table only
 	}
 	for _, k := range keys {
-		set := c.byKey[k]
-		if set == nil {
-			set = make(map[*wireConn]struct{}) //lint:allow hotpath first cacher of a key only; steady-state gets find the set present
+		if set := c.byKey[k]; set.add(wc) {
 			c.byKey[k] = set
 		}
-		set[wc] = struct{}{}
 	}
 }
 
 // takeLocked deregisters every cacher of k and appends the notification owed
-// to all of them but from (the writer invalidates itself at its put ack).
+// to each of them but from (the writer invalidates itself at its put ack).
 func (c *cachers) takeLocked(out []invalidation, table, k string, version int64, from *wireConn) []invalidation {
-	set := c.byKey[k]
-	if len(set) == 0 {
+	set, ok := c.byKey[k]
+	if !ok {
 		return out
 	}
 	delete(c.byKey, k)
-	conns := make([]*wireConn, 0, len(set))
-	for wc := range set {
-		if wc != from {
-			conns = append(conns, wc)
-		}
+	n := Notification{Table: table, Key: k, Version: version}
+	if set.first != from {
+		out = append(out, invalidation{set.first, n})
 	}
-	if len(conns) > 0 {
-		out = append(out, invalidation{conns, Notification{Table: table, Key: k, Version: version}})
+	for _, wc := range set.more {
+		if wc != from {
+			out = append(out, invalidation{wc, n})
+		}
 	}
 	return out
 }
@@ -101,9 +144,12 @@ func (c *cachers) takeIf(table string, match func(key string) bool) []invalidati
 func (c *cachers) dropConn(wc *wireConn) {
 	c.mu.Lock()
 	for k, set := range c.byKey {
-		delete(set, wc)
-		if len(set) == 0 {
+		switch {
+		case !set.remove(wc):
+		case set.first == nil:
 			delete(c.byKey, k)
+		default:
+			c.byKey[k] = set
 		}
 	}
 	c.mu.Unlock()
@@ -113,8 +159,6 @@ func (c *cachers) dropConn(wc *wireConn) {
 // conn, which its read loop's exit drops.
 func push(invs []invalidation) {
 	for i := range invs {
-		for _, wc := range invs[i].conns {
-			wc.writeNotification(&invs[i].n)
-		}
+		invs[i].wc.writeNotification(&invs[i].n)
 	}
 }

@@ -11,7 +11,18 @@ import (
 func (c *cachers) holders(k string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.byKey[k])
+	set, ok := c.byKey[k]
+	if !ok {
+		return 0
+	}
+	return 1 + len(set.more)
+}
+
+// size counts the keys c holds any cacher for.
+func (c *cachers) size() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.byKey)
 }
 
 func putReq(id uint64, key, value string) Request {

@@ -60,7 +60,10 @@
 // # Overload & backpressure
 //
 // prio is the request's admission class (0 normal, 1 high, 2 low; see
-// Priority). Every response carries a backpressure header. window is the
+// Priority) in its low bits. Its high bit (0x80) marks an OpGet whose values
+// nothing will cache: the server does not register the connection as a
+// cacher of its keys, so a later write of them notifies nobody; the server
+// strips the bit before choosing a queue lane, and a fetch ships no params. Every response carries a backpressure header. window is the
 // per-connection outstanding-op budget the server currently advertises for
 // the answered op's class, computed from run-queue headroom and the class's
 // EWMA service time (≈50ms of queued service per connection, capped at
@@ -140,9 +143,11 @@
 // decode path is zero-copy: value slices alias the single frame buffer, so
 // a batch of values costs one allocation, not one per value. Server-side
 // request frames are recycled once the handler has written its response
-// (params are only valid during the UDF call); client-side response frames
-// pass their ownership to the decoded message, whose values feed futures
-// and the cache. Request/Response carriers and completion cells are pooled
+// (params are only valid during the UDF call). On the client, a frame
+// with values passes its ownership to the decoded response, whose values
+// feed futures and the cache; a notification or a response without values
+// (a put ack, an error reply) is decoded where it lies in the connection's
+// read buffer, every field a copy, and allocates no frame. Request/Response carriers and completion cells are pooled
 // end to end — see recycle.go for the ownership rules.
 package live
 
@@ -161,7 +166,9 @@ type Op uint8
 
 // Request operations.
 const (
-	// OpGet fetches stored values (a data request; "buy").
+	// OpGet fetches stored values (a data request; "buy"). The node
+	// registers the connection as a cacher of each key unless the request
+	// carries prioNoCache.
 	OpGet Op = iota
 	// OpExec runs the table's UDF server-side (a compute request;
 	// "rent"); the server's balancer may return some values uncomputed.
@@ -203,7 +210,8 @@ type Request struct {
 	Op Op
 	// Priority is the request's admission class: under overload
 	// the server's weighted-fair dequeue favors high over normal over low,
-	// and low is evicted first when a run queue fills.
+	// and low is evicted first when a run queue fills. On an OpGet the
+	// prioNoCache bit may ride along: a fetch nothing caches.
 	Priority Priority
 	// Epoch is the client's routing epoch: the membership.Map
 	// view version the request was routed under, or 0 when no membership

@@ -126,7 +126,10 @@ func (e *Executor) route(t *Table, key string, params []byte, fut *Future, cs *c
 	case core.RouteCompute, core.RouteDataNoCache:
 		bk := liveBatchKey{t, node, OpExec, co.prio}
 		if route == core.RouteDataNoCache {
-			bk.op = OpGet // a fetch nothing caches (NO/FC/FR policies): no dedup record
+			// A fetch nothing caches (NO/FC/FR policies, WithNoCache): no
+			// dedup record, and its own batch, flagged so the node keeps
+			// no cacher registration for it.
+			bk.op, bk.prio = OpGet, co.prio|prioNoCache
 		}
 		cs.park(sh, bk, nil, nil)
 		full = e.enqueue(bk, liveEntry{key: key, params: params, fut: fut, cancel: cs})

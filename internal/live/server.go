@@ -95,7 +95,7 @@ type Server struct {
 type serverTable struct {
 	udf     string
 	store   storage.Table // the engine's handle: rows and versions live here
-	cachers cachers       // who fetched which key via OpGet (notify.go)
+	cachers cachers       // who fetched which key through a caching OpGet (notify.go)
 }
 
 // table looks a served table up by name; nil if the node does not serve it.

@@ -100,6 +100,11 @@
 //     cached from that node is dropped when the disconnect is detected
 //     (TestFaultRedialDropsStaleCache), so no value outlives the link that
 //     would have invalidated it.
+//   - Invalidations go only to caches. The data node registers a client for
+//     a key only when the fetch will be cached (TestCachingFetchStillRegistered);
+//     a read that caches nothing — every fetch under FetchAlways, a
+//     WithNoCache call — says so on the wire, is not registered, and is owed
+//     no notification when the key is written (TestUncachedFetchRegistersNoCacher).
 //
 // # Performance
 //
