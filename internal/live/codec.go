@@ -126,16 +126,8 @@ func (c *binCodec) readRequest(req *Request) (*Cancel, error) {
 
 // readMessage is the client-side read: exactly one of the results is non-nil
 // on success. A returned Response is pool-sourced; the party that consumes it
-// owns its recycling.
-//
-// A frame that fits the read buffer is decoded where it lies, and the header
-// up to a response's value count is decoded once, to choose where the values
-// go. A notification, or a response with no values (a put ack, an error
-// reply), keeps only copies — strings, flags, metas — so it never leaves
-// the buffer. A response with values gets an exact-size GC allocation that
-// its values alias, not the arena: they escape into futures and the cache,
-// so the buffer could never come back (the zero-copy contract of
-// Future.WaitErr).
+// owns its recycling. A frame that fits the read buffer is decoded where it
+// lies (decodeClientMessage); a larger one is read into its own allocation.
 //
 //joinopt:hotpath
 func (c *binCodec) readMessage() (*Response, *Notification, error) {
@@ -162,10 +154,13 @@ func (c *binCodec) readMessage() (*Response, *Notification, error) {
 	return resp, notif, err
 }
 
-// decodeClientMessage decodes a response or notification payload for
-// readMessage. With borrowed set the payload is the read buffer, which the
-// next read overwrites: only a response carrying values needs to keep
-// bytes from it, and it gets an exact-size copy before they are decoded.
+// decodeClientMessage decodes a response or notification payload. With
+// borrowed set the payload is the read buffer, which the next read
+// overwrites, so a response's header is decoded first, once: a notification
+// or a response without values (a put ack, an error reply) keeps only
+// copies, and a response with values gets an exact-size copy of the frame
+// for them to alias — not an arena buffer, because they escape into futures
+// and the cache (the zero-copy contract of Future.WaitErr).
 //
 //joinopt:hotpath
 func decodeClientMessage(payload []byte, borrowed bool) (*Response, *Notification, error) {

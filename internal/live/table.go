@@ -65,12 +65,10 @@ const (
 	PriorityLow
 )
 
-// prioNoCache is the priority byte's high bit, which no class uses: on an
-// OpGet it says nothing will cache the fetched values (the NO, FC and FR
-// policies, WithNoCache), so the data node does not register the conn as a
-// cacher (handleGet) and a later write of the key notifies nobody. The
-// executor sets it in the batch key, so such fetches ship in their own
-// batches; the server strips it before choosing a queue lane (prioIdx).
+// prioNoCache is the priority byte's high bit, which no class uses: an OpGet
+// carrying it fetches values nothing will cache, so the data node registers
+// no cacher for it (handleGet) and strips the bit before choosing a lane
+// (prioIdx). The executor sets it in the batch key, so such fetches ship alone.
 const prioNoCache Priority = 0x80
 
 // callOpts is the resolved option set of one submission. The priority is
