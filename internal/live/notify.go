@@ -144,11 +144,12 @@ func (c *cachers) takeIf(table string, match func(key string) bool) []invalidati
 func (c *cachers) dropConn(wc *wireConn) {
 	c.mu.Lock()
 	for k, set := range c.byKey {
-		switch {
-		case !set.remove(wc):
-		case set.first == nil:
+		if !set.remove(wc) {
+			continue
+		}
+		if set.first == nil {
 			delete(c.byKey, k)
-		default:
+		} else {
 			c.byKey[k] = set
 		}
 	}

@@ -144,6 +144,36 @@ func TestNotifyTakeIfEmitsVersionZero(t *testing.T) {
 	}
 }
 
+// TestNotifySeveralCachersOfOneKey: a key's set keeps its first conn inline
+// and the rest aside. Dropping the first promotes another, and a write owes
+// each remaining cacher but the writer one notification.
+func TestNotifySeveralCachersOfOneKey(t *testing.T) {
+	var c cachers
+	a, aOut := socketlessConn()
+	b, bOut := socketlessConn()
+	w, wOut := socketlessConn()
+	for _, wc := range []*wireConn{a, b, w, b} {
+		c.register(wc, []string{"k0"})
+	}
+	if n := c.holders("k0"); n != 3 {
+		t.Fatalf("holders %d after registering a, b, w and b again; want 3", n)
+	}
+	c.dropConn(a)
+	if n := c.holders("k0"); n != 2 {
+		t.Fatalf("holders %d after a dropped; want 2", n)
+	}
+	push(c.take("t", []string{"k0"}, []Meta{{Version: 4}}, nil, w))
+	if got := bOut.notifications(t); len(got) != 1 || got[0] != (Notification{Table: "t", Key: "k0", Version: 4}) {
+		t.Fatalf("b got %+v, want k0 at version 4", got)
+	}
+	if len(aOut.notifications(t)) != 0 || len(wOut.notifications(t)) != 0 {
+		t.Fatal("the dropped conn or the writer was notified")
+	}
+	if c.size() != 0 {
+		t.Fatalf("the take left %d keys registered", c.size())
+	}
+}
+
 // TestDisconnectDropsCacherRegistrations: a connection that goes away takes
 // its registrations with it. Without the drop, every reconnect of a client
 // leaks the dead conn and its buffers until some later put of each key it
