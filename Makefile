@@ -180,5 +180,5 @@ livemigrate:
 ci: apicheck benchcheck benchsmoke lint race allocs testcpu fault figcheck
 	GOMAXPROCS=1 $(MAKE) figcheck
 	$(MAKE) livedurable livereplicas overload livemigrate
-	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/live
+	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s -fuzzminimizetime 100x ./internal/live
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./...

@@ -72,15 +72,10 @@ type tier struct {
 	id   Tier
 	h    entryHeap
 	used int64
-	cap  int64 // 0 = unlimited
+	cap  int64 // bytes; a tier of 0 holds nothing
 }
 
-func (t *tier) free() int64 {
-	if t.cap == 0 {
-		return 1<<62 - t.used
-	}
-	return t.cap - t.used
-}
+func (t *tier) free() int64 { return t.cap - t.used }
 
 // add places e in tier t and indexes it.
 func (c *TwoTier) add(t *tier, e *entry) {
@@ -159,9 +154,10 @@ func SplitBudget(total int64, i, n int) int64 {
 	return share
 }
 
-// New creates a two-tier cache with the given capacities in bytes.
-// diskCap = 0 means the disk cache is unlimited (the paper's default
-// assumption; Appendix B notes limited dCache as a variant).
+// New creates a two-tier cache with the given capacities in bytes. A diskCap
+// of 0 holds nothing: memory evictions are dropped, and the cache is one
+// tier. The paper's default, an unbounded dCache, is the caller's to ask
+// for with a large diskCap (the sim plane's exec.Config does).
 func New(memCap, diskCap int64) *TwoTier {
 	if memCap <= 0 {
 		panic("cache: memory capacity must be positive")
@@ -331,21 +327,17 @@ func (c *TwoTier) CondCacheInMemory(key string, size int64, value interface{}, i
 		}
 		c.evictToDisk(e)
 	}
-	if insert {
+	if insert { // else an admission test: nothing to place
 		c.insertMem(key, size, value, ben)
-	} else {
-		// Admission test reserved the space conceptually; nothing to do.
 	}
 	return true
 }
 
 func (c *TwoTier) popMinMem() *entry {
-	if len(c.mem.h) == 0 {
-		return nil
+	e := c.mem.min()
+	if e != nil {
+		c.remove(e)
 	}
-	e := heap.Pop(&c.mem.h).(*entry)
-	delete(c.items, e.Key)
-	c.mem.used -= e.Size
 	return e
 }
 
@@ -380,10 +372,9 @@ func (c *TwoTier) evictToDisk(e *entry) {
 }
 
 // toDisk places e in the disk tier, first evicting the lowest-benefit disk
-// entries if the tier is bounded and full; an entry that cannot fit is
-// dropped.
+// entries if the tier is full; an entry that cannot fit is dropped.
 func (c *TwoTier) toDisk(e *entry) {
-	for c.disk.cap != 0 && c.disk.free() < e.Size {
+	for c.disk.free() < e.Size {
 		victim := c.disk.min()
 		if victim == nil {
 			return

@@ -28,7 +28,7 @@ func TestOversizedItemNeverAdmitted(t *testing.T) {
 }
 
 func TestEvictionRequiresHigherBenefit(t *testing.T) {
-	c := New(100, 0)
+	c := New(100, 1000)
 	c.UpdateBenefit("old", 10)
 	if !c.CondCacheInMemory("old", 100, "v", true) {
 		t.Fatal("initial insert failed")
@@ -52,7 +52,7 @@ func TestEvictionRequiresHigherBenefit(t *testing.T) {
 }
 
 func TestVariableSizeEvictionKeepsBestFit(t *testing.T) {
-	c := New(100, 0)
+	c := New(100, 1000)
 	// Three items: benefits 1, 2, 30 with sizes 40, 30, 30.
 	c.UpdateBenefit("low", 1)
 	c.CondCacheInMemory("low", 40, nil, true)
@@ -94,7 +94,7 @@ func TestAdmissionTestDoesNotInsert(t *testing.T) {
 }
 
 func TestAddToDiskAndPromotion(t *testing.T) {
-	c := New(100, 0)
+	c := New(100, 1000)
 	c.UpdateBenefit("k", 5)
 	c.AddToDisk("k", 80, "v")
 	if _, tier, _ := c.Lookup("k"); tier != TierDisk {
@@ -115,6 +115,31 @@ func TestAddToDiskAndPromotion(t *testing.T) {
 	}
 }
 
+// A disk tier of 0 bytes holds nothing: a memory eviction and a direct
+// disk install are both dropped, so the cache is one bounded tier.
+func TestZeroDiskTierHoldsNothing(t *testing.T) {
+	c := New(100, 0)
+	c.UpdateBenefit("old", 1)
+	c.CondCacheInMemory("old", 100, "v", true)
+	c.UpdateBenefit("new", 5)
+	if !c.CondCacheInMemory("new", 100, "v", true) {
+		t.Fatal("higher-benefit item was rejected")
+	}
+	c.AddToDisk("d", 10, "v")
+	if _, _, ok := c.Lookup("old"); ok {
+		t.Fatal("an evicted item stayed cached")
+	}
+	if _, _, ok := c.Lookup("d"); ok {
+		t.Fatal("AddToDisk stored an item in a zero-byte disk tier")
+	}
+	if c.DiskLen() != 0 || c.DiskUsed() != 0 || c.Stats().DiskInserts != 0 {
+		t.Fatalf("disk tier holds %d items, %d bytes; stats %+v", c.DiskLen(), c.DiskUsed(), c.Stats())
+	}
+	if c.Stats().EvictToDisk != 1 {
+		t.Fatalf("EvictToDisk = %d, want 1: the memory eviction still counts", c.Stats().EvictToDisk)
+	}
+}
+
 func TestBoundedDiskEvicts(t *testing.T) {
 	c := New(100, 100)
 	c.AddToDisk("a", 60, nil)
@@ -128,7 +153,7 @@ func TestBoundedDiskEvicts(t *testing.T) {
 }
 
 func TestInvalidate(t *testing.T) {
-	c := New(100, 0)
+	c := New(100, 1000)
 	c.UpdateBenefit("m", 3)
 	c.CondCacheInMemory("m", 10, nil, true)
 	c.AddToDisk("d", 10, nil)
@@ -172,7 +197,7 @@ func TestLFUDAAgingLetsNewItemsIn(t *testing.T) {
 }
 
 func TestGetRecordsStats(t *testing.T) {
-	c := New(100, 0)
+	c := New(100, 1000)
 	c.CondCacheInMemory("m", 10, nil, true)
 	c.AddToDisk("d", 10, nil)
 	c.Get("m")
@@ -220,7 +245,7 @@ func TestMemNeverOvercommittedProperty(t *testing.T) {
 func TestNoDualResidencyProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		c := New(500, 0)
+		c := New(500, 1000)
 		for i := 0; i < 200; i++ {
 			k := fmt.Sprintf("k%d", rng.Intn(10))
 			c.UpdateBenefit(k, rng.Float64()*5)

@@ -84,7 +84,7 @@ type Config struct {
 	Policy Policy
 
 	MemCacheBytes  int64
-	DiskCacheBytes int64 // 0 = unbounded
+	DiskCacheBytes int64 // 0 = no disk tier: Route never buys to disk
 	// Epsilon is the lossy-counting error bound; <=0 selects exact
 	// counting (small key spaces / tests).
 	Epsilon float64
@@ -104,8 +104,8 @@ type Config struct {
 // preserves its semantics as long as each key always lands on the same
 // instance. Only the aggregate resources need dividing:
 //
-//   - MemCacheBytes and DiskCacheBytes are split so the striped whole uses
-//     the configured totals (cache.SplitBudget).
+//   - MemCacheBytes and a nonzero DiskCacheBytes are split so the striped
+//     whole uses the configured totals (cache.SplitBudget).
 //   - FreezeAfter divides by n (each shard sees ~1/n of the traffic, so
 //     the freeze point stays at roughly the same total request count).
 //   - Seed is decorrelated so FR's random choices are independent.
@@ -332,17 +332,16 @@ func (o *Optimizer) Route(key string, netBw float64) Route {
 		size = info.ValueSize
 	}
 	memAdmissible := o.Cache.CondCacheInMemory(key, size, nil, false)
-	switch skirental.Decide(costs, count, memAdmissible) {
-	case skirental.BuyToMem:
+	switch d := skirental.Decide(costs, count, memAdmissible); {
+	case d == skirental.BuyToMem:
 		o.stats.DataReqs++
 		return RouteDataMem
-	case skirental.BuyToDisk:
+	case d == skirental.BuyToDisk && size <= o.cfg.DiskCacheBytes: // else rent
 		o.stats.DataReqs++
 		return RouteDataDisk
-	default:
-		o.stats.ComputeReqs++
-		return RouteCompute
 	}
+	o.stats.ComputeReqs++
+	return RouteCompute
 }
 
 // Policy returns the active policy.
@@ -430,7 +429,7 @@ func (o *Optimizer) OnComputeResponse(m ResponseMeta) {
 // OnValueFetched installs a bought value in the cache. toMem reflects the
 // route chosen at request time (RouteDataMem vs RouteDataDisk); admission is
 // re-checked because the cache may have churned while the fetch was in
-// flight, falling back to the disk tier.
+// flight, falling back to the disk tier, which drops what it cannot hold.
 func (o *Optimizer) OnValueFetched(key string, size int64, version int64, value interface{}, toMem bool) {
 	r := o.record(key)
 	r.learned = true

@@ -92,7 +92,7 @@ func TestCheapRentNeverBuys(t *testing.T) {
 }
 
 func TestOversizedValueGoesToDiskCache(t *testing.T) {
-	o := New(Config{Policy: Policy{Caching: true}, MemCacheBytes: 1000})
+	o := New(Config{Policy: Policy{Caching: true}, MemCacheBytes: 1000, DiskCacheBytes: 1 << 20})
 	learn(o, "big", 100_000, 1e-4) // does not fit mCache
 	var route Route
 	for i := 0; i < 5000; i++ {
@@ -377,11 +377,11 @@ func TestConfigShardBudgetSplit(t *testing.T) {
 	if len(seeds) != n {
 		t.Fatalf("shard seeds not decorrelated: %d distinct of %d", len(seeds), n)
 	}
-	// The unbounded disk cache must stay unbounded on every shard, and the
-	// zero (default) mem budget must divide the default, not stay zero.
+	// An empty disk tier must stay empty on every shard, and the zero
+	// (default) mem budget must divide the default, not stay zero.
 	sc := (Config{}).Shard(2, 4)
 	if sc.DiskCacheBytes != 0 {
-		t.Fatalf("unbounded disk cache became bounded: %d", sc.DiskCacheBytes)
+		t.Fatalf("an empty disk tier got a shard budget: %d", sc.DiskCacheBytes)
 	}
 	if sc.MemCacheBytes != (100<<20)/4 {
 		t.Fatalf("default mem budget shard = %d, want %d", sc.MemCacheBytes, (100<<20)/4)
@@ -396,7 +396,7 @@ func TestConfigShardBudgetSplit(t *testing.T) {
 // to memory removes the disk copy, so the promoted entry must carry the
 // cached value — the live executor reads it right after Route.
 func TestDiskHitPromotionKeepsValue(t *testing.T) {
-	o := newFO(1000)
+	o := New(Config{Policy: Policy{Caching: true}, MemCacheBytes: 1000, DiskCacheBytes: 1000})
 	learn(o, "k", 100, 1e-4)
 	o.OnValueFetched("k", 100, 1, []byte("row"), false) // bought to disk
 	if got := o.Route("k", testBw); got != RouteLocalDisk {
@@ -408,6 +408,60 @@ func TestDiskHitPromotionKeepsValue(t *testing.T) {
 	}
 	if v, _ := it.Value.([]byte); string(v) != "row" {
 		t.Fatalf("promoted entry holds %v, want the cached value", it.Value)
+	}
+}
+
+// TestDiskTierOnlyWhenSized runs one skewed stream, whose bought values
+// overflow the memory tier, through two configs. The zero-value one has no
+// disk tier: it never routes to or from disk, and its disk tier stays empty.
+// With a disk tier sized to hold the overflow, the same stream demotes
+// memory evictions there, hits them, and promotes them back.
+func TestDiskTierOnlyWhenSized(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"zero-value", Config{Policy: Policy{Caching: true}}},
+		{"explicit-disk", Config{Policy: Policy{Caching: true}, DiskCacheBytes: 1 << 40}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const size = 1 << 20 // DefaultMemCacheBytes holds 100 of these
+			o := New(tc.cfg)
+			rng := rand.New(rand.NewSource(5))
+			zipf := rand.NewZipf(rng, 1.1, 1, 999)
+			routes := make(map[Route]int)
+			promoted := 0
+			for i := 0; i < 200_000; i++ {
+				k := fmt.Sprintf("k%d", zipf.Uint64())
+				r := o.Route(k, testBw)
+				routes[r]++
+				switch r {
+				case RouteCompute:
+					o.OnComputeResponse(ResponseMeta{Key: k, ValueSize: size, ComputedSize: 100, ComputeCost: 1e-4})
+				case RouteDataMem, RouteDataDisk:
+					o.OnValueFetched(k, size, 0, nil, r == RouteDataMem)
+				case RouteLocalDisk:
+					if _, tier, _ := o.Cache.Lookup(k); tier == cache.TierMem {
+						promoted++
+					}
+				}
+			}
+			cs := o.Cache.Stats()
+			if cs.EvictToDisk == 0 || routes[RouteLocalMem] == 0 {
+				t.Fatalf("the stream never evicted or hit memory (routes %v, cache %+v): it tests nothing", routes, cs)
+			}
+			disk := routes[RouteDataDisk] + routes[RouteLocalDisk]
+			if tc.cfg.DiskCacheBytes == 0 {
+				if disk != 0 || o.Cache.DiskLen() != 0 || cs.DiskInserts != 0 {
+					t.Fatalf("no disk tier, yet routes %v, DiskLen %d, cache %+v", routes, o.Cache.DiskLen(), cs)
+				}
+				return
+			}
+			if cs.DiskInserts == 0 || routes[RouteLocalDisk] == 0 || promoted == 0 {
+				t.Fatalf("a sized disk tier must demote, hit and promote: routes %v, promoted %d, cache %+v",
+					routes, promoted, cs)
+			}
+		})
 	}
 }
 

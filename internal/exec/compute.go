@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"slices"
 
 	"joinopt/internal/cluster"
@@ -112,11 +113,15 @@ func newComputeNode(ex *Executor, id cluster.NodeID, idx int64) *computeNode {
 		localCPUSmooth: costmodel.NewSmoother(
 			costmodel.DefaultAlpha, 1e-3),
 	}
+	disk := ex.cfg.DiskCacheBytes
+	if disk == 0 {
+		disk = math.MaxInt64 // the paper's unbounded dCache
+	}
 	for range ex.cfg.Tables {
 		cn.opts = append(cn.opts, core.New(core.Config{
 			Policy:         ex.cfg.Strategy.policy(),
 			MemCacheBytes:  ex.cfg.MemCacheBytes,
-			DiskCacheBytes: ex.cfg.DiskCacheBytes,
+			DiskCacheBytes: disk,
 			Epsilon:        lossyEpsilon,
 			Seed:           ex.cfg.Seed*1021 + idx,
 			FreezeAfter:    ex.cfg.FreezeAfter,

@@ -475,9 +475,10 @@ func TestPerCallOptions(t *testing.T) {
 	if waited := time.Since(start); waited > 5*time.Second {
 		t.Fatalf("context deadline took %v; the executor default leaked through", waited)
 	}
-	// The wait returns at the deadline; the op is counted by the context's
-	// callback, which may land a moment later.
-	waitUntil(t, 5*time.Second, "the expired op to be counted", func() bool { return e.Canceled.Load() == 1 })
+	// The op is counted before Call returns.
+	if n := e.Canceled.Load(); n != 1 {
+		t.Fatalf("Canceled = %d right after the expired Call returned, want 1", n)
+	}
 	invariantSum(t, e, 4)
 }
 

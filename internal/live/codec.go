@@ -3,7 +3,6 @@ package live
 import (
 	"bufio"
 	"io"
-	"sync"
 )
 
 // Wire names the on-the-wire encoding. The binary framing layer of frame.go
@@ -18,27 +17,23 @@ type Wire uint8
 const WireBinary Wire = 0
 
 // binCodec speaks the binary framing protocol of frame.go. Encoding happens
-// in the sender into an arena buffer; with a coalescing writer attached
-// (every real connection), the framed bytes are queued and a single writer
-// goroutine per connection gathers all frames queued since the last syscall
-// into one buffered write — concurrent senders share syscalls instead of
-// serializing on a mutex. Without a writer (in-memory buffers in tests),
-// writes fall back to a synchronous mutex-guarded path. Writes are safe for
-// concurrent use; reads are single-reader (each conn has one read loop).
+// in the sender into an arena buffer; the framed bytes are queued and a
+// single writer goroutine per connection gathers all frames queued since the
+// last syscall into one buffered write — concurrent senders share syscalls
+// instead of serializing on a mutex. Writes are safe for concurrent use;
+// reads are single-reader (each conn has one read loop).
 type binCodec struct {
 	br *bufio.Reader
-	fw *frameWriter // coalescing path; nil for plain ReadWriters
-	in interner     // request-string interning; single reader per conn
-
-	// Synchronous fallback path.
-	w  io.Writer
-	mu sync.Mutex
+	fw frameSink
+	in interner // request-string interning; single reader per conn
 }
 
-// newBinCodec builds a synchronous binary codec over any ReadWriter; used
-// directly only by tests and fuzzers that drive in-memory buffers.
-func newBinCodec(c io.ReadWriter) *binCodec {
-	return &binCodec{br: bufio.NewReaderSize(c, 64<<10), w: c}
+// frameSink takes each framed buffer, and with it the buffer's ownership: a
+// connection's coalescing frameWriter, or the synchronous writer of tests
+// that drive in-memory buffers.
+type frameSink interface {
+	enqueue(f outFrame) error
+	Close()
 }
 
 // newBinCodecConn builds the production codec over a real connection, with
@@ -50,11 +45,7 @@ func newBinCodecConn(c io.ReadWriteCloser) *binCodec {
 
 // close stops the writer goroutine; the underlying conn is closed separately
 // by wireConn.Close.
-func (c *binCodec) close() {
-	if c.fw != nil {
-		c.fw.Close()
-	}
-}
+func (c *binCodec) close() { c.fw.Close() }
 
 func (c *binCodec) send(encode func([]byte) []byte) error {
 	bp := getBuf(bufInitialCap)
@@ -65,15 +56,7 @@ func (c *binCodec) send(encode func([]byte) []byte) error {
 		putBuf(bp)
 		return errFrameTooBig
 	}
-	off := finishFrame(b)
-	if c.fw != nil {
-		return c.fw.enqueue(outFrame{bp: bp, off: int32(off)})
-	}
-	c.mu.Lock()
-	_, err := c.w.Write(b[off:])
-	c.mu.Unlock()
-	putBuf(bp)
-	return err
+	return c.fw.enqueue(outFrame{bp: bp, off: int32(finishFrame(b))})
 }
 
 func (c *binCodec) writeRequest(req *Request) error {

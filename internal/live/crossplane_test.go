@@ -77,7 +77,7 @@ func TestCrossPlaneRoutingEquivalence(t *testing.T) {
 		case TraceComputeResp:
 			oracle.OnComputeResponse(ev.Meta)
 		case TraceFetched:
-			oracle.OnValueFetched(ev.Key, ev.Size, ev.Version, nil, ev.ToMem)
+			oracle.OnValueFetched(ev.Key, ev.Size, ev.Version, nil, true)
 		case TraceLocalCompute:
 			oracle.ObserveLocalCompute(ev.Sojourn, ev.Service)
 		case TraceInvalidate:

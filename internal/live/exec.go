@@ -45,7 +45,6 @@ type TraceEvent struct {
 	Meta    core.ResponseMeta // TraceComputeResp
 	Size    int64             // TraceFetched
 	Version int64             // TraceFetched, TraceInvalidate
-	ToMem   bool              // TraceFetched
 
 	Sojourn, Service float64 // TraceLocalCompute
 }
@@ -66,7 +65,9 @@ type ExecConfig struct {
 	// TableUDF names each table's UDF.
 	TableUDF map[string]string
 
-	Optimizer core.Config // policy knobs (Algorithm 1 configuration)
+	// Optimizer configures Algorithm 1. Its DiskCacheBytes is ignored: a live
+	// client caches in one memory tier, and Route never buys to disk.
+	Optimizer core.Config
 
 	BatchSize int // default 64
 	// BatchWait is the ceiling on how long a submission nobody is waiting on
@@ -194,7 +195,7 @@ type Executor struct {
 	flushes sync.WaitGroup // in-flight wire batches (send → handleResponse)
 
 	// Counters for tests and metrics. Every resolved submission is
-	// counted exactly once in LocalHits (served from the two-tier cache),
+	// counted exactly once in LocalHits (served from the memory cache),
 	// RemoteComputed (UDF ran at the data node), RemoteRaw (balancer
 	// bounced the raw value back), FetchServed (resolved from a fetched
 	// value: cache fills, piled-on waiters and no-cache fetches), Failed
@@ -265,6 +266,7 @@ func NewExecutor(cfg ExecConfig) (*Executor, error) {
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = time.Duration(defaultRequestTimeout.Load())
 	}
+	cfg.Optimizer.DiskCacheBytes = 0 // one memory tier
 	e := &Executor{
 		cfg:    cfg,
 		member: cfg.Membership,

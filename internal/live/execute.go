@@ -307,9 +307,15 @@ func (s *Server) commit(from *wireConn, tb *serverTable, req *Request) *Response
 	// never client-routed) and armed only while a region of this node is
 	// being copied away: a batch touching a fenced region bounces retryable
 	// before any row is written, and every other batch writes its rows
-	// holding putGate shared, so the fence can wait them out.
+	// holding putGate shared, so the fence can wait them out. A batch that
+	// skips the gate is in ungatedPuts, from before it looked until its rows
+	// are written, and beginMigration waits for it.
+	if req.Op == OpPut {
+		s.ungatedPuts.Add(1)
+	}
 	gated := req.Op == OpPut && s.migActive.Load() != 0
 	if gated {
+		s.ungatedPuts.Add(-1)
 		s.putGate.RLock()
 		if bounce := s.putFenced(req); bounce != nil {
 			s.putGate.RUnlock()
@@ -346,6 +352,8 @@ func (s *Server) commit(from *wireConn, tb *serverTable, req *Request) *Response
 	}
 	if gated {
 		s.putGate.RUnlock()
+	} else if req.Op == OpPut {
+		s.ungatedPuts.Add(-1)
 	}
 	// The acknowledgment barrier: every row above is durable (to the
 	// engine's configured level) once Flush returns. The in-memory engine

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"io"
@@ -8,6 +9,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"joinopt/internal/loadbalance"
@@ -629,6 +631,28 @@ func TestBinCodecStream(t *testing.T) {
 // chunkStream hands out one chunk per Read, so a bufio.Reader over it
 // refills from the start of its buffer for each chunk: the bytes a frame was
 // decoded from are overwritten by the next frame read. Writes are dropped.
+// newBinCodec builds a binary codec over any ReadWriter whose writes land
+// at once, for tests and fuzzers that drive in-memory buffers.
+func newBinCodec(c io.ReadWriter) *binCodec {
+	return &binCodec{br: bufio.NewReaderSize(c, 64<<10), fw: &syncSink{w: c}}
+}
+
+// syncSink is a frameSink that writes each frame before enqueue returns.
+type syncSink struct {
+	w  io.Writer
+	mu sync.Mutex
+}
+
+func (s *syncSink) enqueue(f outFrame) error {
+	s.mu.Lock()
+	_, err := s.w.Write((*f.bp)[f.off:])
+	s.mu.Unlock()
+	putBuf(f.bp)
+	return err
+}
+
+func (s *syncSink) Close() {}
+
 type chunkStream struct{ chunks [][]byte }
 
 func (s *chunkStream) Read(p []byte) (int, error) {

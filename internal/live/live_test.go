@@ -231,14 +231,17 @@ func TestLiveBalancerBouncesUnderLoad(t *testing.T) {
 	}
 }
 
-// TestDiskTierHitServesCachedValue drives skewed reads through a memory tier
-// too small for the hot set, so purchases spill to the disk tier and later
-// hits promote them back: every read — first contact, wire fetch, memory hit,
-// disk hit, promoted hit — must return the stored bytes.
-func TestDiskTierHitServesCachedValue(t *testing.T) {
-	cfg, _ := testCluster(t, 1, 32, "upper", upperUDF, false)
+// TestEvictionRefetchServesCachedValue drives skewed reads through a memory
+// tier too small for the hot set, so purchases evict each other and evicted
+// keys are fetched again: every read — first contact, wire fetch, memory
+// hit, re-fetch after an eviction — must return the stored bytes. The
+// config asks for a disk tier, which a live client ignores: nothing may
+// land there.
+func TestEvictionRefetchServesCachedValue(t *testing.T) {
+	const keys = 32
+	cfg, _ := testCluster(t, 1, keys, "upper", upperUDF, false)
 	cfg.Optimizer = core.Config{Policy: core.Policy{Caching: true},
-		MemCacheBytes: 40, DiskCacheBytes: 1 << 20} // memory holds ~3 of the 32 rows
+		MemCacheBytes: 40, DiskCacheBytes: 1 << 20} // memory holds ~3 of the rows
 	cfg.Shards = 1
 	e, err := NewExecutor(cfg)
 	if err != nil {
@@ -248,8 +251,8 @@ func TestDiskTierHitServesCachedValue(t *testing.T) {
 	tbl := e.Table("t")
 	for i := 0; i < 4000; i++ {
 		// Skew: key j is read about twice as often as key 2j.
-		j := i % 32
-		for j > 0 && (i/32+j)%2 == 0 {
+		j := i % keys
+		for j > 0 && (i/keys+j)%2 == 0 {
 			j /= 2
 		}
 		k := fmt.Sprintf("k%d", j)
@@ -258,8 +261,58 @@ func TestDiskTierHitServesCachedValue(t *testing.T) {
 			t.Fatalf("read %d of %s = %q, %v, want %q", i, k, got, err, want)
 		}
 	}
-	if st := e.Table("t").opts[0].Stats(); st.LocalDisk == 0 {
-		t.Fatalf("no read was served from the disk tier (%+v); the test exercised nothing", st)
+	opt := tbl.opts[0]
+	st, cs := opt.Stats(), opt.Cache.Stats()
+	// Nothing writes, so a fetch beyond one per key re-fetches an evicted
+	// value.
+	if st.LocalMem == 0 || cs.EvictToDisk == 0 || st.DataReqs <= keys {
+		t.Fatalf("no memory hit, eviction or re-fetch (%+v, %+v); the test exercised nothing", st, cs)
+	}
+	if st.LocalDisk != 0 || opt.Cache.DiskLen() != 0 || opt.Cache.MemUsed() > 40 {
+		t.Fatalf("cache outgrew its memory tier: %d disk hits, %d on disk, %d B in memory",
+			st.LocalDisk, opt.Cache.DiskLen(), opt.Cache.MemUsed())
+	}
+}
+
+// TestClientCacheStaysInMemoryBudget: a client with a small memory tier and
+// no disk setting fetches far more distinct values than the tier holds. What
+// it keeps cached, summed over its shards, stays within MemCacheBytes, and
+// nothing spills to a disk tier.
+func TestClientCacheStaysInMemoryBudget(t *testing.T) {
+	const keys, budget = 20_000, 16 << 10
+	cfg, _ := testCluster(t, 2, keys, "upper", upperUDF, false)
+	cfg.Optimizer = core.Config{Policy: core.Policy{Caching: true}, MemCacheBytes: budget}
+	e, err := NewExecutor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	tbl := e.Table("t")
+	futs := make([]*Future, 0, 1000)
+	for pass := 0; pass < 2; pass++ {
+		for lo := 0; lo < keys; lo += cap(futs) {
+			futs = futs[:0]
+			for i := lo; i < lo+cap(futs); i++ {
+				futs = append(futs, tbl.Submit(context.Background(), fmt.Sprintf("k%d", i), []byte("p"), WithRoute(ForceFetch)))
+			}
+			for _, f := range futs {
+				mustWait(t, f)
+			}
+		}
+	}
+	var mem, disk int64
+	for i, sh := range e.shards {
+		sh.mu.Lock()
+		c := tbl.opts[i].Cache
+		mem += c.MemUsed()
+		disk += c.DiskUsed()
+		if c.DiskLen() != 0 {
+			t.Errorf("shard %d holds %d values in its disk tier", i, c.DiskLen())
+		}
+		sh.mu.Unlock()
+	}
+	if mem == 0 || mem+disk > budget {
+		t.Fatalf("client caches %d B in memory and %d B on disk, want at most %d B in all", mem, disk, budget)
 	}
 }
 

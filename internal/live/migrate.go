@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"time"
 
 	"joinopt/internal/cluster"
 	"joinopt/internal/membership"
@@ -341,10 +342,11 @@ func regionMax(tb *serverTable, region, nregions int) (maxVer int64) {
 }
 
 // beginMigration runs phase 1 at the source: register the region (arming
-// commit's fence check) and raise the table's version floor to the region's
-// highest version, which it returns. Every put from here on is assigned a
-// version above that floor, so the fence's delta copy can tell the rows
-// written during the bulk copy apart from the rows the bulk copy carries.
+// commit's fence check), wait out the put batches that skipped the gate, and
+// raise the table's version floor to the region's highest version, which it
+// returns. Every put from here on is assigned a version above that floor, so
+// the fence's delta copy can tell the rows written during the bulk copy apart
+// from the rows the bulk copy carries.
 func (s *Server) beginMigration(table string, region, nregions int) (floor int64, err error) {
 	tb := s.table(table)
 	if tb == nil {
@@ -363,6 +365,9 @@ func (s *Server) beginMigration(table string, region, nregions int) (floor int64
 	mt.migrating[region] = false
 	s.migActive.Add(1)
 	s.migMu.Unlock()
+	for s.ungatedPuts.Load() != 0 { // the fence cannot wait for these
+		time.Sleep(20 * time.Microsecond)
+	}
 	floor = regionMax(tb, region, nregions)
 	tb.store.SetFloor(floor)
 	return floor, nil

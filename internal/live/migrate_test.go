@@ -14,6 +14,7 @@ import (
 	"joinopt/internal/core"
 	"joinopt/internal/history"
 	"joinopt/internal/membership"
+	"joinopt/internal/storage"
 	"joinopt/internal/store"
 )
 
@@ -263,6 +264,105 @@ func TestMigratePhasesCarryMidCopyPut(t *testing.T) {
 	}
 	if next := put(1, cold, "after"); next <= acked {
 		t.Fatalf("new owner's next put of %s got v%d, not above the acked v%d", cold, next, acked)
+	}
+}
+
+// stallTable parks the Put of one value until release is closed. The put
+// batch carrying it has passed commit's migration check, and stalls before
+// its row is written.
+type stallTable struct {
+	storage.Table
+	value           string
+	parked, release chan struct{}
+}
+
+func (t *stallTable) Put(key string, value []byte) (int64, error) {
+	if string(value) == t.value {
+		close(t.parked)
+		<-t.release
+	}
+	return t.Table.Put(key, value)
+}
+
+// TestMigrateWaitsOutUngatedPut parks a put batch that found no migration
+// active between that check and its write, then drives a migration of the
+// put's region through every phase and releases the put. The migration's
+// begin must wait for the parked batch, so the acked put reaches the new
+// owner at its acked version.
+func TestMigrateWaitsOutUngatedPut(t *testing.T) {
+	c := newMigCluster(t, 2, "tag", nil, nil)
+	key := "k0"
+	region := store.RegionIndex(key, migRegions)
+	conns := map[cluster.NodeID]*Conn{}
+	for id, addr := range c.addrs {
+		conn, err := DialNode(addr, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conns[id] = conn
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := conns[0].Call(Request{Op: OpPut, Table: "t", Keys: []string{key}, Params: [][]byte{[]byte("old")}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	parked, release := make(chan struct{}), make(chan struct{})
+	tb := c.servers[0].table("t")
+	tb.store = &stallTable{Table: tb.store, value: "stalled", parked: parked, release: release}
+	type ack struct {
+		ver int64
+		err error
+	}
+	acked := make(chan ack, 1)
+	go func() {
+		resp, err := conns[0].Call(Request{Op: OpPut, Table: "t", Keys: []string{key}, Params: [][]byte{[]byte("stalled")}})
+		if err != nil {
+			acked <- ack{err: err}
+			return
+		}
+		acked <- ack{ver: resp.Metas[0].Version}
+	}()
+	<-parked
+
+	migrated := make(chan error, 1)
+	go func() {
+		h, err := c.mig.plan("t", region, 0, 1)
+		if err == nil {
+			err = h.begin()
+		}
+		if err == nil {
+			err = h.copy()
+		}
+		if err == nil {
+			err = h.fence()
+		}
+		if err == nil {
+			h.cutover()
+		}
+		migrated <- err
+	}()
+	// Release the put once the migration has finished without it, or has
+	// waited for it long enough to show that it waits.
+	var err error
+	select {
+	case err = <-migrated:
+		close(release)
+	case <-time.After(200 * time.Millisecond):
+		close(release)
+		err = <-migrated
+	}
+	if err != nil {
+		t.Fatalf("migration: %v", err)
+	}
+	a := <-acked
+	if a.err != nil {
+		t.Fatalf("parked put: %v", a.err)
+	}
+	val, ver, err := nodeReader(conns[1], "t")(key)
+	if err != nil || ver < a.ver {
+		t.Fatalf("new owner holds %s at v%d %q (err %v); the parked put was acked at v%d", key, ver, val, err, a.ver)
 	}
 }
 

@@ -50,7 +50,6 @@ func (sh *execShard) cut(t *Table, key string) {
 type waiter struct {
 	params []byte
 	fut    *Future
-	toMem  bool
 	cancel *cancelState // non-nil only for cancellable-context submissions
 	// Lead only, guarded by the key's shard lock: the dedup key the fetch is
 	// (or was) mapped under, and the waiters that joined it.
@@ -115,7 +114,7 @@ func (e *Executor) route(t *Table, key string, params []byte, fut *Future, cs *c
 		}
 	}
 	switch route {
-	case core.RouteLocalMem, core.RouteLocalDisk:
+	case core.RouteLocalMem:
 		item, _, _ := opt.Cache.Lookup(key)
 		sh.mu.Unlock()
 		if cs.claim() {
@@ -133,9 +132,9 @@ func (e *Executor) route(t *Table, key string, params []byte, fut *Future, cs *c
 		}
 		cs.park(sh, bk, nil, nil)
 		full = e.enqueue(bk, liveEntry{key: key, params: params, fut: fut, cancel: cs})
-	case core.RouteDataMem, core.RouteDataDisk:
+	case core.RouteDataMem:
 		bk := liveBatchKey{t, node, OpGet, co.prio}
-		w := &waiter{params: params, fut: fut, toMem: route == core.RouteDataMem, cancel: cs}
+		w := &waiter{params: params, fut: fut, cancel: cs}
 		ik := fetchKey{t, key, bk.prio}
 		if lead := sh.inflight[ik]; lead != nil {
 			// Piled onto a fetch that may still be parked: share its link,

@@ -59,12 +59,14 @@ type Server struct {
 	// currently copying away; commit consults the migration state only
 	// while it is nonzero, and then writes its rows holding putGate shared,
 	// which fenceRegion takes exclusively to wait out the batches already
-	// past the fence check. migMu guards migs (per-table bookkeeping).
-	routeState atomic.Uint64
-	migActive  atomic.Int64
-	putGate    sync.RWMutex
-	migMu      sync.Mutex
-	migs       map[string]*tableMigr
+	// past the fence check; ungatedPuts counts the put batches writing
+	// without it, which beginMigration waits out. migMu guards migs.
+	routeState  atomic.Uint64
+	migActive   atomic.Int64
+	ungatedPuts atomic.Int64
+	putGate     sync.RWMutex
+	migMu       sync.Mutex
+	migs        map[string]*tableMigr
 
 	// UDF execution (execute.go): the one limiter, the load the Appendix C
 	// balancer reads, and the service-cost EWMAs (see ewma for who reads which).

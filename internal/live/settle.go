@@ -282,11 +282,10 @@ func (e *Executor) handleResponse(bk liveBatchKey, entries []liveEntry, resp *Re
 			if e.pool(bk.node).epoch.Load() == epoch &&
 				e.migGen.Load() == gen &&
 				opt.KnownVersion(ent.key) <= meta.Version {
-				opt.OnValueFetched(ent.key, int64(len(value)), meta.Version, value, ent.w.toMem) //lint:allow hotpath the optimizer's cache stores values as interface{}; boxing is the documented fetch cost
+				opt.OnValueFetched(ent.key, int64(len(value)), meta.Version, value, true) //lint:allow hotpath the optimizer's cache stores values as interface{}; boxing is the documented fetch cost
 				if e.cfg.Trace != nil {
 					e.cfg.Trace(TraceEvent{Kind: TraceFetched, Table: bk.t.name,
-						Key: ent.key, Size: int64(len(value)), Version: meta.Version,
-						ToMem: ent.w.toMem})
+						Key: ent.key, Size: int64(len(value)), Version: meta.Version})
 				}
 			}
 			followers := sh.release(ent.w)

@@ -168,7 +168,12 @@ func resolveOpts(opts []CallOption) callOpts {
 // context. A nil, nil return means the key has no stored row; every failure
 // — including cancellation — is a typed *Error.
 func (t *Table) Call(ctx context.Context, key string, params []byte, opts ...CallOption) ([]byte, error) {
-	return t.Submit(ctx, key, params, opts...).WaitCtx(ctx)
+	f := t.Submit(ctx, key, params, opts...)
+	v, err := f.WaitCtx(ctx)
+	if f.cancel != nil && ctx.Err() != nil {
+		f.cancel.onCtxDone(ctx) // the wait can end before the context's callback runs
+	}
+	return v, err
 }
 
 // Put writes key=value through the live plane and returns the version the
@@ -405,17 +410,20 @@ func (cs *cancelState) stopAfterFunc() {
 	}
 }
 
-// onCtxDone is the context.AfterFunc body: reject the future first (no wait
-// may ever hang on a canceled context), then best-effort pull the op out of
-// the machinery — accumulator entry, dedup waiter, or a cancel frame to the
-// data node for an exec batch already on the wire.
+// onCtxDone is the context.AfterFunc body, and Call runs it too when its
+// wait ends with the context: claim the op and count it Canceled, then reject
+// the future (no wait may ever hang on a canceled context), then best-effort
+// pull the op out of the machinery — accumulator entry, dedup waiter, or a
+// cancel frame to the data node for an exec batch already on the wire. An op
+// a result claimed first is that result's to count and resolve.
 func (cs *cancelState) onCtxDone(ctx context.Context) {
 	cs.mu.Lock()
-	if cs.canceled {
+	if cs.counted {
 		cs.mu.Unlock()
 		return
 	}
-	cs.canceled = true
+	cs.canceled, cs.counted = true, true
+	cs.e.Canceled.Add(1) // under mu: a second run returns only after it
 	sh, bk, lead, w := cs.sh, cs.bk, cs.lead, cs.w
 	conn, id, idx := cs.conn, cs.wireID, cs.index
 	cs.mu.Unlock()
@@ -428,12 +436,7 @@ func (cs *cancelState) onCtxDone(ctx context.Context) {
 	if err := ctx.Err(); err != nil {
 		msg = err.Error()
 	}
-	if !cs.fut.reject(&Error{Code: CodeCanceled, Op: op, Msg: msg}) {
-		return // the result won the race; it was (or will be) counted normally
-	}
-	if cs.claim() {
-		cs.e.Canceled.Add(1)
-	}
+	cs.fut.reject(&Error{Code: CodeCanceled, Op: op, Msg: msg})
 
 	if sh != nil {
 		sh.mu.Lock()

@@ -17,7 +17,7 @@
 //     Stream and RDD engine APIs) runs real joins over TCP against
 //     in-process store nodes. A client's per-key routing state is striped
 //     across ClientOptions.Shards shard-local optimizers (default
-//     GOMAXPROCS, each owning an equal slice of the cache budgets) so
+//     GOMAXPROCS, each owning an equal slice of the memory cache budget) so
 //     concurrent Submit calls scale with cores; pending requests batch per
 //     destination node, however their keys are striped.
 //   - The simulation plane (Simulate* and the Fig* experiment runners)
@@ -547,9 +547,11 @@ func (c *Cluster) Servers() []*live.Server { return c.servers }
 
 // ClientOptions tunes a Client.
 type ClientOptions struct {
-	// MemCacheBytes is the mCache size (default 100 MB).
+	// MemCacheBytes bounds the client's cache, one memory tier (default
+	// 100 MB).
 	MemCacheBytes int64
-	// DiskCacheBytes bounds the dCache (0 = unbounded).
+	// Deprecated: DiskCacheBytes is ignored; a client caches only in
+	// memory, within MemCacheBytes.
 	DiskCacheBytes int64
 	// Workers is the local UDF parallelism (default 8).
 	Workers int
@@ -557,9 +559,9 @@ type ClientOptions struct {
 	// counters, caches, fetch dedup) by key hash so concurrent Submit calls
 	// scale across cores instead of serializing on one lock; batching is
 	// per destination and does not depend on it. Default GOMAXPROCS. The
-	// cache budgets are split across shards: each shard-local optimizer
-	// manages MemCacheBytes/Shards (and DiskCacheBytes/Shards) so the
-	// client's total footprint stays as configured.
+	// cache budget is split across shards: each shard-local optimizer
+	// manages MemCacheBytes/Shards, so the client's total footprint stays
+	// as configured.
 	Shards int
 	// MaxRetries bounds how many times an idempotent request is re-sent
 	// after a transport failure (default 2; negative disables retries).
@@ -590,9 +592,8 @@ func (c *Cluster) NewClient(opts ClientOptions) (*Client, error) {
 		Registry:   c.registry,
 		TableUDF:   c.udfs,
 		Optimizer: core.Config{
-			Policy:         c.policy.corePolicy(),
-			MemCacheBytes:  opts.MemCacheBytes,
-			DiskCacheBytes: opts.DiskCacheBytes,
+			Policy:        c.policy.corePolicy(),
+			MemCacheBytes: opts.MemCacheBytes,
 		},
 		Workers:        opts.Workers,
 		Shards:         opts.Shards,
@@ -668,7 +669,7 @@ func (cl *Client) Executor() *live.Executor { return cl.exec }
 // FetchServed, Failed, Canceled or Shed, so their sum accounts for every
 // completed op.
 type Stats struct {
-	LocalHits      int64 // served from the two-tier cache
+	LocalHits      int64 // served from the client's memory cache
 	RemoteComputed int64 // UDFs executed at data nodes
 	RemoteRaw      int64 // values bounced back by the balancer
 	Fetches        int64 // wire-level value fetches (purchases + no-cache fetches)
