@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"testing"
 	"time"
+	"unsafe"
 
 	"joinopt/internal/cluster"
 	"joinopt/internal/core"
@@ -22,18 +24,19 @@ const (
 	encodeResponseAllocs = 0
 	decodeIntoAllocs     = 0
 	// roundTripAllocBudget bounds a steady-state Submit→WaitErr crossing
-	// the wire as a batch of one: the Future header, the flush goroutine's
-	// closure + request, the server's handler spawn, and the response
+	// the wire as a batch of one: the flush goroutine and the response
 	// frame (an exact-size GC allocation because its values escape into
-	// futures). Half the 11 allocs/op the pre-pooling lifecycle paid in
-	// the batched throughput benchmark — and that was amortized over
-	// 64-op batches; this budget is per unamortized round trip.
+	// futures); the Future header is cut from a chunk of 51, so it costs
+	// no allocation of its own. Half the 11 allocs/op the pre-pooling
+	// lifecycle paid in the batched throughput benchmark — and that was
+	// amortized over 64-op batches; this budget is per unamortized round
+	// trip.
 	roundTripAllocBudget = 5.5
 	// localHitAllocBudget bounds a steady-state Submit→WaitErr of a cached
-	// key, which never leaves the process: the Future header and the UDF's
-	// output. The run is a value in the local workers' queue, not a
-	// goroutine or a closure.
-	localHitAllocBudget = 2
+	// key, which never leaves the process: the UDF's output. The run is a
+	// value in the local workers' queue, not a goroutine or a closure, and
+	// the Future header comes from a chunk.
+	localHitAllocBudget = 1
 	// putRoundTripAllocs is a steady-state Table.Put of an unreplicated key:
 	// the flush goroutine of the put's wire call. The ack carries no value,
 	// so the client decodes it in place in its read buffer, and a put that
@@ -207,9 +210,10 @@ func roundTripAllocs(t *testing.T, requestTimeout time.Duration, opts ...CallOpt
 }
 
 // TestPriorityRoundTripAllocBudget is the same round trip under the
-// priorities, alternating: their accumulators must stay mapped between calls, so the steady state never re-enters newAccumulator
-// (table clone, accumulator, limit closure, timer) and costs what the default
-// policy costs plus the option itself.
+// priorities, alternating: their accumulators must stay mapped between
+// calls, so the steady state never re-enters newAccumulator (table clone,
+// accumulator, limit closure, timer) and costs what the default policy
+// costs. The option is a value, so passing it allocates nothing.
 func TestPriorityRoundTripAllocBudget(t *testing.T) {
 	e, keyNames := allocHarness(t, 0)
 	tbl := e.Table("t")
@@ -227,8 +231,8 @@ func TestPriorityRoundTripAllocBudget(t *testing.T) {
 	i := 0
 	n := testing.AllocsPerRun(300, func() { submit(i); i++ })
 	t.Logf("steady-state round trip under alternating priorities: %.2f allocs/op", n)
-	if n > roundTripAllocBudget+1 {
-		t.Errorf("priority round trip allocates %.2f/op, budget %.1f", n, roundTripAllocBudget+1)
+	if n > roundTripAllocBudget {
+		t.Errorf("priority round trip allocates %.2f/op, budget %.1f", n, roundTripAllocBudget)
 	}
 	if e.accs.Load() != accs {
 		t.Error("the accumulator table was republished in steady state: a priority's accumulator was evicted")
@@ -300,4 +304,31 @@ func TestPutRoundTripAllocBudget(t *testing.T) {
 // exact-size frame it aliases.
 func TestNoCacheFetchRoundTripAllocBudget(t *testing.T) {
 	roundTripAllocs(t, 0, WithNoCache())
+}
+
+// futChunkSink keeps the chunks TestFutChunkAllocFillsSizeClass allocates on
+// the heap, where the size classes apply.
+var futChunkSink []*futChunk
+
+// TestFutChunkAllocFillsSizeClass measures what one futChunk costs the
+// allocator, malloc header and size-class rounding included: the headers cut
+// from it may waste less than 1 B each, and the chunk stays within 4 KiB.
+func TestFutChunkAllocFillsSizeClass(t *testing.T) {
+	noGC(t)
+	const chunks = 256
+	futChunkSink = make([]*futChunk, 0, chunks)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range chunks {
+		futChunkSink = append(futChunkSink, new(futChunk))
+	}
+	runtime.ReadMemStats(&after)
+	futChunkSink = nil
+	per := float64(after.TotalAlloc-before.TotalAlloc) / chunks
+	waste := (per - float64(futChunkLen*unsafe.Sizeof(Future{}))) / float64(futChunkLen)
+	t.Logf("a chunk of %d futures costs %.0f B, %.2f B of waste per future", futChunkLen, per, waste)
+	if per > futChunkClass || waste >= 1 {
+		t.Errorf("a chunk of %d futures costs %.0f B (%.2f B of waste per future), want <= %d B and < 1 B",
+			futChunkLen, per, waste, futChunkClass)
+	}
 }

@@ -110,7 +110,8 @@ func (c *binCodec) readRequest(req *Request) (*Cancel, error) {
 // readMessage is the client-side read: exactly one of the results is non-nil
 // on success. A returned Response is pool-sourced; the party that consumes it
 // owns its recycling. A frame that fits the read buffer is decoded where it
-// lies (decodeClientMessage); a larger one is read into its own allocation.
+// lies (decodeClientMessage); a larger one is read into its own allocation,
+// exact-size up to frameTrustMax (readPayload).
 //
 //joinopt:hotpath
 func (c *binCodec) readMessage() (*Response, *Notification, error) {
@@ -122,9 +123,9 @@ func (c *binCodec) readMessage() (*Response, *Notification, error) {
 		return nil, nil, errTruncated
 	}
 	if n > c.br.Size() {
-		payload := make([]byte, n) //lint:allow hotpath a frame larger than the read buffer
-		if _, err := io.ReadFull(c.br, payload); err != nil {
-			return nil, nil, unexpectedEOF(err)
+		payload, err := readPayload(c.br, make([]byte, 0, min(n, frameTrustMax)), n) //lint:allow hotpath a frame larger than the read buffer
+		if err != nil {
+			return nil, nil, err
 		}
 		return decodeClientMessage(payload, false)
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -593,14 +594,37 @@ func readFramePooled(br *bufio.Reader) (*[]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	bp := getBuf(n) // guarantees cap >= n
-	buf := (*bp)[:n]
-	*bp = buf
-	if _, err := io.ReadFull(br, buf); err != nil {
+	bp := getBuf(min(n, frameTrustMax))
+	*bp, err = readPayload(br, (*bp)[:0], n)
+	if err != nil {
 		putBuf(bp)
-		return nil, unexpectedEOF(err)
+		return nil, err
 	}
 	return bp, nil
+}
+
+// frameTrustMax is how much of a frame's claimed length a reader allocates
+// before any of its bytes arrive. A frame up to it is read into one
+// exact-size buffer; past it, the buffer grows as the bytes come in, so a
+// header that claims maxFrame over a stream that ends costs at most this
+// much, not 64 MiB.
+const frameTrustMax = 1 << 20
+
+// readPayload reads an n-byte payload into buf, which starts empty: the
+// bytes go into buf's capacity first, and past it buf at least doubles per
+// step, never beyond n.
+func readPayload(br *bufio.Reader, buf []byte, n int) ([]byte, error) {
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), max(len(buf), frameTrustMax)))
+		}
+		m, err := io.ReadFull(br, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			return buf, unexpectedEOF(err)
+		}
+	}
+	return buf, nil
 }
 
 // frameHdrMax is the reserved prefix every encode buffer starts with: the

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -820,6 +821,70 @@ func TestDecodeCorruptCountsNoHugeAlloc(t *testing.T) {
 	}
 }
 
+// TestHugeFrameClaimNoHugeAlloc feeds both frame readers a 5-byte stream: a
+// length header that claims 60 MiB, then the kind byte. Each must fail on the
+// truncation having allocated at most frameTrustMax for the claim, not the
+// claim itself (it allocated 62.9 MB when a reader trusted the header).
+func TestHugeFrameClaimNoHugeAlloc(t *testing.T) {
+	for _, side := range []struct {
+		name string
+		kind byte
+		read func(*binCodec) error
+	}{
+		{"client", kindResponse, func(c *binCodec) error { _, _, err := c.readMessage(); return err }},
+		{"server", kindRequest, func(c *binCodec) error { var req Request; _, err := c.readRequest(&req); return err }},
+	} {
+		stream := append(binary.AppendUvarint(nil, 60<<20), side.kind)
+		c := newBinCodec(bytes.NewBuffer(stream))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := side.read(c)
+		runtime.ReadMemStats(&after)
+		if err != io.ErrUnexpectedEOF {
+			t.Errorf("%s: a frame cut short read as %v, want %v", side.name, err, io.ErrUnexpectedEOF)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 2<<20 {
+			t.Errorf("%s: a 60 MiB claim over 5 bytes allocated %d B, want < 2 MiB", side.name, got)
+		}
+	}
+}
+
+// TestLargeFrameReadsExact reads frames on both sides of frameTrustMax, and
+// on both sides of the connection: each arrives whole, and a client frame
+// within the bound costs one exact-size allocation, not a grown buffer.
+func TestLargeFrameReadsExact(t *testing.T) {
+	for _, n := range []int{100 << 10, frameTrustMax - 64, frameTrustMax + 1, 3*frameTrustMax + 17} {
+		value := bytes.Repeat([]byte{0xAB}, n)
+		payload := appendResponse(nil, &Response{ID: 1, Values: [][]byte{value}, Metas: []Meta{{Version: 1}}})
+		c := newBinCodec(bytes.NewBuffer(framed(payload)))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp, _, err := c.readMessage()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("client, %d B value: %v", n, err)
+		}
+		if !bytes.Equal(resp.Values[0], value) {
+			t.Fatalf("client, %d B value: read back %d B that differ", n, len(resp.Values[0]))
+		}
+		// An exact-size buffer is the payload rounded up to whole pages.
+		if got := after.TotalAlloc - before.TotalAlloc; len(payload) <= frameTrustMax && got > uint64(len(payload)+16<<10) {
+			t.Errorf("client, %d B frame: read allocated %d B, want one exact-size buffer", len(payload), got)
+		}
+
+		payload = appendRequest(nil, &Request{ID: 2, Op: OpExec, Table: "t", Keys: []string{"k"}, Params: [][]byte{value}})
+		c = newBinCodec(bytes.NewBuffer(framed(payload)))
+		var req Request
+		if _, err := c.readRequest(&req); err != nil {
+			t.Fatalf("server, %d B params: %v", n, err)
+		}
+		if !bytes.Equal(req.Params[0], value) {
+			t.Fatalf("server, %d B params: read back %d B that differ", n, len(req.Params[0]))
+		}
+		putBuf(req.frame)
+	}
+}
+
 // --- Fuzz -------------------------------------------------------------------
 
 // FuzzDecodeFrame asserts decode never panics on corrupt input, both at the
@@ -866,6 +931,9 @@ func FuzzDecodeFrame(f *testing.F) {
 		Table: "t", Keys: []string{"k"}}))
 	f.Add(appendResponse(nil, &Response{ID: 14, Metas: []Meta{{Version: 3}}, Credit: 1, Window: 8}))
 	f.Add(appendResponse(nil, &Response{ID: 15, Code: CodeServer, Err: "storage: disk full"}))
+	// A header that claims 60 MiB over a stream that ends at the kind byte:
+	// the read must not allocate the claim (frameTrustMax).
+	f.Add(append(binary.AppendUvarint(nil, 60<<20), kindResponse))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_ = decodeMessage(data) // must not panic

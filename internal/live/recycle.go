@@ -97,10 +97,11 @@ func getCall() *call { return callPool.Get().(*call) }
 func putCall(c *call) { callPool.Put(c) }
 
 // futCell is the pooled resolution machinery of a Future: a one-shot
-// buffered channel. The Future header itself stays heap-allocated so the
-// documented contract — WaitErr is safe for repeated and concurrent callers
-// forever — survives pooling; only the channel, which exactly one resolve
-// sends into and exactly one WaitErr receives from, is recycled.
+// buffered channel. The Future header itself is never recycled (it is cut
+// once from a futChunk, settle.go) so the documented contract — WaitErr is
+// safe for repeated and concurrent callers forever — survives pooling; only
+// the channel, which exactly one resolve sends into and exactly one WaitErr
+// receives from, is recycled.
 //
 //joinopt:pooled
 type futCell struct {

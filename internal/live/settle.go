@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"joinopt/internal/core"
 )
@@ -17,9 +18,11 @@ import (
 // masquerades as a missing key.
 //
 // The resolution machinery (a one-shot buffered channel) is a pooled cell
-// recycled once the first Wait consumes it; the Future header itself is
-// not pooled, so the contract below — repeated and concurrent Waits stay
-// safe forever — is unchanged from the pre-pooling lifecycle.
+// recycled once the first Wait consumes it. The Future header itself is cut
+// from a chunk of headers (futChunk), zeroed once when the chunk is
+// allocated and never reused, so the contract below — repeated and
+// concurrent Waits stay safe forever — is unchanged from the pre-pooling
+// lifecycle.
 //
 // While the submission sits in a batch accumulator the future is linked to
 // it (acc, gen), so a wait that is about to block can ship the batch instead
@@ -51,7 +54,45 @@ type futResult struct {
 	err error
 }
 
-func newFuture() *Future { return &Future{cell: getFutCell()} }
+// futChunk is a run of fresh Future headers handed out one at a time. The
+// partly-used chunk of each P waits in futChunkPool; a Get takes it out of
+// the pool, so exactly one goroutine cuts from a chunk at a time, and a
+// chunk that runs out is simply dropped: its headers are never handed out
+// twice. The price is retention — a held Future keeps its whole chunk, and
+// with it the other futures' results, alive.
+//
+// The chunk is sized to fill the 4096-byte size class: Go's allocator puts
+// an 8-byte header on a pointerful object over 512 B, and next takes 8 more.
+// For the 80-byte Future that is 51 headers and 0.31 B of overhead each
+// (TestFutChunkAllocFillsSizeClass); a chunk of 16 lands in the 1408-byte
+// class and wastes 7.5 B per future.
+type futChunk struct {
+	next int
+	futs [futChunkLen]Future
+}
+
+const (
+	futChunkClass = 4096
+	mallocHeader  = 8
+	futChunkLen   = (futChunkClass - mallocHeader - unsafe.Sizeof(0)) / unsafe.Sizeof(Future{})
+)
+
+var futChunkPool sync.Pool
+
+// newFuture cuts a zeroed header nobody has held before from the calling P's
+// chunk: a steady-state submission allocates nothing of its own.
+func newFuture() *Future {
+	c, _ := futChunkPool.Get().(*futChunk)
+	if c == nil {
+		c = new(futChunk)
+	}
+	f := &c.futs[c.next]
+	if c.next++; c.next < len(c.futs) {
+		futChunkPool.Put(c)
+	}
+	f.cell = getFutCell()
+	return f
+}
 
 // settle delivers the future's one resolution and reports whether this call
 // won the exactly-once race. The CAS guard makes an (invariant-violating)
@@ -81,7 +122,9 @@ func (f *Future) reject(err error) bool { return f.settle(futResult{err: err}) }
 // returns the same pair. Results computed server-side may alias the network
 // frame buffer their batch arrived in (the zero-copy read path): treat the
 // slice as read-only, and copy it if you retain it long-term — holding a
-// small result can otherwise pin its whole frame.
+// small result can otherwise pin its whole frame. Holding the Future itself
+// pins the chunk its header was cut from, and with it the results of the
+// other futures cut from that chunk: drop a Future once it is waited.
 func (f *Future) WaitErr() ([]byte, error) {
 	if f.isDone() {
 		return f.out, f.err

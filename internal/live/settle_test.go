@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"runtime"
 	"slices"
 	"sync"
@@ -418,5 +419,53 @@ func TestLocalQueueStatsAndSojourn(t *testing.T) {
 	if q.Sojourn < s.Service || q.Sojourn < q.Service {
 		t.Fatalf("queued run's sojourn %.4fs, want at least the slow run's service %.4fs and its own %.4fs",
 			q.Sojourn, s.Service, q.Service)
+	}
+}
+
+// TestChunkedFuturesKeepTheirResults cuts more futures than two chunks hold
+// and resolves them out of order with distinct values, while two waiters
+// block on each, one in WaitErr and one in WaitCtx: every future, on either
+// side of a chunk boundary, answers its own value to each of them, and again
+// to later repeated calls. A header cut twice, or recycled, would hand one
+// future's result to another.
+func TestChunkedFuturesKeepTheirResults(t *testing.T) {
+	n := 2*int(futChunkLen) + 7
+	futs := make([]*Future, n)
+	for i := range futs {
+		futs[i] = newFuture()
+	}
+	want := func(i int) string { return fmt.Sprintf("v%d", i) }
+	check := func(i int, how string, v []byte, err error) {
+		if err != nil || string(v) != want(i) {
+			t.Errorf("future %d: %s = %q, %v; want %q", i, how, v, err, want(i))
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var wg sync.WaitGroup
+	for i, f := range futs {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			v, err := f.WaitErr()
+			check(i, "WaitErr", v, err)
+		}()
+		go func() {
+			defer wg.Done()
+			v, err := f.WaitCtx(ctx)
+			check(i, "WaitCtx", v, err)
+		}()
+	}
+	for _, i := range rand.New(rand.NewPCG(1, 2)).Perm(n) {
+		if !futs[i].resolve([]byte(want(i))) {
+			t.Fatalf("future %d was already resolved", i)
+		}
+	}
+	wg.Wait()
+	for i, f := range futs {
+		v, err := f.WaitErr()
+		check(i, "repeated WaitErr", v, err)
+		v, err = f.WaitCtx(ctx)
+		check(i, "repeated WaitCtx", v, err)
 	}
 }

@@ -81,8 +81,23 @@ type callOpts struct {
 	prio    Priority
 }
 
-// CallOption tunes one submission, overriding the client-level defaults.
-type CallOption func(*callOpts)
+// CallOption tunes one submission, overriding the client-level defaults. It
+// is a value: set marks which of its fields the option carries, so folding a
+// call's options (resolveOpts) allocates nothing.
+type CallOption struct {
+	set   optSet
+	route RouteHint
+	prio  Priority
+}
+
+// optSet marks the fields a CallOption sets.
+type optSet uint8
+
+const (
+	optRoute optSet = 1 << iota
+	optPrio
+	optNoCache
+)
 
 // WithPriority sets the call's admission class (see Priority). Calls with
 // different priorities never share a wire batch: the priority byte is
@@ -91,20 +106,16 @@ func WithPriority(p Priority) CallOption {
 	if p > PriorityLow {
 		p = PriorityNormal
 	}
-	return func(co *callOpts) { co.prio = p }
+	return CallOption{set: optPrio, prio: p}
 }
 
 // WithRoute forces the call's join location; see RouteHint.
-func WithRoute(h RouteHint) CallOption {
-	return func(co *callOpts) { co.route = h }
-}
+func WithRoute(h RouteHint) CallOption { return CallOption{set: optRoute, route: h} }
 
 // WithNoCache forces a wire fetch that bypasses the client cache entirely:
 // no lookup, no install, no dedup pile-on (the paper's no-caching fetch).
 // Ignored when combined with ForceCompute (there is nothing to cache).
-func WithNoCache() CallOption {
-	return func(co *callOpts) { co.noCache = true }
-}
+func WithNoCache() CallOption { return CallOption{set: optNoCache} }
 
 // Submit routes one invocation of f(key, params) against the table and
 // returns a Future for the result; this is the prefetch entry point.
@@ -133,12 +144,7 @@ func (t *Table) Submit(ctx context.Context, key string, params []byte, opts ...C
 		fut.reject(&Error{Code: CodeCanceled, Op: opNone, Msg: "canceled before routing: " + err.Error()}) //lint:allow hotpath already-canceled path; the concat prices the rejection
 		return fut
 	}
-	var co callOpts
-	if len(opts) > 0 {
-		// Resolved out of line: handing &co to the option funcs forces it
-		// onto the heap, and the no-option hot path must not pay for that.
-		co = resolveOpts(opts)
-	}
+	co := resolveOpts(opts)
 	var cs *cancelState
 	if ctx.Done() != nil {
 		// Only a cancellable context pays for the chase machinery; the
@@ -154,12 +160,20 @@ func (t *Table) Submit(ctx context.Context, key string, params []byte, opts ...C
 	return fut
 }
 
-// resolveOpts folds the options into one callOpts; isolated so only calls
-// that actually pass options pay its heap allocation.
+// resolveOpts folds the options into one callOpts, the last option that sets
+// a field winning.
 func resolveOpts(opts []CallOption) callOpts {
 	var co callOpts
 	for _, o := range opts {
-		o(&co)
+		if o.set&optRoute != 0 {
+			co.route = o.route
+		}
+		if o.set&optPrio != 0 {
+			co.prio = o.prio
+		}
+		if o.set&optNoCache != 0 {
+			co.noCache = true
+		}
 	}
 	return co
 }
