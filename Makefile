@@ -137,11 +137,14 @@ fuzz:
 # cuts, blackholes, malformed responses, torn WAL tails, interrupted
 # snapshot renames, plus the replication suites (write-quorum arithmetic,
 # kill-one-replica failover, catch-up paging, put/flush-barrier registry
-# and failed-put visibility contracts), and local UDF runs queued across
-# executor Close. Run under the race detector, like CI does.
+# and failed-put visibility contracts), local UDF runs queued across
+# executor Close, and the migration handoff (a mid-copy put, a put parked
+# across begin, the exhaustive handoff model). Run under the race detector,
+# like CI does.
 fault:
 	$(GO) test -race -run 'TestFault|TestCrash' -count 2 ./internal/live ./internal/storage
 	$(GO) test -race -run TestLocalJobsResolveAcrossClose -cpu 1,2,4 ./internal/live
+	$(GO) test -race -count 2 -cpu 1,2,4 -run 'TestMigratePhasesCarryMidCopyPut|TestFenceWaitsOutInFlightPut|TestHandoffModel' ./internal/live
 
 # End-to-end live-plane throughput over real TCP via the CLI.
 livebench:

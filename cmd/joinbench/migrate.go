@@ -19,7 +19,7 @@ import (
 // executor holds a deliberately STALE clone of the membership map, so every
 // ownership change must reach it as a CodeMoved redirect, never as
 // out-of-band configuration. A third of the way in, a second node joins,
-// every region migrates to it through the fenced five-phase handoff under
+// every region migrates to it through the fenced four-phase handoff under
 // load, and once the client has converged the old owner is removed. Puts
 // ride out fence bounces and transport blips; any other put failure ends
 // the run. A run in which no redirect was exercised fails: it would have
@@ -67,7 +67,7 @@ func runLiveMigrate(out io.Writer, ops int) error {
 	}
 	owners := make([]cluster.NodeID, regions)
 	m.SetTable("t", owners) // all regions → node 0
-	servers[0].SetMembership(m, 0)
+	servers[0].SetMembership(m)
 
 	stale := m.Clone() // the client's view; must converge via CodeMoved
 	e, err := tagClient(reg, tableT(64, regions, 1), nil, stale)
@@ -130,7 +130,7 @@ func runLiveMigrate(out io.Writer, ops int) error {
 		if addr1, err = boot(1); err != nil {
 			return err
 		}
-		servers[1].SetMembership(m, 1)
+		servers[1].SetMembership(m)
 		fmt.Fprintf(out, "node 1 joined at %s (%d acked puts); migrating all %d regions under load...\n",
 			addr1, s.led.Acked(), regions)
 

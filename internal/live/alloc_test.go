@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -313,18 +314,23 @@ var futChunkSink []*futChunk
 // TestFutChunkAllocFillsSizeClass measures what one futChunk costs the
 // allocator, malloc header and size-class rounding included: the headers cut
 // from it may waste less than 1 B each, and the chunk stays within 4 KiB.
+// TotalAlloc also counts what other goroutines allocate meanwhile, which
+// only ever adds, so the cost is the least of a few trials.
 func TestFutChunkAllocFillsSizeClass(t *testing.T) {
 	noGC(t)
 	const chunks = 256
-	futChunkSink = make([]*futChunk, 0, chunks)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range chunks {
-		futChunkSink = append(futChunkSink, new(futChunk))
+	per := math.Inf(1)
+	for range 5 {
+		futChunkSink = make([]*futChunk, 0, chunks)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range chunks {
+			futChunkSink = append(futChunkSink, new(futChunk))
+		}
+		runtime.ReadMemStats(&after)
+		futChunkSink = nil
+		per = min(per, float64(after.TotalAlloc-before.TotalAlloc)/chunks)
 	}
-	runtime.ReadMemStats(&after)
-	futChunkSink = nil
-	per := float64(after.TotalAlloc-before.TotalAlloc) / chunks
 	waste := (per - float64(futChunkLen*unsafe.Sizeof(Future{}))) / float64(futChunkLen)
 	t.Logf("a chunk of %d futures costs %.0f B, %.2f B of waste per future", futChunkLen, per, waste)
 	if per > futChunkClass || waste >= 1 {

@@ -17,24 +17,20 @@ import (
 //	Server.classSvc   per request (handle)   → retry-after on a shed; the advertised window
 //	ServiceMicros     raw, on every response → the client's replica pricing (its own EWMA)
 //
-// The first two travel in the migration state record (exportState).
+// Each node measures the first two itself: a region migrated in is priced
+// by the target's own traffic, and after ten observations the cold seed
+// holds under 6% of the weight.
 type ewma struct{ bits atomic.Uint64 }
 
-// coldServiceSeconds seeds every EWMA until traffic or an imported state
-// record says otherwise.
+// coldServiceSeconds seeds every EWMA until traffic says otherwise.
 const coldServiceSeconds = 1e-4
 
 func (e *ewma) load() float64 { return math.Float64frombits(e.bits.Load()) }
 
 func (e *ewma) observe(x float64) { e.bits.Store(math.Float64bits(0.25*x + 0.75*e.load())) }
 
-// set overwrites the average, ignoring non-finite and non-positive values:
-// a corrupt state record must not poison the pricing formulas.
-func (e *ewma) set(v float64) {
-	if v > 0 && !math.IsInf(v, 0) {
-		e.bits.Store(math.Float64bits(v))
-	}
-}
+// set overwrites the average.
+func (e *ewma) set(v float64) { e.bits.Store(math.Float64bits(v)) }
 
 // handle serves one dequeued request and hands the answer to respond.
 // queueWait is the time the request spent in its admission queue; the
@@ -50,8 +46,9 @@ func (s *Server) handle(wc *wireConn, req *Request, queueWait time.Duration) {
 	// A mismatch — stale stamp, or this node holding any moved record
 	// (the flag bit keeps the word unequal to every stamp) — walks the
 	// request's keys against the moved-region set; a mismatch touching no
-	// moved region falls through and is served normally.
-	if s.routeState.Load() != req.Epoch<<1 {
+	// moved region falls through and is served normally. An OpPut takes the
+	// check in commit instead, under putGate.
+	if req.Op != OpPut && s.routeState.Load() != req.Epoch<<1 {
 		resp = s.routeCheck(req)
 	}
 	tb := s.table(req.Table)
@@ -304,20 +301,23 @@ func (s *Server) balance(cs loadbalance.ComputeStats, b int) int {
 func (s *Server) commit(from *wireConn, tb *serverTable, req *Request) *Response {
 	s.Puts.Add(int64(len(req.Keys)))
 	// Migration guard (migrate.go), OpPut only (the replication stream is
-	// never client-routed) and armed only while a region of this node is
-	// being copied away: a batch touching a fenced region bounces retryable
-	// before any row is written, and every other batch writes its rows
-	// holding putGate shared, so the fence can wait them out. A batch that
-	// skips the gate is in ungatedPuts, from before it looked until its rows
-	// are written, and beginMigration waits for it.
+	// never client-routed): every put batch checks its route and writes its
+	// rows holding putGate shared. The fence and the cutover take it
+	// exclusively, so a batch finds the fence or the moved record, or the
+	// fence waits for it. A batch touching a moved region is redirected,
+	// one touching a fenced region bounces retryable (the fence check runs
+	// only while a region of this node is being copied away), and either
+	// is answered before any row is written.
 	if req.Op == OpPut {
-		s.ungatedPuts.Add(1)
-	}
-	gated := req.Op == OpPut && s.migActive.Load() != 0
-	if gated {
-		s.ungatedPuts.Add(-1)
 		s.putGate.RLock()
-		if bounce := s.putFenced(req); bounce != nil {
+		var bounce *Response
+		if s.routeState.Load() != req.Epoch<<1 {
+			bounce = s.routeCheck(req)
+		}
+		if bounce == nil && s.migActive.Load() != 0 {
+			bounce = s.putFenced(req)
+		}
+		if bounce != nil {
 			s.putGate.RUnlock()
 			return bounce
 		}
@@ -350,10 +350,8 @@ func (s *Server) commit(from *wireConn, tb *serverTable, req *Request) *Response
 		}
 		resp.Metas = append(resp.Metas, Meta{Version: ver})
 	}
-	if gated {
+	if req.Op == OpPut {
 		s.putGate.RUnlock()
-	} else if req.Op == OpPut {
-		s.ungatedPuts.Add(-1)
 	}
 	// The acknowledgment barrier: every row above is durable (to the
 	// engine's configured level) once Flush returns. The in-memory engine

@@ -368,67 +368,6 @@ func TestGoldenRegionFilter(t *testing.T) {
 	}
 }
 
-// TestGoldenStateRecord pins the migration state record (the learned
-// execution profile that travels with a shard): uvarint version ·
-// float64le avgUDFSeconds · uvarint nclasses · nclasses × float64le.
-func TestGoldenStateRecord(t *testing.T) {
-	s := NewServer(NewRegistry(), false, WireBinary)
-	defer s.Close()
-	s.udfCost.set(0.5)
-	for cl := range s.classSvc {
-		s.classSvc[cl].set(0.25)
-	}
-	quarter := []byte{0, 0, 0, 0, 0, 0, 0xD0, 0x3F} // 0.25 little-endian
-	want := []byte{
-		0x01,                         // record version 1
-		0, 0, 0, 0, 0, 0, 0xE0, 0x3F, // avgUDFSeconds = 0.5
-		0x03, // 3 op classes (exec/put/fetch)
-	}
-	for i := 0; i < int(numClasses); i++ {
-		want = append(want, quarter...)
-	}
-	got := s.exportState()
-	if !bytes.Equal(got, want) {
-		t.Fatalf("state record encoding:\n got %#v\nwant %#v", got, want)
-	}
-
-	// Import on a cold server adopts the EWMAs...
-	d := NewServer(NewRegistry(), false, WireBinary)
-	defer d.Close()
-	if err := d.importState(got); err != nil {
-		t.Fatalf("importState: %v", err)
-	}
-	if v := d.udfCost.load(); v != 0.5 {
-		t.Fatalf("imported avgUDFSeconds = %v, want 0.5", v)
-	}
-	for cl := range d.classSvc {
-		if v := d.classSvc[cl].load(); v != 0.25 {
-			t.Fatalf("imported classSvc[%d] = %v, want 0.25", cl, v)
-		}
-	}
-
-	// ...but never poison them: NaN/Inf/non-positive values are skipped,
-	// and corrupt records are rejected without partial effect on length.
-	poison := append([]byte{}, want...)
-	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1} {
-		binary.LittleEndian.PutUint64(poison[1:], math.Float64bits(bad))
-		if err := d.importState(poison); err != nil {
-			t.Fatalf("importState(%v record): %v", bad, err)
-		}
-		if v := d.udfCost.load(); v != 0.5 {
-			t.Fatalf("%v import changed avgUDFSeconds to %v", bad, v)
-		}
-	}
-	if err := d.importState([]byte{0x02}); err == nil {
-		t.Fatal("unknown record version imported ok")
-	}
-	for i := 1; i < len(want); i++ {
-		if err := d.importState(want[:i]); err == nil {
-			t.Fatalf("truncated record at %d imported ok", i)
-		}
-	}
-}
-
 func TestCancelRoundTrip(t *testing.T) {
 	for _, c := range []Cancel{
 		{},
@@ -979,8 +918,8 @@ func FuzzDecodeFrame(f *testing.F) {
 
 // FuzzDecodeMigration covers the migration payload decoders that live inside
 // response values and scan params rather than the frame layer: the
-// CodeMoved redirect payload, the OpScan region filter, and the migration
-// state record. None may panic or over-allocate on corrupt bytes.
+// CodeMoved redirect payload and the OpScan region filter. Neither may
+// panic or over-allocate on corrupt bytes.
 func FuzzDecodeMigration(f *testing.F) {
 	f.Add(encodeMoved(nil))
 	f.Add(encodeMoved([]movedRegion{{epoch: 9, region: 2, owner: 3, addr: "n:1"}}))
@@ -990,18 +929,9 @@ func FuzzDecodeMigration(f *testing.F) {
 	}))
 	f.Add(encodeRegionFilter(2, 4))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x0F}) // huge count, tiny buffer
-	s := NewServer(NewRegistry(), false, WireBinary)
-	f.Add(s.exportState())
-	s.Close()
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _ = decodeMoved(data)
 		_, _, _ = decodeRegionFilter(data)
-		d := NewServer(NewRegistry(), false, WireBinary)
-		defer d.Close()
-		_ = d.importState(data)
-		if v := d.udfCost.load(); math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
-			t.Fatalf("corrupt state record poisoned avgUDFSeconds: %v", v)
-		}
 	})
 }

@@ -3,9 +3,7 @@ package live
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sync"
-	"time"
 
 	"joinopt/internal/cluster"
 	"joinopt/internal/membership"
@@ -14,43 +12,43 @@ import (
 
 // This file is the server half of elastic membership: the
 // CodeMoved redirect payload, the partition-scoped scan filter, the
-// migration state record, the per-table migration bookkeeping a store node
-// keeps while a shard is in flight, and the Migrator that drives a live
-// shard move end to end. The client half — epoch stamping, redirect
-// handling, owner lookup through membership.Map — lives in exec.go and
-// table.go.
+// per-table migration bookkeeping a store node keeps while a shard is in
+// flight, and the Migrator that drives a live shard move end to end. The
+// client half — epoch stamping, redirect handling, owner lookup through
+// membership.Map — lives in exec.go and table.go.
 //
 // # The fenced handoff
 //
-// A migration of (table, region) from src to dst runs in five phases, with
+// A migration of (table, region) from src to dst runs in four phases, with
 // reads served by src until the very last step so no request ever sees a
-// half-moved shard:
+// half-moved shard. The fence is the one wait:
 //
 //  1. Begin: src registers the region and raises its table's version
 //     floor to the region's highest version F, so every put from here on
-//     is assigned a version above F.
+//     is assigned a version above F. Begin waits for nothing: a put
+//     assigns its version and makes its row visible in one step, so a put
+//     written before the floor rises is there for the bulk copy, and one
+//     written after it lands above F, where the delta copy finds it.
 //  2. Copy: dst pulls the region through region-filtered OpScan pages
 //     (catchUpRegion) while src keeps serving, applying rows set-if-newer.
 //     Every row at or below F existed before the copy began, so the copy
 //     carries it (or a newer version of it).
-//  3. State: src's learned execution profile (UDF-cost EWMA, per-class
-//     service EWMAs) is exported as a migration state record and imported
-//     at dst, so dst's balancer and backpressure pricing do not restart
-//     cold for traffic it is about to inherit.
-//  4. Fence: src stops admitting puts to the region — they bounce with a
+//  3. Fence: src stops admitting puts to the region — they bounce with a
 //     typed CodeOverloaded (retry-after ≈1ms; zero work done, so the
-//     bounce is always safe to retry) — waits out the put batches already
-//     writing, and measures the highest version it holds in the region;
-//     dst then pulls the region's rows above F, every row put since phase
-//     1, through the same pages. Nothing is ever sent on src's put path.
-//  5. Cutover: dst floors its version counters above src's maximum (a
+//     bounce is always safe to retry) — waits out every put batch still
+//     writing (each holds putGate shared), and measures the highest
+//     version it holds in the region; dst then pulls the region's rows
+//     above F, every row put since phase 1, through the same pages.
+//     Nothing is ever sent on src's put path.
+//  4. Cutover: dst floors its version counters above src's maximum (a
 //     dst-assigned version can never lose a set-if-newer race against a
 //     pre-move row), the map bumps (membership.Map.SetOwner — the fencing
-//     epoch), dst adopts the region, and src installs a moved record:
-//     from here src answers the region's requests with CodeMoved and
-//     pushes a version-0 "placement moved" notification to every client
-//     that cached one of the region's keys, so no stale value survives on
-//     a client that never routes to the region again.
+//     epoch), dst adopts the region, and src installs a moved record
+//     under putGate, as the fence is set: from here src answers the
+//     region's requests with CodeMoved and pushes a version-0 "placement
+//     moved" notification to every client that cached one of the region's
+//     keys, so no stale value survives on a client that never routes to
+//     the region again.
 
 // movedRegion is one region this node redirected away, and one entry of a
 // CodeMoved redirect payload: the region, its new owner, the owner's wire
@@ -143,53 +141,6 @@ func decodeRegionFilter(p []byte) (region, nregions int, ok bool) {
 	return int(r), int(n), true
 }
 
-// stateRecordVersion versions the migration state record so a future field
-// can be added without breaking an in-flight upgrade.
-const stateRecordVersion = 1
-
-// exportState serializes the node's learned execution profile as a
-// migration state record: uvarint version · float64le avgUDFSeconds ·
-// uvarint nclasses · nclasses × float64le classSvcSeconds. It travels with
-// a shard migration so the new owner's balancer (Section 5 uses the UDF
-// EWMA) and backpressure pricing (retry-after hints, advertised windows)
-// start from the old owner's measurements instead of the cold defaults.
-func (s *Server) exportState() []byte {
-	b := make([]byte, 0, 2*binary.MaxVarintLen64+8*(1+numClasses))
-	b = binary.AppendUvarint(b, stateRecordVersion)
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.udfCost.load()))
-	b = binary.AppendUvarint(b, uint64(numClasses))
-	for cl := range s.classSvc {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.classSvc[cl].load()))
-	}
-	return b
-}
-
-// importState adopts an exported state record, overwriting the node's UDF
-// and per-class service EWMAs (they re-adapt from live traffic either way;
-// the import just skips the cold-start). Non-finite or non-positive values
-// are skipped (ewma.set).
-func (s *Server) importState(blob []byte) error {
-	ver, k := binary.Uvarint(blob)
-	if k <= 0 || ver != stateRecordVersion {
-		return fmt.Errorf("live: migration state record: unknown version")
-	}
-	blob = blob[k:]
-	if len(blob) < 8 {
-		return fmt.Errorf("live: migration state record: truncated")
-	}
-	s.udfCost.set(math.Float64frombits(binary.LittleEndian.Uint64(blob)))
-	blob = blob[8:]
-	n, k := binary.Uvarint(blob)
-	if k <= 0 || uint64(len(blob)-k) < 8*n {
-		return fmt.Errorf("live: migration state record: truncated")
-	}
-	blob = blob[k:]
-	for cl := 0; cl < int(n) && cl < int(numClasses); cl++ {
-		s.classSvc[cl].set(math.Float64frombits(binary.LittleEndian.Uint64(blob[8*cl:])))
-	}
-	return nil
-}
-
 // --- Server-side migration bookkeeping --------------------------------------
 
 // tableMigr is one table's migration state at a store node. All fields are
@@ -222,7 +173,7 @@ func (s *Server) tableMigrLocked(table string, nregions int) *tableMigr {
 // placement — which regions it redirected away — it learns at each cutover).
 // Requests stamped with a different epoch take the (cheap) moved-region check
 // in routeCheck instead of the one-comparison fast path. Call before Serve.
-func (s *Server) SetMembership(m *membership.Map, _ cluster.NodeID) {
+func (s *Server) SetMembership(m *membership.Map) {
 	s.routeState.Store(m.Epoch() << 1) // fresh node: no moved records
 }
 
@@ -270,7 +221,8 @@ func (s *Server) refreshMovedLocked() {
 // this node's disagree about something that may not involve this request.
 // OpScan is exempt (its keys are cursors, and migration itself scans the
 // old owner); OpPutRepl is exempt (explicit-version replication machinery,
-// never client-routed).
+// never client-routed). handle calls it for reads, commit for an OpPut
+// under putGate held shared.
 func (s *Server) routeCheck(req *Request) *Response {
 	if req.Op == OpScan || req.Op == OpPutRepl {
 		return nil
@@ -342,11 +294,13 @@ func regionMax(tb *serverTable, region, nregions int) (maxVer int64) {
 }
 
 // beginMigration runs phase 1 at the source: register the region (arming
-// commit's fence check), wait out the put batches that skipped the gate, and
-// raise the table's version floor to the region's highest version, which it
-// returns. Every put from here on is assigned a version above that floor, so
-// the fence's delta copy can tell the rows written during the bulk copy apart
-// from the rows the bulk copy carries.
+// commit's fence check) and raise the table's version floor to the region's
+// highest version, which it returns. Every put from here on is assigned a
+// version above that floor, so the fence's delta copy can tell the rows
+// written during the bulk copy apart from the rows the bulk copy carries.
+// It waits for nothing: a put batch still writing either wrote its row
+// before the floor rose, and the bulk copy carries it, or writes it above
+// the floor, and fenceRegion waits for it.
 func (s *Server) beginMigration(table string, region, nregions int) (floor int64, err error) {
 	tb := s.table(table)
 	if tb == nil {
@@ -365,23 +319,21 @@ func (s *Server) beginMigration(table string, region, nregions int) (floor int64
 	mt.migrating[region] = false
 	s.migActive.Add(1)
 	s.migMu.Unlock()
-	for s.ungatedPuts.Load() != 0 { // the fence cannot wait for these
-		time.Sleep(20 * time.Microsecond)
-	}
 	floor = regionMax(tb, region, nregions)
 	tb.store.SetFloor(floor)
 	return floor, nil
 }
 
-// fenceRegion runs phase 4 at the source: stop admitting the region's puts
-// (they bounce retryable), wait out the put batches that passed the fence
-// check before it went up — they only write locally, so the wait is short —
-// and report the highest version this node holds in the region. After
+// fenceRegion runs phase 3 at the source: stop admitting the region's puts
+// (they bounce retryable), wait out every put batch still writing — they
+// only write locally, so the wait is short — and report the highest version
+// this node holds in the region. After
 // fenceRegion the region is frozen at src: no row in it can change until
 // completeMove or abortMigration.
 func (s *Server) fenceRegion(table string, region int) (maxVer int64) {
-	// Taking putGate exclusively waits for every batch holding it shared;
-	// every batch that takes it afterwards sees the fence.
+	// Taking putGate exclusively waits for every put batch holding it
+	// shared, whatever it found when it checked; every batch that takes it
+	// afterwards sees the fence.
 	s.putGate.Lock()
 	s.migMu.Lock()
 	mt := s.migs[table]
@@ -423,6 +375,10 @@ func (s *Server) endMigrationLocked(mt *tableMigr, region int) {
 // client to drop the value but keep the key's learned optimizer state: the
 // value did not change, it moved.
 func (s *Server) completeMove(table string, region int, epoch uint64, owner cluster.NodeID, addr string) {
+	// Under putGate held exclusively: a put batch checks its route and the
+	// fence under the gate held shared, so it finds the fence (before this)
+	// or the moved record (after), never neither.
+	s.putGate.Lock()
 	s.migMu.Lock()
 	mt := s.migs[table]
 	s.endMigrationLocked(mt, region)
@@ -435,6 +391,7 @@ func (s *Server) completeMove(table string, region int, epoch uint64, owner clus
 	s.refreshMovedLocked()
 	s.noteEpoch(epoch)
 	s.migMu.Unlock()
+	s.putGate.Unlock()
 
 	push(s.table(table).cachers.takeIf(table, func(k string) bool {
 		return store.RegionIndex(k, nregions) == region
@@ -491,7 +448,7 @@ type Migrator struct {
 }
 
 // Migrate moves one region of table from src to dst through the fenced
-// five-phase handoff. The map must already know both nodes' addresses and
+// four-phase handoff. The map must already know both nodes' addresses and
 // assign the region to src alone; dst must already serve the table (AddTable
 // with the same spec — its seed rows lose every version race against migrated
 // rows, so sharing the baseline is safe). A region with more than one member
@@ -569,19 +526,15 @@ func (h *handoff) begin() (err error) {
 	return nil
 }
 
-// copy is phases 2 and 3: the bulk copy while the source serves, then the
-// learned execution state.
+// copy is phase 2: the bulk copy while the source serves.
 func (h *handoff) copy() error {
 	if _, err := h.target.catchUpRegion(h.srcAddr, h.table, h.region, h.nregions, 0); err != nil {
 		return h.fail("copy", err)
 	}
-	if err := h.target.importState(h.src.exportState()); err != nil {
-		return h.fail("state", err)
-	}
 	return nil
 }
 
-// fence is phase 4: fence the region at the source, then copy the rows put
+// fence is phase 3: fence the region at the source, then copy the rows put
 // there since begin — every one of them above the floor.
 func (h *handoff) fence() error {
 	h.maxVer = h.src.fenceRegion(h.table, h.region)
@@ -591,7 +544,7 @@ func (h *handoff) fence() error {
 	return nil
 }
 
-// cutover is phase 5: floor the target, bump the map, adopt, redirect.
+// cutover is phase 4: floor the target, bump the map, adopt, redirect.
 func (h *handoff) cutover() {
 	h.target.table(h.table).store.SetFloor(h.maxVer)
 	epoch := h.m.Map.SetOwner(h.table, h.region, h.dst)

@@ -75,8 +75,8 @@ func newMigCluster(t *testing.T, n int, udf string, rows map[string][]byte, cfgE
 		c.m.AddNode(id, addr)
 	}
 	c.m.SetTable("t", make([]cluster.NodeID, migRegions)) // all regions → node 0
-	for id, srv := range c.servers {
-		srv.SetMembership(c.m, id)
+	for _, srv := range c.servers {
+		srv.SetMembership(c.m)
 	}
 	c.stale = c.m.Clone()
 
@@ -284,12 +284,12 @@ func (t *stallTable) Put(key string, value []byte) (int64, error) {
 	return t.Table.Put(key, value)
 }
 
-// TestMigrateWaitsOutUngatedPut parks a put batch that found no migration
+// TestFenceWaitsOutInFlightPut parks a put batch that found no migration
 // active between that check and its write, then drives a migration of the
-// put's region through every phase and releases the put. The migration's
-// begin must wait for the parked batch, so the acked put reaches the new
-// owner at its acked version.
-func TestMigrateWaitsOutUngatedPut(t *testing.T) {
+// put's region through every phase and releases the put. Begin does not
+// wait for the parked batch; the fence does, since the batch holds putGate
+// shared, so the acked put reaches the new owner at its acked version.
+func TestFenceWaitsOutInFlightPut(t *testing.T) {
 	c := newMigCluster(t, 2, "tag", nil, nil)
 	key := "k0"
 	region := store.RegionIndex(key, migRegions)
@@ -366,6 +366,33 @@ func TestMigrateWaitsOutUngatedPut(t *testing.T) {
 	}
 }
 
+// TestCommitRedirectsPutToMovedRegion hands commit a put batch for a region
+// that moved away after the batch passed handle: commit must check the
+// route itself, under putGate, and answer CodeMoved without writing the row.
+// A batch that checked only before the cutover would find no fence (the
+// cutover drops it) and write at the old owner, where its ack is lost.
+func TestCommitRedirectsPutToMovedRegion(t *testing.T) {
+	s := socketlessServer(t, false, AdmissionConfig{})
+	key := "k0"
+	region := store.RegionIndex(key, migRegions)
+	if _, err := s.beginMigration("t", region, migRegions); err != nil {
+		t.Fatal(err)
+	}
+	s.fenceRegion("t", region)
+	s.completeMove("t", region, 1, 1, "new-owner:1")
+
+	tb := s.table("t")
+	wc, _ := socketlessConn()
+	resp := s.commit(wc, tb, &Request{ID: 1, Op: OpPut, Table: "t", Epoch: 1,
+		Keys: []string{key}, Params: [][]byte{[]byte("late")}})
+	if resp.Code != CodeMoved {
+		t.Fatalf("put to a moved region answered %v, want CodeMoved", resp.Code)
+	}
+	if val, ver, _ := tb.store.Get(key); ver != 0 {
+		t.Fatalf("the old owner wrote %s at v%d %q after the cutover", key, ver, val)
+	}
+}
+
 // TestMigrateRedirectEpochFencing pins the redirect protocol: any request
 // for a moved region arriving at the old owner earns CodeMoved with a
 // decodable payload (the node holds a moved record, so no stamp can match
@@ -428,10 +455,9 @@ func TestMigrateRedirectEpochFencing(t *testing.T) {
 // migrated mid-trace must make the SAME fetch-vs-compute decisions
 // afterwards as an executor that never saw a migration. The learned state
 // Algorithm 1 runs on — ski-rental counters, learned sizes and costs on the
-// client; UDF and service EWMAs on the server — must survive the move: the
-// client keeps its counters through the version-0 invalidations (the value
-// moved, it did not change), and the server state travels in the migration
-// state record.
+// client — must survive the move: the client keeps its counters through the
+// version-0 invalidations (the value moved, it did not change). The server's
+// UDF and service EWMAs stay behind: each node prices from its own traffic.
 //
 // Both executors replay the identical single-threaded trace (Shards=1,
 // Workers=1 — a total order of optimizer interactions). Decisions are
@@ -658,8 +684,8 @@ func TestFaultMembershipServesReplicatedTable(t *testing.T) {
 	}
 	m.SetTableSets("r", membership.ReplicaSets(tables["r"], 3))
 	m.SetTable("s", make([]cluster.NodeID, migRegions)) // every region → node 0
-	for id, srv := range servers {
-		srv.SetMembership(m, id)
+	for _, srv := range servers {
+		srv.SetMembership(m)
 	}
 	e, err := NewExecutor(ExecConfig{
 		Tables:         tables,
@@ -735,7 +761,7 @@ func TestFaultMembershipServesReplicatedTable(t *testing.T) {
 
 	servers[2].Close() // one replica of every region of "r" dies under load
 	boot(3)            // a node the client has never heard of
-	servers[3].SetMembership(m, 3)
+	servers[3].SetMembership(m)
 	if moved, err := mig.Drain(0, 3, []string{"s"}); err != nil || moved != migRegions {
 		t.Fatalf("drain of the unreplicated table: moved %d regions, err %v", moved, err)
 	}

@@ -121,10 +121,8 @@
 // Migration itself rides existing machinery: the new owner copies the
 // partition through partition-scoped OpScan pages (Params[1] carries the
 // region filter — uvarint region · uvarint nregions — and the server skips
-// rows hashing outside it), and the old owner's learned execution state
-// travels as a migration state record (see migrate.go) so the new owner's
-// balancer does not start cold. Before the copy the old owner raises its
-// version floor to the region's highest version, so the puts it takes
+// rows hashing outside it; see migrate.go). Before the copy the old owner
+// raises its version floor to the region's highest version, so the puts it takes
 // during the copy land above it. Cutover is fenced on the epoch bump: puts
 // to the moving region are briefly bounced with a typed CodeOverloaded
 // (retry-after ≈1ms), a second pass pulls only the rows above the floor

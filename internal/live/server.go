@@ -55,18 +55,18 @@ type Server struct {
 	// never matches (the flag forces the walk); a node that never migrated
 	// anything — every static cluster — has flag 0 and stays on the
 	// one-comparison path, with state 0 matching the 0 every
-	// statically configured client stamps. migActive counts regions this node is
-	// currently copying away; commit consults the migration state only
-	// while it is nonzero, and then writes its rows holding putGate shared,
-	// which fenceRegion takes exclusively to wait out the batches already
-	// past the fence check; ungatedPuts counts the put batches writing
-	// without it, which beginMigration waits out. migMu guards migs.
-	routeState  atomic.Uint64
-	migActive   atomic.Int64
-	ungatedPuts atomic.Int64
-	putGate     sync.RWMutex
-	migMu       sync.Mutex
-	migs        map[string]*tableMigr
+	// statically configured client stamps. Every put batch checks its route
+	// and writes its rows holding putGate shared; fenceRegion takes it
+	// exclusively to wait out the batches already writing, and completeMove
+	// to install the moved record between two batches. migActive counts
+	// regions this node is currently copying away, and only arms commit's
+	// fence check (putFenced): a put batch reads no migration state while it
+	// is zero. migMu guards migs.
+	routeState atomic.Uint64
+	migActive  atomic.Int64
+	putGate    sync.RWMutex
+	migMu      sync.Mutex
+	migs       map[string]*tableMigr
 
 	// UDF execution (execute.go): the one limiter, the load the Appendix C
 	// balancer reads, and the service-cost EWMAs (see ewma for who reads which).
